@@ -13,8 +13,9 @@
 //!   advances (§5.3);
 //! * [`cc`] — Soman hooking/pointer-jumping over an *edge* frontier
 //!   (§5.4);
-//! * [`pagerank`] — full-frontier advance with atomic accumulation and
-//!   a convergence filter (§5.5);
+//! * [`pagerank`] — full-frontier residual hand-over (dense atomic-free
+//!   gather while most edges are live, atomic push once the frontier is
+//!   sparse) and a convergence filter (§5.5, §7);
 //! * [`bipartite`] — HITS / SALSA / personalized PageRank and the
 //!   who-to-follow pipeline (§5.5, "WTF, GPU!");
 //! * [`extras`] — maximal independent set and greedy coloring, from the
@@ -58,7 +59,7 @@ pub use kcore::{k_core, KcoreResult};
 pub use msbfs::{msbfs, msbfs_resume, try_msbfs, MsbfsResult};
 pub use msppr::{msppr, msppr_resume, try_msppr, MspprOptions, MspprResult};
 pub use mst::{mst, MstResult};
-pub use pagerank::{pagerank, pagerank_pull, pagerank_resume, PrOptions, PrResult};
+pub use pagerank::{pagerank, pagerank_resume, PrOptions, PrResult};
 pub use recover::{resume, try_bc, try_bfs, try_cc, try_pagerank, try_sssp, ResumedRun};
 pub use sssp::{sssp, sssp_resume, SsspOptions, SsspResult};
 pub use triangles::{triangle_count, TriangleResult};

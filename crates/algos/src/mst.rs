@@ -4,7 +4,7 @@
 //! graph topology".
 //!
 //! Borůvka's algorithm in the frontier model: each round, every
-//! component finds its minimum outgoing edge (a [`neighbor_reduce`]-style
+//! component finds its minimum outgoing edge (a gather-reduce-style
 //! per-vertex pass + per-component atomic min), the chosen edges hook
 //! components together (the CC machinery), and pointer jumping flattens
 //! labels; rounds repeat until no component has an outgoing edge.

@@ -7,16 +7,25 @@
 //! whose PageRanks have already converged. We accumulate PageRank values
 //! with AtomicAdd operations."
 //!
-//! Realized as residual (push-style) PageRank: every frontier vertex
-//! pushes `d * residual / degree` to its neighbors via atomic adds; a
-//! vertex re-enters the frontier while its incoming residual exceeds the
-//! tolerance. The fixed point is the standard PageRank vector (teleport
-//! `(1-d)/n`), so results are directly comparable to power iteration.
+//! Realized as residual PageRank: every frontier vertex hands
+//! `d * residual / degree` to its neighbors; a vertex re-enters the
+//! frontier while its incoming residual exceeds the tolerance. The fixed
+//! point is the standard PageRank vector (teleport `(1-d)/n`), so results
+//! are directly comparable to power iteration.
+//!
+//! The hand-over runs in one of two directions, chosen per iteration from
+//! the frontier's out-edge volume ([`prefer_gather`]): while most edges
+//! are live and the context has a reverse graph, a dense
+//! [`advance_gather`] pulls the shares over in-edges with plain stores
+//! (the §7 gather-reduce) and emits the next frontier in the same sweep;
+//! once the frontier is sparse — or without a reverse graph — it is the
+//! paper's push advance with atomic adds followed by a compaction.
 
 use crate::recover::{check_failed, expect_len, expect_vertex_ids, malformed};
+use gunrock::advance::policy::{prefer_gather, GATHER_EDGE_DIVISOR};
 use gunrock::prelude::*;
 use gunrock_engine::atomics::AtomicF64;
-use gunrock_engine::compact::compact_indices;
+use gunrock_engine::compact::compact_indices_into;
 use gunrock_graph::{EdgeId, VertexId};
 use rayon::prelude::*;
 
@@ -25,11 +34,8 @@ use rayon::prelude::*;
 pub struct PrOptions {
     /// Damping factor (`d` in the PageRank equation).
     pub damping: f64,
-    /// Convergence tolerance. For [`pagerank`] (push): per-vertex pending
-    /// residual mass — a vertex below it leaves the frontier. For
-    /// [`pagerank_pull`]: global L1 change per iteration (there is no
-    /// per-vertex frontier in the dense gather). The pull threshold is
-    /// the coarser of the two for equal values.
+    /// Convergence tolerance: per-vertex pending residual mass — a vertex
+    /// below it leaves the frontier.
     pub epsilon: f64,
     /// Hard iteration cap (`1` reproduces the paper's one-iteration
     /// Ligra comparison).
@@ -51,34 +57,33 @@ pub struct PrResult {
     pub scores: Vec<f64>,
     /// Bulk-synchronous iterations executed.
     pub iterations: u32,
-    /// Edges pushed across over all iterations.
+    /// Edges visited over all iterations: the frontier's out-edges in a
+    /// push iteration, all `m` in-edges in a gather iteration.
     pub edges_examined: u64,
     /// Wall time of the enact loop.
     pub elapsed: std::time::Duration,
     /// How the enact loop ended. A partial outcome still carries a
     /// usable score vector: residual mass not yet propagated is folded
     /// back in, so scores always sum to ~1 — they are simply further
-    /// from the fixed point. The algorithm's own `max_iters` knob counts
-    /// as convergence; only the context's [`RunPolicy`] produces partial
-    /// outcomes.
+    /// from the fixed point. (A cancel or deadline landing inside a
+    /// gather sweep cuts that one hand-over short; the shares it did not
+    /// deliver are missing from a `Cancelled` / `TimedOut` result.) The
+    /// algorithm's own `max_iters` knob counts as convergence; only the
+    /// context's [`RunPolicy`] produces partial outcomes.
     pub outcome: RunOutcome,
 }
 
-/// Residual-push functor: scatter the source's frozen residual share to
-/// the destination's accumulator (the paper's AtomicAdd accumulation).
-struct PushResidual<'a> {
-    graph: &'a gunrock_graph::Csr,
-    residual_in: &'a [f64],
+/// Residual-push functor: scatter the source's frozen share to the
+/// destination's accumulator (the paper's AtomicAdd accumulation).
+struct PushShare<'a> {
+    share: &'a [f64],
     acc: &'a [AtomicF64],
-    damping: f64,
 }
 
-impl AdvanceFunctor for PushResidual<'_> {
+impl AdvanceFunctor for PushShare<'_> {
     #[inline]
     fn cond_edge(&self, src: VertexId, dst: VertexId, _e: EdgeId) -> bool {
-        let deg = self.graph.out_degree(src) as f64;
-        let _ = self.acc[dst as usize]
-            .fetch_add(self.damping * self.residual_in[src as usize] / deg);
+        let _ = self.acc[dst as usize].fetch_add(self.share[src as usize]);
         false // effect-only
     }
 }
@@ -177,13 +182,23 @@ pub fn pagerank_resume(
 fn pagerank_run(ctx: &Context<'_>, opts: PrOptions, st: PrLoop) -> PrResult {
     let g = ctx.graph;
     let n = g.num_vertices();
+    let m = g.num_edges() as u64;
     let start = std::time::Instant::now();
     // Budget admission: demote the advance mode (or poison with a
     // structured BudgetExceeded) before the first operator launches.
     let opts = PrOptions { mode: crate::admission::admit(ctx, "pagerank", opts.mode), ..opts };
     let PrLoop { mut scores, mut residual, mut frontier, mut iterations } = st;
-    // reused accumulator (zeroed as it is drained each iteration)
-    let acc: Vec<AtomicF64> = (0..n).map(|_| AtomicF64::new(0.0)).collect();
+    // The frontier ping-pongs between two buffers owned by this run. They
+    // stay out of the pool on purpose: PageRank must survive a pool that
+    // denies every checkout (chaos `pool-alloc`).
+    let mut spare = Frontier::new();
+    // share[u] = d * residual[u] / deg(u) for frontier vertices, zero
+    // elsewhere: what one out-edge of u carries this iteration
+    let mut share = vec![0.0f64; n];
+    // push accumulator, built at the first push iteration (zeroed as it
+    // is drained); a run that only ever gathers never pays for it
+    let mut acc: Vec<AtomicF64> = Vec::new();
+    let mut gathering = false;
     let guard = ctx.guard();
     let mut outcome = RunOutcome::Converged;
 
@@ -199,42 +214,93 @@ fn pagerank_run(ctx: &Context<'_>, opts: PrOptions, st: PrLoop) -> PrResult {
             break;
         }
         iterations += 1;
-        ctx.end_iteration(false);
-        // absorb frontier residuals into the scores (compute step); a
-        // dangling (out-degree 0) vertex cannot push, so its damped mass
-        // teleports uniformly, matching the power-iteration fixed point
+        // absorb frontier residuals into the scores and freeze each
+        // vertex's per-edge share (compute step); a dangling (out-degree
+        // 0) vertex has no edge to carry its damped mass, so it teleports
+        // uniformly, matching the power-iteration fixed point
         let mut dangling = 0.0f64;
+        let mut frontier_edges = 0u64;
         for &v in frontier.as_slice() {
-            scores[v as usize] += residual[v as usize];
-            if g.out_degree(v) == 0 {
-                dangling += opts.damping * residual[v as usize];
+            let r = std::mem::take(&mut residual[v as usize]);
+            scores[v as usize] += r;
+            let deg = g.out_degree(v);
+            if deg == 0 {
+                dangling += opts.damping * r;
+            } else {
+                share[v as usize] = opts.damping * r / deg as f64;
+                frontier_edges += u64::from(deg);
             }
         }
-        // push: advance for effect with atomic accumulation
-        let functor =
-            PushResidual { graph: g, residual_in: &residual, acc: &acc, damping: opts.damping };
-        let spec = AdvanceSpec::for_effect().with_mode(opts.mode);
-        let _ = advance::advance(ctx, &frontier, spec, &functor);
-        // consumed residuals are gone; newly received ones replace them
-        for &v in frontier.as_slice() {
-            residual[v as usize] = 0.0;
-        }
         let teleport = dangling / n as f64;
-        residual.par_iter_mut().zip(acc.par_iter()).for_each(|(r, a)| {
-            *r += a.load() + teleport;
-            a.store(0.0);
-        });
-        // filter: vertices with enough pending residual re-enter
         let eps = opts.epsilon;
-        let next = compact_indices(&residual, |&r| r > eps);
-        ctx.recycle(std::mem::replace(&mut frontier, Frontier::from_vec(next)));
+        let gather = ctx.reverse.is_some() && prefer_gather(frontier_edges, m);
+        ctx.end_iteration(gather);
+        if gather != gathering {
+            gathering = gather;
+            if let Some(sink) = ctx.sink() {
+                let (from, to, cmp) = if gather {
+                    (StepDirection::Push, StepDirection::Pull, ">")
+                } else {
+                    (StepDirection::Pull, StepDirection::Push, "<=")
+                };
+                sink.record_switch(
+                    from,
+                    to,
+                    format!("m_f={frontier_edges} {cmp} m={m}/{GATHER_EDGE_DIVISOR}"),
+                );
+            }
+        }
+        let next = spare.as_mut_vec();
+        if gather {
+            // gather: every vertex sums its in-neighbors' shares, folds
+            // the teleport term and re-enters the frontier in one sweep
+            advance_gather(
+                ctx,
+                0..n as VertexId,
+                &mut residual,
+                next,
+                0.0,
+                |u, _v, _e| share[u as usize],
+                |a, b| a + b,
+                |_v, received, r| {
+                    *r += received + teleport;
+                    *r > eps
+                },
+            );
+        } else {
+            // push: advance for effect with atomic accumulation, then
+            // filter: vertices with enough pending residual re-enter
+            if acc.is_empty() {
+                acc = (0..n).map(|_| AtomicF64::new(0.0)).collect();
+            }
+            let functor = PushShare { share: &share, acc: &acc };
+            let spec = AdvanceSpec::for_effect().with_mode(opts.mode);
+            let _ = advance::advance(ctx, &frontier, spec, &functor);
+            residual.par_iter_mut().zip(acc.par_iter()).for_each(|(r, a)| {
+                *r += a.load() + teleport;
+                a.store(0.0);
+            });
+            compact_indices_into(&residual, |&r| r > eps, next);
+        }
+        for &v in frontier.as_slice() {
+            share[v as usize] = 0.0;
+        }
+        std::mem::swap(&mut frontier, &mut spare);
+    }
+    // A cancel or deadline can truncate a gather sweep to an empty
+    // frontier, making the loop exit look like natural convergence with
+    // part of the last hand-over undelivered; the guard has the final say.
+    if outcome == RunOutcome::Converged && ctx.abort_requested() {
+        if let Some(tripped) = guard.check(iterations) {
+            outcome = tripped;
+            if tripped != RunOutcome::Failed {
+                pagerank_checkpoint(ctx, &opts, &scores, &residual, &frontier, iterations);
+            }
+        }
     }
     // fold any remaining sub-threshold residual into the scores
     scores.par_iter_mut().zip(residual.par_iter()).for_each(|(s, r)| *s += r);
 
-    // the loop's last frontier still owns pooled storage; return it so
-    // a re-run on this context starts with a warm pool
-    ctx.recycle(frontier);
     // a panic that emptied the frontier must not read as convergence
     if ctx.is_poisoned() {
         outcome = RunOutcome::Failed;
@@ -248,79 +314,10 @@ fn pagerank_run(ctx: &Context<'_>, opts: PrOptions, st: PrLoop) -> PrResult {
     }
 }
 
-/// Edge throughput: every iteration touches the frontier's out-edges.
+/// Edge throughput over the edges each iteration visited (see
+/// [`PrResult::edges_examined`]).
 pub fn pr_mteps(result: &PrResult) -> f64 {
     Timing { elapsed: result.elapsed, edges_examined: result.edges_examined }.mteps()
-}
-
-/// Pull-mode (gather) PageRank built on the [`neighbor_reduce`]
-/// operator — the atomic-free path §4.5 describes ("Gunrock ... supports
-/// both push-based (scatter) communication and pull-based (gather)
-/// communication during traversal steps") and §7 motivates ("global and
-/// neighborhood operations ... generally require less-efficient atomic
-/// operations"; gather-reduce removes them). Synchronous full-frontier
-/// iterations: each vertex gathers `pr[u] / deg(u)` over its in-edges
-/// (== out-edges on the undirected benchmark graphs; pass the reverse
-/// graph as `ctx.graph` for directed inputs).
-pub fn pagerank_pull(ctx: &Context<'_>, opts: PrOptions) -> PrResult {
-    let g = ctx.graph;
-    let n = g.num_vertices();
-    let start = std::time::Instant::now();
-    if n == 0 {
-        return PrResult {
-            scores: Vec::new(),
-            iterations: 0,
-            edges_examined: 0,
-            elapsed: start.elapsed(),
-            outcome: RunOutcome::Converged,
-        };
-    }
-    let base = (1.0 - opts.damping) / n as f64;
-    let mut pr = vec![1.0 / n as f64; n];
-    let frontier = Frontier::full(n);
-    let mut iterations = 0u32;
-    let guard = ctx.guard();
-    let mut outcome = RunOutcome::Converged;
-    while (iterations as usize) < opts.max_iters {
-        if let Some(tripped) = guard.check(iterations) {
-            outcome = tripped;
-            break;
-        }
-        iterations += 1;
-        ctx.end_iteration(false);
-        let dangling: f64 =
-            (0..n as u32).filter(|&v| g.out_degree(v) == 0).map(|v| pr[v as usize]).sum();
-        let teleport = base + opts.damping * dangling / n as f64;
-        let pr_ref = &pr;
-        let gathered = neighbor_reduce(
-            ctx,
-            &frontier,
-            0.0f64,
-            |_v, u, _e| {
-                let deg = g.out_degree(u);
-                if deg == 0 {
-                    0.0
-                } else {
-                    pr_ref[u as usize] / deg as f64
-                }
-            },
-            |a, b| a + b,
-        );
-        let next: Vec<f64> =
-            gathered.into_par_iter().map(|acc| teleport + opts.damping * acc).collect();
-        let l1: f64 = pr.par_iter().zip(next.par_iter()).map(|(a, b)| (a - b).abs()).sum();
-        pr = next;
-        if l1 < opts.epsilon {
-            break;
-        }
-    }
-    PrResult {
-        scores: pr,
-        iterations,
-        edges_examined: ctx.counters.edges(),
-        elapsed: start.elapsed(),
-        outcome,
-    }
 }
 
 #[cfg(test)]
@@ -330,23 +327,85 @@ mod tests {
     use gunrock_graph::generators::{erdos_renyi, rmat};
     use gunrock_graph::{Coo, GraphBuilder};
 
+    /// A directed R-MAT sample: keeps each undirected edge in one
+    /// orientation only, so in- and out-lists differ and low-id vertices
+    /// with no larger neighbor dangle.
+    fn directed_with_dangling() -> gunrock_graph::Csr {
+        let coo = rmat(8, 8, Default::default(), 9);
+        let arcs: Vec<(u32, u32)> = coo.edges().filter(|(s, d)| s > d).collect();
+        GraphBuilder::new().directed().build(Coo::from_edges(coo.num_vertices, &arcs))
+    }
+
     #[test]
-    #[allow(clippy::needless_range_loop)] // v indexes three parallel arrays
     fn pull_mode_matches_push_mode_and_oracle() {
-        let g = GraphBuilder::new().build(rmat(8, 16, Default::default(), 6));
-        let want = serial::pagerank(&g, 0.85, 1e-14, 2000);
-        let pull = {
-            let ctx = Context::new(&g);
-            pagerank_pull(&ctx, PrOptions { epsilon: 1e-12, ..Default::default() })
-        };
-        let push = {
-            let ctx = Context::new(&g);
-            pagerank(&ctx, PrOptions { epsilon: 1e-12, ..Default::default() })
-        };
-        for v in 0..g.num_vertices() {
-            assert!((pull.scores[v] - want[v]).abs() < 1e-6, "pull vertex {v}");
-            assert!((pull.scores[v] - push.scores[v]).abs() < 1e-6, "pull vs push {v}");
+        let graphs = [
+            GraphBuilder::new().build(rmat(8, 16, Default::default(), 6)),
+            GraphBuilder::new().build(erdos_renyi(300, 1500, 1)),
+            directed_with_dangling(),
+        ];
+        let dg = &graphs[2];
+        assert!(
+            (0..dg.num_vertices() as u32).any(|v| dg.out_degree(v) == 0),
+            "needs dangling vertices"
+        );
+        for (i, g) in graphs.iter().enumerate() {
+            let rev = g.transpose();
+            let opts = PrOptions { epsilon: 1e-12, ..Default::default() };
+            let want = serial::pagerank(g, 0.85, 1e-14, 2000);
+            let ctx = Context::new(g).with_reverse(&rev).with_stats();
+            let pull = pagerank(&ctx, opts);
+            let stats = ctx.run_stats();
+            let gathers =
+                stats.steps.iter().filter(|s| s.strategy.starts_with("pull_gather")).count();
+            assert!(gathers > 0, "graph {i}: dense iterations gather");
+            assert!(gathers < stats.steps.len(), "graph {i}: the sparse tail pushes");
+            let push = pagerank(&Context::new(g), opts);
+            assert_eq!(pull.iterations, push.iterations, "graph {i}");
+            for (v, ((a, b), w)) in pull.scores.iter().zip(&push.scores).zip(&want).enumerate()
+            {
+                assert!((a - b).abs() <= 1e-12, "graph {i} vertex {v}: pull {a} vs push {b}");
+                assert!((a - w).abs() < 1e-6, "graph {i} vertex {v}: pull {a} vs oracle {w}");
+                assert!((b - w).abs() < 1e-6, "graph {i} vertex {v}: push {b} vs oracle {w}");
+            }
         }
+    }
+
+    #[test]
+    fn direction_switches_on_edge_volume_and_is_recorded() {
+        let g = GraphBuilder::new().build(rmat(9, 16, Default::default(), 4));
+        let m = g.num_edges() as u64;
+        let ctx = Context::new(&g).with_reverse(&g).with_stats();
+        let r = pagerank(&ctx, PrOptions::default());
+        let stats = ctx.run_stats();
+        // every advance ran in the direction the frontier's edge volume asked for
+        for s in stats.steps.iter().filter(|s| s.operator == OperatorKind::Advance) {
+            if s.strategy.starts_with("pull_gather") {
+                assert_eq!(s.edges_examined, m, "a dense sweep scans every in-edge");
+                assert_eq!(s.direction, Some(StepDirection::Pull));
+            } else {
+                assert!(!prefer_gather(s.edges_examined, m), "iteration {}", s.iteration);
+            }
+        }
+        // starts dense, ends sparse: at least the two switches, each with
+        // the inequality that fired
+        assert!(stats.switches.len() >= 2);
+        assert_eq!(stats.switches[0].to, StepDirection::Pull);
+        assert!(stats.switches[0].reason.contains(&format!("> m={m}/6")));
+        let last = stats.switches.last().expect("a switch");
+        assert_eq!(last.to, StepDirection::Push);
+        assert!(last.reason.contains("<= m="));
+        assert_eq!(r.edges_examined, stats.edges_examined());
+        assert_eq!(u64::from(stats.pull_iterations()), ctx.counters.pull_iters());
+    }
+
+    #[test]
+    fn without_a_reverse_graph_every_iteration_pushes() {
+        let g = GraphBuilder::new().build(rmat(8, 16, Default::default(), 6));
+        let ctx = Context::new(&g).with_stats();
+        pagerank(&ctx, PrOptions::default());
+        let stats = ctx.run_stats();
+        assert!(stats.steps.iter().all(|s| s.direction == Some(StepDirection::Push)));
+        assert!(stats.switches.is_empty());
     }
 
     #[test]
@@ -427,11 +486,16 @@ mod tests {
         let ctx = Context::new(&g);
         let own = pagerank(&ctx, PrOptions { max_iters: 1, ..Default::default() });
         assert_eq!(own.outcome, RunOutcome::Converged);
-        // pull mode honors the policy too
-        let ctx = Context::new(&g).with_policy(RunPolicy::unbounded().max_iterations(2));
-        let pull = pagerank_pull(&ctx, PrOptions { epsilon: 1e-12, ..Default::default() });
+        // the gather path honors the policy and conserves the same mass
+        let ctx = Context::new(&g)
+            .with_reverse(&g)
+            .with_policy(RunPolicy::unbounded().max_iterations(2));
+        let pull = pagerank(&ctx, PrOptions { epsilon: 1e-12, ..Default::default() });
         assert_eq!(pull.outcome, RunOutcome::IterationCapped);
         assert_eq!(pull.iterations, 2);
+        assert_eq!(ctx.counters.pull_iters(), 2, "both capped rounds gathered");
+        let sum: f64 = pull.scores.iter().sum();
+        assert!((sum - want).abs() < 1e-9, "sum {sum}, want {want}");
     }
 
     #[test]

@@ -55,7 +55,8 @@ fn main() {
             std::hint::black_box(algos::cc(&ctx))
         });
         let pr_ms = time_avg_ms(args.runs, || {
-            let ctx = Context::new(&g);
+            // undirected by construction: `g` is its own transpose
+            let ctx = Context::new(&g).with_reverse(&g);
             std::hint::black_box(algos::pagerank(
                 &ctx,
                 algos::PrOptions {

@@ -236,7 +236,7 @@ pub fn run_system(
             std::hint::black_box(algos::bc(&ctx, src, algos::BcOptions::default()));
         }),
         (System::Gunrock, Algorithm::PageRank) => Box::new(move || {
-            let ctx = Context::new(g);
+            let ctx = Context::new(g).with_reverse(rev);
             std::hint::black_box(algos::pagerank(
                 &ctx,
                 algos::PrOptions {
@@ -269,7 +269,9 @@ fn gunrock_stats(alg: Algorithm, d: &Dataset) -> RunStatsSummary {
     let g = &d.graph;
     let src = 0u32;
     let ctx = match alg {
-        Algorithm::Bfs => Context::with_stats(Context::new(g).with_reverse(d.reverse())),
+        Algorithm::Bfs | Algorithm::PageRank => {
+            Context::with_stats(Context::new(g).with_reverse(d.reverse()))
+        }
         _ => Context::with_stats(Context::new(g)),
     };
     let start = std::time::Instant::now();
@@ -337,7 +339,21 @@ mod tests {
                             s.operator_sum_millis() <= s.wall_millis + 1e-9,
                             "{sys:?} {alg:?} operator sum exceeds wall time"
                         );
-                        assert!(s.pool.checkouts > 0, "{sys:?} {alg:?} never used the pool");
+                        // PageRank gathers into its own arrays and owns its
+                        // frontier buffers, so it may never touch the pool:
+                        // it must have gathered and left the pool balanced
+                        if alg == Algorithm::PageRank {
+                            assert!(s.pull_iterations > 0, "{sys:?} pagerank never gathered");
+                            assert_eq!(
+                                s.pool.releases, s.pool.checkouts,
+                                "{sys:?} pagerank left the pool unbalanced"
+                            );
+                        } else {
+                            assert!(
+                                s.pool.checkouts > 0,
+                                "{sys:?} {alg:?} never used the pool"
+                            );
+                        }
                     }
                 }
             }

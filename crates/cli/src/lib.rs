@@ -586,7 +586,10 @@ pub fn execute(args: &Args) -> Result<RunOutcome, String> {
             }
         }
         "pagerank" => {
-            let ctx = instrument(Context::new(&g).with_policy(policy));
+            // the reverse graph puts dense iterations on the gather path;
+            // a loaded `.bin` may be directed, so it is a real transpose
+            let rev = g.transpose();
+            let ctx = instrument(Context::new(&g).with_reverse(&rev).with_policy(policy));
             let opts = algos::PrOptions { epsilon: 1e-10, ..Default::default() };
             let r = match &resume_ckpt {
                 Some(ckpt) => algos::pagerank_resume(&ctx, opts, ckpt)
@@ -1073,6 +1076,32 @@ mod tests {
             assert!(json.contains(r#""duration_ms":"#), "{prim}");
             std::fs::remove_file(&path).ok();
         }
+    }
+
+    #[test]
+    fn pagerank_gathers_over_real_in_edges_of_a_directed_bin() {
+        // 0 -> 1 -> 2 -> 0 plus 0 -> 2 and a dangling 3 <- 1: in- and
+        // out-lists differ, so gathering over `g` itself would be wrong
+        let coo = gunrock_graph::Coo::from_edges(4, &[(0, 1), (1, 2), (2, 0), (0, 2), (1, 3)]);
+        let g = GraphBuilder::new().directed().build(coo);
+        let dir = std::env::temp_dir();
+        let bin = dir.join(format!("gunrock_cli_directed_{}.bin", std::process::id()));
+        io::write_csr_binary(&g, std::fs::File::create(&bin).unwrap()).unwrap();
+        let stats = dir.join(format!("gunrock_cli_directed_{}.json", std::process::id()));
+        let a = parse_args(args(&[
+            "pagerank",
+            "--graph",
+            bin.to_str().unwrap(),
+            "--verify",
+            "--stats-json",
+            stats.to_str().unwrap(),
+        ]))
+        .unwrap();
+        assert_eq!(execute(&a).unwrap(), RunOutcome::Converged);
+        let json = std::fs::read_to_string(&stats).unwrap();
+        assert!(json.contains("pull_gather"), "the run must have gathered: {json}");
+        std::fs::remove_file(&bin).ok();
+        std::fs::remove_file(&stats).ok();
     }
 
     #[test]

@@ -16,10 +16,12 @@
 //!   frontier's neighbor count exceeds the runtime threshold (4096),
 //!   thread-mapped otherwise.
 //!
-//! Pull-direction advance (§4.1.1) lives in [`pull`]; the push/pull
-//! switching policy in [`policy`].
+//! Pull-direction advance (§4.1.1) lives in [`pull`], the dense
+//! atomic-free gather-reduce (§7) in [`gather`]; the push/pull and
+//! push/gather switching policies in [`policy`].
 
 pub mod fused;
+pub mod gather;
 pub mod msbfs;
 pub mod policy;
 pub mod pull;

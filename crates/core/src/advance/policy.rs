@@ -86,6 +86,22 @@ impl DirectionPolicy {
     }
 }
 
+/// A dense gather scans all `m` in-edges at roughly a sixth to an
+/// eighth of an atomic push's per-edge cost (EXPERIMENTS.md, PR19), so it
+/// wins once the frontier's out-edge volume exceeds `m / this`.
+pub const GATHER_EDGE_DIVISOR: u64 = 6;
+
+/// Push-vs-gather choice for an accumulating advance
+/// ([`super::gather::advance_gather`]): gather while the frontier's
+/// out-edges `frontier_edges` are more than `1 / GATHER_EDGE_DIVISOR` of
+/// the graph's `graph_edges`. The test is on edges, not vertices:
+/// low-degree vertices converge first while the hubs keep most edges
+/// live, so a vertex count would fall back to the atomic push too early.
+#[inline]
+pub fn prefer_gather(frontier_edges: u64, graph_edges: u64) -> bool {
+    frontier_edges > graph_edges / GATHER_EDGE_DIVISOR
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -124,5 +140,13 @@ mod tests {
     fn push_only_policy_never_pulls() {
         let p = DirectionPolicy::push_only();
         assert_eq!(p.decide(Push, u64::MAX / 2, 1, usize::MAX / 2, 1), Push);
+    }
+
+    #[test]
+    fn gather_switch_is_on_edge_volume() {
+        assert!(prefer_gather(1_000, 1_000), "full frontier gathers");
+        assert!(prefer_gather(167, 1_000));
+        assert!(!prefer_gather(166, 1_000), "a sixth of m or less pushes");
+        assert!(!prefer_gather(0, 0), "an edgeless graph never gathers");
     }
 }

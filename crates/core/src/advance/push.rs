@@ -26,11 +26,12 @@ use gunrock_engine::unsafe_slice::UnsafeSlice;
 use gunrock_graph::{EdgeId, VertexId};
 use rayon::prelude::*;
 
-/// Marks an edge rank whose `cond` failed in a flat output slot array.
+/// Marks an edge rank whose `cond` failed in a flat output slot array
+/// (and, in the gather sweep, an emission slot a chunk left unused).
 /// Collision with a real vertex/edge id is impossible because
 /// `Csr::validate`/`GraphBuilder` reject graphs with `num_vertices` or
 /// `num_edges` at `u32::MAX` — every legal id is strictly smaller.
-const INVALID_SLOT: u32 = u32::MAX;
+pub(super) const INVALID_SLOT: u32 = u32::MAX;
 
 /// Total neighbor count of the frontier — the workload size an advance
 /// will generate, used by the Auto strategy switch, the serial

@@ -47,7 +47,6 @@ pub mod error;
 pub mod filter;
 pub mod functor;
 pub(crate) mod isolate;
-pub mod neighbor_reduce;
 pub mod partition;
 pub mod policy;
 pub mod priority_queue;
@@ -60,6 +59,7 @@ pub mod prelude {
     pub use crate::advance::{
         self,
         fused::advance_filter_fused,
+        gather::advance_gather,
         msbfs::{advance_msbfs, MsbfsSweep},
         policy::{DirectionPolicy, TraversalDirection},
         pull::{advance_pull, advance_pull_sweep, frontier_bitmap},
@@ -74,7 +74,6 @@ pub mod prelude {
         culling::{filter_with_culling_bitmap, CullingConfig},
     };
     pub use crate::functor::{AcceptAll, AdvanceFunctor, EdgeCond, FilterFunctor, VertexCond};
-    pub use crate::neighbor_reduce::neighbor_reduce;
     pub use crate::partition::{partitioned_advance, ExchangeStats, VertexPartition};
     pub use crate::policy::{CheckpointPolicy, RetryPolicy, RunGuard, RunPolicy};
     pub use crate::priority_queue::NearFarQueue;

@@ -89,17 +89,31 @@ fn functor_sees_consistent_src_dst_eid_in_all_kinds() {
 }
 
 #[test]
-fn neighbor_reduce_agrees_with_advance_counting() {
+fn gather_agrees_with_advance_counting() {
     use std::sync::atomic::{AtomicU64, Ordering};
     let g = GraphBuilder::new().build(Coo::from_edges(
         8,
         &[(0, 1), (0, 2), (1, 3), (2, 3), (4, 5), (5, 6), (6, 7), (0, 7)],
     ));
-    let ctx = Context::new(&g);
+    let ctx = Context::new(&g).with_reverse(&g);
     let f = Frontier::full(g.num_vertices());
-    // neighbor_reduce degree sum == total edges advance visits
-    let degs = neighbor_reduce(&ctx, &f, 0u64, |_v, _u, _e| 1u64, |a, b| a + b);
+    // gathered in-degree sum == total edges a push advance visits
+    let (mut degs, mut next) = (vec![0u64; g.num_vertices()], Vec::new());
+    advance_gather(
+        &ctx,
+        0..g.num_vertices() as u32,
+        &mut degs,
+        &mut next,
+        0u64,
+        |_u, _v, _e| 1u64,
+        |a, b| a + b,
+        |_v, sum, slot| {
+            *slot = sum;
+            false
+        },
+    );
     let total: u64 = degs.iter().sum();
+    assert_eq!(ctx.counters.edges(), total);
     let visited = AtomicU64::new(0);
     let counter = EdgeCond(|_s: u32, _d: u32, _e: u32| {
         visited.fetch_add(1, Ordering::Relaxed);

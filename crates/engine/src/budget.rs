@@ -210,8 +210,9 @@ pub fn estimate_bytes(primitive: &str, n: u64, m: u64) -> u64 {
         // component labels; hook/jump is filter-only but still pools
         // its compaction buffers
         "cc" => n * 4 + frontiers + advance,
-        // rank ping-pong in f64 over a dense (all-vertex) frontier
-        "pagerank" => 2 * n * 8 + frontiers + advance,
+        // four f64 arrays over the vertex set: scores, residual, the
+        // per-edge shares the gather reads and the push accumulator
+        "pagerank" => 4 * n * 8 + frontiers + advance,
         // lane-packed batch: three pooled n-word u64 lane maps
         // (seen + frontier ping-pong pair) plus the 64-lane depth
         // array; the batched advance needs no scan workspace

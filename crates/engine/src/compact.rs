@@ -69,30 +69,38 @@ where
     T: Sync,
     F: Fn(&T) -> bool + Send + Sync,
 {
+    let mut out = Vec::new();
+    compact_indices_into(input, pred, &mut out);
+    out
+}
+
+/// [`compact_indices`] into a caller-owned buffer: `out` is overwritten
+/// and its capacity reused, so a loop that ping-pongs two frontier
+/// buffers allocates no output per iteration.
+pub fn compact_indices_into<T, F>(input: &[T], pred: F, out: &mut Vec<u32>)
+where
+    T: Sync,
+    F: Fn(&T) -> bool + Send + Sync,
+{
     // CAST: indices fit u32 — asserted at entry; bool -> usize is 0 or 1.
     assert!(input.len() <= u32::MAX as usize);
+    out.clear();
     if input.len() < SEQUENTIAL_CUTOFF || rayon::current_num_threads() == 1 {
-        return input
-            .iter()
-            .enumerate()
-            .filter_map(|(i, x)| pred(x).then_some(i as u32))
-            .collect();
+        out.extend(input.iter().enumerate().filter_map(|(i, x)| pred(x).then_some(i as u32)));
+        return;
     }
     let flags: Vec<usize> = input.par_iter().map(|x| pred(x) as usize).collect();
     let (positions, total) = scan_exclusive_usize(&flags);
-    let mut out = vec![0u32; total];
-    {
-        crate::racecheck::begin_phase();
-        let out_ref = UnsafeSlice::new(&mut out);
-        flags.par_iter().enumerate().for_each(|(i, &keep)| {
-            if keep == 1 {
-                // SAFETY: scan assigns each kept index a unique slot.
-                // CAST: i < input.len() <= u32::MAX, asserted at entry.
-                unsafe { out_ref.write(positions[i], i as u32) };
-            }
-        });
-    }
-    out
+    out.resize(total, 0);
+    crate::racecheck::begin_phase();
+    let out_ref = UnsafeSlice::new(out);
+    flags.par_iter().enumerate().for_each(|(i, &keep)| {
+        if keep == 1 {
+            // SAFETY: scan assigns each kept index a unique slot.
+            // CAST: i < input.len() <= u32::MAX, asserted at entry.
+            unsafe { out_ref.write(positions[i], i as u32) };
+        }
+    });
 }
 
 #[cfg(test)]
@@ -139,5 +147,18 @@ mod tests {
         assert_eq!(got.len(), 20_000);
         assert!(got.windows(2).all(|w| w[0] < w[1]));
         assert!(got.iter().all(|&i| big[i as usize] == 4));
+    }
+
+    #[test]
+    fn indices_into_overwrites_and_reuses_the_buffer() {
+        let big: Vec<u32> = (0..100_000).map(|i| i % 5).collect();
+        let mut out = Vec::with_capacity(100_000);
+        let storage = out.as_ptr();
+        out.extend([7, 7, 7]);
+        compact_indices_into(&big, |&x| x == 4, &mut out);
+        assert_eq!(out, compact_indices(&big, |&x| x == 4));
+        compact_indices_into(&big[..10], |&x| x == 0, &mut out);
+        assert_eq!(out, vec![0, 5]);
+        assert_eq!(out.as_ptr(), storage, "no reallocation");
     }
 }

@@ -112,6 +112,29 @@ pub struct JobEnv<'a> {
     pub checkpoint_root: &'a Path,
 }
 
+impl<'a> JobEnv<'a> {
+    /// The engine context every request (solo or batched) runs on: the
+    /// served graph as its own reverse — so BFS can pull and PageRank
+    /// can gather — over the shared pool, under `policy`, with the
+    /// request's (or the server-wide) fault plan and the job's heartbeat.
+    fn context(&self, policy: RunPolicy, injector: Option<Arc<FaultInjector>>) -> Context<'a> {
+        let mut ctx = Context::new(self.graph)
+            .with_reverse(self.graph)
+            .with_shared_pool(self.pool.clone())
+            .with_policy(policy);
+        if let Some(t) = self.serial_threshold {
+            ctx = ctx.with_config(EngineConfig::new().with_serial_threshold(t));
+        }
+        if let Some(inj) = injector {
+            ctx = ctx.with_faults(inj);
+        }
+        if let Some(hb) = self.heartbeat {
+            ctx = ctx.with_heartbeat(Arc::clone(hb));
+        }
+        ctx
+    }
+}
+
 /// Per-request checkpoint directory: isolates each request's
 /// `<primitive>.ckpt` so concurrent requests never clobber each other.
 fn request_dir(root: &Path, id: &str, seq: u64) -> PathBuf {
@@ -414,19 +437,7 @@ pub fn run_job(
         )
     });
 
-    let mut ctx = Context::new(env.graph)
-        .with_reverse(env.graph)
-        .with_shared_pool(env.pool.clone())
-        .with_policy(policy);
-    if let Some(t) = env.serial_threshold {
-        ctx = ctx.with_config(EngineConfig::new().with_serial_threshold(t));
-    }
-    if let Some(inj) = injector {
-        ctx = ctx.with_faults(inj);
-    }
-    if let Some(hb) = env.heartbeat {
-        ctx = ctx.with_heartbeat(Arc::clone(hb));
-    }
+    let mut ctx = env.context(policy, injector);
     if let Some(p) = &ckpt_policy {
         ctx = ctx.with_checkpoints(p.clone());
     }
@@ -696,19 +707,7 @@ pub fn run_batch(env: &JobEnv<'_>, members: &[BatchMember], seq: u64) -> BatchOu
         })
         .or_else(|| env.injector.cloned());
 
-    let mut ctx = Context::new(env.graph)
-        .with_reverse(env.graph)
-        .with_shared_pool(env.pool.clone())
-        .with_policy(policy);
-    if let Some(t) = env.serial_threshold {
-        ctx = ctx.with_config(EngineConfig::new().with_serial_threshold(t));
-    }
-    if let Some(inj) = injector {
-        ctx = ctx.with_faults(inj);
-    }
-    if let Some(hb) = env.heartbeat {
-        ctx = ctx.with_heartbeat(Arc::clone(hb));
-    }
+    let ctx = env.context(policy, injector);
 
     let sources: Vec<u32> = live
         .iter()
@@ -873,6 +872,31 @@ mod tests {
         assert_eq!(v.status, JobStatus::Failed);
         assert!(!v.breaker_failure, "budget pressure must not open the breaker");
         assert!(v.response.contains("over-budget"), "{}", v.response);
+    }
+
+    #[test]
+    fn served_pagerank_runs_its_dense_iterations_on_the_gather_path() {
+        let g = GraphBuilder::new().build(gunrock_graph::generators::rmat(
+            8,
+            8,
+            Default::default(),
+            5,
+        ));
+        let cancel = Arc::new(AtomicBool::new(false));
+        let pool = Arc::new(BufferPool::new());
+        let env = env_fixture(&g, &cancel, &pool);
+        let served = run_job(&env, &req("pagerank"), None, 0);
+        assert_eq!(served.status, JobStatus::Ok);
+        // the same request context, instrumented: the trace names the path
+        let ctx = env.context(RunPolicy::unbounded(), None).with_stats();
+        let r = algos::pagerank(&ctx, algos::PrOptions::default());
+        let stats = ctx.run_stats();
+        assert!(
+            stats.steps.iter().any(|s| s.strategy.starts_with("pull_gather")),
+            "request contexts carry the reverse graph"
+        );
+        let hash = format!("{:016x}", hash_f64s(&r.scores));
+        assert!(served.response.contains(&hash), "{} lacks {hash}", served.response);
     }
 
     #[test]

@@ -592,6 +592,16 @@ mod tests {
     }
 
     #[test]
+    fn gather_operator_sits_in_the_cast_and_alloc_scopes() {
+        // the dense gather sweeps every in-edge each PageRank iteration;
+        // the `advance/` prefix covers it as long as it lives there
+        let cfg = Config::default();
+        let path = "crates/core/src/advance/gather.rs";
+        assert!(in_scope(path, &cfg.cast_scope, &[]));
+        assert!(in_scope(path, &cfg.alloc_scope, &[]));
+    }
+
+    #[test]
     fn alloc_pass_ignores_cold_modules_and_test_code() {
         let src = "fn f() { let v: Vec<u32> = Vec::new(); }\n";
         assert!(run("crates/algos/src/bfs.rs", src).is_empty());

@@ -112,3 +112,28 @@ fn serial_fast_path_and_parallel_path_agree_end_to_end() {
     };
     assert_eq!(off, aggressive);
 }
+
+/// PageRank ping-pongs two frontier buffers of its own: a warm run must
+/// hand the pool back exactly what it took (it used to donate one
+/// never-checked-out buffer per iteration, growing the free lists run
+/// after run) and allocate nothing new through it.
+#[test]
+fn warm_pagerank_leaves_the_pool_balanced() {
+    let g = test_graph();
+    for ctx in [Context::new(&g), Context::new(&g).with_reverse(&g)] {
+        let run = || {
+            let r = algos::pagerank(&ctx, algos::PrOptions::default());
+            assert_eq!(r.outcome, RunOutcome::Converged);
+        };
+        run();
+        let warm = ctx.pool().stats();
+        run();
+        let after = ctx.pool().stats();
+        assert_eq!(after.allocations, warm.allocations, "no new pool allocations");
+        assert_eq!(
+            after.releases - after.checkouts,
+            warm.releases - warm.checkouts,
+            "every release returns a buffer the pool handed out"
+        );
+    }
+}

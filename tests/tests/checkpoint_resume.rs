@@ -39,8 +39,19 @@ fn interrupt<'g, R>(
     cap: u32,
     run: impl FnOnce(&Context<'g>) -> (R, RunOutcome),
 ) -> Checkpoint {
-    let ctx = Context::new(g)
-        .with_reverse(g)
+    interrupt_on(Context::new(g).with_reverse(g), dir, primitive, cap, run)
+}
+
+/// [`interrupt`] on a caller-built context (PageRank's direction depends
+/// on whether a reverse graph is attached).
+fn interrupt_on<'g, R>(
+    base: Context<'g>,
+    dir: &std::path::Path,
+    primitive: &str,
+    cap: u32,
+    run: impl FnOnce(&Context<'g>) -> (R, RunOutcome),
+) -> Checkpoint {
+    let ctx = base
         .with_policy(RunPolicy::unbounded().max_iterations(cap))
         .with_checkpoints(CheckpointPolicy::new(1, dir));
     let (_, outcome) = run(&ctx);
@@ -155,20 +166,49 @@ fn cc_resume_is_bit_identical() {
 #[test]
 fn pagerank_resume_is_bit_identical() {
     let g = kron10();
-    let dir = ckpt_dir("pagerank");
     let opts = algos::PrOptions::default();
-    let full = algos::pagerank(&Context::new(&g), opts);
-    let ckpt = interrupt(&g, &dir, "pagerank", 3, |ctx| {
-        let r = algos::pagerank(ctx, opts);
-        (r.iterations, r.outcome)
-    });
     // damping/epsilon come from the snapshot; a caller passing
     // different knobs cannot skew the resumed run
     let wrong = algos::PrOptions { damping: 0.5, epsilon: 1e-2, ..Default::default() };
-    let r = algos::pagerank_resume(&Context::new(&g), wrong, &ckpt).expect("resume");
-    assert_eq!(r.outcome, RunOutcome::Converged);
-    assert_eq!(bits(&r.scores), bits(&full.scores));
-    std::fs::remove_dir_all(&dir).ok();
+    let round_trip = |name: &str, cap: u32, reverse: bool| {
+        let context = || {
+            let ctx = Context::new(&g);
+            if reverse {
+                ctx.with_reverse(&g)
+            } else {
+                ctx
+            }
+        };
+        let dir = ckpt_dir(name);
+        let full = algos::pagerank(&context(), opts);
+        let ckpt = interrupt_on(context(), &dir, "pagerank", cap, |ctx| {
+            let r = algos::pagerank(ctx, opts);
+            (r.iterations, r.outcome)
+        });
+        let r = algos::pagerank_resume(&context(), wrong, &ckpt).expect("resume");
+        assert_eq!(r.outcome, RunOutcome::Converged, "{name}");
+        assert_eq!(r.iterations, full.iterations, "{name}");
+        assert_eq!(bits(&r.scores), bits(&full.scores), "{name}");
+        std::fs::remove_dir_all(&dir).ok();
+    };
+    // push only: no reverse graph attached
+    round_trip("pagerank_push", 3, false);
+    // reverse graph attached: dense iterations gather, the tail pushes;
+    // interrupt before, at and after the gather -> push switch
+    let traced = Context::new(&g).with_reverse(&g).with_stats();
+    algos::pagerank(&traced, opts);
+    let stats = traced.run_stats();
+    let first_push = stats
+        .steps
+        .iter()
+        .find(|s| s.direction == Some(StepDirection::Push))
+        .expect("the sparse tail pushes")
+        .iteration;
+    assert!(first_push > 2, "kron10 starts dense");
+    assert!(first_push < stats.iterations() - 1, "and pushes for more than one iteration");
+    for cap in [first_push - 2, first_push - 1, first_push] {
+        round_trip(&format!("pagerank_gather_{cap}"), cap, true);
+    }
 }
 
 /// The typed dispatcher routes a snapshot to the right primitive, and

@@ -73,3 +73,36 @@ fn load_balanced_advance_output_is_bit_deterministic() {
         assert_eq!(out1.as_slice(), out2.as_slice(), "lb order on {name}");
     }
 }
+
+/// PageRank's dense iterations gather with plain stores, each vertex
+/// summing its in-edges in list order — no atomics, so the scores are
+/// bit-identical however the vertex range is chunked across a pool.
+#[test]
+fn dense_pagerank_iterations_are_bit_identical_across_thread_pools() {
+    let g = GraphBuilder::new().build(rmat(10, 8, Default::default(), 31));
+    let dense_rounds = |threads: usize| {
+        rayon::ThreadPoolBuilder::new().num_threads(threads).build().expect("pool").install(
+            || {
+                let ctx = Context::new(&g)
+                    .with_reverse(&g)
+                    .with_config(EngineConfig::new().with_serial_threshold(0))
+                    .with_stats();
+                let r = algos::pagerank(
+                    &ctx,
+                    algos::PrOptions { max_iters: 6, ..Default::default() },
+                );
+                let stats = ctx.run_stats();
+                assert_eq!(stats.steps.len(), 6);
+                assert!(
+                    stats.steps.iter().all(|s| s.strategy == "pull_gather"),
+                    "{threads} threads"
+                );
+                r.scores.iter().map(|s| s.to_bits()).collect::<Vec<u64>>()
+            },
+        )
+    };
+    let reference = dense_rounds(1);
+    for threads in [2, 8] {
+        assert_eq!(dense_rounds(threads), reference, "{threads} threads");
+    }
+}

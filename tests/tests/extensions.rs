@@ -51,11 +51,24 @@ fn kcore_is_consistent_with_triangles() {
 }
 
 #[test]
-fn neighbor_reduce_degree_sum_equals_edge_count() {
+fn gathered_in_degree_sum_equals_edge_count() {
     for (name, g) in graph_suite() {
-        let ctx = Context::new(&g);
-        let f = Frontier::full(g.num_vertices());
-        let ones = neighbor_reduce(&ctx, &f, 0u64, |_, _, _| 1, |a, b| a + b);
+        let n = g.num_vertices();
+        let ctx = Context::new(&g).with_reverse(&g);
+        let (mut ones, mut next) = (vec![0u64; n], Vec::new());
+        advance_gather(
+            &ctx,
+            0..n as u32,
+            &mut ones,
+            &mut next,
+            0u64,
+            |_, _, _| 1,
+            |a, b| a + b,
+            |_, sum, slot| {
+                *slot = sum;
+                false
+            },
+        );
         assert_eq!(ones.iter().sum::<u64>(), g.num_edges() as u64, "{name}");
     }
 }

@@ -123,6 +123,55 @@ proptest! {
         prop_assert_eq!(list, sweep);
     }
 
+    /// The dense gather equals the serial per-vertex sum over in-edges
+    /// of a directed graph, admits exactly the vertices its `finish`
+    /// accepts (ascending), scans every in-edge of its range once, and
+    /// records one step.
+    #[test]
+    fn gather_equals_serial_in_edge_sum((g, frontier) in arb_graph_and_frontier()) {
+        // orient the undirected sample so in- and out-lists differ
+        let coo = g.to_coo();
+        let arcs: Vec<(u32, u32)> = coo.edges().filter(|(s, d)| s < d).collect();
+        let dg = GraphBuilder::new().directed().build(Coo::from_edges(g.num_vertices(), &arcs));
+        let rev = dg.transpose();
+        let n = dg.num_vertices();
+        let value = |u: u32| u64::from(u) * 3 + 1;
+        let member: std::collections::BTreeSet<u32> = frontier.iter().copied().collect();
+        let ctx = Context::new(&dg).with_reverse(&rev).with_stats();
+        let mut sums = vec![0u64; n];
+        let mut next = vec![u32::MAX; 3];
+        advance_gather(
+            &ctx,
+            0..n as u32,
+            &mut sums,
+            &mut next,
+            0u64,
+            |u, _v, _e| if member.contains(&u) { value(u) } else { 0 },
+            |a, b| a + b,
+            |_v, sum, slot| {
+                *slot = sum;
+                sum > 0
+            },
+        );
+        let mut want = vec![0u64; n];
+        for &u in &frontier {
+            for &v in dg.neighbors(u) {
+                want[v as usize] += value(u);
+            }
+        }
+        prop_assert_eq!(&sums, &want);
+        let admitted: Vec<u32> = (0..n as u32).filter(|&v| want[v as usize] > 0).collect();
+        prop_assert_eq!(next, admitted);
+        prop_assert_eq!(ctx.counters.edges(), dg.num_edges() as u64);
+        let stats = ctx.run_stats();
+        prop_assert_eq!(stats.steps.len(), 1);
+        let step = &stats.steps[0];
+        prop_assert!(step.strategy.starts_with("pull_gather"));
+        prop_assert_eq!(step.direction, Some(StepDirection::Pull));
+        prop_assert_eq!(step.input_len, n as u64);
+        prop_assert_eq!(step.edges_examined, dg.num_edges() as u64);
+    }
+
     /// The culling filter with bitmask is a one-shot set semantics: over
     /// any sequence of inputs, each id survives globally at most once.
     #[test]

@@ -136,6 +136,49 @@ fn pagerank_cap_conserves_mass() {
     assert!((sum - want).abs() < 1e-9, "sum {sum}, want {want}");
 }
 
+/// A cancel that lands between an iteration's guard check and its gather
+/// sweep truncates the sweep to an empty frontier; that must read as
+/// `Cancelled`, never as convergence with part of the mass undelivered.
+#[test]
+fn pagerank_cancel_during_a_gather_never_reads_as_convergence() {
+    use std::sync::atomic::Ordering;
+    let g = kron12();
+    let mut cancelled = 0;
+    for round in 0..32u64 {
+        let trip = 1 + round % 8;
+        let flag = Arc::new(AtomicBool::new(false));
+        let ctx = Context::new(&g)
+            .with_reverse(&g)
+            .with_policy(RunPolicy::unbounded().cancel_flag(flag.clone()));
+        let finished = AtomicBool::new(false);
+        let r = std::thread::scope(|s| {
+            // `end_iteration` runs after the iteration's guard check and
+            // before its sweep: raising the flag the moment the counter
+            // moves aims at exactly that window
+            s.spawn(|| {
+                while ctx.counters.iters() < trip && !finished.load(Ordering::Acquire) {
+                    std::hint::spin_loop();
+                }
+                flag.store(true, Ordering::Release);
+            });
+            let r = algos::pagerank(
+                &ctx,
+                algos::PrOptions { epsilon: 1e-12, ..Default::default() },
+            );
+            finished.store(true, Ordering::Release);
+            r
+        });
+        if r.outcome == RunOutcome::Converged {
+            let sum: f64 = r.scores.iter().sum();
+            assert!((sum - 1.0).abs() < 1e-6, "round {round}: converged with sum {sum}");
+        } else {
+            assert_eq!(r.outcome, RunOutcome::Cancelled, "round {round}");
+            cancelled += 1;
+        }
+    }
+    assert!(cancelled > 0, "no run was interrupted: the test exercised nothing");
+}
+
 #[test]
 fn mst_cap_commits_only_safe_edges() {
     let g = kron12();
