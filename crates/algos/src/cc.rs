@@ -1,25 +1,38 @@
-//! Connected component labeling (§5.4), after Soman et al.
+//! Connected component labeling (§5.4) at union-find speed.
 //!
-//! "Gunrock uses a filter operator on an edge frontier to implement
-//! hooking. The frontier starts with all edges and during each
-//! iteration, one end vertex of each edge in the frontier tries to
-//! assign its component ID to the other vertex, and the filter step
-//! removes the edge whose two end vertices have the same component ID.
-//! [...] then proceed[s] to pointer-jumping, where a filter operator on
-//! vertices assigns the component ID of each vertex to its parent's
-//! component ID until it reaches the root."
+//! The paper hooks over "an edge frontier [that] starts with all edges"
+//! and pointer-jumps in between (Soman et al.; that formulation lives on
+//! as `baselines::hardwired::cc_soman`). This primitive departs from it:
+//! it never builds the all-edges frontier, because on every graph with a
+//! giant component almost no edge needs to be looked at (DESIGN §5.4).
 //!
-//! This is the one primitive whose frontier is *edges* throughout —
-//! exercising the edge-frontier side of the data-centric abstraction.
+//! Labels are a lock-free parent forest ([`link`] / [`root`]:
+//! `labels[v] <= v`, the larger root hooked under the smaller, so the
+//! converged label is the component's minimum id). A run is four passes,
+//! one bulk-synchronous iteration each:
+//!
+//! 1. and 2. *sampled hooking* — compute pass `r` links every vertex to
+//!    its `r`-th neighbour, then a compress pass points every label at
+//!    its root;
+//! 3. *split* — the most frequent label in a fixed strided sample names
+//!    the giant component, and an exact filter keeps the residual
+//!    frontier: vertices outside it with more neighbours than the two
+//!    already linked;
+//! 4. *finish* — one advance links every edge of the residual frontier,
+//!    then a last compress.
+//!
+//! Skipping the giant component is sound only if every edge can be seen
+//! from its endpoint outside it, so the skip needs a reverse graph on the
+//! context; without one the residual frontier is every vertex with more
+//! than two neighbours — still a single pass over the edges.
 
 use crate::recover::{
-    check_failed, expect_len, expect_vertex_ids, malformed, scalar, to_atomic_u32,
+    check_failed, expect_len, expect_vertex_ids, failure_of, malformed, scalar, to_atomic_u32,
 };
 use gunrock::prelude::*;
-use gunrock_engine::atomics::{atomic_u32_vec, unwrap_atomic_u32};
-use gunrock_graph::{Csr, VertexId};
-use rayon::prelude::*;
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use gunrock_engine::atomics::{into_plain_u32, link, root, unwrap_atomic_u32};
+use gunrock_graph::{Csr, EdgeId, VertexId};
+use std::sync::atomic::{AtomicU32, Ordering};
 
 /// CC output.
 #[derive(Clone, Debug)]
@@ -29,7 +42,7 @@ pub struct CcResult {
     pub labels: Vec<VertexId>,
     /// Number of connected components (isolated vertices count).
     pub num_components: usize,
-    /// Hooking + pointer-jumping iterations executed.
+    /// Passes executed (four on a full run).
     pub iterations: u32,
     /// Wall time of the enact loop.
     pub elapsed: std::time::Duration,
@@ -37,116 +50,142 @@ pub struct CcResult {
     /// valid *refinement* of the final components (vertices with equal
     /// labels really are connected; some components may still be split
     /// across several labels) and `num_components` counts the current
-    /// label roots, an upper bound on the true component count.
+    /// label roots, an upper bound on the true component count. A trip
+    /// found after the last pass is reported too, with complete labels.
     pub outcome: RunOutcome,
 }
 
-/// Hooking functor over the edge frontier: hooks the larger-labeled
-/// root under the smaller label; an edge stays in the frontier while its
-/// endpoints' components differ.
-struct Hook<'a> {
-    edge_src: &'a [u32],
-    edge_dst: &'a [u32],
-    labels: &'a [AtomicU32],
-    changed: &'a AtomicBool,
+/// Sampled-hooking passes — the neighbours of each vertex linked before
+/// the split. Pass `r` has phase tag `r`; the other passes follow.
+const SAMPLE_ROUNDS: u32 = 2;
+const PHASE_SPLIT: u32 = SAMPLE_ROUNDS;
+const PHASE_FINISH: u32 = PHASE_SPLIT + 1;
+const PHASE_DONE: u32 = PHASE_FINISH + 1;
+/// Most vertices the split looks at to name the giant component.
+const SPLIT_SAMPLE: usize = 1024;
+/// The giant label while none is skipped: before the split, and after it
+/// on a context without a reverse graph. No vertex id reaches `u32::MAX`.
+const NO_GIANT: u32 = u32::MAX;
+
+/// A vertex's neighbourhood as CC sees it: its out-neighbours, then — on
+/// a context whose reverse graph is a different graph — its in-neighbours.
+struct Adjacency<'g> {
+    out: &'g Csr,
+    inn: Option<&'g Csr>,
 }
 
-impl FilterFunctor for Hook<'_> {
-    #[inline]
-    fn cond(&self, e: u32) -> bool {
-        let u = self.edge_src[e as usize] as usize;
-        let v = self.edge_dst[e as usize] as usize;
-        // ORDERING: Relaxed — hook/pointer-jump updates are monotonic fetch_min
-        // races; only the eventual minimum matters and join barriers order rounds.
-        let lu = self.labels[u].load(Ordering::Relaxed);
-        let lv = self.labels[v].load(Ordering::Relaxed);
-        if lu == lv {
-            return false; // converged edge: filtered out
-        }
-        let (hi, lo) = if lu > lv { (lu, lv) } else { (lv, lu) };
-        if self.labels[hi as usize].fetch_min(lo, Ordering::Relaxed) > lo {
-            self.changed.store(true, Ordering::Relaxed);
-        }
-        true // endpoints still differ: keep the edge for the next pass
+impl<'g> Adjacency<'g> {
+    fn of(ctx: &Context<'g>) -> Self {
+        // a graph attached as its own reverse is symmetric: its in-lists
+        // are its out-lists, already covered
+        let inn = ctx.reverse.filter(|&rev| !std::ptr::eq(rev, ctx.graph));
+        Adjacency { out: ctx.graph, inn }
+    }
+
+    fn degree(&self, v: VertexId) -> usize {
+        // CAST: u32 -> usize widening is lossless.
+        (self.out.out_degree(v) + self.inn.map_or(0, |rev| rev.out_degree(v))) as usize
+    }
+
+    fn nth(&self, v: VertexId, r: usize) -> Option<VertexId> {
+        let out = self.out.neighbors(v);
+        let inn = || self.inn?.neighbors(v).get(r - out.len());
+        out.get(r).or_else(inn).copied()
     }
 }
 
-/// Pointer-jumping functor over the vertex frontier: `label[v] =
-/// label[label[v]]`; a vertex stays while its label is not a root.
-struct Jump<'a> {
+/// Split functor: a vertex stays when it has neighbours the sampling
+/// passes did not link and it is not in the skipped component.
+struct Residual<'a> {
+    adj: &'a Adjacency<'a>,
     labels: &'a [AtomicU32],
+    giant: u32,
 }
 
-impl FilterFunctor for Jump<'_> {
+impl FilterFunctor for Residual<'_> {
     #[inline]
     fn cond(&self, v: u32) -> bool {
-        // ORDERING: Relaxed — hook/pointer-jump updates are monotonic fetch_min
-        // races; only the eventual minimum matters and join barriers order rounds.
-        let l = self.labels[v as usize].load(Ordering::Relaxed);
-        let ll = self.labels[l as usize].load(Ordering::Relaxed);
-        if ll < l {
-            self.labels[v as usize].fetch_min(ll, Ordering::Relaxed);
-            // keep v in the frontier: its new parent may not be a root yet
-            true
-        } else {
-            false
-        }
+        // ORDERING: Relaxed — relaxed-load; the split runs between link passes,
+        // nothing writes labels concurrently.
+        self.adj.degree(v) > SAMPLE_ROUNDS as usize
+            && self.labels[v as usize].load(Ordering::Relaxed) != self.giant
     }
 }
 
-/// Which half of the Soman round the run was in at snapshot time.
-const PHASE_HOOKING: u32 = 0;
-const PHASE_JUMPING: u32 = 1;
+/// Finish functor: links the endpoints of every visited edge, emits nothing.
+struct LinkEdge<'a>(&'a [AtomicU32]);
 
-/// In-flight CC loop state at an iteration boundary (what a checkpoint
-/// captures; see [`cc_resume`]). The edge endpoint arrays are derived
-/// from the graph and rebuilt on resume, never stored.
+impl AdvanceFunctor for LinkEdge<'_> {
+    #[inline]
+    fn cond_edge(&self, src: VertexId, dst: VertexId, _e: EdgeId) -> bool {
+        link(self.0, src, dst);
+        false
+    }
+}
+
+/// The most frequent label among at most [`SPLIT_SAMPLE`] evenly strided
+/// vertices. A function of the labels alone — no RNG — so a resumed run
+/// splits exactly as the uninterrupted one would.
+fn sample_giant(labels: &[AtomicU32]) -> u32 {
+    let stride = labels.len().div_ceil(SPLIT_SAMPLE).max(1);
+    let mut sample = [NO_GIANT; SPLIT_SAMPLE];
+    let mut taken = 0;
+    for (slot, label) in sample.iter_mut().zip(labels.iter().step_by(stride)) {
+        // ORDERING: Relaxed — relaxed-load between passes, as in `Residual`.
+        *slot = label.load(Ordering::Relaxed);
+        taken += 1;
+    }
+    let sample = &mut sample[..taken];
+    sample.sort_unstable();
+    let runs = sample.chunk_by(|a, b| a == b);
+    runs.max_by_key(|run| run.len()).map_or(NO_GIANT, |run| run[0])
+}
+
+/// Compress pass: points every label at its tree's root.
+fn compress(ctx: &Context<'_>, step: &'static str, labels: &[AtomicU32]) {
+    compute::for_each_id_ctx(ctx, step, labels.len(), |v| {
+        // ORDERING: Relaxed — relaxed-store of a monotone pointer: no link runs
+        // during a compress pass, each slot has one writer, and a racing
+        // `root` walk through it sees the old parent or the root — both
+        // ancestors. The join barrier orders the pass for the next one.
+        labels[v as usize].store(root(labels, v), Ordering::Relaxed);
+    });
+}
+
+/// In-flight CC loop state at an iteration boundary: what a checkpoint captures.
 struct CcLoop {
     labels: Vec<AtomicU32>,
-    edge_frontier: Frontier,
-    vertex_frontier: Frontier,
+    /// The residual frontier, from the pool; empty before the split.
+    residual: Frontier,
     iterations: u32,
+    /// The pass to run next: `0..SAMPLE_ROUNDS`, then the `PHASE_*` tags.
     phase: u32,
+    giant: u32,
 }
 
 /// Writes an iteration-boundary snapshot when a checkpoint policy is
-/// installed. Sections: per-vertex `labels`, the live `edge_frontier`
-/// (edge ids) and `vertex_frontier`, plus the scalar `[phase]`.
-fn cc_checkpoint(
-    ctx: &Context<'_>,
-    labels: &[AtomicU32],
-    edge_frontier: &Frontier,
-    vertex_frontier: &Frontier,
-    iterations: u32,
-    phase: u32,
-) {
+/// installed. Sections: per-vertex `labels`, the residual `frontier`
+/// and the scalars `[phase, giant]`.
+fn cc_checkpoint(ctx: &Context<'_>, st: &CcLoop) {
     if ctx.checkpoint_policy().is_none() {
         return;
     }
-    let mut ckpt = Checkpoint::new("cc", iterations);
-    ckpt.push_u32("labels", unwrap_atomic_u32(labels));
-    ckpt.push_u32("edge_frontier", edge_frontier.as_slice().to_vec());
-    ckpt.push_u32("vertex_frontier", vertex_frontier.as_slice().to_vec());
-    ckpt.push_u32("scalars", vec![phase]);
+    let mut ckpt = Checkpoint::new("cc", st.iterations);
+    ckpt.push_u32("labels", unwrap_atomic_u32(&st.labels));
+    ckpt.push_u32("frontier", st.residual.as_slice().to_vec());
+    ckpt.push_u32("scalars", vec![st.phase, st.giant]);
     ctx.save_checkpoint(&ckpt);
 }
 
 /// Labels connected components. Works on the undirected interpretation
 /// of the graph (each undirected edge may appear in either or both
-/// directions; both work).
+/// directions; both work). A reverse graph on the context (the graph
+/// itself when it is symmetric) lets the run skip the giant component.
 pub fn cc(ctx: &Context<'_>) -> CcResult {
-    let n = ctx.num_vertices();
-    let labels = atomic_u32_vec(n, 0);
-    // ORDERING: Relaxed — hook/pointer-jump updates are monotonic fetch_min
-    // races; only the eventual minimum matters and join barriers order rounds.
-    labels.par_iter().enumerate().for_each(|(v, l)| l.store(v as u32, Ordering::Relaxed));
-    let st = CcLoop {
-        labels,
-        edge_frontier: Frontier::full(ctx.graph.num_edges()),
-        vertex_frontier: Frontier::new(),
-        iterations: 0,
-        phase: PHASE_HOOKING,
-    };
+    // CAST: vertex ids fit u32 (Csr invariant).
+    let labels = (0..ctx.num_vertices() as u32).map(AtomicU32::new).collect();
+    let st =
+        CcLoop { labels, residual: Frontier::new(), iterations: 0, phase: 0, giant: NO_GIANT };
     cc_run(ctx, st)
 }
 
@@ -154,114 +193,110 @@ pub fn cc(ctx: &Context<'_>) -> CcResult {
 pub fn cc_resume(ctx: &Context<'_>, ckpt: &Checkpoint) -> Result<CcResult, GunrockError> {
     ckpt.expect_primitive("cc")?;
     let n = ctx.num_vertices();
-    let m = ctx.graph.num_edges();
     let labels = ckpt.u32s("labels")?;
     expect_len(labels.len(), n, "labels")?;
-    expect_vertex_ids(labels, n, "labels")?;
-    let edge_frontier = ckpt.u32s("edge_frontier")?;
-    expect_vertex_ids(edge_frontier, m, "edge_frontier")?;
-    let vertex_frontier = ckpt.u32s("vertex_frontier")?;
-    expect_vertex_ids(vertex_frontier, n, "vertex_frontier")?;
+    if let Some(v) = labels.iter().zip(0u32..).find_map(|(&l, v)| (l > v).then_some(v)) {
+        return Err(malformed(format!("label of vertex {v} is not a smaller-or-equal id")));
+    }
+    let frontier = ckpt.u32s("frontier")?;
+    expect_vertex_ids(frontier, n, "frontier")?;
     let scalars = ckpt.u32s("scalars")?;
-    let phase = scalar(scalars, 0, "phase")?;
-    if phase != PHASE_HOOKING && phase != PHASE_JUMPING {
+    let (phase, giant) = (scalar(scalars, 0, "phase")?, scalar(scalars, 1, "giant")?);
+    if phase > PHASE_DONE {
         return Err(malformed(format!("unknown CC phase tag {phase}")));
     }
-    let st = CcLoop {
-        labels: to_atomic_u32(labels),
-        edge_frontier: Frontier::from_vec(edge_frontier.to_vec()),
-        vertex_frontier: Frontier::from_vec(vertex_frontier.to_vec()),
-        iterations: ckpt.iteration(),
-        phase,
+    // the residual frontier goes back to the pool when the run ends, so
+    // it has to come from there
+    let pooled = || {
+        let mut buf = ctx.pool().take_u32(frontier.len());
+        buf.extend_from_slice(frontier);
+        Frontier::from_vec(buf)
     };
-    let r = cc_run(ctx, st);
+    let residual = ctx.isolated_setup("filter", pooled).ok_or_else(|| failure_of(ctx))?;
+    let labels = to_atomic_u32(labels);
+    let r =
+        cc_run(ctx, CcLoop { labels, residual, iterations: ckpt.iteration(), phase, giant });
     check_failed(ctx, r.outcome, r)
 }
 
-/// The enact loop proper, an explicit two-phase state machine so a
-/// checkpoint taken mid pointer-jumping re-enters the right half of the
-/// Soman round.
-fn cc_run(ctx: &Context<'_>, st: CcLoop) -> CcResult {
-    let g = ctx.graph;
-    let n = g.num_vertices();
+/// The enact loop proper: runs the passes from `st.phase` on.
+fn cc_run(ctx: &Context<'_>, mut st: CcLoop) -> CcResult {
     let start = std::time::Instant::now();
-    // Budget admission: CC has no advance-mode knob, but a hopeless
-    // budget still poisons up front (structured BudgetExceeded) instead
-    // of aborting mid-run.
-    let _ = crate::admission::admit(ctx, "cc", AdvanceMode::Auto);
-    let CcLoop { labels, mut edge_frontier, mut vertex_frontier, mut iterations, mut phase } =
-        st;
-    // edge endpoint arrays for the edge frontier (edge id -> endpoints)
-    let edge_dst: &[u32] = g.col_indices();
-    let edge_src: Vec<u32> = (0..n as u32)
-        .into_par_iter()
-        .flat_map_iter(|v| std::iter::repeat_n(v, g.out_degree(v) as usize))
-        .collect();
-
+    // Budget admission comes first: a hopeless budget poisons up front
+    // (structured BudgetExceeded) instead of failing mid-run.
+    let mode = crate::admission::admit(ctx, "cc", AdvanceMode::Auto);
+    let adj = Adjacency::of(ctx);
+    let n = st.labels.len();
     let guard = ctx.guard();
     let mut outcome = RunOutcome::Converged;
-    'enact: loop {
-        if phase == PHASE_HOOKING && edge_frontier.is_empty() {
-            break;
-        }
-        if ctx.checkpoint_due(iterations) {
-            cc_checkpoint(ctx, &labels, &edge_frontier, &vertex_frontier, iterations, phase);
-        }
-        if let Some(tripped) = guard.check(iterations) {
+    loop {
+        // Also reached after the last pass: a cancel or deadline can cut
+        // the finish advance short, and a truncated link pass must not
+        // read as convergence.
+        if let Some(tripped) = guard.check(st.iterations) {
             outcome = tripped;
             if tripped != RunOutcome::Failed {
-                cc_checkpoint(
-                    ctx,
-                    &labels,
-                    &edge_frontier,
-                    &vertex_frontier,
-                    iterations,
-                    phase,
-                );
+                cc_checkpoint(ctx, &st);
             }
-            break 'enact;
+            break;
         }
-        iterations += 1;
+        if st.phase == PHASE_DONE {
+            break;
+        }
+        if ctx.checkpoint_due(st.iterations) {
+            cc_checkpoint(ctx, &st);
+        }
+        st.iterations += 1;
         ctx.end_iteration(false);
-        if phase == PHASE_HOOKING {
-            // Hooking pass: filter on the edge frontier; edges whose
-            // endpoints already share a component are filtered out.
-            let changed = AtomicBool::new(false);
-            let hook =
-                Hook { edge_src: &edge_src, edge_dst, labels: &labels, changed: &changed };
-            let kept = filter::filter(ctx, &edge_frontier, &hook);
-            ctx.recycle(std::mem::replace(&mut edge_frontier, kept));
-            // Pointer jumping runs next, until all labels point at roots
-            // (labels may differ only through stale pointers: jumping
-            // reconciles them).
-            ctx.recycle(std::mem::replace(&mut vertex_frontier, Frontier::full(n)));
-            phase = PHASE_JUMPING;
-        } else {
-            let kept = filter::filter(ctx, &vertex_frontier, &Jump { labels: &labels });
-            ctx.recycle(std::mem::replace(&mut vertex_frontier, kept));
-            if vertex_frontier.is_empty() {
-                phase = PHASE_HOOKING;
+        let labels = &st.labels[..];
+        match st.phase {
+            PHASE_SPLIT => {
+                st.giant = if ctx.reverse.is_some() { sample_giant(labels) } else { NO_GIANT };
+                let keep = Residual { adj: &adj, labels, giant: st.giant };
+                let kept = filter::filter_ids(ctx, "cc:split", n, &keep);
+                ctx.recycle(std::mem::replace(&mut st.residual, kept));
+            }
+            PHASE_FINISH if st.residual.is_empty() => {} // labels are roots already
+            PHASE_FINISH => {
+                let spec = AdvanceSpec::for_effect().with_mode(mode);
+                let _ = advance::advance(ctx, &st.residual, spec, &LinkEdge(labels));
+                if let Some(rev) = adj.inn {
+                    compute::for_each_ctx(ctx, "cc:in_edges", &st.residual, |v| {
+                        let sources = rev.neighbors(v);
+                        for &u in sources {
+                            link(labels, v, u);
+                        }
+                        ctx.counters.add_edges(sources.len() as u64);
+                    });
+                }
+                compress(ctx, "cc:finish", labels);
+            }
+            r => {
+                compute::for_each_id_ctx(ctx, "cc:sample_hook", n, |v| {
+                    // CAST: r < SAMPLE_ROUNDS, u32 -> usize widening.
+                    if let Some(u) = adj.nth(v, r as usize) {
+                        link(labels, v, u);
+                    }
+                });
+                compress(ctx, "cc:compress", labels);
             }
         }
+        st.phase += 1;
     }
-
-    // both loop frontiers still own pooled storage; return them so a
-    // re-run on this context starts with a warm pool
-    ctx.recycle(edge_frontier);
-    ctx.recycle(vertex_frontier);
-    // a panic that emptied the frontier must not read as convergence
+    ctx.recycle(st.residual);
+    // a panic that cut a pass short must not read as convergence
     if ctx.is_poisoned() {
         outcome = RunOutcome::Failed;
     }
-    let labels = unwrap_atomic_u32(&labels);
-    let num_components = labels.par_iter().enumerate().filter(|&(v, &l)| v as u32 == l).count();
-    CcResult { labels, num_components, iterations, elapsed: start.elapsed(), outcome }
-}
-
-/// Edge throughput for CC is conventionally |E| / time (every edge is
-/// inspected at least once).
-pub fn cc_mteps(g: &Csr, elapsed: std::time::Duration) -> f64 {
-    Timing { elapsed, edges_examined: g.num_edges() as u64 }.mteps()
+    let labels = into_plain_u32(st.labels);
+    let num_components = labels.iter().zip(0u32..).filter(|&(&l, v)| l == v).count();
+    CcResult {
+        labels,
+        num_components,
+        iterations: st.iterations,
+        elapsed: start.elapsed(),
+        outcome,
+    }
 }
 
 #[cfg(test)]
@@ -271,12 +306,16 @@ mod tests {
     use gunrock_graph::generators::{erdos_renyi, grid2d, hub_chain, rmat};
     use gunrock_graph::{Coo, GraphBuilder};
 
+    /// Oracle-equal without a reverse graph (no skip) and with the graph
+    /// as its own reverse (skip taken): these graphs are all symmetric.
     fn check(g: &Csr) {
-        let ctx = Context::new(g);
-        let r = cc(&ctx);
         let want = serial::connected_components(g);
-        assert_eq!(r.labels, want);
-        assert_eq!(r.num_components, serial::num_components(&want));
+        for ctx in [Context::new(g), Context::new(g).with_reverse(g)] {
+            let r = cc(&ctx);
+            assert_eq!(r.labels, want);
+            assert_eq!(r.num_components, serial::num_components(&want));
+            assert_eq!((r.outcome, r.iterations), (RunOutcome::Converged, PHASE_DONE));
+        }
     }
 
     #[test]
@@ -285,74 +324,35 @@ mod tests {
         check(&GraphBuilder::new().build(rmat(8, 4, Default::default(), 2)));
         check(&GraphBuilder::new().build(grid2d(15, 15, 0.3, 0.0, 3)));
         check(&GraphBuilder::new().build(hub_chain(300, 0.05, 20, 4)));
+        // no edges at all, one path, and two stars of equal size
+        check(&GraphBuilder::new().build(Coo::new(10)));
+        check(
+            &GraphBuilder::new()
+                .build(Coo::from_edges(6, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)])),
+        );
+        let stars: Vec<_> = (1..50).map(|i| (0, i)).chain((51..100).map(|i| (50, i))).collect();
+        check(&GraphBuilder::new().build(Coo::from_edges(100, &stars)));
     }
 
+    /// Soundness must not depend on what the sample finds. Every sampled
+    /// vertex here is isolated but the pair {0, stride}, which the split
+    /// names the giant; the real one is a path of hubs on the unsampled ids,
+    /// each with two smaller-id leaves that are all the sampling passes link.
     #[test]
-    fn fully_disconnected_graph() {
-        let g = GraphBuilder::new().build(Coo::new(10));
-        let ctx = Context::new(&g);
+    fn a_split_that_picks_a_tiny_component_still_matches_the_oracle() {
+        let (n, stride) = (4 * SPLIT_SAMPLE as u32, 4);
+        let free: Vec<u32> = (0..n).filter(|v| v % stride != 0).collect();
+        let (leaves, hubs) = free.split_at(2 * SPLIT_SAMPLE);
+        let mut edges = vec![(0, stride)];
+        edges.extend(hubs.windows(2).map(|h| (h[0], h[1])));
+        edges.extend(leaves.iter().zip(0..).map(|(&leaf, i)| (hubs[i / 2], leaf)));
+        let g = GraphBuilder::new().build(Coo::from_edges(n as usize, &edges));
+        let ctx = Context::new(&g).with_reverse(&g).with_stats();
         let r = cc(&ctx);
-        assert_eq!(r.num_components, 10);
-        assert_eq!(r.labels, (0..10u32).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn single_component_path() {
-        let g = GraphBuilder::new()
-            .build(Coo::from_edges(6, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]));
-        let ctx = Context::new(&g);
-        let r = cc(&ctx);
-        assert_eq!(r.num_components, 1);
-        assert!(r.labels.iter().all(|&l| l == 0));
-    }
-
-    #[test]
-    fn iteration_cap_yields_a_refinement_of_true_components() {
-        let g = GraphBuilder::new().build(grid2d(20, 20, 0.0, 0.0, 9));
-        let ctx = Context::new(&g).with_policy(RunPolicy::unbounded().max_iterations(1));
-        let r = cc(&ctx);
-        assert_eq!(r.outcome, RunOutcome::IterationCapped);
-        assert_eq!(r.iterations, 1);
-        // partial labels refine the final labeling: equal partial label
-        // implies equal final component
-        let want = serial::connected_components(&g);
-        for v in 0..g.num_vertices() {
-            assert_eq!(
-                want[r.labels[v] as usize], want[v],
-                "vertex {v} hooked across a component boundary"
-            );
-        }
-        // root count bounds the true component count from above
-        assert!(r.num_components >= serial::num_components(&want));
-    }
-
-    #[test]
-    fn cancelled_cc_returns_identity_labels() {
-        use std::sync::atomic::AtomicBool;
-        use std::sync::Arc;
-        let g = GraphBuilder::new().build(erdos_renyi(200, 400, 10));
-        let flag = Arc::new(AtomicBool::new(true));
-        let ctx = Context::new(&g).with_policy(RunPolicy::unbounded().cancel_flag(flag));
-        let r = cc(&ctx);
-        assert_eq!(r.outcome, RunOutcome::Cancelled);
-        assert_eq!(r.iterations, 0);
-        assert_eq!(r.labels, (0..200u32).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn two_stars() {
-        let mut edges = vec![];
-        for i in 1..50u32 {
-            edges.push((0, i));
-        }
-        for i in 51..100u32 {
-            edges.push((50, i));
-        }
-        let g = GraphBuilder::new().build(Coo::from_edges(100, &edges));
-        let ctx = Context::new(&g);
-        let r = cc(&ctx);
-        assert_eq!(r.num_components, 2);
-        assert!(r.labels[..50].iter().all(|&l| l == 0));
-        assert!(r.labels[50..].iter().all(|&l| l == 50));
+        assert_eq!(r.labels, serial::connected_components(&g));
+        assert_eq!(r.labels[hubs[0] as usize], 1, "one component over the unsampled ids");
+        let residual =
+            ctx.run_stats().steps.iter().find(|s| s.strategy == "cc:split").unwrap().output_len;
+        assert_eq!(residual, hubs.len() as u64, "every hub is residual");
     }
 }

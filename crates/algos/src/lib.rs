@@ -11,8 +11,9 @@
 //!   priority queue / delta stepping (§5.2, Algorithm 1);
 //! * [`bc`] — Brandes betweenness, forward sigma + backward dependency
 //!   advances (§5.3);
-//! * [`cc`] — Soman hooking/pointer-jumping over an *edge* frontier
-//!   (§5.4);
+//! * [`cc`] — sampled hooking on a lock-free parent forest, a split
+//!   that skips the giant component, and one advance over the residual
+//!   frontier (§5.4; the paper's all-edges hook/jump is a baseline);
 //! * [`pagerank`] — full-frontier residual hand-over (dense atomic-free
 //!   gather while most edges are live, atomic push once the frontier is
 //!   sparse) and a convergence filter (§5.5, §7);

@@ -19,7 +19,7 @@ use crate::recover::{
     check_failed, expect_len, expect_vertex_ids, malformed, scalar, to_atomic_u32,
 };
 use gunrock::prelude::*;
-use gunrock_engine::atomics::{atomic_u32_vec, unwrap_atomic_u32};
+use gunrock_engine::atomics::{atomic_u32_vec, into_plain_u32, unwrap_atomic_u32};
 use gunrock_engine::budget::estimate_bytes;
 use gunrock_graph::{VertexId, INFINITY};
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -345,7 +345,9 @@ fn msbfs_run(ctx: &Context<'_>, sources: &[VertexId], st: MsbfsLoop) -> MsbfsRes
         outcome = RunOutcome::Failed;
     }
     MsbfsResult {
-        depths: unwrap_atomic_u32(&depths),
+        // in place: a second lanes x n buffer per batch is the largest
+        // allocation of the call
+        depths: into_plain_u32(depths),
         sources: sources.to_vec(),
         num_vertices: n,
         edges_examined: ctx.counters.edges(),

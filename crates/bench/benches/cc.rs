@@ -12,9 +12,9 @@ fn bench_cc(c: &mut Criterion) {
     for name in ["kron", "roadnet"] {
         let d = load_dataset(name, 11);
         let g = &d.graph;
-        group.bench_with_input(BenchmarkId::new("gunrock_soman", name), g, |b, g| {
+        group.bench_with_input(BenchmarkId::new("gunrock_union_find", name), g, |b, g| {
             b.iter(|| {
-                let ctx = Context::new(g);
+                let ctx = Context::new(g).with_reverse(g);
                 cc(&ctx)
             })
         });

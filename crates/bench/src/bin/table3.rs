@@ -51,7 +51,7 @@ fn main() {
             std::hint::black_box(algos::sssp(&ctx, 0, Default::default()))
         });
         let cc_ms = time_avg_ms(args.runs, || {
-            let ctx = Context::new(&g);
+            let ctx = Context::new(&g).with_reverse(&g);
             std::hint::black_box(algos::cc(&ctx))
         });
         let pr_ms = time_avg_ms(args.runs, || {

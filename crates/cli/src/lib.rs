@@ -556,7 +556,10 @@ pub fn execute(args: &Args) -> Result<RunOutcome, String> {
             }
         }
         "cc" => {
-            let ctx = instrument(Context::new(&g).with_policy(policy));
+            // the reverse graph lets the split skip the giant component;
+            // a loaded `.bin` may be directed, so it is a real transpose
+            let rev = g.transpose();
+            let ctx = instrument(Context::new(&g).with_reverse(&rev).with_policy(policy));
             let r = match &resume_ckpt {
                 Some(ckpt) => {
                     algos::cc_resume(&ctx, ckpt).map_err(|e| format!("resume failed: {e}"))?
@@ -1068,9 +1071,14 @@ mod tests {
             assert!(json.contains(r#""schema":"gunrock-stats/v1""#), "{prim}");
             assert!(json.contains(&format!(r#""primitive":"{prim}""#)));
             // at least one recorded operator step with a strategy and a
-            // frontier size; cc is filter-only (Hook/Jump), the rest advance
-            let expected_op = if prim == "cc" { "filter" } else { "advance" };
-            assert!(json.contains(&format!(r#""operator":"{expected_op}""#)), "{prim}: {json}");
+            // frontier size; cc names its passes (its finish advance only
+            // runs when the split leaves a residual), the rest advance
+            let expected = if prim == "cc" {
+                r#""operator":"filter","strategy":"cc:split""#
+            } else {
+                r#""operator":"advance""#
+            };
+            assert!(json.contains(expected), "{prim}: {json}");
             assert!(json.contains(r#""strategy":"#), "{prim}");
             assert!(json.contains(r#""input_len":"#), "{prim}");
             assert!(json.contains(r#""duration_ms":"#), "{prim}");

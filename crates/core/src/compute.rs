@@ -44,34 +44,48 @@ where
     }
 }
 
-/// [`for_each`] with instrumentation: records a compute `StepRecord` on
-/// the context's stats sink when one is installed. Primitives running
-/// standalone compute steps should prefer this entry point so the trace
-/// covers all three operator families.
-pub fn for_each_ctx<F>(ctx: &Context<'_>, input: &Frontier, op: F)
+/// [`for_each`] as an operator step: panic-isolated, and recorded on the
+/// context's stats sink (when one is installed) as a compute `StepRecord`
+/// whose strategy is `step`, so a primitive made of several compute
+/// passes shows which pass the time went to. Edges the pass reports
+/// through `ctx.counters` are credited to its record.
+pub fn for_each_ctx<F>(ctx: &Context<'_>, step: &'static str, input: &Frontier, op: F)
 where
     F: Fn(u32) + Send + Sync,
 {
+    compute_step(ctx, step, input.len(), || for_each(input, op));
+}
+
+/// [`for_each_id`] as an operator step (see [`for_each_ctx`]): a compute
+/// pass over the implicit full frontier `0..n`, with nothing materialized.
+pub fn for_each_id_ctx<F>(ctx: &Context<'_>, step: &'static str, n: usize, op: F)
+where
+    F: Fn(u32) + Send + Sync,
+{
+    compute_step(ctx, step, n, || for_each_id(n, op));
+}
+
+fn compute_step(ctx: &Context<'_>, step: &'static str, len: usize, body: impl FnOnce()) {
     // Kernel-launch boundary for the racecheck phase ledger.
     gunrock_engine::racecheck::begin_phase();
-    let timer = ctx.sink().map(|_| Instant::now());
+    let timer = ctx.sink().map(|_| (Instant::now(), ctx.counters.edges()));
     let result = isolated(ctx, "compute", || {
         if let Some(inj) = ctx.injector() {
             inj.maybe_panic("compute");
         }
-        for_each(input, op);
+        body();
     });
     if result.is_none() {
         return;
     }
-    if let (Some(start), Some(sink)) = (timer, ctx.sink()) {
+    if let (Some((start, edges0)), Some(sink)) = (timer, ctx.sink()) {
         sink.record_step(
             OperatorKind::Compute,
-            "for_each",
+            step,
             None,
-            input.len() as u64,
-            input.len() as u64,
-            0,
+            len as u64,
+            len as u64,
+            ctx.counters.edges() - edges0,
             start.elapsed(),
         );
     }
@@ -116,6 +130,20 @@ mod tests {
             acc.fetch_add(1, Ordering::Relaxed);
         });
         assert_eq!(acc.load(Ordering::Relaxed), 10_000);
+    }
+
+    #[test]
+    fn instrumented_passes_record_their_step_name_and_credited_edges() {
+        let g = gunrock_graph::GraphBuilder::new()
+            .build(gunrock_graph::Coo::from_edges(8, &[(0, 1)]));
+        let ctx = Context::new(&g).with_stats();
+        for_each_id_ctx(&ctx, "test:ids", 7, |_| ctx.counters.add_edges(2));
+        for_each_ctx(&ctx, "test:list", &Frontier::from_vec(vec![3, 1]), |_| {});
+        let steps = ctx.run_stats().steps;
+        let seen: Vec<_> =
+            steps.iter().map(|s| (s.strategy, s.input_len, s.edges_examined)).collect();
+        assert_eq!(seen, [("test:ids", 7, 14), ("test:list", 2, 0)]);
+        assert!(steps.iter().all(|s| s.operator == OperatorKind::Compute));
     }
 
     #[test]

@@ -110,7 +110,7 @@ impl<'g> Enactor<'g> {
     /// Parallel per-element computation (instrumented when the context
     /// carries a stats sink).
     pub fn compute<F: Fn(u32) + Send + Sync>(&self, input: &Frontier, op: F) {
-        compute::for_each_ctx(&self.ctx, input, op)
+        compute::for_each_ctx(&self.ctx, "for_each", input, op)
     }
 
     /// Arms the context's execution guard for this enactment. Check the

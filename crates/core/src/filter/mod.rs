@@ -16,7 +16,7 @@ pub mod culling;
 use crate::context::Context;
 use crate::functor::FilterFunctor;
 use crate::isolate::isolated;
-use gunrock_engine::compact::compact_map;
+use gunrock_engine::compact::{compact_map, compact_range_into};
 use gunrock_engine::config::FRONTIER_SEQ_CUTOFF;
 use gunrock_engine::frontier::Frontier;
 use gunrock_engine::stats::OperatorKind;
@@ -27,23 +27,14 @@ use std::time::Instant;
 /// Panic-isolated like advance: a functor panic poisons the context and
 /// returns an empty frontier.
 pub fn filter<F: FilterFunctor>(ctx: &Context<'_>, input: &Frontier, functor: &F) -> Frontier {
-    // Kernel-launch boundary for the racecheck phase ledger.
-    gunrock_engine::racecheck::begin_phase();
-    let timer = ctx.sink().map(|_| Instant::now());
-    let result = isolated(ctx, "filter", || {
-        if let Some(inj) = ctx.injector() {
-            inj.maybe_panic("filter");
-        }
-        ctx.counters.add_filtered(input.len() as u64);
+    filter_step(ctx, "scan_compact", input.len(), || {
         let items = input.as_slice();
         if items.len() < FRONTIER_SEQ_CUTOFF || rayon::current_num_threads() == 1 {
             // small-frontier path (also taken whenever the pool has a
             // single worker thread): one serial pass into a pooled
             // buffer, zero allocations in the steady state of
             // high-diameter enact loops (the filter half of the serial
-            // fast path). On one thread this also keeps iterative
-            // filters (CC hooking/jumping) ping-ponging between warm
-            // pooled buffers instead of walking fresh cold allocations.
+            // fast path).
             let mut out = ctx.pool().take_u32(items.len());
             for &id in items {
                 if functor.cond(id) {
@@ -62,19 +53,57 @@ pub fn filter<F: FilterFunctor>(ctx: &Context<'_>, input: &Frontier, functor: &F
                 }
             })
         }
+    })
+}
+
+/// [`filter`] over the implicit full frontier `0..n`, with nothing
+/// materialized on the input side: survivors come out ascending in a
+/// pooled buffer (recycle it when done), and the `StepRecord` carries
+/// `step` as its strategy. `cond` runs exactly once per id.
+pub fn filter_ids<F: FilterFunctor>(
+    ctx: &Context<'_>,
+    step: &'static str,
+    n: usize,
+    functor: &F,
+) -> Frontier {
+    filter_step(ctx, step, n, || {
+        let mut out = ctx.pool().take_u32(n);
+        let keep = |id| {
+            let kept = functor.cond(id);
+            if kept {
+                functor.apply(id);
+            }
+            kept
+        };
+        compact_range_into(n, keep, &mut out);
+        out
+    })
+}
+
+/// What every exact filter shares: the racecheck phase, panic isolation
+/// and the `filter` fault site, the filtered-elements counter, and one
+/// `StepRecord` whose strategy is `step`. `body` produces the survivors.
+fn filter_step(
+    ctx: &Context<'_>,
+    step: &'static str,
+    input_len: usize,
+    body: impl FnOnce() -> Vec<u32>,
+) -> Frontier {
+    // Kernel-launch boundary for the racecheck phase ledger.
+    gunrock_engine::racecheck::begin_phase();
+    let timer = ctx.sink().map(|_| Instant::now());
+    let result = isolated(ctx, "filter", || {
+        if let Some(inj) = ctx.injector() {
+            inj.maybe_panic("filter");
+        }
+        ctx.counters.add_filtered(input_len as u64);
+        body()
     });
     let Some(kept) = result else { return Frontier::new() };
     let out = Frontier::from_vec(kept);
     if let (Some(start), Some(sink)) = (timer, ctx.sink()) {
-        sink.record_step(
-            OperatorKind::Filter,
-            "scan_compact",
-            None,
-            input.len() as u64,
-            out.len() as u64,
-            0,
-            start.elapsed(),
-        );
+        let (input_len, kept) = (input_len as u64, out.len() as u64);
+        sink.record_step(OperatorKind::Filter, step, None, input_len, kept, 0, start.elapsed());
     }
     out
 }
@@ -94,6 +123,25 @@ mod tests {
         let out = filter(&ctx, &input, &VertexCond(|v: u32| v.is_multiple_of(2)));
         assert_eq!(out.as_slice(), &[2, 8]);
         assert_eq!(ctx.counters.elements_filtered.load(Ordering::Relaxed), 4);
+    }
+
+    #[test]
+    fn filter_ids_sweeps_the_vertex_range_into_a_pooled_buffer() {
+        let g = GraphBuilder::new().build(Coo::from_edges(10, &[(0, 1)]));
+        let ctx = Context::new(&g).with_stats();
+        for n in [10usize, 50_000] {
+            let out =
+                filter_ids(&ctx, "test:thirds", n, &VertexCond(|v: u32| v.is_multiple_of(3)));
+            assert_eq!(out.len(), n.div_ceil(3));
+            assert!(out.as_slice().iter().enumerate().all(|(i, &v)| v as usize == 3 * i));
+            ctx.recycle(out);
+        }
+        let pool = ctx.pool().stats();
+        assert_eq!(pool.releases, pool.checkouts, "the output buffer is the pool's own");
+        let stats = ctx.run_stats();
+        assert_eq!(stats.steps[1].strategy, "test:thirds");
+        assert_eq!((stats.steps[1].input_len, stats.steps[1].output_len), (50_000, 16_667));
+        assert_eq!(ctx.counters.elements_filtered.load(Ordering::Relaxed), 50_010);
     }
 
     #[test]

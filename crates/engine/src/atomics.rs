@@ -19,6 +19,46 @@ pub fn fetch_min_u32(cell: &AtomicU32, value: u32) -> bool {
     cell.fetch_min(value, Ordering::Relaxed) > value
 }
 
+/// Root of `v`'s tree in a lock-free parent forest (`parent[x] <= x`,
+/// equality exactly at a root). With [`link`] this is the union-find the
+/// connected-components primitive runs on: every pointer only ever moves
+/// to a smaller id of the same tree, so a tree's root is its minimum id.
+#[inline]
+pub fn root(parent: &[AtomicU32], mut v: u32) -> u32 {
+    loop {
+        // ORDERING: Relaxed — relaxed-load of a monotone pointer: whatever
+        // value a racing reader sees was an ancestor-or-self of `v` when it
+        // was written and still is, so the walk only ever climbs.
+        let p = parent[v as usize].load(Ordering::Relaxed);
+        if p == v {
+            return v;
+        }
+        v = p;
+    }
+}
+
+/// Merges the trees of `u` and `v` by hooking the larger root under the
+/// smaller; returns true if this call merged two trees.
+#[inline]
+pub fn link(parent: &[AtomicU32], u: u32, v: u32) -> bool {
+    let (mut a, mut b) = (root(parent, u), root(parent, v));
+    while a != b {
+        let (hi, lo) = if a > b { (a, b) } else { (b, a) };
+        // ORDERING: Relaxed — cas-loop on a monotone pointer: the exchange
+        // succeeds only while `hi` is still a root, so each tree is hooked
+        // exactly once, always under a smaller id (no cycle can form); on
+        // failure another thread hooked `hi` first and both roots are
+        // re-found. The pointer publishes no other data, and the join
+        // barrier ending the pass orders the forest for the next one.
+        match parent[hi as usize].compare_exchange(hi, lo, Ordering::Relaxed, Ordering::Relaxed)
+        {
+            Ok(_) => return true,
+            Err(above) => (a, b) = (root(parent, above), root(parent, lo)),
+        }
+    }
+    false
+}
+
 /// An `f32` cell supporting atomic add via CAS on the bit pattern — the
 /// CPU equivalent of CUDA's `atomicAdd(float*)`.
 #[derive(Debug)]
@@ -127,6 +167,13 @@ pub fn unwrap_atomic_u32(slice: &[AtomicU32]) -> Vec<u32> {
     slice.iter().map(|a| a.load(Ordering::Relaxed)).collect()
 }
 
+/// Unwraps a vector of atomics into plain values, reusing its allocation
+/// (same layout, so the collect is in place): what a primitive returns
+/// its atomic working array through, without a second `len`-sized buffer.
+pub fn into_plain_u32(cells: Vec<AtomicU32>) -> Vec<u32> {
+    cells.into_iter().map(AtomicU32::into_inner).collect()
+}
+
 /// Allocates a vector of `AtomicF32` initialized to `init`.
 pub fn atomic_f32_vec(len: usize, init: f32) -> Vec<AtomicF32> {
     (0..len).map(|_| AtomicF32::new(init)).collect()
@@ -158,6 +205,34 @@ mod tests {
             let _ = fetch_min_u32(&cell, 10_000 - i);
         });
         assert_eq!(cell.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn racing_links_reach_one_minimum_root() {
+        // two real threads hook the same 64-vertex forest from opposite
+        // ends (small enough for the Miri job): every CAS either wins or
+        // re-finds, and the surviving root is the minimum id
+        let parent: Vec<AtomicU32> = (0..64).map(AtomicU32::new).collect();
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                start.wait();
+                for v in 1..64 {
+                    link(&parent, v - 1, v);
+                }
+            });
+            s.spawn(|| {
+                start.wait();
+                for v in (1..64).rev() {
+                    link(&parent, v, (v * 7) % 64);
+                }
+            });
+        });
+        for v in 0..64 {
+            assert!(parent[v as usize].load(Ordering::Relaxed) <= v, "pointers only decrease");
+            assert_eq!(root(&parent, v), 0);
+        }
+        assert!(!link(&parent, 5, 60), "already one tree");
     }
 
     #[test]
@@ -193,6 +268,9 @@ mod tests {
     fn vec_helpers() {
         let v = atomic_u32_vec(3, 42);
         assert_eq!(unwrap_atomic_u32(&v), vec![42, 42, 42]);
+        let storage = v.as_ptr() as usize;
+        let plain = into_plain_u32(v);
+        assert_eq!((plain.as_ptr() as usize, &plain[..]), (storage, &[42, 42, 42][..]));
         let f = atomic_f32_vec(2, 0.5);
         assert_eq!(unwrap_atomic_f32(&f), vec![0.5, 0.5]);
     }

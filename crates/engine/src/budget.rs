@@ -207,9 +207,10 @@ pub fn estimate_bytes(primitive: &str, n: u64, m: u64) -> u64 {
         "sssp" => n * 4 + bitmap + frontiers + advance,
         // labels + sigma/delta f64 arrays, forward and backward sweeps
         "bc" => n * 4 + 2 * n * 8 + bitmap + frontiers + advance,
-        // component labels; hook/jump is filter-only but still pools
-        // its compaction buffers
-        "cc" => n * 4 + frontiers + advance,
+        // component labels (the parent forest), the pooled residual
+        // frontier the split filters out of the vertex set, and the
+        // finish advance over it
+        "cc" => n * 4 + pooled_bytes(n, 4) + advance,
         // four f64 arrays over the vertex set: scores, residual, the
         // per-edge shares the gather reads and the push accumulator
         "pagerank" => 4 * n * 8 + frontiers + advance,

@@ -82,25 +82,50 @@ where
     T: Sync,
     F: Fn(&T) -> bool + Send + Sync,
 {
-    // CAST: indices fit u32 — asserted at entry; bool -> usize is 0 or 1.
-    assert!(input.len() <= u32::MAX as usize);
+    // CAST: i < input.len(), widening u32 -> usize is lossless.
+    compact_range_into(input.len(), |i| pred(&input[i as usize]), out);
+}
+
+/// The ids in `0..n` satisfying `pred`, ascending, into a caller-owned
+/// buffer (overwritten, capacity reused): the exact filter of an implicit
+/// full frontier. `pred` runs exactly once per id, and the only scratch
+/// is one count per task: every task filters its id range into the same
+/// range of `out`, then the kept runs slide down to close the gaps.
+pub fn compact_range_into<F>(n: usize, pred: F, out: &mut Vec<u32>)
+where
+    F: Fn(u32) -> bool + Send + Sync,
+{
+    // CAST: ids fit u32 — asserted at entry.
+    assert!(n <= u32::MAX as usize);
     out.clear();
-    if input.len() < SEQUENTIAL_CUTOFF || rayon::current_num_threads() == 1 {
-        out.extend(input.iter().enumerate().filter_map(|(i, x)| pred(x).then_some(i as u32)));
+    if n < SEQUENTIAL_CUTOFF || rayon::current_num_threads() == 1 {
+        out.extend((0..n as u32).filter(|&i| pred(i)));
         return;
     }
-    let flags: Vec<usize> = input.par_iter().map(|x| pred(x) as usize).collect();
-    let (positions, total) = scan_exclusive_usize(&flags);
-    out.resize(total, 0);
-    crate::racecheck::begin_phase();
-    let out_ref = UnsafeSlice::new(out);
-    flags.par_iter().enumerate().for_each(|(i, &keep)| {
-        if keep == 1 {
-            // SAFETY: scan assigns each kept index a unique slot.
-            // CAST: i < input.len() <= u32::MAX, asserted at entry.
-            unsafe { out_ref.write(positions[i], i as u32) };
-        }
-    });
+    out.resize(n, 0);
+    let chunk = n.div_ceil(rayon::current_num_threads() * 4);
+    let kept: Vec<usize> = out
+        .par_chunks_mut(chunk)
+        .enumerate()
+        .map(|(c, slots)| {
+            let first = c * chunk;
+            let mut k = 0;
+            // CAST: ids in this range are below n <= u32::MAX.
+            for id in (first..first + slots.len()).map(|i| i as u32) {
+                if pred(id) {
+                    slots[k] = id;
+                    k += 1;
+                }
+            }
+            k
+        })
+        .collect();
+    let mut len = 0;
+    for (c, &k) in kept.iter().enumerate() {
+        out.copy_within(c * chunk..c * chunk + k, len);
+        len += k;
+    }
+    out.truncate(len);
 }
 
 #[cfg(test)]
@@ -147,6 +172,17 @@ mod tests {
         assert_eq!(got.len(), 20_000);
         assert!(got.windows(2).all(|w| w[0] < w[1]));
         assert!(got.iter().all(|&i| big[i as usize] == 4));
+    }
+
+    #[test]
+    fn range_compaction_keeps_ascending_ids_on_both_paths() {
+        let mut out = vec![9, 9];
+        compact_range_into(10, |i| i % 4 == 1, &mut out);
+        assert_eq!(out, vec![1, 5, 9]);
+        compact_range_into(100_000, |i| i % 1000 == 7, &mut out);
+        assert_eq!(out, (0..100u32).map(|k| k * 1000 + 7).collect::<Vec<_>>());
+        compact_range_into(0, |_| true, &mut out);
+        assert!(out.is_empty());
     }
 
     #[test]

@@ -137,3 +137,28 @@ fn warm_pagerank_leaves_the_pool_balanced() {
         );
     }
 }
+
+/// CC draws its one buffer — the residual frontier — from the pool and
+/// hands it back (it used to recycle an all-edges frontier the pool never
+/// handed out, every run): `releases == checkouts` after each run, with
+/// or without the giant-component skip, and nothing allocated from the
+/// third run on.
+#[test]
+fn warm_cc_leaves_the_pool_balanced() {
+    let g = test_graph();
+    for ctx in [Context::new(&g), Context::new(&g).with_reverse(&g)] {
+        let run = || {
+            let r = algos::cc(&ctx);
+            assert_eq!(r.outcome, RunOutcome::Converged);
+            let pool = ctx.pool().stats();
+            assert_eq!(pool.releases, pool.checkouts, "every buffer taken is returned");
+            assert_eq!(pool.live, 0);
+            pool
+        };
+        run();
+        let warm = run();
+        let after = run();
+        assert!(after.checkouts > warm.checkouts, "the run did go through the pool");
+        assert_eq!(after.allocations, warm.allocations, "no new pool allocations");
+    }
+}

@@ -151,16 +151,66 @@ fn bc_resume_is_bit_identical() {
 fn cc_resume_is_bit_identical() {
     let g = kron10();
     let dir = ckpt_dir("cc");
-    let full = algos::cc(&Context::new(&g));
-    let ckpt = interrupt(&g, &dir, "cc", 1, |ctx| {
-        let r = algos::cc(ctx);
-        (r.labels, r.outcome)
-    });
-    let r = algos::cc_resume(&Context::new(&g), &ckpt).expect("resume");
-    assert_eq!(r.outcome, RunOutcome::Converged);
-    assert_eq!(r.labels, full.labels);
-    assert_eq!(r.num_components, full.num_components);
+    // with the graph as its own reverse the split skips the giant
+    // component; without one the finish advances over every edge
+    for reverse in [true, false] {
+        let context = || {
+            let ctx = Context::new(&g);
+            if reverse {
+                ctx.with_reverse(&g)
+            } else {
+                ctx
+            }
+        };
+        let full = algos::cc(&context());
+        assert_eq!((full.outcome, full.iterations), (RunOutcome::Converged, 4));
+        // every pass boundary: after each sampling pass, after the split
+        // and after the finish (the guard is consulted there too)
+        for cap in 1..=4 {
+            let ckpt = interrupt_on(context(), &dir, "cc", cap, |ctx| {
+                let r = algos::cc(ctx);
+                (r.labels, r.outcome)
+            });
+            assert_eq!(ckpt.iteration(), cap);
+            let r = algos::cc_resume(&context(), &ckpt).expect("resume");
+            assert_eq!(r.outcome, RunOutcome::Converged, "cap {cap}");
+            assert_eq!(r.labels, full.labels, "cap {cap}");
+            assert_eq!(r.num_components, full.num_components, "cap {cap}");
+            assert_eq!(r.iterations, full.iterations, "cap {cap}");
+        }
+    }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Snapshots `cc_resume` must refuse with a structured checkpoint error
+/// rather than a panic or a hang: the pre-union-find layout (edge and
+/// vertex frontiers, a lone phase scalar), and labels that are not a
+/// parent forest — a cycle would never reach a root.
+#[test]
+fn cc_resume_rejects_foreign_snapshots() {
+    let g = kron10();
+    let n = g.num_vertices() as u32;
+    let identity: Vec<u32> = (0..n).collect();
+    let mut old = Checkpoint::new("cc", 2);
+    old.push_u32("labels", identity.clone());
+    old.push_u32("edge_frontier", vec![0, 1, 2]);
+    old.push_u32("vertex_frontier", vec![]);
+    old.push_u32("scalars", vec![1]);
+    let mut cycle = Checkpoint::new("cc", 1);
+    let mut labels = identity;
+    labels.swap(1, 2);
+    cycle.push_u32("labels", labels);
+    cycle.push_u32("frontier", vec![]);
+    cycle.push_u32("scalars", vec![1, u32::MAX]);
+    for (what, ckpt) in [("pre-PR20 layout", old), ("label cycle", cycle)] {
+        let reread = Checkpoint::decode(&ckpt.encode()).expect("well-formed container");
+        match algos::cc_resume(&Context::new(&g), &reread) {
+            Err(GunrockError::Checkpoint(
+                CheckpointError::MissingSection(_) | CheckpointError::Malformed(_),
+            )) => {}
+            other => panic!("{what}: expected a malformed-checkpoint error, got {other:?}"),
+        }
+    }
 }
 
 #[test]

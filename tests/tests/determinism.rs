@@ -33,11 +33,24 @@ fn repeated_runs_reach_identical_fixed_points() {
         };
         assert_eq!(run_sssp(), run_sssp(), "sssp on {name}");
 
-        let run_cc = || {
-            let ctx = Context::new(&g);
-            algos::cc(&ctx).labels
+        // CC's labels are each component's minimum id whichever link wins a
+        // race, so they also hold still across pool sizes and the skip
+        let run_cc = |threads: usize, skip: bool| {
+            let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build();
+            pool.expect("pool").install(|| {
+                let ctx = Context::new(&g);
+                algos::cc(&if skip { ctx.with_reverse(&g) } else { ctx }).labels
+            })
         };
-        assert_eq!(run_cc(), run_cc(), "cc on {name}");
+        let reference = run_cc(1, false);
+        for threads in [1, 2, 8] {
+            assert_eq!(run_cc(threads, false), reference, "cc on {name}, {threads} threads");
+            assert_eq!(
+                run_cc(threads, true),
+                reference,
+                "cc skip on {name}, {threads} threads"
+            );
+        }
 
         let run_pr = || {
             let ctx = Context::new(&g);

@@ -54,9 +54,17 @@ proptest! {
 
     #[test]
     fn cc_partition_matches_union_find((g, _src) in arb_graph()) {
-        let ctx = Context::new(&g);
-        let r = algos::cc(&ctx);
-        prop_assert_eq!(&r.labels, &serial::connected_components(&g));
+        // with and without the giant-component skip, at pool sizes that
+        // take the serial and the chunked passes
+        let want = serial::connected_components(&g);
+        for threads in [1, 2, 8] {
+            let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().expect("pool");
+            let (skip, plain) = pool.install(|| {
+                (algos::cc(&Context::new(&g).with_reverse(&g)), algos::cc(&Context::new(&g)))
+            });
+            prop_assert_eq!(&skip.labels, &want, "skip, {} threads", threads);
+            prop_assert_eq!(&plain.labels, &want, "no reverse, {} threads", threads);
+        }
     }
 
     #[test]

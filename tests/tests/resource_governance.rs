@@ -12,7 +12,9 @@
 //!   query on the same server succeeds;
 //! * **taxonomy coverage** — all five core primitives under a hopeless
 //!   budget fail with the same structured rejection, and the drain
-//!   summary accounts for every one.
+//!   summary accounts for every one;
+//! * **honest estimate** (in process) — a `cc` run admitted at exactly
+//!   its `estimate_bytes` never reserves more than that.
 
 use gunrock_engine::json::JsonValue;
 use gunrock_graph::{Coo, Csr, GraphBuilder};
@@ -186,4 +188,40 @@ fn every_primitive_under_a_hopeless_budget_fails_structured() {
     let v = JsonValue::parse(&summary).expect("summary is JSON");
     assert_eq!(field(field(&v, "rejected"), "over_budget").as_u64(), Some(5));
     assert_eq!(field(field(&v, "requests"), "admitted").as_u64(), Some(0));
+}
+
+/// Admission prices what CC allocates: a budget of exactly the estimate
+/// admits the run, and warm runs — skipping the giant component or, with
+/// no reverse graph, advancing over every edge — keep the budget's
+/// high-water under it without a denial. A hopeless budget still ends in
+/// a structured `BudgetExceeded` from admission, before any operator.
+#[test]
+fn cc_estimate_covers_what_a_budgeted_run_reserves() {
+    use gunrock::prelude::*;
+    use gunrock_algos as algos;
+    use gunrock_engine::budget::{estimate_bytes, MemoryBudget};
+    use gunrock_graph::generators::rmat;
+    let g = GraphBuilder::new().build(rmat(12, 8, Default::default(), 5));
+    let want = gunrock_baselines::serial::connected_components(&g);
+    let estimate = estimate_bytes("cc", g.num_vertices() as u64, g.num_edges() as u64);
+    for skip in [false, true] {
+        let budget = Arc::new(MemoryBudget::new(estimate));
+        let ctx = Context::new(&g).with_budget(Arc::clone(&budget));
+        let ctx = if skip { ctx.with_reverse(&g) } else { ctx };
+        for _ in 0..3 {
+            let r = algos::try_cc(&ctx).expect("admitted at its own estimate");
+            assert_eq!(r.labels, want);
+        }
+        assert_eq!(ctx.degrade_count(), 0, "admitted without a demotion");
+        assert_eq!(budget.denials(), 0);
+        assert!(budget.high_water() > 0 && budget.high_water() <= estimate, "skip={skip}");
+        assert_eq!(budget.reserved(), 0, "everything reserved was released");
+    }
+    let ctx = Context::new(&g).with_reverse(&g).with_budget(Arc::new(MemoryBudget::new(64)));
+    match algos::try_cc(&ctx) {
+        Err(GunrockError::BudgetExceeded { operator, limit, .. }) => {
+            assert_eq!((operator, limit), ("admission", 64));
+        }
+        other => panic!("expected BudgetExceeded from admission, got {other:?}"),
+    }
 }

@@ -116,12 +116,65 @@ fn cc_cap_yields_a_refinement() {
     let g = kron12();
     let r = algos::cc(&capped(&g));
     assert_eq!(r.outcome, RunOutcome::IterationCapped);
+    assert_eq!(r.iterations, 1);
     let want = serial::connected_components(&g);
     // partial labels never merge vertices across true components
     for v in 0..g.num_vertices() {
         assert_eq!(want[r.labels[v] as usize], want[v], "vertex {v}");
     }
     assert!(r.num_components >= serial::num_components(&want));
+}
+
+#[test]
+fn cc_cancel_returns_identity_labels() {
+    let g = kron12();
+    let r = algos::cc(&cancelled(&g));
+    assert_eq!((r.outcome, r.iterations), (RunOutcome::Cancelled, 0));
+    assert_eq!(r.num_components, g.num_vertices());
+    assert!(r.labels.iter().zip(0u32..).all(|(&l, v)| l == v));
+}
+
+/// A cancel that lands inside the finish — CC's last pass — can cut the
+/// residual advance short. The guard is consulted once more after it, so
+/// that run reads `Cancelled` (labels still a refinement), never
+/// `Converged` with edges unlinked.
+#[test]
+fn cc_cancel_during_the_residual_advance_never_reads_as_convergence() {
+    use std::sync::atomic::Ordering;
+    let g = kron12();
+    let want = serial::connected_components(&g);
+    let mut cancelled = 0;
+    for round in 0..32 {
+        let flag = Arc::new(AtomicBool::new(false));
+        // no reverse graph: the residual advance walks nearly every edge
+        let ctx =
+            Context::new(&g).with_policy(RunPolicy::unbounded().cancel_flag(flag.clone()));
+        let finished = AtomicBool::new(false);
+        let r = std::thread::scope(|s| {
+            // the counter reaches 4 after the finish's own guard check and
+            // before its advance
+            s.spawn(|| {
+                while ctx.counters.iters() < 4 && !finished.load(Ordering::Acquire) {
+                    std::hint::spin_loop();
+                }
+                flag.store(true, Ordering::Release);
+            });
+            let r = algos::cc(&ctx);
+            finished.store(true, Ordering::Release);
+            r
+        });
+        assert_eq!(r.iterations, 4, "round {round}: the cancel came after the last boundary");
+        if r.outcome == RunOutcome::Converged {
+            assert_eq!(r.labels, want, "round {round}: converged with edges unlinked");
+        } else {
+            assert_eq!(r.outcome, RunOutcome::Cancelled, "round {round}");
+            for v in 0..g.num_vertices() {
+                assert_eq!(want[r.labels[v] as usize], want[v], "round {round}, vertex {v}");
+            }
+            cancelled += 1;
+        }
+    }
+    assert!(cancelled > 0, "no run was interrupted: the test exercised nothing");
 }
 
 #[test]
