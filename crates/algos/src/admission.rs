@@ -26,7 +26,7 @@ use gunrock_engine::budget::{advance_workspace_bytes, estimate_bytes};
 
 /// Admits one run of `primitive`, returning the (possibly demoted)
 /// advance mode. Poisons the context when even the lean footprint can
-/// never fit the budget limit; the enact loop's first guard check then
+/// never fit the budget limit; the enact loop's first boundary then
 /// ends the run as `Failed` before any operator launches.
 pub(crate) fn admit(
     ctx: &Context<'_>,
@@ -42,9 +42,15 @@ pub(crate) fn admit(
         return mode;
     }
     // The estimate prices the widest (load-balanced) advance; swap in
-    // the thread-mapped working set to price the demoted run.
-    let lean = full - advance_workspace_bytes(n, m, "load_balanced")
-        + advance_workspace_bytes(n, m, "thread_mapped");
+    // the thread-mapped working set to price the demoted run. Lane-packed
+    // batches sweep lane words instead of advancing: their estimate has
+    // no advance term, so there is nothing to demote.
+    let lean = if matches!(primitive, "msbfs" | "msppr") {
+        full
+    } else {
+        full - advance_workspace_bytes(n, m, "load_balanced")
+            + advance_workspace_bytes(n, m, "thread_mapped")
+    };
     if lean <= limit {
         if !matches!(mode, AdvanceMode::ThreadMapped) {
             ctx.record_degrade(
@@ -115,6 +121,42 @@ mod tests {
                 assert!(requested > 64);
             }
             other => panic!("expected BudgetExceeded, got {other:?}"),
+        }
+    }
+
+    /// A lane batch has no advance workspace to demote. On a dense graph
+    /// the load-balanced term outweighs the whole `msbfs` estimate, so
+    /// subtracting it would underflow: admission must refuse without a
+    /// demotion, charging the full estimate.
+    #[test]
+    fn lane_batches_are_refused_without_demotion() {
+        let edges: Vec<(u32, u32)> =
+            (0..100).flat_map(|u| (u + 1..100).map(move |v| (u, v))).collect();
+        let g = GraphBuilder::new().build(gunrock_graph::Coo::from_edges(100, &edges));
+        let (n, m) = (g.num_vertices() as u64, g.num_edges() as u64);
+        let full = estimate_bytes("msbfs", n, m);
+        assert!(advance_workspace_bytes(n, m, "load_balanced") > full);
+        let ctx =
+            Context::new(&g).with_stats().with_budget(Arc::new(MemoryBudget::new(full - 1)));
+        admit(&ctx, "msbfs", AdvanceMode::Auto);
+        assert!(ctx.run_stats().degrades.is_empty(), "nothing to demote");
+        match ctx.take_failure() {
+            Some(GunrockError::BudgetExceeded { requested, .. }) => assert_eq!(requested, full),
+            other => panic!("expected BudgetExceeded, got {other:?}"),
+        }
+    }
+
+    /// `msppr` is admitted like every other primitive: a hopeless budget
+    /// fails at admission, before its score matrices or lane maps exist.
+    #[test]
+    fn hopeless_budget_fails_msppr_at_admission() {
+        let g = GraphBuilder::new().build(erdos_renyi(100, 300, 1));
+        let ctx = Context::new(&g).with_budget(Arc::new(MemoryBudget::new(1024)));
+        match crate::msppr::try_msppr(&ctx, &[0, 1], Default::default()) {
+            Err(GunrockError::BudgetExceeded { operator, .. }) => {
+                assert_eq!(operator, "admission")
+            }
+            other => panic!("expected BudgetExceeded from admission, got {:?}", other.err()),
         }
     }
 }

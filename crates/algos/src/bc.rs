@@ -143,48 +143,31 @@ struct BcLoop {
     delta: Vec<AtomicF64>,
     levels: Vec<Frontier>,
     level: u32,
-    iterations: u32,
     phase: u32,
     back_lvl: u32,
 }
 
-/// Writes an iteration-boundary snapshot when a checkpoint policy is
-/// installed. The per-level frontier stack is flattened into
-/// `levels_flat` + `level_offsets` (offsets table one longer than the
-/// level count); scalars are `[src, level, phase, back_lvl]`.
-#[allow(clippy::too_many_arguments)]
-fn bc_checkpoint(
-    ctx: &Context<'_>,
-    src: VertexId,
-    depth: &[AtomicU32],
-    sigma: &[AtomicF64],
-    tags: &[AtomicU32],
-    delta: &[AtomicF64],
-    levels: &[Frontier],
-    level: u32,
-    iterations: u32,
-    phase: u32,
-    back_lvl: u32,
-) {
-    if ctx.checkpoint_policy().is_none() {
-        return;
-    }
-    let mut ckpt = Checkpoint::new("bc", iterations);
-    ckpt.push_u32("depth", unwrap_atomic_u32(depth));
-    ckpt.push_f64("sigma", sigma.iter().map(|a| a.load()).collect());
-    ckpt.push_u32("tags", unwrap_atomic_u32(tags));
-    ckpt.push_f64("delta", delta.iter().map(|a| a.load()).collect());
+/// Builds an iteration-boundary snapshot. The per-level frontier stack
+/// is flattened into `levels_flat` + `level_offsets` (offsets table one
+/// longer than the level count); scalars are `[src, level, phase,
+/// back_lvl]`.
+fn bc_checkpoint(iteration: u32, src: VertexId, st: &BcLoop) -> Checkpoint {
+    let mut ckpt = Checkpoint::new("bc", iteration);
+    ckpt.push_u32("depth", unwrap_atomic_u32(&st.depth));
+    ckpt.push_f64("sigma", st.sigma.iter().map(|a| a.load()).collect());
+    ckpt.push_u32("tags", unwrap_atomic_u32(&st.tags));
+    ckpt.push_f64("delta", st.delta.iter().map(|a| a.load()).collect());
     let mut flat = Vec::new();
-    let mut offsets = Vec::with_capacity(levels.len() + 1);
+    let mut offsets = Vec::with_capacity(st.levels.len() + 1);
     offsets.push(0u32);
-    for f in levels {
+    for f in &st.levels {
         flat.extend_from_slice(f.as_slice());
         offsets.push(flat.len() as u32);
     }
     ckpt.push_u32("levels_flat", flat);
     ckpt.push_u32("level_offsets", offsets);
-    ckpt.push_u32("scalars", vec![src, level, phase, back_lvl]);
-    ctx.save_checkpoint(&ckpt);
+    ckpt.push_u32("scalars", vec![src, st.level, st.phase, st.back_lvl]);
+    ckpt
 }
 
 /// Runs a single-source BC pass from `src`. Summing `bc_values` over all
@@ -205,11 +188,10 @@ pub fn bc(ctx: &Context<'_>, src: VertexId, opts: BcOptions) -> BcResult {
         delta: (0..n).map(|_| AtomicF64::new(0.0)).collect(),
         levels: vec![Frontier::single(src)],
         level: 0,
-        iterations: 0,
         phase: PHASE_FORWARD,
         back_lvl: 0,
     };
-    bc_run(ctx, src, opts, st)
+    bc_run(ctx, src, opts, st, 0)
 }
 
 /// Resumes BC from a `gunrock-ckpt/v1` snapshot. The checkpoint's source
@@ -269,69 +251,40 @@ pub fn bc_resume(
         delta: to_atomic_f64(delta),
         levels,
         level,
-        iterations: ckpt.iteration(),
         phase,
         back_lvl,
     };
-    let r = bc_run(ctx, src, opts, st);
+    let r = bc_run(ctx, src, opts, st, ckpt.iteration());
     check_failed(ctx, r.outcome, r)
 }
 
 /// The enact loop proper, starting from an arbitrary iteration-boundary
-/// state (fresh from [`bc`] or restored by [`bc_resume`]).
-fn bc_run(ctx: &Context<'_>, src: VertexId, opts: BcOptions, st: BcLoop) -> BcResult {
-    let start = std::time::Instant::now();
+/// state (fresh from [`bc`] or restored by [`bc_resume`]) that has
+/// already completed `done` iterations.
+fn bc_run(
+    ctx: &Context<'_>,
+    src: VertexId,
+    opts: BcOptions,
+    mut st: BcLoop,
+    done: u32,
+) -> BcResult {
+    let mut run = Enactment::arm(ctx, done);
     // Budget admission: demote the advance mode (or poison with a
     // structured BudgetExceeded) before the first operator launches.
     let opts = BcOptions { mode: crate::admission::admit(ctx, "bc", opts.mode) };
-    let BcLoop {
-        depth,
-        sigma,
-        tags,
-        delta,
-        mut levels,
-        mut level,
-        mut iterations,
-        mut phase,
-        mut back_lvl,
-    } = st;
-    let guard = ctx.guard();
-    let mut outcome = RunOutcome::Converged;
-
-    macro_rules! boundary {
-        () => {
-            if ctx.checkpoint_due(iterations) {
-                bc_checkpoint(
-                    ctx, src, &depth, &sigma, &tags, &delta, &levels, level, iterations, phase,
-                    back_lvl,
-                );
-            }
-            if let Some(tripped) = guard.check(iterations) {
-                outcome = tripped;
-                if tripped != RunOutcome::Failed {
-                    bc_checkpoint(
-                        ctx, src, &depth, &sigma, &tags, &delta, &levels, level, iterations,
-                        phase, back_lvl,
-                    );
-                }
-                break;
-            }
-        };
-    }
 
     // Phase 1: forward BFS with fused sigma accumulation.
-    if phase == PHASE_FORWARD {
-        loop {
-            boundary!();
-            level += 1;
-            iterations += 1;
-            ctx.end_iteration(false);
-            let f = ForwardSigma { depth: &depth, sigma: &sigma, level };
+    if st.phase == PHASE_FORWARD {
+        while !run.boundary(|it| Some(bc_checkpoint(it, src, &st))) {
+            st.level += 1;
+            run.end_iteration(false);
+            let f = ForwardSigma { depth: &st.depth, sigma: &st.sigma, level: st.level };
             let spec = AdvanceSpec::v2v().with_mode(opts.mode);
             // LINT-ALLOW(panic): `levels` starts with the source level and only
             // ever grows, so `last()` cannot fail.
-            let raw = advance::advance(ctx, levels.last().unwrap(), spec, &f);
-            let next = filter::filter(ctx, &raw, &ClaimLevel { tags: &tags, level });
+            let raw = advance::advance(ctx, st.levels.last().unwrap(), spec, &f);
+            let next =
+                filter::filter(ctx, &raw, &ClaimLevel { tags: &st.tags, level: st.level });
             // the level stack keeps `next`; only the raw intermediate is
             // dead and recyclable
             ctx.recycle(raw);
@@ -339,55 +292,50 @@ fn bc_run(ctx: &Context<'_>, src: VertexId, opts: BcOptions, st: BcLoop) -> BcRe
                 ctx.recycle(next);
                 break;
             }
-            levels.push(next);
+            st.levels.push(next);
         }
-        // Hand over to the backward sweep only on convergence — a trip
-        // leaves half-built sigmas that would make dependency sums
+        // Hand over to the backward sweep only on a clean forward phase —
+        // a trip leaves half-built sigmas that would make dependency sums
         // meaningless, and a resume re-enters the forward phase instead.
-        if outcome == RunOutcome::Converged {
-            phase = PHASE_BACKWARD;
-            back_lvl = levels.len() as u32 - 1;
+        if run.outcome() == RunOutcome::Converged {
+            st.phase = PHASE_BACKWARD;
+            st.back_lvl = st.levels.len() as u32 - 1;
         }
     }
 
     // Phase 2: backward sweep over the frontier stack.
-    if phase == PHASE_BACKWARD && outcome == RunOutcome::Converged {
-        while back_lvl > 0 {
-            boundary!();
-            iterations += 1;
-            ctx.end_iteration(false);
-            let lvl = (back_lvl - 1) as usize;
+    if st.phase == PHASE_BACKWARD && run.outcome() == RunOutcome::Converged {
+        while st.back_lvl > 0 && !run.boundary(|it| Some(bc_checkpoint(it, src, &st))) {
+            run.end_iteration(false);
+            let lvl = st.back_lvl - 1;
             let f = BackwardDelta {
-                depth: &depth,
-                sigma: &sigma,
-                delta: &delta,
-                level: lvl as u32,
+                depth: &st.depth,
+                sigma: &st.sigma,
+                delta: &st.delta,
+                level: lvl,
             };
             let spec = AdvanceSpec::for_effect().with_mode(opts.mode);
-            let _ = advance::advance(ctx, &levels[lvl], spec, &f);
-            back_lvl -= 1;
+            let _ = advance::advance(ctx, &st.levels[lvl as usize], spec, &f);
+            st.back_lvl -= 1;
         }
     }
 
+    let done = run.finish(|it| Some(bc_checkpoint(it, src, &st)));
     // the level stack's frontiers still own pooled storage; return them
     // so a re-run on this context starts with a warm pool
-    for lvl in levels {
+    for lvl in st.levels {
         ctx.recycle(lvl);
     }
-    // a panic that emptied the frontier must not read as convergence
-    if ctx.is_poisoned() {
-        outcome = RunOutcome::Failed;
-    }
-    let mut bc_values: Vec<f64> = delta.iter().map(|a| a.load()).collect();
+    let mut bc_values: Vec<f64> = st.delta.iter().map(|a| a.load()).collect();
     bc_values[src as usize] = 0.0;
     BcResult {
         bc_values,
-        sigmas: sigma.iter().map(|a| a.load()).collect(),
-        labels: unwrap_atomic_u32(&depth),
+        sigmas: st.sigma.iter().map(|a| a.load()).collect(),
+        labels: unwrap_atomic_u32(&st.depth),
         edges_examined: ctx.counters.edges(),
-        iterations,
-        elapsed: start.elapsed(),
-        outcome,
+        iterations: done.iterations,
+        elapsed: done.elapsed,
+        outcome: done.outcome,
     }
 }
 

@@ -151,6 +151,7 @@ impl BfsResult {
     }
 }
 
+#[derive(Clone, Copy)]
 struct BfsState<'a> {
     labels: &'a [AtomicU32],
     preds: Option<&'a [AtomicU32]>,
@@ -263,7 +264,6 @@ struct BfsLoop {
     preds: Option<Vec<AtomicU32>>,
     frontier: Frontier,
     level: u32,
-    iters: u32,
     pull_iters: u32,
     direction: TraversalDirection,
     unvisited_edges: u64,
@@ -315,35 +315,44 @@ fn rebuild_visited(ctx: &Context<'_>, labels: &[AtomicU32]) -> PooledBitmap {
     bm
 }
 
-/// Writes an iteration-boundary snapshot when a checkpoint policy is
-/// installed. Sections: per-vertex `labels`/`preds`, the live `frontier`
-/// and (direction-optimized only) `unvisited` candidates, plus packed
-/// scalars `[src, level, pull_iters, direction, variant, record_preds]`
-/// and the 64-bit `unvisited_edges` counter.
+/// One idempotent push level: expand, then cull duplicates and label the
+/// survivors. The raw intermediate goes straight back to the pool.
+fn expand_and_cull(
+    ctx: &Context<'_>,
+    opts: &BfsOptions,
+    st: BfsState<'_>,
+    level: u32,
+    frontier: &Frontier,
+    visited: &PooledBitmap,
+) -> Frontier {
+    let spec = AdvanceSpec::v2v().with_mode(opts.mode);
+    let raw = advance::advance(ctx, frontier, spec, &IdempotentExpand { st });
+    let contract = ContractLabel { labels: st.labels, level };
+    let next =
+        filter::culling::filter_with_culling(ctx, &raw, visited, &contract, opts.culling);
+    ctx.recycle(raw);
+    next
+}
+
+/// Builds an iteration-boundary snapshot. Sections: per-vertex
+/// `labels`/`preds`, the live `frontier` and (direction-optimized only)
+/// `unvisited` candidates, plus packed scalars `[src, level, pull_iters,
+/// direction, variant, record_preds]` and the 64-bit `unvisited_edges`
+/// counter.
 ///
 /// The `unvisited` section is *derived* from labels here (the loop keeps
 /// the candidate set as an incrementally-maintained bitmap, not a list):
 /// at any iteration boundary the candidates are exactly the unlabeled
 /// vertices, which is also what the snapshot format has always stored.
-#[allow(clippy::too_many_arguments)]
 fn bfs_checkpoint(
-    ctx: &Context<'_>,
+    iteration: u32,
     src: VertexId,
     opts: &BfsOptions,
-    labels: &[AtomicU32],
-    preds: Option<&[AtomicU32]>,
-    frontier: &Frontier,
-    iters: u32,
-    level: u32,
-    pull_iters: u32,
-    direction: TraversalDirection,
-    unvisited_edges: u64,
-) {
-    if ctx.checkpoint_policy().is_none() {
-        return;
-    }
+    st: &BfsLoop,
+) -> Checkpoint {
     let unvisited: Vec<u32> = match opts.variant {
-        BfsVariant::DirectionOptimized => labels
+        BfsVariant::DirectionOptimized => st
+            .labels
             .iter()
             .enumerate()
             // ORDERING: Relaxed — boundary state; the rayon join barrier
@@ -353,24 +362,24 @@ fn bfs_checkpoint(
             .collect(),
         _ => Vec::new(),
     };
-    let mut ckpt = Checkpoint::new("bfs", iters);
-    ckpt.push_u32("labels", unwrap_atomic_u32(labels));
-    ckpt.push_u32("preds", preds.map(unwrap_atomic_u32).unwrap_or_default());
-    ckpt.push_u32("frontier", frontier.as_slice().to_vec());
+    let mut ckpt = Checkpoint::new("bfs", iteration);
+    ckpt.push_u32("labels", unwrap_atomic_u32(&st.labels));
+    ckpt.push_u32("preds", st.preds.as_deref().map(unwrap_atomic_u32).unwrap_or_default());
+    ckpt.push_u32("frontier", st.frontier.as_slice().to_vec());
     ckpt.push_u32("unvisited", unvisited);
     ckpt.push_u32(
         "scalars",
         vec![
             src,
-            level,
-            pull_iters,
-            direction_tag(direction),
+            st.level,
+            st.pull_iters,
+            direction_tag(st.direction),
             opts.variant.tag(),
             opts.record_predecessors as u32,
         ],
     );
-    ckpt.push_u64("counters", vec![unvisited_edges]);
-    ctx.save_checkpoint(&ckpt);
+    ckpt.push_u64("counters", vec![st.unvisited_edges]);
+    ckpt
 }
 
 /// Runs BFS from `src`. Direction-optimized traversal requires
@@ -387,12 +396,11 @@ pub fn bfs(ctx: &Context<'_>, src: VertexId, opts: BfsOptions) -> BfsResult {
         preds: opts.record_predecessors.then(|| atomic_u32_vec(n, INVALID_VERTEX)),
         frontier: Frontier::single(src),
         level: 0,
-        iters: 0,
         pull_iters: 0,
         direction: TraversalDirection::Push,
         unvisited_edges: ctx.graph.num_edges() as u64 - ctx.graph.out_degree(src) as u64,
     };
-    bfs_run(ctx, src, opts, st)
+    bfs_run(ctx, src, opts, st, 0)
 }
 
 /// Resumes BFS from a `gunrock-ckpt/v1` snapshot. The checkpoint's
@@ -441,291 +449,144 @@ pub fn bfs_resume(
         preds: record_predecessors.then(|| to_atomic_u32(preds)),
         frontier: Frontier::from_vec(frontier.to_vec()),
         level,
-        iters: ckpt.iteration(),
         pull_iters,
         direction,
         unvisited_edges: counters.first().copied().unwrap_or(0),
     };
-    let r = bfs_run(ctx, src, opts, st);
+    let r = bfs_run(ctx, src, opts, st, ckpt.iteration());
     check_failed(ctx, r.outcome, r)
 }
 
 /// The enact loop proper, starting from an arbitrary iteration-boundary
-/// state (fresh from [`bfs`] or restored by [`bfs_resume`]).
-fn bfs_run(ctx: &Context<'_>, src: VertexId, opts: BfsOptions, st: BfsLoop) -> BfsResult {
+/// state (fresh from [`bfs`] or restored by [`bfs_resume`]) that has
+/// already completed `done` iterations.
+fn bfs_run(
+    ctx: &Context<'_>,
+    src: VertexId,
+    opts: BfsOptions,
+    mut st: BfsLoop,
+    done: u32,
+) -> BfsResult {
     let n = ctx.num_vertices();
-    let start = std::time::Instant::now();
+    let mut run = Enactment::arm(ctx, done);
     // Budget admission: demote the advance mode (or poison with a
     // structured BudgetExceeded) before the first operator launches.
     let opts = BfsOptions { mode: crate::admission::admit(ctx, "bfs", opts.mode), ..opts };
-    let BfsLoop {
-        labels,
-        preds,
-        mut frontier,
-        mut level,
-        iters: mut enactor_iters,
-        mut pull_iters,
-        mut direction,
-        mut unvisited_edges,
-    } = st;
-    // Admission may have poisoned the context (even the lean estimate
-    // exceeds the budget). Bail before the variant setup below checks
-    // any buffers out of the pool — those takes sit outside the
-    // isolation boundary and must never fire on a poisoned run.
-    if ctx.is_poisoned() {
-        ctx.recycle(frontier);
-        return BfsResult {
-            labels: unwrap_atomic_u32(&labels),
-            preds: preds.map(|p| unwrap_atomic_u32(&p)).unwrap_or_default(),
-            edges_examined: ctx.counters.edges(),
-            iterations: enactor_iters,
-            pull_iterations: pull_iters,
-            elapsed: start.elapsed(),
-            outcome: RunOutcome::Failed,
-        };
-    }
-    let guard = ctx.guard();
-    let mut outcome = RunOutcome::Converged;
-
-    // Periodic snapshot at the iteration boundary, plus an exit snapshot
-    // when a guard trips — but never from a poisoned (Failed) run, whose
-    // state may be inconsistent mid-operator.
-    macro_rules! boundary {
-        () => {
-            if ctx.checkpoint_due(enactor_iters) {
-                bfs_checkpoint(
-                    ctx,
-                    src,
-                    &opts,
-                    &labels,
-                    preds.as_deref(),
-                    &frontier,
-                    enactor_iters,
-                    level,
-                    pull_iters,
-                    direction,
-                    unvisited_edges,
-                );
-            }
-            if let Some(tripped) = guard.check(enactor_iters) {
-                outcome = tripped;
-                if tripped != RunOutcome::Failed {
-                    bfs_checkpoint(
-                        ctx,
-                        src,
-                        &opts,
-                        &labels,
-                        preds.as_deref(),
-                        &frontier,
-                        enactor_iters,
-                        level,
-                        pull_iters,
-                        direction,
-                        unvisited_edges,
-                    );
-                }
-                break;
-            }
-        };
-    }
-
-    match opts.variant {
-        BfsVariant::Atomic => {
-            while !frontier.is_empty() {
-                boundary!();
-                level += 1;
-                let f = AtomicDiscover {
-                    st: BfsState { labels: &labels, preds: preds.as_deref() },
-                    level,
-                };
+    // The visited bitmap is a pool checkout between operators: build it
+    // isolated so a denied checkout (injected `pool-alloc` or a budget
+    // race) fails the run instead of unwinding out of the loop, and never
+    // for a run admission already failed. Either way the context is
+    // poisoned and the first boundary ends the run before any operator.
+    let visited = match opts.variant {
+        BfsVariant::Atomic => None,
+        _ if ctx.is_poisoned() => None,
+        _ => ctx.isolated_setup("setup", || rebuild_visited(ctx, &st.labels)),
+    };
+    let mut pull: Option<PullFrontiers> = None;
+    while !st.frontier.is_empty() {
+        if run.boundary(|it| Some(bfs_checkpoint(it, src, &opts, &st))) {
+            break;
+        }
+        st.level += 1;
+        let level = st.level;
+        let state = BfsState { labels: &st.labels, preds: st.preds.as_deref() };
+        let next = match (opts.variant, &visited) {
+            (BfsVariant::Atomic, _) => {
                 let spec = AdvanceSpec::v2v().with_mode(opts.mode);
-                // ping-pong: the retired frontier's storage goes back to
-                // the pool and returns as the next advance's output buffer
-                let next = advance::advance(ctx, &frontier, spec, &f);
-                ctx.recycle(std::mem::replace(&mut frontier, next));
-                enactor_iters += 1;
-                ctx.end_iteration(false);
+                advance::advance(ctx, &st.frontier, spec, &AtomicDiscover { st: state, level })
             }
-        }
-        BfsVariant::Idempotent => {
-            // the visited rebuild checks a bitmap out of the pool between
-            // operators; run it isolated so a denied checkout (injected
-            // `pool-alloc` or a budget race) fails the run instead of
-            // unwinding out of the enactor
-            if let Some(visited) = ctx.isolated_setup("setup", || rebuild_visited(ctx, &labels))
-            {
-                while !frontier.is_empty() {
-                    boundary!();
-                    level += 1;
-                    let f = IdempotentExpand {
-                        st: BfsState { labels: &labels, preds: preds.as_deref() },
-                    };
-                    let spec = AdvanceSpec::v2v().with_mode(opts.mode);
-                    let raw = advance::advance(ctx, &frontier, spec, &f);
-                    let next = filter::culling::filter_with_culling(
-                        ctx,
-                        &raw,
-                        &visited,
-                        &ContractLabel { labels: &labels, level },
-                        opts.culling,
-                    );
-                    // both the raw intermediate and the retired frontier go
-                    // back to the pool for the next iteration
-                    ctx.recycle(raw);
-                    ctx.recycle(std::mem::replace(&mut frontier, next));
-                    enactor_iters += 1;
-                    ctx.end_iteration(false);
-                }
-                visited.release(ctx.pool());
+            // unreachable: a failed setup poisoned the run, which the
+            // boundary above reports
+            (_, None) => break,
+            (BfsVariant::Idempotent, Some(visited)) => {
+                expand_and_cull(ctx, &opts, state, level, &st.frontier, visited)
             }
-        }
-        BfsVariant::Fused => {
-            if let Some(visited) = ctx.isolated_setup("setup", || rebuild_visited(ctx, &labels))
-            {
-                while !frontier.is_empty() {
-                    boundary!();
-                    level += 1;
-                    // fused: cond tests unvisited, apply labels + sets pred —
-                    // all inside the single advance kernel; the bitmap
-                    // test-and-set guarantees the apply runs once per vertex
-                    let f = PullDiscover {
-                        st: BfsState { labels: &labels, preds: preds.as_deref() },
-                        level,
-                    };
-                    let next = advance::fused::advance_filter_fused(
-                        ctx,
-                        &frontier,
-                        AdvanceSpec::v2v(),
-                        &f,
-                        &visited,
-                    );
-                    ctx.recycle(std::mem::replace(&mut frontier, next));
-                    enactor_iters += 1;
-                    ctx.end_iteration(false);
-                }
-                visited.release(ctx.pool());
-            }
-        }
-        BfsVariant::DirectionOptimized => 'arm: {
-            let Some(visited) = ctx.isolated_setup("setup", || rebuild_visited(ctx, &labels))
-            else {
-                // denied checkout during setup: the context is poisoned,
-                // skip the loop and let the tail report the run `Failed`
-                break 'arm;
-            };
-            let mut pull: Option<PullFrontiers> = None;
-            while !frontier.is_empty() {
-                boundary!();
-                level += 1;
-                let m_f =
-                    advance::push::frontier_neighbor_count(ctx, &frontier, InputKind::Vertices);
-                let prev_direction = direction;
-                direction =
-                    opts.policy.decide(direction, m_f, unvisited_edges, frontier.len(), n);
+            // fused: cond tests unvisited, apply labels + sets pred — all
+            // inside the single advance kernel; the bitmap test-and-set
+            // guarantees the apply runs once per vertex
+            (BfsVariant::Fused, Some(visited)) => advance::fused::advance_filter_fused(
+                ctx,
+                &st.frontier,
+                AdvanceSpec::v2v(),
+                &PullDiscover { st: state, level },
+                visited,
+            ),
+            (BfsVariant::DirectionOptimized, Some(visited)) => {
+                let m_f = advance::push::frontier_neighbor_count(
+                    ctx,
+                    &st.frontier,
+                    InputKind::Vertices,
+                );
+                let (prev, m_u, n_f) = (st.direction, st.unvisited_edges, st.frontier.len());
+                st.direction = opts.policy.decide(prev, m_f, m_u, n_f, n);
                 // Degradation rung: entering a pull phase costs three
                 // dense O(n/64)-word bitmaps (candidates + ping-pong
                 // pair). Under budget pressure, stay push — the list
                 // frontiers already in hand cost nothing new. An
                 // in-flight pull phase keeps its paid-for bitmaps.
-                if direction == TraversalDirection::Pull && pull.is_none() {
+                if st.direction == TraversalDirection::Pull && pull.is_none() {
                     let need =
                         3 * gunrock_engine::budget::pooled_bytes(n.div_ceil(64) as u64, 8);
                     if !ctx.pool().can_reserve(need) {
                         let headroom = ctx.budget().map(|b| b.headroom()).unwrap_or(0);
-                        ctx.record_degrade(
-                            "advance",
-                            "pull",
-                            "push",
-                            format!(
-                                "pull bitmaps need {need} bytes, budget headroom {headroom}"
-                            ),
+                        let reason = format!(
+                            "pull bitmaps need {need} bytes, budget headroom {headroom}"
                         );
-                        direction = TraversalDirection::Push;
+                        ctx.record_degrade("advance", "pull", "push", reason);
+                        st.direction = TraversalDirection::Push;
                     }
                 }
-                if direction != prev_direction {
-                    if let Some(sink) = ctx.sink() {
-                        // only built when instrumented: the reason string
-                        // names the hysteresis inequality that fired
-                        let (from, to, reason) = match direction {
-                            TraversalDirection::Pull => (
-                                StepDirection::Push,
-                                StepDirection::Pull,
-                                format!(
-                                    "m_f={} > m_u={}/alpha={} and n_f={} >= n={}/beta={}",
-                                    m_f,
-                                    unvisited_edges,
-                                    opts.policy.alpha,
-                                    frontier.len(),
-                                    n,
-                                    opts.policy.beta
-                                ),
+                if let Some(sink) = ctx.sink().filter(|_| st.direction != prev) {
+                    // only built when instrumented: the reason string
+                    // names the hysteresis inequality that fired
+                    let (alpha, beta) = (opts.policy.alpha, opts.policy.beta);
+                    let (from, to, reason) = match st.direction {
+                        TraversalDirection::Pull => (
+                            StepDirection::Push,
+                            StepDirection::Pull,
+                            format!(
+                                "m_f={m_f} > m_u={m_u}/alpha={alpha} \
+                                 and n_f={n_f} >= n={n}/beta={beta}"
                             ),
-                            TraversalDirection::Push => (
-                                StepDirection::Pull,
-                                StepDirection::Push,
-                                format!(
-                                    "n_f={} < n={}/beta={}",
-                                    frontier.len(),
-                                    n,
-                                    opts.policy.beta
-                                ),
-                            ),
-                        };
-                        sink.record_switch(from, to, reason);
-                    }
+                        ),
+                        TraversalDirection::Push => (
+                            StepDirection::Pull,
+                            StepDirection::Push,
+                            format!("n_f={n_f} < n={n}/beta={beta}"),
+                        ),
+                    };
+                    sink.record_switch(from, to, reason);
                 }
-                let next = match direction {
+                let next = match st.direction {
                     TraversalDirection::Push => {
                         // leaving a pull phase: the dense frontiers go
                         // back to the pool until the next switch
                         if let Some(p) = pull.take() {
                             p.release(ctx);
                         }
-                        let f = IdempotentExpand {
-                            st: BfsState { labels: &labels, preds: preds.as_deref() },
-                        };
-                        let spec = AdvanceSpec::v2v().with_mode(opts.mode);
-                        let raw = advance::advance(ctx, &frontier, spec, &f);
-                        let contracted = filter::culling::filter_with_culling(
-                            ctx,
-                            &raw,
-                            &visited,
-                            &ContractLabel { labels: &labels, level },
-                            opts.culling,
-                        );
-                        ctx.recycle(raw);
-                        contracted
+                        expand_and_cull(ctx, &opts, state, level, &st.frontier, visited)
                     }
                     TraversalDirection::Pull => {
-                        pull_iters += 1;
-                        let f = PullDiscover {
-                            st: BfsState { labels: &labels, preds: preds.as_deref() },
-                            level,
-                        };
+                        st.pull_iters += 1;
                         // lazy Beamer-switch conversion: only here does
                         // the list frontier densify, and the candidate
                         // mask is the visited complement — no O(n)
-                        // re-prune ever runs inside the phase
+                        // re-prune ever runs inside the phase. The
+                        // bitmaps are pool checkouts between operators,
+                        // built isolated like the visited bitmap.
                         if pull.is_none() {
-                            // the phase's bitmaps are pool checkouts
-                            // between operators — build them isolated so
-                            // a denied take ends the run instead of
-                            // unwinding out of the enactor
-                            match ctx.isolated_setup("setup", || {
+                            pull = ctx.isolated_setup("setup", || {
                                 let mut unvisited = PooledBitmap::take(ctx.pool(), n);
-                                unvisited.fill_complement(&visited);
+                                unvisited.fill_complement(visited);
                                 PullFrontiers {
                                     unvisited,
-                                    cur: frontier_bitmap(ctx, &frontier),
+                                    cur: frontier_bitmap(ctx, &st.frontier),
                                     scratch: PooledBitmap::take(ctx.pool(), n),
                                 }
-                            }) {
-                                Some(built) => pull = Some(built),
-                                None => break,
-                            }
+                            });
                         }
                         let Some(fr) = pull.as_mut() else { break };
+                        let f = PullDiscover { st: state, level };
                         advance_pull_sweep(
                             ctx,
                             &mut fr.unvisited,
@@ -742,7 +603,7 @@ fn bfs_run(ctx: &Context<'_>, src: VertexId, opts: BfsOptions, st: BfsLoop) -> B
                         let out = filter::culling::filter_with_culling_bitmap(
                             ctx,
                             &fr.cur,
-                            &visited,
+                            visited,
                             &VertexCond(|_| true),
                             CullingConfig { history: false, history_bits: 0, bitmask: true },
                         );
@@ -750,60 +611,35 @@ fn bfs_run(ctx: &Context<'_>, src: VertexId, opts: BfsOptions, st: BfsLoop) -> B
                         out
                     }
                 };
-                unvisited_edges = unvisited_edges.saturating_sub(
+                st.unvisited_edges = st.unvisited_edges.saturating_sub(
                     advance::push::frontier_neighbor_count(ctx, &next, InputKind::Vertices),
                 );
-                ctx.end_iteration(direction == TraversalDirection::Pull);
-                enactor_iters += 1;
-                ctx.recycle(std::mem::replace(&mut frontier, next));
+                next
             }
-            if let Some(p) = pull.take() {
-                p.release(ctx);
-            }
-            visited.release(ctx.pool());
-        }
+        };
+        run.end_iteration(st.direction == TraversalDirection::Pull);
+        // ping-pong: the retired frontier's storage goes back to the pool
+        // and returns as a later operator's output buffer
+        ctx.recycle(std::mem::replace(&mut st.frontier, next));
     }
-
-    // A cooperative abort can truncate an operator's output to an empty
-    // frontier, making the loop exit look like natural convergence; the
-    // guard has the final say. (A run that genuinely converged in the
-    // same instant the flag rose is conservatively reported as cancelled
-    // — its exit snapshot holds complete state, so a resume is trivial.)
-    if outcome == RunOutcome::Converged && ctx.abort_requested() {
-        if let Some(tripped) = guard.check(enactor_iters) {
-            outcome = tripped;
-            if tripped != RunOutcome::Failed {
-                bfs_checkpoint(
-                    ctx,
-                    src,
-                    &opts,
-                    &labels,
-                    preds.as_deref(),
-                    &frontier,
-                    enactor_iters,
-                    level,
-                    pull_iters,
-                    direction,
-                    unvisited_edges,
-                );
-            }
-        }
+    if let Some(p) = pull {
+        p.release(ctx);
     }
+    if let Some(v) = visited {
+        v.release(ctx.pool());
+    }
+    let done = run.finish(|it| Some(bfs_checkpoint(it, src, &opts, &st)));
     // the loop's last frontier still owns pooled storage; return it so
     // a re-run on this context starts with a warm pool
-    ctx.recycle(frontier);
-    // a panic that emptied the frontier must not read as convergence
-    if ctx.is_poisoned() {
-        outcome = RunOutcome::Failed;
-    }
+    ctx.recycle(st.frontier);
     BfsResult {
-        labels: unwrap_atomic_u32(&labels),
-        preds: preds.map(|p| unwrap_atomic_u32(&p)).unwrap_or_default(),
+        labels: unwrap_atomic_u32(&st.labels),
+        preds: st.preds.map(|p| unwrap_atomic_u32(&p)).unwrap_or_default(),
         edges_examined: ctx.counters.edges(),
-        iterations: enactor_iters,
-        pull_iterations: pull_iters,
-        elapsed: start.elapsed(),
-        outcome,
+        iterations: done.iterations,
+        pull_iterations: st.pull_iters,
+        elapsed: done.elapsed,
+        outcome: done.outcome,
     }
 }
 

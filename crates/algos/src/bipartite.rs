@@ -97,15 +97,8 @@ fn run_hub_auth(
     } else {
         ones_norm(n)
     };
-    let guard = ctx.guard();
-    let mut outcome = RunOutcome::Converged;
-    let mut completed = 0u32;
-    for _ in 0..iters {
-        if let Some(tripped) = guard.check(completed) {
-            outcome = tripped;
-            break;
-        }
-        completed += 1;
+    let mut run = Enactment::arm(ctx, 0);
+    while run.iterations() < iters && !run.boundary(no_snapshot) {
         // authority update: pull hub mass along forward edges
         let sink: Vec<AtomicF64> = (0..n).map(|_| AtomicF64::new(0.0)).collect();
         let f = Accumulate { source_score: &hubs, norm: &out_norm, sink: &sink };
@@ -125,9 +118,10 @@ fn run_hub_auth(
         if !degree_norm {
             l2_normalize(&mut hubs);
         }
-        ctx.end_iteration(false);
+        run.end_iteration(false);
     }
-    HubAuthScores { hubs, auths, iterations: completed, outcome }
+    let done = run.finish(no_snapshot);
+    HubAuthScores { hubs, auths, iterations: done.iterations, outcome: done.outcome }
 }
 
 /// Personalized PageRank: residual push with all teleport mass on
@@ -148,15 +142,13 @@ pub fn personalized_pagerank(
         residual[s as usize] += share;
     }
     let mut frontier = Frontier::from_vec(sources.to_vec());
-    let mut iterations = 0usize;
     // honor the context's run policy: a trip folds the pending residual
     // back into the scores below, keeping mass conserved
-    let guard = ctx.guard();
-    while !frontier.is_empty() && iterations < max_iters {
-        if guard.check(iterations as u32).is_some() {
-            break;
-        }
-        iterations += 1;
+    let mut run = Enactment::arm(ctx, 0);
+    while !frontier.is_empty()
+        && (run.iterations() as usize) < max_iters
+        && !run.boundary(no_snapshot)
+    {
         // dangling mass restarts at the sources (PPR semantics)
         let mut dangling = 0.0f64;
         for &v in frontier.as_slice() {
@@ -197,7 +189,7 @@ pub fn personalized_pagerank(
             Frontier::from_vec(gunrock_engine::compact::compact_indices(&residual, |&r| {
                 r > epsilon
             }));
-        ctx.end_iteration(false);
+        run.end_iteration(false);
     }
     scores.par_iter_mut().zip(residual.par_iter()).for_each(|(s, r)| *s += r);
     scores

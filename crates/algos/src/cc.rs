@@ -157,24 +157,19 @@ struct CcLoop {
     labels: Vec<AtomicU32>,
     /// The residual frontier, from the pool; empty before the split.
     residual: Frontier,
-    iterations: u32,
     /// The pass to run next: `0..SAMPLE_ROUNDS`, then the `PHASE_*` tags.
     phase: u32,
     giant: u32,
 }
 
-/// Writes an iteration-boundary snapshot when a checkpoint policy is
-/// installed. Sections: per-vertex `labels`, the residual `frontier`
-/// and the scalars `[phase, giant]`.
-fn cc_checkpoint(ctx: &Context<'_>, st: &CcLoop) {
-    if ctx.checkpoint_policy().is_none() {
-        return;
-    }
-    let mut ckpt = Checkpoint::new("cc", st.iterations);
+/// Builds an iteration-boundary snapshot. Sections: per-vertex `labels`,
+/// the residual `frontier` and the scalars `[phase, giant]`.
+fn cc_checkpoint(iteration: u32, st: &CcLoop) -> Checkpoint {
+    let mut ckpt = Checkpoint::new("cc", iteration);
     ckpt.push_u32("labels", unwrap_atomic_u32(&st.labels));
     ckpt.push_u32("frontier", st.residual.as_slice().to_vec());
     ckpt.push_u32("scalars", vec![st.phase, st.giant]);
-    ctx.save_checkpoint(&ckpt);
+    ckpt
 }
 
 /// Labels connected components. Works on the undirected interpretation
@@ -184,9 +179,7 @@ fn cc_checkpoint(ctx: &Context<'_>, st: &CcLoop) {
 pub fn cc(ctx: &Context<'_>) -> CcResult {
     // CAST: vertex ids fit u32 (Csr invariant).
     let labels = (0..ctx.num_vertices() as u32).map(AtomicU32::new).collect();
-    let st =
-        CcLoop { labels, residual: Frontier::new(), iterations: 0, phase: 0, giant: NO_GIANT };
-    cc_run(ctx, st)
+    cc_run(ctx, CcLoop { labels, residual: Frontier::new(), phase: 0, giant: NO_GIANT }, 0)
 }
 
 /// Resumes CC from a `gunrock-ckpt/v1` snapshot.
@@ -214,40 +207,24 @@ pub fn cc_resume(ctx: &Context<'_>, ckpt: &Checkpoint) -> Result<CcResult, Gunro
     };
     let residual = ctx.isolated_setup("filter", pooled).ok_or_else(|| failure_of(ctx))?;
     let labels = to_atomic_u32(labels);
-    let r =
-        cc_run(ctx, CcLoop { labels, residual, iterations: ckpt.iteration(), phase, giant });
+    let r = cc_run(ctx, CcLoop { labels, residual, phase, giant }, ckpt.iteration());
     check_failed(ctx, r.outcome, r)
 }
 
-/// The enact loop proper: runs the passes from `st.phase` on.
-fn cc_run(ctx: &Context<'_>, mut st: CcLoop) -> CcResult {
-    let start = std::time::Instant::now();
+/// The enact loop proper: runs the passes from `st.phase` on, after
+/// `done` completed iterations.
+fn cc_run(ctx: &Context<'_>, mut st: CcLoop, done: u32) -> CcResult {
+    let mut run = Enactment::arm(ctx, done);
     // Budget admission comes first: a hopeless budget poisons up front
     // (structured BudgetExceeded) instead of failing mid-run.
     let mode = crate::admission::admit(ctx, "cc", AdvanceMode::Auto);
     let adj = Adjacency::of(ctx);
     let n = st.labels.len();
-    let guard = ctx.guard();
-    let mut outcome = RunOutcome::Converged;
-    loop {
-        // Also reached after the last pass: a cancel or deadline can cut
-        // the finish advance short, and a truncated link pass must not
-        // read as convergence.
-        if let Some(tripped) = guard.check(st.iterations) {
-            outcome = tripped;
-            if tripped != RunOutcome::Failed {
-                cc_checkpoint(ctx, &st);
-            }
-            break;
-        }
-        if st.phase == PHASE_DONE {
-            break;
-        }
-        if ctx.checkpoint_due(st.iterations) {
-            cc_checkpoint(ctx, &st);
-        }
-        st.iterations += 1;
-        ctx.end_iteration(false);
+    // The boundary is also consulted after the last pass: a cancel or
+    // deadline can cut the finish advance short, and a truncated link
+    // pass must not read as convergence.
+    while !run.boundary(|it| Some(cc_checkpoint(it, &st))) && st.phase != PHASE_DONE {
+        run.end_iteration(false);
         let labels = &st.labels[..];
         match st.phase {
             PHASE_SPLIT => {
@@ -283,19 +260,16 @@ fn cc_run(ctx: &Context<'_>, mut st: CcLoop) -> CcResult {
         }
         st.phase += 1;
     }
+    let done = run.finish(|it| Some(cc_checkpoint(it, &st)));
     ctx.recycle(st.residual);
-    // a panic that cut a pass short must not read as convergence
-    if ctx.is_poisoned() {
-        outcome = RunOutcome::Failed;
-    }
     let labels = into_plain_u32(st.labels);
     let num_components = labels.iter().zip(0u32..).filter(|&(&l, v)| l == v).count();
     CcResult {
         labels,
         num_components,
-        iterations: st.iterations,
-        elapsed: start.elapsed(),
-        outcome,
+        iterations: done.iterations,
+        elapsed: done.elapsed,
+        outcome: done.outcome,
     }
 }
 

@@ -43,16 +43,9 @@ pub fn maximal_independent_set(ctx: &Context<'_>, seed: u64) -> MisResult {
         (0..n).map(|_| std::sync::atomic::AtomicU8::new(UNDECIDED)).collect();
     use std::sync::atomic::Ordering;
     let mut frontier = Frontier::full(n);
-    let mut round = 0u64;
-    let guard = ctx.guard();
-    let mut outcome = RunOutcome::Converged;
-    while !frontier.is_empty() {
-        if let Some(tripped) = guard.check(round as u32) {
-            outcome = tripped;
-            break;
-        }
-        round += 1;
-        let rseed = seed.wrapping_add(round);
+    let mut run = Enactment::arm(ctx, 0);
+    while !frontier.is_empty() && !run.boundary(no_snapshot) {
+        let rseed = seed.wrapping_add(u64::from(run.iterations()) + 1);
         // selection filter: local maxima among undecided neighbors join
         let winners: Vec<u32> = frontier
             .as_slice()
@@ -89,12 +82,13 @@ pub fn maximal_independent_set(ctx: &Context<'_>, seed: u64) -> MisResult {
             &frontier,
             &VertexCond(|v: u32| state[v as usize].load(Ordering::Relaxed) == UNDECIDED),
         );
-        ctx.end_iteration(false);
+        run.end_iteration(false);
     }
+    let done = run.finish(no_snapshot);
     MisResult {
         in_set: state.into_iter().map(|s| s.into_inner() == IN_SET).collect(),
-        rounds: round as u32,
-        outcome,
+        rounds: done.iterations,
+        outcome: done.outcome,
     }
 }
 
@@ -137,15 +131,8 @@ pub fn greedy_coloring(ctx: &Context<'_>, seed: u64) -> ColoringResult {
     let colors = gunrock_engine::atomics::atomic_u32_vec(n, UNCOLORED);
     use std::sync::atomic::Ordering;
     let mut frontier = Frontier::full(n);
-    let guard = ctx.guard();
-    let mut outcome = RunOutcome::Converged;
-    let mut rounds = 0u32;
-    while !frontier.is_empty() {
-        if let Some(tripped) = guard.check(rounds) {
-            outcome = tripped;
-            break;
-        }
-        rounds += 1;
+    let mut run = Enactment::arm(ctx, 0);
+    while !frontier.is_empty() && !run.boundary(no_snapshot) {
         // color the local priority maxima among uncolored neighbors
         let ready: Vec<u32> = frontier
             .as_slice()
@@ -189,12 +176,13 @@ pub fn greedy_coloring(ctx: &Context<'_>, seed: u64) -> ColoringResult {
             &frontier,
             &VertexCond(|v: u32| colors[v as usize].load(Ordering::Relaxed) == UNCOLORED),
         );
-        ctx.end_iteration(false);
+        run.end_iteration(false);
     }
+    let done = run.finish(no_snapshot);
     ColoringResult {
         colors: gunrock_engine::atomics::unwrap_atomic_u32(&colors),
-        rounds,
-        outcome,
+        rounds: done.iterations,
+        outcome: done.outcome,
     }
 }
 

@@ -34,19 +34,15 @@ pub fn k_core(ctx: &Context<'_>) -> KcoreResult {
     let core: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(0)).collect();
     let mut alive = Frontier::full(n);
     let mut k = 0u32;
-    let mut iterations = 0u32;
-    let guard = ctx.guard();
-    let mut outcome = RunOutcome::Converged;
+    let mut run = Enactment::arm(ctx, 0);
     'enact: while !alive.is_empty() {
         k += 1;
         // peel everything of residual degree < k (cascading)
         loop {
-            if let Some(tripped) = guard.check(iterations) {
-                outcome = tripped;
+            if run.boundary(no_snapshot) {
                 break 'enact;
             }
-            iterations += 1;
-            ctx.end_iteration(false);
+            run.end_iteration(false);
             // vertices that fall out of the k-core this sub-round
             // ORDERING: Relaxed — degree/core cells take monotonic per-cell updates;
             // peeling rounds are separated by join barriers.
@@ -95,9 +91,10 @@ pub fn k_core(ctx: &Context<'_>) -> KcoreResult {
         // everything still alive is in the k-core
         compute::for_each(&alive, |v| core[v as usize].store(k, Ordering::Relaxed));
     }
+    let done = run.finish(no_snapshot);
     let core_numbers: Vec<u32> = core.iter().map(|c| c.load(Ordering::Relaxed)).collect();
     let degeneracy = core_numbers.iter().copied().max().unwrap_or(0);
-    KcoreResult { core_numbers, degeneracy, iterations, outcome }
+    KcoreResult { core_numbers, degeneracy, iterations: done.iterations, outcome: done.outcome }
 }
 
 /// Serial peeling oracle (bucket-based, O(n + m)).

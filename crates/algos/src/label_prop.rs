@@ -43,16 +43,9 @@ pub fn label_propagation(ctx: &Context<'_>, max_rounds: u32) -> LabelPropResult 
     // propagation); join barriers bound the staleness per sweep.
     labels.par_iter().enumerate().for_each(|(v, l)| l.store(v as u32, Ordering::Relaxed));
     let mut frontier = Frontier::full(n);
-    let mut rounds = 0u32;
-    let guard = ctx.guard();
-    let mut outcome = RunOutcome::Converged;
-    while !frontier.is_empty() && rounds < max_rounds {
-        if let Some(tripped) = guard.check(rounds) {
-            outcome = tripped;
-            break;
-        }
-        rounds += 1;
-        ctx.end_iteration(false);
+    let mut run = Enactment::arm(ctx, 0);
+    while !frontier.is_empty() && run.iterations() < max_rounds && !run.boundary(no_snapshot) {
+        run.end_iteration(false);
         // compute step: each active vertex picks its neighbors' majority
         // label from the *previous* round's labels (synchronous LPA),
         // so snapshot first
@@ -107,11 +100,17 @@ pub fn label_propagation(ctx: &Context<'_>, max_rounds: u32) -> LabelPropResult 
             .collect();
         frontier = Frontier::from_vec(next.concat());
     }
+    let done = run.finish(no_snapshot);
     let final_labels = unwrap_atomic_u32(&labels);
     let mut distinct: Vec<u32> = final_labels.clone();
     distinct.sort_unstable();
     distinct.dedup();
-    LabelPropResult { labels: final_labels, num_communities: distinct.len(), rounds, outcome }
+    LabelPropResult {
+        labels: final_labels,
+        num_communities: distinct.len(),
+        rounds: done.iterations,
+        outcome: done.outcome,
+    }
 }
 
 #[cfg(test)]

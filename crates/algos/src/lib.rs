@@ -3,7 +3,9 @@
 //! The graph primitives of the Gunrock paper (§5), written against the
 //! [`gunrock`] operator set exactly as the paper describes — each
 //! primitive is a short enactor loop over advance/filter/compute steps
-//! with fused functors (Figure 5's flow charts are these loops):
+//! with fused functors (Figure 5's flow charts are these loops), its
+//! iteration boundary — guards, snapshots, counting — shared through
+//! [`gunrock::enact::Enactment`]:
 //!
 //! * [`bfs`] — atomic, idempotent (+culling filter), and
 //!   direction-optimized variants (§5.1);

@@ -20,7 +20,6 @@ use crate::recover::{
 };
 use gunrock::prelude::*;
 use gunrock_engine::atomics::{atomic_u32_vec, into_plain_u32, unwrap_atomic_u32};
-use gunrock_engine::budget::estimate_bytes;
 use gunrock_graph::{VertexId, INFINITY};
 use std::sync::atomic::{AtomicU32, Ordering};
 
@@ -78,7 +77,6 @@ struct MsbfsLoop {
     seen_words: Vec<u64>,
     frontier_words: Vec<u64>,
     level: u32,
-    iters: u32,
     lanes_live: u64,
 }
 
@@ -109,10 +107,9 @@ pub fn msbfs(ctx: &Context<'_>, sources: &[VertexId]) -> MsbfsResult {
         seen_words: words.clone(),
         frontier_words: words,
         level: 0,
-        iters: 0,
         lanes_live: lane_mask(sources.len()),
     };
-    msbfs_run(ctx, sources, st)
+    msbfs_run(ctx, sources, st, 0)
 }
 
 /// [`msbfs`] with `Result` semantics: `Err` carries the structured
@@ -162,188 +159,113 @@ pub fn msbfs_resume(ctx: &Context<'_>, ckpt: &Checkpoint) -> Result<MsbfsResult,
         seen_words: seen.to_vec(),
         frontier_words: frontier.to_vec(),
         level,
-        iters: ckpt.iteration(),
         lanes_live,
     };
-    let r = msbfs_run(ctx, &sources, st);
+    let r = msbfs_run(ctx, &sources, st, ckpt.iteration());
     check_failed(ctx, r.outcome, r)
 }
 
-/// Writes an iteration-boundary snapshot when a checkpoint policy is
-/// installed. Sections: lane-major `depths`, per-lane `sources`, the
-/// per-vertex `seen`/`frontier` lane words, packed scalars
-/// `[level, lane_count]`, and the 64-bit live-lane union.
-#[allow(clippy::too_many_arguments)]
+/// Builds an iteration-boundary snapshot. Sections: lane-major `depths`,
+/// per-lane `sources`, the per-vertex `seen`/`frontier` lane words,
+/// packed scalars `[level, lane_count]`, and the 64-bit live-lane union.
 fn msbfs_checkpoint(
-    ctx: &Context<'_>,
+    iteration: u32,
     sources: &[VertexId],
     depths: &[AtomicU32],
-    seen: &gunrock_engine::lanes::LaneMap,
-    frontier: &gunrock_engine::lanes::LaneMap,
-    iters: u32,
+    seen: &LaneMap,
+    frontier: &LaneMap,
     level: u32,
     lanes_live: u64,
-) {
-    if ctx.checkpoint_policy().is_none() {
-        return;
-    }
-    let mut ckpt = Checkpoint::new("msbfs", iters);
+) -> Checkpoint {
+    let mut ckpt = Checkpoint::new("msbfs", iteration);
     ckpt.push_u32("depths", unwrap_atomic_u32(depths));
     ckpt.push_u32("sources", sources.to_vec());
     ckpt.push_u64("seen", seen.snapshot_words());
     ckpt.push_u64("frontier", frontier.snapshot_words());
     ckpt.push_u32("scalars", vec![level, sources.len() as u32]);
     ckpt.push_u64("counters", vec![lanes_live]);
-    ctx.save_checkpoint(&ckpt);
+    ckpt
 }
 
 /// The enact loop proper, starting from an arbitrary iteration-boundary
-/// state (fresh from [`msbfs`] or restored by [`msbfs_resume`]).
-fn msbfs_run(ctx: &Context<'_>, sources: &[VertexId], st: MsbfsLoop) -> MsbfsResult {
+/// state (fresh from [`msbfs`] or restored by [`msbfs_resume`]) that has
+/// already completed `done` iterations.
+fn msbfs_run(ctx: &Context<'_>, sources: &[VertexId], st: MsbfsLoop, done: u32) -> MsbfsResult {
     let n = ctx.num_vertices();
-    let start = std::time::Instant::now();
+    let mut run = Enactment::arm(ctx, done);
     // Budget admission: the lane maps and depth matrix are priced as a
     // unit before the first checkout, so an impossible batch fails with
     // a structured BudgetExceeded instead of a mid-run denial.
-    if let Some(budget) = ctx.budget() {
-        let need = estimate_bytes("msbfs", n as u64, ctx.num_edges() as u64);
-        if need > budget.limit() {
-            ctx.poison(GunrockError::BudgetExceeded {
-                operator: "admission",
-                iteration: 0,
-                requested: need,
-                reserved: budget.reserved(),
-                limit: budget.limit(),
-            });
-        }
-    }
-    let MsbfsLoop {
-        depths,
-        seen_words,
-        frontier_words,
-        mut level,
-        iters: mut enactor_iters,
-        mut lanes_live,
-    } = st;
-    let fail = |iters: u32, depths: &[AtomicU32]| MsbfsResult {
-        depths: unwrap_atomic_u32(depths),
-        sources: sources.to_vec(),
-        num_vertices: n,
-        edges_examined: ctx.counters.edges(),
-        iterations: iters,
-        elapsed: start.elapsed(),
-        outcome: RunOutcome::Failed,
-    };
-    if ctx.is_poisoned() {
-        return fail(enactor_iters, &depths);
-    }
+    crate::admission::admit(ctx, "msbfs", AdvanceMode::Auto);
+    let MsbfsLoop { depths, seen_words, frontier_words, mut level, mut lanes_live } = st;
     // The three lane maps are pool checkouts between operators: take
-    // them isolated so a denied checkout fails the run structurally.
-    let Some((mut seen, mut frontier, mut next)) = ctx.isolated_setup("setup", || {
-        let mut seen = LaneMap::take(ctx.pool(), n);
-        seen.restore_words(&seen_words);
-        let mut frontier = LaneMap::take(ctx.pool(), n);
-        frontier.restore_words(&frontier_words);
-        let next = LaneMap::take(ctx.pool(), n);
-        (seen, frontier, next)
-    }) else {
-        return fail(enactor_iters, &depths);
+    // them isolated so a denied checkout fails the run structurally, and
+    // not at all for a batch admission already failed.
+    let maps = if ctx.is_poisoned() {
+        None
+    } else {
+        ctx.isolated_setup("setup", || {
+            let mut seen = LaneMap::take(ctx.pool(), n);
+            seen.restore_words(&seen_words);
+            let mut frontier = LaneMap::take(ctx.pool(), n);
+            frontier.restore_words(&frontier_words);
+            (seen, frontier, LaneMap::take(ctx.pool(), n))
+        })
     };
-    let mut active = frontier.count_active() as u64;
-    let guard = ctx.guard();
-    let mut outcome = RunOutcome::Converged;
-
-    macro_rules! boundary {
-        () => {
-            if ctx.checkpoint_due(enactor_iters) {
-                msbfs_checkpoint(
-                    ctx,
-                    sources,
-                    &depths,
-                    &seen,
-                    &frontier,
-                    enactor_iters,
-                    level,
-                    lanes_live,
-                );
-            }
-            if let Some(tripped) = guard.check(enactor_iters) {
-                outcome = tripped;
-                if tripped != RunOutcome::Failed {
-                    msbfs_checkpoint(
-                        ctx,
-                        sources,
-                        &depths,
-                        &seen,
-                        &frontier,
-                        enactor_iters,
-                        level,
-                        lanes_live,
-                    );
+    let done = match maps {
+        // the context is poisoned: the run ends `Failed` with nothing to snapshot
+        None => run.finish(no_snapshot),
+        Some((mut seen, mut frontier, mut next)) => {
+            let mut active = frontier.count_active() as u64;
+            while active > 0 {
+                let snapshot = |it| {
+                    Some(msbfs_checkpoint(
+                        it, sources, &depths, &seen, &frontier, level, lanes_live,
+                    ))
+                };
+                if run.boundary(snapshot) {
+                    break;
                 }
-                break;
-            }
-        };
-    }
-
-    while active > 0 {
-        boundary!();
-        level += 1;
-        let depth_level = level;
-        let sweep = advance::msbfs::advance_msbfs(
-            ctx,
-            &frontier,
-            &mut seen,
-            &mut next,
-            active,
-            lanes_live,
-            |v, new_lanes| {
-                let mut bits = new_lanes;
-                while bits != 0 {
-                    let l = bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    // ORDERING: Relaxed — slot (l, v) is written by exactly one
-                    // visitor call per run (each vertex discovers each lane
-                    // once); the sweep's join barrier publishes the level.
-                    depths[l * n + v as usize].store(depth_level, Ordering::Relaxed);
-                }
-            },
-        );
-        active = sweep.discovered;
-        lanes_live = sweep.lanes;
-        // ping-pong: the sweep left `next` holding exactly the new
-        // frontier; the retired frontier becomes the next scratch map
-        std::mem::swap(&mut frontier, &mut next);
-        next.clear_all();
-        enactor_iters += 1;
-        ctx.end_iteration(false);
-    }
-
-    // A cooperative abort empties the sweep output, making loop exit
-    // look like convergence; the guard has the final say (cf. bfs_run).
-    if outcome == RunOutcome::Converged && ctx.abort_requested() {
-        if let Some(tripped) = guard.check(enactor_iters) {
-            outcome = tripped;
-            if tripped != RunOutcome::Failed {
-                msbfs_checkpoint(
+                level += 1;
+                let depth_level = level;
+                let sweep = advance::msbfs::advance_msbfs(
                     ctx,
-                    sources,
-                    &depths,
-                    &seen,
                     &frontier,
-                    enactor_iters,
-                    level,
+                    &mut seen,
+                    &mut next,
+                    active,
                     lanes_live,
+                    |v, new_lanes| {
+                        let mut bits = new_lanes;
+                        while bits != 0 {
+                            let l = bits.trailing_zeros() as usize;
+                            bits &= bits - 1;
+                            // ORDERING: Relaxed — slot (l, v) is written by exactly one
+                            // visitor call per run (each vertex discovers each lane
+                            // once); the sweep's join barrier publishes the level.
+                            depths[l * n + v as usize].store(depth_level, Ordering::Relaxed);
+                        }
+                    },
                 );
+                active = sweep.discovered;
+                lanes_live = sweep.lanes;
+                // ping-pong: the sweep left `next` holding exactly the new
+                // frontier; the retired frontier becomes the next scratch map
+                std::mem::swap(&mut frontier, &mut next);
+                next.clear_all();
+                run.end_iteration(false);
             }
+            let done = run.finish(|it| {
+                Some(msbfs_checkpoint(
+                    it, sources, &depths, &seen, &frontier, level, lanes_live,
+                ))
+            });
+            for lm in [seen, frontier, next] {
+                lm.release(ctx.pool());
+            }
+            done
         }
-    }
-    for lm in [seen, frontier, next] {
-        lm.release(ctx.pool());
-    }
-    if ctx.is_poisoned() {
-        outcome = RunOutcome::Failed;
-    }
+    };
     MsbfsResult {
         // in place: a second lanes x n buffer per batch is the largest
         // allocation of the call
@@ -351,9 +273,9 @@ fn msbfs_run(ctx: &Context<'_>, sources: &[VertexId], st: MsbfsLoop) -> MsbfsRes
         sources: sources.to_vec(),
         num_vertices: n,
         edges_examined: ctx.counters.edges(),
-        iterations: enactor_iters,
-        elapsed: start.elapsed(),
-        outcome,
+        iterations: done.iterations,
+        elapsed: done.elapsed,
+        outcome: done.outcome,
     }
 }
 

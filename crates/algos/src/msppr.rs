@@ -93,7 +93,6 @@ struct MspprLoop {
     scores: Vec<AtomicU64>,
     residual: Vec<AtomicU64>,
     active_words: Vec<u64>,
-    iters: u32,
 }
 
 fn f64_cells(values: &[f64]) -> Vec<AtomicU64> {
@@ -127,8 +126,7 @@ pub fn msppr(ctx: &Context<'_>, sources: &[VertexId], opts: MspprOptions) -> Msp
         residual[l * n + s as usize].store(1f64.to_bits(), Ordering::Relaxed);
         active_words[s as usize] |= 1u64 << l;
     }
-    let st = MspprLoop { scores, residual, active_words, iters: 0 };
-    msppr_run(ctx, sources, opts, st)
+    msppr_run(ctx, sources, opts, MspprLoop { scores, residual, active_words }, 0)
 }
 
 /// [`msppr`] with `Result` semantics.
@@ -174,207 +172,156 @@ pub fn msppr_resume(ctx: &Context<'_>, ckpt: &Checkpoint) -> Result<MspprResult,
         scores: f64_cells(scores),
         residual: f64_cells(residual),
         active_words: active.to_vec(),
-        iters: ckpt.iteration(),
     };
-    let r = msppr_run(ctx, &sources, opts, st);
+    let r = msppr_run(ctx, &sources, opts, st, ckpt.iteration());
     check_failed(ctx, r.outcome, r)
 }
 
-/// Writes an iteration-boundary snapshot when a checkpoint policy is
-/// installed.
+/// Builds an iteration-boundary snapshot.
 fn msppr_checkpoint(
-    ctx: &Context<'_>,
+    iteration: u32,
     sources: &[VertexId],
     opts: MspprOptions,
     scores: &[AtomicU64],
     residual: &[AtomicU64],
     active: &LaneMap,
-    iters: u32,
-) {
-    if ctx.checkpoint_policy().is_none() {
-        return;
-    }
-    let mut ckpt = Checkpoint::new("msppr", iters);
+) -> Checkpoint {
+    let mut ckpt = Checkpoint::new("msppr", iteration);
     ckpt.push_f64("scores", f64_values(scores));
     ckpt.push_f64("residual", f64_values(residual));
     ckpt.push_u64("active", active.snapshot_words());
     ckpt.push_u32("sources", sources.to_vec());
     ckpt.push_u32("scalars", vec![sources.len() as u32]);
     ckpt.push_f64("params", vec![opts.alpha, opts.epsilon]);
-    ctx.save_checkpoint(&ckpt);
+    ckpt
 }
 
-/// The enact loop proper.
+/// The enact loop proper, after `done` completed iterations.
 fn msppr_run(
     ctx: &Context<'_>,
     sources: &[VertexId],
     opts: MspprOptions,
     st: MspprLoop,
+    done: u32,
 ) -> MspprResult {
     let n = ctx.num_vertices();
-    let start = std::time::Instant::now();
-    let MspprLoop { scores, residual, active_words, iters: mut enactor_iters } = st;
-    let fail = |iters: u32, scores: &[AtomicU64]| MspprResult {
-        scores: f64_values(scores),
-        sources: sources.to_vec(),
-        num_vertices: n,
-        edges_examined: ctx.counters.edges(),
-        iterations: iters,
-        elapsed: start.elapsed(),
-        outcome: RunOutcome::Failed,
+    let mut run = Enactment::arm(ctx, done);
+    // Budget admission: the score/residual matrices and lane maps are
+    // priced as a unit, so an impossible batch fails with a structured
+    // BudgetExceeded before anything is checked out.
+    crate::admission::admit(ctx, "msppr", AdvanceMode::Auto);
+    let MspprLoop { scores, residual, active_words } = st;
+    let maps = if ctx.is_poisoned() {
+        None
+    } else {
+        ctx.isolated_setup("setup", || {
+            let mut active = LaneMap::take(ctx.pool(), n);
+            active.restore_words(&active_words);
+            (active, LaneMap::take(ctx.pool(), n))
+        })
     };
-    if ctx.is_poisoned() {
-        return fail(enactor_iters, &scores);
-    }
-    let Some((mut active, mut next)) = ctx.isolated_setup("setup", || {
-        let mut active = LaneMap::take(ctx.pool(), n);
-        active.restore_words(&active_words);
-        let next = LaneMap::take(ctx.pool(), n);
-        (active, next)
-    }) else {
-        return fail(enactor_iters, &scores);
-    };
-    let guard = ctx.guard();
-    let mut outcome = RunOutcome::Converged;
     let g = ctx.graph;
     let cols = g.col_indices();
-
-    macro_rules! boundary {
-        () => {
-            if ctx.checkpoint_due(enactor_iters) {
-                msppr_checkpoint(
-                    ctx,
-                    sources,
-                    opts,
-                    &scores,
-                    &residual,
-                    &active,
-                    enactor_iters,
-                );
-            }
-            if let Some(tripped) = guard.check(enactor_iters) {
-                outcome = tripped;
-                if tripped != RunOutcome::Failed {
-                    msppr_checkpoint(
-                        ctx,
-                        sources,
-                        opts,
-                        &scores,
-                        &residual,
-                        &active,
-                        enactor_iters,
-                    );
+    let done = match maps {
+        // the context is poisoned: the run ends `Failed` with nothing to snapshot
+        None => run.finish(no_snapshot),
+        Some((mut active, mut next)) => {
+            while active.count_active() > 0 {
+                if run.boundary(|it| {
+                    Some(msppr_checkpoint(it, sources, opts, &scores, &residual, &active))
+                }) {
+                    break;
                 }
-                break;
-            }
-        };
-    }
-
-    while active.count_active() > 0 {
-        boundary!();
-        // One push round, panic-isolated like an operator launch: the
-        // sweep mirrors the batched advance's scatter (whole-word skip
-        // of inactive vertices, per-lane bit iteration, fetch_or lane
-        // marking on pushed neighbors).
-        let round = ctx.isolated_setup("advance", || {
-            if let Some(inj) = ctx.injector() {
-                inj.maybe_panic("advance:msppr");
-            }
-            let next_ref: &LaneMap = &next;
-            let vgrain = (n / (rayon::current_num_threads() * 8).max(1)).max(64);
-            active
-                .words()
-                .par_chunks(vgrain)
-                .enumerate()
-                .map(|(ci, words)| {
-                    let mut edges = 0u64;
-                    if ctx.abort_mid_operator() {
-                        return edges;
+                // One push round, panic-isolated like an operator launch: the
+                // sweep mirrors the batched advance's scatter (whole-word skip
+                // of inactive vertices, per-lane bit iteration, fetch_or lane
+                // marking on pushed neighbors).
+                let round = ctx.isolated_setup("advance", || {
+                    if let Some(inj) = ctx.injector() {
+                        inj.maybe_panic("advance:msppr");
                     }
-                    for (i, w) in words.iter().enumerate() {
-                        // ORDERING: Relaxed — the active map is read-only
-                        // during the sweep; the previous round's join
-                        // barrier published it.
-                        let aw = w.load(Ordering::Relaxed);
-                        if aw == 0 {
-                            continue;
-                        }
-                        let v = ci * vgrain + i;
-                        let deg = g.out_degree(v as u32);
-                        let mut bits = aw;
-                        while bits != 0 {
-                            let l = bits.trailing_zeros() as usize;
-                            bits &= bits - 1;
-                            let idx = l * n + v;
-                            // ORDERING: Relaxed — the swap claims this cell's
-                            // mass atomically; concurrent pushes either land
-                            // before (claimed now) or after (next round).
-                            let r = f64::from_bits(residual[idx].swap(0, Ordering::Relaxed));
-                            if r == 0.0 {
-                                continue;
+                    let next_ref: &LaneMap = &next;
+                    let vgrain = (n / (rayon::current_num_threads() * 8).max(1)).max(64);
+                    active
+                        .words()
+                        .par_chunks(vgrain)
+                        .enumerate()
+                        .map(|(ci, words)| {
+                            let mut edges = 0u64;
+                            if ctx.abort_mid_operator() {
+                                return edges;
                             }
-                            if deg == 0 {
-                                // dangling vertex: absorb the whole mass
-                                add_f64(&scores[idx], r);
-                                continue;
+                            for (i, w) in words.iter().enumerate() {
+                                // ORDERING: Relaxed — the active map is read-only
+                                // during the sweep; the previous round's join
+                                // barrier published it.
+                                let aw = w.load(Ordering::Relaxed);
+                                if aw == 0 {
+                                    continue;
+                                }
+                                let v = ci * vgrain + i;
+                                let deg = g.out_degree(v as u32);
+                                let mut bits = aw;
+                                while bits != 0 {
+                                    let l = bits.trailing_zeros() as usize;
+                                    bits &= bits - 1;
+                                    let idx = l * n + v;
+                                    // ORDERING: Relaxed — the swap claims this cell's
+                                    // mass atomically; concurrent pushes either land
+                                    // before (claimed now) or after (next round).
+                                    let r = f64::from_bits(
+                                        residual[idx].swap(0, Ordering::Relaxed),
+                                    );
+                                    if r == 0.0 {
+                                        continue;
+                                    }
+                                    if deg == 0 {
+                                        // dangling vertex: absorb the whole mass
+                                        add_f64(&scores[idx], r);
+                                        continue;
+                                    }
+                                    if r < opts.epsilon * deg as f64 {
+                                        // below threshold: retain in place, stay quiet
+                                        add_f64(&residual[idx], r);
+                                        continue;
+                                    }
+                                    add_f64(&scores[idx], opts.alpha * r);
+                                    let share = (1.0 - opts.alpha) * r / deg as f64;
+                                    for e in g.edge_range(v as u32) {
+                                        edges += 1;
+                                        let u = cols[e] as usize;
+                                        add_f64(&residual[l * n + u], share);
+                                        next_ref.fetch_or(u, 1u64 << l);
+                                    }
+                                }
                             }
-                            if r < opts.epsilon * deg as f64 {
-                                // below threshold: retain in place, stay quiet
-                                add_f64(&residual[idx], r);
-                                continue;
-                            }
-                            add_f64(&scores[idx], opts.alpha * r);
-                            let share = (1.0 - opts.alpha) * r / deg as f64;
-                            for e in g.edge_range(v as u32) {
-                                edges += 1;
-                                let u = cols[e] as usize;
-                                add_f64(&residual[l * n + u], share);
-                                next_ref.fetch_or(u, 1u64 << l);
-                            }
-                        }
-                    }
-                    edges
-                })
-                .sum::<u64>()
-        });
-        let Some(edges) = round else { break };
-        ctx.counters.add_edges(edges);
-        std::mem::swap(&mut active, &mut next);
-        next.clear_all();
-        enactor_iters += 1;
-        ctx.end_iteration(false);
-    }
-
-    if outcome == RunOutcome::Converged && ctx.abort_requested() {
-        if let Some(tripped) = guard.check(enactor_iters) {
-            outcome = tripped;
-            if tripped != RunOutcome::Failed {
-                msppr_checkpoint(
-                    ctx,
-                    sources,
-                    opts,
-                    &scores,
-                    &residual,
-                    &active,
-                    enactor_iters,
-                );
+                            edges
+                        })
+                        .sum::<u64>()
+                });
+                let Some(edges) = round else { break };
+                ctx.counters.add_edges(edges);
+                std::mem::swap(&mut active, &mut next);
+                next.clear_all();
+                run.end_iteration(false);
             }
+            let done = run.finish(|it| {
+                Some(msppr_checkpoint(it, sources, opts, &scores, &residual, &active))
+            });
+            for lm in [active, next] {
+                lm.release(ctx.pool());
+            }
+            done
         }
-    }
-    for lm in [active, next] {
-        lm.release(ctx.pool());
-    }
-    if ctx.is_poisoned() {
-        outcome = RunOutcome::Failed;
-    }
+    };
     MspprResult {
         scores: f64_values(&scores),
         sources: sources.to_vec(),
         num_vertices: n,
         edges_examined: ctx.counters.edges(),
-        iterations: enactor_iters,
-        elapsed: start.elapsed(),
-        outcome,
+        iterations: done.iterations,
+        elapsed: done.elapsed,
+        outcome: done.outcome,
     }
 }
 

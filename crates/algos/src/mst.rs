@@ -59,18 +59,11 @@ pub fn mst(ctx: &Context<'_>) -> MstResult {
     labels.par_iter().enumerate().for_each(|(v, l)| l.store(v as u32, Ordering::Relaxed));
     let mut chosen: Vec<EdgeId> = Vec::new();
     let mut total_weight = 0u64;
-    let mut rounds = 0u32;
     const NONE: u64 = u64::MAX;
-    let guard = ctx.guard();
-    let mut outcome = RunOutcome::Converged;
+    let mut run = Enactment::arm(ctx, 0);
 
-    loop {
-        if let Some(tripped) = guard.check(rounds) {
-            outcome = tripped;
-            break;
-        }
-        rounds += 1;
-        ctx.end_iteration(false);
+    while !run.boundary(no_snapshot) {
+        run.end_iteration(false);
         // Step 1: per-component minimum outgoing edge (atomic min over
         // the packed (weight, edge) key).
         let best: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(NONE)).collect();
@@ -144,9 +137,16 @@ pub fn mst(ctx: &Context<'_>) -> MstResult {
         }
     }
 
+    let done = run.finish(no_snapshot);
     let num_trees =
         (0..n as u32).filter(|&v| labels[v as usize].load(Ordering::Relaxed) == v).count();
-    MstResult { edges: chosen, total_weight, num_trees, rounds, outcome }
+    MstResult {
+        edges: chosen,
+        total_weight,
+        num_trees,
+        rounds: done.iterations,
+        outcome: done.outcome,
+    }
 }
 
 /// Serial Kruskal oracle returning the forest's total weight.

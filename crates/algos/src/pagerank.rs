@@ -96,29 +96,18 @@ struct PrLoop {
     scores: Vec<f64>,
     residual: Vec<f64>,
     frontier: Frontier,
-    iterations: u32,
 }
 
-/// Writes an iteration-boundary snapshot when a checkpoint policy is
-/// installed. Sections: `scores`/`residual` (f64, bit-exact), the live
-/// `frontier`, and `params` `[damping, epsilon]`.
-fn pagerank_checkpoint(
-    ctx: &Context<'_>,
-    opts: &PrOptions,
-    scores: &[f64],
-    residual: &[f64],
-    frontier: &Frontier,
-    iterations: u32,
-) {
-    if ctx.checkpoint_policy().is_none() {
-        return;
-    }
-    let mut ckpt = Checkpoint::new("pagerank", iterations);
-    ckpt.push_f64("scores", scores.to_vec());
-    ckpt.push_f64("residual", residual.to_vec());
-    ckpt.push_u32("frontier", frontier.as_slice().to_vec());
+/// Builds an iteration-boundary snapshot. Sections: `scores`/`residual`
+/// (f64, bit-exact), the live `frontier`, and `params` `[damping,
+/// epsilon]`.
+fn pagerank_checkpoint(iteration: u32, opts: &PrOptions, st: &PrLoop) -> Checkpoint {
+    let mut ckpt = Checkpoint::new("pagerank", iteration);
+    ckpt.push_f64("scores", st.scores.clone());
+    ckpt.push_f64("residual", st.residual.clone());
+    ckpt.push_u32("frontier", st.frontier.as_slice().to_vec());
     ckpt.push_f64("params", vec![opts.damping, opts.epsilon]);
-    ctx.save_checkpoint(&ckpt);
+    ckpt
 }
 
 /// Runs PageRank over the whole graph.
@@ -140,9 +129,8 @@ pub fn pagerank(ctx: &Context<'_>, opts: PrOptions) -> PrResult {
         // every vertex starts with the teleport mass as pending residual
         residual: vec![base; n],
         frontier: Frontier::full(n),
-        iterations: 0,
     };
-    pagerank_run(ctx, opts, st)
+    pagerank_run(ctx, opts, st, 0)
 }
 
 /// Resumes PageRank from a `gunrock-ckpt/v1` snapshot. The checkpoint's
@@ -171,23 +159,22 @@ pub fn pagerank_resume(
         scores: scores.to_vec(),
         residual: residual.to_vec(),
         frontier: Frontier::from_vec(frontier.to_vec()),
-        iterations: ckpt.iteration(),
     };
-    let r = pagerank_run(ctx, opts, st);
+    let r = pagerank_run(ctx, opts, st, ckpt.iteration());
     check_failed(ctx, r.outcome, r)
 }
 
 /// The enact loop proper, starting from an arbitrary iteration-boundary
-/// state (fresh from [`pagerank`] or restored by [`pagerank_resume`]).
-fn pagerank_run(ctx: &Context<'_>, opts: PrOptions, st: PrLoop) -> PrResult {
+/// state (fresh from [`pagerank`] or restored by [`pagerank_resume`])
+/// that has already completed `done` iterations.
+fn pagerank_run(ctx: &Context<'_>, opts: PrOptions, mut st: PrLoop, done: u32) -> PrResult {
     let g = ctx.graph;
     let n = g.num_vertices();
     let m = g.num_edges() as u64;
-    let start = std::time::Instant::now();
+    let mut run = Enactment::arm(ctx, done);
     // Budget admission: demote the advance mode (or poison with a
     // structured BudgetExceeded) before the first operator launches.
     let opts = PrOptions { mode: crate::admission::admit(ctx, "pagerank", opts.mode), ..opts };
-    let PrLoop { mut scores, mut residual, mut frontier, mut iterations } = st;
     // The frontier ping-pongs between two buffers owned by this run. They
     // stay out of the pool on purpose: PageRank must survive a pool that
     // denies every checkout (chaos `pool-alloc`).
@@ -199,30 +186,20 @@ fn pagerank_run(ctx: &Context<'_>, opts: PrOptions, st: PrLoop) -> PrResult {
     // is drained); a run that only ever gathers never pays for it
     let mut acc: Vec<AtomicF64> = Vec::new();
     let mut gathering = false;
-    let guard = ctx.guard();
-    let mut outcome = RunOutcome::Converged;
 
-    while !frontier.is_empty() && (iterations as usize) < opts.max_iters {
-        if ctx.checkpoint_due(iterations) {
-            pagerank_checkpoint(ctx, &opts, &scores, &residual, &frontier, iterations);
-        }
-        if let Some(tripped) = guard.check(iterations) {
-            outcome = tripped;
-            if tripped != RunOutcome::Failed {
-                pagerank_checkpoint(ctx, &opts, &scores, &residual, &frontier, iterations);
-            }
+    while !st.frontier.is_empty() && (run.iterations() as usize) < opts.max_iters {
+        if run.boundary(|it| Some(pagerank_checkpoint(it, &opts, &st))) {
             break;
         }
-        iterations += 1;
         // absorb frontier residuals into the scores and freeze each
         // vertex's per-edge share (compute step); a dangling (out-degree
         // 0) vertex has no edge to carry its damped mass, so it teleports
         // uniformly, matching the power-iteration fixed point
         let mut dangling = 0.0f64;
         let mut frontier_edges = 0u64;
-        for &v in frontier.as_slice() {
-            let r = std::mem::take(&mut residual[v as usize]);
-            scores[v as usize] += r;
+        for &v in st.frontier.as_slice() {
+            let r = std::mem::take(&mut st.residual[v as usize]);
+            st.scores[v as usize] += r;
             let deg = g.out_degree(v);
             if deg == 0 {
                 dangling += opts.damping * r;
@@ -234,7 +211,7 @@ fn pagerank_run(ctx: &Context<'_>, opts: PrOptions, st: PrLoop) -> PrResult {
         let teleport = dangling / n as f64;
         let eps = opts.epsilon;
         let gather = ctx.reverse.is_some() && prefer_gather(frontier_edges, m);
-        ctx.end_iteration(gather);
+        run.end_iteration(gather);
         if gather != gathering {
             gathering = gather;
             if let Some(sink) = ctx.sink() {
@@ -257,7 +234,7 @@ fn pagerank_run(ctx: &Context<'_>, opts: PrOptions, st: PrLoop) -> PrResult {
             advance_gather(
                 ctx,
                 0..n as VertexId,
-                &mut residual,
+                &mut st.residual,
                 next,
                 0.0,
                 |u, _v, _e| share[u as usize],
@@ -275,42 +252,28 @@ fn pagerank_run(ctx: &Context<'_>, opts: PrOptions, st: PrLoop) -> PrResult {
             }
             let functor = PushShare { share: &share, acc: &acc };
             let spec = AdvanceSpec::for_effect().with_mode(opts.mode);
-            let _ = advance::advance(ctx, &frontier, spec, &functor);
-            residual.par_iter_mut().zip(acc.par_iter()).for_each(|(r, a)| {
+            let _ = advance::advance(ctx, &st.frontier, spec, &functor);
+            st.residual.par_iter_mut().zip(acc.par_iter()).for_each(|(r, a)| {
                 *r += a.load() + teleport;
                 a.store(0.0);
             });
-            compact_indices_into(&residual, |&r| r > eps, next);
+            compact_indices_into(&st.residual, |&r| r > eps, next);
         }
-        for &v in frontier.as_slice() {
+        for &v in st.frontier.as_slice() {
             share[v as usize] = 0.0;
         }
-        std::mem::swap(&mut frontier, &mut spare);
+        std::mem::swap(&mut st.frontier, &mut spare);
     }
-    // A cancel or deadline can truncate a gather sweep to an empty
-    // frontier, making the loop exit look like natural convergence with
-    // part of the last hand-over undelivered; the guard has the final say.
-    if outcome == RunOutcome::Converged && ctx.abort_requested() {
-        if let Some(tripped) = guard.check(iterations) {
-            outcome = tripped;
-            if tripped != RunOutcome::Failed {
-                pagerank_checkpoint(ctx, &opts, &scores, &residual, &frontier, iterations);
-            }
-        }
-    }
+    let done = run.finish(|it| Some(pagerank_checkpoint(it, &opts, &st)));
     // fold any remaining sub-threshold residual into the scores
+    let PrLoop { mut scores, residual, .. } = st;
     scores.par_iter_mut().zip(residual.par_iter()).for_each(|(s, r)| *s += r);
-
-    // a panic that emptied the frontier must not read as convergence
-    if ctx.is_poisoned() {
-        outcome = RunOutcome::Failed;
-    }
     PrResult {
         scores,
-        iterations,
+        iterations: done.iterations,
         edges_examined: ctx.counters.edges(),
-        elapsed: start.elapsed(),
-        outcome,
+        elapsed: done.elapsed,
+        outcome: done.outcome,
     }
 }
 

@@ -131,48 +131,37 @@ struct SsspLoop {
     tags: Vec<AtomicU32>,
     frontier: Frontier,
     queue: NearFarQueue,
-    iterations: u32,
     queue_id: u32,
 }
 
-/// Writes an iteration-boundary snapshot when a checkpoint policy is
-/// installed. Sections: per-vertex `dist`/`preds`/`tags`, the live
-/// `frontier` and parked `far` pile, plus packed scalars
-/// `[src, queue_id, delta, pivot, use_priority_queue, record_preds]`.
-#[allow(clippy::too_many_arguments)]
+/// Builds an iteration-boundary snapshot. Sections: per-vertex
+/// `dist`/`preds`/`tags`, the live `frontier` and parked `far` pile, plus
+/// packed scalars `[src, queue_id, delta, pivot, use_priority_queue,
+/// record_preds]`.
 fn sssp_checkpoint(
-    ctx: &Context<'_>,
+    iteration: u32,
     src: VertexId,
     opts: &SsspOptions,
-    dist: &[AtomicU32],
-    preds: Option<&[AtomicU32]>,
-    tags: &[AtomicU32],
-    frontier: &Frontier,
-    queue: &NearFarQueue,
-    iterations: u32,
-    queue_id: u32,
-) {
-    if ctx.checkpoint_policy().is_none() {
-        return;
-    }
-    let mut ckpt = Checkpoint::new("sssp", iterations);
-    ckpt.push_u32("dist", unwrap_atomic_u32(dist));
-    ckpt.push_u32("preds", preds.map(unwrap_atomic_u32).unwrap_or_default());
-    ckpt.push_u32("tags", unwrap_atomic_u32(tags));
-    ckpt.push_u32("frontier", frontier.as_slice().to_vec());
-    ckpt.push_u32("far", queue.far_slice().to_vec());
+    st: &SsspLoop,
+) -> Checkpoint {
+    let mut ckpt = Checkpoint::new("sssp", iteration);
+    ckpt.push_u32("dist", unwrap_atomic_u32(&st.dist));
+    ckpt.push_u32("preds", st.preds.as_deref().map(unwrap_atomic_u32).unwrap_or_default());
+    ckpt.push_u32("tags", unwrap_atomic_u32(&st.tags));
+    ckpt.push_u32("frontier", st.frontier.as_slice().to_vec());
+    ckpt.push_u32("far", st.queue.far_slice().to_vec());
     ckpt.push_u32(
         "scalars",
         vec![
             src,
-            queue_id,
-            queue.delta(),
-            queue.pivot(),
+            st.queue_id,
+            st.queue.delta(),
+            st.queue.pivot(),
             opts.use_priority_queue as u32,
             opts.record_predecessors as u32,
         ],
     );
-    ctx.save_checkpoint(&ckpt);
+    ckpt
 }
 
 /// Runs SSSP from `src` (Dijkstra-class: needs non-negative weights;
@@ -191,10 +180,9 @@ pub fn sssp(ctx: &Context<'_>, src: VertexId, opts: SsspOptions) -> SsspResult {
         tags: atomic_u32_vec(n, u32::MAX),
         frontier: Frontier::single(src),
         queue: NearFarQueue::new(delta),
-        iterations: 0,
         queue_id: 0,
     };
-    sssp_run(ctx, src, opts, st)
+    sssp_run(ctx, src, opts, st, 0)
 }
 
 /// Resumes SSSP from a `gunrock-ckpt/v1` snapshot. The checkpoint's
@@ -240,115 +228,69 @@ pub fn sssp_resume(
         tags: to_atomic_u32(tags),
         frontier: Frontier::from_vec(frontier.to_vec()),
         queue: NearFarQueue::restore(delta, pivot, far.to_vec()),
-        iterations: ckpt.iteration(),
         queue_id,
     };
-    let r = sssp_run(ctx, src, opts, st);
+    let r = sssp_run(ctx, src, opts, st, ckpt.iteration());
     check_failed(ctx, r.outcome, r)
 }
 
 /// The enact loop proper, starting from an arbitrary iteration-boundary
-/// state (fresh from [`sssp`] or restored by [`sssp_resume`]).
-fn sssp_run(ctx: &Context<'_>, src: VertexId, opts: SsspOptions, st: SsspLoop) -> SsspResult {
-    let start = std::time::Instant::now();
+/// state (fresh from [`sssp`] or restored by [`sssp_resume`]) that has
+/// already completed `done` iterations.
+fn sssp_run(
+    ctx: &Context<'_>,
+    src: VertexId,
+    opts: SsspOptions,
+    mut st: SsspLoop,
+    done: u32,
+) -> SsspResult {
+    let mut run = Enactment::arm(ctx, done);
     // Budget admission: demote the advance mode (or poison with a
     // structured BudgetExceeded) before the first operator launches.
     let opts = SsspOptions { mode: crate::admission::admit(ctx, "sssp", opts.mode), ..opts };
-    let SsspLoop { dist, preds, tags, mut frontier, mut queue, mut iterations, mut queue_id } =
-        st;
-
-    let relax = Relax { graph: ctx.graph, dist: &dist, preds: preds.as_deref() };
-    let guard = ctx.guard();
-    let mut outcome = RunOutcome::Converged;
-
-    // Periodic snapshot at the iteration boundary, plus an exit snapshot
-    // on a guard trip — except from a poisoned (Failed) run, whose state
-    // may be inconsistent mid-operator. Yields the tripped outcome so
-    // the call site can break out of the labeled enact loop.
-    macro_rules! boundary {
-        () => {{
-            if ctx.checkpoint_due(iterations) {
-                sssp_checkpoint(
-                    ctx,
-                    src,
-                    &opts,
-                    &dist,
-                    preds.as_deref(),
-                    &tags,
-                    &frontier,
-                    &queue,
-                    iterations,
-                    queue_id,
-                );
-            }
-            let tripped = guard.check(iterations);
-            if let Some(t) = tripped {
-                if t != RunOutcome::Failed {
-                    sssp_checkpoint(
-                        ctx,
-                        src,
-                        &opts,
-                        &dist,
-                        preds.as_deref(),
-                        &tags,
-                        &frontier,
-                        &queue,
-                        iterations,
-                        queue_id,
-                    );
-                }
-            }
-            tripped
-        }};
-    }
-
+    let relax = Relax { graph: ctx.graph, dist: &st.dist, preds: st.preds.as_deref() };
     'enact: loop {
-        while !frontier.is_empty() {
-            if let Some(tripped) = boundary!() {
-                outcome = tripped;
+        while !st.frontier.is_empty() {
+            if run.boundary(|it| Some(sssp_checkpoint(it, src, &opts, &st))) {
                 break 'enact;
             }
-            iterations += 1;
-            ctx.end_iteration(false);
+            run.end_iteration(false);
             let spec = AdvanceSpec::v2v().with_mode(opts.mode);
-            let raw = advance::advance(ctx, &frontier, spec, &relax);
-            let dedup = filter::filter(ctx, &raw, &RemoveRedundant { tags: &tags, queue_id });
+            let raw = advance::advance(ctx, &st.frontier, spec, &relax);
+            let claim = RemoveRedundant { tags: &st.tags, queue_id: st.queue_id };
+            let dedup = filter::filter(ctx, &raw, &claim);
             // the raw advance output is dead once deduplicated: back to
             // the pool so the next relaxation reuses its storage
             ctx.recycle(raw);
-            queue_id = queue_id.wrapping_add(1);
+            st.queue_id = st.queue_id.wrapping_add(1);
             let next = if opts.use_priority_queue {
                 // ORDERING: Relaxed — dist cells are monotonic fetch_min targets and tag
                 // swaps need only per-cell atomicity; relaxation rounds end at join barriers.
-                queue.split(dedup, |v| dist[v as usize].load(Ordering::Relaxed))
+                st.queue.split(dedup, |v| st.dist[v as usize].load(Ordering::Relaxed))
             } else {
                 dedup
             };
-            ctx.recycle(std::mem::replace(&mut frontier, next));
+            ctx.recycle(std::mem::replace(&mut st.frontier, next));
         }
         if !opts.use_priority_queue {
             break;
         }
-        frontier = queue.refill(|v| dist[v as usize].load(Ordering::Relaxed));
-        if frontier.is_empty() {
+        st.frontier = st.queue.refill(|v| st.dist[v as usize].load(Ordering::Relaxed));
+        if st.frontier.is_empty() {
             break;
         }
     }
-
+    let done = run.finish(|it| Some(sssp_checkpoint(it, src, &opts, &st)));
     // the loop's last frontier still owns pooled storage; return it so
     // a re-run on this context starts with a warm pool
-    ctx.recycle(frontier);
-    // a panic that emptied the frontier must not read as convergence
-    if ctx.is_poisoned() {
-        outcome = RunOutcome::Failed;
-    }
+    ctx.recycle(st.frontier);
     SsspResult {
-        dist: unwrap_atomic_u32(&dist),
-        preds: preds.map(|p| unwrap_atomic_u32(&p)).unwrap_or_default(),
+        dist: unwrap_atomic_u32(&st.dist),
+        preds: st.preds.map(|p| unwrap_atomic_u32(&p)).unwrap_or_default(),
         edges_examined: ctx.counters.edges(),
-        iterations,
-        elapsed: start.elapsed(),
-        outcome,
+        iterations: done.iterations,
+        elapsed: done.elapsed,
+        outcome: done.outcome,
     }
 }
 

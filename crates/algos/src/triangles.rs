@@ -51,14 +51,26 @@ pub fn triangle_count(ctx: &Context<'_>) -> TriangleResult {
         (0..g.num_vertices() as u32).all(|v| g.neighbors(v).windows(2).all(|w| w[0] < w[1])),
         "triangle counting requires sorted, deduplicated adjacency"
     );
-    let guard = ctx.guard();
-    if let Some(tripped) = guard.check(0) {
-        return TriangleResult { total: 0, per_vertex: Vec::new(), outcome: tripped };
-    }
-    // Pass 1: total, over the edge frontier.
-    let edge_frontier = Frontier::full(g.num_edges());
+    let mut run = Enactment::arm(ctx, 0);
     let total = AtomicU64::new(0);
-    compute::for_each(&edge_frontier, |e| {
+    let mut per_vertex = Vec::new();
+    if !run.boundary(no_snapshot) {
+        // Pass 1: total, over the edge frontier.
+        total_pass(g, &total);
+        ctx.counters.add_edges(g.num_edges() as u64);
+        run.end_iteration(false);
+        // Pass 2: per-vertex counts, unless the guard trips in between.
+        if !run.boundary(no_snapshot) {
+            per_vertex = per_vertex_counts(g);
+        }
+    }
+    let done = run.finish(no_snapshot);
+    TriangleResult { total: total.into_inner(), per_vertex, outcome: done.outcome }
+}
+
+/// Adds every triangle `{u < v < w}` to `total` once, at its edge `(u, v)`.
+fn total_pass(g: &Csr, total: &AtomicU64) {
+    compute::for_each(&Frontier::full(g.num_edges()), |e| {
         let u = g.edge_source(e);
         let v = g.edge_dest(e);
         if u >= v {
@@ -73,19 +85,6 @@ pub fn triangle_count(ctx: &Context<'_>) -> TriangleResult {
             total.fetch_add(c, Ordering::Relaxed);
         }
     });
-    ctx.counters.add_edges(g.num_edges() as u64);
-    if let Some(tripped) = guard.check(1) {
-        return TriangleResult {
-            total: total.load(Ordering::Relaxed),
-            per_vertex: Vec::new(),
-            outcome: tripped,
-        };
-    }
-    TriangleResult {
-        total: total.load(Ordering::Relaxed),
-        per_vertex: per_vertex_counts(g),
-        outcome: RunOutcome::Converged,
-    }
 }
 
 fn per_vertex_counts(g: &Csr) -> Vec<u64> {

@@ -274,8 +274,9 @@ impl<'g> Context<'g> {
     }
 
     /// Arms a guard for one enactment, starting its wall clock.
-    /// Primitives call this once before their loop and check the guard
-    /// at the top of every bulk-synchronous step. The returned
+    /// [`Enactment::arm`](crate::enact::Enactment::arm) calls this once
+    /// per run and checks the guard at the top of every bulk-synchronous
+    /// step. The returned
     /// [`ContextGuard`] layers poison detection over the plain
     /// [`RunGuard`]: once an operator has failed, every check returns
     /// [`RunOutcome::Failed`].

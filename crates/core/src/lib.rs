@@ -19,7 +19,9 @@
 //! * [`compute`](crate::compute) — regular per-element work, normally
 //!   *fused* into advance/filter via the [`functor`] API.
 //!
-//! Plus the [`priority_queue`] near-far split generalizing delta-stepping.
+//! Plus the [`priority_queue`] near-far split generalizing delta-stepping,
+//! and [`enact::Enactment`], the iteration boundary (guards, snapshots,
+//! iteration counting) every primitive's enact loop shares.
 //!
 //! ## Example: two BFS levels by hand
 //!
@@ -42,7 +44,7 @@
 pub mod advance;
 pub mod compute;
 pub mod context;
-pub mod enactor;
+pub mod enact;
 pub mod error;
 pub mod filter;
 pub mod functor;
@@ -50,8 +52,6 @@ pub(crate) mod isolate;
 pub mod partition;
 pub mod policy;
 pub mod priority_queue;
-pub mod problem;
-pub mod sample;
 pub(crate) mod util;
 
 /// Commonly used items for writing primitives.
@@ -67,7 +67,7 @@ pub mod prelude {
     };
     pub use crate::compute;
     pub use crate::context::{Context, ContextGuard};
-    pub use crate::enactor::{Enactor, IterationRecord};
+    pub use crate::enact::{no_snapshot, Enacted, Enactment};
     pub use crate::error::GunrockError;
     pub use crate::filter::{
         self,
@@ -77,8 +77,6 @@ pub mod prelude {
     pub use crate::partition::{partitioned_advance, ExchangeStats, VertexPartition};
     pub use crate::policy::{CheckpointPolicy, RetryPolicy, RunGuard, RunPolicy};
     pub use crate::priority_queue::NearFarQueue;
-    pub use crate::problem::{enact, EnactStats, Primitive};
-    pub use crate::sample::{sample, sample_k};
     pub use gunrock_engine::bitmap::{AtomicBitmap, BitSet, PooledBitmap};
     pub use gunrock_engine::checkpoint::{Checkpoint, CheckpointError};
     pub use gunrock_engine::faults::{FaultInjector, FaultKind, FaultPlan};
@@ -92,7 +90,7 @@ pub mod prelude {
 }
 
 pub use context::{Context, ContextGuard};
-pub use enactor::Enactor;
+pub use enact::Enactment;
 pub use error::GunrockError;
 pub use functor::{AdvanceFunctor, FilterFunctor};
 pub use gunrock_engine::checkpoint::{Checkpoint, CheckpointError};

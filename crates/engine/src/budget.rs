@@ -218,6 +218,9 @@ pub fn estimate_bytes(primitive: &str, n: u64, m: u64) -> u64 {
         // (seen + frontier ping-pong pair) plus the 64-lane depth
         // array; the batched advance needs no scan workspace
         "msbfs" => 3 * pooled_bytes(n, 8) + 64 * n * 4,
+        // lane-packed PPR: the active / next lane-map pair plus 64-lane
+        // f64 score and residual matrices; no advance workspace either
+        "msppr" => 2 * pooled_bytes(n, 8) + 2 * 64 * n * 8,
         // the sleep diagnostic touches no graph state
         "sleep" => 0,
         _ => n * 4 + 4 * bitmap + frontiers + advance,

@@ -36,7 +36,6 @@ pub mod lanes;
 pub mod pool;
 pub mod queue;
 pub mod racecheck;
-pub mod reduce;
 pub mod scan;
 pub mod search;
 pub mod sort;

@@ -5,7 +5,6 @@
 
 use gunrock_engine::bitmap::AtomicBitmap;
 use gunrock_engine::compact::{compact, compact_indices, compact_map};
-use gunrock_engine::reduce::{count_if, max_u32, sum_u32};
 use gunrock_engine::scan::{scan_exclusive, scan_exclusive_u32, scan_inclusive};
 use gunrock_engine::search::{merge_path_partitions, owning_segment, sorted_search_owners};
 use proptest::prelude::*;
@@ -73,13 +72,6 @@ proptest! {
         for &i in &got {
             prop_assert!(v[i as usize] > 50);
         }
-    }
-
-    #[test]
-    fn reductions_match_std(v in arb_vec()) {
-        prop_assert_eq!(sum_u32(&v), v.iter().map(|&x| x as u64).sum::<u64>());
-        prop_assert_eq!(max_u32(&v), v.iter().copied().max());
-        prop_assert_eq!(count_if(&v, |&x| x < 10), v.iter().filter(|&&x| x < 10).count());
     }
 
     #[test]

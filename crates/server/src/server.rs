@@ -323,50 +323,9 @@ pub fn handle_request(state: &ServerState, line: &str) -> String {
             });
         }
     }
-    // Memory admission: compare the pessimistic up-front footprint
-    // against the budget before the job costs a queue slot. Over the
-    // hard limit the request can never run (no retry hint); over the
-    // current headroom the pressure is other in-flight jobs, so the
-    // rejection carries a jittered, load-proportional retry hint.
-    if let Some(budget) = &state.budget {
-        let est = estimate_bytes(
-            &req.primitive,
-            state.graph.num_vertices() as u64,
-            state.graph.num_edges() as u64,
-        );
-        if est > budget.limit() {
-            bump(&state.metrics.rejected_over_budget);
-            return error_response(
-                &req.id,
-                ErrorCode::OverBudget,
-                &format!(
-                    "{} needs an estimated {est} bytes; the budget is {} bytes",
-                    req.primitive,
-                    budget.limit()
-                ),
-                None,
-            );
-        }
-        if est > budget.headroom() {
-            bump(&state.metrics.rejected_over_budget);
-            let hint = retry_after_hint(
-                state.cfg.retry_after.as_millis() as u64,
-                state.queue.len(),
-                state.queue.capacity(),
-                read(&state.metrics.received),
-            );
-            return error_response(
-                &req.id,
-                ErrorCode::OverBudget,
-                &format!(
-                    "{} needs an estimated {est} bytes; {} of {} are reserved — retry later",
-                    req.primitive,
-                    budget.reserved(),
-                    budget.limit()
-                ),
-                Some(hint),
-            );
-        }
+    if let Some((message, retry)) = over_budget(state, &req.primitive, &req.primitive) {
+        bump(&state.metrics.rejected_over_budget);
+        return error_response(&req.id, ErrorCode::OverBudget, &message, retry);
     }
     let (tx, rx) = mpsc::channel();
     // ORDERING: Relaxed — the sequence number only disambiguates
@@ -408,51 +367,13 @@ fn dispatch_batch(state: &ServerState, members: Vec<BatchMember>, reason: FlushR
         FlushReason::Window => bump(&state.metrics.batch_flush_window),
         FlushReason::Drain => bump(&state.metrics.batch_flush_drain),
     }
-    if let Some(budget) = &state.budget {
-        let est = estimate_bytes(
-            "msbfs",
-            state.graph.num_vertices() as u64,
-            state.graph.num_edges() as u64,
-        );
-        let reject = |retry: Option<u64>, message: &str| {
-            for m in &members {
-                bump(&state.metrics.rejected_over_budget);
-                let _ = m.reply.send(error_response(
-                    &m.req.id,
-                    ErrorCode::OverBudget,
-                    message,
-                    retry,
-                ));
-            }
-        };
-        if est > budget.limit() {
-            reject(
-                None,
-                &format!(
-                    "batched bfs needs an estimated {est} bytes; the budget is {} bytes",
-                    budget.limit()
-                ),
-            );
-            return;
+    if let Some((message, retry)) = over_budget(state, "msbfs", "batched bfs") {
+        for m in &members {
+            bump(&state.metrics.rejected_over_budget);
+            let _ =
+                m.reply.send(error_response(&m.req.id, ErrorCode::OverBudget, &message, retry));
         }
-        if est > budget.headroom() {
-            let hint = retry_after_hint(
-                state.cfg.retry_after.as_millis() as u64,
-                state.queue.len(),
-                state.queue.capacity(),
-                read(&state.metrics.received),
-            );
-            reject(
-                Some(hint),
-                &format!(
-                    "batched bfs needs an estimated {est} bytes; {} of {} are reserved — \
-                     retry later",
-                    budget.reserved(),
-                    budget.limit()
-                ),
-            );
-            return;
-        }
+        return;
     }
     // ORDERING: Relaxed — see the solo path; the sequence number only
     // disambiguates checkpoint directory names.
@@ -492,6 +413,43 @@ fn dispatch_batch(state: &ServerState, members: Vec<BatchMember>, reason: FlushR
             unreachable!("try_push returned a different job than it was given")
         }
     }
+}
+
+/// Memory admission, for solo requests and sealed batches alike: the
+/// pessimistic up-front footprint of `primitive` against the budget,
+/// before the work costs a queue slot. Over the hard limit the work can
+/// never run (no retry hint); over the current headroom the pressure is
+/// other in-flight jobs, so the rejection carries a jittered,
+/// load-proportional retry hint. Returns the rejection message, naming
+/// the work `what`, and the hint.
+fn over_budget(
+    state: &ServerState,
+    primitive: &str,
+    what: &str,
+) -> Option<(String, Option<u64>)> {
+    let budget = state.budget.as_ref()?;
+    let (n, m) = (state.graph.num_vertices() as u64, state.graph.num_edges() as u64);
+    let est = estimate_bytes(primitive, n, m);
+    if est > budget.limit() {
+        let limit = budget.limit();
+        return Some((
+            format!("{what} needs an estimated {est} bytes; the budget is {limit} bytes"),
+            None,
+        ));
+    }
+    if est > budget.headroom() {
+        let hint = retry_after_hint(
+            state.cfg.retry_after.as_millis() as u64,
+            state.queue.len(),
+            state.queue.capacity(),
+            read(&state.metrics.received),
+        );
+        let (reserved, limit) = (budget.reserved(), budget.limit());
+        let message =
+            format!("{what} needs an estimated {est} bytes; {reserved} of {limit} are reserved — retry later");
+        return Some((message, Some(hint)));
+    }
+    None
 }
 
 fn record_verdict(state: &ServerState, primitive: &str, verdict: &JobVerdict) {

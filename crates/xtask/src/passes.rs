@@ -114,7 +114,6 @@ impl Default for Config {
                 "crates/engine/src/bitmap.rs".into(),
                 "crates/engine/src/lanes.rs".into(),
                 "crates/engine/src/frontier.rs".into(),
-                "crates/engine/src/reduce.rs".into(),
                 "crates/engine/src/unsafe_slice.rs".into(),
                 "crates/core/src/advance".into(),
                 "crates/core/src/filter".into(),
@@ -130,9 +129,14 @@ impl Default for Config {
             // very accounting they implement, so each one must be argued.
             // lanes.rs is the MS-BFS lane-mask storage (advance covers
             // advance/msbfs.rs): the batched sweep touches its words every
-            // edge, so steady state must never allocate there either
+            // edge, so steady state must never allocate there either.
+            // enact.rs is the iteration boundary every enact loop crosses
+            // once per iteration (thousands of times per high-diameter
+            // query): snapshots are built by the caller's closure, the
+            // boundary itself must not allocate
             alloc_scope: vec![
                 "crates/core/src/advance".into(),
+                "crates/core/src/enact.rs".into(),
                 "crates/core/src/filter".into(),
                 "crates/engine/src/bitmap.rs".into(),
                 "crates/engine/src/lanes.rs".into(),

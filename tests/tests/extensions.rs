@@ -74,25 +74,6 @@ fn gathered_in_degree_sum_equals_edge_count() {
 }
 
 #[test]
-fn sample_statistics_on_suite() {
-    for (name, g) in graph_suite() {
-        let full = Frontier::full(g.num_vertices());
-        for frac in [0.0, 0.3, 1.0] {
-            let s = sample(&full, frac, 7);
-            assert!(s.len() <= full.len(), "{name}");
-            if frac == 0.0 {
-                assert!(s.is_empty(), "{name}");
-            }
-            if frac == 1.0 {
-                assert_eq!(s.len(), full.len(), "{name}");
-            }
-        }
-        let k = g.num_vertices() / 2;
-        assert_eq!(sample_k(&full, k, 3).len(), k.min(full.len()), "{name}");
-    }
-}
-
-#[test]
 fn hits_and_salsa_are_finite_and_nonnegative() {
     let (coo, shape) = bipartite_random(500, 250, 8, 1);
     let g = GraphBuilder::new().directed().build(coo);

@@ -1,9 +1,10 @@
-//! Integration tests for the §4.3 program structure: full primitives
-//! written against the `Primitive` trait + generic `enact` driver, and
-//! cross-checked against the dedicated implementations. Demonstrates the
-//! paper's claim that "users only need to write from 133 (simple
-//! primitive) to 261 (complex primitive) lines": the SSSP below is ~50
-//! lines of algorithm code.
+//! Integration tests for the §4.3 program structure: a full primitive
+//! written as functors + state + one loop body over the shared iteration
+//! driver ([`Enactment`]), cross-checked against the dedicated
+//! implementation. Demonstrates the paper's claim that "users only need
+//! to write from 133 (simple primitive) to 261 (complex primitive)
+//! lines": the SSSP below is ~50 lines of algorithm code, and guards,
+//! snapshots and iteration counting come from the driver.
 
 use gunrock::prelude::*;
 use gunrock_baselines::serial;
@@ -11,17 +12,6 @@ use gunrock_engine::atomics::{atomic_u32_vec, unwrap_atomic_u32};
 use gunrock_graph::{Csr, INFINITY};
 use gunrock_integration::graph_suite;
 use std::sync::atomic::{AtomicU32, Ordering};
-
-/// SSSP as a [`Primitive`]: advance (relax) + filter (dedup) + near-far
-/// queue — Algorithm 1 of the paper, expressed in the generic driver.
-struct SsspPrimitive<'g> {
-    graph: &'g Csr,
-    src: u32,
-    dist: Vec<AtomicU32>,
-    tags: Vec<AtomicU32>,
-    queue: NearFarQueue,
-    round: u32,
-}
 
 struct Relax<'a> {
     graph: &'a Csr,
@@ -47,84 +37,54 @@ impl FilterFunctor for Claim<'_> {
     }
 }
 
-impl Primitive for SsspPrimitive<'_> {
-    type Output = Vec<u32>;
-
-    fn init(&mut self, ctx: &Context<'_>) -> Frontier {
-        self.dist = atomic_u32_vec(ctx.num_vertices(), INFINITY);
-        self.tags = atomic_u32_vec(ctx.num_vertices(), u32::MAX);
-        self.dist[self.src as usize].store(0, Ordering::Relaxed);
-        Frontier::single(self.src)
-    }
-
-    fn iteration(&mut self, ctx: &Context<'_>, frontier: Frontier, _iter: u32) -> Frontier {
-        self.round = self.round.wrapping_add(1);
-        let raw = advance::advance(
-            ctx,
-            &frontier,
-            AdvanceSpec::v2v(),
-            &Relax { graph: self.graph, dist: &self.dist },
-        );
-        let dedup = filter::filter(ctx, &raw, &Claim { tags: &self.tags, round: self.round });
-        let near = self.queue.split(dedup, |v| self.dist[v as usize].load(Ordering::Relaxed));
-        if near.is_empty() {
-            self.queue.refill(|v| self.dist[v as usize].load(Ordering::Relaxed))
+/// SSSP on the driver: advance (relax) + filter (dedup) + near-far queue
+/// — Algorithm 1 of the paper.
+fn sssp(ctx: &Context<'_>, src: u32) -> (Vec<u32>, Enacted) {
+    let dist = atomic_u32_vec(ctx.num_vertices(), INFINITY);
+    let tags = atomic_u32_vec(ctx.num_vertices(), u32::MAX);
+    dist[src as usize].store(0, Ordering::Relaxed);
+    let mut queue = NearFarQueue::new(8);
+    let mut frontier = Frontier::single(src);
+    let mut run = Enactment::arm(ctx, 0);
+    while !frontier.is_empty() && !run.boundary(no_snapshot) {
+        let relax = Relax { graph: ctx.graph, dist: &dist };
+        let raw = advance::advance(ctx, &frontier, AdvanceSpec::v2v(), &relax);
+        let dedup = filter::filter(ctx, &raw, &Claim { tags: &tags, round: run.iterations() });
+        let near = queue.split(dedup, |v| dist[v as usize].load(Ordering::Relaxed));
+        frontier = if near.is_empty() {
+            queue.refill(|v| dist[v as usize].load(Ordering::Relaxed))
         } else {
             near
-        }
+        };
+        run.end_iteration(false);
     }
-
-    fn extract(self) -> Vec<u32> {
-        unwrap_atomic_u32(&self.dist)
-    }
+    (unwrap_atomic_u32(&dist), run.finish(no_snapshot))
 }
 
 #[test]
 fn sssp_as_a_primitive_matches_dijkstra_on_suite() {
     for (name, g) in graph_suite() {
         let ctx = Context::new(&g);
-        let primitive = SsspPrimitive {
-            graph: &g,
-            src: 0,
-            dist: Vec::new(),
-            tags: Vec::new(),
-            queue: NearFarQueue::new(8),
-            round: 0,
-        };
-        let (dist, stats) = enact(&ctx, primitive);
+        let (dist, done) = sssp(&ctx, 0);
         assert_eq!(dist, serial::dijkstra(&g, 0), "{name}");
-        assert!(stats.iterations > 0, "{name}");
-        assert_eq!(stats.timing.edges_examined, ctx.counters.edges(), "{name}");
+        assert_eq!(done.outcome, RunOutcome::Converged, "{name}");
+        assert!(done.iterations > 0, "{name}");
+        assert_eq!(u64::from(done.iterations), ctx.counters.iters(), "{name}");
     }
 }
 
-/// Convergence-override path: a primitive that stops on an iteration cap
-/// rather than an empty frontier (the paper's "maximum number of
-/// iterations" criterion).
-struct CappedWalk {
-    cap: u32,
-}
-
-impl Primitive for CappedWalk {
-    type Output = u32;
-    fn init(&mut self, ctx: &Context<'_>) -> Frontier {
-        Frontier::full(ctx.num_vertices())
-    }
-    fn iteration(&mut self, _ctx: &Context<'_>, frontier: Frontier, _iter: u32) -> Frontier {
-        frontier // never empties on its own
-    }
-    fn converged(&self, _f: &Frontier, iter: u32) -> bool {
-        iter >= self.cap
-    }
-    fn extract(self) -> u32 {
-        self.cap
-    }
-}
-
+/// Convergence on an iteration cap rather than an empty frontier (the
+/// paper's "maximum number of iterations" criterion): the loop condition
+/// is the primitive's, the count is the driver's.
 #[test]
 fn iteration_cap_convergence_criterion() {
     let (_, g) = &graph_suite()[0];
     let ctx = Context::new(g);
-    let (_, stats) = enact(&ctx, CappedWalk { cap: 7 });
-    assert_eq!(stats.iterations, 7);
+    let frontier = Frontier::full(ctx.num_vertices()); // never empties on its own
+    let mut run = Enactment::arm(&ctx, 0);
+    while run.iterations() < 7 && !frontier.is_empty() && !run.boundary(no_snapshot) {
+        run.end_iteration(false);
+    }
+    let done = run.finish(no_snapshot);
+    assert_eq!((done.outcome, done.iterations), (RunOutcome::Converged, 7));
 }

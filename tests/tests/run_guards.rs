@@ -311,33 +311,17 @@ fn timeout_policy_trips_on_a_zero_budget() {
 
 #[test]
 fn generic_enact_loop_honors_the_same_policy() {
-    // the Primitive-trait path (problem::enact) shares the guard
-    use gunrock::prelude::*;
-    use std::sync::atomic::{AtomicU32, Ordering};
-
-    struct Trivial {
-        steps: Arc<AtomicU32>,
-    }
-    impl Primitive for Trivial {
-        type Output = u32;
-        fn init(&mut self, ctx: &Context<'_>) -> Frontier {
-            Frontier::full(ctx.num_vertices())
-        }
-        fn iteration(&mut self, _ctx: &Context<'_>, f: Frontier, _iter: u32) -> Frontier {
-            self.steps.fetch_add(1, Ordering::Relaxed);
-            f // never converges on its own
-        }
-        fn extract(self) -> u32 {
-            self.steps.load(Ordering::Relaxed)
-        }
-    }
-
+    // a hand-written loop on the shared driver gets the same guard
     let g = kron12();
     let ctx = Context::new(&g).with_policy(RunPolicy::unbounded().max_iterations(3));
-    let steps = Arc::new(AtomicU32::new(0));
-    let (ran, stats) = enact(&ctx, Trivial { steps: steps.clone() });
-    assert_eq!(stats.outcome, RunOutcome::IterationCapped);
-    assert_eq!(ran, 3, "a non-converging primitive is still bounded");
+    let mut run = Enactment::arm(&ctx, 0);
+    let mut ran = 0;
+    while !run.boundary(no_snapshot) {
+        ran += 1; // never converges on its own
+        run.end_iteration(false);
+    }
+    assert_eq!(run.finish(no_snapshot).outcome, RunOutcome::IterationCapped);
+    assert_eq!(ran, 3, "a non-converging loop is still bounded");
 }
 
 /// Satellite: RunPolicy enforcement must survive the small-frontier
