@@ -4,23 +4,30 @@
 //! and a computation step that computes the number of shortest paths
 //! from source to each vertex. The second phase uses an advance step to
 //! iterate over the BFS frontier backwards with a computation step to
-//! compute the dependency scores." Both phases here are advances with
-//! the computation fused into the functor (edge-parallel, like the
-//! gpu_BC comparison kernel).
+//! compute the dependency scores." Both sums are gathers (§7), so no edge
+//! pays an atomic add. [`GatherSwitch`] picks each forward level's shape
+//! from the previous level's out-edge volume: a sparse level is a push
+//! advance that claims each new vertex once, then a list gather of sigma
+//! over the new level's in-edges; a dense level is one masked gather over
+//! the unvisited vertices that finds the level and its sigma together.
+//! Without a reverse graph every level pushes and adds sigma atomically
+//! in the claim (PageRank's no-reverse rule). Path counts are IEEE
+//! doubles: where they overflow, scores are NaN exactly where
+//! `serial::brandes_single_source`'s are (DESIGN §5.3).
 
 use crate::recover::{
     check_failed, expect_len, expect_vertex_ids, malformed, scalar, to_atomic_f64,
     to_atomic_u32,
 };
 use gunrock::prelude::*;
-use gunrock_engine::atomics::{atomic_u32_vec, unwrap_atomic_u32, AtomicF64};
-use gunrock_graph::{Csr, EdgeId, VertexId, INFINITY};
+use gunrock_engine::atomics::{atomic_u32_vec, into_plain_u32, unwrap_atomic_u32, AtomicF64};
+use gunrock_graph::{EdgeId, VertexId, INFINITY};
 use std::sync::atomic::{AtomicU32, Ordering};
 
 /// BC configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct BcOptions {
-    /// Workload mapping for both phases' advances.
+    /// Workload mapping for the forward phase's push advances.
     pub mode: AdvanceMode,
 }
 
@@ -34,7 +41,8 @@ impl Default for BcOptions {
 #[derive(Clone, Debug)]
 pub struct BcResult {
     /// Dependency score of each vertex for this source (the per-source
-    /// betweenness contribution).
+    /// betweenness contribution). NaN where the vertex's shortest-path
+    /// counts overflow `f64`.
     pub bc_values: Vec<f64>,
     /// Number of shortest paths from the source to each vertex.
     pub sigmas: Vec<f64>,
@@ -53,79 +61,32 @@ pub struct BcResult {
     pub outcome: RunOutcome,
 }
 
-impl BcResult {
-    /// Millions of traversed edges per second (both phases).
-    pub fn mteps(&self) -> f64 {
-        Timing { elapsed: self.elapsed, edges_examined: self.edges_examined }.mteps()
-    }
-}
-
-/// Forward-phase functor: BFS labeling with fused sigma accumulation.
-struct ForwardSigma<'a> {
+/// Sparse-level discovery: the first parent to reach an unvisited vertex
+/// claims it for the level, so the advance emits each new vertex once.
+/// `sigma` is set only without a reverse graph to gather it from: every
+/// shortest-path edge then adds its source's count.
+struct Claim<'a> {
     depth: &'a [AtomicU32],
-    sigma: &'a [AtomicF64],
+    sigma: Option<&'a [AtomicF64]>,
     level: u32,
 }
 
-impl AdvanceFunctor for ForwardSigma<'_> {
+impl AdvanceFunctor for Claim<'_> {
     #[inline]
     fn cond_edge(&self, src: VertexId, dst: VertexId, _e: EdgeId) -> bool {
-        // ORDERING: Relaxed — racing writers store identical values (idempotent
-        // level discovery); the join barrier between iterations publishes them.
-        if self.depth[dst as usize].load(Ordering::Relaxed) == INFINITY {
-            let _ = self.depth[dst as usize].compare_exchange(
-                INFINITY,
-                self.level,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            );
+        let depth = &self.depth[dst as usize];
+        // ORDERING: Relaxed — the claim publishes no other data: whichever
+        // parent wins stores the same level, and the join barrier ending
+        // the advance publishes it.
+        let won = depth.load(Ordering::Relaxed) == INFINITY
+            && depth
+                .compare_exchange(INFINITY, self.level, Ordering::Relaxed, Ordering::Relaxed)
+                .is_ok();
+        if let Some(sigma) = self.sigma.filter(|_| depth.load(Ordering::Relaxed) == self.level)
+        {
+            let _ = sigma[dst as usize].fetch_add(sigma[src as usize].load());
         }
-        if self.depth[dst as usize].load(Ordering::Relaxed) == self.level {
-            // every shortest-path edge contributes its source's count
-            let _ = self.sigma[dst as usize].fetch_add(self.sigma[src as usize].load());
-            true
-        } else {
-            false
-        }
-    }
-}
-
-/// Backward-phase functor: dependency accumulation along BFS edges,
-/// run for effect only (the paper's second advance over the frontier
-/// stack, backwards).
-struct BackwardDelta<'a> {
-    depth: &'a [AtomicU32],
-    sigma: &'a [AtomicF64],
-    delta: &'a [AtomicF64],
-    level: u32,
-}
-
-impl AdvanceFunctor for BackwardDelta<'_> {
-    #[inline]
-    fn cond_edge(&self, src: VertexId, dst: VertexId, _e: EdgeId) -> bool {
-        // ORDERING: Relaxed — racing writers store identical values (idempotent
-        // level discovery); the join barrier between iterations publishes them.
-        if self.depth[dst as usize].load(Ordering::Relaxed) == self.level + 1 {
-            let s = self.sigma[src as usize].load() / self.sigma[dst as usize].load()
-                * (1.0 + self.delta[dst as usize].load());
-            let _ = self.delta[src as usize].fetch_add(s);
-        }
-        false // effect-only: no output frontier
-    }
-}
-
-/// Per-level claim filter: a vertex enters the level frontier once.
-struct ClaimLevel<'a> {
-    tags: &'a [AtomicU32],
-    level: u32,
-}
-
-impl FilterFunctor for ClaimLevel<'_> {
-    #[inline]
-    fn cond(&self, v: u32) -> bool {
-        // ORDERING: Relaxed — racing writers store identical values (idempotent
-        // level discovery); the join barrier between iterations publishes them.
-        self.tags[v as usize].swap(self.level, Ordering::Relaxed) != self.level
+        won
     }
 }
 
@@ -139,34 +100,40 @@ const PHASE_BACKWARD: u32 = 1;
 struct BcLoop {
     depth: Vec<AtomicU32>,
     sigma: Vec<AtomicF64>,
-    tags: Vec<AtomicU32>,
     delta: Vec<AtomicF64>,
-    levels: Vec<Frontier>,
-    level: u32,
+    /// Every level found so far, back to back: level `l` is
+    /// `levels[offsets[l]..offsets[l + 1]]`.
+    levels: Vec<u32>,
+    offsets: Vec<u32>,
     phase: u32,
     back_lvl: u32,
 }
 
-/// Builds an iteration-boundary snapshot. The per-level frontier stack
-/// is flattened into `levels_flat` + `level_offsets` (offsets table one
-/// longer than the level count); scalars are `[src, level, phase,
-/// back_lvl]`.
+impl BcLoop {
+    /// The ids of level `l` (its vertices' depth).
+    fn level(&self, l: u32) -> &[u32] {
+        let at = |i: u32| self.offsets[i as usize] as usize;
+        &self.levels[at(l)..at(l + 1)]
+    }
+
+    /// The deepest level found so far.
+    fn last_level(&self) -> u32 {
+        // CAST: one offset per level plus one; levels are fewer than vertices.
+        self.offsets.len() as u32 - 2
+    }
+}
+
+/// Builds an iteration-boundary snapshot. The level stack is
+/// `levels_flat` + `level_offsets` (offsets table one longer than the
+/// level count); scalars are `[src, deepest level, phase, back_lvl]`.
 fn bc_checkpoint(iteration: u32, src: VertexId, st: &BcLoop) -> Checkpoint {
     let mut ckpt = Checkpoint::new("bc", iteration);
     ckpt.push_u32("depth", unwrap_atomic_u32(&st.depth));
     ckpt.push_f64("sigma", st.sigma.iter().map(|a| a.load()).collect());
-    ckpt.push_u32("tags", unwrap_atomic_u32(&st.tags));
     ckpt.push_f64("delta", st.delta.iter().map(|a| a.load()).collect());
-    let mut flat = Vec::new();
-    let mut offsets = Vec::with_capacity(st.levels.len() + 1);
-    offsets.push(0u32);
-    for f in &st.levels {
-        flat.extend_from_slice(f.as_slice());
-        offsets.push(flat.len() as u32);
-    }
-    ckpt.push_u32("levels_flat", flat);
-    ckpt.push_u32("level_offsets", offsets);
-    ckpt.push_u32("scalars", vec![src, st.level, st.phase, st.back_lvl]);
+    ckpt.push_u32("levels_flat", st.levels.clone());
+    ckpt.push_u32("level_offsets", st.offsets.clone());
+    ckpt.push_u32("scalars", vec![src, st.last_level(), st.phase, st.back_lvl]);
     ckpt
 }
 
@@ -175,19 +142,16 @@ fn bc_checkpoint(iteration: u32, src: VertexId, st: &BcLoop) -> Checkpoint {
 pub fn bc(ctx: &Context<'_>, src: VertexId, opts: BcOptions) -> BcResult {
     let n = ctx.num_vertices();
     assert!((src as usize) < n, "source out of range");
-    let depth = atomic_u32_vec(n, INFINITY);
-    // ORDERING: Relaxed — racing writers store identical values (idempotent
-    // level discovery); the join barrier between iterations publishes them.
-    depth[src as usize].store(0, Ordering::Relaxed);
+    let mut depth = atomic_u32_vec(n, INFINITY);
+    depth[src as usize] = AtomicU32::new(0);
     let sigma: Vec<AtomicF64> = (0..n).map(|_| AtomicF64::new(0.0)).collect();
     sigma[src as usize].store(1.0);
     let st = BcLoop {
         depth,
         sigma,
-        tags: atomic_u32_vec(n, u32::MAX),
         delta: (0..n).map(|_| AtomicF64::new(0.0)).collect(),
-        levels: vec![Frontier::single(src)],
-        level: 0,
+        levels: vec![src],
+        offsets: vec![0, 1],
         phase: PHASE_FORWARD,
         back_lvl: 0,
     };
@@ -195,7 +159,8 @@ pub fn bc(ctx: &Context<'_>, src: VertexId, opts: BcOptions) -> BcResult {
 }
 
 /// Resumes BC from a `gunrock-ckpt/v1` snapshot. The checkpoint's source
-/// and phase position override everything but the advance mode.
+/// and phase position override everything but the advance mode. A `tags`
+/// section (written by earlier versions) is ignored.
 pub fn bc_resume(
     ctx: &Context<'_>,
     opts: BcOptions,
@@ -207,50 +172,38 @@ pub fn bc_resume(
     expect_len(depth.len(), n, "depth")?;
     let sigma = ckpt.f64s("sigma")?;
     expect_len(sigma.len(), n, "sigma")?;
-    let tags = ckpt.u32s("tags")?;
-    expect_len(tags.len(), n, "tags")?;
     let delta = ckpt.f64s("delta")?;
     expect_len(delta.len(), n, "delta")?;
     let flat = ckpt.u32s("levels_flat")?;
     expect_vertex_ids(flat, n, "levels_flat")?;
     let offsets = ckpt.u32s("level_offsets")?;
-    if offsets.first() != Some(&0)
+    if flat.len() > n
+        || offsets.len() < 2
+        || offsets.first() != Some(&0)
         || offsets.last().copied() != Some(flat.len() as u32)
         || offsets.windows(2).any(|w| w[0] > w[1])
     {
-        return Err(malformed("level_offsets is not a monotone cover of levels_flat"));
-    }
-    let levels: Vec<Frontier> = offsets
-        .windows(2)
-        .map(|w| Frontier::from_vec(flat[w[0] as usize..w[1] as usize].to_vec()))
-        .collect();
-    if levels.is_empty() {
-        return Err(malformed("BC checkpoint has no levels"));
+        return Err(malformed("level_offsets is not a monotone cover of up to n levelled ids"));
     }
     let scalars = ckpt.u32s("scalars")?;
     let src = scalar(scalars, 0, "src")?;
     if src as usize >= n {
         return Err(malformed(format!("source {src} out of range for {n} vertices")));
     }
-    let level = scalar(scalars, 1, "level")?;
     let phase = scalar(scalars, 2, "phase")?;
     if phase != PHASE_FORWARD && phase != PHASE_BACKWARD {
         return Err(malformed(format!("unknown BC phase tag {phase}")));
     }
     let back_lvl = scalar(scalars, 3, "back_lvl")?;
-    if back_lvl as usize > levels.len() {
-        return Err(malformed(format!(
-            "back_lvl {back_lvl} exceeds the {} recorded levels",
-            levels.len()
-        )));
+    if back_lvl as usize >= offsets.len() {
+        return Err(malformed(format!("back_lvl {back_lvl} exceeds the recorded levels")));
     }
     let st = BcLoop {
         depth: to_atomic_u32(depth),
         sigma: to_atomic_f64(sigma),
-        tags: to_atomic_u32(tags),
         delta: to_atomic_f64(delta),
-        levels,
-        level,
+        levels: flat.to_vec(),
+        offsets: offsets.to_vec(),
         phase,
         back_lvl,
     };
@@ -268,89 +221,135 @@ fn bc_run(
     mut st: BcLoop,
     done: u32,
 ) -> BcResult {
+    let (g, n) = (ctx.graph, ctx.num_vertices());
     let mut run = Enactment::arm(ctx, done);
     // Budget admission: demote the advance mode (or poison with a
     // structured BudgetExceeded) before the first operator launches.
     let opts = BcOptions { mode: crate::admission::admit(ctx, "bc", opts.mode) };
+    // The level stack lives in one pool buffer with room for a dense
+    // level's gather to append up to `n` candidates past the levels found.
+    let owned =
+        ctx.pooled_copy("setup", &st.levels, 2 * n).map(|buf| st.levels = buf).is_some();
+    // ORDERING: Relaxed — a vertex claimed in the current level reads as
+    // `level` or INFINITY, never as a parent, and earlier levels were
+    // published by the join barrier ending their operator.
+    let depth_of = |v: VertexId| st.depth[v as usize].load(Ordering::Relaxed);
 
-    // Phase 1: forward BFS with fused sigma accumulation.
+    // Phase 1: forward BFS with sigma accumulation.
     if st.phase == PHASE_FORWARD {
+        let mut switch = GatherSwitch::default();
+        // a sparse level's advance output, which is the next level's input
+        let mut carried: Option<Frontier> = None;
         while !run.boundary(|it| Some(bc_checkpoint(it, src, &st))) {
-            st.level += 1;
-            run.end_iteration(false);
-            let f = ForwardSigma { depth: &st.depth, sigma: &st.sigma, level: st.level };
-            let spec = AdvanceSpec::v2v().with_mode(opts.mode);
-            // LINT-ALLOW(panic): `levels` starts with the source level and only
-            // ever grows, so `last()` cannot fail.
-            let raw = advance::advance(ctx, st.levels.last().unwrap(), spec, &f);
-            let next =
-                filter::filter(ctx, &raw, &ClaimLevel { tags: &st.tags, level: st.level });
-            // the level stack keeps `next`; only the raw intermediate is
-            // dead and recyclable
-            ctx.recycle(raw);
-            if next.is_empty() {
-                ctx.recycle(next);
+            let (up, found) = (st.last_level(), st.levels.len());
+            let (level, parents) = (up + 1, st.level(up));
+            let frontier_edges = parents.iter().map(|&v| u64::from(g.out_degree(v))).sum();
+            let dense = switch.choose(ctx, frontier_edges);
+            run.end_iteration(dense);
+            let (depth, sigma, carry) = (&st.depth[..], &st.sigma[..], carried.take());
+            if dense {
+                carry.into_iter().for_each(|f| ctx.recycle(f));
+            } else {
+                // copied from the level stack after a dense level or a resume
+                let copy = || ctx.pooled_copy("setup", parents, 0).map(Frontier::from_vec);
+                let Some(input) = carry.or_else(copy) else { break };
+                let claim =
+                    Claim { depth, sigma: ctx.reverse.is_none().then_some(sigma), level };
+                let spec = AdvanceSpec::v2v().with_mode(opts.mode);
+                let next = advance::advance(ctx, &input, spec, &claim);
+                ctx.recycle(input);
+                st.levels.extend_from_slice(next.as_slice());
+                carried = Some(next);
+            }
+            if ctx.reverse.is_some() {
+                // sigma sums the parents one level up; a dense level is found
+                // by the same sweep, over the unvisited vertices
+                let (spec, len, next) = if dense {
+                    (GatherSpec::range(0..n as VertexId), n, Some(&mut st.levels))
+                } else {
+                    (GatherSpec::list(&st.levels[found..]), st.levels.len() - found, None)
+                };
+                advance_gather(
+                    ctx,
+                    spec,
+                    &mut vec![(); len],
+                    next,
+                    |v| !dense || depth_of(v) == INFINITY,
+                    0.0,
+                    |u, _, _| if depth_of(u) == up { sigma[u as usize].load() } else { 0.0 },
+                    |a, b| a + b,
+                    |v, paths, _| {
+                        if paths > 0.0 {
+                            sigma[v as usize].store(paths);
+                            depth[v as usize].store(level, Ordering::Relaxed);
+                        }
+                        paths > 0.0
+                    },
+                );
+            }
+            if st.levels.len() == found {
                 break;
             }
-            st.levels.push(next);
+            // CAST: at most n ids, and n fits u32 (Csr invariant).
+            st.offsets.push(st.levels.len() as u32);
         }
+        carried.into_iter().for_each(|f| ctx.recycle(f));
         // Hand over to the backward sweep only on a clean forward phase —
         // a trip leaves half-built sigmas that would make dependency sums
         // meaningless, and a resume re-enters the forward phase instead.
         if run.outcome() == RunOutcome::Converged {
             st.phase = PHASE_BACKWARD;
-            st.back_lvl = st.levels.len() as u32 - 1;
+            st.back_lvl = st.last_level();
         }
     }
 
-    // Phase 2: backward sweep over the frontier stack.
+    // Phase 2: every level gathers its dependencies from the level below.
     if st.phase == PHASE_BACKWARD && run.outcome() == RunOutcome::Converged {
         while st.back_lvl > 0 && !run.boundary(|it| Some(bc_checkpoint(it, src, &st))) {
             run.end_iteration(false);
             let lvl = st.back_lvl - 1;
-            let f = BackwardDelta {
-                depth: &st.depth,
-                sigma: &st.sigma,
-                delta: &st.delta,
-                level: lvl,
-            };
-            let spec = AdvanceSpec::for_effect().with_mode(opts.mode);
-            let _ = advance::advance(ctx, &st.levels[lvl as usize], spec, &f);
+            let (sigma, delta) = (&st.sigma, &st.delta);
+            let ids = st.level(lvl);
+            advance_gather(
+                ctx,
+                GatherSpec::list(ids).out_edges(),
+                &mut vec![(); ids.len()],
+                None,
+                |_| true,
+                0.0,
+                |w, u, _| {
+                    if depth_of(w) == lvl + 1 {
+                        sigma[u as usize].load() / sigma[w as usize].load()
+                            * (1.0 + delta[w as usize].load())
+                    } else {
+                        0.0
+                    }
+                },
+                |a, b| a + b,
+                |u, dependency, _| {
+                    delta[u as usize].store(dependency);
+                    false
+                },
+            );
             st.back_lvl -= 1;
         }
     }
 
     let done = run.finish(|it| Some(bc_checkpoint(it, src, &st)));
-    // the level stack's frontiers still own pooled storage; return them
-    // so a re-run on this context starts with a warm pool
-    for lvl in st.levels {
-        ctx.recycle(lvl);
+    if owned {
+        ctx.pool().put_u32(st.levels);
     }
-    let mut bc_values: Vec<f64> = st.delta.iter().map(|a| a.load()).collect();
+    let mut bc_values: Vec<f64> = st.delta.into_iter().map(|a| a.load()).collect();
     bc_values[src as usize] = 0.0;
     BcResult {
         bc_values,
-        sigmas: st.sigma.iter().map(|a| a.load()).collect(),
-        labels: unwrap_atomic_u32(&st.depth),
+        sigmas: st.sigma.into_iter().map(|a| a.load()).collect(),
+        labels: into_plain_u32(st.depth),
         edges_examined: ctx.counters.edges(),
         iterations: done.iterations,
         elapsed: done.elapsed,
         outcome: done.outcome,
     }
-}
-
-/// Full betweenness centrality by enacting every source (tests and small
-/// graphs; the paper's evaluation times single-source enactments).
-pub fn bc_all_sources(g: &Csr, opts: BcOptions) -> Vec<f64> {
-    let n = g.num_vertices();
-    let mut total = vec![0.0f64; n];
-    for s in 0..n as VertexId {
-        let ctx = Context::new(g);
-        for (v, d) in bc(&ctx, s, opts).bc_values.into_iter().enumerate() {
-            total[v] += d;
-        }
-    }
-    total
 }
 
 #[cfg(test)]
@@ -375,11 +374,12 @@ mod tests {
             GraphBuilder::new().build(grid2d(15, 15, 0.1, 0.0, 3)),
         ];
         for (i, g) in graphs.iter().enumerate() {
-            let ctx = Context::new(g);
-            let r = bc(&ctx, 0, BcOptions::default());
             let want = serial::brandes_single_source(g, 0);
-            close(&r.bc_values, &want, 1e-6);
-            assert_eq!(r.labels, serial::bfs(g, 0), "graph {i}");
+            for ctx in [Context::new(g), Context::new(g).with_reverse(g)] {
+                let r = bc(&ctx, 0, BcOptions::default());
+                close(&r.bc_values, &want, 1e-6);
+                assert_eq!(r.labels, serial::bfs(g, 0), "graph {i}");
+            }
         }
     }
 
@@ -409,10 +409,14 @@ mod tests {
 
     #[test]
     fn full_bc_matches_serial_on_small_graph() {
+        // full betweenness is the sum of the single-source scores
         let g = GraphBuilder::new().build(erdos_renyi(60, 150, 7));
-        let got = bc_all_sources(&g, BcOptions::default());
-        let want = serial::betweenness_centrality(&g);
-        close(&got, &want, 1e-6);
+        let mut got = vec![0.0; g.num_vertices()];
+        for s in 0..g.num_vertices() as VertexId {
+            let r = bc(&Context::new(&g), s, BcOptions::default());
+            got.iter_mut().zip(&r.bc_values).for_each(|(t, d)| *t += d);
+        }
+        close(&got, &serial::betweenness_centrality(&g), 1e-6);
     }
 
     #[test]
@@ -424,13 +428,8 @@ mod tests {
         assert_eq!(r.iterations, 2);
         // two completed forward levels: depths 0..=2 settled, deeper
         // vertices untouched; no dependency was accumulated
-        let full = serial::bfs(&g, 0);
-        for (v, &depth) in full.iter().enumerate() {
-            if depth <= 2 {
-                assert_eq!(r.labels[v], depth, "vertex {v}");
-            } else {
-                assert_eq!(r.labels[v], INFINITY, "vertex {v}");
-            }
+        for (v, &depth) in serial::bfs(&g, 0).iter().enumerate() {
+            assert_eq!(r.labels[v], if depth <= 2 { depth } else { INFINITY }, "vertex {v}");
         }
         assert!(r.bc_values.iter().all(|&d| d == 0.0));
     }

@@ -200,12 +200,10 @@ pub fn cc_resume(ctx: &Context<'_>, ckpt: &Checkpoint) -> Result<CcResult, Gunro
     }
     // the residual frontier goes back to the pool when the run ends, so
     // it has to come from there
-    let pooled = || {
-        let mut buf = ctx.pool().take_u32(frontier.len());
-        buf.extend_from_slice(frontier);
-        Frontier::from_vec(buf)
-    };
-    let residual = ctx.isolated_setup("filter", pooled).ok_or_else(|| failure_of(ctx))?;
+    let residual = ctx
+        .pooled_copy("filter", frontier, frontier.len())
+        .map(Frontier::from_vec)
+        .ok_or_else(|| failure_of(ctx))?;
     let labels = to_atomic_u32(labels);
     let r = cc_run(ctx, CcLoop { labels, residual, phase, giant }, ckpt.iteration());
     check_failed(ctx, r.outcome, r)

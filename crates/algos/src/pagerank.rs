@@ -14,7 +14,7 @@
 //! are directly comparable to power iteration.
 //!
 //! The hand-over runs in one of two directions, chosen per iteration from
-//! the frontier's out-edge volume ([`prefer_gather`]): while most edges
+//! the frontier's out-edge volume ([`GatherSwitch`]): while most edges
 //! are live and the context has a reverse graph, a dense
 //! [`advance_gather`] pulls the shares over in-edges with plain stores
 //! (the §7 gather-reduce) and emits the next frontier in the same sweep;
@@ -22,7 +22,6 @@
 //! paper's push advance with atomic adds followed by a compaction.
 
 use crate::recover::{check_failed, expect_len, expect_vertex_ids, malformed};
-use gunrock::advance::policy::{prefer_gather, GATHER_EDGE_DIVISOR};
 use gunrock::prelude::*;
 use gunrock_engine::atomics::AtomicF64;
 use gunrock_engine::compact::compact_indices_into;
@@ -170,7 +169,6 @@ pub fn pagerank_resume(
 fn pagerank_run(ctx: &Context<'_>, opts: PrOptions, mut st: PrLoop, done: u32) -> PrResult {
     let g = ctx.graph;
     let n = g.num_vertices();
-    let m = g.num_edges() as u64;
     let mut run = Enactment::arm(ctx, done);
     // Budget admission: demote the advance mode (or poison with a
     // structured BudgetExceeded) before the first operator launches.
@@ -185,7 +183,7 @@ fn pagerank_run(ctx: &Context<'_>, opts: PrOptions, mut st: PrLoop, done: u32) -
     // push accumulator, built at the first push iteration (zeroed as it
     // is drained); a run that only ever gathers never pays for it
     let mut acc: Vec<AtomicF64> = Vec::new();
-    let mut gathering = false;
+    let mut switch = GatherSwitch::default();
 
     while !st.frontier.is_empty() && (run.iterations() as usize) < opts.max_iters {
         if run.boundary(|it| Some(pagerank_checkpoint(it, &opts, &st))) {
@@ -210,32 +208,19 @@ fn pagerank_run(ctx: &Context<'_>, opts: PrOptions, mut st: PrLoop, done: u32) -
         }
         let teleport = dangling / n as f64;
         let eps = opts.epsilon;
-        let gather = ctx.reverse.is_some() && prefer_gather(frontier_edges, m);
+        let gather = switch.choose(ctx, frontier_edges);
         run.end_iteration(gather);
-        if gather != gathering {
-            gathering = gather;
-            if let Some(sink) = ctx.sink() {
-                let (from, to, cmp) = if gather {
-                    (StepDirection::Push, StepDirection::Pull, ">")
-                } else {
-                    (StepDirection::Pull, StepDirection::Push, "<=")
-                };
-                sink.record_switch(
-                    from,
-                    to,
-                    format!("m_f={frontier_edges} {cmp} m={m}/{GATHER_EDGE_DIVISOR}"),
-                );
-            }
-        }
         let next = spare.as_mut_vec();
         if gather {
             // gather: every vertex sums its in-neighbors' shares, folds
             // the teleport term and re-enters the frontier in one sweep
+            next.clear();
             advance_gather(
                 ctx,
-                0..n as VertexId,
+                GatherSpec::range(0..n as VertexId),
                 &mut st.residual,
-                next,
+                Some(next),
+                |_| true,
                 0.0,
                 |u, _v, _e| share[u as usize],
                 |a, b| a + b,
@@ -286,6 +271,7 @@ pub fn pr_mteps(result: &PrResult) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gunrock::advance::policy::prefer_gather;
     use gunrock_baselines::serial;
     use gunrock_graph::generators::{erdos_renyi, rmat};
     use gunrock_graph::{Coo, GraphBuilder};

@@ -528,7 +528,10 @@ pub fn execute(args: &Args) -> Result<RunOutcome, String> {
             }
         }
         "bc" => {
-            let ctx = instrument(Context::new(&g).with_policy(policy));
+            // the reverse graph puts sigma on the gather path; a loaded
+            // `.bin` may be directed, so it is a real transpose
+            let rev = g.transpose();
+            let ctx = instrument(Context::new(&g).with_reverse(&rev).with_policy(policy));
             let r = match &resume_ckpt {
                 Some(ckpt) => algos::bc_resume(&ctx, algos::BcOptions::default(), ckpt)
                     .map_err(|e| format!("resume failed: {e}"))?,
@@ -546,12 +549,7 @@ pub fn execute(args: &Args) -> Result<RunOutcome, String> {
             outcome = r.outcome;
             dump(&ctx, r.elapsed, r.outcome)?;
             if verify(r.outcome) {
-                let want = serial::brandes_single_source(og, src);
-                for (i, (a, b)) in vals.iter().zip(&want).enumerate() {
-                    if (a - b).abs() > 1e-6 {
-                        return Err(format!("VERIFY FAILED: bc[{i}] {a} vs oracle {b}"));
-                    }
-                }
+                verify_bc(&vals, &serial::brandes_single_source(og, src))?;
                 println!("verified against serial Brandes");
             }
         }
@@ -788,6 +786,19 @@ fn canonical_components(labels: &[VertexId]) -> Vec<VertexId> {
         rep.entry(l).or_insert(v as VertexId);
     }
     labels.iter().map(|l| rep[l]).collect()
+}
+
+/// Dependency scores against the oracle's: within 1e-6 of the score (of
+/// 1, for scores below it), since summing in another order moves the last
+/// digits of scores near 4e5; NaN — shortest-path counts past `f64` —
+/// matches only NaN.
+fn verify_bc(got: &[f64], want: &[f64]) -> Result<(), String> {
+    for (i, (a, b)) in got.iter().zip(want).enumerate() {
+        if !((a - b).abs() <= 1e-6 * b.abs().max(1.0) || (a.is_nan() && b.is_nan())) {
+            return Err(format!("VERIFY FAILED: bc[{i}] {a} vs oracle {b}"));
+        }
+    }
+    Ok(())
 }
 
 fn verify_eq<T: PartialEq + std::fmt::Debug>(
@@ -1086,18 +1097,20 @@ mod tests {
         }
     }
 
-    #[test]
-    fn pagerank_gathers_over_real_in_edges_of_a_directed_bin() {
-        // 0 -> 1 -> 2 -> 0 plus 0 -> 2 and a dangling 3 <- 1: in- and
-        // out-lists differ, so gathering over `g` itself would be wrong
+    /// Runs `primitive` with `--verify` on a directed `.bin` whose in- and
+    /// out-lists differ (0 -> 1 -> 2 -> 0 plus 0 -> 2 and a dangling
+    /// 3 <- 1), so gathering over `g` itself would be wrong, and checks
+    /// that the trace shows an in-edge gather.
+    fn gathers_over_real_in_edges_of_a_directed_bin(primitive: &str) {
         let coo = gunrock_graph::Coo::from_edges(4, &[(0, 1), (1, 2), (2, 0), (0, 2), (1, 3)]);
         let g = GraphBuilder::new().directed().build(coo);
         let dir = std::env::temp_dir();
-        let bin = dir.join(format!("gunrock_cli_directed_{}.bin", std::process::id()));
+        let tag = format!("{primitive}_{}", std::process::id());
+        let bin = dir.join(format!("gunrock_cli_directed_{tag}.bin"));
         io::write_csr_binary(&g, std::fs::File::create(&bin).unwrap()).unwrap();
-        let stats = dir.join(format!("gunrock_cli_directed_{}.json", std::process::id()));
+        let stats = dir.join(format!("gunrock_cli_directed_{tag}.json"));
         let a = parse_args(args(&[
-            "pagerank",
+            primitive,
             "--graph",
             bin.to_str().unwrap(),
             "--verify",
@@ -1110,6 +1123,27 @@ mod tests {
         assert!(json.contains("pull_gather"), "the run must have gathered: {json}");
         std::fs::remove_file(&bin).ok();
         std::fs::remove_file(&stats).ok();
+    }
+
+    #[test]
+    fn pagerank_gathers_over_real_in_edges_of_a_directed_bin() {
+        gathers_over_real_in_edges_of_a_directed_bin("pagerank");
+    }
+
+    #[test]
+    fn bc_gathers_over_real_in_edges_of_a_directed_bin() {
+        gathers_over_real_in_edges_of_a_directed_bin("bc");
+    }
+
+    #[test]
+    fn bc_verify_matches_nan_only_with_nan() {
+        assert!(verify_bc(&[f64::NAN], &[1.0]).is_err(), "NaN is not any score");
+        assert!(verify_bc(&[1.0], &[f64::NAN]).is_err());
+        assert!(verify_bc(&[f64::NAN, 0.5], &[f64::NAN, 0.5]).is_ok());
+        // relative above 1: another summation order moves the last digits
+        assert!(verify_bc(&[4e5 * (1.0 + 1e-9)], &[4e5]).is_ok());
+        assert!(verify_bc(&[4e5 + 1.0], &[4e5]).is_err());
+        assert!(verify_bc(&[2e-6], &[0.0]).is_err(), "absolute below 1");
     }
 
     #[test]

@@ -11,6 +11,9 @@
 //! scale-free graphs and 1.28 on road-like graphs (reproduced by the
 //! `fig_pushpull` bench binary).
 
+use crate::context::Context;
+use gunrock_engine::stats::StepDirection;
+
 /// Current traversal direction.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TraversalDirection {
@@ -100,6 +103,41 @@ pub const GATHER_EDGE_DIVISOR: u64 = 6;
 #[inline]
 pub fn prefer_gather(frontier_edges: u64, graph_edges: u64) -> bool {
     frontier_edges > graph_edges / GATHER_EDGE_DIVISOR
+}
+
+/// The push/gather direction of an accumulating enact loop, chosen once
+/// per iteration by [`prefer_gather`] — and only when the context has a
+/// reverse graph to gather over. Every change of direction is recorded
+/// as a `DirectionSwitch` naming the inequality that fired. A run starts
+/// out pushing.
+#[derive(Debug, Default)]
+pub struct GatherSwitch {
+    gathering: bool,
+}
+
+impl GatherSwitch {
+    /// This iteration's direction for a frontier with `frontier_edges`
+    /// out-edges: true to gather.
+    pub fn choose(&mut self, ctx: &Context<'_>, frontier_edges: u64) -> bool {
+        let m = ctx.num_edges() as u64;
+        let gather = ctx.reverse.is_some() && prefer_gather(frontier_edges, m);
+        if gather != self.gathering {
+            self.gathering = gather;
+            if let Some(sink) = ctx.sink() {
+                let (from, to, cmp) = if gather {
+                    (StepDirection::Push, StepDirection::Pull, ">")
+                } else {
+                    (StepDirection::Pull, StepDirection::Push, "<=")
+                };
+                sink.record_switch(
+                    from,
+                    to,
+                    format!("m_f={frontier_edges} {cmp} m={m}/{GATHER_EDGE_DIVISOR}"),
+                );
+            }
+        }
+        gather
+    }
 }
 
 #[cfg(test)]

@@ -423,6 +423,23 @@ impl<'g> Context<'g> {
         crate::isolate::isolated(self, operator, body)
     }
 
+    /// `ids` copied into a pool buffer with room for at least `capacity`
+    /// ids, taken as an [`Self::isolated_setup`] step: a denied checkout
+    /// poisons the run and returns `None`. For enact-loop state that goes
+    /// back to the pool when the run ends.
+    pub fn pooled_copy(
+        &self,
+        operator: &'static str,
+        ids: &[u32],
+        capacity: usize,
+    ) -> Option<Vec<u32>> {
+        self.isolated_setup(operator, || {
+            let mut buf = self.pool.take_u32(capacity.max(ids.len()));
+            buf.extend_from_slice(ids);
+            buf
+        })
+    }
+
     /// True once an operator failure has poisoned this context.
     #[inline]
     pub fn is_poisoned(&self) -> bool {

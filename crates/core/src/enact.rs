@@ -71,15 +71,15 @@ impl<'c, 'g> Enactment<'c, 'g> {
     }
 
     /// The top-of-iteration boundary. Writes the periodic snapshot when
-    /// one is due, then checks the guard; on a trip it records the
-    /// outcome, writes the exit snapshot unless the run failed, and
-    /// returns `true` — the caller breaks out of its loop.
+    /// one is due and no operator has failed, then checks the guard; on a
+    /// trip it records the outcome, writes the exit snapshot unless the
+    /// run failed, and returns `true` — the caller breaks out of its loop.
     #[inline]
     pub fn boundary<S>(&mut self, snapshot: S) -> bool
     where
         S: Fn(u32) -> Option<Checkpoint>,
     {
-        if self.ctx.checkpoint_due(self.iterations) {
+        if self.ctx.checkpoint_due(self.iterations) && !self.ctx.is_poisoned() {
             self.save(&snapshot);
         }
         match self.guard.check(self.iterations) {
@@ -261,6 +261,24 @@ mod tests {
         });
         assert_eq!((done.outcome, done.iterations), (RunOutcome::Failed, 2));
         assert!(!dir.join("toy.ckpt").exists(), "a failed run leaves no exit snapshot");
+    }
+
+    #[test]
+    fn a_poisoned_iteration_is_not_snapshotted_at_the_next_boundary() {
+        let g = path(8);
+        let dir = ckpt_dir("poison_periodic");
+        let ctx = Context::new(&g).with_checkpoints(CheckpointPolicy::new(1, &dir));
+        // an operator fails in level 2 but leaves a frontier: the boundary
+        // that follows is due a periodic snapshot of the torn state
+        let (_, done) = bfs_on(&ctx, |it, _| {
+            if it == 2 {
+                ctx.poison(GunrockError::AllocFailed { operator: "advance", iteration: it });
+            }
+        });
+        assert_eq!((done.outcome, done.iterations), (RunOutcome::Failed, 2));
+        let ckpt = Checkpoint::load(&dir.join("toy.ckpt")).expect("the last good snapshot");
+        assert_eq!(ckpt.iteration(), 1, "the torn iteration never reaches the disk");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

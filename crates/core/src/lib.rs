@@ -59,9 +59,9 @@ pub mod prelude {
     pub use crate::advance::{
         self,
         fused::advance_filter_fused,
-        gather::advance_gather,
+        gather::{advance_gather, GatherSpec},
         msbfs::{advance_msbfs, MsbfsSweep},
-        policy::{DirectionPolicy, TraversalDirection},
+        policy::{DirectionPolicy, GatherSwitch, TraversalDirection},
         pull::{advance_pull, advance_pull_sweep, frontier_bitmap},
         AdvanceMode, AdvanceSpec, InputKind, OutputKind,
     };

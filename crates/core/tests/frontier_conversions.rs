@@ -98,12 +98,13 @@ fn gather_agrees_with_advance_counting() {
     let ctx = Context::new(&g).with_reverse(&g);
     let f = Frontier::full(g.num_vertices());
     // gathered in-degree sum == total edges a push advance visits
-    let (mut degs, mut next) = (vec![0u64; g.num_vertices()], Vec::new());
+    let mut degs = vec![0u64; g.num_vertices()];
     advance_gather(
         &ctx,
-        0..g.num_vertices() as u32,
+        GatherSpec::range(0..g.num_vertices() as u32),
         &mut degs,
-        &mut next,
+        None,
+        |_| true,
         0u64,
         |_u, _v, _e| 1u64,
         |a, b| a + b,

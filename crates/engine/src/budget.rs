@@ -205,8 +205,10 @@ pub fn estimate_bytes(primitive: &str, n: u64, m: u64) -> u64 {
         "bfs" => n * 4 + 4 * bitmap + frontiers + advance,
         // distance array + visited bitmap for the culling filter
         "sssp" => n * 4 + bitmap + frontiers + advance,
-        // labels + sigma/delta f64 arrays, forward and backward sweeps
-        "bc" => n * 4 + 2 * n * 8 + bitmap + frontiers + advance,
+        // depths + sigma/delta f64 arrays, the pooled level stack (room
+        // for a dense level's candidates past the levels found), a sparse
+        // level's input copy and its advance output
+        "bc" => n * 4 + 2 * n * 8 + pooled_bytes(2 * n, 4) + frontiers + advance,
         // component labels (the parent forest), the pooled residual
         // frontier the split filters out of the vertex set, and the
         // finish advance over it

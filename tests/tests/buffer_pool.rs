@@ -162,3 +162,28 @@ fn warm_cc_leaves_the_pool_balanced() {
         assert_eq!(after.allocations, warm.allocations, "no new pool allocations");
     }
 }
+
+/// BC keeps its level stack in one pool buffer and copies each sparse
+/// level's input into another, and hands both back: `releases ==
+/// checkouts` after every warm run (it used to recycle level frontiers the
+/// pool never handed out), with or without the reverse graph's gathers,
+/// and nothing allocated from the third run on.
+#[test]
+fn warm_bc_leaves_the_pool_balanced() {
+    let g = test_graph();
+    for ctx in [Context::new(&g), Context::new(&g).with_reverse(&g)] {
+        let run = || {
+            let r = algos::bc(&ctx, 0, algos::BcOptions::default());
+            assert_eq!(r.outcome, RunOutcome::Converged);
+            let pool = ctx.pool().stats();
+            assert_eq!(pool.releases, pool.checkouts, "every buffer taken is returned");
+            assert_eq!(pool.live, 0);
+            pool
+        };
+        run();
+        let warm = run();
+        let after = run();
+        assert!(after.checkouts > warm.checkouts, "the run did go through the pool");
+        assert_eq!(after.allocations, warm.allocations, "no new pool allocations");
+    }
+}

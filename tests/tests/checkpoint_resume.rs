@@ -124,25 +124,74 @@ fn sssp_priority_queue_resume_is_bit_identical() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// `ckpt` as a build before the pooled level stack wrote it: with a `tags`
+/// section (the per-level claim filter's marks) between sigma and delta.
+fn with_tags(ckpt: &Checkpoint) -> Checkpoint {
+    let section = |name| ckpt.u32s(name).expect("u32 section").to_vec();
+    let mut old = Checkpoint::new("bc", ckpt.iteration());
+    old.push_u32("depth", section("depth"));
+    old.push_f64("sigma", ckpt.f64s("sigma").expect("sigma").to_vec());
+    old.push_u32("tags", section("depth"));
+    old.push_f64("delta", ckpt.f64s("delta").expect("delta").to_vec());
+    for name in ["levels_flat", "level_offsets", "scalars"] {
+        old.push_u32(name, section(name));
+    }
+    Checkpoint::decode(&old.encode()).expect("well-formed container")
+}
+
 #[test]
 fn bc_resume_is_bit_identical() {
     let g = kron10();
     let dir = ckpt_dir("bc");
     let opts = algos::BcOptions::default();
-    let full = algos::bc(&Context::new(&g), 0, opts);
-    // cap 2 lands inside the forward sweep; a cap two short of the full
-    // iteration count lands in the backward sweep — both phases restore
-    assert!(full.iterations > 4, "graph too shallow to interrupt both phases");
-    for cap in [2u32, full.iterations - 2] {
-        let ckpt = interrupt(&g, &dir, "bc", cap, |ctx| {
-            let r = algos::bc(ctx, 0, opts);
-            (r.iterations, r.outcome)
-        });
-        let r = algos::bc_resume(&Context::new(&g), opts, &ckpt).expect("resume");
-        assert_eq!(r.outcome, RunOutcome::Converged, "cap {cap}");
-        assert_eq!(bits(&r.bc_values), bits(&full.bc_values), "cap {cap}");
-        assert_eq!(bits(&r.sigmas), bits(&full.sigmas), "cap {cap}");
-        assert_eq!(r.labels, full.labels, "cap {cap}");
+    // without a reverse graph every forward level pushes and adds sigma
+    // atomically; with one, levels are sparse pushes or dense gathers
+    for reverse in [false, true] {
+        let context = || {
+            let ctx = Context::new(&g);
+            if reverse {
+                ctx.with_reverse(&g)
+            } else {
+                ctx
+            }
+        };
+        let traced = context().with_stats();
+        let full = algos::bc(&traced, 0, opts);
+        let caps = if reverse {
+            // the first iteration running each kind of level
+            let steps = traced.run_stats().steps;
+            let first = |kind: &dyn Fn(&StepRecord) -> bool| {
+                steps.iter().find(|s| kind(s)).expect("kron10 from 0 runs every kind").iteration
+            };
+            let dense = first(&|s| matches!(s.strategy, "pull_gather" | "pull_gather:serial"));
+            let sparse =
+                first(&|s| s.direction == Some(StepDirection::Push) && s.iteration > dense);
+            let backward = first(&|s| s.strategy.starts_with("out_gather"));
+            // a dense forward level, a sparse one after it, the first
+            // backward level and the middle of the backward sweep
+            vec![dense - 1, sparse - 1, backward - 1, full.iterations - 2]
+        } else {
+            // cap 2 lands inside the forward sweep; a cap two short of the
+            // full iteration count lands in the backward sweep
+            assert!(full.iterations > 4, "graph too shallow to interrupt both phases");
+            vec![2, full.iterations - 2]
+        };
+        for cap in caps {
+            let ckpt = interrupt_on(context(), &dir, "bc", cap, |ctx| {
+                let r = algos::bc(ctx, 0, opts);
+                (r.iterations, r.outcome)
+            });
+            // from the snapshot as written and as an older build wrote it
+            for snapshot in [with_tags(&ckpt), ckpt] {
+                let r = algos::bc_resume(&context(), opts, &snapshot).expect("resume");
+                let at = format!("reverse {reverse}, cap {cap}");
+                assert_eq!(r.outcome, RunOutcome::Converged, "{at}");
+                assert_eq!(r.iterations, full.iterations, "{at}");
+                assert_eq!(bits(&r.bc_values), bits(&full.bc_values), "{at}");
+                assert_eq!(bits(&r.sigmas), bits(&full.sigmas), "{at}");
+                assert_eq!(r.labels, full.labels, "{at}");
+            }
+        }
     }
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -119,3 +119,38 @@ fn dense_pagerank_iterations_are_bit_identical_across_thread_pools() {
         assert_eq!(dense_rounds(threads), reference, "{threads} threads");
     }
 }
+
+/// BC sums sigma and delta with gathers — plain stores, each vertex
+/// folding its edges in list order — so its scores are bit-identical
+/// across pools and with or without the serial fast path, dense levels
+/// included (its per-edge atomic adds never promised that).
+#[test]
+fn bc_is_bit_identical_across_pools_and_the_serial_fast_path() {
+    let g = GraphBuilder::new().build(rmat(10, 8, Default::default(), 31));
+    let run = |threads: usize, serial_threshold: usize| {
+        rayon::ThreadPoolBuilder::new().num_threads(threads).build().expect("pool").install(
+            || {
+                let ctx = Context::new(&g)
+                    .with_reverse(&g)
+                    .with_config(EngineConfig::new().with_serial_threshold(serial_threshold))
+                    .with_stats();
+                let r = algos::bc(&ctx, 0, algos::BcOptions::default());
+                let steps = ctx.run_stats().steps;
+                assert!(
+                    steps
+                        .iter()
+                        .any(|s| matches!(s.strategy, "pull_gather" | "pull_gather:serial")),
+                    "a dense level ran"
+                );
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+                (bits(&r.bc_values), bits(&r.sigmas), r.labels)
+            },
+        )
+    };
+    let reference = run(1, 0);
+    for threads in [1, 2, 8] {
+        for serial_threshold in [0, usize::MAX / 2] {
+            assert_eq!(run(threads, serial_threshold), reference, "{threads} threads");
+        }
+    }
+}

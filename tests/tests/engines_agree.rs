@@ -66,10 +66,11 @@ fn cc_all_engines_agree() {
 fn bc_all_engines_agree() {
     for (name, g) in graph_suite() {
         let want = serial::brandes_single_source(&g, 0);
-        let ctx = Context::new(&g);
-        let gr = algos::bc(&ctx, 0, algos::BcOptions::default());
-        for (v, (a, b)) in gr.bc_values.iter().zip(&want).enumerate() {
-            assert!((a - b).abs() < 1e-6, "gunrock on {name} vertex {v}: {a} vs {b}");
+        for ctx in [Context::new(&g), Context::new(&g).with_reverse(&g)] {
+            let gr = algos::bc(&ctx, 0, algos::BcOptions::default());
+            for (v, (a, b)) in gr.bc_values.iter().zip(&want).enumerate() {
+                assert!((a - b).abs() < 1e-6, "gunrock on {name} vertex {v}: {a} vs {b}");
+            }
         }
         let lg = ligra::bc(&g, &g, 0);
         for (v, (a, b)) in lg.iter().zip(&want).enumerate() {
@@ -78,6 +79,37 @@ fn bc_all_engines_agree() {
         let hw = hardwired::bc(&g, 0);
         for (v, (a, b)) in hw.iter().zip(&want).enumerate() {
             assert!((a - b).abs() < 1e-6, "hardwired on {name} vertex {v}: {a} vs {b}");
+        }
+    }
+}
+
+/// Shortest-path counts past `f64` (a long grid axis from its corner) are
+/// +inf, and the scores they feed NaN: the engine's NaN set is the
+/// oracle's, pushing or gathering, and the finite scores agree.
+#[test]
+fn bc_overflows_to_nan_exactly_where_brandes_does() {
+    use gunrock_graph::generators::grid2d;
+    use gunrock_graph::GraphBuilder;
+    // C(1138, 379) ~ 1e313 shortest paths reach the far corner, past
+    // f64::MAX ~ 1.8e308; a 100-vertex path hanging off the corner keeps
+    // finite, positive scores
+    let grid = grid2d(760, 380, 0.0, 0.0, 1);
+    let n = grid.num_vertices as u32;
+    let mut edges: Vec<(u32, u32)> = grid.edges().collect();
+    edges.extend((n..n + 100).map(|v| (if v == n { 0 } else { v - 1 }, v)));
+    let g = GraphBuilder::new().build(gunrock_graph::Coo::from_edges(n as usize + 100, &edges));
+    let want = serial::brandes_single_source(&g, 0);
+    let nan = |scores: &[f64]| scores.iter().map(|s| s.is_nan()).collect::<Vec<bool>>();
+    assert!(want.iter().any(|s| s.is_nan()), "the oracle overflows");
+    assert!(want.iter().any(|s| s.is_finite() && *s > 0.0), "and keeps finite scores");
+    for ctx in [Context::new(&g), Context::new(&g).with_reverse(&g)] {
+        let r = algos::bc(&ctx, 0, algos::BcOptions::default());
+        assert!(r.sigmas.iter().any(|s| s.is_infinite()), "sigma overflows to +inf");
+        assert_eq!(nan(&r.bc_values), nan(&want));
+        for (v, (a, b)) in r.bc_values.iter().zip(&want).enumerate() {
+            if b.is_finite() {
+                assert!((a - b).abs() <= 1e-6 * b.abs().max(1.0), "vertex {v}: {a} vs {b}");
+            }
         }
     }
 }

@@ -55,12 +55,13 @@ fn gathered_in_degree_sum_equals_edge_count() {
     for (name, g) in graph_suite() {
         let n = g.num_vertices();
         let ctx = Context::new(&g).with_reverse(&g);
-        let (mut ones, mut next) = (vec![0u64; n], Vec::new());
+        let mut ones = vec![0u64; n];
         advance_gather(
             &ctx,
-            0..n as u32,
+            GatherSpec::range(0..n as u32),
             &mut ones,
-            &mut next,
+            None,
+            |_| true,
             0u64,
             |_, _, _| 1,
             |a, b| a + b,

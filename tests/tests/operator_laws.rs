@@ -19,6 +19,16 @@ fn arb_graph_and_frontier() -> impl Strategy<Value = (Csr, Vec<u32>)> {
     })
 }
 
+/// `g` with each undirected edge kept in one orientation, so in- and
+/// out-lists differ, and its transpose.
+fn oriented(g: &Csr) -> (Csr, Csr) {
+    let coo = g.to_coo();
+    let arcs: Vec<(u32, u32)> = coo.edges().filter(|(s, d)| s < d).collect();
+    let dg = GraphBuilder::new().directed().build(Coo::from_edges(g.num_vertices(), &arcs));
+    let rev = dg.transpose();
+    (dg, rev)
+}
+
 fn multiset(mut v: Vec<u32>) -> Vec<u32> {
     v.sort_unstable();
     v
@@ -129,22 +139,19 @@ proptest! {
     /// records one step.
     #[test]
     fn gather_equals_serial_in_edge_sum((g, frontier) in arb_graph_and_frontier()) {
-        // orient the undirected sample so in- and out-lists differ
-        let coo = g.to_coo();
-        let arcs: Vec<(u32, u32)> = coo.edges().filter(|(s, d)| s < d).collect();
-        let dg = GraphBuilder::new().directed().build(Coo::from_edges(g.num_vertices(), &arcs));
-        let rev = dg.transpose();
+        let (dg, rev) = oriented(&g);
         let n = dg.num_vertices();
         let value = |u: u32| u64::from(u) * 3 + 1;
         let member: std::collections::BTreeSet<u32> = frontier.iter().copied().collect();
         let ctx = Context::new(&dg).with_reverse(&rev).with_stats();
         let mut sums = vec![0u64; n];
-        let mut next = vec![u32::MAX; 3];
+        let mut next = Vec::new();
         advance_gather(
             &ctx,
-            0..n as u32,
+            GatherSpec::range(0..n as u32),
             &mut sums,
-            &mut next,
+            Some(&mut next),
+            |_| true,
             0u64,
             |u, _v, _e| if member.contains(&u) { value(u) } else { 0 },
             |a, b| a + b,
@@ -170,6 +177,69 @@ proptest! {
         prop_assert_eq!(step.direction, Some(StepDirection::Pull));
         prop_assert_eq!(step.input_len, n as u64);
         prop_assert_eq!(step.edges_examined, dg.num_edges() as u64);
+    }
+
+    /// A masked list gather, over in-edges or over out-edges of a directed
+    /// graph, equals the serial fold of each listed vertex's neighbors on
+    /// that side: slot `i` belongs to the `i`-th listed vertex, masked
+    /// vertices scan zero edges and keep their slots, the admitted ids
+    /// follow the list's order, and the call writes one step.
+    #[test]
+    fn masked_list_gather_equals_serial_fold((g, frontier) in arb_graph_and_frontier()) {
+        let (dg, rev) = oriented(&g);
+        // descending, so list order is not id order
+        let list: Vec<u32> = frontier.iter().rev().copied().collect();
+        let masked = |v: u32| v.is_multiple_of(3);
+        for out_edges in [false, true] {
+            let side = if out_edges { &dg } else { &rev };
+            let ctx = Context::new(&dg).with_reverse(&rev).with_stats();
+            let spec = if out_edges {
+                GatherSpec::list(&list).out_edges()
+            } else {
+                GatherSpec::list(&list)
+            };
+            let mut sums = vec![u64::MAX; list.len()];
+            let mut next = vec![7];
+            advance_gather(
+                &ctx,
+                spec,
+                &mut sums,
+                Some(&mut next),
+                |v| !masked(v),
+                0u64,
+                |u, v, e| {
+                    // the edge id names (v, u) on the swept side
+                    assert_eq!(side.edge_dest(e), u);
+                    u64::from(u) + 1 + u64::from(v)
+                },
+                |a, b| a + b,
+                |_v, sum, slot| {
+                    *slot = sum;
+                    sum % 2 == 0
+                },
+            );
+            let fold = |v: u32| -> u64 {
+                side.neighbors(v).iter().map(|&u| u64::from(u) + 1 + u64::from(v)).sum()
+            };
+            let want: Vec<u64> =
+                list.iter().map(|&v| if masked(v) { u64::MAX } else { fold(v) }).collect();
+            prop_assert_eq!(&sums, &want, "out_edges={}", out_edges);
+            let mut admitted = vec![7];
+            admitted.extend(list.iter().copied().filter(|&v| !masked(v) && fold(v) % 2 == 0));
+            prop_assert_eq!(&next, &admitted, "out_edges={}", out_edges);
+            let scanned: u64 =
+                list.iter().filter(|&&v| !masked(v)).map(|&v| u64::from(side.out_degree(v))).sum();
+            prop_assert_eq!(ctx.counters.edges(), scanned, "masked vertices scan nothing");
+            let stats = ctx.run_stats();
+            prop_assert_eq!(stats.steps.len(), usize::from(!list.is_empty()));
+            if let Some(step) = stats.steps.first() {
+                let name = if out_edges { "out_gather:list" } else { "pull_gather:list" };
+                prop_assert!(step.strategy.starts_with(name), "{}", step.strategy);
+                prop_assert_eq!(step.input_len, list.len() as u64);
+                prop_assert_eq!(step.output_len, admitted.len() as u64 - 1);
+                prop_assert_eq!(step.edges_examined, scanned);
+            }
+        }
     }
 
     /// The culling filter with bitmask is a one-shot set semantics: over
@@ -216,4 +286,46 @@ proptest! {
         prop_assert_eq!(multiset(seen), (0..n).collect::<Vec<u32>>());
         prop_assert!(q.is_exhausted());
     }
+}
+
+/// BC picks each forward level's direction by PageRank's edge-volume rule:
+/// a gather level scans the in-edges of the unvisited vertices only, and
+/// each switch is recorded with the inequality that fired.
+#[test]
+fn bc_records_its_push_gather_switches() {
+    let g = GraphBuilder::new().build(gunrock_graph::generators::rmat(
+        10,
+        16,
+        Default::default(),
+        4,
+    ));
+    let m = g.num_edges() as u64;
+    let ctx = Context::new(&g).with_reverse(&g).with_stats();
+    let r = gunrock_algos::bc(&ctx, 0, Default::default());
+    let want = gunrock_baselines::serial::brandes_single_source(&g, 0);
+    for (v, (x, y)) in r.bc_values.iter().zip(&want).enumerate() {
+        assert!((x - y).abs() <= 1e-6 * y.abs().max(1.0), "vertex {v}: {x} vs {y}");
+    }
+    let stats = ctx.run_stats();
+    let dense: Vec<&StepRecord> = stats
+        .steps
+        .iter()
+        .filter(|s| matches!(s.strategy, "pull_gather" | "pull_gather:serial"))
+        .collect();
+    assert!(!dense.is_empty(), "the hub's second level is dense");
+    for s in &dense {
+        assert_eq!(
+            s.input_len,
+            g.num_vertices() as u64,
+            "a dense level sweeps the vertex range"
+        );
+        assert!(s.edges_examined < m, "visited vertices are masked out of the sweep");
+    }
+    assert_eq!(ctx.counters.pull_iters(), dense.len() as u64);
+    assert!(stats.switches.len() >= 2);
+    assert_eq!(stats.switches[0].to, StepDirection::Pull);
+    assert!(stats.switches[0].reason.contains(&format!("> m={m}/6")));
+    let last = stats.switches.last().expect("a switch");
+    assert_eq!(last.to, StepDirection::Push);
+    assert!(last.reason.contains("<= m="));
 }

@@ -69,11 +69,13 @@ proptest! {
 
     #[test]
     fn bc_matches_brandes((g, src) in arb_graph()) {
-        let ctx = Context::new(&g);
-        let r = algos::bc(&ctx, src, algos::BcOptions::default());
+        // pushing every level, and gathering sigma with a reverse graph
         let want = serial::brandes_single_source(&g, src);
-        for (a, b) in r.bc_values.iter().zip(&want) {
-            prop_assert!((a - b).abs() < 1e-6, "{} vs {}", a, b);
+        for ctx in [Context::new(&g), Context::new(&g).with_reverse(&g)] {
+            let r = algos::bc(&ctx, src, algos::BcOptions::default());
+            for (a, b) in r.bc_values.iter().zip(&want) {
+                prop_assert!((a - b).abs() < 1e-6, "{} vs {}", a, b);
+            }
         }
     }
 

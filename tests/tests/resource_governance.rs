@@ -13,8 +13,8 @@
 //! * **taxonomy coverage** — all five core primitives under a hopeless
 //!   budget fail with the same structured rejection, and the drain
 //!   summary accounts for every one;
-//! * **honest estimate** (in process) — a `cc` run admitted at exactly
-//!   its `estimate_bytes` never reserves more than that.
+//! * **honest estimate** (in process) — a `cc` or `bc` run admitted at
+//!   exactly its `estimate_bytes` never reserves more than that.
 
 use gunrock_engine::json::JsonValue;
 use gunrock_graph::{Coo, Csr, GraphBuilder};
@@ -223,5 +223,39 @@ fn cc_estimate_covers_what_a_budgeted_run_reserves() {
             assert_eq!((operator, limit), ("admission", 64));
         }
         other => panic!("expected BudgetExceeded from admission, got {other:?}"),
+    }
+}
+
+/// Admission prices what BC allocates: its pooled level stack, each
+/// sparse level's input copy and the advances. Warm runs at a budget of
+/// exactly the estimate — pushing every level, or gathering dense levels
+/// with a reverse graph — stay under it without a denial or a demotion.
+#[test]
+fn bc_estimate_covers_what_a_budgeted_run_reserves() {
+    use gunrock::prelude::*;
+    use gunrock_algos as algos;
+    use gunrock_engine::budget::{estimate_bytes, MemoryBudget};
+    use gunrock_graph::generators::rmat;
+    let g = GraphBuilder::new().build(rmat(12, 8, Default::default(), 5));
+    let want = gunrock_baselines::serial::brandes_single_source(&g, 0);
+    let estimate = estimate_bytes("bc", g.num_vertices() as u64, g.num_edges() as u64);
+    for reverse in [false, true] {
+        let budget = Arc::new(MemoryBudget::new(estimate));
+        let ctx = Context::new(&g).with_budget(Arc::clone(&budget));
+        let ctx = if reverse { ctx.with_reverse(&g) } else { ctx };
+        for _ in 0..3 {
+            let r =
+                algos::try_bc(&ctx, 0, Default::default()).expect("admitted at its estimate");
+            for (v, (x, y)) in r.bc_values.iter().zip(&want).enumerate() {
+                assert!((x - y).abs() <= 1e-6 * y.abs().max(1.0), "vertex {v}: {x} vs {y}");
+            }
+        }
+        assert_eq!(ctx.degrade_count(), 0, "admitted without a demotion");
+        assert_eq!(budget.denials(), 0);
+        assert!(
+            budget.high_water() > 0 && budget.high_water() <= estimate,
+            "reverse={reverse}"
+        );
+        assert_eq!(budget.reserved(), 0, "everything reserved was released");
     }
 }
