@@ -1,8 +1,9 @@
 //! Up-front footprint admission for the enact loops (DESIGN §11).
 //!
 //! When the context carries a memory budget, each primitive checks the
-//! pessimistic [`estimate_bytes`] footprint of the whole run *before*
-//! its first operator launches. Three outcomes:
+//! pessimistic footprint of the whole run — its registry entry's
+//! [`estimate_bytes`] — *before* its first operator launches. Three
+//! outcomes:
 //!
 //! 1. the full-fat estimate fits the budget limit — run as configured;
 //! 2. it doesn't, but demoting the advance to `thread_mapped` (dropping
@@ -18,11 +19,12 @@
 //! inside the operators (lb→thread_mapped per advance, pull→push at the
 //! bitmap build).
 //!
-//! [`estimate_bytes`]: gunrock_engine::budget::estimate_bytes
+//! [`estimate_bytes`]: crate::registry::Entry::estimate_bytes
 //! [`DegradeEvent`]: gunrock_engine::stats::DegradeEvent
 
+use crate::registry::{find, Arity};
 use gunrock::prelude::*;
-use gunrock_engine::budget::{advance_workspace_bytes, estimate_bytes};
+use gunrock_engine::budget::advance_workspace_bytes;
 
 /// Admits one run of `primitive`, returning the (possibly demoted)
 /// advance mode. Poisons the context when even the lean footprint can
@@ -33,10 +35,10 @@ pub(crate) fn admit(
     primitive: &'static str,
     mode: AdvanceMode,
 ) -> AdvanceMode {
-    let Some(budget) = ctx.budget() else { return mode };
+    let (Some(budget), Some(entry)) = (ctx.budget(), find(primitive)) else { return mode };
     let n = ctx.num_vertices() as u64;
     let m = ctx.num_edges() as u64;
-    let full = estimate_bytes(primitive, n, m);
+    let full = (entry.estimate_bytes)(n, m);
     let limit = budget.limit();
     if full <= limit {
         return mode;
@@ -45,7 +47,7 @@ pub(crate) fn admit(
     // the thread-mapped working set to price the demoted run. Lane-packed
     // batches sweep lane words instead of advancing: their estimate has
     // no advance term, so there is nothing to demote.
-    let lean = if matches!(primitive, "msbfs" | "msppr") {
+    let lean = if entry.arity == Arity::Lanes {
         full
     } else {
         full - advance_workspace_bytes(n, m, "load_balanced")
@@ -81,6 +83,10 @@ mod tests {
     use gunrock_engine::budget::MemoryBudget;
     use gunrock_graph::{generators::erdos_renyi, GraphBuilder};
     use std::sync::Arc;
+
+    fn estimate_bytes(primitive: &str, n: u64, m: u64) -> u64 {
+        find(primitive).map_or(0, |e| (e.estimate_bytes)(n, m))
+    }
 
     #[test]
     fn roomy_budget_admits_unchanged() {

@@ -2,16 +2,18 @@
 //!
 //! Three variants, matching the paper:
 //!
+//! * **direction-optimized** (the default) — a push level is the paper's
+//!   fastest BFS: "the idempotent advance operator (thus avoiding the
+//!   cost of atomics) and ... heuristics within its filter that reduce
+//!   the concurrent discovery of child nodes" — plain loads during
+//!   advance, duplicates culled afterwards by the history/bitmask filter.
+//!   With a reverse graph on the context, levels switch to a bitmap pull
+//!   sweep per Beamer (§4.1.1); without one every level pushes.
 //! * **atomic** — the base implementation "uses atomics during advance to
 //!   prevent concurrent vertex discovery": a CAS on the label array makes
 //!   each vertex enter the output frontier exactly once; no filter pass
 //!   is needed.
-//! * **idempotent** — "Gunrock's fastest BFS uses the idempotent advance
-//!   operator (thus avoiding the cost of atomics) and uses heuristics
-//!   within its filter that reduce the concurrent discovery of child
-//!   nodes": plain loads during advance, duplicates culled afterwards by
-//!   the history/bitmask filter.
-//! * **direction-optimized** — push/pull switching per Beamer (§4.1.1).
+//! * **fused** — the visited-bitmap filter inside the advance (§7).
 
 use crate::recover::{
     check_failed, expect_len, expect_vertex_ids, malformed, scalar, to_atomic_u32,
@@ -28,9 +30,8 @@ use std::sync::atomic::{AtomicU32, Ordering};
 pub enum BfsVariant {
     /// Atomic unique discovery (CAS on labels).
     Atomic,
-    /// Idempotent advance + culling filter.
-    Idempotent,
-    /// Direction-optimized (push/pull) over idempotent-style labeling.
+    /// Idempotent advance + culling filter per push level, pull levels
+    /// when the context has a reverse graph and the policy asks for them.
     DirectionOptimized,
     /// Fully-fused single-kernel traversal (§7 kernel fusion): the
     /// visited-bitmap filter runs inside the advance loop, like the
@@ -43,7 +44,6 @@ impl BfsVariant {
     fn tag(self) -> u32 {
         match self {
             BfsVariant::Atomic => 0,
-            BfsVariant::Idempotent => 1,
             BfsVariant::DirectionOptimized => 2,
             BfsVariant::Fused => 3,
         }
@@ -52,8 +52,9 @@ impl BfsVariant {
     fn from_tag(tag: u32) -> Option<BfsVariant> {
         match tag {
             0 => Some(BfsVariant::Atomic),
-            1 => Some(BfsVariant::Idempotent),
-            2 => Some(BfsVariant::DirectionOptimized),
+            // 1 was the push-only idempotent variant, whose levels are
+            // the direction-optimized variant's push levels
+            1 | 2 => Some(BfsVariant::DirectionOptimized),
             3 => Some(BfsVariant::Fused),
             _ => None,
         }
@@ -63,13 +64,13 @@ impl BfsVariant {
 /// BFS configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct BfsOptions {
-    /// Traversal variant (atomic / idempotent / direction-optimized / fused).
+    /// Traversal variant (direction-optimized / atomic / fused).
     pub variant: BfsVariant,
     /// Workload mapping for push advances.
     pub mode: AdvanceMode,
     /// Record BFS-tree predecessors.
     pub record_predecessors: bool,
-    /// Culling heuristics (idempotent variant).
+    /// Culling heuristics (push levels of the direction-optimized variant).
     pub culling: CullingConfig,
     /// Direction-switch thresholds (direction-optimized variant).
     pub policy: DirectionPolicy,
@@ -78,7 +79,7 @@ pub struct BfsOptions {
 impl Default for BfsOptions {
     fn default() -> Self {
         BfsOptions {
-            variant: BfsVariant::Idempotent,
+            variant: BfsVariant::DirectionOptimized,
             mode: AdvanceMode::Auto,
             record_predecessors: true,
             culling: CullingConfig::default(),
@@ -88,15 +89,11 @@ impl Default for BfsOptions {
 }
 
 impl BfsOptions {
-    /// The paper's fastest configuration: idempotent + culling heuristics.
-    pub fn fastest() -> Self {
-        Self::default()
-    }
-
-    /// Direction-optimized traversal (requires a reverse graph in the
-    /// context; for undirected graphs the forward graph serves).
+    /// Direction-optimized traversal — the default. It pulls only over a
+    /// reverse graph in the context (for undirected graphs the forward
+    /// graph serves); without one every level pushes.
     pub fn direction_optimized() -> Self {
-        BfsOptions { variant: BfsVariant::DirectionOptimized, ..Self::default() }
+        Self::default()
     }
 
     /// Base atomic variant.
@@ -335,38 +332,23 @@ fn expand_and_cull(
 }
 
 /// Builds an iteration-boundary snapshot. Sections: per-vertex
-/// `labels`/`preds`, the live `frontier` and (direction-optimized only)
-/// `unvisited` candidates, plus packed scalars `[src, level, pull_iters,
+/// `labels`/`preds`, the live `frontier`, an `unvisited` section kept
+/// for the format's sake and written empty (at any boundary the pull
+/// candidates are exactly the unlabeled vertices, which resume derives
+/// from `labels`), plus packed scalars `[src, level, pull_iters,
 /// direction, variant, record_preds]` and the 64-bit `unvisited_edges`
 /// counter.
-///
-/// The `unvisited` section is *derived* from labels here (the loop keeps
-/// the candidate set as an incrementally-maintained bitmap, not a list):
-/// at any iteration boundary the candidates are exactly the unlabeled
-/// vertices, which is also what the snapshot format has always stored.
 fn bfs_checkpoint(
     iteration: u32,
     src: VertexId,
     opts: &BfsOptions,
     st: &BfsLoop,
 ) -> Checkpoint {
-    let unvisited: Vec<u32> = match opts.variant {
-        BfsVariant::DirectionOptimized => st
-            .labels
-            .iter()
-            .enumerate()
-            // ORDERING: Relaxed — boundary state; the rayon join barrier
-            // published every label of the completed level.
-            .filter(|(_, l)| l.load(Ordering::Relaxed) == INFINITY)
-            .map(|(v, _)| v as u32)
-            .collect(),
-        _ => Vec::new(),
-    };
     let mut ckpt = Checkpoint::new("bfs", iteration);
     ckpt.push_u32("labels", unwrap_atomic_u32(&st.labels));
     ckpt.push_u32("preds", st.preds.as_deref().map(unwrap_atomic_u32).unwrap_or_default());
     ckpt.push_u32("frontier", st.frontier.as_slice().to_vec());
-    ckpt.push_u32("unvisited", unvisited);
+    ckpt.push_u32("unvisited", Vec::new());
     ckpt.push_u32(
         "scalars",
         vec![
@@ -382,7 +364,7 @@ fn bfs_checkpoint(
     ckpt
 }
 
-/// Runs BFS from `src`. Direction-optimized traversal requires
+/// Runs BFS from `src`. Direction-optimized traversal pulls only over
 /// `ctx.reverse` (the forward graph itself for undirected graphs).
 pub fn bfs(ctx: &Context<'_>, src: VertexId, opts: BfsOptions) -> BfsResult {
     let n = ctx.num_vertices();
@@ -498,7 +480,10 @@ fn bfs_run(
             // unreachable: a failed setup poisoned the run, which the
             // boundary above reports
             (_, None) => break,
-            (BfsVariant::Idempotent, Some(visited)) => {
+            // nothing to pull over: every level is the idempotent push,
+            // and the switch bookkeeping is skipped
+            (BfsVariant::DirectionOptimized, Some(visited)) if ctx.reverse.is_none() => {
+                st.direction = TraversalDirection::Push;
                 expand_and_cull(ctx, &opts, state, level, &st.frontier, visited)
             }
             // fused: cond tests unvisited, apply labels + sets pred — all
@@ -675,12 +660,9 @@ mod tests {
     fn all_variants_match_serial_depths() {
         for (i, g) in suite().iter().enumerate() {
             let want = serial::bfs(g, 0);
-            for variant in [
-                BfsVariant::Atomic,
-                BfsVariant::Idempotent,
-                BfsVariant::DirectionOptimized,
-                BfsVariant::Fused,
-            ] {
+            for variant in
+                [BfsVariant::Atomic, BfsVariant::DirectionOptimized, BfsVariant::Fused]
+            {
                 let ctx = Context::new(g).with_reverse(g);
                 let opts = BfsOptions { variant, ..Default::default() };
                 let r = bfs(&ctx, 0, opts);
@@ -716,11 +698,23 @@ mod tests {
     }
 
     #[test]
+    fn default_without_a_reverse_graph_pushes_every_level() {
+        for (i, g) in suite().iter().enumerate() {
+            let ctx = Context::new(g).with_stats();
+            let r = bfs(&ctx, 0, BfsOptions::default());
+            assert_eq!(r.labels, serial::bfs(g, 0), "graph {i}");
+            check_parents(g, &r.labels, &r.preds, 0);
+            assert_eq!(r.pull_iterations, 0, "graph {i}");
+            assert!(ctx.run_stats().switches.is_empty(), "graph {i}");
+        }
+    }
+
+    #[test]
     fn direction_optimized_saves_edge_visits() {
         let g = GraphBuilder::new().build(rmat(11, 16, Default::default(), 5));
         let push = {
             let ctx = Context::new(&g).with_reverse(&g);
-            bfs(&ctx, 0, BfsOptions::fastest())
+            bfs(&ctx, 0, BfsOptions::default().with_policy(DirectionPolicy::push_only()))
         };
         let opt = {
             let ctx = Context::new(&g).with_reverse(&g);
@@ -769,12 +763,7 @@ mod tests {
         // variant after one level with the completed level intact
         let edges: Vec<(u32, u32)> = (0..19).map(|i| (i, i + 1)).collect();
         let g = GraphBuilder::new().build(gunrock_graph::Coo::from_edges(20, &edges));
-        for variant in [
-            BfsVariant::Atomic,
-            BfsVariant::Idempotent,
-            BfsVariant::DirectionOptimized,
-            BfsVariant::Fused,
-        ] {
+        for variant in [BfsVariant::Atomic, BfsVariant::DirectionOptimized, BfsVariant::Fused] {
             let ctx = Context::new(&g)
                 .with_reverse(&g)
                 .with_policy(RunPolicy::unbounded().max_iterations(1));
@@ -843,7 +832,7 @@ mod tests {
 
     #[test]
     fn budget_pressure_degrades_pull_to_push_and_still_converges() {
-        use gunrock_engine::budget::{estimate_bytes, pooled_bytes, MemoryBudget};
+        use gunrock_engine::budget::{pooled_bytes, MemoryBudget};
         use std::sync::Arc;
         // A short path in a sea of isolated vertices: frontiers stay
         // tiny (push iterations cost a few KB) while the pull bitmaps
@@ -852,7 +841,8 @@ mod tests {
         let n: usize = 1 << 18;
         let edges: Vec<(u32, u32)> = (0..100).map(|i| (i, i + 1)).collect();
         let g = GraphBuilder::new().build(gunrock_graph::Coo::from_edges(n, &edges));
-        let full = estimate_bytes("bfs", n as u64, g.num_edges() as u64);
+        let bfs_entry = crate::registry::find("bfs").unwrap();
+        let full = (bfs_entry.estimate_bytes)(n as u64, g.num_edges() as u64);
         let budget = Arc::new(MemoryBudget::new(full));
         let ctx =
             Context::new(&g).with_reverse(&g).with_stats().with_budget(Arc::clone(&budget));

@@ -52,6 +52,7 @@ pub fn k_core(ctx: &Context<'_>) -> KcoreResult {
                 &VertexCond(|v: u32| degree[v as usize].load(Ordering::Relaxed) < k),
             );
             if peeled.is_empty() {
+                ctx.recycle(peeled);
                 break;
             }
             // their core number is k-1; decrement neighbors
@@ -83,15 +84,19 @@ pub fn k_core(ctx: &Context<'_>) -> KcoreResult {
                     }
                 }
             });
-            // survivors continue
-            alive =
+            // survivors continue; every retired frontier goes back to the
+            // pool
+            let survivors =
                 filter::filter(ctx, &alive, &VertexCond(|v: u32| !peeled_set.get(v as usize)));
+            ctx.recycle(std::mem::replace(&mut alive, survivors));
+            ctx.recycle(peeled);
             peeled_set.release(ctx.pool());
         }
         // everything still alive is in the k-core
         compute::for_each(&alive, |v| core[v as usize].store(k, Ordering::Relaxed));
     }
     let done = run.finish(no_snapshot);
+    ctx.recycle(alive);
     let core_numbers: Vec<u32> = core.iter().map(|c| c.load(Ordering::Relaxed)).collect();
     let degeneracy = core_numbers.iter().copied().max().unwrap_or(0);
     KcoreResult { core_numbers, degeneracy, iterations: done.iterations, outcome: done.outcome }

@@ -7,8 +7,9 @@
 //! iteration boundary — guards, snapshots, counting — shared through
 //! [`gunrock::enact::Enactment`]:
 //!
-//! * [`bfs`] — atomic, idempotent (+culling filter), and
-//!   direction-optimized variants (§5.1);
+//! * [`bfs`] — direction-optimized (idempotent push + culling filter,
+//!   bitmap pull when a reverse graph is attached), atomic and fused
+//!   variants (§5.1);
 //! * [`sssp`] — advance + redundant-removal filter + two-level
 //!   priority queue / delta stepping (§5.2, Algorithm 1);
 //! * [`bc`] — Brandes betweenness, forward sigma + backward dependency
@@ -24,7 +25,9 @@
 //! * [`extras`] — maximal independent set and greedy coloring, from the
 //!   paper's in-development list;
 //! * [`triangles`] / [`kcore`] — edge-frontier triangle counting and
-//!   filter-loop k-core peeling, common Gunrock-family additions.
+//!   filter-loop k-core peeling, common Gunrock-family additions;
+//! * [`registry`] — one table entry per primitive name (arity, run,
+//!   resume, footprint estimate) that every front end reads.
 //!
 //! ```
 //! use gunrock::prelude::*;
@@ -33,7 +36,7 @@
 //!
 //! let g = GraphBuilder::new().build(generators::rmat(8, 8, Default::default(), 1));
 //! let ctx = Context::new(&g);
-//! let result = bfs(&ctx, 0, BfsOptions::fastest());
+//! let result = bfs(&ctx, 0, BfsOptions::default());
 //! assert_eq!(result.labels[0], 0);
 //! ```
 
@@ -52,6 +55,7 @@ pub mod msppr;
 pub mod mst;
 pub mod pagerank;
 pub mod recover;
+pub mod registry;
 pub mod sssp;
 pub mod triangles;
 
@@ -63,6 +67,6 @@ pub use msbfs::{msbfs, msbfs_resume, try_msbfs, MsbfsResult};
 pub use msppr::{msppr, msppr_resume, try_msppr, MspprOptions, MspprResult};
 pub use mst::{mst, MstResult};
 pub use pagerank::{pagerank, pagerank_resume, PrOptions, PrResult};
-pub use recover::{resume, try_bc, try_bfs, try_cc, try_pagerank, try_sssp, ResumedRun};
+pub use recover::{try_bc, try_bfs, try_cc, try_pagerank, try_sssp};
 pub use sssp::{sssp, sssp_resume, SsspOptions, SsspResult};
 pub use triangles::{triangle_count, TriangleResult};

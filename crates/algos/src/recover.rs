@@ -7,15 +7,14 @@
 //! [`GunrockError`] that poisoned the context, for callers that want
 //! `Result` semantics. The small helpers below convert between the
 //! checkpointed plain vectors and the atomic working form primitives
-//! use.
+//! use. Resuming a snapshot by the primitive name it carries goes
+//! through [`crate::registry`].
 
-use crate::bc::{bc, bc_resume, BcOptions, BcResult};
-use crate::bfs::{bfs, bfs_resume, BfsOptions, BfsResult};
-use crate::cc::{cc, cc_resume, CcResult};
-use crate::msbfs::{msbfs_resume, MsbfsResult};
-use crate::msppr::{msppr_resume, MspprResult};
-use crate::pagerank::{pagerank, pagerank_resume, PrOptions, PrResult};
-use crate::sssp::{sssp, sssp_resume, SsspOptions, SsspResult};
+use crate::bc::{bc, BcOptions, BcResult};
+use crate::bfs::{bfs, BfsOptions, BfsResult};
+use crate::cc::{cc, CcResult};
+use crate::pagerank::{pagerank, PrOptions, PrResult};
+use crate::sssp::{sssp, SsspOptions, SsspResult};
 use gunrock::prelude::*;
 use gunrock_engine::atomics::AtomicF64;
 use gunrock_graph::VertexId;
@@ -136,58 +135,4 @@ pub fn try_cc(ctx: &Context<'_>) -> Result<CcResult, GunrockError> {
 pub fn try_pagerank(ctx: &Context<'_>, opts: PrOptions) -> Result<PrResult, GunrockError> {
     let r = pagerank(ctx, opts);
     check_failed(ctx, r.outcome, r)
-}
-
-/// Loads a `gunrock-ckpt/v1` file and resumes whichever primitive wrote
-/// it. The options structs configure the *continued* portion of the run;
-/// state recorded in the checkpoint (source, variant, frontier, labels)
-/// always wins over conflicting options.
-pub enum ResumedRun {
-    /// A resumed BFS run.
-    Bfs(BfsResult),
-    /// A resumed SSSP run.
-    Sssp(SsspResult),
-    /// A resumed BC run.
-    Bc(BcResult),
-    /// A resumed CC run.
-    Cc(CcResult),
-    /// A resumed PageRank run.
-    PageRank(PrResult),
-    /// A resumed multi-source batched BFS run.
-    Msbfs(MsbfsResult),
-    /// A resumed multi-source PPR run.
-    Msppr(MspprResult),
-}
-
-impl ResumedRun {
-    /// The run outcome, whichever primitive produced it.
-    pub fn outcome(&self) -> RunOutcome {
-        match self {
-            ResumedRun::Bfs(r) => r.outcome,
-            ResumedRun::Sssp(r) => r.outcome,
-            ResumedRun::Bc(r) => r.outcome,
-            ResumedRun::Cc(r) => r.outcome,
-            ResumedRun::PageRank(r) => r.outcome,
-            ResumedRun::Msbfs(r) => r.outcome,
-            ResumedRun::Msppr(r) => r.outcome,
-        }
-    }
-}
-
-/// Resumes a checkpoint by primitive name (the CLI's `--resume` path).
-pub fn resume(ctx: &Context<'_>, ckpt: &Checkpoint) -> Result<ResumedRun, GunrockError> {
-    match ckpt.primitive() {
-        "bfs" => bfs_resume(ctx, BfsOptions::default(), ckpt).map(ResumedRun::Bfs),
-        "sssp" => sssp_resume(ctx, SsspOptions::default(), ckpt).map(ResumedRun::Sssp),
-        "bc" => bc_resume(ctx, BcOptions::default(), ckpt).map(ResumedRun::Bc),
-        "cc" => cc_resume(ctx, ckpt).map(ResumedRun::Cc),
-        "pagerank" => {
-            pagerank_resume(ctx, PrOptions::default(), ckpt).map(ResumedRun::PageRank)
-        }
-        "msbfs" => msbfs_resume(ctx, ckpt).map(ResumedRun::Msbfs),
-        "msppr" => msppr_resume(ctx, ckpt).map(ResumedRun::Msppr),
-        other => Err(GunrockError::Checkpoint(CheckpointError::Malformed(format!(
-            "unknown primitive {other:?} in checkpoint"
-        )))),
-    }
 }

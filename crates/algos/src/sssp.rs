@@ -266,7 +266,11 @@ fn sssp_run(
             let next = if opts.use_priority_queue {
                 // ORDERING: Relaxed — dist cells are monotonic fetch_min targets and tag
                 // swaps need only per-cell atomicity; relaxation rounds end at join barriers.
-                st.queue.split(dedup, |v| st.dist[v as usize].load(Ordering::Relaxed))
+                let near =
+                    st.queue.split(&dedup, |v| st.dist[v as usize].load(Ordering::Relaxed));
+                // the pooled filter output is dead once split
+                ctx.recycle(dedup);
+                near
             } else {
                 dedup
             };

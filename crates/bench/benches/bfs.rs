@@ -18,10 +18,11 @@ fn bench_bfs(c: &mut Criterion) {
                 bfs(&ctx, 0, BfsOptions::direction_optimized())
             })
         });
+        // without a reverse graph every level is the idempotent push
         group.bench_with_input(BenchmarkId::new("gunrock_idempotent", name), g, |b, g| {
             b.iter(|| {
                 let ctx = Context::new(g);
-                bfs(&ctx, 0, BfsOptions::fastest())
+                bfs(&ctx, 0, BfsOptions::default())
             })
         });
         group.bench_with_input(BenchmarkId::new("hardwired", name), g, |b, g| {

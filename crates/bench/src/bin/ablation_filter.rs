@@ -7,7 +7,7 @@
 //!         [--scale N] [--runs N]`
 
 use gunrock::prelude::*;
-use gunrock_algos::bfs::{bfs, BfsOptions, BfsVariant};
+use gunrock_algos::bfs::{bfs, BfsOptions};
 use gunrock_bench::table::{fmt_ms, Table};
 use gunrock_bench::{standard_datasets, time_avg_ms, BenchArgs};
 use gunrock_graph::INFINITY;
@@ -42,7 +42,8 @@ fn main() {
             let ctx = Context::new(g);
             std::hint::black_box(bfs(&ctx, 0, BfsOptions::atomic()))
         });
-        let both = BfsOptions { variant: BfsVariant::Idempotent, ..Default::default() };
+        // no reverse graph in `run_config`: every level is the idempotent push
+        let both = BfsOptions::default();
         let bitmask_only = BfsOptions {
             culling: CullingConfig { history: false, history_bits: 0, bitmask: true },
             ..both

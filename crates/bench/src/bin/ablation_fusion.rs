@@ -67,7 +67,7 @@ fn main() {
         let g = &d.graph;
         let standard_ms = time_avg_ms(args.runs, || {
             let ctx = Context::new(g);
-            std::hint::black_box(bfs(&ctx, 0, BfsOptions::fastest()))
+            std::hint::black_box(bfs(&ctx, 0, BfsOptions::default()))
         });
         let fully_fused_ms = time_avg_ms(args.runs, || {
             let ctx = Context::new(g);

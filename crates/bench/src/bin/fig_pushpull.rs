@@ -38,7 +38,11 @@ fn main() {
         let g = &d.graph;
         let push_ms = time_avg_ms(args.runs, || {
             let ctx = Context::new(g).with_reverse(g);
-            std::hint::black_box(bfs(&ctx, 0, BfsOptions::fastest()))
+            std::hint::black_box(bfs(
+                &ctx,
+                0,
+                BfsOptions::default().with_policy(DirectionPolicy::push_only()),
+            ))
         });
         let do_ms = time_avg_ms(args.runs, || {
             let ctx = Context::new(g).with_reverse(g);
@@ -46,7 +50,7 @@ fn main() {
         });
         let push_stats = {
             let ctx = Context::new(g).with_reverse(g);
-            bfs(&ctx, 0, BfsOptions::fastest())
+            bfs(&ctx, 0, BfsOptions::default().with_policy(DirectionPolicy::push_only()))
         };
         let do_stats = {
             let ctx = Context::new(g).with_reverse(g);

@@ -3,6 +3,7 @@
 use crate::datasets::Dataset;
 use gunrock::prelude::*;
 use gunrock_algos as algos;
+use gunrock_algos::registry::{self, Arity, Entry, Query};
 use gunrock_baselines::{gas, hardwired, ligra, medusa, serial};
 
 /// The five benchmarked primitives.
@@ -34,6 +35,13 @@ impl Algorithm {
             Algorithm::PageRank => "PageRank",
             Algorithm::Cc => "CC",
         }
+    }
+
+    /// The primitive's registry entry (what the Gunrock column runs).
+    pub fn entry(&self) -> &'static Entry {
+        // the registry names are the display names, lower-cased
+        registry::find(&self.name().to_ascii_lowercase())
+            .expect("every Table 2 primitive is registered")
     }
 }
 
@@ -97,10 +105,12 @@ pub struct Measurement {
     pub stats: Option<RunStatsSummary>,
 }
 
-/// PageRank parameters shared by every system so the work is identical.
+/// PageRank parameters shared by every system so the work is identical:
+/// the damping and iteration cap are the registry entry's defaults, which
+/// the Gunrock column runs.
 const PR_DAMPING: f64 = 0.85;
 const PR_TOL: f64 = 1e-7;
-const PR_MAX_ITERS: usize = 100;
+const PR_MAX_ITERS: usize = 1000;
 
 /// Runs `alg` on `sys` over the dataset, timing `runs` executions.
 /// Returns `None` for combinations with no implementation (mirroring the
@@ -219,45 +229,32 @@ pub fn run_system(
             std::hint::black_box(ligra::connected_components(g, rev));
         }),
 
-        (System::Gunrock, Algorithm::Bfs) => Box::new(move || {
-            let ctx = Context::new(g).with_reverse(rev);
-            std::hint::black_box(algos::bfs(
-                &ctx,
-                src,
-                algos::BfsOptions::direction_optimized(),
-            ));
-        }),
-        (System::Gunrock, Algorithm::Sssp) => Box::new(move || {
-            let ctx = Context::new(g);
-            std::hint::black_box(algos::sssp(&ctx, src, algos::SsspOptions::default()));
-        }),
-        (System::Gunrock, Algorithm::Bc) => Box::new(move || {
-            let ctx = Context::new(g);
-            std::hint::black_box(algos::bc(&ctx, src, algos::BcOptions::default()));
-        }),
-        (System::Gunrock, Algorithm::PageRank) => Box::new(move || {
-            let ctx = Context::new(g).with_reverse(rev);
-            std::hint::black_box(algos::pagerank(
-                &ctx,
-                algos::PrOptions {
-                    damping: PR_DAMPING,
-                    // residual tolerance: per-vertex pending mass, the
-                    // same per-vertex granularity the other engines use
-                    epsilon: PR_TOL,
-                    max_iters: PR_MAX_ITERS,
-                    ..Default::default()
-                },
-            ));
-        }),
-        (System::Gunrock, Algorithm::Cc) => Box::new(move || {
-            let ctx = Context::new(g).with_reverse(rev);
-            std::hint::black_box(algos::cc(&ctx));
-        }),
+        (System::Gunrock, _) => {
+            let (entry, query) = (alg.entry(), gunrock_query(alg.entry()));
+            Box::new(move || {
+                std::hint::black_box((entry.run)(&gunrock_context(d), &query));
+            })
+        }
     };
     let run = run;
     let millis = crate::time_avg_ms(runs, run);
     let stats = (sys == System::Gunrock).then(|| gunrock_stats(alg, d));
     Some(Measurement { millis, mteps: m / (millis / 1e3) / 1e6, stats })
+}
+
+/// The Gunrock context: one rule for every primitive, the CLI's — the
+/// reverse graph attached, so BFS can pull and BC, CC and PageRank
+/// gather.
+fn gunrock_context(d: &Dataset) -> Context<'_> {
+    Context::new(&d.graph).with_reverse(d.reverse())
+}
+
+/// The Gunrock query: source 0 for single-source primitives, and the
+/// PageRank residual tolerance every system shares — per-vertex pending
+/// mass, the same per-vertex granularity the other engines use.
+fn gunrock_query(entry: &Entry) -> Query {
+    let sources = if entry.arity == Arity::One { vec![0] } else { Vec::new() };
+    Query { sources, epsilon: Some(PR_TOL) }
 }
 
 /// One extra instrumented Gunrock run to collect the per-operator trace.
@@ -266,44 +263,9 @@ pub fn run_system(
 /// wall clock (so per-operator sums can be sanity-capped against it) and
 /// the context's buffer-pool counters.
 fn gunrock_stats(alg: Algorithm, d: &Dataset) -> RunStatsSummary {
-    let g = &d.graph;
-    let src = 0u32;
-    let ctx = match alg {
-        Algorithm::Bfs | Algorithm::PageRank | Algorithm::Cc => {
-            Context::with_stats(Context::new(g).with_reverse(d.reverse()))
-        }
-        _ => Context::with_stats(Context::new(g)),
-    };
+    let ctx = Context::with_stats(gunrock_context(d));
     let start = std::time::Instant::now();
-    match alg {
-        Algorithm::Bfs => {
-            std::hint::black_box(algos::bfs(
-                &ctx,
-                src,
-                algos::BfsOptions::direction_optimized(),
-            ));
-        }
-        Algorithm::Sssp => {
-            std::hint::black_box(algos::sssp(&ctx, src, algos::SsspOptions::default()));
-        }
-        Algorithm::Bc => {
-            std::hint::black_box(algos::bc(&ctx, src, algos::BcOptions::default()));
-        }
-        Algorithm::PageRank => {
-            std::hint::black_box(algos::pagerank(
-                &ctx,
-                algos::PrOptions {
-                    damping: PR_DAMPING,
-                    epsilon: PR_TOL,
-                    max_iters: PR_MAX_ITERS,
-                    ..Default::default()
-                },
-            ));
-        }
-        Algorithm::Cc => {
-            std::hint::black_box(algos::cc(&ctx));
-        }
-    }
+    std::hint::black_box((alg.entry().run)(&ctx, &gunrock_query(alg.entry())));
     let wall = start.elapsed().as_secs_f64() * 1e3;
     ctx.run_stats().summary().with_wall_clock(wall).with_pool(ctx.pool().stats())
 }
@@ -315,6 +277,8 @@ mod tests {
 
     #[test]
     fn every_supported_pair_produces_a_measurement() {
+        let pr = algos::PrOptions::default();
+        assert_eq!((PR_DAMPING, PR_MAX_ITERS), (pr.damping, pr.max_iters), "one PageRank cap");
         let d = load_dataset("kron", 8);
         for sys in System::ALL {
             for alg in Algorithm::ALL {
@@ -355,6 +319,16 @@ mod tests {
                             assert_eq!(
                                 s.pool.releases, s.pool.checkouts,
                                 "{sys:?} {alg:?} left the pool unbalanced"
+                            );
+                        }
+                        // BC runs on the reverse graph its sigma gather needs
+                        if alg == Algorithm::Bc {
+                            let ctx = gunrock_context(&d).with_stats();
+                            (alg.entry().run)(&ctx, &gunrock_query(alg.entry()));
+                            let steps = ctx.run_stats().steps;
+                            assert!(
+                                steps.iter().any(|s| s.strategy.contains("gather")),
+                                "{sys:?} BC never gathered"
                             );
                         }
                     }

@@ -3,7 +3,8 @@
 //! ```text
 //! gunrock <primitive> [--graph FILE | --gen KIND --scale N] [options]
 //!
-//! primitives: bfs sssp bc cc pagerank mst kcore triangles labelprop stats
+//! primitives: bfs sssp bc cc pagerank msbfs msppr mst kcore triangles
+//!             labelprop (the entries of gunrock_algos::registry), stats
 //! generators: kron soc roadnet bitcoin random smallworld
 //!
 //! options:
@@ -11,13 +12,13 @@
 //!   --gen KIND         generate a synthetic graph (default: kron)
 //!   --scale N          generator size exponent (default: 12)
 //!   --seed N           generator seed (default: 42)
-//!   --src N            source vertex for bfs/sssp/bc (default: 0)
-//!   --sources N        bfs only: run N lane-packed traversals (1..=64)
-//!                      as one bit-parallel MS-BFS batch, sources taking
-//!                      consecutive ids from --src (mod |V|); reports
-//!                      aggregate sources/sec, and checkpoints resume
-//!                      with the same flag
-//!   --weights LO..HI   random edge weights (default: 1..64 for sssp/mst)
+//!   --src N            source vertex of single-source primitives, first
+//!                      lane of lane-packed ones (default: 0)
+//!   --sources N        lane-packed primitives (msbfs, msppr): N lanes
+//!                      (1..=64, default 64) taking consecutive ids from
+//!                      --src (mod |V|); reports aggregate sources/sec
+//!   --weights LO..HI   random edge weights of generated graphs
+//!                      (default: 1..64)
 //!   --reorder          relabel vertices degree-descending (hub clustering)
 //!                      before running; results are mapped back to the
 //!                      original ids, so output is unchanged — only the
@@ -48,8 +49,9 @@
 //!   --checkpoint-every N  snapshot state every N iterations (0: only on
 //!                      a guard trip) into --checkpoint-dir
 //!   --checkpoint-dir D directory for checkpoint files (default: .)
-//!   --resume PATH      resume bfs/sssp/bc/cc/pagerank from a
-//!                      gunrock-ckpt/v1 snapshot (same graph flags!)
+//!   --resume PATH      resume a primitive that checkpoints (all but mst,
+//!                      kcore, triangles, labelprop) from a gunrock-ckpt/v1
+//!                      snapshot (same graph flags!)
 //! ```
 //!
 //! Exit codes: `0` converged, `1` error (bad arguments, unreadable or
@@ -57,14 +59,18 @@
 //! tripped and the printed result is partial — if checkpointing was on,
 //! the partial run leaves a resumable snapshot behind.
 //!
-//! The dispatch logic lives in this library crate so it can be unit
-//! tested; `main` is a one-liner.
+//! Every primitive runs through its `gunrock_algos::registry` entry —
+//! one context rule, one summary printer — so the run path names no
+//! primitive; `--verify` looks the entry's serial oracle up in
+//! [`oracle`], the one table here keyed by entry name. The logic lives in
+//! this library crate so it can be unit tested; `main` is a one-liner.
 
 #![warn(missing_docs)]
 
+mod oracle;
+
 use gunrock::prelude::*;
-use gunrock_algos as algos;
-use gunrock_baselines::serial;
+use gunrock_algos::registry::{self, Arity, Entry, Output, Query, Run};
 use gunrock_graph::prelude::*;
 use gunrock_graph::{io, stats};
 use std::collections::HashMap;
@@ -74,7 +80,7 @@ use std::sync::Arc;
 pub const USAGE: &str = "\
 usage: gunrock <primitive> [--graph FILE | --gen KIND --scale N] [options]
 
-primitives: bfs sssp bc cc pagerank mst kcore triangles labelprop stats
+primitives: bfs sssp bc cc pagerank msbfs msppr mst kcore triangles labelprop stats
 generators: kron soc roadnet bitcoin random smallworld
 service:    gunrock serve --help  |  gunrock query --help
 
@@ -83,11 +89,10 @@ options:
   --gen KIND         generate a synthetic graph (default: kron)
   --scale N          generator size exponent (default: 12)
   --seed N           generator seed (default: 42)
-  --src N            source vertex for bfs/sssp/bc (default: 0)
-  --sources N        bfs: one lane-packed MS-BFS batch of N traversals
-                     (1..=64) from consecutive ids at --src; prints
-                     aggregate sources/sec
-  --weights LO..HI   random edge weights (default: 1..64 for sssp/mst)
+  --src N            source vertex (first lane of a batch; default: 0)
+  --sources N        msbfs/msppr: N lanes (1..=64, default 64) from
+                     consecutive ids at --src; prints aggregate sources/sec
+  --weights LO..HI   random edge weights of generated graphs (default: 1..64)
   --reorder          degree-descending relabeling (results keep original ids)
   --verify           cross-check against the serial oracle
   --top K            print the top-K vertices by score (default: 5)
@@ -107,7 +112,7 @@ options:
 /// Parsed command line.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Args {
-    /// The primitive (or `stats`) to run.
+    /// The registry entry (or `stats`) to run.
     pub primitive: String,
     /// `--flag value` options.
     pub flags: HashMap<String, String>,
@@ -230,16 +235,11 @@ pub fn load_or_generate(args: &Args) -> Result<Csr, String> {
     let scale = args.get_usize("scale", 12)? as u32;
     let seed = args.get_usize("seed", 42)? as u64;
     let kind = args.flags.get("gen").map(String::as_str).unwrap_or("kron");
-    // sssp/mst want weights by default
-    let default_weighted = matches!(args.primitive.as_str(), "sssp" | "mst");
-    let weights = args.weights()?.or(if default_weighted { Some((1, 64)) } else { None });
-    let mut builder = GraphBuilder::new();
-    if let Some((lo, hi)) = weights {
-        builder = builder.random_weights(lo, hi, seed);
-    }
+    // weighted like served graphs, so sssp and mst see real weights
+    let (lo, hi) = args.weights()?.unwrap_or((1, 64));
     let coo =
         generators::from_spec(kind, scale, seed).map_err(|e| format!("{e}\n\n{USAGE}"))?;
-    Ok(builder.build(coo))
+    Ok(GraphBuilder::new().random_weights(lo, hi, seed).build(coo))
 }
 
 fn top_k(scores: &[f64], k: usize) -> Vec<(usize, f64)> {
@@ -249,17 +249,31 @@ fn top_k(scores: &[f64], k: usize) -> Vec<(usize, f64)> {
     v
 }
 
-/// The primitives `execute` understands.
-pub const PRIMITIVES: [&str; 10] =
-    ["bfs", "sssp", "bc", "cc", "pagerank", "mst", "kcore", "triangles", "labelprop", "stats"];
+/// PageRank-style convergence threshold for every CLI run: tight enough
+/// that `--verify` holds scores to 1e-6 of the oracle's.
+const EPSILON: f64 = 1e-10;
 
 /// Executes the parsed command, printing results. `Ok` carries how the
 /// enact loop ended: anything but [`RunOutcome::Converged`] means the
 /// printed result is partial (exit code 2).
 pub fn execute(args: &Args) -> Result<RunOutcome, String> {
+    if args.primitive == "stats" {
+        print_stats(&load_or_generate(args)?);
+        return Ok(RunOutcome::Converged);
+    }
     // reject unknown primitives before paying for graph construction
-    if !PRIMITIVES.contains(&args.primitive.as_str()) {
-        return Err(format!("unknown primitive {:?}\n\n{USAGE}", args.primitive));
+    let entry = registry::find(&args.primitive)
+        .ok_or_else(|| format!("unknown primitive {:?}\n\n{USAGE}", args.primitive))?;
+    let lanes = match (entry.arity, args.flags.get("sources")) {
+        (Arity::Lanes, _) => args.get_usize("sources", LANES)?,
+        (_, None) => 1,
+        (_, Some(_)) => {
+            let batched = registry::names(&[Arity::Lanes]);
+            return Err(format!("--sources applies to lane-packed primitives ({batched})"));
+        }
+    };
+    if lanes == 0 || lanes > LANES {
+        return Err(format!("--sources expects 1..={LANES}, got {lanes}"));
     }
     let mut policy = args.policy()?;
     let retry = args.retry_policy()?;
@@ -305,25 +319,22 @@ pub fn execute(args: &Args) -> Result<RunOutcome, String> {
         .as_ref()
         .filter(|inj| inj.plan().rate(FaultKind::Io) > 0.0)
         .map(|inj| install_read_faults(Arc::clone(inj)));
-    // `bfs --sources` runs (and snapshots/resumes as) the lane-packed
-    // msbfs primitive; its checkpoints carry that name
-    let batched = args.primitive == "bfs" && args.flags.contains_key("sources");
-    let ckpt_name = if batched { "msbfs" } else { args.primitive.as_str() };
     let resume_ckpt = match args.flags.get("resume") {
         None => None,
         Some(path) => {
-            if !matches!(args.primitive.as_str(), "bfs" | "sssp" | "bc" | "cc" | "pagerank") {
-                return Err(format!("--resume does not support {:?}", args.primitive));
-            }
+            let Some(resume) = entry.resume else {
+                return Err(format!("--resume does not support {:?}", entry.name));
+            };
             let ckpt = Checkpoint::load(std::path::Path::new(path))
                 .map_err(|e| format!("cannot resume from {path}: {e}"))?;
-            if ckpt.primitive() != ckpt_name {
+            if ckpt.primitive() != entry.name {
                 return Err(format!(
-                    "checkpoint {path} holds a {} run, not {ckpt_name}",
+                    "checkpoint {path} holds a {} run, not {}",
                     ckpt.primitive(),
+                    entry.name
                 ));
             }
-            Some(ckpt)
+            Some((resume, ckpt))
         }
     };
     let mut g = load_or_generate(args)?;
@@ -339,24 +350,16 @@ pub fn execute(args: &Args) -> Result<RunOutcome, String> {
     let g = g;
     let og = orig.as_ref().unwrap_or(&g);
     let n = g.num_vertices();
-    let mut src = args.get_usize("src", 0)? as u32;
-    // a checkpoint pins the source vertex; honor it so --verify compares
-    // the resumed run against the right oracle (the snapshot stores the
-    // id the algorithm ran with, so map it back under --reorder)
-    if let Some(ckpt) = &resume_ckpt {
-        // msbfs snapshots pin a whole lane vector instead; the resumed
-        // result reports them, so nothing to do here for a batch
-        if !batched && matches!(args.primitive.as_str(), "bfs" | "sssp" | "bc") {
-            if let Some(&s) = ckpt.u32s("scalars").ok().and_then(<[u32]>::first) {
-                src = relab.as_ref().map_or(s, |r| r.old_of_new(s));
-            }
-        }
-    }
-    if matches!(args.primitive.as_str(), "bfs" | "sssp" | "bc") && src as usize >= n {
+    // original-id sources: one, or `lanes` consecutive ids from --src so
+    // a batch is reproducible without listing 64 vertices
+    let src = args.get_usize("src", 0)?;
+    if entry.arity == Arity::One && resume_ckpt.is_none() && src >= n {
         return Err(format!("--src {src} out of range (graph has {n} vertices)"));
     }
-    // the source id the algorithms see; printing and oracles use `src`
-    let isrc = relab.as_ref().map_or(src, |r| r.new_of_old(src));
+    let sources: Vec<VertexId> = match entry.arity {
+        Arity::None => Vec::new(),
+        _ => (0..lanes).map(|l| ((src + l) % n.max(1)) as VertexId).collect(),
+    };
     let k = args.get_usize("top", 5)?;
     println!(
         "graph: {} vertices, {} directed edges, max degree {}",
@@ -364,16 +367,6 @@ pub fn execute(args: &Args) -> Result<RunOutcome, String> {
         g.num_edges(),
         g.max_degree()
     );
-    let mut outcome = RunOutcome::Converged;
-    // --verify against a converged oracle only makes sense for a
-    // converged run; a tripped guard skips it with a note instead of
-    // reporting a spurious mismatch
-    let verify = |o: RunOutcome| -> bool {
-        if args.verify && !o.is_converged() {
-            println!("skipping --verify: result is partial ({o})");
-        }
-        args.verify && o.is_converged()
-    };
     let stats_path = args.flags.get("stats-json");
     let serial_threshold = match args.flags.get("serial-threshold") {
         Some(v) => Some(
@@ -382,320 +375,142 @@ pub fn execute(args: &Args) -> Result<RunOutcome, String> {
         ),
         None => None,
     };
-    // install the instrumentation sink only when the trace is wanted,
-    // then thread the robustness knobs into every context
-    let instrument = |ctx| {
-        let mut ctx = if stats_path.is_some() { Context::with_stats(ctx) } else { ctx };
-        if let Some(t) = serial_threshold {
-            ctx = ctx.with_config(gunrock_engine::EngineConfig::new().with_serial_threshold(t));
+    // One context rule for every primitive: the real transpose as the
+    // reverse graph (a loaded `.bin` may be directed), so pull levels and
+    // gathers read in-edges; the trace sink only when the trace is
+    // wanted; the robustness knobs threaded in.
+    let rev = g.transpose();
+    let mut ctx = Context::new(&g).with_reverse(&rev).with_policy(policy).with_retry(retry);
+    if stats_path.is_some() {
+        ctx = Context::with_stats(ctx);
+    }
+    if let Some(t) = serial_threshold {
+        ctx = ctx.with_config(gunrock_engine::EngineConfig::new().with_serial_threshold(t));
+    }
+    if let Some(cp) = &ckpt_policy {
+        ctx = ctx.with_checkpoints(cp.clone());
+    }
+    if let Some(inj) = &injector {
+        ctx = ctx.with_faults(Arc::clone(inj));
+    }
+    if let Some(b) = &budget {
+        ctx = ctx.with_budget(Arc::clone(b));
+    }
+    if let Some(hb) = &heartbeat {
+        ctx = ctx.with_heartbeat(Arc::clone(hb));
+    }
+    let run = match &resume_ckpt {
+        Some((resume, ckpt)) => {
+            resume(&ctx, ckpt).map_err(|e| format!("resume failed: {e}"))?
         }
-        ctx = ctx.with_retry(retry);
-        if let Some(cp) = &ckpt_policy {
-            ctx = ctx.with_checkpoints(cp.clone());
+        None => {
+            let internal =
+                sources.iter().map(|&s| relab.as_ref().map_or(s, |r| r.new_of_old(s)));
+            (entry.run)(&ctx, &Query { sources: internal.collect(), epsilon: Some(EPSILON) })
         }
-        if let Some(inj) = &injector {
-            ctx = ctx.with_faults(Arc::clone(inj));
-        }
-        if let Some(b) = &budget {
-            ctx = ctx.with_budget(Arc::clone(b));
-        }
-        if let Some(hb) = &heartbeat {
-            ctx = ctx.with_heartbeat(Arc::clone(hb));
-        }
-        ctx
     };
+    // the sources the run actually used (a checkpoint pins its own), in
+    // original ids, and the output restored to original ids
+    let sources: Vec<VertexId> =
+        run.sources.iter().map(|&s| relab.as_ref().map_or(s, |r| r.old_of_new(s))).collect();
+    let restored = relab.as_ref().map(|r| run.output.restore(r));
+    let output = restored.as_ref().unwrap_or(&run.output);
+    print_run(entry, &run, &sources, output, &ctx, k);
     // dump the trace (faulted runs included), then surface a poisoned
     // run as the structured error that caused it (exit code 1)
-    let dump = |ctx: &Context<'_>, elapsed: std::time::Duration, o: RunOutcome| {
-        if let Some(path) = stats_path {
-            dump_stats(path, &args.primitive, &g, elapsed, ctx, o)?;
-        }
-        if o == RunOutcome::Failed {
-            return Err(match ctx.take_failure() {
-                Some(e) => format!("run failed: {e}"),
-                None => "run failed: operator fault (no recorded cause)".to_string(),
-            });
-        }
-        Ok(())
-    };
-    match args.primitive.as_str() {
-        "stats" => {
-            let s = stats::graph_stats(&g);
-            println!(
-                "avg degree {:.2}, pseudo-diameter {}, {:.1}% of vertices below degree 128",
-                s.avg_degree,
-                s.pseudo_diameter,
-                s.frac_degree_lt_128 * 100.0
-            );
-            let hist = stats::degree_histogram(&g);
-            for (i, &c) in hist.iter().enumerate().filter(|&(_, &c)| c > 0) {
-                let lo = if i == 0 { 0 } else { 1 << (i - 1) };
-                let hi = if i == 0 { 0 } else { (1 << i) - 1 };
-                println!("  degree {lo:>6}..{hi:<6} : {c} vertices");
-            }
-        }
-        // `--sources N`: one bit-parallel MS-BFS batch instead of a
-        // single traversal; lanes take consecutive ids from --src so the
-        // batch is reproducible without listing 64 vertices
-        "bfs" if batched => {
-            let lanes = args.get_usize("sources", 1)?;
-            if lanes == 0 || lanes > LANES {
-                return Err(format!("--sources expects 1..={LANES}, got {lanes}"));
-            }
-            let ctx = instrument(Context::new(&g).with_reverse(&g).with_policy(policy));
-            let r = match &resume_ckpt {
-                Some(ckpt) => algos::msbfs_resume(&ctx, ckpt)
-                    .map_err(|e| format!("resume failed: {e}"))?,
-                None => {
-                    let isrcs: Vec<VertexId> = (0..lanes)
-                        .map(|l| ((src as usize + l) % n) as VertexId)
-                        .map(|s| relab.as_ref().map_or(s, |rl| rl.new_of_old(s)))
-                        .collect();
-                    algos::msbfs(&ctx, &isrcs)
-                }
-            };
-            // original-id sources for printing and oracles (a resumed
-            // batch pins its own lanes, so recover them from the result)
-            let osrcs: Vec<VertexId> = r
-                .sources
-                .iter()
-                .map(|&s| relab.as_ref().map_or(s, |rl| rl.old_of_new(s)))
-                .collect();
-            let reached = r.depths.iter().filter(|&&d| d != INFINITY).count();
-            println!(
-                "msbfs x{} from {}: reached {} vertex-lanes in {} levels, {:.2} ms, {:.1} MTEPS, {:.0} sources/sec",
-                r.lanes(),
-                osrcs.first().copied().unwrap_or(src),
-                reached,
-                r.iterations,
-                r.elapsed.as_secs_f64() * 1e3,
-                r.edges_examined as f64 / r.elapsed.as_secs_f64() / 1e6,
-                r.sources_per_second()
-            );
-            outcome = r.outcome;
-            dump(&ctx, r.elapsed, r.outcome)?;
-            if verify(r.outcome) {
-                for (l, &s) in osrcs.iter().enumerate() {
-                    let what = format!("msbfs lane {l} depths");
-                    verify_eq(&restored(&relab, r.lane_depths(l)), &serial::bfs(og, s), &what)?;
-                }
-            }
-        }
-        "bfs" => {
-            let ctx = instrument(Context::new(&g).with_reverse(&g).with_policy(policy));
-            let opts = algos::BfsOptions::direction_optimized();
-            let r = match &resume_ckpt {
-                Some(ckpt) => algos::bfs_resume(&ctx, opts, ckpt)
-                    .map_err(|e| format!("resume failed: {e}"))?,
-                None => algos::bfs(&ctx, isrc, opts),
-            };
-            let reached = r.labels.iter().filter(|&&l| l != INFINITY).count();
-            println!(
-                "bfs from {src}: reached {reached} vertices in {} levels ({} pull), {:.2} ms, {:.1} MTEPS",
-                r.iterations,
-                r.pull_iterations,
-                r.elapsed.as_secs_f64() * 1e3,
-                r.mteps()
-            );
-            outcome = r.outcome;
-            dump(&ctx, r.elapsed, r.outcome)?;
-            if verify(r.outcome) {
-                verify_eq(&restored(&relab, &r.labels), &serial::bfs(og, src), "bfs depths")?;
-            }
-        }
-        "sssp" => {
-            let ctx = instrument(Context::new(&g).with_policy(policy));
-            let r = match &resume_ckpt {
-                Some(ckpt) => algos::sssp_resume(&ctx, algos::SsspOptions::default(), ckpt)
-                    .map_err(|e| format!("resume failed: {e}"))?,
-                None => algos::sssp(&ctx, isrc, algos::SsspOptions::default()),
-            };
-            let reached = r.dist.iter().filter(|&&d| d != INFINITY).count();
-            println!(
-                "sssp from {src}: reached {reached} vertices, {} iterations, {:.2} ms, {:.1} MTEPS",
-                r.iterations,
-                r.elapsed.as_secs_f64() * 1e3,
-                r.mteps()
-            );
-            outcome = r.outcome;
-            dump(&ctx, r.elapsed, r.outcome)?;
-            if verify(r.outcome) {
-                verify_eq(
-                    &restored(&relab, &r.dist),
-                    &serial::dijkstra(og, src),
-                    "sssp distances",
-                )?;
-            }
-        }
-        "bc" => {
-            // the reverse graph puts sigma on the gather path; a loaded
-            // `.bin` may be directed, so it is a real transpose
-            let rev = g.transpose();
-            let ctx = instrument(Context::new(&g).with_reverse(&rev).with_policy(policy));
-            let r = match &resume_ckpt {
-                Some(ckpt) => algos::bc_resume(&ctx, algos::BcOptions::default(), ckpt)
-                    .map_err(|e| format!("resume failed: {e}"))?,
-                None => algos::bc(&ctx, isrc, algos::BcOptions::default()),
-            };
-            let vals = restored(&relab, &r.bc_values);
-            println!(
-                "bc from {src}: {} iterations, {:.2} ms; top dependency scores:",
-                r.iterations,
-                r.elapsed.as_secs_f64() * 1e3
-            );
-            for (v, s) in top_k(&vals, k) {
-                println!("  #{v:<8} {s:.2}");
-            }
-            outcome = r.outcome;
-            dump(&ctx, r.elapsed, r.outcome)?;
-            if verify(r.outcome) {
-                verify_bc(&vals, &serial::brandes_single_source(og, src))?;
-                println!("verified against serial Brandes");
-            }
-        }
-        "cc" => {
-            // the reverse graph lets the split skip the giant component;
-            // a loaded `.bin` may be directed, so it is a real transpose
-            let rev = g.transpose();
-            let ctx = instrument(Context::new(&g).with_reverse(&rev).with_policy(policy));
-            let r = match &resume_ckpt {
-                Some(ckpt) => {
-                    algos::cc_resume(&ctx, ckpt).map_err(|e| format!("resume failed: {e}"))?
-                }
-                None => algos::cc(&ctx),
-            };
-            println!(
-                "cc: {} components in {} iterations, {:.2} ms",
-                r.num_components,
-                r.iterations,
-                r.elapsed.as_secs_f64() * 1e3
-            );
-            outcome = r.outcome;
-            dump(&ctx, r.elapsed, r.outcome)?;
-            if verify(r.outcome) {
-                let want = serial::connected_components(og);
-                match &relab {
-                    // component representatives depend on the id order, so
-                    // compare the partitions under a canonical labeling
-                    Some(rl) => verify_eq(
-                        &canonical_components(&rl.restore_ids(&r.labels)),
-                        &canonical_components(&want),
-                        "component labels",
-                    )?,
-                    None => verify_eq(&r.labels, &want, "component labels")?,
-                }
-            }
-        }
-        "pagerank" => {
-            // the reverse graph puts dense iterations on the gather path;
-            // a loaded `.bin` may be directed, so it is a real transpose
-            let rev = g.transpose();
-            let ctx = instrument(Context::new(&g).with_reverse(&rev).with_policy(policy));
-            let opts = algos::PrOptions { epsilon: 1e-10, ..Default::default() };
-            let r = match &resume_ckpt {
-                Some(ckpt) => algos::pagerank_resume(&ctx, opts, ckpt)
-                    .map_err(|e| format!("resume failed: {e}"))?,
-                None => algos::pagerank(&ctx, opts),
-            };
-            let scores = restored(&relab, &r.scores);
-            println!(
-                "pagerank: {} iterations, {:.2} ms; top scores:",
-                r.iterations,
-                r.elapsed.as_secs_f64() * 1e3
-            );
-            for (v, s) in top_k(&scores, k) {
-                println!("  #{v:<8} {s:.6}");
-            }
-            outcome = r.outcome;
-            dump(&ctx, r.elapsed, r.outcome)?;
-            if verify(r.outcome) {
-                let want = serial::pagerank(og, 0.85, 1e-12, 2000);
-                for (i, (a, b)) in scores.iter().zip(&want).enumerate() {
-                    if (a - b).abs() > 1e-5 {
-                        return Err(format!("VERIFY FAILED: pr[{i}] {a} vs oracle {b}"));
-                    }
-                }
-                println!("verified against power iteration");
-            }
-        }
-        "mst" => {
-            let ctx = instrument(Context::new(&g).with_policy(policy));
-            let t = std::time::Instant::now();
-            let r = algos::mst(&ctx);
-            let elapsed = t.elapsed();
-            println!(
-                "mst: {} edges, total weight {}, {} trees, {} rounds",
-                r.edges.len(),
-                r.total_weight,
-                r.num_trees,
-                r.rounds
-            );
-            outcome = r.outcome;
-            dump(&ctx, elapsed, r.outcome)?;
-            if verify(r.outcome) {
-                let want = algos::mst::mst_weight_kruskal(og);
-                if r.total_weight != want {
-                    return Err(format!(
-                        "VERIFY FAILED: mst weight {} vs kruskal {want}",
-                        r.total_weight
-                    ));
-                }
-                println!("verified against Kruskal");
-            }
-        }
-        "kcore" => {
-            let ctx = instrument(Context::new(&g).with_policy(policy));
-            let t = std::time::Instant::now();
-            let r = algos::k_core(&ctx);
-            println!("kcore: degeneracy {}, {} iterations", r.degeneracy, r.iterations);
-            outcome = r.outcome;
-            dump(&ctx, t.elapsed(), r.outcome)?;
-            if verify(r.outcome) {
-                verify_eq(
-                    &restored(&relab, &r.core_numbers),
-                    &algos::kcore::k_core_serial(og),
-                    "core numbers",
-                )?;
-            }
-        }
-        "triangles" => {
-            let ctx = instrument(Context::new(&g).with_policy(policy));
-            let t = std::time::Instant::now();
-            let r = algos::triangle_count(&ctx);
-            println!("triangles: {} total", r.total);
-            outcome = r.outcome;
-            dump(&ctx, t.elapsed(), r.outcome)?;
-            if verify(r.outcome) {
-                let want = serial::triangle_count(og);
-                if r.total != want {
-                    return Err(format!("VERIFY FAILED: {} vs oracle {want}", r.total));
-                }
-                println!("verified against oracle");
-            }
-        }
-        "labelprop" => {
-            let ctx = instrument(Context::new(&g).with_policy(policy));
-            let t = std::time::Instant::now();
-            let r = algos::label_prop::label_propagation(&ctx, 50);
-            println!(
-                "label propagation: {} communities after {} rounds",
-                r.num_communities, r.rounds
-            );
-            outcome = r.outcome;
-            dump(&ctx, t.elapsed(), r.outcome)?;
-        }
-        other => unreachable!("primitive {other:?} validated against PRIMITIVES"),
+    if let Some(path) = stats_path {
+        dump_stats(path, entry.name, &g, run.elapsed, &ctx, run.outcome)?;
     }
-    if !outcome.is_converged() {
-        println!("partial result: {outcome}");
+    if run.outcome == RunOutcome::Failed {
+        return Err(match ctx.take_failure() {
+            Some(e) => format!("run failed: {e}"),
+            None => "run failed: operator fault (no recorded cause)".to_string(),
+        });
+    }
+    // --verify against a converged oracle only makes sense for a
+    // converged run; a tripped guard skips it with a note instead of
+    // reporting a spurious mismatch
+    match (args.verify, oracle::oracle(entry)) {
+        (true, _) if !run.outcome.is_converged() => {
+            println!("skipping --verify: result is partial ({})", run.outcome);
+        }
+        (true, Some(oracle)) => {
+            output.check(&oracle(og, &Query { sources, epsilon: Some(EPSILON) }))?;
+            println!("verified against serial oracle");
+        }
+        (true, None) => println!("skipping --verify: {} has no serial oracle", entry.name),
+        (false, _) => {}
+    }
+    if !run.outcome.is_converged() {
+        println!("partial result: {}", run.outcome);
         if let Some(cp) = &ckpt_policy {
-            let p = cp.path(ckpt_name);
+            let p = cp.path(entry.name);
             if p.exists() {
                 println!("resumable checkpoint: {}", p.display());
             }
         }
     }
-    Ok(outcome)
+    Ok(run.outcome)
+}
+
+/// The `stats` subcommand: degree distribution and pseudo-diameter.
+fn print_stats(g: &Csr) {
+    let s = stats::graph_stats(g);
+    println!(
+        "avg degree {:.2}, pseudo-diameter {}, {:.1}% of vertices below degree 128",
+        s.avg_degree,
+        s.pseudo_diameter,
+        s.frac_degree_lt_128 * 100.0
+    );
+    let hist = stats::degree_histogram(g);
+    for (i, &c) in hist.iter().enumerate().filter(|&(_, &c)| c > 0) {
+        let lo = if i == 0 { 0 } else { 1 << (i - 1) };
+        let hi = if i == 0 { 0 } else { (1 << i) - 1 };
+        println!("  degree {lo:>6}..{hi:<6} : {c} vertices");
+    }
+}
+
+/// One summary line for any run, then what its output shape calls for:
+/// reached slots, component count, the top-K scores or the count.
+fn print_run(
+    entry: &Entry,
+    run: &Run,
+    sources: &[VertexId],
+    output: &Output,
+    ctx: &Context<'_>,
+    k: usize,
+) {
+    let secs = run.elapsed.as_secs_f64();
+    let from = match sources {
+        [] => String::new(),
+        [s] => format!(" from {s}"),
+        [first, ..] => format!(" x{} from {first}", sources.len()),
+    };
+    let mut line = format!(
+        "{}{from}: {} iterations ({} pull), {:.2} ms, {:.1} MTEPS",
+        entry.name,
+        run.iterations,
+        ctx.counters.pull_iters(),
+        secs * 1e3,
+        Timing { elapsed: run.elapsed, edges_examined: ctx.counters.edges() }.mteps()
+    );
+    if sources.len() > 1 && secs > 0.0 {
+        line += &format!(", {:.0} sources/sec", sources.len() as f64 / secs);
+    }
+    println!("{line}");
+    match output {
+        Output::Depths(_) => {
+            println!("  reached {} vertex slots", output.reached().unwrap_or(0))
+        }
+        Output::Components(_) => println!("  {} components", output.components().unwrap_or(0)),
+        Output::Scores(scores) => {
+            println!("  top scores:");
+            for (v, s) in top_k(scores, k) {
+                println!("  #{v:<8} {s:.6}");
+            }
+        }
+        Output::Count(c) => println!("  count {c}"),
+    }
 }
 
 /// Uninstalls the loader fault hook when dropped, so `--inject-faults`
@@ -764,54 +579,6 @@ fn dump_stats(
     j.end_object();
     std::fs::write(path, j.finish()).map_err(|e| format!("cannot write {path}: {e}"))?;
     println!("stats trace ({} steps) written to {path}", stats.steps.len());
-    Ok(())
-}
-
-/// Maps a per-vertex result computed on the relabeled graph back to
-/// original-id order (a plain copy when `--reorder` is off).
-fn restored<T: Copy>(relab: &Option<Relabeling>, values: &[T]) -> Vec<T> {
-    match relab {
-        Some(r) => r.restore_values(values),
-        None => values.to_vec(),
-    }
-}
-
-/// Rewrites component labels to the canonical "minimum vertex id in the
-/// component" representative, so labelings that picked different (but
-/// internally consistent) representatives compare equal.
-fn canonical_components(labels: &[VertexId]) -> Vec<VertexId> {
-    let mut rep: HashMap<VertexId, VertexId> = HashMap::new();
-    for (v, &l) in labels.iter().enumerate() {
-        // first occurrence in id order is the minimum member
-        rep.entry(l).or_insert(v as VertexId);
-    }
-    labels.iter().map(|l| rep[l]).collect()
-}
-
-/// Dependency scores against the oracle's: within 1e-6 of the score (of
-/// 1, for scores below it), since summing in another order moves the last
-/// digits of scores near 4e5; NaN — shortest-path counts past `f64` —
-/// matches only NaN.
-fn verify_bc(got: &[f64], want: &[f64]) -> Result<(), String> {
-    for (i, (a, b)) in got.iter().zip(want).enumerate() {
-        if !((a - b).abs() <= 1e-6 * b.abs().max(1.0) || (a.is_nan() && b.is_nan())) {
-            return Err(format!("VERIFY FAILED: bc[{i}] {a} vs oracle {b}"));
-        }
-    }
-    Ok(())
-}
-
-fn verify_eq<T: PartialEq + std::fmt::Debug>(
-    got: &[T],
-    want: &[T],
-    what: &str,
-) -> Result<(), String> {
-    for (i, (a, b)) in got.iter().zip(want).enumerate() {
-        if a != b {
-            return Err(format!("VERIFY FAILED: {what}[{i}] = {a:?}, oracle says {b:?}"));
-        }
-    }
-    println!("verified against serial oracle");
     Ok(())
 }
 
@@ -947,18 +714,8 @@ mod tests {
 
     #[test]
     fn execute_every_primitive_with_verify() {
-        for prim in [
-            "bfs",
-            "sssp",
-            "bc",
-            "cc",
-            "pagerank",
-            "mst",
-            "kcore",
-            "triangles",
-            "labelprop",
-            "stats",
-        ] {
+        for prim in registry::REGISTRY.iter().map(|e| e.name).chain(["stats"]) {
+            assert!(USAGE.contains(prim), "usage must list {prim}");
             let a = parse_args(args(&[prim, "--scale", "7", "--verify"])).unwrap();
             let outcome = execute(&a).unwrap_or_else(|e| panic!("{prim}: {e}"));
             assert!(outcome.is_converged(), "{prim}");
@@ -970,7 +727,9 @@ mod tests {
         // soc at scale 8 has pronounced hubs, so the relabeling is a real
         // permutation; --verify compares restored results against oracles
         // run on the ORIGINAL graph, so any translation slip fails loudly
-        for prim in ["bfs", "sssp", "bc", "cc", "pagerank", "mst", "kcore", "triangles"] {
+        for prim in
+            registry::REGISTRY.iter().filter(|e| oracle::oracle(e).is_some()).map(|e| e.name)
+        {
             let a = parse_args(args(&[
                 prim,
                 "--gen",
@@ -1060,9 +819,7 @@ mod tests {
     fn every_primitive_honors_the_iteration_cap() {
         // every iterative primitive must come back quickly with a
         // partial outcome under a 1-iteration policy, never hang or panic
-        for prim in
-            ["bfs", "sssp", "bc", "cc", "pagerank", "mst", "kcore", "triangles", "labelprop"]
-        {
+        for prim in registry::REGISTRY.iter().map(|e| e.name) {
             let a = parse_args(args(&[prim, "--scale", "8", "--max-iters", "1"])).unwrap();
             let outcome = execute(&a).unwrap_or_else(|e| panic!("{prim}: {e}"));
             assert_eq!(outcome, RunOutcome::IterationCapped, "{prim}");
@@ -1097,12 +854,17 @@ mod tests {
         }
     }
 
-    /// Runs `primitive` with `--verify` on a directed `.bin` whose in- and
-    /// out-lists differ (0 -> 1 -> 2 -> 0 plus 0 -> 2 and a dangling
-    /// 3 <- 1), so gathering over `g` itself would be wrong, and checks
-    /// that the trace shows an in-edge gather.
-    fn gathers_over_real_in_edges_of_a_directed_bin(primitive: &str) {
-        let coo = gunrock_graph::Coo::from_edges(4, &[(0, 1), (1, 2), (2, 0), (0, 2), (1, 3)]);
+    /// Runs `primitive` with `--verify` on a directed `.bin` of `edges`
+    /// over `n` vertices whose in- and out-lists differ, so pulling over
+    /// `g` itself would be wrong, and checks that the trace shows the
+    /// in-edge `strategy`.
+    fn pulls_over_real_in_edges_of_a_directed_bin(
+        primitive: &str,
+        n: usize,
+        edges: &[(u32, u32)],
+        strategy: &str,
+    ) {
+        let coo = gunrock_graph::Coo::from_edges(n, edges);
         let g = GraphBuilder::new().directed().build(coo);
         let dir = std::env::temp_dir();
         let tag = format!("{primitive}_{}", std::process::id());
@@ -1120,23 +882,45 @@ mod tests {
         .unwrap();
         assert_eq!(execute(&a).unwrap(), RunOutcome::Converged);
         let json = std::fs::read_to_string(&stats).unwrap();
-        assert!(json.contains("pull_gather"), "the run must have gathered: {json}");
+        assert!(json.contains(strategy), "the run must have pulled: {json}");
         std::fs::remove_file(&bin).ok();
         std::fs::remove_file(&stats).ok();
     }
 
+    /// 0 -> 1 -> 2 -> 0 plus 0 -> 2 and a dangling 3 <- 1.
+    const TRIANGLE_PLUS_ONE: [(u32, u32); 5] = [(0, 1), (1, 2), (2, 0), (0, 2), (1, 3)];
+
     #[test]
     fn pagerank_gathers_over_real_in_edges_of_a_directed_bin() {
-        gathers_over_real_in_edges_of_a_directed_bin("pagerank");
+        pulls_over_real_in_edges_of_a_directed_bin(
+            "pagerank",
+            4,
+            &TRIANGLE_PLUS_ONE,
+            "pull_gather",
+        );
     }
 
     #[test]
     fn bc_gathers_over_real_in_edges_of_a_directed_bin() {
-        gathers_over_real_in_edges_of_a_directed_bin("bc");
+        pulls_over_real_in_edges_of_a_directed_bin("bc", 4, &TRIANGLE_PLUS_ONE, "pull_gather");
+    }
+
+    /// The star 0 -> 1..=20, every leaf -> 22, and 21 -> 1: level 2 is 20
+    /// vertices with 20 out-edges against one unvisited edge, so BFS
+    /// pulls. Pulling over out-lists would label the unreachable 21 and
+    /// miss 22.
+    #[test]
+    fn bfs_pulls_over_real_in_edges_of_a_directed_bin() {
+        let mut edges: Vec<(u32, u32)> = (1..=20).flat_map(|i| [(0, i), (i, 22)]).collect();
+        edges.push((21, 1));
+        pulls_over_real_in_edges_of_a_directed_bin("bfs", 23, &edges, "pull_sweep");
     }
 
     #[test]
     fn bc_verify_matches_nan_only_with_nan() {
+        let verify_bc = |got: &[f64], want: &[f64]| {
+            Output::Scores(got.to_vec()).check(&Output::Scores(want.to_vec()))
+        };
         assert!(verify_bc(&[f64::NAN], &[1.0]).is_err(), "NaN is not any score");
         assert!(verify_bc(&[1.0], &[f64::NAN]).is_err());
         assert!(verify_bc(&[f64::NAN, 0.5], &[f64::NAN, 0.5]).is_ok());
@@ -1250,7 +1034,7 @@ mod tests {
         // --verify compares every lane against the serial oracle from
         // that lane's source, with and without --reorder restore
         let a = parse_args(args(&[
-            "bfs",
+            "msbfs",
             "--gen",
             "soc",
             "--scale",
@@ -1262,7 +1046,7 @@ mod tests {
         .unwrap();
         assert_eq!(execute(&a).unwrap(), RunOutcome::Converged);
         let a = parse_args(args(&[
-            "bfs",
+            "msbfs",
             "--gen",
             "soc",
             "--scale",
@@ -1276,10 +1060,14 @@ mod tests {
         ]))
         .unwrap();
         assert_eq!(execute(&a).unwrap(), RunOutcome::Converged);
-        let bad = parse_args(args(&["bfs", "--scale", "7", "--sources", "65"])).unwrap();
-        assert!(execute(&bad).unwrap_err().contains("--sources"));
-        let bad = parse_args(args(&["bfs", "--scale", "7", "--sources", "0"])).unwrap();
-        assert!(execute(&bad).unwrap_err().contains("--sources"));
+        for bad in [
+            ["msbfs", "--sources", "65"],
+            ["msbfs", "--sources", "0"],
+            ["bfs", "--sources", "3"],
+        ] {
+            let bad = parse_args(args(&bad)).unwrap();
+            assert!(execute(&bad).unwrap_err().contains("--sources"));
+        }
     }
 
     #[test]
@@ -1289,7 +1077,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let d = dir.to_str().unwrap().to_string();
         let partial = args(&[
-            "bfs",
+            "msbfs",
             "--gen",
             "kron",
             "--scale",
@@ -1320,13 +1108,11 @@ mod tests {
         assert!(execute(&a).unwrap_err().contains("holds a msbfs run"));
         // ...and the batched resume converges and verifies every lane
         let resumed = args(&[
-            "bfs",
+            "msbfs",
             "--gen",
             "kron",
             "--scale",
             "8",
-            "--sources",
-            "6",
             "--resume",
             ckpt.to_str().unwrap(),
             "--verify",

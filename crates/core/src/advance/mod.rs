@@ -239,15 +239,16 @@ fn dispatch<F: AdvanceFunctor>(
     }
 }
 
-/// The `advance:stall` chaos site: a fault here simulates the failure
-/// mode the watchdog exists for — an operator that stops making
-/// progress AND is deaf to cooperative cancellation (so the cancel flag
+/// The `advance:stall` chaos site (push advances and pull sweeps alike):
+/// a fault here simulates the failure mode the watchdog exists for — an
+/// operator that stops making progress AND is deaf to cooperative
+/// cancellation (so the cancel flag
 /// the watchdog raises in its first escalation is deliberately
 /// ignored). The stall releases only when the watchdog escalates to a
 /// kill, or at a hard cap that keeps watchdog-less runs from hanging a
 /// test suite forever. Either way it ends in a panic so the run poisons
 /// and reports instead of returning fabricated output.
-fn stall_if_injected(ctx: &Context<'_>, inj: &FaultInjector) {
+pub(crate) fn stall_if_injected(ctx: &Context<'_>, inj: &FaultInjector) {
     if !inj.should_fail(FaultKind::Stall, "advance:stall") {
         return;
     }

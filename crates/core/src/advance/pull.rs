@@ -77,6 +77,7 @@ pub fn advance_pull<F: AdvanceFunctor, B: BitSet>(
     let result = isolated(ctx, "advance", || {
         if let Some(inj) = ctx.injector() {
             inj.maybe_panic("advance:pull");
+            super::stall_if_injected(ctx, inj);
         }
         let rev = ctx.reverse_graph();
         let grain = grain_size(candidates.len());
@@ -174,6 +175,7 @@ pub fn advance_pull_sweep<F: AdvanceFunctor>(
     let result = isolated(ctx, "advance", || {
         if let Some(inj) = ctx.injector() {
             inj.maybe_panic("advance:pull_sweep");
+            super::stall_if_injected(ctx, inj);
         }
         let rev = ctx.reverse_graph();
         let cols = rev.col_indices();

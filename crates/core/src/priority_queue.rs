@@ -61,8 +61,8 @@ impl NearFarQueue {
 
     /// Splits a frontier by the priority function: elements with
     /// `priority < pivot` are returned as the near frontier; the rest are
-    /// appended to the far pile.
-    pub fn split<P>(&mut self, frontier: Frontier, priority: P) -> Frontier
+    /// appended to the far pile. The input stays the caller's, to recycle.
+    pub fn split<P>(&mut self, frontier: &Frontier, priority: P) -> Frontier
     where
         P: Fn(u32) -> u32 + Sync,
     {
@@ -118,7 +118,7 @@ mod tests {
         let mut q = NearFarQueue::new(10);
         let f = Frontier::from_vec(vec![1, 2, 3, 4]);
         // priorities: v * 4 -> [4, 8, 12, 16]; pivot 10
-        let near = q.split(f, |v| v * 4);
+        let near = q.split(&f, |v| v * 4);
         assert_eq!(near.as_slice(), &[1, 2]);
         assert_eq!(q.far_len(), 2);
     }
@@ -129,7 +129,7 @@ mod tests {
         let f = Frontier::from_vec(vec![1, 2, 3]);
         // priorities: 100, 15, 3 — only v=3 near initially
         let prios = [0u32, 100, 15, 3];
-        let near = q.split(f, |v| prios[v as usize]);
+        let near = q.split(&f, |v| prios[v as usize]);
         assert_eq!(near.as_slice(), &[3]);
         // refill: window becomes [10, 20): v=2 qualifies
         let near = q.refill(|v| prios[v as usize]);
@@ -145,7 +145,7 @@ mod tests {
     fn refill_skips_empty_windows() {
         let mut q = NearFarQueue::new(5);
         let f = Frontier::from_vec(vec![0]);
-        let near = q.split(f, |_| 23);
+        let near = q.split(&f, |_| 23);
         assert!(near.is_empty());
         // windows [5,10), [10,15), [15,20) are empty; [20,25) catches it
         let near = q.refill(|_| 23);
@@ -156,7 +156,7 @@ mod tests {
     fn saturated_priorities_terminate() {
         let mut q = NearFarQueue::new(u32::MAX / 2);
         let f = Frontier::from_vec(vec![0, 1]);
-        let near = q.split(f, |_| u32::MAX);
+        let near = q.split(&f, |_| u32::MAX);
         assert!(near.is_empty());
         let near = q.refill(|_| u32::MAX);
         assert!(near.is_empty());

@@ -16,10 +16,11 @@
 //! pool's `can_reserve`) first and take a degradation rung instead —
 //! see the ladder in DESIGN §11.
 //!
-//! [`estimate_bytes`] is the admission-control half: a documented
-//! worst-case footprint formula per primitive, derived from the pool's
-//! power-of-two size classes, that lets a server reject a request
-//! *before* any work is done.
+//! [`pooled_bytes`] and [`advance_workspace_bytes`] are the admission-
+//! control half: the pool's power-of-two charging units and the widest
+//! advance working set, from which each primitive's registry entry
+//! (`gunrock_algos::registry`) builds its worst-case footprint so a
+//! server can reject a request *before* any work is done.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -183,52 +184,6 @@ pub fn advance_workspace_bytes(frontier_len: u64, neighbors: u64, strategy: &str
     }
 }
 
-/// Up-front worst-case footprint (bytes) of one run of `primitive` on a
-/// graph with `n` vertices and `m` directed edges, counted in pool
-/// charging units. The formulas (documented in DESIGN §11) are
-/// deliberately pessimistic — they assume the widest single iteration:
-/// a full-graph frontier expanding every edge — so admission control
-/// errs toward rejecting, never toward aborting.
-///
-/// Unknown primitives fall back to the BFS formula (every served
-/// primitive is frontier-shaped).
-pub fn estimate_bytes(primitive: &str, n: u64, m: u64) -> u64 {
-    // frontier ping-pong: two pooled u32 buffers over the vertex set
-    let frontiers = 2 * pooled_bytes(n, 4);
-    // widest advance: full frontier, every edge gathered
-    let advance = advance_workspace_bytes(n, m, "load_balanced");
-    // one pooled u64-word bitmap over the vertex set
-    let bitmap = pooled_bytes(n.div_ceil(64), 8);
-    match primitive {
-        // labels + visited bitmap + (direction-optimized) three pull
-        // bitmaps built at the push->pull switch
-        "bfs" => n * 4 + 4 * bitmap + frontiers + advance,
-        // distance array + visited bitmap for the culling filter
-        "sssp" => n * 4 + bitmap + frontiers + advance,
-        // depths + sigma/delta f64 arrays, the pooled level stack (room
-        // for a dense level's candidates past the levels found), a sparse
-        // level's input copy and its advance output
-        "bc" => n * 4 + 2 * n * 8 + pooled_bytes(2 * n, 4) + frontiers + advance,
-        // component labels (the parent forest), the pooled residual
-        // frontier the split filters out of the vertex set, and the
-        // finish advance over it
-        "cc" => n * 4 + pooled_bytes(n, 4) + advance,
-        // four f64 arrays over the vertex set: scores, residual, the
-        // per-edge shares the gather reads and the push accumulator
-        "pagerank" => 4 * n * 8 + frontiers + advance,
-        // lane-packed batch: three pooled n-word u64 lane maps
-        // (seen + frontier ping-pong pair) plus the 64-lane depth
-        // array; the batched advance needs no scan workspace
-        "msbfs" => 3 * pooled_bytes(n, 8) + 64 * n * 4,
-        // lane-packed PPR: the active / next lane-map pair plus 64-lane
-        // f64 score and residual matrices; no advance workspace either
-        "msppr" => 2 * pooled_bytes(n, 8) + 2 * 64 * n * 8,
-        // the sleep diagnostic touches no graph state
-        "sleep" => 0,
-        _ => n * 4 + 4 * bitmap + frontiers + advance,
-    }
-}
-
 /// Parses a byte count with an optional binary suffix: `4096`, `64k`,
 /// `512m`, `2g` (case-insensitive). Shared by every front end that
 /// accepts a `--memory-budget` flag.
@@ -307,22 +262,6 @@ mod tests {
         assert_eq!(pooled_elems(64), 64);
         assert_eq!(pooled_elems(65), 128);
         assert_eq!(pooled_bytes(100, 4), 128 * 4);
-    }
-
-    #[test]
-    fn estimates_are_monotone_and_primitive_shaped() {
-        let (n, m) = (1 << 12, 1 << 16);
-        for p in ["bfs", "sssp", "bc", "cc", "pagerank"] {
-            let small = estimate_bytes(p, n, m);
-            let large = estimate_bytes(p, n * 4, m * 4);
-            assert!(small > 0, "{p}");
-            assert!(large > small, "{p}: estimate must grow with the graph");
-        }
-        // bc carries two f64 arrays, so it must out-weigh bfs
-        assert!(estimate_bytes("bc", n, m) > estimate_bytes("bfs", n, m));
-        assert_eq!(estimate_bytes("sleep", n, m), 0);
-        // the fallback is the bfs formula
-        assert_eq!(estimate_bytes("unknown", n, m), estimate_bytes("bfs", n, m));
     }
 
     #[test]

@@ -22,6 +22,7 @@
 //! Writes are atomic (`path.tmp` + rename) so a crash mid-write never
 //! leaves a half-valid checkpoint where a resumable one used to be.
 
+use crate::fnv::fnv1a;
 use crate::json::{JsonBuilder, JsonValue};
 use std::fmt;
 use std::io::{self, Read, Write};
@@ -491,17 +492,6 @@ impl Checkpoint {
         std::fs::File::open(path)?.read_to_end(&mut bytes)?;
         Checkpoint::decode(&bytes)
     }
-}
-
-/// 64-bit FNV-1a (same parameters as the graph binary format's
-/// integrity checksum: detects truncation and bit rot, not tampering).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 #[cfg(test)]

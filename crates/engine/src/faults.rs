@@ -20,6 +20,7 @@
 //! `gunrock-graph` loaders (CLI use, `--inject-faults`). When no injector
 //! is present every hook is a single relaxed atomic load.
 
+use crate::fnv::fnv1a;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Which failure class a hook is asking about.
@@ -149,17 +150,6 @@ impl FaultPlan {
             || self.io_rate > 0.0
             || self.stall_rate > 0.0
     }
-}
-
-/// 64-bit FNV-1a over a byte string (site names are short; this is not
-/// on any hot path).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// SplitMix64 finalizer: a high-quality 64-bit mix used to turn

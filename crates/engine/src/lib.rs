@@ -30,6 +30,7 @@ pub mod checkpoint;
 pub mod compact;
 pub mod config;
 pub mod faults;
+pub mod fnv;
 pub mod frontier;
 pub mod json;
 pub mod lanes;

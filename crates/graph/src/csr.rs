@@ -267,6 +267,33 @@ impl Csr {
         }
     }
 
+    /// True if the graph equals its [`transpose`](Csr::transpose) — the
+    /// same neighbor lists in the same order, with the same weights — so
+    /// it can serve as its own reverse graph. One pass over the edges and
+    /// no `m`-sized allocation: the transpose lists each vertex's sources
+    /// in ascending order, so edge `(u, v)` must be the next unmatched
+    /// entry of `v`'s list.
+    pub fn equals_transpose(&self) -> bool {
+        let mut cursor: Vec<EdgeId> = self.row_offsets[..self.num_vertices()].to_vec();
+        for u in 0..self.num_vertices() as VertexId {
+            for e in self.edge_range(u) {
+                let v = self.col_indices[e] as usize;
+                let c = cursor[v] as usize;
+                let weight = |i: usize| self.edge_values.as_ref().map(|w| w[i]);
+                if c >= self.row_offsets[v + 1] as usize
+                    || self.col_indices[c] != u
+                    || weight(c) != weight(e)
+                {
+                    return false;
+                }
+                cursor[v] += 1;
+            }
+        }
+        // every edge advanced one cursor without passing its row's end,
+        // and the rows hold m entries in all: every row is matched
+        true
+    }
+
     /// True if for every edge `(u, v)` the edge `(v, u)` also exists
     /// (ignoring weights). Quadratic in max degree; intended for tests and
     /// dataset validation.
@@ -354,6 +381,27 @@ mod tests {
         let tt = t.transpose();
         assert_eq!(tt.row_offsets(), g.row_offsets());
         assert_eq!(tt.col_indices(), g.col_indices());
+    }
+
+    #[test]
+    fn equals_transpose_needs_the_same_lists_and_weights() {
+        let undirected = |w: &[(u32, u32, u32)]| {
+            let mut coo = Coo::from_weighted_edges(4, w);
+            coo.symmetrize();
+            coo.sort_and_dedup();
+            Csr::from_coo(&coo)
+        };
+        let g = undirected(&[(0, 1, 5), (1, 2, 6), (0, 3, 7)]);
+        assert!(g.equals_transpose());
+        assert!(!sample().equals_transpose(), "directed");
+        // the same structure with one direction's weight changed
+        let coo = Coo::from_weighted_edges(2, &[(0, 1, 5), (1, 0, 6)]);
+        assert!(!Csr::from_coo(&coo).equals_transpose());
+        // symmetric, but a list out of ascending order
+        let coo = Coo::from_edges(3, &[(0, 2), (0, 1), (1, 0), (2, 0)]);
+        assert!(!Csr::from_coo(&coo).equals_transpose());
+        let t = Csr::from_coo(&Coo::from_edges(3, &[(0, 1), (0, 2), (1, 0), (2, 0)]));
+        assert!(t.equals_transpose());
     }
 
     #[test]

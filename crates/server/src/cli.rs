@@ -64,7 +64,8 @@ pub const QUERY_USAGE: &str = "\
 usage: gunrock query --addr HOST:PORT [--request JSON | request flags]
 
 request flags (assembled into one request line):
-  --primitive P         bfs sssp bc cc pagerank sleep metrics (default: bfs)
+  --primitive P         bfs sssp bc cc pagerank mst kcore triangles labelprop,
+                        sleep or metrics (default: bfs)
   --id ID               correlation id echoed in the response
   --src N               source vertex (default: 0)
   --deadline-ms N       wall-clock budget, counted from arrival
@@ -124,7 +125,8 @@ fn build_graph(flags: &HashMap<String, String>) -> Result<Csr, String> {
     let scale = get_u64(flags, "scale", 12)? as u32;
     let seed = get_u64(flags, "seed", 42)?;
     let kind = flags.get("gen").map(String::as_str).unwrap_or("kron");
-    // The service runs sssp too, so served graphs always carry weights.
+    // The service runs sssp and mst too, so served graphs always carry
+    // weights.
     let (lo, hi) = match flags.get("weights") {
         None => (1, 64),
         Some(spec) => {

@@ -1,5 +1,6 @@
-//! Per-request execution: primitive dispatch, result summaries, and the
-//! FNV result hash clients use to assert bit-identical resumes.
+//! Per-request execution: runs (or resumes) the request's registry
+//! entry and summarizes its output, including the FNV result hash
+//! clients use to assert bit-identical resumes.
 //!
 //! A job runs on a worker thread inside its own [`Context`]: per-request
 //! `RunPolicy` (deadline budget, iteration cap, the server-wide drain
@@ -12,11 +13,12 @@ use crate::coalesce::BatchMember;
 use crate::protocol::{error_response, ErrorCode, Request, SCHEMA};
 use gunrock::prelude::*;
 use gunrock_algos as algos;
+use gunrock_algos::registry::{self, Arity, Output, Query, Run};
 use gunrock_engine::json::JsonBuilder;
 use gunrock_engine::pool::BufferPool;
 use gunrock_engine::watchdog::Heartbeat;
 use gunrock_graph::reorder::Relabeling;
-use gunrock_graph::{Csr, INFINITY};
+use gunrock_graph::Csr;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
@@ -53,42 +55,15 @@ pub struct JobVerdict {
     pub degrades: u64,
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a_bytes(state: u64, bytes: &[u8]) -> u64 {
-    let mut h = state;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
-/// FNV-1a over the little-endian bytes of a `u32` result array.
-pub fn hash_u32s(xs: &[u32]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for x in xs {
-        h = fnv1a_bytes(h, &x.to_le_bytes());
-    }
-    h
-}
-
-/// FNV-1a over the IEEE-754 bit patterns of an `f64` result array —
-/// equal hashes mean bit-identical score vectors.
-pub fn hash_f64s(xs: &[f64]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for x in xs {
-        h = fnv1a_bytes(h, &x.to_bits().to_le_bytes());
-    }
-    h
-}
+/// The result hashes responses carry (`result_hash`).
+pub use gunrock_engine::fnv::{hash_f64s, hash_u32s};
 
 /// Everything a worker needs to run one admitted request.
 pub struct JobEnv<'a> {
-    /// The shared immutable graph (also used as its own reverse: served
-    /// graphs are built symmetric).
+    /// The shared immutable graph.
     pub graph: &'a Csr,
+    /// Its in-edges: the transpose, or `graph` itself when undirected.
+    pub reverse: &'a Csr,
     /// Set when `graph` is a `--reorder` relabeling of the input graph:
     /// request sources are translated in, per-vertex results are mapped
     /// back to original ids before hashing.
@@ -114,12 +89,12 @@ pub struct JobEnv<'a> {
 
 impl<'a> JobEnv<'a> {
     /// The engine context every request (solo or batched) runs on: the
-    /// served graph as its own reverse — so BFS can pull and PageRank
-    /// can gather — over the shared pool, under `policy`, with the
+    /// served graph with its reverse — so BFS can pull and PageRank can
+    /// gather over in-edges — over the shared pool, under `policy`, with the
     /// request's (or the server-wide) fault plan and the job's heartbeat.
     fn context(&self, policy: RunPolicy, injector: Option<Arc<FaultInjector>>) -> Context<'a> {
         let mut ctx = Context::new(self.graph)
-            .with_reverse(self.graph)
+            .with_reverse(self.reverse)
             .with_shared_pool(self.pool.clone())
             .with_policy(policy);
         if let Some(t) = self.serial_threshold {
@@ -194,119 +169,18 @@ fn respond_result(
     b.finish()
 }
 
-fn count_reached(labels: &[u32]) -> u64 {
-    labels.iter().filter(|&&l| l != INFINITY).count() as u64
-}
-
-/// Hash of a per-vertex value array in original-id order (depths,
-/// distances): restores the permutation first on a reordered server so
-/// hashes are comparable with an unreordered one.
-fn hash_restored_u32(relab: Option<&Relabeling>, v: &[u32]) -> u64 {
-    match relab {
-        Some(r) => hash_u32s(&r.restore_values(v)),
-        None => hash_u32s(v),
-    }
-}
-
-/// Hash of a per-vertex array whose elements are vertex ids (component
-/// labels): restores positions AND translates the stored ids.
-fn hash_restored_ids(relab: Option<&Relabeling>, v: &[u32]) -> u64 {
-    match relab {
-        Some(r) => hash_u32s(&r.restore_ids(v)),
-        None => hash_u32s(v),
-    }
-}
-
-/// Hash of a per-vertex `f64` score array in original-id order.
-fn hash_restored_f64(relab: Option<&Relabeling>, v: &[f64]) -> u64 {
-    match relab {
-        Some(r) => hash_f64s(&r.restore_values(v)),
-        None => hash_f64s(v),
-    }
-}
-
-fn summarize_resumed(
-    run: &algos::recover::ResumedRun,
-    relab: Option<&Relabeling>,
-) -> RunSummary {
-    use algos::recover::ResumedRun;
-    match run {
-        ResumedRun::Bfs(r) => RunSummary {
-            outcome: r.outcome,
-            iterations: r.iterations,
-            elapsed: r.elapsed,
-            result_hash: hash_restored_u32(relab, &r.labels),
-            reached: Some(count_reached(&r.labels)),
-            num_components: None,
-        },
-        ResumedRun::Sssp(r) => RunSummary {
-            outcome: r.outcome,
-            iterations: r.iterations,
-            elapsed: r.elapsed,
-            result_hash: hash_restored_u32(relab, &r.dist),
-            reached: Some(count_reached(&r.dist)),
-            num_components: None,
-        },
-        ResumedRun::Bc(r) => RunSummary {
-            outcome: r.outcome,
-            iterations: r.iterations,
-            elapsed: r.elapsed,
-            result_hash: hash_restored_f64(relab, &r.bc_values),
-            reached: None,
-            num_components: None,
-        },
-        ResumedRun::Cc(r) => RunSummary {
-            outcome: r.outcome,
-            iterations: r.iterations,
-            elapsed: r.elapsed,
-            result_hash: hash_restored_ids(relab, &r.labels),
-            reached: None,
-            num_components: Some(r.num_components as u64),
-        },
-        ResumedRun::PageRank(r) => RunSummary {
-            outcome: r.outcome,
-            iterations: r.iterations,
-            elapsed: r.elapsed,
-            result_hash: hash_restored_f64(relab, &r.scores),
-            reached: None,
-            num_components: None,
-        },
-        // Batched resumes cannot be requested through the protocol (the
-        // served primitive set has no "msbfs"/"msppr" and resume demands
-        // the names match), but the summary is still honest: hash the
-        // lane-major matrix lane by lane in original-id order.
-        ResumedRun::Msbfs(r) => {
-            let restored: Vec<u32> = (0..r.lanes())
-                .flat_map(|l| match relab {
-                    Some(rl) => rl.restore_values(r.lane_depths(l)),
-                    None => r.lane_depths(l).to_vec(),
-                })
-                .collect();
-            RunSummary {
-                outcome: r.outcome,
-                iterations: r.iterations,
-                elapsed: r.elapsed,
-                result_hash: hash_u32s(&restored),
-                reached: Some(count_reached(&restored)),
-                num_components: None,
-            }
-        }
-        ResumedRun::Msppr(r) => {
-            let restored: Vec<f64> = (0..r.sources.len())
-                .flat_map(|l| match relab {
-                    Some(rl) => rl.restore_values(r.lane_scores(l)),
-                    None => r.lane_scores(l).to_vec(),
-                })
-                .collect();
-            RunSummary {
-                outcome: r.outcome,
-                iterations: r.iterations,
-                elapsed: r.elapsed,
-                result_hash: hash_f64s(&restored),
-                reached: None,
-                num_components: None,
-            }
-        }
+/// Summarizes a finished run for the response, in original-id order on
+/// a reordered server so hashes are comparable with an unreordered one.
+fn summarize(run: &Run, relab: Option<&Relabeling>) -> RunSummary {
+    let restored = relab.map(|r| run.output.restore(r));
+    let output = restored.as_ref().unwrap_or(&run.output);
+    RunSummary {
+        outcome: run.outcome,
+        iterations: run.iterations,
+        elapsed: run.elapsed,
+        result_hash: output.hash(),
+        reached: output.reached(),
+        num_components: output.components(),
     }
 }
 
@@ -399,6 +273,11 @@ pub fn run_job(
     if req.primitive == "sleep" {
         return run_sleep(req, deadline, env.cancel, env.heartbeat);
     }
+    // admission only queues served names; anything else is a dispatch bug
+    let Some(entry) = registry::find(&req.primitive) else {
+        let message = format!("cannot serve {:?}", req.primitive);
+        return failed_verdict(req, ErrorCode::UnknownPrimitive, &message, false);
+    };
 
     let mut policy = RunPolicy::unbounded().cancel_flag(env.cancel.clone());
     if let Some(cap) = req.max_iters {
@@ -442,7 +321,7 @@ pub fn run_job(
         ctx = ctx.with_checkpoints(p.clone());
     }
 
-    let (summary, resumed) = if let Some(path) = &req.resume {
+    let (run, resumed) = if let Some(path) = &req.resume {
         let ckpt = match Checkpoint::load(Path::new(path)) {
             Ok(c) => c,
             Err(e) => {
@@ -454,7 +333,7 @@ pub fn run_job(
                 )
             }
         };
-        if ckpt.primitive() != req.primitive {
+        if ckpt.primitive() != entry.name {
             return failed_verdict(
                 req,
                 ErrorCode::ResumeFailed,
@@ -466,8 +345,12 @@ pub fn run_job(
                 false,
             );
         }
-        match algos::recover::resume(&ctx, &ckpt) {
-            Ok(run) => (summarize_resumed(&run, env.relab), true),
+        let Some(resume) = entry.resume else {
+            let message = format!("{} runs cannot be resumed", entry.name);
+            return failed_verdict(req, ErrorCode::ResumeFailed, &message, false);
+        };
+        match resume(&ctx, &ckpt) {
+            Ok(run) => (run, true),
             Err(e) => {
                 return failed_verdict(req, ErrorCode::ResumeFailed, &e.to_string(), false)
             }
@@ -476,84 +359,10 @@ pub fn run_job(
         // requests name original vertex ids; a reordered server
         // translates the source in and maps results back at the hash
         let src = env.relab.map_or(req.src, |r| r.new_of_old(req.src));
-        let summary = match req.primitive.as_str() {
-            "bfs" => {
-                let r = algos::bfs(&ctx, src, algos::BfsOptions::default());
-                RunSummary {
-                    outcome: r.outcome,
-                    iterations: r.iterations,
-                    elapsed: r.elapsed,
-                    result_hash: hash_restored_u32(env.relab, &r.labels),
-                    reached: Some(count_reached(&r.labels)),
-                    num_components: None,
-                }
-            }
-            "sssp" => {
-                let r = algos::sssp(&ctx, src, algos::SsspOptions::default());
-                RunSummary {
-                    outcome: r.outcome,
-                    iterations: r.iterations,
-                    elapsed: r.elapsed,
-                    result_hash: hash_restored_u32(env.relab, &r.dist),
-                    reached: Some(count_reached(&r.dist)),
-                    num_components: None,
-                }
-            }
-            "bc" => {
-                let r = algos::bc(&ctx, src, algos::BcOptions::default());
-                RunSummary {
-                    outcome: r.outcome,
-                    iterations: r.iterations,
-                    elapsed: r.elapsed,
-                    result_hash: hash_restored_f64(env.relab, &r.bc_values),
-                    reached: None,
-                    num_components: None,
-                }
-            }
-            "cc" => {
-                let r = algos::cc(&ctx);
-                RunSummary {
-                    outcome: r.outcome,
-                    iterations: r.iterations,
-                    elapsed: r.elapsed,
-                    result_hash: hash_restored_ids(env.relab, &r.labels),
-                    reached: None,
-                    num_components: Some(r.num_components as u64),
-                }
-            }
-            "pagerank" => {
-                let opts = match req.epsilon {
-                    Some(eps) => algos::PrOptions { epsilon: eps, ..Default::default() },
-                    None => algos::PrOptions::default(),
-                };
-                let r = algos::pagerank(&ctx, opts);
-                RunSummary {
-                    outcome: r.outcome,
-                    iterations: r.iterations,
-                    elapsed: r.elapsed,
-                    result_hash: hash_restored_f64(env.relab, &r.scores),
-                    reached: None,
-                    num_components: None,
-                }
-            }
-            other => {
-                return JobVerdict {
-                    response: error_response(
-                        &req.id,
-                        ErrorCode::UnknownPrimitive,
-                        &format!("cannot serve {other:?}"),
-                        None,
-                    ),
-                    status: JobStatus::Rejected,
-                    breaker_failure: false,
-                    deadline_missed: false,
-                    checkpointed: false,
-                    degrades: 0,
-                }
-            }
-        };
-        (summary, false)
+        let sources = if entry.arity == Arity::One { vec![src] } else { Vec::new() };
+        ((entry.run)(&ctx, &Query { sources, epsilon: req.epsilon }), false)
     };
+    let summary = summarize(&run, env.relab);
 
     if summary.outcome == RunOutcome::Failed {
         let failure = ctx.take_failure();
@@ -728,15 +537,14 @@ pub fn run_batch(env: &JobEnv<'_>, members: &[BatchMember], seq: u64) -> BatchOu
 
     let lanes = live.len() as u64;
     for (lane, &i) in live.iter().enumerate() {
-        let depths = r.lane_depths(lane);
-        let summary = RunSummary {
+        let lane_run = Run {
             outcome: r.outcome,
             iterations: r.iterations,
             elapsed: r.elapsed,
-            result_hash: hash_restored_u32(env.relab, depths),
-            reached: Some(count_reached(depths)),
-            num_components: None,
+            sources: vec![sources[lane]],
+            output: Output::Depths(r.lane_depths(lane).to_vec()),
         };
+        let summary = summarize(&lane_run, env.relab);
         verdicts[i] = Some(JobVerdict {
             response: respond_result(&members[i].req, &summary, None, false, Some(lanes)),
             status: if r.outcome.is_converged() { JobStatus::Ok } else { JobStatus::Partial },
@@ -763,6 +571,7 @@ mod tests {
     ) -> JobEnv<'a> {
         JobEnv {
             graph: g,
+            reverse: g,
             relab: None,
             cancel,
             heartbeat: None,

@@ -41,5 +41,5 @@ pub mod server;
 pub mod signal;
 
 pub use client::{query_once, Client};
-pub use protocol::{ErrorCode, Request, SCHEMA, SERVE_PRIMITIVES};
+pub use protocol::{ErrorCode, Request, SCHEMA};
 pub use server::{handle_request, serve_stdin, start, ServerConfig, ServerHandle, ServerState};

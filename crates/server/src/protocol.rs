@@ -19,19 +19,17 @@
 //!  "duration_ms":250,"inject":"panic=1.0","fault_seed":7}
 //! ```
 //!
-//! `primitive` is one of `bfs`/`sssp`/`bc`/`cc`/`pagerank`, the
-//! diagnostic `sleep` (busy-waits `duration_ms`, honoring deadline and
-//! drain — used to exercise queueing deterministically), or the meta
-//! request `metrics` (answered inline, never queued).
+//! `primitive` names any single-source or whole-graph entry of
+//! `gunrock_algos::registry` (`bfs`, `sssp`, `bc`, `cc`, `pagerank`,
+//! `mst`, `kcore`, `triangles`, `labelprop`), the diagnostic `sleep`
+//! (busy-waits `duration_ms`, honoring deadline and drain — used to
+//! exercise queueing deterministically), or the meta request `metrics`
+//! (answered inline, never queued).
 
 use gunrock_engine::json::JsonValue;
 
 /// Schema tag stamped on every response and metrics document.
 pub const SCHEMA: &str = "gunrock-serve/v1";
-
-/// Primitives a request may name (the meta request `metrics` is handled
-/// before admission and is deliberately not listed).
-pub const SERVE_PRIMITIVES: [&str; 6] = ["bfs", "sssp", "bc", "cc", "pagerank", "sleep"];
 
 /// Machine-readable rejection/failure codes — the protocol's complete
 /// error taxonomy. Everything a client can observe going wrong maps to
@@ -118,7 +116,7 @@ pub struct Request {
     pub id: String,
     /// The primitive to run (or `metrics`).
     pub primitive: String,
-    /// Source vertex for bfs/sssp/bc.
+    /// Source vertex for single-source primitives.
     pub src: u32,
     /// Wall-clock budget in milliseconds, counted from arrival.
     pub deadline_ms: Option<u64>,
@@ -133,7 +131,7 @@ pub struct Request {
     /// Path of a `gunrock-ckpt/v1` snapshot to resume instead of
     /// starting fresh.
     pub resume: Option<String>,
-    /// PageRank convergence threshold override.
+    /// Convergence threshold override for the ranking primitives.
     pub epsilon: Option<f64>,
     /// Per-request fault-injection spec
     /// (`panic=RATE,alloc=RATE,pool-alloc=RATE,io=RATE,stall=RATE`),

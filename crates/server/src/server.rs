@@ -27,10 +27,11 @@
 use crate::coalesce::{self, BatchMember, Coalescer, FlushReason, Offer};
 use crate::jobs::{self, JobEnv, JobStatus, JobVerdict};
 use crate::metrics::{bump, bump_by, read, BatchingSnapshot, MemorySnapshot, ServeMetrics};
-use crate::protocol::{error_response, parse_request, ErrorCode, Request, SERVE_PRIMITIVES};
+use crate::protocol::{error_response, parse_request, ErrorCode, Request};
 use crate::signal;
+use gunrock_algos::registry::{self, Arity, Entry};
 use gunrock_engine::breaker::{Admission, CircuitBreaker};
-use gunrock_engine::budget::{estimate_bytes, MemoryBudget};
+use gunrock_engine::budget::MemoryBudget;
 use gunrock_engine::faults::{FaultInjector, FaultPlan};
 use gunrock_engine::pool::BufferPool;
 use gunrock_engine::queue::{retry_after_hint, BoundedQueue, PushError};
@@ -118,6 +119,9 @@ enum Job {
 /// Shared server state: everything connection handlers and workers touch.
 pub struct ServerState {
     graph: Arc<Csr>,
+    /// The served graph's transpose, or `graph` itself when the graph is
+    /// undirected: every request context reads in-edges from it.
+    reverse: Arc<Csr>,
     cfg: ServerConfig,
     queue: BoundedQueue<Job>,
     breaker: CircuitBreaker,
@@ -160,6 +164,14 @@ impl ServerState {
         let watchdog = cfg.watchdog_interval.map(|i| Watchdog::new(WatchdogConfig::new(i)));
         let coalescer = (!cfg.batch_window.is_zero())
             .then(|| Coalescer::new(cfg.batch_window, cfg.batch_lanes));
+        // A served `.bin` may be directed, so BFS pull levels and the
+        // gathers need real in-edges; an undirected graph equals its
+        // transpose and is shared instead of copied.
+        let reverse = if graph.equals_transpose() {
+            Arc::clone(&graph)
+        } else {
+            Arc::new(graph.transpose())
+        };
         ServerState {
             queue: BoundedQueue::new(cfg.queue_capacity),
             breaker: CircuitBreaker::new(cfg.breaker_threshold, cfg.breaker_cooldown),
@@ -174,6 +186,7 @@ impl ServerState {
             coalescer,
             seq: AtomicU64::new(0),
             graph,
+            reverse,
             cfg,
         }
     }
@@ -240,20 +253,23 @@ pub fn handle_request(state: &ServerState, line: &str) -> String {
     if req.primitive == "metrics" {
         return state.render_metrics(false);
     }
-    if !SERVE_PRIMITIVES.contains(&req.primitive.as_str()) {
+    // Every registry entry a point request can name is served; lane
+    // batches are the coalescer's business. `sleep` is the diagnostic.
+    let entry = registry::find(&req.primitive).filter(|e| e.arity != Arity::Lanes);
+    if entry.is_none() && req.primitive != "sleep" {
         bump(&state.metrics.rejected_bad_request);
         return error_response(
             &req.id,
             ErrorCode::UnknownPrimitive,
             &format!(
-                "cannot serve {:?} (serves: {})",
+                "cannot serve {:?} (serves: {} sleep)",
                 req.primitive,
-                SERVE_PRIMITIVES.join(" ")
+                registry::names(&[Arity::One, Arity::None])
             ),
             None,
         );
     }
-    if matches!(req.primitive.as_str(), "bfs" | "sssp" | "bc")
+    if entry.is_some_and(|e| e.arity == Arity::One)
         && (req.src as usize) >= state.graph.num_vertices()
     {
         bump(&state.metrics.rejected_bad_request);
@@ -323,7 +339,7 @@ pub fn handle_request(state: &ServerState, line: &str) -> String {
             });
         }
     }
-    if let Some((message, retry)) = over_budget(state, &req.primitive, &req.primitive) {
+    if let Some((message, retry)) = over_budget(state, entry, &req.primitive) {
         bump(&state.metrics.rejected_over_budget);
         return error_response(&req.id, ErrorCode::OverBudget, &message, retry);
     }
@@ -367,7 +383,7 @@ fn dispatch_batch(state: &ServerState, members: Vec<BatchMember>, reason: FlushR
         FlushReason::Window => bump(&state.metrics.batch_flush_window),
         FlushReason::Drain => bump(&state.metrics.batch_flush_drain),
     }
-    if let Some((message, retry)) = over_budget(state, "msbfs", "batched bfs") {
+    if let Some((message, retry)) = over_budget(state, registry::find("msbfs"), "batched bfs") {
         for m in &members {
             bump(&state.metrics.rejected_over_budget);
             let _ =
@@ -416,7 +432,8 @@ fn dispatch_batch(state: &ServerState, members: Vec<BatchMember>, reason: FlushR
 }
 
 /// Memory admission, for solo requests and sealed batches alike: the
-/// pessimistic up-front footprint of `primitive` against the budget,
+/// pessimistic up-front footprint of `entry` (none: the zero-footprint
+/// `sleep` diagnostic) against the budget,
 /// before the work costs a queue slot. Over the hard limit the work can
 /// never run (no retry hint); over the current headroom the pressure is
 /// other in-flight jobs, so the rejection carries a jittered,
@@ -424,12 +441,12 @@ fn dispatch_batch(state: &ServerState, members: Vec<BatchMember>, reason: FlushR
 /// the work `what`, and the hint.
 fn over_budget(
     state: &ServerState,
-    primitive: &str,
+    entry: Option<&Entry>,
     what: &str,
 ) -> Option<(String, Option<u64>)> {
     let budget = state.budget.as_ref()?;
     let (n, m) = (state.graph.num_vertices() as u64, state.graph.num_edges() as u64);
-    let est = estimate_bytes(primitive, n, m);
+    let est = entry.map_or(0, |e| (e.estimate_bytes)(n, m));
     if est > budget.limit() {
         let limit = budget.limit();
         return Some((
@@ -527,6 +544,7 @@ fn worker_loop(state: &Arc<ServerState>) {
         };
         let env = JobEnv {
             graph: &state.graph,
+            reverse: &state.reverse,
             relab: state.cfg.relabeling.as_deref(),
             cancel: &job_cancel,
             heartbeat: heartbeat.as_ref(),
@@ -861,14 +879,17 @@ mod tests {
         // no workers needed: all of these are rejected before the queue
         let bad = handle_request(&state, "{");
         assert!(bad.contains("bad-request"));
-        let unknown = handle_request(&state, r#"{"primitive":"mst"}"#);
+        let unknown = handle_request(&state, r#"{"primitive":"frobnicate"}"#);
         assert!(unknown.contains("unknown-primitive"));
+        assert!(unknown.contains("triangles"), "the rejection lists what is served: {unknown}");
+        let batch = handle_request(&state, r#"{"primitive":"msbfs"}"#);
+        assert!(batch.contains("unknown-primitive"), "lane batches are not point queries");
         let oob = handle_request(&state, r#"{"primitive":"bfs","src":99}"#);
         assert!(oob.contains("src-out-of-range"));
         let expired = handle_request(&state, r#"{"primitive":"bfs","deadline_ms":0}"#);
         assert!(expired.contains("deadline-expired"));
         let m = state.metrics();
-        assert_eq!(crate::metrics::read(&m.rejected_bad_request), 3);
+        assert_eq!(crate::metrics::read(&m.rejected_bad_request), 4);
         assert_eq!(crate::metrics::read(&m.rejected_deadline), 1);
         assert_eq!(crate::metrics::read(&m.admitted), 0);
     }
@@ -1087,6 +1108,63 @@ mod tests {
             let _ = w.join();
         }
         let _ = flusher.join();
+    }
+
+    /// Every single-source and whole-graph registry entry is served, and
+    /// its `result_hash` is the hash of a direct registry run on the same
+    /// graph.
+    #[test]
+    fn serves_every_point_entry_with_the_direct_run_hash() {
+        let g =
+            Arc::new(
+                GraphBuilder::new()
+                    .random_weights(1, 9, 3)
+                    .build(gunrock_graph::generators::rmat(7, 8, Default::default(), 11)),
+            );
+        let state = Arc::new(ServerState::new(Arc::clone(&g), ServerConfig::default()));
+        let served: Vec<_> =
+            registry::REGISTRY.iter().filter(|e| e.arity != Arity::Lanes).collect();
+        assert_eq!(served.len(), 9);
+        let responses = with_workers(&state, || {
+            served
+                .iter()
+                .map(|e| {
+                    handle_request(&state, &format!(r#"{{"primitive":"{}","src":3}}"#, e.name))
+                })
+                .collect::<Vec<_>>()
+        });
+        for (e, resp) in served.iter().zip(&responses) {
+            assert!(resp.contains("\"status\":\"ok\""), "{}: {resp}", e.name);
+            let ctx = gunrock::Context::new(&g).with_reverse(&g);
+            let sources = if e.arity == Arity::One { vec![3] } else { Vec::new() };
+            let direct = (e.run)(&ctx, &registry::Query { sources, epsilon: None });
+            let hash = format!("\"result_hash\":\"{:016x}\"", direct.output.hash());
+            assert!(resp.contains(&hash), "{}: {resp} lacks {hash}", e.name);
+        }
+    }
+
+    /// A directed graph is served over its real transpose. On the star
+    /// 0 -> 1..=20, every leaf -> 22, and 21 -> 1, BFS pulls at level 2;
+    /// pulling over out-lists would label the unreachable 21 and miss 22.
+    #[test]
+    fn serves_bfs_on_a_directed_graph_over_its_in_edges() {
+        let mut edges: Vec<(u32, u32)> = (1..=20).flat_map(|i| [(0, i), (i, 22)]).collect();
+        edges.push((21, 1));
+        let g = Arc::new(GraphBuilder::new().directed().build(Coo::from_edges(23, &edges)));
+        let state = Arc::new(ServerState::new(g, ServerConfig::default()));
+        assert!(
+            !Arc::ptr_eq(&state.reverse, &state.graph),
+            "a directed graph gets its transpose"
+        );
+        let resp =
+            with_workers(&state, || handle_request(&state, r#"{"primitive":"bfs","src":0}"#));
+        let mut want = vec![1; 23];
+        (want[0], want[21], want[22]) = (0, gunrock_graph::INFINITY, 2);
+        let hash = format!("\"result_hash\":\"{:016x}\"", jobs::hash_u32s(&want));
+        assert!(resp.contains(&hash), "{resp} lacks {hash}");
+        // an undirected graph is its own transpose and is shared
+        let state = state_fixture(ServerConfig::default());
+        assert!(Arc::ptr_eq(&state.reverse, &state.graph));
     }
 
     #[test]

@@ -193,7 +193,6 @@ fn pool_alloc_faults_fail_structured_never_escape() {
     };
     for variant in [
         algos::BfsVariant::Atomic,
-        algos::BfsVariant::Idempotent,
         algos::BfsVariant::DirectionOptimized,
         algos::BfsVariant::Fused,
     ] {

@@ -9,6 +9,7 @@
 
 use gunrock::prelude::*;
 use gunrock_algos as algos;
+use gunrock_algos::registry::{self, Arity, Output, Query};
 use gunrock_graph::generators::{self, rmat};
 use gunrock_graph::{Csr, GraphBuilder};
 
@@ -310,8 +311,8 @@ fn pagerank_resume_is_bit_identical() {
     }
 }
 
-/// The typed dispatcher routes a snapshot to the right primitive, and
-/// rejects snapshots that name an unknown one.
+/// The registry routes a snapshot to the entry it names, another entry's
+/// resume refuses it, and an unknown name finds no entry.
 #[test]
 fn resume_dispatcher_routes_by_primitive() {
     let g = kron10();
@@ -321,12 +322,80 @@ fn resume_dispatcher_routes_by_primitive() {
         let r = algos::cc(ctx);
         (r.labels, r.outcome)
     });
-    match algos::resume(&Context::new(&g), &ckpt).expect("dispatch") {
-        algos::ResumedRun::Cc(r) => assert_eq!(r.labels, full.labels),
-        other => panic!("dispatched to the wrong primitive: {:?}", other.outcome()),
+    let resume = |name: &str| registry::find(name).and_then(|e| e.resume).expect("resumable");
+    let run = resume(ckpt.primitive())(&Context::new(&g), &ckpt).expect("dispatch");
+    assert_eq!(run.output, Output::Components(full.labels));
+    assert!(resume("bfs")(&Context::new(&g), &ckpt).is_err(), "a cc snapshot is not a bfs run");
+    assert!(registry::find(Checkpoint::new("frobnicate", 3).primitive()).is_none());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Every registry entry that resumes round-trips a capped run: the
+/// resumed run converges to the uninterrupted run's output bit for bit,
+/// at the same total iteration count.
+#[test]
+fn every_resumable_entry_round_trips_a_capped_run() {
+    let g = kron10();
+    for entry in registry::REGISTRY.iter().filter(|e| e.resume.is_some()) {
+        let dir = ckpt_dir(&format!("registry_{}", entry.name));
+        let sources = match entry.arity {
+            Arity::None => Vec::new(),
+            Arity::One => vec![0],
+            Arity::Lanes => (0..8).collect(),
+        };
+        let query = Query { sources, epsilon: None };
+        let full = (entry.run)(&Context::new(&g).with_reverse(&g), &query);
+        let ckpt = interrupt(&g, &dir, entry.name, 2, |ctx| {
+            let r = (entry.run)(ctx, &query);
+            (r.iterations, r.outcome)
+        });
+        let resume = entry.resume.expect("filtered on resume");
+        let r = resume(&Context::new(&g).with_reverse(&g), &ckpt).expect("resume");
+        assert_eq!(r.outcome, RunOutcome::Converged, "{}", entry.name);
+        assert_eq!(r.iterations, full.iterations, "{}", entry.name);
+        assert_eq!(r.sources, full.sources, "{}", entry.name);
+        assert_eq!(r.output.hash(), full.output.hash(), "{}: not bit-identical", entry.name);
+        std::fs::remove_dir_all(&dir).ok();
     }
-    let bogus = Checkpoint::new("frobnicate", 3);
-    assert!(algos::resume(&Context::new(&g), &bogus).is_err());
+}
+
+/// A snapshot from the retired push-only variant (tag 1) resumes as the
+/// direction-optimized variant, whose push levels are that variant's
+/// levels: depths equal the oracle's and the preds form a BFS tree, with
+/// and without a reverse graph to pull over.
+#[test]
+fn idempotent_bfs_snapshot_resumes_as_direction_optimized() {
+    let g = kron10();
+    let dir = ckpt_dir("bfs_tag1");
+    // no reverse graph: every level pushes, the old variant's exact state
+    let ckpt = interrupt_on(Context::new(&g), &dir, "bfs", 2, |ctx| {
+        let r = algos::bfs(ctx, 0, algos::BfsOptions::default());
+        (r.labels, r.outcome)
+    });
+    let section = |name| ckpt.u32s(name).expect("u32 section").to_vec();
+    let mut old = Checkpoint::new("bfs", ckpt.iteration());
+    for name in ["labels", "preds", "frontier", "unvisited"] {
+        old.push_u32(name, section(name));
+    }
+    let mut scalars = section("scalars");
+    scalars[4] = 1;
+    old.push_u32("scalars", scalars);
+    old.push_u64("counters", ckpt.u64s("counters").expect("counters").to_vec());
+    let old = Checkpoint::decode(&old.encode()).expect("well-formed container");
+    let want = gunrock_baselines::serial::bfs(&g, 0);
+    for ctx in [Context::new(&g), Context::new(&g).with_reverse(&g)] {
+        let r = algos::bfs_resume(&ctx, algos::BfsOptions::default(), &old).expect("resume");
+        assert_eq!(r.outcome, RunOutcome::Converged);
+        assert_eq!(r.labels, want);
+        for (v, &p) in r.preds.iter().enumerate() {
+            if v == 0 || want[v] == u32::MAX {
+                assert_eq!(p, u32::MAX, "vertex {v}");
+            } else {
+                assert_eq!(r.labels[p as usize] + 1, r.labels[v], "vertex {v} parent {p}");
+                assert!(g.neighbors(p).contains(&(v as u32)), "vertex {v} parent {p}");
+            }
+        }
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 

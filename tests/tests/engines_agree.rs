@@ -144,14 +144,14 @@ fn bfs_variants_and_modes_cross_product() {
     use algos::bfs::{bfs, BfsOptions, BfsVariant};
     for (name, g) in graph_suite() {
         let want = serial::bfs(&g, 0);
-        for variant in
-            [BfsVariant::Atomic, BfsVariant::Idempotent, BfsVariant::DirectionOptimized]
-        {
+        for variant in [BfsVariant::Atomic, BfsVariant::DirectionOptimized] {
             for mode in [AdvanceMode::ThreadMapped, AdvanceMode::Twc, AdvanceMode::LoadBalanced]
             {
-                let ctx = Context::new(&g).with_reverse(&g);
-                let r = bfs(&ctx, 0, BfsOptions { variant, mode, ..Default::default() });
-                assert_eq!(r.labels, want, "{name} {variant:?} {mode:?}");
+                // without a reverse graph every level pushes
+                for ctx in [Context::new(&g), Context::new(&g).with_reverse(&g)] {
+                    let r = bfs(&ctx, 0, BfsOptions { variant, mode, ..Default::default() });
+                    assert_eq!(r.labels, want, "{name} {variant:?} {mode:?}");
+                }
             }
         }
     }

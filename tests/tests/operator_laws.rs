@@ -274,7 +274,7 @@ proptest! {
         let n = prios.len() as u32;
         let mut q = NearFarQueue::new(10);
         let input = Frontier::from_vec((0..n).collect());
-        let mut seen: Vec<u32> = q.split(input, |v| prios[v as usize]).into_vec();
+        let mut seen: Vec<u32> = q.split(&input, |v| prios[v as usize]).into_vec();
         loop {
             let next = q.refill(|v| prios[v as usize]);
             if next.is_empty() {

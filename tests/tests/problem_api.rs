@@ -50,7 +50,7 @@ fn sssp(ctx: &Context<'_>, src: u32) -> (Vec<u32>, Enacted) {
         let relax = Relax { graph: ctx.graph, dist: &dist };
         let raw = advance::advance(ctx, &frontier, AdvanceSpec::v2v(), &relax);
         let dedup = filter::filter(ctx, &raw, &Claim { tags: &tags, round: run.iterations() });
-        let near = queue.split(dedup, |v| dist[v as usize].load(Ordering::Relaxed));
+        let near = queue.split(&dedup, |v| dist[v as usize].load(Ordering::Relaxed));
         frontier = if near.is_empty() {
             queue.refill(|v| dist[v as usize].load(Ordering::Relaxed))
         } else {

@@ -13,8 +13,9 @@
 //! * **taxonomy coverage** — all five core primitives under a hopeless
 //!   budget fail with the same structured rejection, and the drain
 //!   summary accounts for every one;
-//! * **honest estimate** (in process) — a `cc` or `bc` run admitted at
-//!   exactly its `estimate_bytes` never reserves more than that.
+//! * **honest estimates** (in process) — a `cc` or `bc` run, or a run of
+//!   any registry entry, admitted at exactly its `estimate_bytes` never
+//!   reserves more than that.
 
 use gunrock_engine::json::JsonValue;
 use gunrock_graph::{Coo, Csr, GraphBuilder};
@@ -199,11 +200,13 @@ fn every_primitive_under_a_hopeless_budget_fails_structured() {
 fn cc_estimate_covers_what_a_budgeted_run_reserves() {
     use gunrock::prelude::*;
     use gunrock_algos as algos;
-    use gunrock_engine::budget::{estimate_bytes, MemoryBudget};
+    use gunrock_algos::registry::find;
+    use gunrock_engine::budget::MemoryBudget;
     use gunrock_graph::generators::rmat;
     let g = GraphBuilder::new().build(rmat(12, 8, Default::default(), 5));
     let want = gunrock_baselines::serial::connected_components(&g);
-    let estimate = estimate_bytes("cc", g.num_vertices() as u64, g.num_edges() as u64);
+    let estimate =
+        (find("cc").unwrap().estimate_bytes)(g.num_vertices() as u64, g.num_edges() as u64);
     for skip in [false, true] {
         let budget = Arc::new(MemoryBudget::new(estimate));
         let ctx = Context::new(&g).with_budget(Arc::clone(&budget));
@@ -234,11 +237,13 @@ fn cc_estimate_covers_what_a_budgeted_run_reserves() {
 fn bc_estimate_covers_what_a_budgeted_run_reserves() {
     use gunrock::prelude::*;
     use gunrock_algos as algos;
-    use gunrock_engine::budget::{estimate_bytes, MemoryBudget};
+    use gunrock_algos::registry::find;
+    use gunrock_engine::budget::MemoryBudget;
     use gunrock_graph::generators::rmat;
     let g = GraphBuilder::new().build(rmat(12, 8, Default::default(), 5));
     let want = gunrock_baselines::serial::brandes_single_source(&g, 0);
-    let estimate = estimate_bytes("bc", g.num_vertices() as u64, g.num_edges() as u64);
+    let estimate =
+        (find("bc").unwrap().estimate_bytes)(g.num_vertices() as u64, g.num_edges() as u64);
     for reverse in [false, true] {
         let budget = Arc::new(MemoryBudget::new(estimate));
         let ctx = Context::new(&g).with_budget(Arc::clone(&budget));
@@ -257,5 +262,59 @@ fn bc_estimate_covers_what_a_budgeted_run_reserves() {
             "reverse={reverse}"
         );
         assert_eq!(budget.reserved(), 0, "everything reserved was released");
+    }
+}
+
+/// Admission prices what every registry entry allocates: a budget of
+/// exactly an entry's `estimate_bytes` admits three warm runs — with a
+/// reverse graph (pull levels, gathers, CC's giant-component skip) and
+/// without one (push everywhere) — without a denial or a demotion, the
+/// budget's high-water stays under the estimate, and everything reserved
+/// is released.
+#[test]
+fn every_registry_estimate_covers_what_a_budgeted_run_reserves() {
+    use gunrock::prelude::*;
+    use gunrock_algos::registry::{Arity, Query, REGISTRY};
+    use gunrock_engine::budget::MemoryBudget;
+    use gunrock_graph::generators::rmat;
+    let g =
+        GraphBuilder::new().random_weights(1, 64, 5).build(rmat(11, 8, Default::default(), 5));
+    let (n, m) = (g.num_vertices() as u64, g.num_edges() as u64);
+    for entry in REGISTRY {
+        let estimate = (entry.estimate_bytes)(n, m);
+        let sources = match entry.arity {
+            Arity::None => Vec::new(),
+            Arity::One => vec![0],
+            Arity::Lanes => (0..LANES as u32).collect(),
+        };
+        let query = Query { sources, epsilon: None };
+        // the budget must not change the result
+        let want = (entry.run)(&Context::new(&g), &query).output;
+        for reverse in [false, true] {
+            let at = format!("{} reverse={reverse}", entry.name);
+            let budget = Arc::new(MemoryBudget::new(estimate));
+            let ctx = Context::new(&g).with_budget(Arc::clone(&budget));
+            let ctx = if reverse { ctx.with_reverse(&g) } else { ctx };
+            for round in 0..3 {
+                let run = (entry.run)(&ctx, &query);
+                assert_eq!(
+                    run.outcome,
+                    RunOutcome::Converged,
+                    "{at}: {:?}",
+                    ctx.take_failure()
+                );
+                if round == 0 {
+                    run.output.check(&want).unwrap_or_else(|e| panic!("{at}: {e}"));
+                }
+            }
+            assert_eq!(ctx.degrade_count(), 0, "{at}: admitted without a demotion");
+            assert_eq!(budget.denials(), 0, "{at}");
+            assert!(
+                budget.high_water() <= estimate,
+                "{at}: high-water {} over the estimate {estimate}",
+                budget.high_water()
+            );
+            assert_eq!(budget.reserved(), 0, "{at}: everything reserved was released");
+        }
     }
 }
