@@ -345,7 +345,7 @@ fn bc_run(
         bc_values,
         sigmas: st.sigma.into_iter().map(|a| a.load()).collect(),
         labels: into_plain_u32(st.depth),
-        edges_examined: ctx.counters.edges(),
+        edges_examined: done.edges_examined,
         iterations: done.iterations,
         elapsed: done.elapsed,
         outcome: done.outcome,

@@ -1,19 +1,22 @@
 //! Breadth-first search (§5.1).
 //!
-//! Three variants, matching the paper:
+//! Two variants:
 //!
-//! * **direction-optimized** (the default) — a push level is the paper's
-//!   fastest BFS: "the idempotent advance operator (thus avoiding the
-//!   cost of atomics) and ... heuristics within its filter that reduce
-//!   the concurrent discovery of child nodes" — plain loads during
-//!   advance, duplicates culled afterwards by the history/bitmask filter.
-//!   With a reverse graph on the context, levels switch to a bitmap pull
-//!   sweep per Beamer (§4.1.1); without one every level pushes.
+//! * **direction-optimized** (the default) — a push level is one advance
+//!   whose functor claims each destination on the visited bitmap (a
+//!   `test_and_set` that loads first, so an edge into a visited vertex
+//!   costs no atomic) and labels it, so each vertex enters the output
+//!   once and no culling filter runs: the paper's idempotent advance and
+//!   bitmask-culling filter, fused (§7). With a reverse graph on the
+//!   context, levels switch to a bitmap pull sweep per Beamer (§4.1.1);
+//!   without one every level pushes.
 //! * **atomic** — the base implementation "uses atomics during advance to
 //!   prevent concurrent vertex discovery": a CAS on the label array makes
-//!   each vertex enter the output frontier exactly once; no filter pass
-//!   is needed.
-//! * **fused** — the visited-bitmap filter inside the advance (§7).
+//!   each vertex enter the output frontier exactly once.
+//!
+//! The paper's two-kernel form (idempotent advance, then the culling
+//! filter) is built from the core operators in the `ablation_fusion` and
+//! `ablation_filter` benchmarks.
 
 use crate::recover::{
     check_failed, expect_len, expect_vertex_ids, malformed, scalar, to_atomic_u32,
@@ -30,13 +33,10 @@ use std::sync::atomic::{AtomicU32, Ordering};
 pub enum BfsVariant {
     /// Atomic unique discovery (CAS on labels).
     Atomic,
-    /// Idempotent advance + culling filter per push level, pull levels
-    /// when the context has a reverse graph and the policy asks for them.
+    /// Claiming push levels (the visited bitmap culls inside the
+    /// advance), pull levels when the context has a reverse graph and the
+    /// policy asks for them.
     DirectionOptimized,
-    /// Fully-fused single-kernel traversal (§7 kernel fusion): the
-    /// visited-bitmap filter runs inside the advance loop, like the
-    /// hardwired b40c expansion.
-    Fused,
 }
 
 impl BfsVariant {
@@ -45,17 +45,15 @@ impl BfsVariant {
         match self {
             BfsVariant::Atomic => 0,
             BfsVariant::DirectionOptimized => 2,
-            BfsVariant::Fused => 3,
         }
     }
 
     fn from_tag(tag: u32) -> Option<BfsVariant> {
         match tag {
             0 => Some(BfsVariant::Atomic),
-            // 1 was the push-only idempotent variant, whose levels are
-            // the direction-optimized variant's push levels
-            1 | 2 => Some(BfsVariant::DirectionOptimized),
-            3 => Some(BfsVariant::Fused),
+            // 1 was the push-only idempotent variant and 3 the fused one:
+            // both pushed the levels the direction-optimized variant pushes
+            1..=3 => Some(BfsVariant::DirectionOptimized),
             _ => None,
         }
     }
@@ -64,14 +62,12 @@ impl BfsVariant {
 /// BFS configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct BfsOptions {
-    /// Traversal variant (direction-optimized / atomic / fused).
+    /// Traversal variant (direction-optimized / atomic).
     pub variant: BfsVariant,
     /// Workload mapping for push advances.
     pub mode: AdvanceMode,
     /// Record BFS-tree predecessors.
     pub record_predecessors: bool,
-    /// Culling heuristics (push levels of the direction-optimized variant).
-    pub culling: CullingConfig,
     /// Direction-switch thresholds (direction-optimized variant).
     pub policy: DirectionPolicy,
 }
@@ -82,7 +78,6 @@ impl Default for BfsOptions {
             variant: BfsVariant::DirectionOptimized,
             mode: AdvanceMode::Auto,
             record_predecessors: true,
-            culling: CullingConfig::default(),
             policy: DirectionPolicy::default(),
         }
     }
@@ -99,11 +94,6 @@ impl BfsOptions {
     /// Base atomic variant.
     pub fn atomic() -> Self {
         BfsOptions { variant: BfsVariant::Atomic, ..Self::default() }
-    }
-
-    /// Fully-fused single-kernel variant.
-    pub fn fused() -> Self {
-        BfsOptions { variant: BfsVariant::Fused, ..Self::default() }
     }
 
     /// Overrides the advance workload mapping.
@@ -186,46 +176,28 @@ impl AdvanceFunctor for AtomicDiscover<'_> {
     }
 }
 
-/// Idempotent expand functor (the Merrill expand/contract split): the
-/// advance only tests for "unvisited" and records a candidate parent —
-/// labels are NOT set here, so every same-level edge into an unvisited
-/// vertex produces a duplicate frontier entry, exactly the redundancy
-/// the culling filter exists to remove. Racy pred writes are harmless:
-/// all writers are valid same-level parents.
-struct IdempotentExpand<'a> {
+/// Push-direction discovery: the edge claims `dst` on the visited bitmap
+/// (set semantics — the culling filter's bitmask test, run inside the
+/// advance), and the claim's winner labels `dst` and records its parent.
+struct ClaimDiscover<'a> {
     st: BfsState<'a>,
-}
-
-impl AdvanceFunctor for IdempotentExpand<'_> {
-    #[inline]
-    fn cond_edge(&self, _src: VertexId, dst: VertexId, _e: EdgeId) -> bool {
-        // ORDERING: Relaxed — any winning parent/label is a valid BFS tree edge
-        // (idempotent discovery); the rayon join barrier publishes each level.
-        self.st.labels[dst as usize].load(Ordering::Relaxed) == INFINITY
-    }
-    #[inline]
-    fn apply_edge(&self, src: VertexId, dst: VertexId, _e: EdgeId) {
-        self.st.set_pred(dst, src);
-    }
-}
-
-/// Contract-side labeling: filter survivors receive their depth (the
-/// "computation step" fused into the filter kernel).
-struct ContractLabel<'a> {
-    labels: &'a [AtomicU32],
+    visited: &'a PooledBitmap,
     level: u32,
 }
 
-impl FilterFunctor for ContractLabel<'_> {
+impl AdvanceFunctor for ClaimDiscover<'_> {
     #[inline]
-    fn cond(&self, _v: u32) -> bool {
-        true
+    fn cond_edge(&self, _src: VertexId, dst: VertexId, _e: EdgeId) -> bool {
+        // test_and_set loads first: an edge into a visited vertex costs a
+        // load, not an atomic
+        !self.visited.test_and_set(dst as usize)
     }
     #[inline]
-    fn apply(&self, v: u32) {
+    fn apply_edge(&self, src: VertexId, dst: VertexId, _e: EdgeId) {
         // ORDERING: Relaxed — any winning parent/label is a valid BFS tree edge
         // (idempotent discovery); the rayon join barrier publishes each level.
-        self.labels[v as usize].store(self.level, Ordering::Relaxed);
+        self.st.labels[dst as usize].store(self.level, Ordering::Relaxed);
+        self.st.set_pred(dst, src);
     }
 }
 
@@ -298,7 +270,7 @@ fn direction_tag(d: TraversalDirection) -> u32 {
 /// Rebuilds the visited bitmap from labels, with word storage drawn from
 /// the context's pool (release it back when the enact loop exits). At
 /// every iteration boundary `visited == {v | labels[v] != INFINITY}`
-/// holds for all variants (the contract filter sets both together), so
+/// holds (a push claim and a pull merge set both together), so
 /// the bitmap itself never needs to be checkpointed.
 fn rebuild_visited(ctx: &Context<'_>, labels: &[AtomicU32]) -> PooledBitmap {
     let bm = PooledBitmap::take(ctx.pool(), labels.len());
@@ -312,9 +284,8 @@ fn rebuild_visited(ctx: &Context<'_>, labels: &[AtomicU32]) -> PooledBitmap {
     bm
 }
 
-/// One idempotent push level: expand, then cull duplicates and label the
-/// survivors. The raw intermediate goes straight back to the pool.
-fn expand_and_cull(
+/// One push level: a single claiming advance.
+fn push_level(
     ctx: &Context<'_>,
     opts: &BfsOptions,
     st: BfsState<'_>,
@@ -323,12 +294,7 @@ fn expand_and_cull(
     visited: &PooledBitmap,
 ) -> Frontier {
     let spec = AdvanceSpec::v2v().with_mode(opts.mode);
-    let raw = advance::advance(ctx, frontier, spec, &IdempotentExpand { st });
-    let contract = ContractLabel { labels: st.labels, level };
-    let next =
-        filter::culling::filter_with_culling(ctx, &raw, visited, &contract, opts.culling);
-    ctx.recycle(raw);
-    next
+    advance::advance(ctx, frontier, spec, &ClaimDiscover { st, visited, level })
 }
 
 /// Builds an iteration-boundary snapshot. Sections: per-vertex
@@ -480,22 +446,12 @@ fn bfs_run(
             // unreachable: a failed setup poisoned the run, which the
             // boundary above reports
             (_, None) => break,
-            // nothing to pull over: every level is the idempotent push,
-            // and the switch bookkeeping is skipped
+            // nothing to pull over: every level pushes, and the switch
+            // bookkeeping is skipped
             (BfsVariant::DirectionOptimized, Some(visited)) if ctx.reverse.is_none() => {
                 st.direction = TraversalDirection::Push;
-                expand_and_cull(ctx, &opts, state, level, &st.frontier, visited)
+                push_level(ctx, &opts, state, level, &st.frontier, visited)
             }
-            // fused: cond tests unvisited, apply labels + sets pred — all
-            // inside the single advance kernel; the bitmap test-and-set
-            // guarantees the apply runs once per vertex
-            (BfsVariant::Fused, Some(visited)) => advance::fused::advance_filter_fused(
-                ctx,
-                &st.frontier,
-                AdvanceSpec::v2v(),
-                &PullDiscover { st: state, level },
-                visited,
-            ),
             (BfsVariant::DirectionOptimized, Some(visited)) => {
                 let m_f = advance::push::frontier_neighbor_count(
                     ctx,
@@ -549,7 +505,7 @@ fn bfs_run(
                         if let Some(p) = pull.take() {
                             p.release(ctx);
                         }
-                        expand_and_cull(ctx, &opts, state, level, &st.frontier, visited)
+                        push_level(ctx, &opts, state, level, &st.frontier, visited)
                     }
                     TraversalDirection::Pull => {
                         st.pull_iters += 1;
@@ -620,7 +576,7 @@ fn bfs_run(
     BfsResult {
         labels: unwrap_atomic_u32(&st.labels),
         preds: st.preds.map(|p| unwrap_atomic_u32(&p)).unwrap_or_default(),
-        edges_examined: ctx.counters.edges(),
+        edges_examined: done.edges_examined,
         iterations: done.iterations,
         pull_iterations: st.pull_iters,
         elapsed: done.elapsed,
@@ -660,9 +616,7 @@ mod tests {
     fn all_variants_match_serial_depths() {
         for (i, g) in suite().iter().enumerate() {
             let want = serial::bfs(g, 0);
-            for variant in
-                [BfsVariant::Atomic, BfsVariant::DirectionOptimized, BfsVariant::Fused]
-            {
+            for variant in [BfsVariant::Atomic, BfsVariant::DirectionOptimized] {
                 let ctx = Context::new(g).with_reverse(g);
                 let opts = BfsOptions { variant, ..Default::default() };
                 let r = bfs(&ctx, 0, opts);
@@ -763,7 +717,7 @@ mod tests {
         // variant after one level with the completed level intact
         let edges: Vec<(u32, u32)> = (0..19).map(|i| (i, i + 1)).collect();
         let g = GraphBuilder::new().build(gunrock_graph::Coo::from_edges(20, &edges));
-        for variant in [BfsVariant::Atomic, BfsVariant::DirectionOptimized, BfsVariant::Fused] {
+        for variant in [BfsVariant::Atomic, BfsVariant::DirectionOptimized] {
             let ctx = Context::new(&g)
                 .with_reverse(&g)
                 .with_policy(RunPolicy::unbounded().max_iterations(1));

@@ -7,11 +7,11 @@
 //! iteration boundary — guards, snapshots, counting — shared through
 //! [`gunrock::enact::Enactment`]:
 //!
-//! * [`bfs`] — direction-optimized (idempotent push + culling filter,
-//!   bitmap pull when a reverse graph is attached), atomic and fused
-//!   variants (§5.1);
-//! * [`sssp`] — advance + redundant-removal filter + two-level
-//!   priority queue / delta stepping (§5.2, Algorithm 1);
+//! * [`bfs`] — direction-optimized (claiming push advance that culls on
+//!   the visited bitmap, bitmap pull when a reverse graph is attached)
+//!   and atomic variants (§5.1);
+//! * [`sssp`] — relax-and-claim advance + two-level priority queue /
+//!   delta stepping (§5.2, Algorithm 1);
 //! * [`bc`] — Brandes betweenness, forward sigma + backward dependency
 //!   advances (§5.3);
 //! * [`cc`] — sampled hooking on a lock-free parent forest, a split

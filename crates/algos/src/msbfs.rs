@@ -272,7 +272,7 @@ fn msbfs_run(ctx: &Context<'_>, sources: &[VertexId], st: MsbfsLoop, done: u32) 
         depths: into_plain_u32(depths),
         sources: sources.to_vec(),
         num_vertices: n,
-        edges_examined: ctx.counters.edges(),
+        edges_examined: done.edges_examined,
         iterations: done.iterations,
         elapsed: done.elapsed,
         outcome: done.outcome,

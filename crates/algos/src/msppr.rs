@@ -318,7 +318,7 @@ fn msppr_run(
         scores: f64_values(&scores),
         sources: sources.to_vec(),
         num_vertices: n,
-        edges_examined: ctx.counters.edges(),
+        edges_examined: done.edges_examined,
         iterations: done.iterations,
         elapsed: done.elapsed,
         outcome: done.outcome,

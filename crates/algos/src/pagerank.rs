@@ -256,7 +256,7 @@ fn pagerank_run(ctx: &Context<'_>, opts: PrOptions, mut st: PrLoop, done: u32) -
     PrResult {
         scores,
         iterations: done.iterations,
-        edges_examined: ctx.counters.edges(),
+        edges_examined: done.edges_examined,
         elapsed: done.elapsed,
         outcome: done.outcome,
     }

@@ -226,7 +226,9 @@ pub static REGISTRY: &[Entry] = &[
             let r = sssp_resume(ctx, SsspOptions::default(), ckpt)?;
             Ok(run(r.outcome, r.iterations, r.elapsed, pinned(ckpt)?, Output::Depths(r.dist)))
         }),
-        // distances and the culling filter's visited bitmap
+        // distances, a bitmap's worth of slack, the frontier pair (a
+        // near-far refill's window is one pooled frontier, checked out
+        // after the exhausted one went back) and the widest advance
         estimate_bytes: |n, m| n * 4 + bitmap(n) + frontiers(n) + advance(n, m),
     },
     Entry {

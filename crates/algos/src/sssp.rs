@@ -1,18 +1,20 @@
 //! Single-source shortest path (§4.2, §5.2, Algorithm 1).
 //!
-//! One iteration maps onto three Gunrock steps exactly as in the paper:
-//! *advance* relaxes the frontier's out-edges (`UpdateLabel`: the
-//! `new_label < atomicMin(labels[dst], new_label)` idiom, with `SetPred`
-//! fused as the apply), *filter* removes redundant vertex ids (the
-//! `output_queue_id` claim of `RemoveRedundant`), and the two-level
-//! *priority queue* splits the output into near/far piles (delta
-//! stepping, generalizing Davidson et al.).
+//! One iteration is one *advance* and one near–far *split*. The advance's
+//! functor fuses the paper's three per-edge steps: `UpdateLabel` (the
+//! `new_label < atomicMin(labels[dst], new_label)` idiom, which loads
+//! first and skips the atomic when it cannot win), `SetPred` on every
+//! improvement, and `RemoveRedundant`'s `output_queue_id` claim, so each
+//! improved vertex enters the output once per iteration and no separate
+//! filter pass runs. The two-level *priority queue* then splits that
+//! output into near/far piles by current distance (delta stepping,
+//! generalizing Davidson et al.).
 
 use crate::recover::{
     check_failed, expect_len, expect_vertex_ids, malformed, scalar, to_atomic_u32,
 };
 use gunrock::prelude::*;
-use gunrock_engine::atomics::{atomic_u32_vec, unwrap_atomic_u32};
+use gunrock_engine::atomics::{atomic_u32_vec, fetch_min_u32, unwrap_atomic_u32};
 use gunrock_graph::{Csr, EdgeId, VertexId, INFINITY, INVALID_VERTEX};
 use std::sync::atomic::{AtomicU32, Ordering};
 
@@ -70,12 +72,16 @@ impl SsspResult {
     }
 }
 
-/// The paper's `UpdateLabel` + `SetPred` functors fused into one advance
-/// functor over the weighted graph.
+/// The paper's `UpdateLabel`, `SetPred` and `RemoveRedundant` functors
+/// fused into one advance functor over the weighted graph: an edge
+/// succeeds only when it improves `dst` *and* claims `dst`'s slot in this
+/// iteration's output (`tags[dst]` swapped to `queue_id`).
 struct Relax<'a> {
     graph: &'a Csr,
     dist: &'a [AtomicU32],
     preds: Option<&'a [AtomicU32]>,
+    tags: &'a [AtomicU32],
+    queue_id: u32,
 }
 
 impl AdvanceFunctor for Relax<'_> {
@@ -87,31 +93,19 @@ impl AdvanceFunctor for Relax<'_> {
             .load(Ordering::Relaxed)
             .saturating_add(self.graph.weight(e));
         // new_label < atomicMin(labels[dst], new_label)
-        self.dist[dst as usize].fetch_min(new_label, Ordering::Relaxed) > new_label
-    }
-    #[inline]
-    fn apply_edge(&self, src: VertexId, dst: VertexId, _e: EdgeId) {
+        if !fetch_min_u32(&self.dist[dst as usize], new_label) {
+            return false;
+        }
+        // every improvement records its parent, so a vertex improved twice
+        // in one pass keeps the parent of its final distance
         if let Some(p) = self.preds {
             // ORDERING: Relaxed — dist cells are monotonic fetch_min targets and tag
             // swaps need only per-cell atomicity; relaxation rounds end at join barriers.
             p[dst as usize].store(src, Ordering::Relaxed);
         }
-    }
-}
-
-/// The paper's `RemoveRedundant`: each improved vertex survives the
-/// filter exactly once per iteration, claimed via its output-queue tag.
-struct RemoveRedundant<'a> {
-    tags: &'a [AtomicU32],
-    queue_id: u32,
-}
-
-impl FilterFunctor for RemoveRedundant<'_> {
-    #[inline]
-    fn cond(&self, v: u32) -> bool {
         // ORDERING: Relaxed — dist cells are monotonic fetch_min targets and tag
         // swaps need only per-cell atomicity; relaxation rounds end at join barriers.
-        self.tags[v as usize].swap(self.queue_id, Ordering::Relaxed) != self.queue_id
+        self.tags[dst as usize].swap(self.queue_id, Ordering::Relaxed) != self.queue_id
     }
 }
 
@@ -248,40 +242,45 @@ fn sssp_run(
     // Budget admission: demote the advance mode (or poison with a
     // structured BudgetExceeded) before the first operator launches.
     let opts = SsspOptions { mode: crate::admission::admit(ctx, "sssp", opts.mode), ..opts };
-    let relax = Relax { graph: ctx.graph, dist: &st.dist, preds: st.preds.as_deref() };
+    let spec = AdvanceSpec::v2v().with_mode(opts.mode);
     'enact: loop {
         while !st.frontier.is_empty() {
             if run.boundary(|it| Some(sssp_checkpoint(it, src, &opts, &st))) {
                 break 'enact;
             }
             run.end_iteration(false);
-            let spec = AdvanceSpec::v2v().with_mode(opts.mode);
-            let raw = advance::advance(ctx, &st.frontier, spec, &relax);
-            let claim = RemoveRedundant { tags: &st.tags, queue_id: st.queue_id };
-            let dedup = filter::filter(ctx, &raw, &claim);
-            // the raw advance output is dead once deduplicated: back to
-            // the pool so the next relaxation reuses its storage
-            ctx.recycle(raw);
+            let relax = Relax {
+                graph: ctx.graph,
+                dist: &st.dist,
+                preds: st.preds.as_deref(),
+                tags: &st.tags,
+                queue_id: st.queue_id,
+            };
+            let claimed = advance::advance(ctx, &st.frontier, spec, &relax);
             st.queue_id = st.queue_id.wrapping_add(1);
             let next = if opts.use_priority_queue {
                 // ORDERING: Relaxed — dist cells are monotonic fetch_min targets and tag
                 // swaps need only per-cell atomicity; relaxation rounds end at join barriers.
-                let near =
-                    st.queue.split(&dedup, |v| st.dist[v as usize].load(Ordering::Relaxed));
-                // the pooled filter output is dead once split
-                ctx.recycle(dedup);
-                near
+                st.queue.split(claimed, |v| st.dist[v as usize].load(Ordering::Relaxed))
             } else {
-                dedup
+                claimed
             };
             ctx.recycle(std::mem::replace(&mut st.frontier, next));
         }
         if !opts.use_priority_queue {
             break;
         }
-        st.frontier = st.queue.refill(|v| st.dist[v as usize].load(Ordering::Relaxed));
-        if st.frontier.is_empty() {
-            break;
+        // the exhausted near frontier's storage is the refill's to reuse
+        ctx.recycle(std::mem::take(&mut st.frontier));
+        let (queue, dist) = (&mut st.queue, &st.dist);
+        // the refill checks its output out of the pool: isolated, so a
+        // denied checkout fails the run instead of unwinding out of it
+        // ORDERING: Relaxed — dist cells are monotonic fetch_min targets and tag
+        // swaps need only per-cell atomicity; relaxation rounds end at join barriers.
+        let refill = || queue.refill(ctx.pool(), |v| dist[v as usize].load(Ordering::Relaxed));
+        match ctx.isolated_setup("refill", refill) {
+            Some(near) if !near.is_empty() => st.frontier = near,
+            _ => break,
         }
     }
     let done = run.finish(|it| Some(sssp_checkpoint(it, src, &opts, &st)));
@@ -291,7 +290,7 @@ fn sssp_run(
     SsspResult {
         dist: unwrap_atomic_u32(&st.dist),
         preds: st.preds.map(|p| unwrap_atomic_u32(&p)).unwrap_or_default(),
-        edges_examined: ctx.counters.edges(),
+        edges_examined: done.edges_examined,
         iterations: done.iterations,
         elapsed: done.elapsed,
         outcome: done.outcome,
@@ -435,6 +434,45 @@ mod tests {
         assert_eq!(r.iterations, 0);
         assert_eq!(r.dist[0], 0);
         assert!(r.dist[1..].iter().all(|&d| d == INFINITY));
+    }
+
+    /// 0 -> 1 (1), 0 -> 2 (2), 1 -> 3 (50), 2 -> 3 (3), 3 -> 4 (1): in the
+    /// second iteration vertex 3 is claimed at the far distance 51 through
+    /// 1, then improved to the near distance 5 through 2.
+    fn far_then_near() -> Csr {
+        let edges = [(0, 1, 1), (0, 2, 2), (1, 3, 50), (2, 3, 3), (3, 4, 1)];
+        GraphBuilder::new().directed().build(gunrock_graph::Coo::from_weighted_edges(5, &edges))
+    }
+
+    #[test]
+    fn a_vertex_improved_from_far_to_near_in_one_pass_expands_next_iteration() {
+        let g = far_then_near();
+        let ctx = Context::new(&g);
+        let r = sssp(&ctx, 0, SsspOptions { delta: Some(10), ..Default::default() });
+        // routed far by its claim-time distance, 3 would come back from the
+        // far pile as stale and 4 would never be reached
+        assert_eq!(r.dist, vec![0, 1, 2, 5, 6]);
+        // {0}, {1, 2}, {3}, {4}: no refill between 3's claim and its expansion
+        assert_eq!(r.iterations, 4);
+    }
+
+    #[test]
+    fn a_double_improvement_keeps_the_predecessor_of_the_final_distance() {
+        let g = far_then_near();
+        let ctx = Context::new(&g);
+        let r = sssp(&ctx, 0, SsspOptions { delta: Some(10), ..Default::default() });
+        assert_eq!(r.preds, vec![INVALID_VERTEX, 0, 0, 2, 3]);
+    }
+
+    #[test]
+    fn reruns_on_one_context_report_their_own_edges() {
+        let g = &suite()[1];
+        let ctx = Context::new(g);
+        let first = sssp(&ctx, 0, SsspOptions::default());
+        let second = sssp(&ctx, 0, SsspOptions::default());
+        assert!(first.edges_examined > 0);
+        assert_eq!(first.edges_examined, second.edges_examined);
+        assert_eq!(first.iterations, second.iterations);
     }
 
     #[test]

@@ -9,18 +9,20 @@
 use gunrock::prelude::*;
 use gunrock_algos::bfs::{bfs, BfsOptions};
 use gunrock_bench::table::{fmt_ms, Table};
-use gunrock_bench::{standard_datasets, time_avg_ms, BenchArgs};
+use gunrock_bench::{bfs_two_kernel, standard_datasets, time_avg_ms, BenchArgs};
 use gunrock_graph::INFINITY;
 
-fn run_config(g: &gunrock_graph::Csr, opts: BfsOptions, runs: usize) -> (f64, f64) {
+/// The paper's two-kernel BFS (idempotent advance + culling filter) under
+/// one culling configuration: average ms and the filter load.
+fn run_config(g: &gunrock_graph::Csr, culling: CullingConfig, runs: usize) -> (f64, f64) {
     let ms = time_avg_ms(runs, || {
         let ctx = Context::new(g);
-        std::hint::black_box(bfs(&ctx, 0, opts))
+        std::hint::black_box(bfs_two_kernel(&ctx, 0, culling))
     });
     // inflation: filtered elements / reached vertices
     let ctx = Context::new(g);
-    let r = bfs(&ctx, 0, opts);
-    let reached = r.labels.iter().filter(|&&l| l != INFINITY).count().max(1);
+    let labels = bfs_two_kernel(&ctx, 0, culling);
+    let reached = labels.iter().filter(|&&l| l != INFINITY).count().max(1);
     let filtered = ctx.counters.elements_filtered.load(std::sync::atomic::Ordering::Relaxed);
     (ms, filtered as f64 / reached as f64)
 }
@@ -42,16 +44,9 @@ fn main() {
             let ctx = Context::new(g);
             std::hint::black_box(bfs(&ctx, 0, BfsOptions::atomic()))
         });
-        // no reverse graph in `run_config`: every level is the idempotent push
-        let both = BfsOptions::default();
-        let bitmask_only = BfsOptions {
-            culling: CullingConfig { history: false, history_bits: 0, bitmask: true },
-            ..both
-        };
-        let history_heavy = BfsOptions {
-            culling: CullingConfig { history: true, history_bits: 12, bitmask: true },
-            ..both
-        };
+        let both = CullingConfig::default();
+        let bitmask_only = CullingConfig { history: false, history_bits: 0, bitmask: true };
+        let history_heavy = CullingConfig { history: true, history_bits: 12, bitmask: true };
         let (ms_both, load_both) = run_config(g, both, args.runs);
         let (ms_bm, _) = run_config(g, bitmask_only, args.runs);
         let (ms_hist, _) = run_config(g, history_heavy, args.runs);

@@ -23,8 +23,12 @@
 //! while the frontier's out-edge volume is a sizeable share of `m`;
 //! [`super::policy::GatherSwitch`] is the switch.
 //!
-//! The per-vertex reduction order is the edge-list order, whatever the
-//! thread count: results are bit-identical across pools.
+//! A vertex with at least eight edges folds them into four interleaved
+//! accumulators (edge `i` into accumulator `i % 4`), combined pairwise at
+//! the end, so a floating-point sum runs as four independent dependency
+//! chains rather than one; a shorter list folds in edge-list order. The
+//! order is fixed per vertex, whatever the thread count: results are
+//! bit-identical across pools.
 
 use super::push::INVALID_SLOT;
 use crate::context::Context;
@@ -39,6 +43,9 @@ use std::time::Instant;
 /// Edge-scan interval between cooperative abort polls inside one chunk,
 /// the cadence of the other pull-direction operators.
 const ABORT_POLL_EDGES: u64 = 4096;
+
+/// Shortest edge list [`fold4`] splits into four accumulators.
+const FOLD4_MIN_EDGES: usize = 8;
 
 /// The vertices a gather visits.
 #[derive(Clone, Debug)]
@@ -99,7 +106,8 @@ impl<'a> GatherSpec<'a> {
 /// The `i`-th input vertex `v` owns the slot `out[i]`. When `mask(v)` is
 /// false, `v` is skipped: none of its edges is scanned, `finish` is not
 /// called and `v` is not admitted. Otherwise `map(u, v, e)` is folded
-/// with `reduce`, starting from `init`, over `v`'s edges to its neighbors
+/// with `reduce` (associative and commutative, with `init` its identity:
+/// the module docs give the fold order), over `v`'s edges to its neighbors
 /// `u` — the in-edges `(u, v)` of the reverse graph by default, the
 /// out-edges `(v, u)` of the forward graph under
 /// [`GatherSpec::out_edges`]; `e` is the edge id in that graph — and the
@@ -297,11 +305,7 @@ where
             continue;
         }
         let range = csr.edge_range(v);
-        let mut acc = init;
-        for (e, &u) in range.clone().zip(&cols[range.clone()]) {
-            // CAST: e < num_edges < EdgeId::MAX by Csr::validate.
-            acc = reduce(acc, map(u, v, e as EdgeId));
-        }
+        let acc = fold4(&cols[range.clone()], range.start, init, |u, e| map(u, v, e), reduce);
         edges += range.len() as u64;
         if finish(v, acc, slot) {
             if let Some(ids) = ids.as_deref_mut() {
@@ -319,11 +323,60 @@ where
     edges
 }
 
+/// Folds `map(u, e)` over one vertex's neighbors `us` (edge ids from
+/// `e0`) into four interleaved accumulators, then combines them pairwise.
+/// A list shorter than [`FOLD4_MIN_EDGES`] folds as one chain: there is
+/// too little work to interleave, and the setup would dominate.
+#[inline]
+fn fold4<T: Copy>(
+    us: &[VertexId],
+    e0: usize,
+    init: T,
+    map: impl Fn(VertexId, EdgeId) -> T,
+    reduce: &impl Fn(T, T) -> T,
+) -> T {
+    if us.len() < FOLD4_MIN_EDGES {
+        // CAST: e0 + j < num_edges < EdgeId::MAX by Csr::validate.
+        return us
+            .iter()
+            .enumerate()
+            .fold(init, |a, (j, &u)| reduce(a, map(u, (e0 + j) as EdgeId)));
+    }
+    let mut acc = [init; 4];
+    let mut quads = us.chunks_exact(4);
+    let mut e = e0;
+    for quad in &mut quads {
+        for (j, &u) in quad.iter().enumerate() {
+            // CAST: e + j < num_edges < EdgeId::MAX by Csr::validate.
+            acc[j] = reduce(acc[j], map(u, (e + j) as EdgeId));
+        }
+        e += 4;
+    }
+    for (j, &u) in quads.remainder().iter().enumerate() {
+        // CAST: e + j < num_edges < EdgeId::MAX by Csr::validate.
+        acc[j] = reduce(acc[j], map(u, (e + j) as EdgeId));
+    }
+    reduce(reduce(acc[0], acc[1]), reduce(acc[2], acc[3]))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use gunrock_engine::EngineConfig;
     use gunrock_graph::{Coo, GraphBuilder};
+
+    #[test]
+    fn fold4_covers_every_edge_once_at_every_length() {
+        for len in 0..14u32 {
+            let us: Vec<u32> = (0..len).collect();
+            let sum =
+                fold4(&us, 100, 0u64, |u, e| u64::from(u) * 1000 + u64::from(e), &|a, b| a + b);
+            let want: u64 = (0..len).map(|u| u64::from(u) * 1000 + 100 + u64::from(u)).sum();
+            assert_eq!(sum, want, "len {len}");
+            let min = fold4(&us, 0, u32::MAX, |u, _| 50 - u, &|a: u32, b| a.min(b));
+            assert_eq!(min, if len == 0 { u32::MAX } else { 51 - len }, "len {len}");
+        }
+    }
 
     /// Directed weighted star: 0 -> {1, 2, 3}, 4 -> 0.
     fn weighted_star() -> (Csr, Csr) {

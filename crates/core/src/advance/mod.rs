@@ -20,7 +20,6 @@
 //! atomic-free gather-reduce (§7) in [`gather`]; the push/pull and
 //! push/gather switching policies in [`policy`].
 
-pub mod fused;
 pub mod gather;
 pub mod msbfs;
 pub mod policy;

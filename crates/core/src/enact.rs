@@ -6,7 +6,8 @@
 //! calls that make it that primitive — and an [`Enactment`] owns what
 //! happens *between* bodies (DESIGN §6.2, "The iteration boundary"):
 //!
-//! * the wall clock and the completed-iteration count;
+//! * the wall clock, the completed-iteration count, and this run's share
+//!   of the context's edge counter (a reused context keeps counting);
 //! * the top of each iteration ([`Enactment::boundary`]): the periodic
 //!   snapshot when one is due, then the guard; a trip stops the loop
 //!   and leaves an exit snapshot unless the run failed;
@@ -32,6 +33,8 @@ pub struct Enactment<'c, 'g> {
     guard: ContextGuard<'c>,
     iterations: u32,
     outcome: RunOutcome,
+    /// The context's edge counter when the run was armed.
+    edges_at_arm: u64,
 }
 
 /// How an enactment ended.
@@ -43,6 +46,9 @@ pub struct Enacted {
     pub iterations: u32,
     /// Wall time since the enactment was armed.
     pub elapsed: Duration,
+    /// Edges this run examined (the context's counter is cumulative over
+    /// every run that reused it).
+    pub edges_examined: u64,
 }
 
 /// The snapshot closure of a primitive that does not checkpoint.
@@ -55,7 +61,13 @@ impl<'c, 'g> Enactment<'c, 'g> {
     /// the deadline operators poll) for a run that has already completed
     /// `iterations` — zero for a fresh run, the snapshot's stamp on resume.
     pub fn arm(ctx: &'c Context<'g>, iterations: u32) -> Self {
-        Enactment { ctx, guard: ctx.guard(), iterations, outcome: RunOutcome::Converged }
+        Enactment {
+            ctx,
+            guard: ctx.guard(),
+            iterations,
+            outcome: RunOutcome::Converged,
+            edges_at_arm: ctx.counters.edges(),
+        }
     }
 
     /// Completed iterations so far.
@@ -120,6 +132,7 @@ impl<'c, 'g> Enactment<'c, 'g> {
             outcome: self.outcome,
             iterations: self.iterations,
             elapsed: self.guard.elapsed(),
+            edges_examined: self.ctx.counters.edges() - self.edges_at_arm,
         }
     }
 
@@ -215,6 +228,17 @@ mod tests {
         assert_eq!(labels, vec![0, 1, 2, 2, 1, INFINITY]);
         assert_eq!((done.outcome, done.iterations), (RunOutcome::Converged, 3));
         assert_eq!(ctx.counters.iters(), 3, "every iteration reached the context");
+    }
+
+    #[test]
+    fn a_reused_context_reports_each_runs_own_edges() {
+        let g = path(8);
+        let ctx = Context::new(&g);
+        let (_, first) = bfs_on(&ctx, |_, _| {});
+        let (_, second) = bfs_on(&ctx, |_, _| {});
+        assert!(first.edges_examined > 0);
+        assert_eq!(first.edges_examined, second.edges_examined);
+        assert_eq!(ctx.counters.edges(), 2 * first.edges_examined);
     }
 
     #[test]

@@ -58,7 +58,6 @@ pub(crate) mod util;
 pub mod prelude {
     pub use crate::advance::{
         self,
-        fused::advance_filter_fused,
         gather::{advance_gather, GatherSpec},
         msbfs::{advance_msbfs, MsbfsSweep},
         policy::{DirectionPolicy, GatherSwitch, TraversalDirection},

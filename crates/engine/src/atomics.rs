@@ -12,11 +12,18 @@ use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 /// Atomically lowers `cell` to `min(cell, value)`, returning true if this
 /// call strictly lowered the stored value — the paper's
 /// `new_label < atomicMin(...)` idiom in `UpdateLabel` (Algorithm 1).
+///
+/// A plain load runs first and the read-modify-write is skipped when it
+/// cannot win (Ligra's `writeMin`): most relaxations lose, and a losing
+/// one then costs a load instead of a locked compare-exchange loop.
 #[must_use = "the return value says whether this call won the relaxation; \
               ignoring it usually means a lost frontier insertion"]
 #[inline]
 pub fn fetch_min_u32(cell: &AtomicU32, value: u32) -> bool {
-    cell.fetch_min(value, Ordering::Relaxed) > value
+    // ORDERING: Relaxed — the cell only ever decreases, so a stale load can
+    // only be too high: it never skips a winning update, and the RMW below
+    // decides the race exactly as it would without the pre-check.
+    cell.load(Ordering::Relaxed) > value && cell.fetch_min(value, Ordering::Relaxed) > value
 }
 
 /// Root of `v`'s tree in a lock-free parent forest (`parent[x] <= x`,

@@ -22,8 +22,8 @@ use crate::pool::BufferPool;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Shared-bitmap operations common to [`AtomicBitmap`] and
-/// [`PooledBitmap`], so operators (pull advance, culling filter, fused
-/// advance) accept either representation.
+/// [`PooledBitmap`], so operators (pull advance, culling filter, claiming
+/// advance functors) accept either representation.
 pub trait BitSet: Sync {
     /// Bit capacity.
     fn len(&self) -> usize;
@@ -52,6 +52,19 @@ pub trait BitSet: Sync {
         // CAST: count_ones() <= 64 widens to usize losslessly.
         (0..self.word_count()).map(|wi| self.load_word(wi).count_ones() as usize).sum()
     }
+}
+
+/// Sets the `mask` bit of `word`, returning whether it was already set.
+/// A plain load runs first and the `fetch_or` is skipped when the bit is
+/// already set: a losing discovery costs a load, not a locked RMW.
+#[inline]
+fn test_and_set_word(word: &AtomicU64, mask: u64) -> bool {
+    // ORDERING: Relaxed — a load that sees the bit set is already the
+    // answer (setting a set bit changes nothing); one that misses it falls
+    // through to the RMW, which decides the race. The caller's join
+    // barrier orders phases.
+    let set = |old: u64| old & mask != 0;
+    set(word.load(Ordering::Relaxed)) || set(word.fetch_or(mask, Ordering::Relaxed))
 }
 
 /// A fixed-capacity bitmap supporting concurrent set/test.
@@ -105,10 +118,7 @@ impl AtomicBitmap {
     #[inline]
     pub fn test_and_set(&self, i: usize) -> bool {
         debug_assert!(i < self.len);
-        let mask = 1u64 << (i % 64);
-        // ORDERING: Relaxed — bit RMWs need only atomicity (unique test_and_set
-        // winners); cross-phase visibility comes from the caller's join barrier.
-        self.words[i / 64].fetch_or(mask, Ordering::Relaxed) & mask != 0
+        test_and_set_word(&self.words[i / 64], 1u64 << (i % 64))
     }
 
     /// Clears bit `i`.
@@ -371,10 +381,7 @@ impl PooledBitmap {
     #[inline]
     pub fn test_and_set(&self, i: usize) -> bool {
         debug_assert!(i < self.len);
-        let mask = 1u64 << (i % 64);
-        // ORDERING: Relaxed — bit RMWs need only atomicity (unique test_and_set
-        // winners); cross-phase visibility comes from the caller's join barrier.
-        self.words[i / 64].fetch_or(mask, Ordering::Relaxed) & mask != 0
+        test_and_set_word(&self.words[i / 64], 1u64 << (i % 64))
     }
 }
 

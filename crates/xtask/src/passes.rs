@@ -133,11 +133,14 @@ impl Default for Config {
             // enact.rs is the iteration boundary every enact loop crosses
             // once per iteration (thousands of times per high-diameter
             // query): snapshots are built by the caller's closure, the
-            // boundary itself must not allocate
+            // boundary itself must not allocate. priority_queue.rs is
+            // SSSP's near-far split and refill, one pass each per
+            // iteration: the near slice reuses pooled storage
             alloc_scope: vec![
                 "crates/core/src/advance".into(),
                 "crates/core/src/enact.rs".into(),
                 "crates/core/src/filter".into(),
+                "crates/core/src/priority_queue.rs".into(),
                 "crates/engine/src/bitmap.rs".into(),
                 "crates/engine/src/lanes.rs".into(),
                 "crates/engine/src/budget.rs".into(),
@@ -603,6 +606,12 @@ mod tests {
         let path = "crates/core/src/advance/gather.rs";
         assert!(in_scope(path, &cfg.cast_scope, &[]));
         assert!(in_scope(path, &cfg.alloc_scope, &[]));
+    }
+
+    #[test]
+    fn near_far_queue_sits_in_the_alloc_scope() {
+        let cfg = Config::default();
+        assert!(in_scope("crates/core/src/priority_queue.rs", &cfg.alloc_scope, &[]));
     }
 
     #[test]

@@ -191,11 +191,7 @@ fn pool_alloc_faults_fail_structured_never_escape() {
             "{prim}: expected BudgetExceeded, got {err:?}"
         );
     };
-    for variant in [
-        algos::BfsVariant::Atomic,
-        algos::BfsVariant::DirectionOptimized,
-        algos::BfsVariant::Fused,
-    ] {
+    for variant in [algos::BfsVariant::Atomic, algos::BfsVariant::DirectionOptimized] {
         let ctx = faulted(&g, deny_all(), 0);
         let opts = algos::BfsOptions { variant, ..Default::default() };
         let err = algos::try_bfs(&ctx, 0, opts).expect_err("denied checkouts cannot converge");

@@ -359,37 +359,42 @@ fn every_resumable_entry_round_trips_a_capped_run() {
     }
 }
 
-/// A snapshot from the retired push-only variant (tag 1) resumes as the
-/// direction-optimized variant, whose push levels are that variant's
-/// levels: depths equal the oracle's and the preds form a BFS tree, with
-/// and without a reverse graph to pull over.
-#[test]
-fn idempotent_bfs_snapshot_resumes_as_direction_optimized() {
-    let g = kron10();
-    let dir = ckpt_dir("bfs_tag1");
-    // no reverse graph: every level pushes, the old variant's exact state
-    let ckpt = interrupt_on(Context::new(&g), &dir, "bfs", 2, |ctx| {
-        let r = algos::bfs(ctx, 0, algos::BfsOptions::default());
-        (r.labels, r.outcome)
-    });
+/// `ckpt`, a push-only BFS snapshot, rewritten as the retired variant
+/// `tag` would have written it.
+fn as_bfs_variant(ckpt: &Checkpoint, tag: u32) -> Checkpoint {
     let section = |name| ckpt.u32s(name).expect("u32 section").to_vec();
     let mut old = Checkpoint::new("bfs", ckpt.iteration());
     for name in ["labels", "preds", "frontier", "unvisited"] {
         old.push_u32(name, section(name));
     }
     let mut scalars = section("scalars");
-    scalars[4] = 1;
+    scalars[4] = tag;
     old.push_u32("scalars", scalars);
     old.push_u64("counters", ckpt.u64s("counters").expect("counters").to_vec());
-    let old = Checkpoint::decode(&old.encode()).expect("well-formed container");
+    Checkpoint::decode(&old.encode()).expect("well-formed container")
+}
+
+/// A snapshot of a retired variant resumes as the direction-optimized
+/// variant, whose push levels are that variant's levels: depths equal the
+/// oracle's and the preds form a BFS tree, with and without a reverse
+/// graph to pull over.
+fn retired_bfs_variant_resumes_as_direction_optimized(tag: u32) {
+    let g = kron10();
+    let dir = ckpt_dir(&format!("bfs_tag{tag}"));
+    // no reverse graph: every level pushes, the old variant's exact state
+    let ckpt = interrupt_on(Context::new(&g), &dir, "bfs", 2, |ctx| {
+        let r = algos::bfs(ctx, 0, algos::BfsOptions::default());
+        (r.labels, r.outcome)
+    });
+    let old = as_bfs_variant(&ckpt, tag);
     let want = gunrock_baselines::serial::bfs(&g, 0);
     for ctx in [Context::new(&g), Context::new(&g).with_reverse(&g)] {
         let r = algos::bfs_resume(&ctx, algos::BfsOptions::default(), &old).expect("resume");
-        assert_eq!(r.outcome, RunOutcome::Converged);
-        assert_eq!(r.labels, want);
+        assert_eq!(r.outcome, RunOutcome::Converged, "tag {tag}");
+        assert_eq!(r.labels, want, "tag {tag}");
         for (v, &p) in r.preds.iter().enumerate() {
             if v == 0 || want[v] == u32::MAX {
-                assert_eq!(p, u32::MAX, "vertex {v}");
+                assert_eq!(p, u32::MAX, "tag {tag} vertex {v}");
             } else {
                 assert_eq!(r.labels[p as usize] + 1, r.labels[v], "vertex {v} parent {p}");
                 assert!(g.neighbors(p).contains(&(v as u32)), "vertex {v} parent {p}");
@@ -397,6 +402,42 @@ fn idempotent_bfs_snapshot_resumes_as_direction_optimized() {
         }
     }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Tag 1: the retired push-only idempotent variant.
+#[test]
+fn idempotent_bfs_snapshot_resumes_as_direction_optimized() {
+    retired_bfs_variant_resumes_as_direction_optimized(1);
+}
+
+/// Tag 3: the retired fused variant.
+#[test]
+fn fused_bfs_snapshot_resumes_as_direction_optimized() {
+    retired_bfs_variant_resumes_as_direction_optimized(3);
+}
+
+/// Every mid-run SSSP snapshot — taken after the claiming advance and the
+/// near–far split of each iteration so far — resumes to the uninterrupted
+/// run's distances, predecessors and iteration count, bit for bit.
+#[test]
+fn sssp_mid_run_snapshots_resume_bit_identically() {
+    let g = kron10();
+    let opts = algos::SsspOptions::default();
+    let full = algos::sssp(&Context::new(&g), 0, opts);
+    assert!(full.iterations > 6);
+    for cap in 1..=6 {
+        let dir = ckpt_dir(&format!("sssp_mid{cap}"));
+        let ckpt = interrupt(&g, &dir, "sssp", cap, |ctx| {
+            let r = algos::sssp(ctx, 0, opts);
+            (r.dist, r.outcome)
+        });
+        let r = algos::sssp_resume(&Context::new(&g), opts, &ckpt).expect("resume");
+        assert_eq!(r.outcome, RunOutcome::Converged, "cap {cap}");
+        assert_eq!(r.dist, full.dist, "cap {cap}");
+        assert_eq!(r.preds, full.preds, "cap {cap}");
+        assert_eq!(r.iterations, full.iterations, "cap {cap}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }
 
 /// Periodic snapshots are also resumable on their own — not just the

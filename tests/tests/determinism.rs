@@ -154,3 +154,27 @@ fn bc_is_bit_identical_across_pools_and_the_serial_fast_path() {
         }
     }
 }
+
+/// A reused context keeps one cumulative edge counter; every primitive's
+/// `edges_examined` is its own run's share of it, so two identical runs
+/// on one context report the same count.
+#[test]
+fn reruns_on_one_context_report_equal_edges_examined() {
+    let g =
+        GraphBuilder::new().random_weights(1, 64, 5).build(rmat(9, 8, Default::default(), 5));
+    let ctx = Context::new(&g).with_reverse(&g);
+    let sources: Vec<u32> = (0..8).collect();
+    let runs: [(&str, &dyn Fn() -> u64); 6] = [
+        ("bfs", &|| algos::bfs(&ctx, 0, Default::default()).edges_examined),
+        ("sssp", &|| algos::sssp(&ctx, 0, Default::default()).edges_examined),
+        ("bc", &|| algos::bc(&ctx, 0, Default::default()).edges_examined),
+        ("pagerank", &|| algos::pagerank(&ctx, Default::default()).edges_examined),
+        ("msbfs", &|| algos::msbfs(&ctx, &sources).edges_examined),
+        ("msppr", &|| algos::msppr(&ctx, &sources, Default::default()).edges_examined),
+    ];
+    for (name, run) in runs {
+        let first = run();
+        assert!(first > 0, "{name}");
+        assert_eq!(run(), first, "{name}");
+    }
+}

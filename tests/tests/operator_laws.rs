@@ -267,16 +267,68 @@ proptest! {
         prop_assert_eq!(unique, frontier.iter().copied().collect());
     }
 
+    /// Culling inside the advance is the culling filter: an advance whose
+    /// functor claims each destination on the visited bitmap emits the
+    /// same set as an advance followed by `filter_with_culling` over the
+    /// same bitmap, and leaves the bitmap in the same state, under every
+    /// workload mapping.
+    #[test]
+    fn claiming_advance_equals_advance_then_culling_filter(
+        (g, frontier) in arb_graph_and_frontier()
+    ) {
+        let n = g.num_vertices();
+        let ctx = Context::new(&g);
+        let input = Frontier::from_vec(frontier);
+        // the frontier is already visited, as in a traversal
+        let seeded = || {
+            let visited = AtomicBitmap::new(n);
+            for &v in input.as_slice() {
+                visited.set(v as usize);
+            }
+            visited
+        };
+        for mode in [
+            AdvanceMode::ThreadMapped,
+            AdvanceMode::Twc,
+            AdvanceMode::LoadBalanced,
+            AdvanceMode::Auto,
+        ] {
+            let spec = AdvanceSpec::v2v().with_mode(mode);
+            let claimed_by = seeded();
+            let claim = EdgeCond(|_s: u32, d: u32, _e: u32| !claimed_by.test_and_set(d as usize));
+            let claimed = advance::advance(&ctx, &input, spec, &claim).into_vec();
+            let culled_by = seeded();
+            let raw = advance::advance(&ctx, &input, spec, &AcceptAll);
+            let culled = filter::culling::filter_with_culling(
+                &ctx,
+                &raw,
+                &culled_by,
+                &VertexCond(|_| true),
+                CullingConfig::default(),
+            )
+            .into_vec();
+            // both are duplicate-free, so equal multisets are equal sets
+            prop_assert_eq!(multiset(claimed), multiset(culled), "{:?}", mode);
+            prop_assert_eq!(
+                claimed_by.iter_ones().collect::<Vec<_>>(),
+                culled_by.iter_ones().collect::<Vec<_>>(),
+                "{:?}",
+                mode
+            );
+        }
+    }
+
     /// Near-far queue conservation: every element split in is either
     /// returned near, returned by a refill, or provably stale.
     #[test]
     fn near_far_conserves_elements(prios in proptest::collection::vec(0u32..100, 1..60)) {
         let n = prios.len() as u32;
+        let pool = gunrock_engine::pool::BufferPool::new();
         let mut q = NearFarQueue::new(10);
         let input = Frontier::from_vec((0..n).collect());
-        let mut seen: Vec<u32> = q.split(&input, |v| prios[v as usize]).into_vec();
+        let mut seen: Vec<u32> = q.split(input, |v| prios[v as usize]).into_vec();
         loop {
-            let next = q.refill(|v| prios[v as usize]);
+            let next = q.refill(&pool, |v| prios[v as usize]);
             if next.is_empty() {
                 break;
             }

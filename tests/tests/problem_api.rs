@@ -8,37 +8,31 @@
 
 use gunrock::prelude::*;
 use gunrock_baselines::serial;
-use gunrock_engine::atomics::{atomic_u32_vec, unwrap_atomic_u32};
+use gunrock_engine::atomics::{atomic_u32_vec, fetch_min_u32, unwrap_atomic_u32};
 use gunrock_graph::{Csr, INFINITY};
 use gunrock_integration::graph_suite;
 use std::sync::atomic::{AtomicU32, Ordering};
 
+/// Relax and claim: an edge succeeds when it improves `d` and is the
+/// first improvement of `d` this round.
 struct Relax<'a> {
     graph: &'a Csr,
     dist: &'a [AtomicU32],
+    tags: &'a [AtomicU32],
+    round: u32,
 }
 
 impl AdvanceFunctor for Relax<'_> {
     fn cond_edge(&self, s: u32, d: u32, e: u32) -> bool {
         let nd =
             self.dist[s as usize].load(Ordering::Relaxed).saturating_add(self.graph.weight(e));
-        self.dist[d as usize].fetch_min(nd, Ordering::Relaxed) > nd
+        fetch_min_u32(&self.dist[d as usize], nd)
+            && self.tags[d as usize].swap(self.round, Ordering::Relaxed) != self.round
     }
 }
 
-struct Claim<'a> {
-    tags: &'a [AtomicU32],
-    round: u32,
-}
-
-impl FilterFunctor for Claim<'_> {
-    fn cond(&self, v: u32) -> bool {
-        self.tags[v as usize].swap(self.round, Ordering::Relaxed) != self.round
-    }
-}
-
-/// SSSP on the driver: advance (relax) + filter (dedup) + near-far queue
-/// — Algorithm 1 of the paper.
+/// SSSP on `Enactment`: one relax-and-claim advance + the near-far queue
+/// per iteration — Algorithm 1 of the paper.
 fn sssp(ctx: &Context<'_>, src: u32) -> (Vec<u32>, Enacted) {
     let dist = atomic_u32_vec(ctx.num_vertices(), INFINITY);
     let tags = atomic_u32_vec(ctx.num_vertices(), u32::MAX);
@@ -47,12 +41,12 @@ fn sssp(ctx: &Context<'_>, src: u32) -> (Vec<u32>, Enacted) {
     let mut frontier = Frontier::single(src);
     let mut run = Enactment::arm(ctx, 0);
     while !frontier.is_empty() && !run.boundary(no_snapshot) {
-        let relax = Relax { graph: ctx.graph, dist: &dist };
-        let raw = advance::advance(ctx, &frontier, AdvanceSpec::v2v(), &relax);
-        let dedup = filter::filter(ctx, &raw, &Claim { tags: &tags, round: run.iterations() });
-        let near = queue.split(&dedup, |v| dist[v as usize].load(Ordering::Relaxed));
+        let relax =
+            Relax { graph: ctx.graph, dist: &dist, tags: &tags, round: run.iterations() };
+        let claimed = advance::advance(ctx, &frontier, AdvanceSpec::v2v(), &relax);
+        let near = queue.split(claimed, |v| dist[v as usize].load(Ordering::Relaxed));
         frontier = if near.is_empty() {
-            queue.refill(|v| dist[v as usize].load(Ordering::Relaxed))
+            queue.refill(ctx.pool(), |v| dist[v as usize].load(Ordering::Relaxed))
         } else {
             near
         };
