@@ -1,25 +1,22 @@
-//! Breadth-first search (§5.1).
+//! Breadth-first search (§5.1), direction-optimized.
 //!
-//! Two variants:
+//! A push level is one advance whose functor claims each destination on
+//! the visited bitmap (a `test_and_set` that loads first, so an edge into
+//! a visited vertex costs no atomic) and labels it, so each vertex enters
+//! the output once and no culling filter runs: the paper's idempotent
+//! advance and bitmask-culling filter, fused (§7). With a reverse graph on
+//! the context, levels switch to a bitmap pull sweep per Beamer (§4.1.1);
+//! without one every level pushes.
 //!
-//! * **direction-optimized** (the default) — a push level is one advance
-//!   whose functor claims each destination on the visited bitmap (a
-//!   `test_and_set` that loads first, so an edge into a visited vertex
-//!   costs no atomic) and labels it, so each vertex enters the output
-//!   once and no culling filter runs: the paper's idempotent advance and
-//!   bitmask-culling filter, fused (§7). With a reverse graph on the
-//!   context, levels switch to a bitmap pull sweep per Beamer (§4.1.1);
-//!   without one every level pushes.
-//! * **atomic** — the base implementation "uses atomics during advance to
-//!   prevent concurrent vertex discovery": a CAS on the label array makes
-//!   each vertex enter the output frontier exactly once.
-//!
-//! The paper's two-kernel form (idempotent advance, then the culling
-//! filter) is built from the core operators in the `ablation_fusion` and
-//! `ablation_filter` benchmarks.
+//! The paper's other discovery forms are built from the core operators
+//! where they are measured: the base implementation's CAS on labels
+//! (`gunrock_bench::bfs_atomic`, ablations A1 and A2) and the two-kernel
+//! idempotent advance + culling filter (`gunrock_bench::bfs_two_kernel`,
+//! ablations A2 and A3).
 
 use crate::recover::{
-    check_failed, expect_len, expect_vertex_ids, malformed, scalar, to_atomic_u32,
+    check_failed, expect_len, expect_setting_on, expect_vertex_ids, malformed, scalar,
+    to_atomic_u32,
 };
 use gunrock::prelude::*;
 use gunrock_engine::atomics::{atomic_u32_vec, unwrap_atomic_u32};
@@ -28,58 +25,21 @@ use gunrock_graph::Csr;
 use gunrock_graph::{EdgeId, VertexId, INFINITY, INVALID_VERTEX};
 use std::sync::atomic::{AtomicU32, Ordering};
 
-/// Traversal variant.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum BfsVariant {
-    /// Atomic unique discovery (CAS on labels).
-    Atomic,
-    /// Claiming push levels (the visited bitmap culls inside the
-    /// advance), pull levels when the context has a reverse graph and the
-    /// policy asks for them.
-    DirectionOptimized,
-}
-
-impl BfsVariant {
-    /// Numeric tag stored in checkpoints.
-    fn tag(self) -> u32 {
-        match self {
-            BfsVariant::Atomic => 0,
-            BfsVariant::DirectionOptimized => 2,
-        }
-    }
-
-    fn from_tag(tag: u32) -> Option<BfsVariant> {
-        match tag {
-            0 => Some(BfsVariant::Atomic),
-            // 1 was the push-only idempotent variant and 3 the fused one:
-            // both pushed the levels the direction-optimized variant pushes
-            1..=3 => Some(BfsVariant::DirectionOptimized),
-            _ => None,
-        }
-    }
-}
+/// The checkpoint's variant slot: every snapshot is written with the
+/// direction-optimized tag, and tags 0-3 (atomic, idempotent,
+/// direction-optimized, fused) all resume as it.
+const VARIANT_TAG: u32 = 2;
 
 /// BFS configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct BfsOptions {
-    /// Traversal variant (direction-optimized / atomic).
-    pub variant: BfsVariant,
     /// Workload mapping for push advances.
     pub mode: AdvanceMode,
-    /// Record BFS-tree predecessors.
-    pub record_predecessors: bool,
-    /// Direction-switch thresholds (direction-optimized variant).
-    pub policy: DirectionPolicy,
 }
 
 impl Default for BfsOptions {
     fn default() -> Self {
-        BfsOptions {
-            variant: BfsVariant::DirectionOptimized,
-            mode: AdvanceMode::Auto,
-            record_predecessors: true,
-            policy: DirectionPolicy::default(),
-        }
+        BfsOptions { mode: AdvanceMode::Auto }
     }
 }
 
@@ -91,31 +51,20 @@ impl BfsOptions {
         Self::default()
     }
 
-    /// Base atomic variant.
-    pub fn atomic() -> Self {
-        BfsOptions { variant: BfsVariant::Atomic, ..Self::default() }
-    }
-
     /// Overrides the advance workload mapping.
     pub fn with_mode(mut self, mode: AdvanceMode) -> Self {
         self.mode = mode;
         self
     }
-
-    /// Overrides the direction policy.
-    pub fn with_policy(mut self, policy: DirectionPolicy) -> Self {
-        self.policy = policy;
-        self
-    }
 }
 
-/// BFS output: depths, optional BFS-tree parents, and traversal stats.
+/// BFS output: depths, BFS-tree parents, and traversal stats.
 #[derive(Clone, Debug)]
 pub struct BfsResult {
     /// Depth of each vertex from the source (`INFINITY` = unreachable).
     pub labels: Vec<u32>,
     /// BFS-tree parent per vertex (`INVALID_VERTEX` for the source and
-    /// unreachable vertices); empty if not recorded.
+    /// unreachable vertices).
     pub preds: Vec<VertexId>,
     /// Edges examined during traversal.
     pub edges_examined: u64,
@@ -141,38 +90,17 @@ impl BfsResult {
 #[derive(Clone, Copy)]
 struct BfsState<'a> {
     labels: &'a [AtomicU32],
-    preds: Option<&'a [AtomicU32]>,
+    preds: &'a [AtomicU32],
 }
 
 impl BfsState<'_> {
+    /// Labels `dst` at `level` with `src` as its BFS-tree parent.
     #[inline]
-    fn set_pred(&self, dst: VertexId, src: VertexId) {
-        if let Some(p) = self.preds {
-            // ORDERING: Relaxed — any winning parent/label is a valid BFS tree edge
-            // (idempotent discovery); the rayon join barrier publishes each level.
-            p[dst as usize].store(src, Ordering::Relaxed);
-        }
-    }
-}
-
-/// Atomic discovery functor: CAS wins exactly once per vertex.
-struct AtomicDiscover<'a> {
-    st: BfsState<'a>,
-    level: u32,
-}
-
-impl AdvanceFunctor for AtomicDiscover<'_> {
-    #[inline]
-    fn cond_edge(&self, _src: VertexId, dst: VertexId, _e: EdgeId) -> bool {
-        self.st.labels[dst as usize]
-            // ORDERING: Relaxed — any winning parent/label is a valid BFS tree edge
-            // (idempotent discovery); the rayon join barrier publishes each level.
-            .compare_exchange(INFINITY, self.level, Ordering::Relaxed, Ordering::Relaxed)
-            .is_ok()
-    }
-    #[inline]
-    fn apply_edge(&self, src: VertexId, dst: VertexId, _e: EdgeId) {
-        self.st.set_pred(dst, src);
+    fn discover(&self, dst: VertexId, src: VertexId, level: u32) {
+        // ORDERING: Relaxed — any winning parent/label is a valid BFS tree edge
+        // (idempotent discovery); the rayon join barrier publishes each level.
+        self.labels[dst as usize].store(level, Ordering::Relaxed);
+        self.preds[dst as usize].store(src, Ordering::Relaxed);
     }
 }
 
@@ -194,10 +122,7 @@ impl AdvanceFunctor for ClaimDiscover<'_> {
     }
     #[inline]
     fn apply_edge(&self, src: VertexId, dst: VertexId, _e: EdgeId) {
-        // ORDERING: Relaxed — any winning parent/label is a valid BFS tree edge
-        // (idempotent discovery); the rayon join barrier publishes each level.
-        self.st.labels[dst as usize].store(self.level, Ordering::Relaxed);
-        self.st.set_pred(dst, src);
+        self.st.discover(dst, src, self.level);
     }
 }
 
@@ -218,10 +143,7 @@ impl AdvanceFunctor for PullDiscover<'_> {
     }
     #[inline]
     fn apply_edge(&self, src: VertexId, dst: VertexId, _e: EdgeId) {
-        // ORDERING: Relaxed — any winning parent/label is a valid BFS tree edge
-        // (idempotent discovery); the rayon join barrier publishes each level.
-        self.st.labels[dst as usize].store(self.level, Ordering::Relaxed);
-        self.st.set_pred(dst, src);
+        self.st.discover(dst, src, self.level);
     }
 }
 
@@ -230,7 +152,7 @@ impl AdvanceFunctor for PullDiscover<'_> {
 /// struct and re-enters [`bfs_run`] as if the guard had never tripped.
 struct BfsLoop {
     labels: Vec<AtomicU32>,
-    preds: Option<Vec<AtomicU32>>,
+    preds: Vec<AtomicU32>,
     frontier: Frontier,
     level: u32,
     pull_iters: u32,
@@ -284,47 +206,23 @@ fn rebuild_visited(ctx: &Context<'_>, labels: &[AtomicU32]) -> PooledBitmap {
     bm
 }
 
-/// One push level: a single claiming advance.
-fn push_level(
-    ctx: &Context<'_>,
-    opts: &BfsOptions,
-    st: BfsState<'_>,
-    level: u32,
-    frontier: &Frontier,
-    visited: &PooledBitmap,
-) -> Frontier {
-    let spec = AdvanceSpec::v2v().with_mode(opts.mode);
-    advance::advance(ctx, frontier, spec, &ClaimDiscover { st, visited, level })
-}
-
 /// Builds an iteration-boundary snapshot. Sections: per-vertex
 /// `labels`/`preds`, the live `frontier`, an `unvisited` section kept
 /// for the format's sake and written empty (at any boundary the pull
 /// candidates are exactly the unlabeled vertices, which resume derives
 /// from `labels`), plus packed scalars `[src, level, pull_iters,
 /// direction, variant, record_preds]` and the 64-bit `unvisited_edges`
-/// counter.
-fn bfs_checkpoint(
-    iteration: u32,
-    src: VertexId,
-    opts: &BfsOptions,
-    st: &BfsLoop,
-) -> Checkpoint {
+/// counter. The variant and record-predecessors slots are retired and
+/// written with the one value left: [`VARIANT_TAG`] and 1.
+fn bfs_checkpoint(iteration: u32, src: VertexId, st: &BfsLoop) -> Checkpoint {
     let mut ckpt = Checkpoint::new("bfs", iteration);
     ckpt.push_u32("labels", unwrap_atomic_u32(&st.labels));
-    ckpt.push_u32("preds", st.preds.as_deref().map(unwrap_atomic_u32).unwrap_or_default());
+    ckpt.push_u32("preds", unwrap_atomic_u32(&st.preds));
     ckpt.push_u32("frontier", st.frontier.as_slice().to_vec());
     ckpt.push_u32("unvisited", Vec::new());
     ckpt.push_u32(
         "scalars",
-        vec![
-            src,
-            st.level,
-            st.pull_iters,
-            direction_tag(st.direction),
-            opts.variant.tag(),
-            opts.record_predecessors as u32,
-        ],
+        vec![src, st.level, st.pull_iters, direction_tag(st.direction), VARIANT_TAG, 1],
     );
     ckpt.push_u64("counters", vec![st.unvisited_edges]);
     ckpt
@@ -341,7 +239,7 @@ pub fn bfs(ctx: &Context<'_>, src: VertexId, opts: BfsOptions) -> BfsResult {
     labels[src as usize].store(0, Ordering::Relaxed);
     let st = BfsLoop {
         labels,
-        preds: opts.record_predecessors.then(|| atomic_u32_vec(n, INVALID_VERTEX)),
+        preds: atomic_u32_vec(n, INVALID_VERTEX),
         frontier: Frontier::single(src),
         level: 0,
         pull_iters: 0,
@@ -352,8 +250,11 @@ pub fn bfs(ctx: &Context<'_>, src: VertexId, opts: BfsOptions) -> BfsResult {
 }
 
 /// Resumes BFS from a `gunrock-ckpt/v1` snapshot. The checkpoint's
-/// variant, source, and recorded-predecessor setting override `opts`;
-/// workload mapping and heuristics still come from `opts`.
+/// source overrides `opts`; the workload mapping still comes from `opts`.
+/// A snapshot of a retired variant (tags 0, 1 and 3) resumes as this BFS:
+/// its labels, preds and frontier are the state a claiming push level
+/// resumes from, since the visited bitmap is rebuilt from the labels. A
+/// snapshot without predecessors is rejected.
 pub fn bfs_resume(
     ctx: &Context<'_>,
     opts: BfsOptions,
@@ -385,16 +286,14 @@ pub fn bfs_resume(
         other => return Err(malformed(format!("unknown direction tag {other}"))),
     };
     let variant = scalar(scalars, 4, "variant")?;
-    let variant = BfsVariant::from_tag(variant)
-        .ok_or_else(|| malformed(format!("unknown BFS variant tag {variant}")))?;
-    let record_predecessors = scalar(scalars, 5, "record_predecessors")? == 1;
-    if record_predecessors {
-        expect_len(preds.len(), n, "preds")?;
+    if variant > 3 {
+        return Err(malformed(format!("unknown BFS variant tag {variant}")));
     }
-    let opts = BfsOptions { variant, record_predecessors, ..opts };
+    expect_setting_on(scalars, 5, "record_predecessors")?;
+    expect_len(preds.len(), n, "preds")?;
     let st = BfsLoop {
         labels: to_atomic_u32(labels),
-        preds: record_predecessors.then(|| to_atomic_u32(preds)),
+        preds: to_atomic_u32(preds),
         frontier: Frontier::from_vec(frontier.to_vec()),
         level,
         pull_iters,
@@ -419,144 +318,129 @@ fn bfs_run(
     let mut run = Enactment::arm(ctx, done);
     // Budget admission: demote the advance mode (or poison with a
     // structured BudgetExceeded) before the first operator launches.
-    let opts = BfsOptions { mode: crate::admission::admit(ctx, "bfs", opts.mode), ..opts };
+    let mode = crate::admission::admit(ctx, "bfs", opts.mode);
     // The visited bitmap is a pool checkout between operators: build it
     // isolated so a denied checkout (injected `pool-alloc` or a budget
     // race) fails the run instead of unwinding out of the loop, and never
     // for a run admission already failed. Either way the context is
     // poisoned and the first boundary ends the run before any operator.
-    let visited = match opts.variant {
-        BfsVariant::Atomic => None,
-        _ if ctx.is_poisoned() => None,
-        _ => ctx.isolated_setup("setup", || rebuild_visited(ctx, &st.labels)),
+    let visited = if ctx.is_poisoned() {
+        None
+    } else {
+        ctx.isolated_setup("setup", || rebuild_visited(ctx, &st.labels))
     };
+    let policy = DirectionPolicy::default();
+    let spec = AdvanceSpec::v2v().with_mode(mode);
     let mut pull: Option<PullFrontiers> = None;
     while !st.frontier.is_empty() {
-        if run.boundary(|it| Some(bfs_checkpoint(it, src, &opts, &st))) {
+        if run.boundary(|it| Some(bfs_checkpoint(it, src, &st))) {
             break;
         }
+        // unreachable: a failed setup poisoned the run, which the
+        // boundary above reports
+        let Some(visited) = &visited else { break };
         st.level += 1;
         let level = st.level;
-        let state = BfsState { labels: &st.labels, preds: st.preds.as_deref() };
-        let next = match (opts.variant, &visited) {
-            (BfsVariant::Atomic, _) => {
-                let spec = AdvanceSpec::v2v().with_mode(opts.mode);
-                advance::advance(ctx, &st.frontier, spec, &AtomicDiscover { st: state, level })
-            }
-            // unreachable: a failed setup poisoned the run, which the
-            // boundary above reports
-            (_, None) => break,
+        let state = BfsState { labels: &st.labels, preds: &st.preds };
+        let push = ClaimDiscover { st: state, visited, level };
+        let next = if ctx.reverse.is_none() {
             // nothing to pull over: every level pushes, and the switch
             // bookkeeping is skipped
-            (BfsVariant::DirectionOptimized, Some(visited)) if ctx.reverse.is_none() => {
-                st.direction = TraversalDirection::Push;
-                push_level(ctx, &opts, state, level, &st.frontier, visited)
+            st.direction = TraversalDirection::Push;
+            advance::advance(ctx, &st.frontier, spec, &push)
+        } else {
+            let m_f =
+                advance::push::frontier_neighbor_count(ctx, &st.frontier, InputKind::Vertices);
+            let (prev, m_u, n_f) = (st.direction, st.unvisited_edges, st.frontier.len());
+            st.direction = policy.decide(prev, m_f, m_u, n_f, n);
+            // Degradation rung: entering a pull phase costs three
+            // dense O(n/64)-word bitmaps (candidates + ping-pong
+            // pair). Under budget pressure, stay push — the list
+            // frontiers already in hand cost nothing new. An
+            // in-flight pull phase keeps its paid-for bitmaps.
+            if st.direction == TraversalDirection::Pull && pull.is_none() {
+                let need = 3 * gunrock_engine::budget::pooled_bytes(n.div_ceil(64) as u64, 8);
+                if !ctx.pool().can_reserve(need) {
+                    let headroom = ctx.budget().map(|b| b.headroom()).unwrap_or(0);
+                    let reason =
+                        format!("pull bitmaps need {need} bytes, budget headroom {headroom}");
+                    ctx.record_degrade("advance", "pull", "push", reason);
+                    st.direction = TraversalDirection::Push;
+                }
             }
-            (BfsVariant::DirectionOptimized, Some(visited)) => {
-                let m_f = advance::push::frontier_neighbor_count(
-                    ctx,
-                    &st.frontier,
-                    InputKind::Vertices,
-                );
-                let (prev, m_u, n_f) = (st.direction, st.unvisited_edges, st.frontier.len());
-                st.direction = opts.policy.decide(prev, m_f, m_u, n_f, n);
-                // Degradation rung: entering a pull phase costs three
-                // dense O(n/64)-word bitmaps (candidates + ping-pong
-                // pair). Under budget pressure, stay push — the list
-                // frontiers already in hand cost nothing new. An
-                // in-flight pull phase keeps its paid-for bitmaps.
-                if st.direction == TraversalDirection::Pull && pull.is_none() {
-                    let need =
-                        3 * gunrock_engine::budget::pooled_bytes(n.div_ceil(64) as u64, 8);
-                    if !ctx.pool().can_reserve(need) {
-                        let headroom = ctx.budget().map(|b| b.headroom()).unwrap_or(0);
-                        let reason = format!(
-                            "pull bitmaps need {need} bytes, budget headroom {headroom}"
-                        );
-                        ctx.record_degrade("advance", "pull", "push", reason);
-                        st.direction = TraversalDirection::Push;
-                    }
-                }
-                if let Some(sink) = ctx.sink().filter(|_| st.direction != prev) {
-                    // only built when instrumented: the reason string
-                    // names the hysteresis inequality that fired
-                    let (alpha, beta) = (opts.policy.alpha, opts.policy.beta);
-                    let (from, to, reason) = match st.direction {
-                        TraversalDirection::Pull => (
-                            StepDirection::Push,
-                            StepDirection::Pull,
-                            format!(
-                                "m_f={m_f} > m_u={m_u}/alpha={alpha} \
-                                 and n_f={n_f} >= n={n}/beta={beta}"
-                            ),
+            if let Some(sink) = ctx.sink().filter(|_| st.direction != prev) {
+                // only built when instrumented: the reason string
+                // names the hysteresis inequality that fired
+                let (alpha, beta) = (policy.alpha, policy.beta);
+                let (from, to, reason) = match st.direction {
+                    TraversalDirection::Pull => (
+                        StepDirection::Push,
+                        StepDirection::Pull,
+                        format!(
+                            "m_f={m_f} > m_u={m_u}/alpha={alpha} \
+                             and n_f={n_f} >= n={n}/beta={beta}"
                         ),
-                        TraversalDirection::Push => (
-                            StepDirection::Pull,
-                            StepDirection::Push,
-                            format!("n_f={n_f} < n={n}/beta={beta}"),
-                        ),
-                    };
-                    sink.record_switch(from, to, reason);
-                }
-                let next = match st.direction {
-                    TraversalDirection::Push => {
-                        // leaving a pull phase: the dense frontiers go
-                        // back to the pool until the next switch
-                        if let Some(p) = pull.take() {
-                            p.release(ctx);
-                        }
-                        push_level(ctx, &opts, state, level, &st.frontier, visited)
-                    }
-                    TraversalDirection::Pull => {
-                        st.pull_iters += 1;
-                        // lazy Beamer-switch conversion: only here does
-                        // the list frontier densify, and the candidate
-                        // mask is the visited complement — no O(n)
-                        // re-prune ever runs inside the phase. The
-                        // bitmaps are pool checkouts between operators,
-                        // built isolated like the visited bitmap.
-                        if pull.is_none() {
-                            pull = ctx.isolated_setup("setup", || {
-                                let mut unvisited = PooledBitmap::take(ctx.pool(), n);
-                                unvisited.fill_complement(visited);
-                                PullFrontiers {
-                                    unvisited,
-                                    cur: frontier_bitmap(ctx, &st.frontier),
-                                    scratch: PooledBitmap::take(ctx.pool(), n),
-                                }
-                            });
-                        }
-                        let Some(fr) = pull.as_mut() else { break };
-                        let f = PullDiscover { st: state, level };
-                        advance_pull_sweep(
-                            ctx,
-                            &mut fr.unvisited,
-                            &fr.cur,
-                            &mut fr.scratch,
-                            &f,
-                        );
-                        // ping-pong: the sweep's output becomes the next
-                        // iteration's in-frontier
-                        std::mem::swap(&mut fr.cur, &mut fr.scratch);
-                        // merge discoveries into the shared visited bitmap
-                        // (so a later push iteration culls correctly) and
-                        // extract the list frontier for policy/boundary use
-                        let out = filter::culling::filter_with_culling_bitmap(
-                            ctx,
-                            &fr.cur,
-                            visited,
-                            &VertexCond(|_| true),
-                            CullingConfig { history: false, history_bits: 0, bitmask: true },
-                        );
-                        fr.scratch.clear_all();
-                        out
-                    }
+                    ),
+                    TraversalDirection::Push => (
+                        StepDirection::Pull,
+                        StepDirection::Push,
+                        format!("n_f={n_f} < n={n}/beta={beta}"),
+                    ),
                 };
-                st.unvisited_edges = st.unvisited_edges.saturating_sub(
-                    advance::push::frontier_neighbor_count(ctx, &next, InputKind::Vertices),
-                );
-                next
+                sink.record_switch(from, to, reason);
             }
+            let next = match st.direction {
+                TraversalDirection::Push => {
+                    // leaving a pull phase: the dense frontiers go back
+                    // to the pool until the next switch
+                    if let Some(p) = pull.take() {
+                        p.release(ctx);
+                    }
+                    advance::advance(ctx, &st.frontier, spec, &push)
+                }
+                TraversalDirection::Pull => {
+                    st.pull_iters += 1;
+                    // lazy Beamer-switch conversion: only here does the
+                    // list frontier densify, and the candidate mask is
+                    // the visited complement — no O(n) re-prune ever
+                    // runs inside the phase. The bitmaps are pool
+                    // checkouts between operators, built isolated like
+                    // the visited bitmap.
+                    if pull.is_none() {
+                        pull = ctx.isolated_setup("setup", || {
+                            let mut unvisited = PooledBitmap::take(ctx.pool(), n);
+                            unvisited.fill_complement(visited);
+                            PullFrontiers {
+                                unvisited,
+                                cur: frontier_bitmap(ctx, &st.frontier),
+                                scratch: PooledBitmap::take(ctx.pool(), n),
+                            }
+                        });
+                    }
+                    let Some(fr) = pull.as_mut() else { break };
+                    let f = PullDiscover { st: state, level };
+                    advance_pull_sweep(ctx, &mut fr.unvisited, &fr.cur, &mut fr.scratch, &f);
+                    // ping-pong: the sweep's output becomes the next
+                    // iteration's in-frontier
+                    std::mem::swap(&mut fr.cur, &mut fr.scratch);
+                    // merge discoveries into the shared visited bitmap
+                    // (so a later push iteration culls correctly) and
+                    // extract the list frontier for policy/boundary use
+                    let out = filter::culling::filter_with_culling_bitmap(
+                        ctx,
+                        &fr.cur,
+                        visited,
+                        &VertexCond(|_| true),
+                        CullingConfig { history: false, history_bits: 0, bitmask: true },
+                    );
+                    fr.scratch.clear_all();
+                    out
+                }
+            };
+            st.unvisited_edges = st.unvisited_edges.saturating_sub(
+                advance::push::frontier_neighbor_count(ctx, &next, InputKind::Vertices),
+            );
+            next
         };
         run.end_iteration(st.direction == TraversalDirection::Pull);
         // ping-pong: the retired frontier's storage goes back to the pool
@@ -569,13 +453,13 @@ fn bfs_run(
     if let Some(v) = visited {
         v.release(ctx.pool());
     }
-    let done = run.finish(|it| Some(bfs_checkpoint(it, src, &opts, &st)));
+    let done = run.finish(|it| Some(bfs_checkpoint(it, src, &st)));
     // the loop's last frontier still owns pooled storage; return it so
     // a re-run on this context starts with a warm pool
     ctx.recycle(st.frontier);
     BfsResult {
         labels: unwrap_atomic_u32(&st.labels),
-        preds: st.preds.map(|p| unwrap_atomic_u32(&p)).unwrap_or_default(),
+        preds: unwrap_atomic_u32(&st.preds),
         edges_examined: done.edges_examined,
         iterations: done.iterations,
         pull_iterations: st.pull_iters,
@@ -612,15 +496,19 @@ mod tests {
         }
     }
 
+    /// The two traversals BFS runs: push-only without a reverse graph,
+    /// direction-optimized with one.
+    fn both_directions(g: &Csr) -> [Context<'_>; 2] {
+        [Context::new(g), Context::new(g).with_reverse(g)]
+    }
+
     #[test]
     fn all_variants_match_serial_depths() {
         for (i, g) in suite().iter().enumerate() {
             let want = serial::bfs(g, 0);
-            for variant in [BfsVariant::Atomic, BfsVariant::DirectionOptimized] {
-                let ctx = Context::new(g).with_reverse(g);
-                let opts = BfsOptions { variant, ..Default::default() };
-                let r = bfs(&ctx, 0, opts);
-                assert_eq!(r.labels, want, "graph {i} variant {variant:?}");
+            for (j, ctx) in both_directions(g).iter().enumerate() {
+                let r = bfs(ctx, 0, BfsOptions::default());
+                assert_eq!(r.labels, want, "graph {i} context {j}");
                 check_parents(g, &r.labels, &r.preds, 0);
             }
         }
@@ -637,7 +525,7 @@ mod tests {
             AdvanceMode::Auto,
         ] {
             let ctx = Context::new(&g);
-            let r = bfs(&ctx, 3, BfsOptions::atomic().with_mode(mode));
+            let r = bfs(&ctx, 3, BfsOptions::default().with_mode(mode));
             assert_eq!(r.labels, want, "mode {mode:?}");
         }
     }
@@ -666,10 +554,8 @@ mod tests {
     #[test]
     fn direction_optimized_saves_edge_visits() {
         let g = GraphBuilder::new().build(rmat(11, 16, Default::default(), 5));
-        let push = {
-            let ctx = Context::new(&g).with_reverse(&g);
-            bfs(&ctx, 0, BfsOptions::default().with_policy(DirectionPolicy::push_only()))
-        };
+        // without a reverse graph every level pushes
+        let push = bfs(&Context::new(&g), 0, BfsOptions::default());
         let opt = {
             let ctx = Context::new(&g).with_reverse(&g);
             bfs(&ctx, 0, BfsOptions::direction_optimized())
@@ -680,15 +566,6 @@ mod tests {
             opt.edges_examined,
             push.edges_examined
         );
-    }
-
-    #[test]
-    fn without_predecessors_preds_is_empty() {
-        let g = GraphBuilder::new().build(erdos_renyi(100, 300, 9));
-        let ctx = Context::new(&g);
-        let r = bfs(&ctx, 0, BfsOptions { record_predecessors: false, ..Default::default() });
-        assert!(r.preds.is_empty());
-        assert_eq!(r.labels, serial::bfs(&g, 0));
     }
 
     #[test]
@@ -714,22 +591,20 @@ mod tests {
     #[test]
     fn iteration_cap_yields_partial_depths_in_every_variant() {
         // path graph needs many levels; a 1-iteration cap must stop each
-        // variant after one level with the completed level intact
+        // traversal after one level with the completed level intact
         let edges: Vec<(u32, u32)> = (0..19).map(|i| (i, i + 1)).collect();
         let g = GraphBuilder::new().build(gunrock_graph::Coo::from_edges(20, &edges));
-        for variant in [BfsVariant::Atomic, BfsVariant::DirectionOptimized] {
-            let ctx = Context::new(&g)
-                .with_reverse(&g)
-                .with_policy(RunPolicy::unbounded().max_iterations(1));
-            let r = bfs(&ctx, 0, BfsOptions { variant, ..Default::default() });
-            assert_eq!(r.outcome, RunOutcome::IterationCapped, "{variant:?}");
-            assert_eq!(r.iterations, 1, "{variant:?}");
+        for (j, ctx) in both_directions(&g).into_iter().enumerate() {
+            let ctx = ctx.with_policy(RunPolicy::unbounded().max_iterations(1));
+            let r = bfs(&ctx, 0, BfsOptions::default());
+            assert_eq!(r.outcome, RunOutcome::IterationCapped, "context {j}");
+            assert_eq!(r.iterations, 1, "context {j}");
             // level 1 is complete, deeper levels untouched
-            assert_eq!(r.labels[0], 0, "{variant:?}");
-            assert_eq!(r.labels[1], 1, "{variant:?}");
+            assert_eq!(r.labels[0], 0, "context {j}");
+            assert_eq!(r.labels[1], 1, "context {j}");
             assert!(
                 r.labels[2..].iter().all(|&l| l == INFINITY),
-                "{variant:?}: {:?}",
+                "context {j}: {:?}",
                 &r.labels[..5]
             );
         }
@@ -788,23 +663,29 @@ mod tests {
     fn budget_pressure_degrades_pull_to_push_and_still_converges() {
         use gunrock_engine::budget::{pooled_bytes, MemoryBudget};
         use std::sync::Arc;
-        // A short path in a sea of isolated vertices: frontiers stay
-        // tiny (push iterations cost a few KB) while the pull bitmaps
-        // scale with n (3 x 32 KB here) — the exact shape where the
-        // pull->push rung saves a run that would otherwise hit the wall.
-        let n: usize = 1 << 18;
-        let edges: Vec<(u32, u32)> = (0..100).map(|i| (i, i + 1)).collect();
+        // A hub whose leaves are a sixteenth of the vertices, in a sea of
+        // isolated ones: level 1 pushes from the hub alone, and its output
+        // (every leaf, with no unvisited edges left) crosses both of the
+        // default policy's thresholds, so level 2 asks to pull. The pull
+        // bitmaps (3 x n/8 bytes) then cost more than level 2's push
+        // buffer (n/16 entries, n/4 bytes).
+        let n: usize = 1 << 16;
+        let leaves = (n / 16) as u32;
+        let edges: Vec<(u32, u32)> = (1..=leaves).map(|v| (0, v)).collect();
         let g = GraphBuilder::new().build(gunrock_graph::Coo::from_edges(n, &edges));
         let bfs_entry = crate::registry::find("bfs").unwrap();
         let full = (bfs_entry.estimate_bytes)(n as u64, g.num_edges() as u64);
         let budget = Arc::new(MemoryBudget::new(full));
         let ctx =
             Context::new(&g).with_reverse(&g).with_stats().with_budget(Arc::clone(&budget));
-        let pull_need = 3 * pooled_bytes((n as u64).div_ceil(64), 8);
+        let bitmap = pooled_bytes((n as u64).div_ceil(64), 8);
+        let pull_need = 3 * bitmap;
+        let level_one = 4 * leaves as u64;
         // Squeeze the budget (as concurrent jobs on a shared pool
-        // would) until the remaining headroom cannot cover the pull
-        // bitmaps but still fits the small push buffers.
-        let leave = pull_need + 4 * 1024;
+        // would) until, once the visited bitmap and level 1's frontier
+        // are checked out, the headroom cannot cover the pull bitmaps
+        // but still fits the push buffers.
+        let leave = bitmap + level_one + pull_need - level_one / 4;
         let mut held = Vec::new();
         while budget.headroom() > leave {
             let excess = budget.headroom() - leave;
@@ -817,10 +698,7 @@ mod tests {
             }
             held.push(ctx.pool().take_u32(elems as usize));
         }
-        // A policy that would pull from the first level if it could.
-        let opts = BfsOptions::direction_optimized()
-            .with_policy(DirectionPolicy { alpha: 1e18, beta: 1e18 });
-        let r = bfs(&ctx, 0, opts);
+        let r = bfs(&ctx, 0, BfsOptions::default());
         assert_eq!(r.outcome, RunOutcome::Converged, "degraded run still finishes");
         assert_eq!(r.labels, serial::bfs(&g, 0));
         assert_eq!(r.pull_iterations, 0, "every pull attempt was degraded to push");
@@ -833,6 +711,9 @@ mod tests {
         for buf in held {
             ctx.pool().put_u32(buf);
         }
+        // with the budget free, the same run pulls at level 2
+        let free = Context::new(&g).with_reverse(&g);
+        assert_eq!(bfs(&free, 0, BfsOptions::default()).pull_iterations, 1);
     }
 
     #[test]

@@ -7,9 +7,9 @@
 //! iteration boundary — guards, snapshots, counting — shared through
 //! [`gunrock::enact::Enactment`]:
 //!
-//! * [`bfs`] — direction-optimized (claiming push advance that culls on
-//!   the visited bitmap, bitmap pull when a reverse graph is attached)
-//!   and atomic variants (§5.1);
+//! * [`bfs`] — direction-optimized: a claiming push advance that culls
+//!   on the visited bitmap, and a bitmap pull when a reverse graph is
+//!   attached (§5.1);
 //! * [`sssp`] — relax-and-claim advance + two-level priority queue /
 //!   delta stepping (§5.2, Algorithm 1);
 //! * [`bc`] — Brandes betweenness, forward sigma + backward dependency
@@ -54,19 +54,18 @@ pub mod msbfs;
 pub mod msppr;
 pub mod mst;
 pub mod pagerank;
-pub mod recover;
+mod recover;
 pub mod registry;
 pub mod sssp;
 pub mod triangles;
 
 pub use bc::{bc, bc_resume, BcOptions, BcResult};
-pub use bfs::{bfs, bfs_resume, BfsOptions, BfsResult, BfsVariant};
+pub use bfs::{bfs, bfs_resume, BfsOptions, BfsResult};
 pub use cc::{cc, cc_resume, CcResult};
 pub use kcore::{k_core, KcoreResult};
 pub use msbfs::{msbfs, msbfs_resume, try_msbfs, MsbfsResult};
 pub use msppr::{msppr, msppr_resume, try_msppr, MspprOptions, MspprResult};
 pub use mst::{mst, MstResult};
 pub use pagerank::{pagerank, pagerank_resume, PrOptions, PrResult};
-pub use recover::{try_bc, try_bfs, try_cc, try_pagerank, try_sssp};
 pub use sssp::{sssp, sssp_resume, SsspOptions, SsspResult};
 pub use triangles::{triangle_count, TriangleResult};

@@ -321,8 +321,9 @@ mod tests {
         let batch = msbfs(&ctx, &sources);
         let mut sequential = 0u64;
         for &s in &sources {
+            // without a reverse graph every level pushes
             let c = Context::new(&g);
-            sequential += bfs(&c, s, BfsOptions::atomic()).edges_examined;
+            sequential += bfs(&c, s, BfsOptions::default()).edges_examined;
         }
         assert!(
             batch.edges_examined * 4 < sequential,

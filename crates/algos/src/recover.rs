@@ -1,23 +1,17 @@
-//! Failure-aware wrappers and checkpoint plumbing shared by the five
-//! paper primitives.
+//! Checkpoint plumbing shared by the primitives' resume paths.
 //!
-//! Each primitive keeps its plain entry point (`bfs`, `sssp`, ...)
-//! returning best-so-far results plus a [`RunOutcome`]; the `try_*`
-//! wrappers here convert a `Failed` outcome into the structured
-//! [`GunrockError`] that poisoned the context, for callers that want
-//! `Result` semantics. The small helpers below convert between the
-//! checkpointed plain vectors and the atomic working form primitives
-//! use. Resuming a snapshot by the primitive name it carries goes
-//! through [`crate::registry`].
+//! Each primitive's entry point (`bfs`, `sssp`, ...) returns best-so-far
+//! results plus a [`RunOutcome`]; a caller that wants the structured
+//! [`GunrockError`] behind a `Failed` outcome takes it with
+//! [`Context::take_failure`]. The `*_resume` entry points return
+//! `Result`, converting a `Failed` outcome with `check_failed`. The
+//! small helpers below validate checkpoint sections and convert between
+//! the checkpointed plain vectors and the atomic working form primitives
+//! use. Resuming a snapshot by the primitive name it carries goes through
+//! [`crate::registry`].
 
-use crate::bc::{bc, BcOptions, BcResult};
-use crate::bfs::{bfs, BfsOptions, BfsResult};
-use crate::cc::{cc, CcResult};
-use crate::pagerank::{pagerank, PrOptions, PrResult};
-use crate::sssp::{sssp, SsspOptions, SsspResult};
 use gunrock::prelude::*;
 use gunrock_engine::atomics::AtomicF64;
-use gunrock_graph::VertexId;
 use std::sync::atomic::AtomicU32;
 
 /// Rebuilds the atomic working form from a checkpointed vector.
@@ -70,6 +64,24 @@ pub(crate) fn expect_len(len: usize, n: usize, what: &str) -> Result<(), Gunrock
     }
 }
 
+/// Reads slot `idx` of the scalar section, the 0/1 flag `what` that
+/// recorded a BFS or SSSP setting the library no longer has, and rejects
+/// a snapshot written with it off: without predecessors its `preds`
+/// section is empty, and without SSSP's priority queue it belongs to a
+/// different loop than the one a resume would continue. Every front end
+/// wrote 1, the one value left.
+pub(crate) fn expect_setting_on(
+    scalars: &[u32],
+    idx: usize,
+    what: &str,
+) -> Result<(), GunrockError> {
+    match scalar(scalars, idx, what)? {
+        1 => Ok(()),
+        0 => Err(malformed(format!("snapshot was written with {what} = 0, a retired setting"))),
+        other => Err(malformed(format!("unknown {what} flag {other}"))),
+    }
+}
+
 /// The failure that poisoned `ctx`. Falls back to a synthesized error
 /// when the slot was already drained (the poison flag itself never
 /// resets, so the outcome is still `Failed`).
@@ -92,47 +104,4 @@ pub(crate) fn check_failed<T>(
     } else {
         Ok(result)
     }
-}
-
-/// [`bfs`] with `Result` semantics: `Err` carries the structured
-/// failure when an operator panicked or allocation retries ran out.
-pub fn try_bfs(
-    ctx: &Context<'_>,
-    src: VertexId,
-    opts: BfsOptions,
-) -> Result<BfsResult, GunrockError> {
-    let r = bfs(ctx, src, opts);
-    check_failed(ctx, r.outcome, r)
-}
-
-/// [`sssp`] with `Result` semantics.
-pub fn try_sssp(
-    ctx: &Context<'_>,
-    src: VertexId,
-    opts: SsspOptions,
-) -> Result<SsspResult, GunrockError> {
-    let r = sssp(ctx, src, opts);
-    check_failed(ctx, r.outcome, r)
-}
-
-/// [`bc`] with `Result` semantics.
-pub fn try_bc(
-    ctx: &Context<'_>,
-    src: VertexId,
-    opts: BcOptions,
-) -> Result<BcResult, GunrockError> {
-    let r = bc(ctx, src, opts);
-    check_failed(ctx, r.outcome, r)
-}
-
-/// [`cc`] with `Result` semantics.
-pub fn try_cc(ctx: &Context<'_>) -> Result<CcResult, GunrockError> {
-    let r = cc(ctx);
-    check_failed(ctx, r.outcome, r)
-}
-
-/// [`pagerank`] with `Result` semantics.
-pub fn try_pagerank(ctx: &Context<'_>, opts: PrOptions) -> Result<PrResult, GunrockError> {
-    let r = pagerank(ctx, opts);
-    check_failed(ctx, r.outcome, r)
 }

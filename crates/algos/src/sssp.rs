@@ -9,9 +9,16 @@
 //! filter pass runs. The two-level *priority queue* then splits that
 //! output into near/far piles by current distance (delta stepping,
 //! generalizing Davidson et al.).
+//!
+//! The paper's pre-Davidson baseline, frontier Bellman-Ford, is the same
+//! loop with `delta: Some(u32::MAX)`: the first window is then
+//! `[0, u32::MAX)`, and a claimed vertex's distance is always below
+//! `INFINITY` (`fetch_min` only wins below it), so every claimed vertex
+//! stays near and the far pile stays empty.
 
 use crate::recover::{
-    check_failed, expect_len, expect_vertex_ids, malformed, scalar, to_atomic_u32,
+    check_failed, expect_len, expect_setting_on, expect_vertex_ids, malformed, scalar,
+    to_atomic_u32,
 };
 use gunrock::prelude::*;
 use gunrock_engine::atomics::{atomic_u32_vec, fetch_min_u32, unwrap_atomic_u32};
@@ -22,26 +29,16 @@ use std::sync::atomic::{AtomicU32, Ordering};
 #[derive(Clone, Copy, Debug)]
 pub struct SsspOptions {
     /// Near/far bucket width. `None` = Meyer–Sanders style heuristic
-    /// (max weight / average degree).
+    /// (max weight / average degree); `Some(u32::MAX)` = one window, i.e.
+    /// plain frontier label-correcting (parallel Bellman-Ford).
     pub delta: Option<u32>,
-    /// Disable the priority queue entirely (plain frontier
-    /// label-correcting, i.e. parallel Bellman-Ford) — the paper's
-    /// pre-Davidson baseline, kept for the ablation.
-    pub use_priority_queue: bool,
     /// Workload mapping for the advance.
     pub mode: AdvanceMode,
-    /// Record shortest-path-tree predecessors.
-    pub record_predecessors: bool,
 }
 
 impl Default for SsspOptions {
     fn default() -> Self {
-        SsspOptions {
-            delta: None,
-            use_priority_queue: true,
-            mode: AdvanceMode::Auto,
-            record_predecessors: true,
-        }
+        SsspOptions { delta: None, mode: AdvanceMode::Auto }
     }
 }
 
@@ -79,7 +76,7 @@ impl SsspResult {
 struct Relax<'a> {
     graph: &'a Csr,
     dist: &'a [AtomicU32],
-    preds: Option<&'a [AtomicU32]>,
+    preds: &'a [AtomicU32],
     tags: &'a [AtomicU32],
     queue_id: u32,
 }
@@ -98,13 +95,7 @@ impl AdvanceFunctor for Relax<'_> {
         }
         // every improvement records its parent, so a vertex improved twice
         // in one pass keeps the parent of its final distance
-        if let Some(p) = self.preds {
-            // ORDERING: Relaxed — dist cells are monotonic fetch_min targets and tag
-            // swaps need only per-cell atomicity; relaxation rounds end at join barriers.
-            p[dst as usize].store(src, Ordering::Relaxed);
-        }
-        // ORDERING: Relaxed — dist cells are monotonic fetch_min targets and tag
-        // swaps need only per-cell atomicity; relaxation rounds end at join barriers.
+        self.preds[dst as usize].store(src, Ordering::Relaxed);
         self.tags[dst as usize].swap(self.queue_id, Ordering::Relaxed) != self.queue_id
     }
 }
@@ -121,7 +112,7 @@ pub fn default_delta(g: &Csr) -> u32 {
 /// checkpoint captures; see [`sssp_resume`]).
 struct SsspLoop {
     dist: Vec<AtomicU32>,
-    preds: Option<Vec<AtomicU32>>,
+    preds: Vec<AtomicU32>,
     tags: Vec<AtomicU32>,
     frontier: Frontier,
     queue: NearFarQueue,
@@ -131,30 +122,16 @@ struct SsspLoop {
 /// Builds an iteration-boundary snapshot. Sections: per-vertex
 /// `dist`/`preds`/`tags`, the live `frontier` and parked `far` pile, plus
 /// packed scalars `[src, queue_id, delta, pivot, use_priority_queue,
-/// record_preds]`.
-fn sssp_checkpoint(
-    iteration: u32,
-    src: VertexId,
-    opts: &SsspOptions,
-    st: &SsspLoop,
-) -> Checkpoint {
+/// record_preds]`. The last two slots are retired and written with the
+/// one value left, 1 each.
+fn sssp_checkpoint(iteration: u32, src: VertexId, st: &SsspLoop) -> Checkpoint {
     let mut ckpt = Checkpoint::new("sssp", iteration);
     ckpt.push_u32("dist", unwrap_atomic_u32(&st.dist));
-    ckpt.push_u32("preds", st.preds.as_deref().map(unwrap_atomic_u32).unwrap_or_default());
+    ckpt.push_u32("preds", unwrap_atomic_u32(&st.preds));
     ckpt.push_u32("tags", unwrap_atomic_u32(&st.tags));
     ckpt.push_u32("frontier", st.frontier.as_slice().to_vec());
     ckpt.push_u32("far", st.queue.far_slice().to_vec());
-    ckpt.push_u32(
-        "scalars",
-        vec![
-            src,
-            st.queue_id,
-            st.queue.delta(),
-            st.queue.pivot(),
-            opts.use_priority_queue as u32,
-            opts.record_predecessors as u32,
-        ],
-    );
+    ckpt.push_u32("scalars", vec![src, st.queue_id, st.queue.delta(), st.queue.pivot(), 1, 1]);
     ckpt
 }
 
@@ -170,7 +147,7 @@ pub fn sssp(ctx: &Context<'_>, src: VertexId, opts: SsspOptions) -> SsspResult {
     let delta = opts.delta.unwrap_or_else(|| default_delta(ctx.graph));
     let st = SsspLoop {
         dist,
-        preds: opts.record_predecessors.then(|| atomic_u32_vec(n, INVALID_VERTEX)),
+        preds: atomic_u32_vec(n, INVALID_VERTEX),
         tags: atomic_u32_vec(n, u32::MAX),
         frontier: Frontier::single(src),
         queue: NearFarQueue::new(delta),
@@ -180,8 +157,9 @@ pub fn sssp(ctx: &Context<'_>, src: VertexId, opts: SsspOptions) -> SsspResult {
 }
 
 /// Resumes SSSP from a `gunrock-ckpt/v1` snapshot. The checkpoint's
-/// source, bucket geometry, queue discipline, and recorded-predecessor
-/// setting override `opts`; the advance mode still comes from `opts`.
+/// source and bucket geometry override `opts`; the advance mode still
+/// comes from `opts`. A snapshot of the retired queue-less loop
+/// (`use_priority_queue = 0`) or one without predecessors is rejected.
 pub fn sssp_resume(
     ctx: &Context<'_>,
     opts: SsspOptions,
@@ -209,16 +187,12 @@ pub fn sssp_resume(
         return Err(malformed("bucket width delta must be positive"));
     }
     let pivot = scalar(scalars, 3, "pivot")?;
-    let use_priority_queue = scalar(scalars, 4, "use_priority_queue")? == 1;
-    let record_predecessors = scalar(scalars, 5, "record_predecessors")? == 1;
-    if record_predecessors {
-        expect_len(preds.len(), n, "preds")?;
-    }
-    let opts =
-        SsspOptions { delta: Some(delta), use_priority_queue, record_predecessors, ..opts };
+    expect_setting_on(scalars, 4, "use_priority_queue")?;
+    expect_setting_on(scalars, 5, "record_predecessors")?;
+    expect_len(preds.len(), n, "preds")?;
     let st = SsspLoop {
         dist: to_atomic_u32(dist),
-        preds: record_predecessors.then(|| to_atomic_u32(preds)),
+        preds: to_atomic_u32(preds),
         tags: to_atomic_u32(tags),
         frontier: Frontier::from_vec(frontier.to_vec()),
         queue: NearFarQueue::restore(delta, pivot, far.to_vec()),
@@ -241,34 +215,27 @@ fn sssp_run(
     let mut run = Enactment::arm(ctx, done);
     // Budget admission: demote the advance mode (or poison with a
     // structured BudgetExceeded) before the first operator launches.
-    let opts = SsspOptions { mode: crate::admission::admit(ctx, "sssp", opts.mode), ..opts };
-    let spec = AdvanceSpec::v2v().with_mode(opts.mode);
+    let mode = crate::admission::admit(ctx, "sssp", opts.mode);
+    let spec = AdvanceSpec::v2v().with_mode(mode);
     'enact: loop {
         while !st.frontier.is_empty() {
-            if run.boundary(|it| Some(sssp_checkpoint(it, src, &opts, &st))) {
+            if run.boundary(|it| Some(sssp_checkpoint(it, src, &st))) {
                 break 'enact;
             }
             run.end_iteration(false);
             let relax = Relax {
                 graph: ctx.graph,
                 dist: &st.dist,
-                preds: st.preds.as_deref(),
+                preds: &st.preds,
                 tags: &st.tags,
                 queue_id: st.queue_id,
             };
             let claimed = advance::advance(ctx, &st.frontier, spec, &relax);
             st.queue_id = st.queue_id.wrapping_add(1);
-            let next = if opts.use_priority_queue {
-                // ORDERING: Relaxed — dist cells are monotonic fetch_min targets and tag
-                // swaps need only per-cell atomicity; relaxation rounds end at join barriers.
-                st.queue.split(claimed, |v| st.dist[v as usize].load(Ordering::Relaxed))
-            } else {
-                claimed
-            };
+            // ORDERING: Relaxed — dist cells are monotonic fetch_min targets and tag
+            // swaps need only per-cell atomicity; relaxation rounds end at join barriers.
+            let next = st.queue.split(claimed, |v| st.dist[v as usize].load(Ordering::Relaxed));
             ctx.recycle(std::mem::replace(&mut st.frontier, next));
-        }
-        if !opts.use_priority_queue {
-            break;
         }
         // the exhausted near frontier's storage is the refill's to reuse
         ctx.recycle(std::mem::take(&mut st.frontier));
@@ -283,13 +250,13 @@ fn sssp_run(
             _ => break,
         }
     }
-    let done = run.finish(|it| Some(sssp_checkpoint(it, src, &opts, &st)));
+    let done = run.finish(|it| Some(sssp_checkpoint(it, src, &st)));
     // the loop's last frontier still owns pooled storage; return it so
     // a re-run on this context starts with a warm pool
     ctx.recycle(st.frontier);
     SsspResult {
         dist: unwrap_atomic_u32(&st.dist),
-        preds: st.preds.map(|p| unwrap_atomic_u32(&p)).unwrap_or_default(),
+        preds: unwrap_atomic_u32(&st.preds),
         edges_examined: done.edges_examined,
         iterations: done.iterations,
         elapsed: done.elapsed,
@@ -328,14 +295,49 @@ mod tests {
         }
     }
 
+    /// One window as wide as the distance range: frontier Bellman-Ford.
+    const BELLMAN_FORD: SsspOptions =
+        SsspOptions { delta: Some(u32::MAX), mode: AdvanceMode::Auto };
+
     #[test]
     fn bellman_ford_mode_matches_too() {
         for g in suite() {
             let want = serial::dijkstra(&g, 0);
             let ctx = Context::new(&g);
-            let r =
-                sssp(&ctx, 0, SsspOptions { use_priority_queue: false, ..Default::default() });
+            let r = sssp(&ctx, 0, BELLMAN_FORD);
             assert_eq!(r.dist, want);
+        }
+    }
+
+    /// Frontier Bellman-Ford without a queue: each iteration is one
+    /// relax-and-claim advance whose output is the next frontier. Returns
+    /// the distances, the iteration count and the edges examined.
+    fn frontier_only(g: &Csr, src: VertexId) -> (Vec<u32>, u32, u64) {
+        let ctx = Context::new(g);
+        let n = g.num_vertices();
+        let dist = atomic_u32_vec(n, INFINITY);
+        dist[src as usize].store(0, Ordering::Relaxed);
+        let preds = atomic_u32_vec(n, INVALID_VERTEX);
+        let tags = atomic_u32_vec(n, u32::MAX);
+        let mut frontier = Frontier::single(src);
+        let (mut iterations, mut queue_id) = (0, 0);
+        while !frontier.is_empty() {
+            iterations += 1;
+            let relax = Relax { graph: g, dist: &dist, preds: &preds, tags: &tags, queue_id };
+            frontier = advance::advance(&ctx, &frontier, AdvanceSpec::v2v(), &relax);
+            queue_id += 1;
+        }
+        (unwrap_atomic_u32(&dist), iterations, ctx.counters.edges())
+    }
+
+    #[test]
+    fn delta_max_runs_frontier_bellman_ford() {
+        for (i, g) in suite().iter().enumerate() {
+            let (dist, iterations, edges) = frontier_only(g, 0);
+            let r = sssp(&Context::new(g), 0, BELLMAN_FORD);
+            assert_eq!(r.dist, dist, "graph {i}");
+            assert_eq!(r.iterations, iterations, "graph {i}");
+            assert_eq!(r.edges_examined, edges, "graph {i}");
         }
     }
 
@@ -356,10 +358,7 @@ mod tests {
         // fewer edge relaxations than frontier Bellman-Ford
         let g =
             GraphBuilder::new().random_weights(1, 64, 7).build(grid2d(40, 40, 0.05, 0.0, 7));
-        let bf = {
-            let ctx = Context::new(&g);
-            sssp(&ctx, 0, SsspOptions { use_priority_queue: false, ..Default::default() })
-        };
+        let bf = sssp(&Context::new(&g), 0, BELLMAN_FORD);
         let ds = {
             let ctx = Context::new(&g);
             sssp(&ctx, 0, SsspOptions::default())

@@ -16,6 +16,8 @@
 //! * [`hardwired`] — framework-free, per-primitive hand-tuned parallel
 //!   implementations, playing the role of the hardwired GPU kernels
 //!   (b40c BFS, delta-stepping SSSP, gpu_BC, conn CC).
+//! * [`sort`] — the LSD radix sort [`medusa`] groups its messages by
+//!   destination with.
 
 #![warn(missing_docs)]
 
@@ -24,3 +26,4 @@ pub mod hardwired;
 pub mod ligra;
 pub mod medusa;
 pub mod serial;
+pub mod sort;

@@ -67,7 +67,7 @@ where
     // Pass 2: combiner — radix sort by destination, fold runs (the
     // GPU-native grouping primitive; see gunrock_engine::sort).
     let mut sorted = messages;
-    gunrock_engine::sort::radix_sort_by_key(&mut sorted, |m| m.dst);
+    crate::sort::radix_sort_by_key(&mut sorted, |m| m.dst);
     let mut combined: Vec<Message<T>> = Vec::new();
     for m in sorted {
         match combined.last_mut() {

@@ -1,15 +1,14 @@
 //! Least-significant-digit radix sort for 32-bit keys — the GPU-native
-//! sorting primitive (CUB/b40c-style) used wherever the engines need
-//! key-grouped data: the message combiner of the Medusa-role engine and
-//! COO-to-CSR conversions sort by destination/source id.
+//! sorting primitive (CUB/b40c-style) the Medusa-role engine's message
+//! combiner uses to group messages by destination id.
 //!
 //! 8-bit digits, four passes, with a parallel per-chunk histogram phase
 //! and stable scatter. Falls back to the standard library sort below the
 //! sequential cutoff.
 
-use crate::config::SEQUENTIAL_CUTOFF;
-use crate::scan::scan_exclusive_usize;
-use crate::unsafe_slice::UnsafeSlice;
+use gunrock_engine::config::SEQUENTIAL_CUTOFF;
+use gunrock_engine::scan::scan_exclusive_usize;
+use gunrock_engine::unsafe_slice::UnsafeSlice;
 use rayon::prelude::*;
 
 const RADIX_BITS: usize = 8;
@@ -62,7 +61,7 @@ where
         let (offsets, _) = scan_exclusive_usize(&flat);
         // Phase 3: stable scatter.
         {
-            crate::racecheck::begin_phase();
+            gunrock_engine::racecheck::begin_phase();
             let out = UnsafeSlice::new(&mut dst);
             src.par_chunks(chunk).enumerate().for_each(|(c, items)| {
                 let mut cursors = [0usize; BUCKETS];

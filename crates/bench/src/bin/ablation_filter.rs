@@ -9,7 +9,7 @@
 use gunrock::prelude::*;
 use gunrock_algos::bfs::{bfs, BfsOptions};
 use gunrock_bench::table::{fmt_ms, Table};
-use gunrock_bench::{bfs_two_kernel, standard_datasets, time_avg_ms, BenchArgs};
+use gunrock_bench::{bfs_atomic, bfs_two_kernel, standard_datasets, time_avg_ms, BenchArgs};
 use gunrock_graph::INFINITY;
 
 /// The paper's two-kernel BFS (idempotent advance + culling filter) under
@@ -42,8 +42,14 @@ fn main() {
         let g = &d.graph;
         let atomic_ms = time_avg_ms(args.runs, || {
             let ctx = Context::new(g);
-            std::hint::black_box(bfs(&ctx, 0, BfsOptions::atomic()))
+            std::hint::black_box(bfs_atomic(&ctx, 0, AdvanceMode::Auto))
         });
+        assert_eq!(
+            bfs_atomic(&Context::new(g), 0, AdvanceMode::Auto),
+            bfs(&Context::new(g), 0, BfsOptions::default()).labels,
+            "{}: atomic BFS depths must equal the library BFS's",
+            d.name
+        );
         let both = CullingConfig::default();
         let bitmask_only = CullingConfig { history: false, history_bits: 0, bitmask: true };
         let history_heavy = CullingConfig { history: true, history_bits: 12, bitmask: true };

@@ -11,7 +11,7 @@
 use gunrock::prelude::*;
 use gunrock_algos::bfs::{bfs, BfsOptions};
 use gunrock_bench::table::{fmt_ms, Table};
-use gunrock_bench::{standard_datasets, time_avg_ms, BenchArgs};
+use gunrock_bench::{bfs_atomic, standard_datasets, time_avg_ms, BenchArgs};
 
 fn main() {
     let args = BenchArgs::parse();
@@ -27,6 +27,7 @@ fn main() {
     ]);
     for d in standard_datasets(args.scale) {
         let g = &d.graph;
+        let want = bfs(&Context::new(g), 0, BfsOptions::default()).labels;
         let mut cells = vec![d.name.to_string()];
         for mode in [
             AdvanceMode::ThreadMapped,
@@ -36,8 +37,14 @@ fn main() {
         ] {
             let ms = time_avg_ms(args.runs, || {
                 let ctx = Context::new(g);
-                std::hint::black_box(bfs(&ctx, 0, BfsOptions::atomic().with_mode(mode)))
+                std::hint::black_box(bfs_atomic(&ctx, 0, mode))
             });
+            assert_eq!(
+                bfs_atomic(&Context::new(g), 0, mode),
+                want,
+                "{} {mode:?}: atomic BFS depths must equal the library BFS's",
+                d.name
+            );
             cells.push(fmt_ms(ms));
         }
         // the hardware-independent imbalance signal: the largest number

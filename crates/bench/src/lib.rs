@@ -105,6 +105,44 @@ pub fn bfs_two_kernel(
     unwrap_atomic_u32(&labels)
 }
 
+/// BFS as the paper's base implementation (§4.1.1), built from the core
+/// operators: one advance per level whose functor claims each destination
+/// with a CAS on its label ("uses atomics during advance to prevent
+/// concurrent vertex discovery"), so each vertex enters the output
+/// exactly once and no filter runs. The library's BFS claims on a visited
+/// bitmap that loads first instead, so an edge into a visited vertex
+/// costs no atomic. Pushes every level with workload mapping `mode`;
+/// returns the labels.
+pub fn bfs_atomic(
+    ctx: &gunrock::Context<'_>,
+    src: u32,
+    mode: gunrock::prelude::AdvanceMode,
+) -> Vec<u32> {
+    use gunrock::prelude::*;
+    use gunrock_engine::atomics::{atomic_u32_vec, unwrap_atomic_u32};
+    use gunrock_graph::{INFINITY, INVALID_VERTEX};
+    use std::sync::atomic::Ordering::Relaxed;
+    let labels = atomic_u32_vec(ctx.num_vertices(), INFINITY);
+    let preds = atomic_u32_vec(ctx.num_vertices(), INVALID_VERTEX);
+    labels[src as usize].store(0, Relaxed);
+    let mut frontier = Frontier::single(src);
+    let mut level = 0u32;
+    while !frontier.is_empty() {
+        level += 1;
+        let discover = EdgeCond(|s: u32, d: u32, _e: u32| {
+            let won = labels[d as usize].compare_exchange(INFINITY, level, Relaxed, Relaxed);
+            if won.is_ok() {
+                preds[d as usize].store(s, Relaxed);
+            }
+            won.is_ok()
+        });
+        let next =
+            advance::advance(ctx, &frontier, AdvanceSpec::v2v().with_mode(mode), &discover);
+        ctx.recycle(std::mem::replace(&mut frontier, next));
+    }
+    unwrap_atomic_u32(&labels)
+}
+
 /// Times `f` over `runs` executions, returning the average milliseconds
 /// (the paper averages 10 runs; we default to 3 for laptop turnaround).
 pub fn time_avg_ms<T>(runs: usize, mut f: impl FnMut() -> T) -> f64 {
@@ -132,6 +170,22 @@ mod tests {
         let bitmask_only = CullingConfig { history: false, history_bits: 0, bitmask: true };
         for culling in [CullingConfig::default(), bitmask_only] {
             assert_eq!(bfs_two_kernel(&ctx, 0, culling), gunrock_baselines::serial::bfs(&g, 0));
+        }
+    }
+
+    #[test]
+    fn atomic_bfs_matches_the_oracle_in_every_mode() {
+        use gunrock::prelude::AdvanceMode;
+        use gunrock_graph::generators::rmat;
+        let g = gunrock_graph::GraphBuilder::new().build(rmat(9, 8, Default::default(), 3));
+        let want = gunrock_baselines::serial::bfs(&g, 0);
+        for mode in [
+            AdvanceMode::ThreadMapped,
+            AdvanceMode::Twc,
+            AdvanceMode::LoadBalanced,
+            AdvanceMode::Auto,
+        ] {
+            assert_eq!(bfs_atomic(&gunrock::Context::new(&g), 0, mode), want, "{mode:?}");
         }
     }
 

@@ -39,12 +39,6 @@ impl Default for DirectionPolicy {
 }
 
 impl DirectionPolicy {
-    /// Policy that never leaves push (forced-push baseline for the
-    /// push-pull ablation).
-    pub fn push_only() -> Self {
-        DirectionPolicy { alpha: f64::INFINITY, beta: 0.0 }
-    }
-
     /// Decides the next iteration's direction from the current state.
     ///
     /// * `frontier_edges` — out-edges of the current frontier (`m_f`)
@@ -172,12 +166,6 @@ mod tests {
         assert_eq!(p.decide(Pull, 10, 10, 10, 10_000), Push);
         // still big: stay pull
         assert_eq!(p.decide(Pull, 10, 10, 5_000, 10_000), Pull);
-    }
-
-    #[test]
-    fn push_only_policy_never_pulls() {
-        let p = DirectionPolicy::push_only();
-        assert_eq!(p.decide(Push, u64::MAX / 2, 1, usize::MAX / 2, 1), Push);
     }
 
     #[test]

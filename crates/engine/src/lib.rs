@@ -39,7 +39,6 @@ pub mod queue;
 pub mod racecheck;
 pub mod scan;
 pub mod search;
-pub mod sort;
 pub mod stats;
 pub mod unsafe_slice;
 pub mod watchdog;

@@ -109,7 +109,7 @@ impl Default for Config {
             cast_scope: vec![
                 "crates/engine/src/scan.rs".into(),
                 "crates/engine/src/compact.rs".into(),
-                "crates/engine/src/sort.rs".into(),
+                "crates/baselines/src/sort.rs".into(),
                 "crates/engine/src/search.rs".into(),
                 "crates/engine/src/bitmap.rs".into(),
                 "crates/engine/src/lanes.rs".into(),

@@ -1,7 +1,23 @@
 //! Shared fixtures for the cross-crate integration tests.
 
+use gunrock::prelude::{Context, GunrockError, RunOutcome};
 use gunrock_graph::generators::{erdos_renyi, grid2d, hub_chain, rmat, watts_strogatz};
 use gunrock_graph::{Coo, Csr, GraphBuilder};
+
+/// A run's `result`, or, when its `outcome` is `Failed`, the structured
+/// error that poisoned `ctx` (taken with [`Context::take_failure`]).
+pub fn failure_or<T>(
+    ctx: &Context<'_>,
+    outcome: RunOutcome,
+    result: T,
+) -> Result<T, GunrockError> {
+    match outcome {
+        RunOutcome::Failed => {
+            Err(ctx.take_failure().expect("a failed run records its failure"))
+        }
+        _ => Ok(result),
+    }
+}
 
 /// A varied suite of small graphs covering every topology class the
 /// paper evaluates plus degenerate shapes.

@@ -5,7 +5,7 @@
 //! every run either
 //!
 //! 1. fails with a *structured* error (`GunrockError::OperatorPanic`
-//!    surfaced through the `try_*` wrappers — never a process abort), or
+//!    taken from the poisoned context — never a process abort), or
 //! 2. completes with results **identical** to the fault-free run (alloc
 //!    faults are absorbed by retry-with-fallback; a panic schedule that
 //!    happens never to fire changes nothing).
@@ -17,7 +17,20 @@ use gunrock::prelude::*;
 use gunrock_algos as algos;
 use gunrock_graph::generators::{self, rmat};
 use gunrock_graph::{Csr, GraphBuilder};
+use gunrock_integration::failure_or;
 use std::sync::Arc;
+
+/// BFS from vertex 0, with the structured error of a failed run.
+fn bfs_or_failure(ctx: &Context<'_>) -> Result<algos::BfsResult, GunrockError> {
+    let r = algos::bfs(ctx, 0, algos::BfsOptions::default());
+    failure_or(ctx, r.outcome, r)
+}
+
+/// CC, with the structured error of a failed run.
+fn cc_or_failure(ctx: &Context<'_>) -> Result<algos::CcResult, GunrockError> {
+    let r = algos::cc(ctx);
+    failure_or(ctx, r.outcome, r)
+}
 
 /// Silences the default panic printer for injected faults only, so the
 /// suite's output is not hundreds of intentional backtraces. Installed
@@ -100,38 +113,41 @@ fn every_faulted_run_fails_structured_or_matches_fault_free() {
         for prim in ["bfs", "sssp", "bc", "cc", "pagerank"] {
             let ctx = faulted(&g, plan, 1);
             let outcome = match prim {
-                "bfs" => algos::try_bfs(&ctx, 0, algos::BfsOptions::direction_optimized())
-                    .map(|r| {
+                "bfs" => {
+                    let r = algos::bfs(&ctx, 0, algos::BfsOptions::direction_optimized());
+                    failure_or(&ctx, r.outcome, r).map(|r| {
                         assert_eq!(r.labels, bfs0.labels, "seed {seed}: bfs labels diverged");
                         assert_eq!(r.preds, bfs0.preds, "seed {seed}: bfs preds diverged");
                     })
-                    .map_err(|e| (e, "bfs")),
-                "sssp" => algos::try_sssp(&ctx, 0, algos::SsspOptions::default())
-                    .map(|r| {
+                }
+                "sssp" => {
+                    let r = algos::sssp(&ctx, 0, algos::SsspOptions::default());
+                    failure_or(&ctx, r.outcome, r).map(|r| {
                         assert_eq!(r.dist, sssp0.dist, "seed {seed}: sssp dist diverged");
                     })
-                    .map_err(|e| (e, "sssp")),
-                "bc" => algos::try_bc(&ctx, 0, algos::BcOptions::default())
-                    .map(|r| {
+                }
+                "bc" => {
+                    let r = algos::bc(&ctx, 0, algos::BcOptions::default());
+                    failure_or(&ctx, r.outcome, r).map(|r| {
                         let got: Vec<u64> = r.bc_values.iter().map(|v| v.to_bits()).collect();
                         let want: Vec<u64> =
                             bc0.bc_values.iter().map(|v| v.to_bits()).collect();
                         assert_eq!(got, want, "seed {seed}: bc values diverged");
                     })
-                    .map_err(|e| (e, "bc")),
-                "cc" => algos::try_cc(&ctx)
-                    .map(|r| {
-                        assert_eq!(r.labels, cc0.labels, "seed {seed}: cc labels diverged");
-                    })
-                    .map_err(|e| (e, "cc")),
-                _ => algos::try_pagerank(&ctx, algos::PrOptions::default())
-                    .map(|r| {
+                }
+                "cc" => cc_or_failure(&ctx).map(|r| {
+                    assert_eq!(r.labels, cc0.labels, "seed {seed}: cc labels diverged");
+                }),
+                _ => {
+                    let r = algos::pagerank(&ctx, algos::PrOptions::default());
+                    failure_or(&ctx, r.outcome, r).map(|r| {
                         let got: Vec<u64> = r.scores.iter().map(|v| v.to_bits()).collect();
                         let want: Vec<u64> = pr0.scores.iter().map(|v| v.to_bits()).collect();
                         assert_eq!(got, want, "seed {seed}: pagerank scores diverged");
                     })
-                    .map_err(|e| (e, "pagerank")),
-            };
+                }
+            }
+            .map_err(|e| (e, prim));
             match outcome {
                 Ok(()) => clean += 1,
                 Err((e, p)) => {
@@ -165,7 +181,7 @@ fn alloc_faults_are_absorbed_by_retry_with_fallback() {
         // force the load-balanced strategy (the one with an allocation
         // site) even on this small graph
         let ctx = faulted(&g, plan, 2).with_config(EngineConfig::new().with_lb_threshold(0));
-        let r = algos::try_bfs(&ctx, 0, algos::BfsOptions::direction_optimized())
+        let r = bfs_or_failure(&ctx)
             .unwrap_or_else(|e| panic!("seed {seed}: alloc faults must be recoverable: {e}"));
         assert_eq!(r.labels, bfs0.labels, "seed {seed}");
         recovered += ctx.run_stats().summary().recovery_events;
@@ -176,9 +192,10 @@ fn alloc_faults_are_absorbed_by_retry_with_fallback() {
 /// The `pool-alloc` class denies buffer-pool checkouts themselves and —
 /// unlike the absorbed `alloc` class — fails runs *structurally*: a
 /// full-rate schedule must surface `GunrockError::BudgetExceeded` from
-/// every primitive and every BFS variant (whose visited/pull bitmaps
-/// are checked out *between* operators, the path that once let the
-/// denial escape as a process abort), and a partial-rate schedule must
+/// every primitive and from BFS with and without a reverse graph (its
+/// visited/pull bitmaps are checked out *between* operators, the path
+/// that once let the denial escape as a process abort), and a
+/// partial-rate schedule must
 /// either fail the same way or converge bit-identically.
 #[test]
 fn pool_alloc_faults_fail_structured_never_escape() {
@@ -191,23 +208,25 @@ fn pool_alloc_faults_fail_structured_never_escape() {
             "{prim}: expected BudgetExceeded, got {err:?}"
         );
     };
-    for variant in [algos::BfsVariant::Atomic, algos::BfsVariant::DirectionOptimized] {
-        let ctx = faulted(&g, deny_all(), 0);
-        let opts = algos::BfsOptions { variant, ..Default::default() };
-        let err = algos::try_bfs(&ctx, 0, opts).expect_err("denied checkouts cannot converge");
-        structured(&format!("bfs {variant:?}"), err);
+    // without a reverse graph every level pushes
+    let push_only =
+        Context::new(&g).with_stats().with_faults(Arc::new(FaultInjector::new(deny_all())));
+    for (name, ctx) in [("bfs push-only", push_only), ("bfs", faulted(&g, deny_all(), 0))] {
+        structured(name, bfs_or_failure(&ctx).expect_err("denied checkouts cannot converge"));
     }
     let ctx = faulted(&g, deny_all(), 0);
-    structured("sssp", algos::try_sssp(&ctx, 0, Default::default()).expect_err("sssp"));
+    let r = algos::sssp(&ctx, 0, Default::default());
+    structured("sssp", failure_or(&ctx, r.outcome, r).expect_err("sssp"));
     let ctx = faulted(&g, deny_all(), 0);
-    structured("bc", algos::try_bc(&ctx, 0, Default::default()).expect_err("bc"));
+    let r = algos::bc(&ctx, 0, Default::default());
+    structured("bc", failure_or(&ctx, r.outcome, r).expect_err("bc"));
     let ctx = faulted(&g, deny_all(), 0);
-    structured("cc", algos::try_cc(&ctx).expect_err("cc"));
+    structured("cc", cc_or_failure(&ctx).expect_err("cc"));
     // pagerank runs dense over heap-allocated score vectors and never
     // checks a frontier out of the pool: it must sail through unharmed
     let ctx = faulted(&g, deny_all(), 0);
-    let pr = algos::try_pagerank(&ctx, Default::default())
-        .expect("pagerank touches no pooled buffers");
+    let r = algos::pagerank(&ctx, Default::default());
+    let pr = failure_or(&ctx, r.outcome, r).expect("pagerank touches no pooled buffers");
     assert_eq!(pr.outcome, RunOutcome::Converged);
 
     let base_ctx = Context::new(&g).with_reverse(&g);
@@ -215,7 +234,7 @@ fn pool_alloc_faults_fail_structured_never_escape() {
     for seed in 300..310u64 {
         let plan = FaultPlan::parse("pool-alloc=0.05", seed).expect("valid spec");
         let ctx = faulted(&g, plan, 0);
-        match algos::try_bfs(&ctx, 0, algos::BfsOptions::direction_optimized()) {
+        match bfs_or_failure(&ctx) {
             Ok(r) => assert_eq!(r.labels, bfs0.labels, "seed {seed}"),
             Err(err) => structured(&format!("seed {seed}"), err),
         }
@@ -284,12 +303,12 @@ fn fault_schedules_hold_across_topologies() {
         let cc0 = algos::cc(&base);
         let plan = FaultPlan::parse("panic=0.05,alloc=0.5", 1000 + i as u64).expect("spec");
         let ctx = faulted(&g, plan, 1);
-        match algos::try_bfs(&ctx, 0, algos::BfsOptions::default()) {
+        match bfs_or_failure(&ctx) {
             Ok(r) => assert_eq!(r.labels, bfs0.labels, "{name}"),
             Err(e) => assert_structured(1000 + i as u64, "bfs", &e),
         }
         let ctx = faulted(&g, FaultPlan::parse("panic=0.05", 2000 + i as u64).unwrap(), 0);
-        match algos::try_cc(&ctx) {
+        match cc_or_failure(&ctx) {
             Ok(r) => assert_eq!(r.labels, cc0.labels, "{name}"),
             Err(e) => assert_structured(2000 + i as u64, "cc", &e),
         }

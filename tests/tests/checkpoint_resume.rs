@@ -10,6 +10,7 @@
 use gunrock::prelude::*;
 use gunrock_algos as algos;
 use gunrock_algos::registry::{self, Arity, Output, Query};
+use gunrock_engine::checkpoint::SectionData;
 use gunrock_graph::generators::{self, rmat};
 use gunrock_graph::{Csr, GraphBuilder};
 
@@ -110,7 +111,7 @@ fn sssp_resume_is_bit_identical() {
 fn sssp_priority_queue_resume_is_bit_identical() {
     let g = kron10();
     let dir = ckpt_dir("sssp_pq");
-    let opts = algos::SsspOptions { use_priority_queue: true, ..Default::default() };
+    let opts = algos::SsspOptions::default();
     let full = algos::sssp(&Context::new(&g), 0, opts);
     let ckpt = interrupt(&g, &dir, "sssp", 3, |ctx| {
         let r = algos::sssp(ctx, 0, opts);
@@ -359,23 +360,39 @@ fn every_resumable_entry_round_trips_a_capped_run() {
     }
 }
 
+/// `ckpt` with slot `slot` of its packed `scalars` section set to
+/// `value`, every other section as written.
+fn with_scalar(ckpt: &Checkpoint, slot: usize, value: u32) -> Checkpoint {
+    let mut out = Checkpoint::new(ckpt.primitive(), ckpt.iteration());
+    for section in ckpt.sections() {
+        match &section.data {
+            SectionData::U32(v) if section.name == "scalars" => {
+                let mut v = v.clone();
+                v[slot] = value;
+                out.push_u32("scalars", v);
+            }
+            SectionData::U32(v) => {
+                out.push_u32(&section.name, v.clone());
+            }
+            SectionData::U64(v) => {
+                out.push_u64(&section.name, v.clone());
+            }
+            SectionData::F64(v) => {
+                out.push_f64(&section.name, v.clone());
+            }
+        }
+    }
+    Checkpoint::decode(&out.encode()).expect("well-formed container")
+}
+
 /// `ckpt`, a push-only BFS snapshot, rewritten as the retired variant
 /// `tag` would have written it.
 fn as_bfs_variant(ckpt: &Checkpoint, tag: u32) -> Checkpoint {
-    let section = |name| ckpt.u32s(name).expect("u32 section").to_vec();
-    let mut old = Checkpoint::new("bfs", ckpt.iteration());
-    for name in ["labels", "preds", "frontier", "unvisited"] {
-        old.push_u32(name, section(name));
-    }
-    let mut scalars = section("scalars");
-    scalars[4] = tag;
-    old.push_u32("scalars", scalars);
-    old.push_u64("counters", ckpt.u64s("counters").expect("counters").to_vec());
-    Checkpoint::decode(&old.encode()).expect("well-formed container")
+    with_scalar(ckpt, 4, tag)
 }
 
 /// A snapshot of a retired variant resumes as the direction-optimized
-/// variant, whose push levels are that variant's levels: depths equal the
+/// BFS, whose push levels are that variant's levels: depths equal the
 /// oracle's and the preds form a BFS tree, with and without a reverse
 /// graph to pull over.
 fn retired_bfs_variant_resumes_as_direction_optimized(tag: u32) {
@@ -404,6 +421,15 @@ fn retired_bfs_variant_resumes_as_direction_optimized(tag: u32) {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Tag 0: the retired atomic variant. Its labels, preds and frontier are
+/// the state a claiming push level resumes from (each discovered vertex
+/// labeled once, each in the frontier once); the visited bitmap is
+/// rebuilt from the labels.
+#[test]
+fn atomic_bfs_snapshot_resumes_as_direction_optimized() {
+    retired_bfs_variant_resumes_as_direction_optimized(0);
+}
+
 /// Tag 1: the retired push-only idempotent variant.
 #[test]
 fn idempotent_bfs_snapshot_resumes_as_direction_optimized() {
@@ -414,6 +440,88 @@ fn idempotent_bfs_snapshot_resumes_as_direction_optimized() {
 #[test]
 fn fused_bfs_snapshot_resumes_as_direction_optimized() {
     retired_bfs_variant_resumes_as_direction_optimized(3);
+}
+
+/// Asserts that resuming `ckpt` fails as a malformed checkpoint whose
+/// reason names `setting`.
+fn assert_retired<R: std::fmt::Debug>(result: Result<R, GunrockError>, setting: &str) {
+    match result {
+        Err(GunrockError::Checkpoint(CheckpointError::Malformed(msg))) => {
+            assert!(msg.contains(setting), "{setting}: {msg}");
+        }
+        other => panic!("{setting}: expected a malformed checkpoint, got {other:?}"),
+    }
+}
+
+/// Snapshots of the retired settings (BFS or SSSP without predecessors,
+/// SSSP without the priority queue) are rejected, never misread: their
+/// `preds` section is empty, and a queue-less SSSP parked nothing in the
+/// far pile the resumed loop would refill from.
+#[test]
+fn retired_settings_are_rejected_as_malformed() {
+    let g = kron10();
+    let dir = ckpt_dir("retired_settings");
+    let bfs = interrupt(&g, &dir, "bfs", 2, |ctx| {
+        let r = algos::bfs(ctx, 0, algos::BfsOptions::default());
+        (r.labels, r.outcome)
+    });
+    let sssp = interrupt(&g, &dir, "sssp", 2, |ctx| {
+        let r = algos::sssp(ctx, 0, algos::SsspOptions::default());
+        (r.dist, r.outcome)
+    });
+    let ctx = Context::new(&g);
+    assert_retired(
+        algos::bfs_resume(&ctx, Default::default(), &with_scalar(&bfs, 5, 0)),
+        "record_predecessors",
+    );
+    assert_retired(
+        algos::sssp_resume(&ctx, Default::default(), &with_scalar(&sssp, 5, 0)),
+        "record_predecessors",
+    );
+    assert_retired(
+        algos::sssp_resume(&ctx, Default::default(), &with_scalar(&sssp, 4, 0)),
+        "use_priority_queue",
+    );
+    // the registry's resume reports the same error
+    let entry = registry::find("sssp").expect("sssp entry");
+    let resume = entry.resume.expect("sssp resumes");
+    assert_retired(
+        resume(&ctx, &with_scalar(&sssp, 4, 0)).map(|r| r.iterations),
+        "use_priority_queue",
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A default-configuration SSSP snapshot in the layout the queue-and-
+/// predecessor options wrote (`scalars = [src, queue_id, delta, pivot,
+/// use_priority_queue = 1, record_preds = 1]`) is the layout written
+/// today, and resumes to the uninterrupted run's distances and
+/// predecessors bit for bit.
+#[test]
+fn sssp_snapshot_in_the_optioned_layout_resumes_bit_identically() {
+    let g = kron10();
+    let dir = ckpt_dir("sssp_layout");
+    let opts = algos::SsspOptions::default();
+    let full = algos::sssp(&Context::new(&g), 0, opts);
+    let ckpt = interrupt(&g, &dir, "sssp", 3, |ctx| {
+        let r = algos::sssp(ctx, 0, opts);
+        (r.dist, r.outcome)
+    });
+    let u32s = |name| ckpt.u32s(name).expect("u32 section").to_vec();
+    let scalars = u32s("scalars");
+    let mut old = Checkpoint::new("sssp", ckpt.iteration());
+    for name in ["dist", "preds", "tags", "frontier", "far"] {
+        old.push_u32(name, u32s(name));
+    }
+    old.push_u32("scalars", vec![0, scalars[1], scalars[2], scalars[3], 1, 1]);
+    assert_eq!(old.encode(), ckpt.encode(), "the snapshot layout is unchanged");
+    let old = Checkpoint::decode(&old.encode()).expect("well-formed container");
+    let r = algos::sssp_resume(&Context::new(&g), opts, &old).expect("resume");
+    assert_eq!(r.outcome, RunOutcome::Converged);
+    assert_eq!(r.dist, full.dist);
+    assert_eq!(r.preds, full.preds);
+    assert_eq!(r.iterations, full.iterations);
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Every mid-run SSSP snapshot — taken after the claiming advance and the

@@ -19,6 +19,7 @@
 
 use gunrock_engine::json::JsonValue;
 use gunrock_graph::{Coo, Csr, GraphBuilder};
+use gunrock_integration::failure_or;
 use gunrock_server::{start, Client, ServerConfig};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -212,7 +213,8 @@ fn cc_estimate_covers_what_a_budgeted_run_reserves() {
         let ctx = Context::new(&g).with_budget(Arc::clone(&budget));
         let ctx = if skip { ctx.with_reverse(&g) } else { ctx };
         for _ in 0..3 {
-            let r = algos::try_cc(&ctx).expect("admitted at its own estimate");
+            let r = algos::cc(&ctx);
+            let r = failure_or(&ctx, r.outcome, r).expect("admitted at its own estimate");
             assert_eq!(r.labels, want);
         }
         assert_eq!(ctx.degrade_count(), 0, "admitted without a demotion");
@@ -221,7 +223,8 @@ fn cc_estimate_covers_what_a_budgeted_run_reserves() {
         assert_eq!(budget.reserved(), 0, "everything reserved was released");
     }
     let ctx = Context::new(&g).with_reverse(&g).with_budget(Arc::new(MemoryBudget::new(64)));
-    match algos::try_cc(&ctx) {
+    let r = algos::cc(&ctx);
+    match failure_or(&ctx, r.outcome, r) {
         Err(GunrockError::BudgetExceeded { operator, limit, .. }) => {
             assert_eq!((operator, limit), ("admission", 64));
         }
@@ -249,8 +252,8 @@ fn bc_estimate_covers_what_a_budgeted_run_reserves() {
         let ctx = Context::new(&g).with_budget(Arc::clone(&budget));
         let ctx = if reverse { ctx.with_reverse(&g) } else { ctx };
         for _ in 0..3 {
-            let r =
-                algos::try_bc(&ctx, 0, Default::default()).expect("admitted at its estimate");
+            let r = algos::bc(&ctx, 0, Default::default());
+            let r = failure_or(&ctx, r.outcome, r).expect("admitted at its estimate");
             for (v, (x, y)) in r.bc_values.iter().zip(&want).enumerate() {
                 assert!((x - y).abs() <= 1e-6 * y.abs().max(1.0), "vertex {v}: {x} vs {y}");
             }
