@@ -8,7 +8,9 @@
 //! improved vertex enters the output once per iteration and no separate
 //! filter pass runs. The two-level *priority queue* then splits that
 //! output into near/far piles by current distance (delta stepping,
-//! generalizing Davidson et al.).
+//! generalizing Davidson et al.). When the near pile runs dry the refill
+//! claims the next window's vertices with a fresh `queue_id`, so a vertex
+//! parked several times expands once.
 //!
 //! The paper's pre-Davidson baseline, frontier Bellman-Ford, is the same
 //! loop with `delta: Some(u32::MAX)`: the first window is then
@@ -135,6 +137,13 @@ fn sssp_checkpoint(iteration: u32, src: VertexId, st: &SsspLoop) -> Checkpoint {
     ckpt
 }
 
+/// The loop's first frontier, drawn from the pool so a run returns
+/// exactly the buffers it took; empty (and the run poisoned) when the
+/// checkout is denied.
+fn pooled_frontier(ctx: &Context<'_>, ids: &[u32]) -> Frontier {
+    ctx.pooled_copy("setup", ids, ids.len()).map_or_else(Frontier::new, Frontier::from_vec)
+}
+
 /// Runs SSSP from `src` (Dijkstra-class: needs non-negative weights;
 /// unweighted graphs degenerate to BFS distances).
 pub fn sssp(ctx: &Context<'_>, src: VertexId, opts: SsspOptions) -> SsspResult {
@@ -149,7 +158,7 @@ pub fn sssp(ctx: &Context<'_>, src: VertexId, opts: SsspOptions) -> SsspResult {
         dist,
         preds: atomic_u32_vec(n, INVALID_VERTEX),
         tags: atomic_u32_vec(n, u32::MAX),
-        frontier: Frontier::single(src),
+        frontier: pooled_frontier(ctx, &[src]),
         queue: NearFarQueue::new(delta),
         queue_id: 0,
     };
@@ -194,7 +203,7 @@ pub fn sssp_resume(
         dist: to_atomic_u32(dist),
         preds: to_atomic_u32(preds),
         tags: to_atomic_u32(tags),
-        frontier: Frontier::from_vec(frontier.to_vec()),
+        frontier: pooled_frontier(ctx, frontier),
         queue: NearFarQueue::restore(delta, pivot, far.to_vec()),
         queue_id,
     };
@@ -239,13 +248,27 @@ fn sssp_run(
         }
         // the exhausted near frontier's storage is the refill's to reuse
         ctx.recycle(std::mem::take(&mut st.frontier));
-        let (queue, dist) = (&mut st.queue, &st.dist);
-        // the refill checks its output out of the pool: isolated, so a
-        // denied checkout fails the run instead of unwinding out of it
+        let (queue, dist, tags, id) = (&mut st.queue, &st.dist, &st.tags, st.queue_id);
+        // the refill claims each vertex with this iteration's fresh queue
+        // id, so a vertex parked more than once expands once; it checks
+        // its output out of the pool: isolated, so a denied checkout fails
+        // the run instead of unwinding out of it
         // ORDERING: Relaxed — dist cells are monotonic fetch_min targets and tag
         // swaps need only per-cell atomicity; relaxation rounds end at join barriers.
-        let refill = || queue.refill(ctx.pool(), |v| dist[v as usize].load(Ordering::Relaxed));
-        match ctx.isolated_setup("refill", refill) {
+        let prio = |v: u32| dist[v as usize].load(Ordering::Relaxed);
+        // the refill runs on this thread alone: a plain load and store
+        // claim, no read-modify-write
+        let claim = |v: u32| {
+            let tag = &tags[v as usize];
+            let fresh = tag.load(Ordering::Relaxed) != id;
+            tag.store(id, Ordering::Relaxed);
+            fresh
+        };
+        let near = ctx.isolated_setup("refill", || queue.refill(ctx.pool(), prio, claim));
+        // the next advance claims with a new id, so it can re-enqueue a
+        // refilled vertex it improves
+        st.queue_id = st.queue_id.wrapping_add(1);
+        match near {
             Some(near) if !near.is_empty() => st.frontier = near,
             _ => break,
         }
@@ -472,6 +495,20 @@ mod tests {
         assert!(first.edges_examined > 0);
         assert_eq!(first.edges_examined, second.edges_examined);
         assert_eq!(first.iterations, second.iterations);
+    }
+
+    #[test]
+    fn warm_runs_leave_the_pool_balanced() {
+        for (i, g) in suite().iter().enumerate() {
+            let ctx = Context::new(g);
+            for run in 0..3 {
+                let r = sssp(&ctx, 0, SsspOptions::default());
+                assert_eq!(r.outcome, RunOutcome::Converged, "graph {i}");
+                let pool = ctx.pool().stats();
+                assert_eq!(pool.releases, pool.checkouts, "graph {i}, run {run}");
+                assert_eq!(pool.live, 0, "graph {i}, run {run}");
+            }
+        }
     }
 
     #[test]

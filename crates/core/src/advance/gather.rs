@@ -30,7 +30,6 @@
 //! order is fixed per vertex, whatever the thread count: results are
 //! bit-identical across pools.
 
-use super::push::INVALID_SLOT;
 use crate::context::Context;
 use crate::isolate::isolated;
 use crate::util::grain_size;
@@ -46,6 +45,12 @@ const ABORT_POLL_EDGES: u64 = 4096;
 
 /// Shortest edge list [`fold4`] splits into four accumulators.
 const FOLD4_MIN_EDGES: usize = 8;
+
+/// Marks an emission slot a chunk left unused. Collision with a real
+/// vertex id is impossible because `Csr::validate`/`GraphBuilder` reject
+/// graphs with `num_vertices` at `u32::MAX` — every legal id is strictly
+/// smaller.
+const INVALID_SLOT: u32 = u32::MAX;
 
 /// The vertices a gather visits.
 #[derive(Clone, Debug)]

@@ -29,7 +29,7 @@ pub mod push;
 use crate::context::Context;
 use crate::functor::AdvanceFunctor;
 use crate::isolate::isolated;
-use gunrock_engine::budget::advance_workspace_bytes;
+use gunrock_engine::budget::{advance_workspace_bytes, pooled_bytes};
 use gunrock_engine::faults::{FaultInjector, FaultKind};
 use gunrock_engine::frontier::Frontier;
 use gunrock_engine::stats::{OperatorKind, RecoveryKind, StepDirection};
@@ -203,6 +203,11 @@ fn serial_eligible(ctx: &Context<'_>, input: &Frontier, spec: AdvanceSpec) -> Op
 /// fast path — deliberately NOT ahead of the match, so an explicit
 /// LoadBalanced selection still consults the fault injector and keeps
 /// seeded chaos schedules stable, and Twc keeps its bucket order.
+///
+/// Auto gathers the frontier's [`push::Degrees`] once and hands them and
+/// their total down to the strategy it picks. A frontier short enough
+/// for the serial path sums its degrees without a buffer first, so the
+/// serial path never touches the pool for them.
 fn dispatch<F: AdvanceFunctor>(
     ctx: &Context<'_>,
     input: &Frontier,
@@ -219,21 +224,21 @@ fn dispatch<F: AdvanceFunctor>(
         }
         AdvanceMode::Twc => (push::twc(ctx, input, spec, functor), "twc"),
         AdvanceMode::LoadBalanced => {
-            run_load_balanced(ctx, input, spec, functor, "load_balanced")
+            let degrees = push::Degrees::gather(ctx, input.as_slice(), spec.input);
+            run_load_balanced(ctx, input, degrees, spec, functor, "load_balanced")
         }
         AdvanceMode::Auto => {
-            let work = push::frontier_neighbor_count(ctx, input, spec.input);
             // CAST: u64 -> usize is lossless on 64-bit targets; threshold compare only.
-            if work as usize > ctx.config.lb_threshold {
-                run_load_balanced(ctx, input, spec, functor, "auto:load_balanced")
-            } else {
-                let t = ctx.config.serial_threshold;
-                if t > 0 && input.len() <= t && work as usize <= t {
-                    (push::serial(ctx, input, spec, functor, work), "auto:serial")
-                } else {
-                    (push::thread_mapped(ctx, input, spec, functor), "auto:thread_mapped")
-                }
+            let lb = |work: u64| work as usize > ctx.config.lb_threshold;
+            if let Some(work) = serial_eligible(ctx, input, spec).filter(|&w| !lb(w)) {
+                return (push::serial(ctx, input, spec, functor, work), "auto:serial");
             }
+            let degrees = push::Degrees::gather(ctx, input.as_slice(), spec.input);
+            if !lb(degrees.total) {
+                let out = push::thread_mapped_from(ctx, input, degrees, spec, functor);
+                return (out, "auto:thread_mapped");
+            }
+            run_load_balanced(ctx, input, degrees, spec, functor, "auto:load_balanced")
         }
     }
 }
@@ -268,7 +273,7 @@ pub(crate) fn stall_if_injected(ctx: &Context<'_>, inj: &FaultInjector) {
 /// on any edge, so no side effects can be duplicated by a retry. The
 /// strategy is retried up to `ctx.retry.max_retries` times (with the
 /// policy's backoff), then abandoned for the always-safe
-/// `thread_mapped` strategy, which needs no scan workspace. Every retry
+/// `thread_mapped` strategy, which needs no partition workspace. Every retry
 /// and fallback is recorded as a [`RecoveryKind`] event when a stats
 /// sink is installed. Failures *inside* the functor loop are not
 /// retryable (side effects have escaped) and go through panic isolation
@@ -276,6 +281,7 @@ pub(crate) fn stall_if_injected(ctx: &Context<'_>, inj: &FaultInjector) {
 fn run_load_balanced<F: AdvanceFunctor>(
     ctx: &Context<'_>,
     input: &Frontier,
+    degrees: push::Degrees,
     spec: AdvanceSpec,
     functor: &F,
     label: &'static str,
@@ -294,7 +300,7 @@ fn run_load_balanced<F: AdvanceFunctor>(
                     );
                 }
                 return (
-                    push::thread_mapped(ctx, input, spec, functor),
+                    push::thread_mapped_from(ctx, input, degrees, spec, functor),
                     "fallback:thread_mapped",
                 );
             }
@@ -318,10 +324,12 @@ fn run_load_balanced<F: AdvanceFunctor>(
     // budget's headroom can't cover it, take the leaner thread-mapped
     // path instead of running into a mid-operator denial. Checked —
     // like the alloc-fault guard above — before the functor has touched
-    // any edge, so no side effects are duplicated.
+    // any edge, so no side effects are duplicated. The degree buffer is
+    // already reserved, so only the rest of the workspace must fit.
     if let Some(budget) = ctx.budget() {
-        let neighbors = push::frontier_neighbor_count(ctx, input, spec.input);
-        let need = advance_workspace_bytes(input.len() as u64, neighbors, "load_balanced");
+        let len = input.len() as u64;
+        let need =
+            advance_workspace_bytes(len, degrees.total, "load_balanced") - pooled_bytes(len, 4);
         if !budget.can_fit(need) {
             ctx.record_degrade(
                 "advance",
@@ -332,10 +340,11 @@ fn run_load_balanced<F: AdvanceFunctor>(
                     budget.headroom()
                 ),
             );
-            return (push::thread_mapped(ctx, input, spec, functor), "degraded:thread_mapped");
+            let out = push::thread_mapped_from(ctx, input, degrees, spec, functor);
+            return (out, "degraded:thread_mapped");
         }
     }
-    (push::load_balanced(ctx, input, spec, functor), label)
+    (push::load_balanced_from(ctx, input, degrees, spec, functor, u32::MAX as u64), label)
 }
 
 #[cfg(test)]

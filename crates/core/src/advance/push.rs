@@ -2,17 +2,23 @@
 //!
 //! All three strategies call the functor inline per edge (kernel fusion)
 //! and produce a compacted output frontier in **global edge-rank order**:
-//! `thread_mapped` and `load_balanced` both expand through a scan of
-//! frontier degrees into exact output offsets, so their outputs are
-//! bit-identical; `twc` concatenates its three degree buckets, each in
-//! edge-rank order.
+//! `thread_mapped` and `load_balanced` both rank the frontier's edges by
+//! a scan of its degrees, so their outputs are bit-identical; `twc`
+//! concatenates its three degree buckets, each in edge-rank order.
+//!
+//! Both ranked strategies emit through **chunk windows**: each parallel
+//! task owns the slots of the edge ranks it walks, writes its successes
+//! to the front of that window and returns a count, and the output is
+//! the windows' prefixes copied in task order ([`pack_windows`]). A
+//! culled edge writes nothing, and no pass scans the rank range for
+//! holes.
 //!
 //! The hot paths are zero-allocation in the steady state: every scratch
-//! buffer (degrees, scanned offsets, merge-path partitions, slot arrays,
-//! compacted outputs) is checked out of the context's
-//! [`gunrock_engine::pool::BufferPool`] and returned when the advance
-//! finishes, so after a warm-up iteration the pool's `allocations`
-//! counter stops moving.
+//! buffer (degrees, scanned offsets, merge-path partitions, per-chunk
+//! counts, slot windows, compacted outputs) is checked out of the
+//! context's [`gunrock_engine::pool::BufferPool`] and returned when the
+//! advance finishes, so after a warm-up iteration the pool's
+//! `allocations` counter stops moving.
 
 use super::{expansion_vertex, AdvanceSpec, InputKind, OutputKind};
 use crate::context::Context;
@@ -25,59 +31,80 @@ use gunrock_engine::search::merge_path_partitions_into;
 use gunrock_engine::unsafe_slice::UnsafeSlice;
 use gunrock_graph::{EdgeId, VertexId};
 use rayon::prelude::*;
-
-/// Marks an edge rank whose `cond` failed in a flat output slot array
-/// (and, in the gather sweep, an emission slot a chunk left unused).
-/// Collision with a real vertex/edge id is impossible because
-/// `Csr::validate`/`GraphBuilder` reject graphs with `num_vertices` or
-/// `num_edges` at `u32::MAX` — every legal id is strictly smaller.
-pub(super) const INVALID_SLOT: u32 = u32::MAX;
+use std::ops::Range;
 
 /// Total neighbor count of the frontier — the workload size an advance
-/// will generate, used by the Auto strategy switch, the serial
-/// fast-path gate, and the direction-optimizing policy.
+/// will generate, used by the serial fast-path gate and the
+/// direction-optimizing policy. Sums without a buffer; an advance that
+/// ranks edges gathers [`Degrees`] instead.
 pub fn frontier_neighbor_count(ctx: &Context<'_>, input: &Frontier, kind: InputKind) -> u64 {
-    let g = ctx.graph;
-    if input.len() < FRONTIER_SEQ_CUTOFF {
-        input
-            .as_slice()
-            .iter()
-            .map(|&it| g.out_degree(expansion_vertex(ctx, kind, it)) as u64)
-            .sum()
-    } else {
-        input
-            .as_slice()
-            .par_iter()
-            .map(|&it| g.out_degree(expansion_vertex(ctx, kind, it)) as u64)
-            .sum()
-    }
-}
-
-/// Fills `out` with the out-degree of every frontier item's expansion
-/// vertex, reusing `out`'s capacity (pooled in the callers).
-fn gather_degrees_into(ctx: &Context<'_>, items: &[u32], input: InputKind, out: &mut Vec<u32>) {
-    let g = ctx.graph;
+    let degree = |&it: &u32| ctx.graph.out_degree(expansion_vertex(ctx, kind, it)) as u64;
+    let items = input.as_slice();
     if items.len() < FRONTIER_SEQ_CUTOFF {
-        out.clear();
-        out.reserve(items.len());
-        for &it in items {
-            out.push(g.out_degree(expansion_vertex(ctx, input, it)));
-        }
+        items.iter().map(degree).sum()
     } else {
-        items
-            .par_iter()
-            .map(|&it| g.out_degree(expansion_vertex(ctx, input, it)))
-            .collect_into_vec(out);
+        items.par_iter().map(degree).sum()
     }
 }
 
-/// Sum of a degree array, widened to `u64` so overflow is detected
-/// rather than wrapped.
-fn degree_sum(degrees: &[u32]) -> u64 {
-    if degrees.len() < FRONTIER_SEQ_CUTOFF {
-        degrees.iter().map(|&d| d as u64).sum()
-    } else {
-        degrees.par_iter().map(|&d| d as u64).sum()
+/// A frontier's per-item out-degrees, in a pooled buffer, and their
+/// `u64` total (so overflow is detected, not wrapped): the one degree
+/// pass an advance makes, handed from the dispatcher down to the
+/// strategy that ranks the edges. [`Degrees::release`] returns the
+/// buffer.
+pub(crate) struct Degrees {
+    pub(crate) per_item: Vec<u32>,
+    pub(crate) total: u64,
+}
+
+impl Degrees {
+    /// Gathers the out-degree of every item's expansion vertex.
+    pub(crate) fn gather(ctx: &Context<'_>, items: &[u32], input: InputKind) -> Self {
+        let g = ctx.graph;
+        let degree = |&it: &u32| g.out_degree(expansion_vertex(ctx, input, it));
+        let mut per_item = ctx.pool().take_u32(items.len());
+        let total = if items.len() < FRONTIER_SEQ_CUTOFF {
+            per_item.extend(items.iter().map(degree));
+            per_item.iter().map(|&d| d as u64).sum()
+        } else {
+            items.par_iter().map(degree).collect_into_vec(&mut per_item);
+            per_item.par_iter().map(|&d| d as u64).sum()
+        };
+        Degrees { per_item, total }
+    }
+
+    /// Returns the degree buffer to the pool.
+    pub(crate) fn release(self, ctx: &Context<'_>) {
+        ctx.pool().put_u32(self.per_item);
+    }
+}
+
+/// Runs the functor over the out-edges `edges` of `src` — its whole
+/// neighbor list or one run of it — in order, handing each success's
+/// output id to `emit`. The one per-edge loop every push strategy runs.
+#[inline]
+fn walk<F: AdvanceFunctor>(
+    ctx: &Context<'_>,
+    functor: &F,
+    output: OutputKind,
+    src: VertexId,
+    edges: Range<usize>,
+    mut emit: impl FnMut(u32),
+) {
+    let cols = ctx.graph.col_indices();
+    for e in edges {
+        let dst = cols[e];
+        // CAST: edge ids of a validated graph lie below u32::MAX
+        // (Csr::validate), so usize -> EdgeId is lossless.
+        let id = e as EdgeId;
+        if functor.cond_edge(src, dst, id) {
+            functor.apply_edge(src, dst, id);
+            match output {
+                OutputKind::Vertices => emit(dst),
+                OutputKind::Edges => emit(id),
+                OutputKind::None => {}
+            }
+        }
     }
 }
 
@@ -91,121 +118,58 @@ fn expand_serial<F: AdvanceFunctor>(
     item: u32,
     out: &mut Vec<u32>,
 ) -> u64 {
-    let g = ctx.graph;
     let src = expansion_vertex(ctx, spec.input, item);
-    let range = g.edge_range(src);
+    let range = ctx.graph.edge_range(src);
     let examined = range.len() as u64;
-    let cols = g.col_indices();
-    for e in range {
-        let dst = cols[e];
-        if functor.cond_edge(src, dst, e as EdgeId) {
-            functor.apply_edge(src, dst, e as EdgeId);
-            match spec.output {
-                OutputKind::Vertices => out.push(dst),
-                OutputKind::Edges => out.push(e as EdgeId),
-                OutputKind::None => {}
-            }
-        }
-    }
+    walk(ctx, functor, spec.output, src, range, |v| out.push(v));
     examined
 }
 
-/// Expands one item's neighbor list into its exact slot range of a flat
-/// output array: successes pack at the front of `[offset, offset+degree)`,
-/// [`INVALID_SLOT`] fills the tail for culled edges. Every slot in the
-/// range is written exactly once.
-#[inline]
-fn expand_flat<F: AdvanceFunctor>(
-    ctx: &Context<'_>,
-    functor: &F,
-    spec: AdvanceSpec,
-    item: u32,
-    offset: u32,
-    out: &UnsafeSlice<'_, u32>,
+/// Copies the chunk windows' prefixes onto `out` in chunk order — the
+/// order-preserving compaction of chunk-window emission: chunk `i` wrote
+/// `counts[i]` ids to the front of its window of `slots`, which starts
+/// at `window(i)`. Serial below [`SEQUENTIAL_CUTOFF`] kept ids or with
+/// one worker; otherwise `counts` is scanned in place into each chunk's
+/// output base and the chunks copy in parallel.
+fn pack_windows(
+    slots: &[u32],
+    counts: &mut [u32],
+    window: impl Fn(usize) -> usize + Sync,
+    out: &mut Vec<u32>,
 ) {
-    let g = ctx.graph;
-    let src = expansion_vertex(ctx, spec.input, item);
-    let range = g.edge_range(src);
-    // CAST: offset is an edge rank below the caller's u32 total; widening
-    // u32 -> usize is lossless.
-    let end = offset as usize + range.len();
-    let cols = g.col_indices();
-    // CAST: same widening as above.
-    let mut w = offset as usize;
-    for e in range {
-        let dst = cols[e];
-        if functor.cond_edge(src, dst, e as EdgeId) {
-            functor.apply_edge(src, dst, e as EdgeId);
-            let v = match spec.output {
-                OutputKind::Vertices => dst,
-                OutputKind::Edges => e as EdgeId,
-                OutputKind::None => unreachable!("flat expansion requires an output kind"),
-            };
-            // SAFETY: this item's slot range [offset, end) is disjoint
-            // from every other item's (exclusive scan of degrees), and w
-            // stays within it.
-            unsafe { out.write(w, v) };
-            w += 1;
-        }
-    }
-    for idx in w..end {
-        // SAFETY: same disjoint range; each tail index written once.
-        unsafe { out.write(idx, INVALID_SLOT) };
-    }
-}
-
-/// Appends the non-[`INVALID_SLOT`] values of `slots` onto `out` in
-/// order — the order-preserving compaction of the flat scan-offset
-/// expansion. Serial below [`SEQUENTIAL_CUTOFF`]; the parallel path
-/// scatters through pooled per-chunk counts, so the hot loop stays
-/// allocation-free once `out` has capacity.
-fn compact_slots_into(ctx: &Context<'_>, slots: &[u32], out: &mut Vec<u32>) {
-    let n = slots.len();
-    out.reserve(n);
-    if n < SEQUENTIAL_CUTOFF || rayon::current_num_threads() == 1 {
-        for &v in slots {
-            if v != INVALID_SLOT {
-                out.push(v);
-            }
+    // CAST: a count is at most its window's width; u32 -> usize widens.
+    let kept: usize = counts.iter().map(|&c| c as usize).sum();
+    out.reserve(kept);
+    if kept < SEQUENTIAL_CUTOFF || rayon::current_num_threads() == 1 {
+        for (ci, &c) in counts.iter().enumerate() {
+            let w = window(ci);
+            // CAST: same widening as above.
+            out.extend_from_slice(&slots[w..w + c as usize]);
         }
         return;
     }
-    let pool = ctx.pool();
-    let chunk = n.div_ceil(rayon::current_num_threads() * 4).max(1);
-    let num_chunks = n.div_ceil(chunk);
-    let mut counts = pool.take_u32(num_chunks);
-    slots
-        .par_chunks(chunk)
-        // CAST: per-chunk counts are bounded by slots.len(), which the
-        // callers guarantee is below u32::MAX (flat rankings are u32).
-        .map(|c| c.iter().filter(|&&v| v != INVALID_SLOT).count() as u32)
-        .collect_into_vec(&mut counts);
-    let mut bases = pool.take_u32(num_chunks);
-    let kept = scan_exclusive_u32_into(&counts, &mut bases) as usize;
-    pool.put_u32(counts);
+    let mut base = 0u32;
+    for c in counts.iter_mut() {
+        (*c, base) = (base, base + *c);
+    }
     let start = out.len();
     // SAFETY: u32 is Copy with no drop glue, reserve() above guarantees
-    // capacity for start + n >= start + kept, and the scatter below
-    // writes every index in [start, start + kept) exactly once before
-    // any read.
+    // capacity for start + kept, and the copy below writes every index in
+    // [start, start + kept) exactly once before any read.
     unsafe { out.set_len(start + kept) };
-    {
-        gunrock_engine::racecheck::begin_phase();
-        let out_ref = UnsafeSlice::new(&mut out[..]);
-        slots.par_chunks(chunk).zip(bases.par_iter()).for_each(|(c, &base)| {
-            let mut w = start + base as usize;
-            for &v in c {
-                if v != INVALID_SLOT {
-                    // SAFETY: this chunk writes the disjoint range
-                    // [start+base, start+base+count) — bases are the
-                    // exclusive scan of the per-chunk counts.
-                    unsafe { out_ref.write(w, v) };
-                    w += 1;
-                }
-            }
-        });
-    }
-    pool.put_u32(bases);
+    gunrock_engine::racecheck::begin_phase();
+    let dst = UnsafeSlice::new(&mut out[start..]);
+    let bases = &*counts;
+    bases.par_iter().enumerate().for_each(|(ci, &b)| {
+        // CAST: output bases are below kept; u32 -> usize widens.
+        let (b, end) = (b as usize, bases.get(ci + 1).map_or(kept, |&n| n as usize));
+        let w = window(ci);
+        for (k, &v) in slots[w..w + end - b].iter().enumerate() {
+            // SAFETY: chunk ci alone writes [b, end) — the bases are the
+            // exclusive scan of the per-chunk counts.
+            unsafe { dst.write(b + k, v) };
+        }
+    });
 }
 
 /// Single-threaded advance, used for tiny frontiers (the small-frontier
@@ -246,129 +210,127 @@ pub fn serial<F: AdvanceFunctor>(
 /// task group, "but not across CTAs" — skewed degrees serialize on the
 /// task owning the hub.
 ///
-/// Implemented as a two-pass scan-offset expansion into ONE pooled flat
-/// buffer: pass 1 gathers per-item degrees and scans them into exact
-/// write offsets; pass 2 expands every item into its disjoint slot range
-/// ([`INVALID_SLOT`] holes where `cond` culled); an order-preserving
-/// compaction yields the output. No per-task `Vec`s, no concatenation.
+/// Ranks the frontier's edges by an exclusive scan of the item degrees,
+/// so a grain's edges own one contiguous window of ONE pooled slot
+/// buffer; each grain emits into its window and [`pack_windows`] copies
+/// the prefixes out. No per-task `Vec`s, no concatenation.
 pub fn thread_mapped<F: AdvanceFunctor>(
     ctx: &Context<'_>,
     input: &Frontier,
     spec: AdvanceSpec,
     functor: &F,
 ) -> Frontier {
-    let items = input.as_slice();
-    if items.is_empty() {
-        return Frontier::new();
-    }
-    // With a single worker thread the multi-pass scan-offset pipeline
-    // (gather degrees, scan, flat expand, compact) is pure overhead:
-    // there is no parallelism to balance, and each pass re-touches the
-    // whole working set. Delegate to the serial expansion, which emits
-    // the same edge-rank order in one pass over the frontier.
-    if rayon::current_num_threads() == 1 {
-        // Effect-only advances never touch the output buffer, so skip
-        // the degree pass that would only be used to size it.
-        let work = if spec.output == OutputKind::None {
-            0
-        } else {
-            frontier_neighbor_count(ctx, input, spec.input)
-        };
-        return serial(ctx, input, spec, functor, work);
-    }
-    // Effect-only advance: no output buffer, no scan — walk and count.
     if spec.output == OutputKind::None {
-        let grain = grain_size(items.len());
-        let edges: u64 = items
-            .par_chunks(grain)
-            .map(|chunk| {
-                // ALLOC-OK(effect-only: expand_serial never pushes with OutputKind::None, so this Vec never allocates)
-                let mut sink = Vec::new();
-                chunk
-                    .iter()
-                    .map(|&item| expand_serial(ctx, functor, spec, item, &mut sink))
-                    .sum::<u64>()
-            })
-            .sum();
-        ctx.counters.add_edges(edges);
-        return Frontier::new();
+        return for_effect(ctx, input, spec, functor);
     }
-    let pool = ctx.pool();
-    // Pass 1: per-item degrees, scanned into exact write offsets.
-    let mut degrees = pool.take_u32(items.len());
-    gather_degrees_into(ctx, items, spec.input, &mut degrees);
-    let total = degree_sum(&degrees);
-    if total == 0 {
-        pool.put_u32(degrees);
-        return Frontier::new();
-    }
-    if total >= u32::MAX as u64 {
-        // The flat ranking is u32-indexed; a frontier expanding to four
-        // billion edges falls back to the chunked path.
-        pool.put_u32(degrees);
-        return thread_mapped_chunked(ctx, input, spec, functor);
-    }
-    ctx.counters.add_edges(total);
-    // CAST: guarded just above — total < u32::MAX fits usize.
-    let total = total as usize;
-    let mut scanned = pool.take_u32(items.len());
-    scan_exclusive_u32_into(&degrees, &mut scanned);
-    pool.put_u32(degrees);
-    // Pass 2: expand every item into its slot range of one flat buffer.
-    let mut slots = pool.take_u32(total);
-    // SAFETY: u32 is Copy with no drop glue, the pool guarantees
-    // capacity() >= total, and the scatter below writes every index in
-    // [0, total) exactly once before any read (successes at the front of
-    // each item's range, INVALID_SLOT in the tail).
-    unsafe { slots.set_len(total) };
-    {
-        gunrock_engine::racecheck::begin_phase();
-        let out_ref = UnsafeSlice::new(&mut slots);
-        let grain = grain_size(items.len());
-        items.par_chunks(grain).enumerate().for_each(|(ci, chunk)| {
-            let base = ci * grain;
-            for (j, &item) in chunk.iter().enumerate() {
-                expand_flat(ctx, functor, spec, item, scanned[base + j], &out_ref);
-            }
-        });
-    }
-    pool.put_u32(scanned);
-    let mut out = pool.take_u32(total);
-    compact_slots_into(ctx, &slots, &mut out);
-    pool.put_u32(slots);
-    Frontier::from_vec(out)
+    let degrees = Degrees::gather(ctx, input.as_slice(), spec.input);
+    thread_mapped_from(ctx, input, degrees, spec, functor)
 }
 
-/// Chunked fallback for frontiers whose total neighbor count does not
-/// fit the u32 flat ranking: per-task local vectors concatenated in
-/// chunk order (the pre-pool implementation). Output order matches the
-/// flat path exactly.
-fn thread_mapped_chunked<F: AdvanceFunctor>(
+/// Effect-only expansion: no output buffer, no ranking — each grain of
+/// items walks and counts.
+fn for_effect<F: AdvanceFunctor>(
     ctx: &Context<'_>,
     input: &Frontier,
     spec: AdvanceSpec,
     functor: &F,
 ) -> Frontier {
-    let grain = grain_size(input.len());
-    let per_chunk: Vec<(Vec<u32>, u64)> = input
-        .as_slice()
-        .par_chunks(grain)
+    let items = input.as_slice();
+    let edges: u64 = items
+        .par_chunks(grain_size(items.len()))
         .map(|chunk| {
-            // ALLOC-OK(u32-overflow fallback: only reachable when one frontier expands over four billion edges, never on the pooled steady-state path)
-            let mut local = Vec::new();
-            let mut edges = 0u64;
-            for &item in chunk {
-                edges += expand_serial(ctx, functor, spec, item, &mut local);
-            }
-            (local, edges)
+            // ALLOC-OK(effect-only: expand_serial never pushes with OutputKind::None, so this Vec never allocates)
+            let mut sink = Vec::new();
+            chunk
+                .iter()
+                .map(|&item| expand_serial(ctx, functor, spec, item, &mut sink))
+                .sum::<u64>()
         })
-        // ALLOC-OK(u32-overflow fallback, see above)
-        .collect();
-    let edges: u64 = per_chunk.iter().map(|(_, e)| e).sum();
+        .sum();
     ctx.counters.add_edges(edges);
-    // ALLOC-OK(u32-overflow fallback, see above)
-    let chunks: Vec<Vec<u32>> = per_chunk.into_iter().map(|(v, _)| v).collect();
-    Frontier::from_vec(concat_chunks(chunks))
+    Frontier::new()
+}
+
+/// [`thread_mapped`] over degrees the caller already gathered (and
+/// hands over: they are released here).
+pub(crate) fn thread_mapped_from<F: AdvanceFunctor>(
+    ctx: &Context<'_>,
+    input: &Frontier,
+    degrees: Degrees,
+    spec: AdvanceSpec,
+    functor: &F,
+) -> Frontier {
+    let items = input.as_slice();
+    let total = degrees.total;
+    if spec.output == OutputKind::None {
+        degrees.release(ctx);
+        return for_effect(ctx, input, spec, functor);
+    }
+    // With a single worker thread the ranked pipeline (scan, windowed
+    // expand, pack) is pure overhead: there is no parallelism to balance.
+    // Delegate to the serial expansion, which emits the same edge-rank
+    // order in one pass over the frontier.
+    if rayon::current_num_threads() == 1 {
+        degrees.release(ctx);
+        return serial(ctx, input, spec, functor, total);
+    }
+    if total == 0 {
+        degrees.release(ctx);
+        return Frontier::new();
+    }
+    if total >= u32::MAX as u64 {
+        // The ranking is u32-indexed; the load-balanced strategy splits a
+        // frontier expanding to four billion edges into ranked batches,
+        // with the same output order.
+        return load_balanced_from(ctx, input, degrees, spec, functor, u32::MAX as u64);
+    }
+    ctx.counters.add_edges(total);
+    // CAST: guarded just above — total < u32::MAX fits usize.
+    let total = total as usize;
+    let pool = ctx.pool();
+    let mut offsets = pool.take_u32(items.len());
+    scan_exclusive_u32_into(&degrees.per_item, &mut offsets);
+    degrees.release(ctx);
+    let grain = grain_size(items.len());
+    let mut counts = pool.take_u32(items.len().div_ceil(grain));
+    let mut slots = pool.take_u32(total);
+    // SAFETY: u32 is Copy with no drop glue and the pool guarantees
+    // capacity() >= total. Each grain writes only a prefix of its own
+    // window and pack_windows reads back exactly those prefixes, so no
+    // slot is read before it is written.
+    unsafe { slots.set_len(total) };
+    {
+        gunrock_engine::racecheck::begin_phase();
+        let out_ref = UnsafeSlice::new(&mut slots);
+        items
+            .par_chunks(grain)
+            .zip(offsets.par_chunks(grain))
+            .map(|(chunk, offs)| {
+                // CAST: offsets are edge ranks below total < u32::MAX.
+                let w0 = offs[0] as usize;
+                let mut w = w0;
+                for &item in chunk {
+                    let src = expansion_vertex(ctx, spec.input, item);
+                    walk(ctx, functor, spec.output, src, ctx.graph.edge_range(src), |v| {
+                        // SAFETY: the grain's edges rank into the window
+                        // [offs[0], next grain's offset), which no other
+                        // grain writes, and w never passes its end.
+                        unsafe { out_ref.write(w, v) };
+                        w += 1;
+                    });
+                }
+                // CAST: a grain emits at most its edge count, < u32::MAX.
+                (w - w0) as u32
+            })
+            .collect_into_vec(&mut counts);
+    }
+    let mut out = pool.take_u32(total);
+    // CAST: a grain's window starts at its first item's rank (u32 -> usize).
+    pack_windows(&slots, &mut counts, |ci| offsets[ci * grain] as usize, &mut out);
+    pool.put_u32(offsets);
+    pool.put_u32(counts);
+    pool.put_u32(slots);
+    Frontier::from_vec(out)
 }
 
 /// Splits the frontier into the three TWC degree classes — `(small,
@@ -487,17 +449,9 @@ pub fn twc<F: AdvanceFunctor>(
                 // ALLOC-OK(twc per-CTA local, opt-in strategy)
                 let mut local = Vec::new();
                 let start = base + ci * ctx.config.cta_size;
-                for (i, &dst) in slice.iter().enumerate() {
-                    let e = (start + i) as EdgeId;
-                    if functor.cond_edge(src, dst, e) {
-                        functor.apply_edge(src, dst, e);
-                        match spec.output {
-                            OutputKind::Vertices => local.push(dst),
-                            OutputKind::Edges => local.push(e),
-                            OutputKind::None => {}
-                        }
-                    }
-                }
+                walk(ctx, functor, spec.output, src, start..start + slice.len(), |v| {
+                    local.push(v)
+                });
                 local
             })
             // ALLOC-OK(twc per-CTA locals, see above)
@@ -539,54 +493,48 @@ pub fn load_balanced<F: AdvanceFunctor>(
     spec: AdvanceSpec,
     functor: &F,
 ) -> Frontier {
-    load_balanced_with_limit(ctx, input, spec, functor, u32::MAX as u64)
+    let degrees = Degrees::gather(ctx, input.as_slice(), spec.input);
+    load_balanced_from(ctx, input, degrees, spec, functor, u32::MAX as u64)
 }
 
-/// Load-balanced advance with an explicit cap on how many edge ranks one
-/// merge-path batch may hold. The ranking is scanned in `u32`, so a
+/// [`load_balanced`] over degrees the caller already gathered (and hands
+/// over: they are released here), with an explicit cap on how many edge
+/// ranks one merge-path batch may hold. The ranking is `u32`, so a
 /// frontier whose total neighbor count reaches `u32::MAX` would silently
 /// wrap and corrupt the partition; when the total reaches `limit` the
 /// frontier is split into consecutive batches each below it, preserving
 /// the strategy's edge-rank output order across batches. A single item
-/// whose own degree reaches the limit is expanded via [`thread_mapped`]
-/// (its output for one item is also in edge order).
+/// whose own degree reaches the limit is expanded via [`serial`] (its
+/// output for one item is also in edge order).
 ///
-/// `limit` is `u32::MAX` in production ([`load_balanced`]); tests inject
-/// small limits to exercise the guard without building 4-billion-edge
-/// frontiers.
-pub(crate) fn load_balanced_with_limit<F: AdvanceFunctor>(
+/// `limit` is `u32::MAX` in production; tests inject small limits to
+/// exercise the guard without building 4-billion-edge frontiers.
+pub(crate) fn load_balanced_from<F: AdvanceFunctor>(
     ctx: &Context<'_>,
     input: &Frontier,
+    degrees: Degrees,
     spec: AdvanceSpec,
     functor: &F,
     limit: u64,
 ) -> Frontier {
     let items = input.as_slice();
-    if items.is_empty() {
-        return Frontier::new();
-    }
-    let pool = ctx.pool();
-    // Phase 1: per-item degrees (u64 total so overflow is detected, not
-    // wrapped).
-    let mut degrees = pool.take_u32(items.len());
-    gather_degrees_into(ctx, items, spec.input, &mut degrees);
-    let total = degree_sum(&degrees);
+    let total = degrees.total;
     if total == 0 {
-        pool.put_u32(degrees);
+        degrees.release(ctx);
         return Frontier::new();
     }
     if total < limit {
         ctx.counters.add_edges(total);
         let mut out = if spec.output != OutputKind::None {
             // CAST: guarded — this branch requires total < limit <= u32::MAX.
-            pool.take_u32(total as usize)
+            ctx.pool().take_u32(total as usize)
         } else {
             // ALLOC-OK(effect-only: lb_batch appends nothing, so this Vec never allocates)
             Vec::new()
         };
         // CAST: guarded — total < limit <= u32::MAX.
-        lb_batch(ctx, items, &degrees, total as u32, spec, functor, &mut out);
-        pool.put_u32(degrees);
+        lb_batch(ctx, items, &degrees.per_item, total as u32, spec, functor, &mut out);
+        degrees.release(ctx);
         return Frontier::from_vec(out);
     }
     // Guard path: the ranking would overflow u32. Split the frontier into
@@ -595,6 +543,7 @@ pub(crate) fn load_balanced_with_limit<F: AdvanceFunctor>(
     // global edge-rank order.
     // ALLOC-OK(u32-overflow guard path: final size unknowable upfront and far beyond any pool class worth pinning, never the steady-state path)
     let mut out: Vec<u32> = Vec::new();
+    let per_item = &degrees.per_item;
     let mut start = 0usize;
     while start < items.len() {
         // One huge split advance must still honor the enactment's
@@ -607,7 +556,7 @@ pub(crate) fn load_balanced_with_limit<F: AdvanceFunctor>(
         let mut end = start;
         let mut batch_total = 0u64;
         while end < items.len() {
-            let d = degrees[end] as u64;
+            let d = per_item[end] as u64;
             if d >= limit || batch_total + d >= limit {
                 break;
             }
@@ -616,9 +565,10 @@ pub(crate) fn load_balanced_with_limit<F: AdvanceFunctor>(
         }
         if end == start {
             // One item's own degree reaches the limit; merge-path can't
-            // rank it, so expand just that item thread-mapped (which
-            // counts its own edges).
-            let part = thread_mapped(ctx, &Frontier::single(items[start]), spec, functor);
+            // rank it, so expand just that item serially (which counts its
+            // own edges).
+            let item = Frontier::single(items[start]);
+            let part = serial(ctx, &item, spec, functor, per_item[start] as u64);
             out.extend_from_slice(part.as_slice());
             ctx.recycle(part);
             start += 1;
@@ -628,7 +578,7 @@ pub(crate) fn load_balanced_with_limit<F: AdvanceFunctor>(
                 lb_batch(
                     ctx,
                     &items[start..end],
-                    &degrees[start..end],
+                    &per_item[start..end],
                     // CAST: the batching loop caps batch_total below the u32 limit.
                     batch_total as u32,
                     spec,
@@ -639,16 +589,20 @@ pub(crate) fn load_balanced_with_limit<F: AdvanceFunctor>(
             start = end;
         }
     }
-    pool.put_u32(degrees);
+    degrees.release(ctx);
     Frontier::from_vec(out)
 }
 
-/// One merge-path batch: scan `degrees` into a `u32` edge ranking
-/// (caller guarantees `total < u32::MAX`), partition it into equal-width
-/// chunks, walk each chunk. Output slot w belongs to edge rank w, making
-/// output order deterministic; the compacted successes are **appended**
-/// onto `out` (untouched for for-effect specs). All scratch is pooled.
-/// Does NOT touch `ctx.counters` — the caller attributes edges.
+/// One merge-path batch (caller guarantees `total < u32::MAX`): scan
+/// `degrees` into edge-rank offsets, split the ranks into `cta_size`-wide
+/// chunks and find each chunk's first source by merge-path search. Each
+/// chunk then walks its sources one segment at a time — a source's ranks
+/// inside the chunk are one run of its neighbor list — and emits into
+/// its window of the rank range. The windows' prefixes are **appended**
+/// onto `out` in chunk order, i.e. in edge-rank order (untouched for
+/// for-effect specs). All scratch is pooled; the partition buffer
+/// doubles as the per-chunk counts. Does NOT touch `ctx.counters` — the
+/// caller attributes edges.
 #[allow(clippy::too_many_arguments)]
 fn lb_batch<F: AdvanceFunctor>(
     ctx: &Context<'_>,
@@ -661,21 +615,22 @@ fn lb_batch<F: AdvanceFunctor>(
 ) {
     let g = ctx.graph;
     let pool = ctx.pool();
-    let mut scanned = pool.take_u32(items.len());
-    scan_exclusive_u32_into(degrees, &mut scanned);
+    let mut offsets = pool.take_u32(items.len());
+    scan_exclusive_u32_into(degrees, &mut offsets);
     let chunk = ctx.config.cta_size;
-    // Phase 2: merge-path partition of the edge ranking.
-    // CAST: total widens u32 -> usize, lossless.
-    let mut starts = pool.take_u32((total as usize).div_ceil(chunk));
-    merge_path_partitions_into(&scanned, total, chunk, &mut starts);
-    // Phase 3: walk each chunk; slot w of the output belongs to edge rank
-    // w, making output order deterministic.
-    let collect_output = spec.output != OutputKind::None;
-    let mut slots = if collect_output {
-        // CAST: lb_batch's contract is total < u32::MAX (callers guard), so edge
-        // ranks, chunk bounds, and row starts all fit u32; id widenings are lossless.
-        let mut s = pool.take_u32(total as usize);
-        s.resize(total as usize, INVALID_SLOT);
+    // CAST: lb_batch's contract is total < u32::MAX, so edge ranks, chunk
+    // bounds and offsets fit u32 and widen losslessly to usize.
+    let ranks = total as usize;
+    let mut parts = pool.take_u32(ranks.div_ceil(chunk));
+    merge_path_partitions_into(&offsets, total, chunk, &mut parts);
+    let collect = spec.output != OutputKind::None;
+    let mut slots = if collect {
+        let mut s = pool.take_u32(ranks);
+        // SAFETY: u32 is Copy with no drop glue and the pool guarantees
+        // capacity() >= ranks. Each chunk writes only a prefix of its own
+        // window and pack_windows reads back exactly those prefixes, so no
+        // slot is read before it is written.
+        unsafe { s.set_len(ranks) };
         s
     } else {
         // ALLOC-OK(effect-only: no output slots, Vec::new never allocates)
@@ -684,46 +639,40 @@ fn lb_batch<F: AdvanceFunctor>(
     {
         gunrock_engine::racecheck::begin_phase();
         let out_ref = UnsafeSlice::new(&mut slots);
-        starts.par_iter().enumerate().for_each(|(ci, &seg_start)| {
-            let w0 = (ci * chunk) as u32;
-            let w1 = (((ci + 1) * chunk) as u32).min(total);
-            let mut seg = seg_start as usize;
-            // cache the current segment's expansion data
-            let mut src: VertexId = expansion_vertex(ctx, spec.input, items[seg]);
-            let mut seg_base = scanned[seg];
-            let mut row_start = g.edge_range(src).start as u32;
-            let cols = g.col_indices();
-            for w in w0..w1 {
-                // advance to the segment owning rank w (skips empty lists)
-                while seg + 1 < items.len() && scanned[seg + 1] <= w {
-                    seg += 1;
-                    src = expansion_vertex(ctx, spec.input, items[seg]);
-                    seg_base = scanned[seg];
-                    row_start = g.edge_range(src).start as u32;
-                }
-                let e = row_start + (w - seg_base);
-                let dst = cols[e as usize];
-                if functor.cond_edge(src, dst, e) {
-                    functor.apply_edge(src, dst, e);
-                    if collect_output {
-                        let v = match spec.output {
-                            OutputKind::Vertices => dst,
-                            OutputKind::Edges => e,
-                            OutputKind::None => unreachable!(),
-                        };
-                        // SAFETY: each rank w written by exactly one chunk.
-                        unsafe { out_ref.write(w as usize, v) };
-                    }
-                }
+        // each chunk swaps its partition entry (its first segment) for
+        // the number of ids it emitted
+        parts.par_iter_mut().enumerate().for_each(|(ci, part)| {
+            let (w0, w1) = (ci * chunk, ((ci + 1) * chunk).min(ranks));
+            let mut w = w0;
+            // CAST: segment indices and ranks widen u32 -> usize (see above).
+            let mut seg = *part as usize;
+            while seg < items.len() && (offsets[seg] as usize) < w1 {
+                let base = offsets[seg] as usize;
+                let src = expansion_vertex(ctx, spec.input, items[seg]);
+                let row = g.edge_range(src).start;
+                // the source's ranks inside [w0, w1), relative to its first
+                // edge (empty for a zero-degree item)
+                let lo = w0.max(base) - base;
+                // CAST: degrees widen u32 -> usize.
+                let hi = (base + degrees[seg] as usize).min(w1) - base;
+                walk(ctx, functor, spec.output, src, row + lo..row + hi, |v| {
+                    // SAFETY: ranks [w0, w1) belong to this chunk alone and
+                    // w never passes w1: at most one write per rank.
+                    unsafe { out_ref.write(w, v) };
+                    w += 1;
+                });
+                seg += 1;
             }
+            // CAST: a chunk emits at most cta_size ids, below u32::MAX.
+            *part = (w - w0) as u32;
         });
     }
-    pool.put_u32(scanned);
-    pool.put_u32(starts);
-    if collect_output {
-        compact_slots_into(ctx, &slots, out);
+    pool.put_u32(offsets);
+    if collect {
+        pack_windows(&slots, &mut parts, |ci| ci * chunk, out);
         pool.put_u32(slots);
     }
+    pool.put_u32(parts);
 }
 
 #[cfg(test)]
@@ -737,6 +686,12 @@ mod tests {
 
     fn skewed_graph() -> gunrock_graph::Csr {
         GraphBuilder::new().build(rmat(9, 16, Default::default(), 5))
+    }
+
+    /// [`load_balanced_from`] with an injected rank limit.
+    fn lb_limited(ctx: &Context<'_>, f: &Frontier, spec: AdvanceSpec, limit: u64) -> Frontier {
+        let degrees = Degrees::gather(ctx, f.as_slice(), spec.input);
+        load_balanced_from(ctx, f, degrees, spec, &AcceptAll, limit)
     }
 
     fn modes_output(
@@ -807,6 +762,49 @@ mod tests {
         let tm = thread_mapped(&ctx, &f, AdvanceSpec::v2v(), &AcceptAll);
         let lb = load_balanced(&ctx, &f, AdvanceSpec::v2v(), &AcceptAll);
         assert_eq!(tm.as_slice(), lb.as_slice());
+    }
+
+    /// Vertices 0..10 with out-degrees [3, 0, 4, 0, 0, 7, 0, 1, 6, 0] into
+    /// 10..31, and a frontier walking them twice: the zero-degree items
+    /// rank at 3, 7, 14, 21, 24, 28, 35 and 42, on chunk edges for every
+    /// chunk width the exact-order test uses.
+    fn zero_degree_items_on_chunk_edges() -> (gunrock_graph::Csr, Frontier) {
+        let degrees = [3u32, 0, 4, 0, 0, 7, 0, 1, 6, 0];
+        let mut edges = Vec::new();
+        for (v, &d) in degrees.iter().enumerate() {
+            for _ in 0..d {
+                edges.push((v as u32, 10 + edges.len() as u32));
+            }
+        }
+        let g = GraphBuilder::new().directed().build(Coo::from_edges(31, &edges));
+        (g, Frontier::from_vec((0..10).chain(0..10).collect()))
+    }
+
+    #[test]
+    fn load_balanced_equals_serial_exactly_for_every_chunk_width() {
+        let keep_odd = EdgeCond(|_s: u32, d: u32, _e: u32| d % 2 == 1);
+        let (small, small_f) = zero_degree_items_on_chunk_edges();
+        let skewed = skewed_graph();
+        let n = skewed.num_vertices() as u32;
+        // large enough for the parallel gather and the parallel pack
+        let large_f = Frontier::from_vec(
+            (0..FRONTIER_SEQ_CUTOFF as u32 * 3).map(|i| i * 7 % n).collect(),
+        );
+        for (g, f) in [(&small, &small_f), (&skewed, &large_f)] {
+            for cta_size in [1, 3, 7, 256] {
+                for spec in [AdvanceSpec::v2v(), AdvanceSpec::v2e()] {
+                    let reference = Context::new(g);
+                    let work = frontier_neighbor_count(&reference, f, spec.input);
+                    let want = serial(&reference, f, spec, &keep_odd, work);
+                    let config = EngineConfig { cta_size, ..EngineConfig::new() };
+                    let ctx = Context::new(g).with_config(config);
+                    let got = load_balanced(&ctx, f, spec, &keep_odd);
+                    assert_eq!(got.as_slice(), want.as_slice(), "cta {cta_size}, {spec:?}");
+                    assert_eq!(ctx.counters.edges(), reference.counters.edges());
+                    assert!(!got.is_empty());
+                }
+            }
+        }
     }
 
     #[test]
@@ -986,7 +984,7 @@ mod tests {
         let reference = load_balanced(&ctx_ref, &f, spec, &AcceptAll);
 
         let ctx = Context::new(&g);
-        let guarded = load_balanced_with_limit(&ctx, &f, spec, &AcceptAll, 256);
+        let guarded = lb_limited(&ctx, &f, spec, 256);
         assert_eq!(guarded.as_slice(), reference.as_slice(), "split path must preserve order");
         assert_eq!(ctx.counters.edges(), ctx_ref.counters.edges());
         assert_eq!(ctx.counters.edges(), 5000);
@@ -1003,7 +1001,7 @@ mod tests {
         let spec = AdvanceSpec::v2v();
 
         let ctx = Context::new(&g);
-        let out = load_balanced_with_limit(&ctx, &f, spec, &AcceptAll, 10);
+        let out = lb_limited(&ctx, &f, spec, 10);
         let mut got = out.into_vec();
         got.sort_unstable();
         let mut want: Vec<u32> = (1..=deg).flat_map(|d| [d, d, d]).collect();
@@ -1024,13 +1022,13 @@ mod tests {
         let ctx = Context::new(&g)
             .with_policy(RunPolicy::unbounded().wall_clock_budget(std::time::Duration::ZERO));
         let guard = ctx.guard(); // arms the (already-expired) deadline
-        let out = load_balanced_with_limit(&ctx, &f, AdvanceSpec::v2v(), &AcceptAll, 256);
+        let out = lb_limited(&ctx, &f, AdvanceSpec::v2v(), 256);
         assert!(out.is_empty(), "expired deadline must stop before the first batch");
         assert_eq!(guard.check(0), Some(gunrock_engine::stats::RunOutcome::TimedOut));
 
         // without arming the guard, the same call runs to completion
         let ctx2 = Context::new(&g);
-        let full = load_balanced_with_limit(&ctx2, &f, AdvanceSpec::v2v(), &AcceptAll, 256);
+        let full = lb_limited(&ctx2, &f, AdvanceSpec::v2v(), 256);
         assert_eq!(full.len(), 5000);
     }
 
@@ -1041,13 +1039,7 @@ mod tests {
         let ctx_a = Context::new(&g);
         let ctx_b = Context::new(&g);
         let a = load_balanced(&ctx_a, &f, AdvanceSpec::v2v(), &AcceptAll);
-        let b = load_balanced_with_limit(
-            &ctx_b,
-            &f,
-            AdvanceSpec::v2v(),
-            &AcceptAll,
-            u32::MAX as u64,
-        );
+        let b = lb_limited(&ctx_b, &f, AdvanceSpec::v2v(), u32::MAX as u64);
         assert_eq!(a.as_slice(), b.as_slice());
     }
 

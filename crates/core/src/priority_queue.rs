@@ -13,8 +13,9 @@
 //! in-place pass: [`NearFarQueue::split`] compacts the near slice inside
 //! the frontier it is handed and appends the rest to the far pile, and
 //! [`NearFarQueue::refill`] compacts the far pile in place while it moves
-//! the next window into a pooled buffer. Only the far pile itself grows
-//! outside the pool, amortized.
+//! the next window's elements that the caller's claim admits into a
+//! pooled buffer. Only the far pile itself grows outside the pool,
+//! amortized.
 
 use gunrock_engine::frontier::Frontier;
 use gunrock_engine::pool::BufferPool;
@@ -92,12 +93,16 @@ impl NearFarQueue {
     /// near frontier in a buffer checked out of `pool`. Elements whose
     /// priority has meanwhile dropped below the *old* pivot are stale (the
     /// relaxation that lowered them also re-enqueued them) and are
-    /// dropped. Each window is one in-place pass over the far pile.
-    /// Returns an empty frontier when the far pile is exhausted too —
-    /// convergence.
-    pub fn refill<P>(&mut self, pool: &BufferPool, priority: P) -> Frontier
+    /// dropped. A qualifying element enters the window only when `claim`
+    /// admits it, so a caller whose claim succeeds once per element (a
+    /// tag swap to a fresh id) gets an element parked k times back once,
+    /// not k times; the rest leave the pile with it. Each window is one
+    /// in-place pass over the far pile. Returns an empty frontier when
+    /// the far pile is exhausted too — convergence.
+    pub fn refill<P, C>(&mut self, pool: &BufferPool, priority: P, claim: C) -> Frontier
     where
         P: Fn(u32) -> u32,
+        C: Fn(u32) -> bool,
     {
         if self.far.is_empty() {
             return Frontier::new();
@@ -108,7 +113,7 @@ impl NearFarQueue {
             self.pivot = pivot;
             self.far.retain(|&v| {
                 let p = priority(v);
-                if p < pivot && p >= old_pivot {
+                if p < pivot && p >= old_pivot && claim(v) {
                     near.push(v);
                 }
                 p >= pivot
@@ -155,11 +160,11 @@ mod tests {
         let near = q.split(f, |v| prios[v as usize]);
         assert_eq!(near.as_slice(), &[3]);
         // refill: window becomes [10, 20): v=2 qualifies
-        let near = q.refill(&pool, |v| prios[v as usize]);
+        let near = q.refill(&pool, |v| prios[v as usize], |_| true);
         assert_eq!(near.as_slice(), &[2]);
         // pretend v=1's priority dropped to 5 (stale): refill must drop it
         let updated = [0u32, 5, 15, 3];
-        let near = q.refill(&pool, |v| updated[v as usize]);
+        let near = q.refill(&pool, |v| updated[v as usize], |_| true);
         assert!(near.is_empty());
         assert!(q.is_exhausted());
     }
@@ -174,12 +179,30 @@ mod tests {
         let near = q.split(Frontier::from_vec(vec![1, 2, 3]), |v| v * 10);
         assert!(near.is_empty());
         for want in 1..=3 {
-            let near = q.refill(&pool, |v| v * 10);
+            let near = q.refill(&pool, |v| v * 10, |_| true);
             assert_eq!(near.as_slice(), &[want]);
             pool.put_u32(near.into_vec());
         }
-        assert!(q.refill(&pool, |v| v * 10).is_empty());
+        assert!(q.refill(&pool, |v| v * 10, |_| true).is_empty());
         assert_eq!(pool.stats().allocations, warm, "every refill reused the pooled buffer");
+    }
+
+    #[test]
+    fn a_vertex_parked_three_times_is_refilled_once() {
+        use std::cell::Cell;
+        let pool = BufferPool::new();
+        let mut q = NearFarQueue::new(10);
+        // vertex 4 is parked by three splits, vertex 7 once
+        for f in [vec![4], vec![4, 7], vec![4]] {
+            assert!(q.split(Frontier::from_vec(f), |_| 15).is_empty());
+        }
+        assert_eq!(q.far_len(), 4);
+        // a claim that admits each vertex once, like SSSP's tag swap
+        let claimed = Cell::new(0u64);
+        let claim = |v: u32| claimed.replace(claimed.get() | 1 << v) & 1 << v == 0;
+        let near = q.refill(&pool, |_| 15, claim);
+        assert_eq!(near.as_slice(), &[4, 7]);
+        assert!(q.is_exhausted(), "the duplicates left the pile with the claimed copy");
     }
 
     #[test]
@@ -190,7 +213,7 @@ mod tests {
         let near = q.split(f, |_| 23);
         assert!(near.is_empty());
         // windows [5,10), [10,15), [15,20) are empty; [20,25) catches it
-        let near = q.refill(&pool, |_| 23);
+        let near = q.refill(&pool, |_| 23, |_| true);
         assert_eq!(near.as_slice(), &[0]);
     }
 
@@ -201,7 +224,7 @@ mod tests {
         let f = Frontier::from_vec(vec![0, 1]);
         let near = q.split(f, |_| u32::MAX);
         assert!(near.is_empty());
-        let near = q.refill(&pool, |_| u32::MAX);
+        let near = q.refill(&pool, |_| u32::MAX, |_| true);
         assert!(near.is_empty());
         assert!(q.is_exhausted());
     }

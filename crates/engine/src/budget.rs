@@ -166,8 +166,8 @@ pub fn pooled_bytes(elems: u64, elem_size: u64) -> u64 {
 }
 
 /// Worst-case advance working set (bytes) for one strategy at a given
-/// frontier size and neighbor count: the scan-offset expansion takes a
-/// degree buffer and an offset buffer over the frontier plus slot and
+/// frontier size and neighbor count: the ranked expansion takes a degree
+/// buffer and an offset buffer over the frontier plus slot-window and
 /// output buffers over the gathered neighbors; the serial path writes
 /// straight into one output buffer.
 pub fn advance_workspace_bytes(frontier_len: u64, neighbors: u64, strategy: &str) -> u64 {
@@ -176,10 +176,14 @@ pub fn advance_workspace_bytes(frontier_len: u64, neighbors: u64, strategy: &str
     match strategy {
         // one pooled output buffer, no scan scratch
         "serial" => gathered,
-        // load_balanced adds the per-batch edge index over the slots
+        // load_balanced: degrees + offsets + merge-path partitions (one
+        // per chunk, reused as the chunks' emission counts, so at most
+        // one per gathered edge) + slots + output
         "load_balanced" => 2 * frontier + 3 * gathered,
         // thread_mapped (and twc, which merges per-bucket expansions):
-        // degrees + offsets + slots + compacted output
+        // degrees + offsets + slots + output; the per-grain counts (one
+        // per grain, so at most one per item) are taken after the
+        // degrees go back
         _ => 2 * frontier + 2 * gathered,
     }
 }

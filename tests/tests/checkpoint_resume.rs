@@ -548,6 +548,37 @@ fn sssp_mid_run_snapshots_resume_bit_identically() {
     }
 }
 
+/// The refill claims the next window's vertices in `tags` and moves
+/// `queue_id` on; a snapshot taken at the boundary right after a refill
+/// (the first one whose pivot moved) resumes to the uninterrupted run
+/// bit for bit.
+#[test]
+fn sssp_snapshot_right_after_a_refill_resumes_bit_identically() {
+    let g = kron10();
+    let opts = algos::SsspOptions::default();
+    let full = algos::sssp(&Context::new(&g), 0, opts);
+    let pivot = |ckpt: &Checkpoint| ckpt.u32s("scalars").expect("scalars")[3];
+    let mut before = None;
+    for cap in 1..full.iterations {
+        let dir = ckpt_dir(&format!("sssp_refill{cap}"));
+        let ckpt = interrupt(&g, &dir, "sssp", cap, |ctx| {
+            let r = algos::sssp(ctx, 0, opts);
+            (r.dist, r.outcome)
+        });
+        std::fs::remove_dir_all(&dir).ok();
+        if before.is_some_and(|p| p != pivot(&ckpt)) {
+            let r = algos::sssp_resume(&Context::new(&g), opts, &ckpt).expect("resume");
+            assert_eq!(r.outcome, RunOutcome::Converged, "cap {cap}");
+            assert_eq!(r.dist, full.dist, "cap {cap}");
+            assert_eq!(r.preds, full.preds, "cap {cap}");
+            assert_eq!(r.iterations, full.iterations, "cap {cap}");
+            return;
+        }
+        before = Some(pivot(&ckpt));
+    }
+    panic!("no refill in {} iterations", full.iterations);
+}
+
 /// Periodic snapshots are also resumable on their own — not just the
 /// exit snapshot: resuming the *mid-run* file converges to the same
 /// fixpoint even though later iterations overwrote it in the

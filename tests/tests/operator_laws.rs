@@ -328,7 +328,7 @@ proptest! {
         let input = Frontier::from_vec((0..n).collect());
         let mut seen: Vec<u32> = q.split(input, |v| prios[v as usize]).into_vec();
         loop {
-            let next = q.refill(&pool, |v| prios[v as usize]);
+            let next = q.refill(&pool, |v| prios[v as usize], |_| true);
             if next.is_empty() {
                 break;
             }

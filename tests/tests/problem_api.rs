@@ -46,7 +46,7 @@ fn sssp(ctx: &Context<'_>, src: u32) -> (Vec<u32>, Enacted) {
         let claimed = advance::advance(ctx, &frontier, AdvanceSpec::v2v(), &relax);
         let near = queue.split(claimed, |v| dist[v as usize].load(Ordering::Relaxed));
         frontier = if near.is_empty() {
-            queue.refill(ctx.pool(), |v| dist[v as usize].load(Ordering::Relaxed))
+            queue.refill(ctx.pool(), |v| dist[v as usize].load(Ordering::Relaxed), |_| true)
         } else {
             near
         };
