@@ -158,11 +158,13 @@ mod tests {
     fn hopeless_budget_fails_msppr_at_admission() {
         let g = GraphBuilder::new().build(erdos_renyi(100, 300, 1));
         let ctx = Context::new(&g).with_budget(Arc::new(MemoryBudget::new(1024)));
-        match crate::msppr::try_msppr(&ctx, &[0, 1], Default::default()) {
-            Err(GunrockError::BudgetExceeded { operator, .. }) => {
+        let r = crate::msppr::msppr(&ctx, &[0, 1], Default::default());
+        assert_eq!(r.outcome, RunOutcome::Failed);
+        match ctx.take_failure() {
+            Some(GunrockError::BudgetExceeded { operator, .. }) => {
                 assert_eq!(operator, "admission")
             }
-            other => panic!("expected BudgetExceeded from admission, got {:?}", other.err()),
+            other => panic!("expected BudgetExceeded from admission, got {other:?}"),
         }
     }
 }

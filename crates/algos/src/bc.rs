@@ -15,12 +15,10 @@
 //! doubles: where they overflow, scores are NaN exactly where
 //! `serial::brandes_single_source`'s are (DESIGN §5.3).
 
-use crate::recover::{
-    check_failed, expect_len, expect_vertex_ids, malformed, scalar, to_atomic_f64,
-    to_atomic_u32,
-};
+use crate::recover::{check_failed, malformed, to_atomic_f64, to_atomic_u32};
 use gunrock::prelude::*;
 use gunrock_engine::atomics::{atomic_u32_vec, into_plain_u32, unwrap_atomic_u32, AtomicF64};
+use gunrock_engine::checkpoint::{Field, Kind::*, Schema, Slot::*};
 use gunrock_graph::{EdgeId, VertexId, INFINITY};
 use std::sync::atomic::{AtomicU32, Ordering};
 
@@ -123,18 +121,44 @@ impl BcLoop {
     }
 }
 
-/// Builds an iteration-boundary snapshot. The level stack is
-/// `levels_flat` + `level_offsets` (offsets table one longer than the
-/// level count); scalars are `[src, deepest level, phase, back_lvl]`.
+/// The snapshot [`bc_checkpoint`] writes and [`bc_resume`] reads. The
+/// level stack is `levels_flat` cut by `level_offsets`, one longer than
+/// the level count.
+pub(crate) static SNAPSHOT: Schema = Schema {
+    primitive: "bc",
+    fields: &[
+        Field("depth", "u32", PerVertex),
+        Field("sigma", "f64", PerVertex),
+        Field("delta", "f64", PerVertex),
+        Field("levels_flat", "u32", VertexIds),
+        Field("level_offsets", "u32", List),
+        Field(
+            "scalars",
+            "u32",
+            Slots(&[Vertex("src"), Plain("last_level"), Plain("phase"), Plain("back_lvl")]),
+        ),
+    ],
+};
+
+/// Builds an iteration-boundary snapshot.
 fn bc_checkpoint(iteration: u32, src: VertexId, st: &BcLoop) -> Checkpoint {
-    let mut ckpt = Checkpoint::new("bc", iteration);
-    ckpt.push_u32("depth", unwrap_atomic_u32(&st.depth));
-    ckpt.push_f64("sigma", st.sigma.iter().map(|a| a.load()).collect());
-    ckpt.push_f64("delta", st.delta.iter().map(|a| a.load()).collect());
-    ckpt.push_u32("levels_flat", st.levels.clone());
-    ckpt.push_u32("level_offsets", st.offsets.clone());
-    ckpt.push_u32("scalars", vec![src, st.last_level(), st.phase, st.back_lvl]);
-    ckpt
+    SNAPSHOT
+        .writer(iteration)
+        .section("depth", unwrap_atomic_u32(&st.depth))
+        .section("sigma", st.sigma.iter().map(|a| a.load()).collect())
+        .section("delta", st.delta.iter().map(|a| a.load()).collect())
+        .section("levels_flat", st.levels.clone())
+        .section("level_offsets", st.offsets.clone())
+        .slots(
+            "scalars",
+            &[
+                ("src", src),
+                ("last_level", st.last_level()),
+                ("phase", st.phase),
+                ("back_lvl", st.back_lvl),
+            ],
+        )
+        .finish()
 }
 
 /// Runs a single-source BC pass from `src`. Summing `bc_values` over all
@@ -166,17 +190,9 @@ pub fn bc_resume(
     opts: BcOptions,
     ckpt: &Checkpoint,
 ) -> Result<BcResult, GunrockError> {
-    ckpt.expect_primitive("bc")?;
     let n = ctx.num_vertices();
-    let depth = ckpt.u32s("depth")?;
-    expect_len(depth.len(), n, "depth")?;
-    let sigma = ckpt.f64s("sigma")?;
-    expect_len(sigma.len(), n, "sigma")?;
-    let delta = ckpt.f64s("delta")?;
-    expect_len(delta.len(), n, "delta")?;
-    let flat = ckpt.u32s("levels_flat")?;
-    expect_vertex_ids(flat, n, "levels_flat")?;
-    let offsets = ckpt.u32s("level_offsets")?;
+    let snap = SNAPSHOT.read(ckpt, n)?;
+    let (flat, offsets) = (snap.section("levels_flat")?, snap.section("level_offsets")?);
     if flat.len() > n
         || offsets.len() < 2
         || offsets.first() != Some(&0)
@@ -185,23 +201,19 @@ pub fn bc_resume(
     {
         return Err(malformed("level_offsets is not a monotone cover of up to n levelled ids"));
     }
-    let scalars = ckpt.u32s("scalars")?;
-    let src = scalar(scalars, 0, "src")?;
-    if src as usize >= n {
-        return Err(malformed(format!("source {src} out of range for {n} vertices")));
-    }
-    let phase = scalar(scalars, 2, "phase")?;
+    let phase = snap.slot("phase")?;
     if phase != PHASE_FORWARD && phase != PHASE_BACKWARD {
         return Err(malformed(format!("unknown BC phase tag {phase}")));
     }
-    let back_lvl = scalar(scalars, 3, "back_lvl")?;
+    let back_lvl = snap.slot("back_lvl")?;
     if back_lvl as usize >= offsets.len() {
         return Err(malformed(format!("back_lvl {back_lvl} exceeds the recorded levels")));
     }
+    let src = snap.slot("src")?;
     let st = BcLoop {
-        depth: to_atomic_u32(depth),
-        sigma: to_atomic_f64(sigma),
-        delta: to_atomic_f64(delta),
+        depth: to_atomic_u32(snap.section("depth")?),
+        sigma: to_atomic_f64(snap.section("sigma")?),
+        delta: to_atomic_f64(snap.section("delta")?),
         levels: flat.to_vec(),
         offsets: offsets.to_vec(),
         phase,

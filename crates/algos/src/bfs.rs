@@ -14,12 +14,10 @@
 //! idempotent advance + culling filter (`gunrock_bench::bfs_two_kernel`,
 //! ablations A2 and A3).
 
-use crate::recover::{
-    check_failed, expect_len, expect_setting_on, expect_vertex_ids, malformed, scalar,
-    to_atomic_u32,
-};
+use crate::recover::{check_failed, malformed, to_atomic_u32};
 use gunrock::prelude::*;
 use gunrock_engine::atomics::{atomic_u32_vec, unwrap_atomic_u32};
+use gunrock_engine::checkpoint::{Field, Kind::*, Schema, Slot::*};
 #[cfg(test)]
 use gunrock_graph::Csr;
 use gunrock_graph::{EdgeId, VertexId, INFINITY, INVALID_VERTEX};
@@ -206,26 +204,51 @@ fn rebuild_visited(ctx: &Context<'_>, labels: &[AtomicU32]) -> PooledBitmap {
     bm
 }
 
-/// Builds an iteration-boundary snapshot. Sections: per-vertex
-/// `labels`/`preds`, the live `frontier`, an `unvisited` section kept
-/// for the format's sake and written empty (at any boundary the pull
-/// candidates are exactly the unlabeled vertices, which resume derives
-/// from `labels`), plus packed scalars `[src, level, pull_iters,
-/// direction, variant, record_preds]` and the 64-bit `unvisited_edges`
-/// counter. The variant and record-predecessors slots are retired and
-/// written with the one value left: [`VARIANT_TAG`] and 1.
+/// The snapshot [`bfs_checkpoint`] writes and [`bfs_resume`] reads.
+pub(crate) static SNAPSHOT: Schema = Schema {
+    primitive: "bfs",
+    fields: &[
+        Field("labels", "u32", PerVertex),
+        Field("preds", "u32", PerVertex),
+        Field("frontier", "u32", VertexIds),
+        // written empty: the pull candidates are the unlabeled vertices
+        Field("unvisited", "u32", VertexIds),
+        Field(
+            "scalars",
+            "u32",
+            Slots(&[
+                Vertex("src"),
+                Plain("level"),
+                Plain("pull_iterations"),
+                Plain("direction"),
+                Plain("variant"),
+                Pinned("record_predecessors", 1),
+            ]),
+        ),
+        Field("counters", "u64", Slots(&[Plain("unvisited_edges")])),
+    ],
+};
+
+/// Builds an iteration-boundary snapshot.
 fn bfs_checkpoint(iteration: u32, src: VertexId, st: &BfsLoop) -> Checkpoint {
-    let mut ckpt = Checkpoint::new("bfs", iteration);
-    ckpt.push_u32("labels", unwrap_atomic_u32(&st.labels));
-    ckpt.push_u32("preds", unwrap_atomic_u32(&st.preds));
-    ckpt.push_u32("frontier", st.frontier.as_slice().to_vec());
-    ckpt.push_u32("unvisited", Vec::new());
-    ckpt.push_u32(
-        "scalars",
-        vec![src, st.level, st.pull_iters, direction_tag(st.direction), VARIANT_TAG, 1],
-    );
-    ckpt.push_u64("counters", vec![st.unvisited_edges]);
-    ckpt
+    SNAPSHOT
+        .writer(iteration)
+        .section("labels", unwrap_atomic_u32(&st.labels))
+        .section("preds", unwrap_atomic_u32(&st.preds))
+        .section("frontier", st.frontier.as_slice().to_vec())
+        .section::<u32>("unvisited", Vec::new())
+        .slots(
+            "scalars",
+            &[
+                ("src", src),
+                ("level", st.level),
+                ("pull_iterations", st.pull_iters),
+                ("direction", direction_tag(st.direction)),
+                ("variant", VARIANT_TAG),
+            ],
+        )
+        .slots("counters", &[("unvisited_edges", st.unvisited_edges)])
+        .finish()
 }
 
 /// Runs BFS from `src`. Direction-optimized traversal pulls only over
@@ -240,7 +263,7 @@ pub fn bfs(ctx: &Context<'_>, src: VertexId, opts: BfsOptions) -> BfsResult {
     let st = BfsLoop {
         labels,
         preds: atomic_u32_vec(n, INVALID_VERTEX),
-        frontier: Frontier::single(src),
+        frontier: ctx.pooled_frontier([src].into_iter()),
         level: 0,
         pull_iters: 0,
         direction: TraversalDirection::Push,
@@ -260,45 +283,25 @@ pub fn bfs_resume(
     opts: BfsOptions,
     ckpt: &Checkpoint,
 ) -> Result<BfsResult, GunrockError> {
-    ckpt.expect_primitive("bfs")?;
-    let n = ctx.num_vertices();
-    let labels = ckpt.u32s("labels")?;
-    expect_len(labels.len(), n, "labels")?;
-    let preds = ckpt.u32s("preds")?;
-    let frontier = ckpt.u32s("frontier")?;
-    expect_vertex_ids(frontier, n, "frontier")?;
-    // The unvisited section is validated for format integrity but not
-    // carried into the loop: the pull phase derives its candidate bitmap
-    // from the labels' complement, which is the same set.
-    let unvisited = ckpt.u32s("unvisited")?;
-    expect_vertex_ids(unvisited, n, "unvisited")?;
-    let scalars = ckpt.u32s("scalars")?;
-    let counters = ckpt.u64s("counters")?;
-    let src = scalar(scalars, 0, "src")?;
-    if src as usize >= n {
-        return Err(malformed(format!("source {src} out of range for {n} vertices")));
-    }
-    let level = scalar(scalars, 1, "level")?;
-    let pull_iters = scalar(scalars, 2, "pull_iterations")?;
-    let direction = match scalar(scalars, 3, "direction")? {
+    let snap = SNAPSHOT.read(ckpt, ctx.num_vertices())?;
+    let direction = match snap.slot::<u32>("direction")? {
         0 => TraversalDirection::Push,
         1 => TraversalDirection::Pull,
         other => return Err(malformed(format!("unknown direction tag {other}"))),
     };
-    let variant = scalar(scalars, 4, "variant")?;
+    let variant: u32 = snap.slot("variant")?;
     if variant > 3 {
         return Err(malformed(format!("unknown BFS variant tag {variant}")));
     }
-    expect_setting_on(scalars, 5, "record_predecessors")?;
-    expect_len(preds.len(), n, "preds")?;
+    let src = snap.slot("src")?;
     let st = BfsLoop {
-        labels: to_atomic_u32(labels),
-        preds: to_atomic_u32(preds),
-        frontier: Frontier::from_vec(frontier.to_vec()),
-        level,
-        pull_iters,
+        labels: to_atomic_u32(snap.section("labels")?),
+        preds: to_atomic_u32(snap.section("preds")?),
+        frontier: ctx.pooled_frontier(snap.section("frontier")?.iter().copied()),
+        level: snap.slot("level")?,
+        pull_iters: snap.slot("pull_iterations")?,
         direction,
-        unvisited_edges: counters.first().copied().unwrap_or(0),
+        unvisited_edges: snap.slot("unvisited_edges")?,
     };
     let r = bfs_run(ctx, src, opts, st, ckpt.iteration());
     check_failed(ctx, r.outcome, r)

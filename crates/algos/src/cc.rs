@@ -26,11 +26,10 @@
 //! context; without one the residual frontier is every vertex with more
 //! than two neighbours — still a single pass over the edges.
 
-use crate::recover::{
-    check_failed, expect_len, expect_vertex_ids, failure_of, malformed, scalar, to_atomic_u32,
-};
+use crate::recover::{check_failed, failure_of, malformed, to_atomic_u32};
 use gunrock::prelude::*;
 use gunrock_engine::atomics::{into_plain_u32, link, root, unwrap_atomic_u32};
+use gunrock_engine::checkpoint::{Field, Kind::*, Schema, Slot::*};
 use gunrock_graph::{Csr, EdgeId, VertexId};
 use std::sync::atomic::{AtomicU32, Ordering};
 
@@ -162,14 +161,24 @@ struct CcLoop {
     giant: u32,
 }
 
-/// Builds an iteration-boundary snapshot. Sections: per-vertex `labels`,
-/// the residual `frontier` and the scalars `[phase, giant]`.
+/// The snapshot [`cc_checkpoint`] writes and [`cc_resume`] reads.
+static SNAPSHOT: Schema = Schema {
+    primitive: "cc",
+    fields: &[
+        Field("labels", "u32", PerVertex),
+        Field("frontier", "u32", VertexIds),
+        Field("scalars", "u32", Slots(&[Plain("phase"), Plain("giant")])),
+    ],
+};
+
+/// Builds an iteration-boundary snapshot.
 fn cc_checkpoint(iteration: u32, st: &CcLoop) -> Checkpoint {
-    let mut ckpt = Checkpoint::new("cc", iteration);
-    ckpt.push_u32("labels", unwrap_atomic_u32(&st.labels));
-    ckpt.push_u32("frontier", st.residual.as_slice().to_vec());
-    ckpt.push_u32("scalars", vec![st.phase, st.giant]);
-    ckpt
+    SNAPSHOT
+        .writer(iteration)
+        .section("labels", unwrap_atomic_u32(&st.labels))
+        .section("frontier", st.residual.as_slice().to_vec())
+        .slots("scalars", &[("phase", st.phase), ("giant", st.giant)])
+        .finish()
 }
 
 /// Labels connected components. Works on the undirected interpretation
@@ -184,17 +193,13 @@ pub fn cc(ctx: &Context<'_>) -> CcResult {
 
 /// Resumes CC from a `gunrock-ckpt/v1` snapshot.
 pub fn cc_resume(ctx: &Context<'_>, ckpt: &Checkpoint) -> Result<CcResult, GunrockError> {
-    ckpt.expect_primitive("cc")?;
-    let n = ctx.num_vertices();
-    let labels = ckpt.u32s("labels")?;
-    expect_len(labels.len(), n, "labels")?;
+    let snap = SNAPSHOT.read(ckpt, ctx.num_vertices())?;
+    let labels = snap.section("labels")?;
     if let Some(v) = labels.iter().zip(0u32..).find_map(|(&l, v)| (l > v).then_some(v)) {
         return Err(malformed(format!("label of vertex {v} is not a smaller-or-equal id")));
     }
-    let frontier = ckpt.u32s("frontier")?;
-    expect_vertex_ids(frontier, n, "frontier")?;
-    let scalars = ckpt.u32s("scalars")?;
-    let (phase, giant) = (scalar(scalars, 0, "phase")?, scalar(scalars, 1, "giant")?);
+    let (frontier, phase, giant) =
+        (snap.section("frontier")?, snap.slot("phase")?, snap.slot("giant")?);
     if phase > PHASE_DONE {
         return Err(malformed(format!("unknown CC phase tag {phase}")));
     }

@@ -32,7 +32,7 @@ pub fn k_core(ctx: &Context<'_>) -> KcoreResult {
     let degree: Vec<AtomicU32> =
         (0..n as u32).map(|v| AtomicU32::new(g.out_degree(v))).collect();
     let core: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(0)).collect();
-    let mut alive = Frontier::full(n);
+    let mut alive = ctx.pooled_frontier(0..n as u32);
     let mut k = 0u32;
     let mut run = Enactment::arm(ctx, 0);
     'enact: while !alive.is_empty() {

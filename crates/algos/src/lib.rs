@@ -63,8 +63,8 @@ pub use bc::{bc, bc_resume, BcOptions, BcResult};
 pub use bfs::{bfs, bfs_resume, BfsOptions, BfsResult};
 pub use cc::{cc, cc_resume, CcResult};
 pub use kcore::{k_core, KcoreResult};
-pub use msbfs::{msbfs, msbfs_resume, try_msbfs, MsbfsResult};
-pub use msppr::{msppr, msppr_resume, try_msppr, MspprOptions, MspprResult};
+pub use msbfs::{msbfs, msbfs_resume, MsbfsResult};
+pub use msppr::{msppr, msppr_resume, MspprOptions, MspprResult};
 pub use mst::{mst, MstResult};
 pub use pagerank::{pagerank, pagerank_resume, PrOptions, PrResult};
 pub use sssp::{sssp, sssp_resume, SsspOptions, SsspResult};

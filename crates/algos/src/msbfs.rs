@@ -12,14 +12,13 @@
 //!
 //! The loop honors the same run-policy machinery as the single-source
 //! primitives: guard checks at every iteration boundary, periodic and
-//! exit checkpoints (`msbfs` snapshots carry the lane words and the
-//! lane-major depth array), and structured failure on operator panic.
+//! exit checkpoints (`msbfs` snapshots), and structured failure on
+//! operator panic.
 
-use crate::recover::{
-    check_failed, expect_len, expect_vertex_ids, malformed, scalar, to_atomic_u32,
-};
+use crate::recover::{check_failed, malformed, to_atomic_u32};
 use gunrock::prelude::*;
 use gunrock_engine::atomics::{atomic_u32_vec, into_plain_u32, unwrap_atomic_u32};
+use gunrock_engine::checkpoint::{Field, Kind::*, Schema, Slot::*};
 use gunrock_graph::{VertexId, INFINITY};
 use std::sync::atomic::{AtomicU32, Ordering};
 
@@ -112,62 +111,43 @@ pub fn msbfs(ctx: &Context<'_>, sources: &[VertexId]) -> MsbfsResult {
     msbfs_run(ctx, sources, st, 0)
 }
 
-/// [`msbfs`] with `Result` semantics: `Err` carries the structured
-/// failure when an operator panicked or admission rejected the batch.
-pub fn try_msbfs(ctx: &Context<'_>, sources: &[VertexId]) -> Result<MsbfsResult, GunrockError> {
-    let r = msbfs(ctx, sources);
-    check_failed(ctx, r.outcome, r)
-}
-
 /// Resumes a batch from a `gunrock-ckpt/v1` snapshot written by
 /// [`msbfs`]'s checkpoint boundary.
 pub fn msbfs_resume(ctx: &Context<'_>, ckpt: &Checkpoint) -> Result<MsbfsResult, GunrockError> {
-    ckpt.expect_primitive("msbfs")?;
-    let n = ctx.num_vertices();
-    let sources = ckpt.u32s("sources")?;
-    expect_vertex_ids(sources, n, "sources")?;
-    if sources.is_empty() || sources.len() > LANES {
-        return Err(malformed(format!("msbfs checkpoint holds {} lanes", sources.len())));
-    }
-    let depths = ckpt.u32s("depths")?;
-    if depths.len() != n * sources.len() {
-        return Err(malformed(format!(
-            "depths section has {} entries, expected {} lanes x {} vertices",
-            depths.len(),
-            sources.len(),
-            n
-        )));
-    }
-    let seen = ckpt.u64s("seen")?;
-    expect_len(seen.len(), n, "seen")?;
-    let frontier = ckpt.u64s("frontier")?;
-    expect_len(frontier.len(), n, "frontier")?;
-    let scalars = ckpt.u32s("scalars")?;
-    let level = scalar(scalars, 0, "level")?;
-    let lane_count = scalar(scalars, 1, "lane_count")? as usize;
-    if lane_count != sources.len() {
+    let snap = SNAPSHOT.read(ckpt, ctx.num_vertices())?;
+    let sources = snap.section("sources")?.to_vec();
+    let lane_count: u32 = snap.slot("lane_count")?;
+    if lane_count as usize != sources.len() {
         return Err(malformed(format!(
             "scalar lane count {lane_count} disagrees with {} sources",
             sources.len()
         )));
     }
-    let counters = ckpt.u64s("counters")?;
-    let lanes_live = counters.first().copied().unwrap_or_else(|| lane_mask(sources.len()));
-    let sources = sources.to_vec();
     let st = MsbfsLoop {
-        depths: to_atomic_u32(depths),
-        seen_words: seen.to_vec(),
-        frontier_words: frontier.to_vec(),
-        level,
-        lanes_live,
+        depths: to_atomic_u32(snap.section("depths")?),
+        seen_words: snap.section("seen")?.to_vec(),
+        frontier_words: snap.section("frontier")?.to_vec(),
+        level: snap.slot("level")?,
+        lanes_live: snap.slot("lanes_live")?,
     };
     let r = msbfs_run(ctx, &sources, st, ckpt.iteration());
     check_failed(ctx, r.outcome, r)
 }
 
-/// Builds an iteration-boundary snapshot. Sections: lane-major `depths`,
-/// per-lane `sources`, the per-vertex `seen`/`frontier` lane words,
-/// packed scalars `[level, lane_count]`, and the 64-bit live-lane union.
+/// The snapshot [`msbfs_checkpoint`] writes and [`msbfs_resume`] reads.
+static SNAPSHOT: Schema = Schema {
+    primitive: "msbfs",
+    fields: &[
+        Field("depths", "u32", Lanes),
+        Field("sources", "u32", Sources),
+        Field("seen", "u64", PerVertex),
+        Field("frontier", "u64", PerVertex),
+        Field("scalars", "u32", Slots(&[Plain("level"), Plain("lane_count")])),
+        Field("counters", "u64", Slots(&[Plain("lanes_live")])),
+    ],
+};
+
+/// Builds an iteration-boundary snapshot.
 fn msbfs_checkpoint(
     iteration: u32,
     sources: &[VertexId],
@@ -177,14 +157,15 @@ fn msbfs_checkpoint(
     level: u32,
     lanes_live: u64,
 ) -> Checkpoint {
-    let mut ckpt = Checkpoint::new("msbfs", iteration);
-    ckpt.push_u32("depths", unwrap_atomic_u32(depths));
-    ckpt.push_u32("sources", sources.to_vec());
-    ckpt.push_u64("seen", seen.snapshot_words());
-    ckpt.push_u64("frontier", frontier.snapshot_words());
-    ckpt.push_u32("scalars", vec![level, sources.len() as u32]);
-    ckpt.push_u64("counters", vec![lanes_live]);
-    ckpt
+    SNAPSHOT
+        .writer(iteration)
+        .section("depths", unwrap_atomic_u32(depths))
+        .section("sources", sources.to_vec())
+        .section("seen", seen.snapshot_words())
+        .section("frontier", frontier.snapshot_words())
+        .slots("scalars", &[("level", level), ("lane_count", sources.len() as u32)])
+        .slots("counters", &[("lanes_live", lanes_live)])
+        .finish()
 }
 
 /// The enact loop proper, starting from an arbitrary iteration-boundary

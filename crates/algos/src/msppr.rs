@@ -22,8 +22,9 @@
 //!
 //! [`msbfs`]: crate::msbfs::msbfs
 
-use crate::recover::{check_failed, expect_len, expect_vertex_ids, malformed, scalar};
+use crate::recover::{check_failed, malformed};
 use gunrock::prelude::*;
+use gunrock_engine::checkpoint::{Field, Kind::*, Schema, Slot::*};
 use gunrock_graph::VertexId;
 use rayon::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -129,53 +130,36 @@ pub fn msppr(ctx: &Context<'_>, sources: &[VertexId], opts: MspprOptions) -> Msp
     msppr_run(ctx, sources, opts, MspprLoop { scores, residual, active_words }, 0)
 }
 
-/// [`msppr`] with `Result` semantics.
-pub fn try_msppr(
-    ctx: &Context<'_>,
-    sources: &[VertexId],
-    opts: MspprOptions,
-) -> Result<MspprResult, GunrockError> {
-    let r = msppr(ctx, sources, opts);
-    check_failed(ctx, r.outcome, r)
-}
-
 /// Resumes a batch from a `gunrock-ckpt/v1` snapshot written by
-/// [`msppr`]'s checkpoint boundary. `opts` configures the continued
-/// portion (threshold/teleport come from the checkpoint).
+/// [`msppr`]'s checkpoint boundary, with its teleport and threshold.
 pub fn msppr_resume(ctx: &Context<'_>, ckpt: &Checkpoint) -> Result<MspprResult, GunrockError> {
-    ckpt.expect_primitive("msppr")?;
-    let n = ctx.num_vertices();
-    let sources = ckpt.u32s("sources")?;
-    expect_vertex_ids(sources, n, "sources")?;
-    if sources.is_empty() || sources.len() > LANES {
-        return Err(malformed(format!("msppr checkpoint holds {} lanes", sources.len())));
-    }
-    let scores = ckpt.f64s("scores")?;
-    let residual = ckpt.f64s("residual")?;
-    if scores.len() != n * sources.len() || residual.len() != scores.len() {
-        return Err(malformed("score/residual sections disagree with lanes x vertices"));
-    }
-    let active = ckpt.u64s("active")?;
-    expect_len(active.len(), n, "active")?;
-    let scalars = ckpt.u32s("scalars")?;
-    let lane_count = scalar(scalars, 0, "lane_count")? as usize;
-    if lane_count != sources.len() {
+    let snap = SNAPSHOT.read(ckpt, ctx.num_vertices())?;
+    let sources = snap.section("sources")?.to_vec();
+    if snap.slot::<u32>("lane_count")? as usize != sources.len() {
         return Err(malformed("scalar lane count disagrees with sources"));
     }
-    let params = ckpt.f64s("params")?;
-    let opts = MspprOptions {
-        alpha: params.first().copied().unwrap_or(0.15),
-        epsilon: params.get(1).copied().unwrap_or(1e-6),
-    };
-    let sources = sources.to_vec();
+    let opts = MspprOptions { alpha: snap.slot("alpha")?, epsilon: snap.slot("epsilon")? };
     let st = MspprLoop {
-        scores: f64_cells(scores),
-        residual: f64_cells(residual),
-        active_words: active.to_vec(),
+        scores: f64_cells(snap.section("scores")?),
+        residual: f64_cells(snap.section("residual")?),
+        active_words: snap.section("active")?.to_vec(),
     };
     let r = msppr_run(ctx, &sources, opts, st, ckpt.iteration());
     check_failed(ctx, r.outcome, r)
 }
+
+/// The snapshot [`msppr_checkpoint`] writes and [`msppr_resume`] reads.
+static SNAPSHOT: Schema = Schema {
+    primitive: "msppr",
+    fields: &[
+        Field("scores", "f64", Lanes),
+        Field("residual", "f64", Lanes),
+        Field("active", "u64", PerVertex),
+        Field("sources", "u32", Sources),
+        Field("scalars", "u32", Slots(&[Plain("lane_count")])),
+        Field("params", "f64", Slots(&[Plain("alpha"), Plain("epsilon")])),
+    ],
+};
 
 /// Builds an iteration-boundary snapshot.
 fn msppr_checkpoint(
@@ -186,14 +170,15 @@ fn msppr_checkpoint(
     residual: &[AtomicU64],
     active: &LaneMap,
 ) -> Checkpoint {
-    let mut ckpt = Checkpoint::new("msppr", iteration);
-    ckpt.push_f64("scores", f64_values(scores));
-    ckpt.push_f64("residual", f64_values(residual));
-    ckpt.push_u64("active", active.snapshot_words());
-    ckpt.push_u32("sources", sources.to_vec());
-    ckpt.push_u32("scalars", vec![sources.len() as u32]);
-    ckpt.push_f64("params", vec![opts.alpha, opts.epsilon]);
-    ckpt
+    SNAPSHOT
+        .writer(iteration)
+        .section("scores", f64_values(scores))
+        .section("residual", f64_values(residual))
+        .section("active", active.snapshot_words())
+        .section("sources", sources.to_vec())
+        .slots("scalars", &[("lane_count", sources.len() as u32)])
+        .slots("params", &[("alpha", opts.alpha), ("epsilon", opts.epsilon)])
+        .finish()
 }
 
 /// The enact loop proper, after `done` completed iterations.

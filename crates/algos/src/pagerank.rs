@@ -21,9 +21,10 @@
 //! once the frontier is sparse — or without a reverse graph — it is the
 //! paper's push advance with atomic adds followed by a compaction.
 
-use crate::recover::{check_failed, expect_len, expect_vertex_ids, malformed};
+use crate::recover::check_failed;
 use gunrock::prelude::*;
 use gunrock_engine::atomics::AtomicF64;
+use gunrock_engine::checkpoint::{Field, Kind::*, Schema, Slot::*};
 use gunrock_engine::compact::compact_indices_into;
 use gunrock_graph::{EdgeId, VertexId};
 use rayon::prelude::*;
@@ -97,16 +98,27 @@ struct PrLoop {
     frontier: Frontier,
 }
 
-/// Builds an iteration-boundary snapshot. Sections: `scores`/`residual`
-/// (f64, bit-exact), the live `frontier`, and `params` `[damping,
-/// epsilon]`.
+/// The snapshot [`pagerank_checkpoint`] writes and [`pagerank_resume`]
+/// reads.
+static SNAPSHOT: Schema = Schema {
+    primitive: "pagerank",
+    fields: &[
+        Field("scores", "f64", PerVertex),
+        Field("residual", "f64", PerVertex),
+        Field("frontier", "u32", VertexIds),
+        Field("params", "f64", Slots(&[Plain("damping"), Plain("epsilon")])),
+    ],
+};
+
+/// Builds an iteration-boundary snapshot.
 fn pagerank_checkpoint(iteration: u32, opts: &PrOptions, st: &PrLoop) -> Checkpoint {
-    let mut ckpt = Checkpoint::new("pagerank", iteration);
-    ckpt.push_f64("scores", st.scores.clone());
-    ckpt.push_f64("residual", st.residual.clone());
-    ckpt.push_u32("frontier", st.frontier.as_slice().to_vec());
-    ckpt.push_f64("params", vec![opts.damping, opts.epsilon]);
-    ckpt
+    SNAPSHOT
+        .writer(iteration)
+        .section("scores", st.scores.clone())
+        .section("residual", st.residual.clone())
+        .section("frontier", st.frontier.as_slice().to_vec())
+        .slots("params", &[("damping", opts.damping), ("epsilon", opts.epsilon)])
+        .finish()
 }
 
 /// Runs PageRank over the whole graph.
@@ -141,23 +153,13 @@ pub fn pagerank_resume(
     opts: PrOptions,
     ckpt: &Checkpoint,
 ) -> Result<PrResult, GunrockError> {
-    ckpt.expect_primitive("pagerank")?;
-    let n = ctx.num_vertices();
-    let scores = ckpt.f64s("scores")?;
-    expect_len(scores.len(), n, "scores")?;
-    let residual = ckpt.f64s("residual")?;
-    expect_len(residual.len(), n, "residual")?;
-    let frontier = ckpt.u32s("frontier")?;
-    expect_vertex_ids(frontier, n, "frontier")?;
-    let params = ckpt.f64s("params")?;
-    let [damping, epsilon] = params else {
-        return Err(malformed(format!("params must be [damping, epsilon], got {params:?}")));
-    };
-    let opts = PrOptions { damping: *damping, epsilon: *epsilon, ..opts };
+    let snap = SNAPSHOT.read(ckpt, ctx.num_vertices())?;
+    let opts =
+        PrOptions { damping: snap.slot("damping")?, epsilon: snap.slot("epsilon")?, ..opts };
     let st = PrLoop {
-        scores: scores.to_vec(),
-        residual: residual.to_vec(),
-        frontier: Frontier::from_vec(frontier.to_vec()),
+        scores: snap.section("scores")?.to_vec(),
+        residual: snap.section("residual")?.to_vec(),
+        frontier: Frontier::from_vec(snap.section("frontier")?.to_vec()),
     };
     let r = pagerank_run(ctx, opts, st, ckpt.iteration());
     check_failed(ctx, r.outcome, r)

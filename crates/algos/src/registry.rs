@@ -20,11 +20,11 @@ use crate::msbfs::{msbfs, msbfs_resume};
 use crate::msppr::{msppr, msppr_resume, MspprOptions};
 use crate::mst::mst;
 use crate::pagerank::{pagerank, pagerank_resume, PrOptions};
-use crate::recover::scalar;
 use crate::sssp::{sssp, sssp_resume, SsspOptions};
 use crate::triangles::triangle_count;
 use gunrock::prelude::*;
 use gunrock_engine::budget::{advance_workspace_bytes, pooled_bytes};
+use gunrock_engine::checkpoint::Schema;
 use gunrock_engine::fnv::{fnv1a, hash_f64s, hash_u32s};
 use gunrock_graph::reorder::Relabeling;
 use gunrock_graph::{VertexId, INFINITY};
@@ -209,7 +209,8 @@ pub static REGISTRY: &[Entry] = &[
         },
         resume: Some(|ctx, ckpt| {
             let r = bfs_resume(ctx, BfsOptions::default(), ckpt)?;
-            Ok(run(r.outcome, r.iterations, r.elapsed, pinned(ckpt)?, Output::Depths(r.labels)))
+            let sources = pinned(&crate::bfs::SNAPSHOT, ctx, ckpt)?;
+            Ok(run(r.outcome, r.iterations, r.elapsed, sources, Output::Depths(r.labels)))
         }),
         // labels, the visited bitmap and the three pull bitmaps built at
         // the push->pull switch
@@ -224,7 +225,8 @@ pub static REGISTRY: &[Entry] = &[
         },
         resume: Some(|ctx, ckpt| {
             let r = sssp_resume(ctx, SsspOptions::default(), ckpt)?;
-            Ok(run(r.outcome, r.iterations, r.elapsed, pinned(ckpt)?, Output::Depths(r.dist)))
+            let sources = pinned(&crate::sssp::SNAPSHOT, ctx, ckpt)?;
+            Ok(run(r.outcome, r.iterations, r.elapsed, sources, Output::Depths(r.dist)))
         }),
         // distances, a bitmap's worth of slack, the frontier pair (a
         // near-far refill's window is one pooled frontier, checked out
@@ -246,7 +248,7 @@ pub static REGISTRY: &[Entry] = &[
         },
         resume: Some(|ctx, ckpt| {
             let r = bc_resume(ctx, BcOptions::default(), ckpt)?;
-            let sources = pinned(ckpt)?;
+            let sources = pinned(&crate::bc::SNAPSHOT, ctx, ckpt)?;
             Ok(run(r.outcome, r.iterations, r.elapsed, sources, Output::Scores(r.bc_values)))
         }),
         // depths, sigma and delta, the pooled level stack (room for a
@@ -416,10 +418,13 @@ fn source(q: &Query) -> VertexId {
     q.sources.first().copied().unwrap_or(0)
 }
 
-/// The source a single-source snapshot pinned (scalar 0 of every
-/// single-source checkpoint).
-fn pinned(ckpt: &Checkpoint) -> Result<Vec<VertexId>, GunrockError> {
-    Ok(vec![scalar(ckpt.u32s("scalars")?, 0, "src")?])
+/// The source a single-source snapshot pinned: its schema's `src` slot.
+fn pinned(
+    schema: &'static Schema,
+    ctx: &Context<'_>,
+    ckpt: &Checkpoint,
+) -> Result<Vec<VertexId>, GunrockError> {
+    Ok(vec![schema.read(ckpt, ctx.num_vertices())?.slot("src")?])
 }
 
 /// Frontier ping-pong: two pooled `u32` buffers over the vertex set.

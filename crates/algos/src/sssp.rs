@@ -18,12 +18,10 @@
 //! `INFINITY` (`fetch_min` only wins below it), so every claimed vertex
 //! stays near and the far pile stays empty.
 
-use crate::recover::{
-    check_failed, expect_len, expect_setting_on, expect_vertex_ids, malformed, scalar,
-    to_atomic_u32,
-};
+use crate::recover::{check_failed, malformed, to_atomic_u32};
 use gunrock::prelude::*;
 use gunrock_engine::atomics::{atomic_u32_vec, fetch_min_u32, unwrap_atomic_u32};
+use gunrock_engine::checkpoint::{Field, Kind::*, Schema, Slot::*};
 use gunrock_graph::{Csr, EdgeId, VertexId, INFINITY, INVALID_VERTEX};
 use std::sync::atomic::{AtomicU32, Ordering};
 
@@ -121,27 +119,49 @@ struct SsspLoop {
     queue_id: u32,
 }
 
-/// Builds an iteration-boundary snapshot. Sections: per-vertex
-/// `dist`/`preds`/`tags`, the live `frontier` and parked `far` pile, plus
-/// packed scalars `[src, queue_id, delta, pivot, use_priority_queue,
-/// record_preds]`. The last two slots are retired and written with the
-/// one value left, 1 each.
-fn sssp_checkpoint(iteration: u32, src: VertexId, st: &SsspLoop) -> Checkpoint {
-    let mut ckpt = Checkpoint::new("sssp", iteration);
-    ckpt.push_u32("dist", unwrap_atomic_u32(&st.dist));
-    ckpt.push_u32("preds", unwrap_atomic_u32(&st.preds));
-    ckpt.push_u32("tags", unwrap_atomic_u32(&st.tags));
-    ckpt.push_u32("frontier", st.frontier.as_slice().to_vec());
-    ckpt.push_u32("far", st.queue.far_slice().to_vec());
-    ckpt.push_u32("scalars", vec![src, st.queue_id, st.queue.delta(), st.queue.pivot(), 1, 1]);
-    ckpt
-}
+/// The snapshot [`sssp_checkpoint`] writes and [`sssp_resume`] reads.
+pub(crate) static SNAPSHOT: Schema = Schema {
+    primitive: "sssp",
+    fields: &[
+        Field("dist", "u32", PerVertex),
+        Field("preds", "u32", PerVertex),
+        Field("tags", "u32", PerVertex),
+        Field("frontier", "u32", VertexIds),
+        Field("far", "u32", VertexIds),
+        Field(
+            "scalars",
+            "u32",
+            Slots(&[
+                Vertex("src"),
+                Plain("queue_id"),
+                Plain("delta"),
+                Plain("pivot"),
+                Pinned("use_priority_queue", 1),
+                Pinned("record_predecessors", 1),
+            ]),
+        ),
+    ],
+};
 
-/// The loop's first frontier, drawn from the pool so a run returns
-/// exactly the buffers it took; empty (and the run poisoned) when the
-/// checkout is denied.
-fn pooled_frontier(ctx: &Context<'_>, ids: &[u32]) -> Frontier {
-    ctx.pooled_copy("setup", ids, ids.len()).map_or_else(Frontier::new, Frontier::from_vec)
+/// Builds an iteration-boundary snapshot.
+fn sssp_checkpoint(iteration: u32, src: VertexId, st: &SsspLoop) -> Checkpoint {
+    SNAPSHOT
+        .writer(iteration)
+        .section("dist", unwrap_atomic_u32(&st.dist))
+        .section("preds", unwrap_atomic_u32(&st.preds))
+        .section("tags", unwrap_atomic_u32(&st.tags))
+        .section("frontier", st.frontier.as_slice().to_vec())
+        .section("far", st.queue.far_slice().to_vec())
+        .slots(
+            "scalars",
+            &[
+                ("src", src),
+                ("queue_id", st.queue_id),
+                ("delta", st.queue.delta()),
+                ("pivot", st.queue.pivot()),
+            ],
+        )
+        .finish()
 }
 
 /// Runs SSSP from `src` (Dijkstra-class: needs non-negative weights;
@@ -158,7 +178,7 @@ pub fn sssp(ctx: &Context<'_>, src: VertexId, opts: SsspOptions) -> SsspResult {
         dist,
         preds: atomic_u32_vec(n, INVALID_VERTEX),
         tags: atomic_u32_vec(n, u32::MAX),
-        frontier: pooled_frontier(ctx, &[src]),
+        frontier: ctx.pooled_frontier([src].into_iter()),
         queue: NearFarQueue::new(delta),
         queue_id: 0,
     };
@@ -174,38 +194,19 @@ pub fn sssp_resume(
     opts: SsspOptions,
     ckpt: &Checkpoint,
 ) -> Result<SsspResult, GunrockError> {
-    ckpt.expect_primitive("sssp")?;
-    let n = ctx.num_vertices();
-    let dist = ckpt.u32s("dist")?;
-    expect_len(dist.len(), n, "dist")?;
-    let preds = ckpt.u32s("preds")?;
-    let tags = ckpt.u32s("tags")?;
-    expect_len(tags.len(), n, "tags")?;
-    let frontier = ckpt.u32s("frontier")?;
-    expect_vertex_ids(frontier, n, "frontier")?;
-    let far = ckpt.u32s("far")?;
-    expect_vertex_ids(far, n, "far")?;
-    let scalars = ckpt.u32s("scalars")?;
-    let src = scalar(scalars, 0, "src")?;
-    if src as usize >= n {
-        return Err(malformed(format!("source {src} out of range for {n} vertices")));
-    }
-    let queue_id = scalar(scalars, 1, "queue_id")?;
-    let delta = scalar(scalars, 2, "delta")?;
+    let snap = SNAPSHOT.read(ckpt, ctx.num_vertices())?;
+    let delta = snap.slot("delta")?;
     if delta == 0 {
         return Err(malformed("bucket width delta must be positive"));
     }
-    let pivot = scalar(scalars, 3, "pivot")?;
-    expect_setting_on(scalars, 4, "use_priority_queue")?;
-    expect_setting_on(scalars, 5, "record_predecessors")?;
-    expect_len(preds.len(), n, "preds")?;
+    let src = snap.slot("src")?;
     let st = SsspLoop {
-        dist: to_atomic_u32(dist),
-        preds: to_atomic_u32(preds),
-        tags: to_atomic_u32(tags),
-        frontier: pooled_frontier(ctx, frontier),
-        queue: NearFarQueue::restore(delta, pivot, far.to_vec()),
-        queue_id,
+        dist: to_atomic_u32(snap.section("dist")?),
+        preds: to_atomic_u32(snap.section("preds")?),
+        tags: to_atomic_u32(snap.section("tags")?),
+        frontier: ctx.pooled_frontier(snap.section("frontier")?.iter().copied()),
+        queue: NearFarQueue::restore(delta, snap.slot("pivot")?, snap.section("far")?.to_vec()),
+        queue_id: snap.slot("queue_id")?,
     };
     let r = sssp_run(ctx, src, opts, st, ckpt.iteration());
     check_failed(ctx, r.outcome, r)

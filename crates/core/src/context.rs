@@ -440,6 +440,17 @@ impl<'g> Context<'g> {
         })
     }
 
+    /// `ids` as a frontier in a pool buffer, taken as an isolated `setup`
+    /// step: empty (and the run poisoned) when the checkout is denied.
+    pub fn pooled_frontier(&self, ids: impl ExactSizeIterator<Item = u32>) -> Frontier {
+        let fill = || {
+            let mut buf = self.pool.take_u32(ids.len());
+            buf.extend(ids);
+            Frontier::from_vec(buf)
+        };
+        self.isolated_setup("setup", fill).unwrap_or_default()
+    }
+
     /// True once an operator failure has poisoned this context.
     #[inline]
     pub fn is_poisoned(&self) -> bool {

@@ -16,7 +16,7 @@ pub mod culling;
 use crate::context::Context;
 use crate::functor::FilterFunctor;
 use crate::isolate::isolated;
-use gunrock_engine::compact::{compact_map, compact_range_into};
+use gunrock_engine::compact::{compact_indices_into, compact_range_into};
 use gunrock_engine::config::FRONTIER_SEQ_CUTOFF;
 use gunrock_engine::frontier::Frontier;
 use gunrock_engine::stats::OperatorKind;
@@ -29,30 +29,32 @@ use std::time::Instant;
 pub fn filter<F: FilterFunctor>(ctx: &Context<'_>, input: &Frontier, functor: &F) -> Frontier {
     filter_step(ctx, "scan_compact", input.len(), || {
         let items = input.as_slice();
+        let mut out = ctx.pool().take_u32(items.len());
         if items.len() < FRONTIER_SEQ_CUTOFF || rayon::current_num_threads() == 1 {
             // small-frontier path (also taken whenever the pool has a
-            // single worker thread): one serial pass into a pooled
-            // buffer, zero allocations in the steady state of
-            // high-diameter enact loops (the filter half of the serial
-            // fast path).
-            let mut out = ctx.pool().take_u32(items.len());
+            // single worker thread): one serial pass, zero allocations
+            // in the steady state of high-diameter enact loops (the
+            // filter half of the serial fast path).
             for &id in items {
                 if functor.cond(id) {
                     functor.apply(id);
                     out.push(id);
                 }
             }
-            out
         } else {
-            compact_map(items, |&id| {
-                if functor.cond(id) {
+            let keep = |&id: &u32| {
+                let kept = functor.cond(id);
+                if kept {
                     functor.apply(id);
-                    Some(id)
-                } else {
-                    None
                 }
-            })
+                kept
+            };
+            compact_indices_into(items, keep, &mut out);
+            // the kept positions become the kept ids, in place
+            // CAST: a kept position indexes `items`; widening u32 -> usize.
+            out.iter_mut().for_each(|i| *i = items[*i as usize]);
         }
+        out
     })
 }
 

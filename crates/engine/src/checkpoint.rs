@@ -24,6 +24,7 @@
 
 use crate::fnv::fnv1a;
 use crate::json::{JsonBuilder, JsonValue};
+use crate::lanes::LANES;
 use std::fmt;
 use std::io::{self, Read, Write};
 use std::path::Path;
@@ -240,19 +241,6 @@ impl Checkpoint {
         match self.find(name) {
             Some(SectionData::F64(v)) => Ok(v),
             _ => Err(CheckpointError::MissingSection(name.to_string())),
-        }
-    }
-
-    /// Requires the checkpoint to belong to `primitive` (resume entry
-    /// points call this before touching any section).
-    pub fn expect_primitive(&self, primitive: &str) -> Result<(), CheckpointError> {
-        if self.primitive == primitive {
-            Ok(())
-        } else {
-            Err(CheckpointError::WrongPrimitive {
-                expected: primitive.to_string(),
-                found: self.primitive.clone(),
-            })
         }
     }
 
@@ -494,6 +482,226 @@ impl Checkpoint {
     }
 }
 
+/// A primitive's snapshot, declared once as a table: the writer emits
+/// its fields in order, and [`Schema::read`] checks a loaded checkpoint
+/// against them before any value is used.
+#[derive(Debug)]
+pub struct Schema {
+    /// The primitive the snapshot belongs to.
+    pub primitive: &'static str,
+    /// The sections, in written order.
+    pub fields: &'static [Field],
+}
+
+/// A section's name, element type as the header spells it (`"u32"`,
+/// `"u64"` or `"f64"`), and [`Kind`].
+#[derive(Debug)]
+pub struct Field(pub &'static str, pub &'static str, pub Kind);
+
+/// What a [`Field`] holds on a graph of `n` vertices.
+#[derive(Clone, Copy, Debug)]
+pub enum Kind {
+    /// One element per vertex.
+    PerVertex,
+    /// Vertex ids below `n`, any count.
+    VertexIds,
+    /// One source per lane: `1..=LANES` vertex ids below `n`.
+    Sources,
+    /// Lane-major values, `n` per source.
+    Lanes,
+    /// Anything: the primitive checks it.
+    List,
+    /// Exactly these named slots, in order.
+    Slots(&'static [Slot]),
+}
+
+/// A named value of a slot section.
+#[derive(Clone, Copy, Debug)]
+pub enum Slot {
+    /// Any value.
+    Plain(&'static str),
+    /// A `u32` vertex id below `n`.
+    Vertex(&'static str),
+    /// A retired `u32` setting and the one value it may still hold.
+    Pinned(&'static str, u32),
+}
+
+impl Slot {
+    fn name(self) -> &'static str {
+        match self {
+            Slot::Plain(name) | Slot::Vertex(name) | Slot::Pinned(name, _) => name,
+        }
+    }
+}
+
+impl Schema {
+    /// Checks `ckpt` for a graph of `n` vertices: the primitive, every
+    /// declared section with its type, per-vertex and lane-major lengths,
+    /// vertex ids, slot counts and pinned settings. Undeclared sections
+    /// are ignored.
+    pub fn read<'c>(
+        &'static self,
+        ckpt: &'c Checkpoint,
+        n: usize,
+    ) -> Result<Snapshot<'c>, CheckpointError> {
+        if ckpt.primitive != self.primitive {
+            let (expected, found) = (self.primitive.to_string(), ckpt.primitive.clone());
+            return Err(CheckpointError::WrongPrimitive { expected, found });
+        }
+        let snap = Snapshot { schema: self, ckpt };
+        let sources = self.fields.iter().find(|f| matches!(f.2, Kind::Sources));
+        let lanes = sources.map_or(Ok(0), |f| snap.data(f.0).map(SectionData::len))?;
+        // slot sections first: a rejection names a retired setting, not a
+        // section the setting shaped
+        let (slots, rest): (Vec<_>, _) =
+            self.fields.iter().partition(|f| matches!(f.2, Kind::Slots(_)));
+        for Field(name, _, kind) in slots.into_iter().chain(rest) {
+            let data = snap.data(name)?;
+            let (len, ids) = (data.len(), u32::slice(data).unwrap_or(&[]));
+            let vertex = |v: &u32| (*v as usize) < n;
+            let fits = match *kind {
+                Kind::PerVertex => len == n,
+                Kind::VertexIds => ids.iter().all(vertex),
+                Kind::Sources => (1..=LANES).contains(&len) && ids.iter().all(vertex),
+                Kind::Lanes => lanes.checked_mul(n) == Some(len),
+                Kind::List => true,
+                Kind::Slots(slots) => {
+                    let mut named = slots.iter().zip(ids);
+                    if let Some((s, v)) =
+                        named.find(|(s, v)| matches!(s, Slot::Pinned(_, only) if only != *v))
+                    {
+                        let why = format!("written with {} = {v}, a retired setting", s.name());
+                        return Err(CheckpointError::Malformed(why));
+                    }
+                    len == slots.len()
+                        && slots
+                            .iter()
+                            .zip(ids)
+                            .all(|(s, v)| !matches!(s, Slot::Vertex(_)) || vertex(v))
+                }
+            };
+            if !fits {
+                let why =
+                    format!("{name} ({len} values) does not fit {kind:?} on {n} vertices");
+                return Err(CheckpointError::Malformed(why));
+            }
+        }
+        Ok(snap)
+    }
+
+    /// A writer for the snapshot taken after `iteration`.
+    pub fn writer(&'static self, iteration: u32) -> SnapshotWriter {
+        SnapshotWriter { schema: self, ckpt: Checkpoint::new(self.primitive, iteration) }
+    }
+}
+
+/// A checkpoint its [`Schema`] accepted, read by section and slot name.
+#[derive(Debug)]
+pub struct Snapshot<'c> {
+    schema: &'static Schema,
+    ckpt: &'c Checkpoint,
+}
+
+impl<'c> Snapshot<'c> {
+    /// The bulk-synchronous iteration the snapshot was taken after.
+    pub fn iteration(&self) -> u32 {
+        self.ckpt.iteration
+    }
+
+    /// The values of the section `name`.
+    pub fn section<T: Element>(&self, name: &str) -> Result<&'c [T], CheckpointError> {
+        let values = self.data(name).ok().and_then(T::slice);
+        values.ok_or_else(|| CheckpointError::MissingSection(name.to_string()))
+    }
+
+    /// The value of the slot `name`.
+    pub fn slot<T: Element>(&self, name: &str) -> Result<T, CheckpointError> {
+        let at = self.schema.fields.iter().find_map(|Field(section, _, kind)| match kind {
+            Kind::Slots(slots) => Some((section, slots.iter().position(|s| s.name() == name)?)),
+            _ => None,
+        });
+        let value = at.and_then(|(section, i)| self.section(section).ok()?.get(i).copied());
+        value.ok_or_else(|| CheckpointError::MissingSection(name.to_string()))
+    }
+
+    /// The declared section `name`, present with its declared type.
+    fn data(&self, name: &str) -> Result<&'c SectionData, CheckpointError> {
+        let field = self.schema.fields.iter().find(|f| f.0 == name);
+        let data = field.and_then(|f| self.ckpt.find(name).filter(|d| d.type_name() == f.1));
+        data.ok_or_else(|| CheckpointError::MissingSection(name.to_string()))
+    }
+}
+
+/// Writes a snapshot for its [`Schema`], filling in pinned slots.
+#[derive(Debug)]
+pub struct SnapshotWriter {
+    schema: &'static Schema,
+    ckpt: Checkpoint,
+}
+
+impl SnapshotWriter {
+    /// The section `name`.
+    pub fn section<T: Element>(mut self, name: &str, values: Vec<T>) -> Self {
+        self.ckpt.sections.push(Section { name: name.to_string(), data: T::wrap(values) });
+        self
+    }
+
+    /// The slot section `name`, from its unpinned slots' named values in
+    /// declared order.
+    pub fn slots<T: Element + From<u32>>(self, name: &str, values: &[(&str, T)]) -> Self {
+        let slots = match self.schema.fields.iter().find(|f| f.0 == name) {
+            Some(Field(_, _, Kind::Slots(slots))) => *slots,
+            _ => &[],
+        };
+        let mut given = values.iter();
+        let packed: Vec<T> = slots
+            .iter()
+            .map_while(|slot| match *slot {
+                Slot::Pinned(_, only) => Some(T::from(only)),
+                _ => given.next().filter(|(n, _)| *n == slot.name()).map(|&(_, v)| v),
+            })
+            .collect();
+        let fits = packed.len() == slots.len() && given.next().is_none();
+        assert!(fits, "{}: {name} slots are not the declared ones", self.ckpt.primitive);
+        self.section(name, packed)
+    }
+
+    /// The finished snapshot; its sections must be the declared ones, in
+    /// declared order.
+    pub fn finish(self) -> Checkpoint {
+        let written = self.ckpt.sections.iter().map(|s| (s.name.as_str(), s.data.type_name()));
+        let fits = written.eq(self.schema.fields.iter().map(|f| (f.0, f.1)));
+        assert!(fits, "{}: sections are not the declared ones", self.ckpt.primitive);
+        self.ckpt
+    }
+}
+
+/// A section element type: `u32`, `u64` or `f64`.
+pub trait Element: Copy {
+    /// The section data holding `values`.
+    fn wrap(values: Vec<Self>) -> SectionData;
+    /// The values of `data`, when it holds this type.
+    fn slice(data: &SectionData) -> Option<&[Self]>;
+}
+
+macro_rules! element {
+    ($($t:ty => $variant:ident),*) => {$(
+        impl Element for $t {
+            fn wrap(values: Vec<$t>) -> SectionData {
+                SectionData::$variant(values)
+            }
+            fn slice(data: &SectionData) -> Option<&[$t]> {
+                match data {
+                    SectionData::$variant(v) => Some(v),
+                    _ => None,
+                }
+            }
+        }
+    )*};
+}
+
+element!(u32 => U32, u64 => U64, f64 => F64);
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -567,11 +775,120 @@ mod tests {
         let c = sample();
         assert!(matches!(c.u32s("nope"), Err(CheckpointError::MissingSection(_))));
         assert!(matches!(c.f64s("frontier"), Err(CheckpointError::MissingSection(_))));
-        assert!(c.expect_primitive("bfs").is_ok());
-        assert!(matches!(
-            c.expect_primitive("sssp"),
-            Err(CheckpointError::WrongPrimitive { .. })
-        ));
+        assert!(matches!(TOY.read(&c, 5), Err(CheckpointError::WrongPrimitive { .. })));
+    }
+
+    static TOY: Schema = Schema {
+        primitive: "toy",
+        fields: &[
+            Field("dist", "u32", Kind::PerVertex),
+            Field("frontier", "u32", Kind::VertexIds),
+            Field(
+                "scalars",
+                "u32",
+                Kind::Slots(&[
+                    Slot::Vertex("src"),
+                    Slot::Plain("level"),
+                    Slot::Pinned("old", 1),
+                ]),
+            ),
+            Field("params", "f64", Kind::Slots(&[Slot::Plain("alpha")])),
+        ],
+    };
+
+    static LANED: Schema = Schema {
+        primitive: "laned",
+        fields: &[Field("depths", "u32", Kind::Lanes), Field("sources", "u32", Kind::Sources)],
+    };
+
+    /// A `toy` snapshot of a 3-vertex graph, rebuilt with `edit` applied
+    /// to its scalars.
+    fn toy(edit: impl Fn(&mut Vec<u32>)) -> Checkpoint {
+        let c = TOY
+            .writer(4)
+            .section("dist", vec![0u32, 1, 2])
+            .section("frontier", vec![2u32])
+            .slots("scalars", &[("src", 0u32), ("level", 3)])
+            .slots("params", &[("alpha", 0.5)])
+            .finish();
+        let mut scalars = c.u32s("scalars").expect("written").to_vec();
+        edit(&mut scalars);
+        let mut out = Checkpoint::new("toy", 4);
+        out.push_u32("dist", vec![0, 1, 2]).push_u32("frontier", vec![2]);
+        out.push_u32("scalars", scalars).push_f64("params", vec![0.5]);
+        out
+    }
+
+    fn malformed(r: Result<Snapshot<'_>, CheckpointError>) -> String {
+        match r {
+            Err(CheckpointError::Malformed(msg)) => msg,
+            other => panic!("expected a malformed checkpoint, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn schema_writes_in_declared_order_and_reads_by_name() {
+        let c = toy(|_| {});
+        assert_eq!(c.u32s("scalars").expect("scalars"), &[0, 3, 1], "pinned slot filled in");
+        let snap = TOY.read(&c, 3).expect("its own snapshot reads back");
+        assert_eq!(snap.iteration(), 4);
+        assert_eq!(snap.slot::<u32>("level").expect("level"), 3);
+        assert_eq!(snap.slot::<f64>("alpha").expect("alpha"), 0.5);
+        assert_eq!(snap.section::<u32>("frontier").expect("frontier"), &[2]);
+        assert!(snap.slot::<u64>("level").is_err(), "a u32 slot is not a u64");
+        assert!(snap.section::<u32>("undeclared").is_err());
+    }
+
+    #[test]
+    fn schema_read_rejects_what_does_not_fit_the_graph() {
+        let c = toy(|_| {});
+        assert!(malformed(TOY.read(&c, 4)).contains("dist"), "length");
+        assert!(malformed(TOY.read(&c, 2)).contains("dist"));
+        assert!(malformed(TOY.read(&toy(|s| s[0] = 3), 3)).contains("scalars"), "vertex slot");
+        let count = malformed(TOY.read(&toy(|s| s.push(0)), 3));
+        assert!(count.contains("scalars (4 values)"), "slot count: {count}");
+        let retired = malformed(TOY.read(&toy(|s| s[2] = 0), 3));
+        assert!(retired.contains("old = 0"), "pinned slot: {retired}");
+        let mut ids = Checkpoint::new("toy", 4);
+        ids.push_u32("dist", vec![0, 1, 2]).push_u32("frontier", vec![3]);
+        ids.push_u32("scalars", vec![0, 3, 1]).push_f64("params", vec![0.5]);
+        assert!(malformed(TOY.read(&ids, 3)).contains("frontier"), "vertex id");
+        let mut mistyped = ids.clone();
+        mistyped.sections[3].data = SectionData::U64(vec![1]);
+        assert!(matches!(TOY.read(&mistyped, 3), Err(CheckpointError::MissingSection(_))));
+    }
+
+    #[test]
+    fn lane_sections_follow_the_source_count() {
+        let laned = |lanes: usize, depths: usize| {
+            let mut c = Checkpoint::new("laned", 1);
+            c.push_u32("depths", vec![0; depths]).push_u32("sources", vec![0; lanes]);
+            c
+        };
+        assert!(LANED.read(&laned(2, 6), 3).is_ok());
+        assert!(malformed(LANED.read(&laned(2, 5), 3)).contains("depths"));
+        assert!(malformed(LANED.read(&laned(0, 0), 3)).contains("sources"));
+        assert!(
+            malformed(LANED.read(&laned(LANES + 1, 3 * (LANES + 1)), 3)).contains("sources")
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "not the declared ones")]
+    fn writer_refuses_sections_out_of_declared_order() {
+        let _ = TOY
+            .writer(1)
+            .section("frontier", vec![0u32])
+            .section("dist", vec![0u32])
+            .slots("scalars", &[("src", 0u32), ("level", 0)])
+            .slots("params", &[("alpha", 0.5)])
+            .finish();
+    }
+
+    #[test]
+    #[should_panic(expected = "slots are not the declared ones")]
+    fn writer_refuses_misnamed_slots() {
+        let _ = TOY.writer(1).slots("scalars", &[("level", 0u32), ("src", 0)]);
     }
 
     #[test]

@@ -2,64 +2,23 @@
 //! (§4.1: "using parallel scan for efficient filtering is well-understood
 //! on GPUs").
 //!
-//! `compact` keeps elements satisfying a predicate, preserving input
-//! order, via the scan-then-scatter idiom: flag each element, exclusive
-//! scan the flags to obtain output positions, then scatter in parallel.
+//! One compaction, [`compact_range_into`]: each task filters its own
+//! range of ids into place and counts what it kept, and the kept runs
+//! are packed in task order, so output preserves input order (the scan
+//! is over the per-task counts). [`compact_indices`] and [`compact`] are
+//! built on it.
 
 use crate::config::SEQUENTIAL_CUTOFF;
-use crate::scan::scan_exclusive_usize;
-use crate::unsafe_slice::UnsafeSlice;
 use rayon::prelude::*;
 
 /// Returns the elements of `input` satisfying `pred`, in order.
 pub fn compact<T, F>(input: &[T], pred: F) -> Vec<T>
 where
-    T: Copy + Send + Sync,
+    T: Copy + Sync,
     F: Fn(&T) -> bool + Send + Sync,
 {
-    compact_map(input, |x| if pred(x) { Some(*x) } else { None })
-}
-
-/// Filter-map in one pass: elements mapping to `Some` are kept (in
-/// order). This is the fused form used by filter kernels that both cull
-/// and transform.
-pub fn compact_map<T, U, F>(input: &[T], f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Copy + Send + Sync,
-    F: Fn(&T) -> Option<U> + Send + Sync,
-{
-    let n = input.len();
-    if n < SEQUENTIAL_CUTOFF || rayon::current_num_threads() == 1 {
-        return input.iter().filter_map(&f).collect();
-    }
-    // Phase 1: flags (recomputing f in phase 3 would double user work, so
-    // materialize the mapped values once).
-    let mapped: Vec<Option<U>> = input.par_iter().map(&f).collect();
-    // CAST: bool -> usize is 0 or 1 by definition.
-    let flags: Vec<usize> = mapped.par_iter().map(|m| m.is_some() as usize).collect();
-    // Phase 2: positions.
-    let (positions, total) = scan_exclusive_usize(&flags);
-    // Phase 3: scatter.
-    let mut out = Vec::with_capacity(total);
-    // SAFETY: set_len before writes is sound because every slot 0..total is
-    // written exactly once below (scan guarantees a bijection between kept
-    // inputs and output positions) and U: Copy has no drop obligations.
-    #[allow(clippy::uninit_vec)]
-    unsafe {
-        out.set_len(total)
-    };
-    {
-        crate::racecheck::begin_phase();
-        let out_ref = UnsafeSlice::new(&mut out);
-        mapped.par_iter().zip(positions.par_iter()).for_each(|(m, &pos)| {
-            if let Some(v) = m {
-                // SAFETY: distinct kept elements get distinct positions.
-                unsafe { out_ref.write(pos, *v) };
-            }
-        });
-    }
-    out
+    // CAST: a kept index points into `input`; widening u32 -> usize.
+    compact_indices(input, pred).into_iter().map(|i| input[i as usize]).collect()
 }
 
 /// Returns the *indices* of elements satisfying `pred`, in order. Used by
@@ -151,16 +110,6 @@ mod tests {
         let v: Vec<u32> = (0..10_000).collect();
         assert_eq!(compact(&v, |_| true), v);
         assert!(compact(&v, |_| false).is_empty());
-    }
-
-    #[test]
-    fn compact_map_transforms() {
-        let v: Vec<u32> = (0..50_000).collect();
-        let got = compact_map(&v, |&x| (x % 2 == 0).then_some(x * 10));
-        assert_eq!(got.len(), 25_000);
-        assert_eq!(got[0], 0);
-        assert_eq!(got[1], 20);
-        assert_eq!(*got.last().unwrap(), 499_980);
     }
 
     #[test]

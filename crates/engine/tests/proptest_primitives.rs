@@ -4,7 +4,7 @@
 //! inputs, including sizes that straddle the sequential/parallel cutoff.
 
 use gunrock_engine::bitmap::AtomicBitmap;
-use gunrock_engine::compact::{compact, compact_indices, compact_map};
+use gunrock_engine::compact::{compact, compact_indices};
 use gunrock_engine::scan::{scan_exclusive, scan_exclusive_u32, scan_inclusive};
 use gunrock_engine::search::{merge_path_partitions, owning_segment, sorted_search_owners};
 use proptest::prelude::*;
@@ -54,13 +54,6 @@ proptest! {
     fn compact_equals_sequential_filter(v in arb_vec()) {
         let got = compact(&v, |&x| x % 3 == 0);
         let want: Vec<u32> = v.iter().copied().filter(|&x| x % 3 == 0).collect();
-        prop_assert_eq!(got, want);
-    }
-
-    #[test]
-    fn compact_map_equals_sequential_filter_map(v in arb_vec()) {
-        let got = compact_map(&v, |&x| (x % 2 == 1).then_some(x * 2));
-        let want: Vec<u32> = v.iter().filter(|&&x| x % 2 == 1).map(|&x| x * 2).collect();
         prop_assert_eq!(got, want);
     }
 

@@ -360,6 +360,108 @@ fn every_resumable_entry_round_trips_a_capped_run() {
     }
 }
 
+/// `ckpt` with each section replaced by what `edit` makes of it (`None`
+/// drops it), re-read through the container codec.
+fn rewritten(
+    ckpt: &Checkpoint,
+    edit: impl Fn(&str, &SectionData) -> Option<SectionData>,
+) -> Checkpoint {
+    let mut out = Checkpoint::new(ckpt.primitive(), ckpt.iteration());
+    for section in ckpt.sections() {
+        match edit(&section.name, &section.data) {
+            Some(SectionData::U32(v)) => out.push_u32(&section.name, v),
+            Some(SectionData::U64(v)) => out.push_u64(&section.name, v),
+            Some(SectionData::F64(v)) => out.push_f64(&section.name, v),
+            None => &mut out,
+        };
+    }
+    Checkpoint::decode(&out.encode()).expect("well-formed container")
+}
+
+/// Every section of every resumable entry's snapshot is checked: with
+/// the section dropped, its element type changed, or one element valued
+/// `n` appended, resuming fails with a checkpoint error, never a panic
+/// and never a run. So does an MS-PPR snapshot whose `params` are empty,
+/// which must not fall back to default teleport and threshold.
+#[test]
+fn every_mutated_snapshot_section_is_a_checkpoint_error() {
+    let g = kron10();
+    let n = g.num_vertices();
+    let mut cases = Vec::new();
+    for entry in registry::REGISTRY.iter().filter(|e| e.resume.is_some()) {
+        let dir = ckpt_dir(&format!("mutate_{}", entry.name));
+        let sources = match entry.arity {
+            Arity::None => Vec::new(),
+            Arity::One => vec![0],
+            Arity::Lanes => (0..8).collect(),
+        };
+        let query = Query { sources, epsilon: None };
+        let ckpt = interrupt(&g, &dir, entry.name, 2, |ctx| {
+            let r = (entry.run)(ctx, &query);
+            (r.iterations, r.outcome)
+        });
+        std::fs::remove_dir_all(&dir).ok();
+        for section in ckpt.sections() {
+            let only = |edit: fn(&SectionData, usize) -> Option<SectionData>| {
+                rewritten(&ckpt, |name, data| {
+                    if name == section.name {
+                        edit(data, n)
+                    } else {
+                        Some(data.clone())
+                    }
+                })
+            };
+            let at = |how: &str| format!("{} {} {how}", entry.name, section.name);
+            cases.push((at("dropped"), only(|_, _| None)));
+            cases.push((
+                at("retyped"),
+                only(|data, _| {
+                    Some(match data {
+                        SectionData::U32(v) => {
+                            SectionData::U64(v.iter().map(|&x| x.into()).collect())
+                        }
+                        SectionData::U64(v) => {
+                            SectionData::F64(v.iter().map(|&x| x as f64).collect())
+                        }
+                        SectionData::F64(v) => {
+                            SectionData::U32(v.iter().map(|&x| x as u32).collect())
+                        }
+                    })
+                }),
+            ));
+            cases.push((
+                at("with n appended"),
+                only(|data, n| {
+                    let mut data = data.clone();
+                    match &mut data {
+                        SectionData::U32(v) => v.push(n as u32),
+                        SectionData::U64(v) => v.push(n as u64),
+                        SectionData::F64(v) => v.push(n as f64),
+                    }
+                    Some(data)
+                }),
+            ));
+        }
+        if entry.name == "msppr" {
+            let empty = rewritten(&ckpt, |name, data| match name {
+                "params" => Some(SectionData::F64(Vec::new())),
+                _ => Some(data.clone()),
+            });
+            cases.push(("msppr params empty".to_string(), empty));
+        }
+    }
+    for (what, bad) in cases {
+        let resume = registry::find(bad.primitive()).and_then(|e| e.resume).expect("resumable");
+        let got = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            resume(&Context::new(&g).with_reverse(&g), &bad).map(|r| r.outcome)
+        }));
+        match got {
+            Ok(Err(GunrockError::Checkpoint(_))) => {}
+            other => panic!("{what}: expected a checkpoint error, got {other:?}"),
+        }
+    }
+}
+
 /// `ckpt` with slot `slot` of its packed `scalars` section set to
 /// `value`, every other section as written.
 fn with_scalar(ckpt: &Checkpoint, slot: usize, value: u32) -> Checkpoint {

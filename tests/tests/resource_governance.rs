@@ -318,6 +318,48 @@ fn every_registry_estimate_covers_what_a_budgeted_run_reserves() {
                 budget.high_water()
             );
             assert_eq!(budget.reserved(), 0, "{at}: everything reserved was released");
+            let pool = ctx.pool().stats();
+            assert_eq!(pool.releases, pool.checkouts, "{at}: every release was checked out");
+            assert_eq!(pool.live, 0, "{at}");
         }
     }
+}
+
+/// Two contexts on one budget, as `gunrock-serve`'s workers share one:
+/// while one holds a charged buffer, every registry entry runs three
+/// times on the other, and the budget is left holding exactly that
+/// charge. A run that hands the pool a buffer it never checked out
+/// would credit the budget for bytes it never charged.
+#[test]
+fn registry_runs_leave_a_shared_budget_holding_exactly_its_other_charges() {
+    use gunrock::prelude::*;
+    use gunrock_algos::registry::{Arity, Query, REGISTRY};
+    use gunrock_engine::budget::MemoryBudget;
+    use gunrock_graph::generators::rmat;
+    let g =
+        GraphBuilder::new().random_weights(1, 64, 5).build(rmat(11, 8, Default::default(), 5));
+    let budget = Arc::new(MemoryBudget::new(1 << 40));
+    let holder = Context::new(&g).with_budget(Arc::clone(&budget));
+    let held = holder.pool().take_u32(1 << 16);
+    let charge = budget.reserved();
+    assert_eq!(charge, 1 << 18);
+    for reverse in [false, true] {
+        let ctx = Context::new(&g).with_budget(Arc::clone(&budget));
+        let ctx = if reverse { ctx.with_reverse(&g) } else { ctx };
+        for entry in REGISTRY {
+            let sources = match entry.arity {
+                Arity::None => Vec::new(),
+                Arity::One => vec![0],
+                Arity::Lanes => (0..LANES as u32).collect(),
+            };
+            let query = Query { sources, epsilon: None };
+            for _ in 0..3 {
+                let run = (entry.run)(&ctx, &query);
+                assert_eq!(run.outcome, RunOutcome::Converged, "{}", entry.name);
+            }
+            assert_eq!(budget.reserved(), charge, "{} reverse={reverse}", entry.name);
+        }
+    }
+    holder.pool().put_u32(held);
+    assert_eq!(budget.reserved(), 0);
 }
