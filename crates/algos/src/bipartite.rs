@@ -1,50 +1,37 @@
 //! Bipartite node-ranking extensions (§5.5): the algorithms of Geil et
-//! al.'s "WTF, GPU!" — HITS, SALSA, personalized PageRank, and the
-//! composed Twitter who-to-follow ("Money") pipeline — demonstrating that
-//! the advance operator "is flexible enough to encompass all three
-//! node-ranking algorithms, including a 2-hop traversal in a bipartite
-//! graph".
+//! al.'s "WTF, GPU!" — HITS, SALSA, and the composed Twitter
+//! who-to-follow ("Money") pipeline — demonstrating that the advance
+//! operator "is flexible enough to encompass all three node-ranking
+//! algorithms, including a 2-hop traversal in a bipartite graph".
 //!
 //! Graphs here are directed left->right bipartite (`0..n_left` hubs,
 //! `n_left..n` authorities); the context must carry the reverse graph.
+//! Each half of a HITS or SALSA round is one [`advance_gather`]: the
+//! authorities sum their in-neighbors' hub scores over the reverse graph,
+//! then the hubs sum their out-neighbors' authority scores over the
+//! forward graph. Every vertex owns its slot, so both halves are plain
+//! stores — GraphBLAST's row gather (PAPERS.md) — and both run on the
+//! caller's context: its run policy, fault plan, budget, pool and stats
+//! sink.
 
+use crate::msppr::{msppr, MspprOptions};
 use gunrock::prelude::*;
-use gunrock_engine::atomics::AtomicF64;
-use gunrock_graph::{EdgeId, VertexId};
+use gunrock_graph::{Csr, VertexId};
 use rayon::prelude::*;
 
 /// Scores from a HITS or SALSA run.
 #[derive(Clone, Debug)]
 pub struct HubAuthScores {
-    /// Hub score per vertex (meaningful on the left partition).
+    /// Hub score per vertex (zero on the right partition).
     pub hubs: Vec<f64>,
-    /// Authority score per vertex (meaningful on the right partition).
+    /// Authority score per vertex (zero on the left partition).
     pub auths: Vec<f64>,
     /// Mutual-reinforcement iterations executed.
     pub iterations: u32,
-    /// How the loop ended. Scores are valid at every iteration boundary
-    /// (each round fully recomputes both sides), so a partial outcome
-    /// just means fewer reinforcement rounds than requested.
+    /// How the loop ended. Each round recomputes both sides, so a capped
+    /// run just has fewer rounds than requested; a cancel or deadline that
+    /// lands mid-round leaves that round's scores partly updated.
     pub outcome: RunOutcome,
-}
-
-/// Accumulate-into functor: adds `weight(src) = source_score[src] /
-/// norm(src)` into `sink[dst]` for every traversed edge.
-struct Accumulate<'a> {
-    source_score: &'a [f64],
-    norm: &'a [f64],
-    sink: &'a [AtomicF64],
-}
-
-impl AdvanceFunctor for Accumulate<'_> {
-    #[inline]
-    fn cond_edge(&self, src: VertexId, dst: VertexId, _e: EdgeId) -> bool {
-        let n = self.norm[src as usize];
-        if n > 0.0 {
-            let _ = self.sink[dst as usize].fetch_add(self.source_score[src as usize] / n);
-        }
-        false
-    }
 }
 
 fn l2_normalize(v: &mut [f64]) {
@@ -54,8 +41,10 @@ fn l2_normalize(v: &mut [f64]) {
     }
 }
 
-fn ones_norm(n: usize) -> Vec<f64> {
-    vec![1.0; n]
+/// A gather `finish` that stores the reduced sum and admits nothing.
+fn store(_v: VertexId, sum: f64, slot: &mut f64) -> bool {
+    *slot = sum;
+    false
 }
 
 /// Hyperlink-Induced Topic Search: authority = sum of in-neighbor hub
@@ -82,117 +71,57 @@ fn run_hub_auth(
     let rev = ctx.reverse_graph();
     let n = g.num_vertices();
     assert!(n_left <= n);
-    let left: Frontier = Frontier::from_vec((0..n_left as u32).collect());
-    let right: Frontier = Frontier::from_vec((n_left as u32..n as u32).collect());
+    // CAST: n < u32::MAX by Csr::validate, and n_left <= n.
+    let (left, right) = (0..n_left as u32, n_left as u32..n as u32);
     let mut hubs = vec![0.0f64; n];
     let mut auths = vec![0.0f64; n];
-    hubs[..n_left].iter_mut().for_each(|x| *x = 1.0);
-    let out_norm: Vec<f64> = if degree_norm {
-        (0..n as u32).map(|v| g.out_degree(v) as f64).collect()
-    } else {
-        ones_norm(n)
-    };
-    let in_norm: Vec<f64> = if degree_norm {
-        (0..n as u32).map(|v| rev.out_degree(v) as f64).collect()
-    } else {
-        ones_norm(n)
+    hubs[..n_left].fill(1.0);
+    // what `u` sends along each of its edges in `csr`: SALSA splits its
+    // score evenly over them
+    let share = |score: &[f64], csr: &Csr, u: VertexId| {
+        let s = score[u as usize];
+        if degree_norm {
+            s / csr.out_degree(u) as f64
+        } else {
+            s
+        }
     };
     let mut run = Enactment::arm(ctx, 0);
     while run.iterations() < iters && !run.boundary(no_snapshot) {
-        // authority update: pull hub mass along forward edges
-        let sink: Vec<AtomicF64> = (0..n).map(|_| AtomicF64::new(0.0)).collect();
-        let f = Accumulate { source_score: &hubs, norm: &out_norm, sink: &sink };
-        let _ = advance::advance(ctx, &left, AdvanceSpec::for_effect(), &f);
-        auths = sink.iter().map(|a| a.load()).collect();
+        // authorities gather hub mass over their in-edges
+        advance_gather(
+            ctx,
+            GatherSpec::range(right.clone()),
+            &mut auths[n_left..],
+            None,
+            |_| true,
+            0.0,
+            |u, _, _| share(&hubs, g, u),
+            |a, b| a + b,
+            store,
+        );
         if !degree_norm {
-            l2_normalize(&mut auths);
+            l2_normalize(&mut auths[n_left..]);
         }
-        // hub update: push authority mass along reverse edges
-        let sink: Vec<AtomicF64> = (0..n).map(|_| AtomicF64::new(0.0)).collect();
-        let f = Accumulate { source_score: &auths, norm: &in_norm, sink: &sink };
-        // advance over the right partition on the reverse graph
-        let rev_ctx = Context::new(rev);
-        let _ = advance::advance(&rev_ctx, &right, AdvanceSpec::for_effect(), &f);
-        ctx.counters.add_edges(rev_ctx.counters.edges());
-        hubs = sink.iter().map(|a| a.load()).collect();
+        // hubs gather authority mass over their out-edges
+        advance_gather(
+            ctx,
+            GatherSpec::range(left.clone()).out_edges(),
+            &mut hubs[..n_left],
+            None,
+            |_| true,
+            0.0,
+            |w, _, _| share(&auths, rev, w),
+            |a, b| a + b,
+            store,
+        );
         if !degree_norm {
-            l2_normalize(&mut hubs);
+            l2_normalize(&mut hubs[..n_left]);
         }
         run.end_iteration(false);
     }
     let done = run.finish(no_snapshot);
     HubAuthScores { hubs, auths, iterations: done.iterations, outcome: done.outcome }
-}
-
-/// Personalized PageRank: residual push with all teleport mass on
-/// `sources`. Returns scores concentrated around the sources.
-pub fn personalized_pagerank(
-    ctx: &Context<'_>,
-    sources: &[VertexId],
-    damping: f64,
-    epsilon: f64,
-    max_iters: usize,
-) -> Vec<f64> {
-    let g = ctx.graph;
-    let n = g.num_vertices();
-    let mut scores = vec![0.0f64; n];
-    let mut residual = vec![0.0f64; n];
-    let share = (1.0 - damping) / sources.len().max(1) as f64;
-    for &s in sources {
-        residual[s as usize] += share;
-    }
-    let mut frontier = Frontier::from_vec(sources.to_vec());
-    // honor the context's run policy: a trip folds the pending residual
-    // back into the scores below, keeping mass conserved
-    let mut run = Enactment::arm(ctx, 0);
-    while !frontier.is_empty()
-        && (run.iterations() as usize) < max_iters
-        && !run.boundary(no_snapshot)
-    {
-        // dangling mass restarts at the sources (PPR semantics)
-        let mut dangling = 0.0f64;
-        for &v in frontier.as_slice() {
-            scores[v as usize] += residual[v as usize];
-            if g.out_degree(v) == 0 {
-                dangling += damping * residual[v as usize];
-            }
-        }
-        let acc: Vec<AtomicF64> = (0..n).map(|_| AtomicF64::new(0.0)).collect();
-        struct Push<'a> {
-            g: &'a gunrock_graph::Csr,
-            residual: &'a [f64],
-            acc: &'a [AtomicF64],
-            damping: f64,
-        }
-        impl AdvanceFunctor for Push<'_> {
-            #[inline]
-            fn cond_edge(&self, src: VertexId, dst: VertexId, _e: EdgeId) -> bool {
-                let deg = self.g.out_degree(src) as f64;
-                let _ = self.acc[dst as usize]
-                    .fetch_add(self.damping * self.residual[src as usize] / deg);
-                false
-            }
-        }
-        let f = Push { g, residual: &residual, acc: &acc, damping };
-        let _ = advance::advance(ctx, &frontier, AdvanceSpec::for_effect(), &f);
-        for &v in frontier.as_slice() {
-            residual[v as usize] = 0.0;
-        }
-        residual.par_iter_mut().zip(acc.par_iter()).for_each(|(r, a)| *r += a.load());
-        if dangling > 0.0 {
-            let share = dangling / sources.len().max(1) as f64;
-            for &s in sources {
-                residual[s as usize] += share;
-            }
-        }
-        frontier =
-            Frontier::from_vec(gunrock_engine::compact::compact_indices(&residual, |&r| {
-                r > epsilon
-            }));
-        run.end_iteration(false);
-    }
-    scores.par_iter_mut().zip(residual.par_iter()).for_each(|(s, r)| *s += r);
-    scores
 }
 
 /// A who-to-follow recommendation.
@@ -204,11 +133,19 @@ pub struct Recommendation {
     pub score: f64,
 }
 
-/// The Twitter "Money" who-to-follow pipeline (Geil et al.): compute the
-/// user's circle of trust via personalized PageRank, then rank
-/// authorities with SALSA restricted to the circle's engagements,
-/// excluding accounts the user already follows. Returns the top-k
-/// recommendations from the right partition.
+/// The Twitter "Money" who-to-follow pipeline (Geil et al.), returning
+/// the top-k recommendations from the right partition.
+///
+/// 1. The circle of trust is `user` plus the `circle_size - 1` left
+///    vertices with the most personalized PageRank mass from `user`:
+///    lane 0 of a one-source [`msppr`] batch over `ctx.graph`, which
+///    should therefore walk both ways (follower -> account -> co-follower).
+/// 2. Each right vertex gathers, over its in-edges in the reverse graph
+///    (the engagements), an even share of every circle member's vote:
+///    `1 / (|circle| * deg(u))` from member `u`, `deg` its degree in
+///    `ctx.graph`. This is one SALSA hub -> authority step seeded at the
+///    circle.
+/// 3. Accounts `user` already neighbors in `ctx.graph` are excluded.
 pub fn who_to_follow(
     ctx: &Context<'_>,
     user: VertexId,
@@ -217,8 +154,10 @@ pub fn who_to_follow(
     k: usize,
 ) -> Vec<Recommendation> {
     let g = ctx.graph;
+    let n = g.num_vertices();
     // 1. circle of trust: top PPR vertices on the left partition
-    let ppr = personalized_pagerank(ctx, &[user], 0.85, 1e-10, 200);
+    let ppr = msppr(ctx, &[user], MspprOptions { alpha: 0.15, epsilon: 1e-10 });
+    let ppr = ppr.lane_scores(0);
     let mut left_scores: Vec<(VertexId, f64)> = (0..n_left as u32)
         .map(|v| (v, ppr[v as usize]))
         .filter(|&(v, s)| s > 0.0 && v != user)
@@ -227,27 +166,31 @@ pub fn who_to_follow(
     let mut circle: Vec<VertexId> =
         left_scores.into_iter().take(circle_size.saturating_sub(1)).map(|(v, _)| v).collect();
     circle.push(user);
-    // 2. SALSA-style scoring: one hub->auth push from the circle
-    // (degree-normalized), i.e. a 2-hop bipartite traversal seeded at
-    // the circle
-    let n = g.num_vertices();
-    let sink: Vec<AtomicF64> = (0..n).map(|_| AtomicF64::new(0.0)).collect();
-    let norms: Vec<f64> = (0..n as u32).map(|v| g.out_degree(v) as f64).collect();
-    let hubs: Vec<f64> = {
-        let mut h = vec![0.0; n];
-        for &c in &circle {
-            h[c as usize] = 1.0 / circle.len() as f64;
-        }
-        h
-    };
-    let f = Accumulate { source_score: &hubs, norm: &norms, sink: &sink };
-    let circle_frontier = Frontier::from_vec(circle.clone());
-    let _ = advance::advance(ctx, &circle_frontier, AdvanceSpec::for_effect(), &f);
-    // 3. exclude the user's existing follows and the user itself
+    // 2. SALSA-style scoring: the right partition gathers the circle's votes
+    let mut vote = vec![0.0f64; n];
+    for &c in &circle {
+        vote[c as usize] = 1.0 / (circle.len() as f64 * g.out_degree(c).max(1) as f64);
+    }
+    // CAST: n < u32::MAX by Csr::validate, and n_left <= n.
+    let right = n_left as u32..n as u32;
+    let mut scores = vec![0.0f64; right.len()];
+    advance_gather(
+        ctx,
+        GatherSpec::range(right.clone()),
+        &mut scores,
+        None,
+        |_| true,
+        0.0,
+        |u, _, _| vote[u as usize],
+        |a, b| a + b,
+        store,
+    );
+    // 3. exclude the user's existing follows
     let followed: std::collections::HashSet<VertexId> =
         g.neighbors(user).iter().copied().collect();
-    let mut recs: Vec<Recommendation> = (n_left as u32..n as u32)
-        .map(|v| Recommendation { vertex: v, score: sink[v as usize].load() })
+    let mut recs: Vec<Recommendation> = right
+        .zip(scores)
+        .map(|(vertex, score)| Recommendation { vertex, score })
         .filter(|r| r.score > 0.0 && !followed.contains(&r.vertex))
         .collect();
     recs.sort_by(|a, b| b.score.total_cmp(&a.score).then(a.vertex.cmp(&b.vertex)));
@@ -291,13 +234,12 @@ mod tests {
 
     #[test]
     fn ppr_concentrates_mass_near_source() {
-        let (g, rev, _) = small_bipartite();
-        // make it walkable both ways for PPR
+        // the circle-of-trust PPR walks the symmetrized graph
         let und =
             GraphBuilder::new().build(Coo::from_edges(5, &[(0, 3), (1, 3), (2, 3), (2, 4)]));
-        let _ = (g, rev);
         let ctx = Context::new(&und);
-        let p = personalized_pagerank(&ctx, &[0], 0.85, 1e-12, 500);
+        let r = msppr(&ctx, &[0], MspprOptions { alpha: 0.15, epsilon: 1e-12 });
+        let p = r.lane_scores(0);
         assert!(p[0] > p[1], "source outranks distant vertices");
         assert!((p.iter().sum::<f64>() - 1.0).abs() < 1e-6);
     }

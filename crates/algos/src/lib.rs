@@ -20,10 +20,9 @@
 //! * [`pagerank`] — full-frontier residual hand-over (dense atomic-free
 //!   gather while most edges are live, atomic push once the frontier is
 //!   sparse) and a convergence filter (§5.5, §7);
-//! * [`bipartite`] — HITS / SALSA / personalized PageRank and the
-//!   who-to-follow pipeline (§5.5, "WTF, GPU!");
-//! * [`extras`] — maximal independent set and greedy coloring, from the
-//!   paper's in-development list;
+//! * [`bipartite`] — HITS and SALSA, each half-round one gather, and the
+//!   who-to-follow pipeline over an [`msppr`](msppr::msppr) circle of
+//!   trust (§5.5, "WTF, GPU!");
 //! * [`triangles`] / [`kcore`] — edge-frontier triangle counting and
 //!   filter-loop k-core peeling, common Gunrock-family additions;
 //! * [`registry`] — one table entry per primitive name (arity, run,
@@ -47,7 +46,6 @@ pub mod bc;
 pub mod bfs;
 pub mod bipartite;
 pub mod cc;
-pub mod extras;
 pub mod kcore;
 pub mod label_prop;
 pub mod msbfs;

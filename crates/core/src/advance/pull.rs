@@ -12,23 +12,19 @@
 //! *reverse* graph (weights transpose along, so weight lookups stay
 //! correct).
 //!
-//! Two formulations are provided:
-//!
-//! * [`advance_pull`] — candidates as an explicit id list (the classic
-//!   form; kept for callers that already hold a list);
-//! * [`advance_pull_sweep`] — the masked word sweep (GraphBLAST's
-//!   masked-SpMV view): candidates and output are word-addressable
-//!   [`PooledBitmap`]s, empty mask words are skipped 64 bits at a time
-//!   with `trailing_zeros` iteration inside non-empty ones, and
-//!   discovered candidates are *cleared from the candidate bitmap in
-//!   place* — the unvisited set maintains itself incrementally, no O(n)
-//!   re-prune between iterations. Per-task word ranges are disjoint, so
-//!   the sweep mutates its bitmaps without a single atomic RMW.
+//! The operator is the masked word sweep [`advance_pull_sweep`]
+//! (GraphBLAST's masked-SpMV view): candidates and output are
+//! word-addressable [`PooledBitmap`]s, empty mask words are skipped 64
+//! bits at a time with `trailing_zeros` iteration inside non-empty ones,
+//! and discovered candidates are *cleared from the candidate bitmap in
+//! place* — the unvisited set maintains itself incrementally, no O(n)
+//! re-prune between iterations. Per-task word ranges are disjoint, so
+//! the sweep mutates its bitmaps without a single atomic RMW.
 
 use crate::context::Context;
 use crate::functor::AdvanceFunctor;
 use crate::isolate::isolated;
-use crate::util::{concat_chunks, grain_size};
+use crate::util::grain_size;
 use gunrock_engine::bitmap::{BitSet, PooledBitmap};
 use gunrock_engine::config::SEQUENTIAL_CUTOFF;
 use gunrock_engine::frontier::Frontier;
@@ -59,82 +55,6 @@ pub fn frontier_bitmap(ctx: &Context<'_>, frontier: &Frontier) -> PooledBitmap {
         frontier.as_slice().par_iter().for_each(|&v| bm.set(v as usize));
     }
     bm
-}
-
-/// Runs one pull-direction advance: for each candidate vertex (typically
-/// the unvisited set), scan in-neighbors against `in_frontier`; the first
-/// edge accepted by the functor admits the candidate to the output
-/// frontier and stops its scan.
-pub fn advance_pull<F: AdvanceFunctor, B: BitSet>(
-    ctx: &Context<'_>,
-    candidates: &[u32],
-    in_frontier: &B,
-    functor: &F,
-) -> Frontier {
-    // Kernel-launch boundary for the racecheck phase ledger.
-    gunrock_engine::racecheck::begin_phase();
-    let timer = ctx.sink().map(|_| (Instant::now(), ctx.counters.edges()));
-    let result = isolated(ctx, "advance", || {
-        if let Some(inj) = ctx.injector() {
-            inj.maybe_panic("advance:pull");
-            super::stall_if_injected(ctx, inj);
-        }
-        let rev = ctx.reverse_graph();
-        let grain = grain_size(candidates.len());
-        let per_chunk: Vec<(Vec<u32>, u64)> = candidates
-            .par_chunks(grain)
-            .map(|chunk| {
-                let mut local = Vec::new(); // ALLOC-OK(per-task local on the list-candidates path; the steady-state pull loop uses advance_pull_sweep instead)
-                let mut edges = 0u64;
-                // cancel/deadline abort: a raised flag truncates this chunk
-                // (and skips it entirely when raised before the chunk
-                // starts); the enact loop's next guard check reports the
-                // trip and discards the partial frontier. Suppressed when
-                // checkpointing, so exit snapshots see complete operators.
-                if ctx.abort_mid_operator() {
-                    return (local, edges);
-                }
-                let mut next_poll = ABORT_POLL_EDGES;
-                let cols = rev.col_indices();
-                'scan: for &v in chunk {
-                    for e in rev.edge_range(v) {
-                        edges += 1;
-                        let u = cols[e];
-                        // CAST: u widens u32 -> usize; e < num_edges < EdgeId::MAX by Csr::validate.
-                        if in_frontier.get(u as usize) && functor.cond_edge(u, v, e as EdgeId) {
-                            functor.apply_edge(u, v, e as EdgeId);
-                            local.push(v);
-                            break; // one valid predecessor suffices
-                        }
-                    }
-                    if edges >= next_poll {
-                        next_poll = edges + ABORT_POLL_EDGES;
-                        if ctx.abort_mid_operator() {
-                            break 'scan;
-                        }
-                    }
-                }
-                (local, edges)
-            })
-            .collect(); // ALLOC-OK(one merge per pull launch)
-        ctx.counters.add_edges(per_chunk.iter().map(|(_, e)| e).sum());
-        // ALLOC-OK(one merge per pull launch)
-        Frontier::from_vec(concat_chunks(per_chunk.into_iter().map(|(v, _)| v).collect()))
-    });
-    let Some(out) = result else { return Frontier::new() };
-    if let (Some((start, edges0)), Some(sink)) = (timer, ctx.sink()) {
-        sink.record_step_with_candidates(
-            OperatorKind::Advance,
-            "pull",
-            Some(StepDirection::Pull),
-            in_frontier.count_ones() as u64,
-            candidates.len() as u64,
-            out.len() as u64,
-            ctx.counters.edges() - edges0,
-            start.elapsed(),
-        );
-    }
-    out
 }
 
 /// The masked word sweep: one pull-direction advance where candidates,
@@ -189,8 +109,11 @@ pub fn advance_pull_sweep<F: AdvanceFunctor>(
             .map(|(ci, (cand_words, out_words))| {
                 let mut found = 0u64;
                 let mut edges = 0u64;
-                // cancel/deadline abort, as in the list-candidates path:
-                // truncation is suppressed while checkpointing.
+                // cancel/deadline abort: a raised flag truncates this chunk
+                // (and skips it entirely when raised before the chunk
+                // starts); the enact loop's next guard check reports the
+                // trip and discards the partial frontier. Suppressed when
+                // checkpointing, so exit snapshots see complete operators.
                 if ctx.abort_mid_operator() {
                     return (found, edges);
                 }
@@ -262,17 +185,32 @@ mod tests {
     use crate::functor::AcceptAll;
     use gunrock_graph::{Coo, GraphBuilder};
 
+    /// Runs one sweep from `frontier` over `candidates`, returning the
+    /// discovered vertices and the candidates left behind.
+    fn sweep(
+        ctx: &Context<'_>,
+        frontier: &[u32],
+        candidates: &[u32],
+    ) -> (Vec<usize>, Vec<usize>) {
+        let n = ctx.num_vertices();
+        let in_frontier = frontier_bitmap(ctx, &Frontier::from_vec(frontier.to_vec()));
+        let mut cand = PooledBitmap::take(ctx.pool(), n);
+        cand.fill_from_frontier(&Frontier::from_vec(candidates.to_vec()));
+        let mut out = PooledBitmap::take(ctx.pool(), n);
+        let discovered = advance_pull_sweep(ctx, &mut cand, &in_frontier, &mut out, &AcceptAll);
+        let found: Vec<usize> = out.iter_ones().collect();
+        assert_eq!(discovered, found.len() as u64);
+        (found, cand.iter_ones().collect())
+    }
+
     #[test]
     fn pull_discovers_exactly_the_next_bfs_level() {
-        // path 0 - 1 - 2 - 3 (undirected)
+        // path 0 - 1 - 2 - 3 (undirected); frontier {1}, 0 already visited
         let g = GraphBuilder::new().build(Coo::from_edges(4, &[(0, 1), (1, 2), (2, 3)]));
         let ctx = Context::new(&g).with_reverse(&g);
-        let frontier = Frontier::single(1);
-        let bm = frontier_bitmap(&ctx, &frontier);
-        // candidates: unvisited = {2, 3} (0 already visited)
-        let out = advance_pull(&ctx, &[2, 3], &bm, &AcceptAll);
-        assert_eq!(out.as_slice(), &[2]);
-        bm.release(ctx.pool());
+        let (found, left) = sweep(&ctx, &[1], &[2, 3]);
+        assert_eq!(found, vec![2]);
+        assert_eq!(left, vec![3]);
     }
 
     #[test]
@@ -281,32 +219,14 @@ mod tests {
         let edges: Vec<(u32, u32)> = (1..100).map(|v| (0, v)).collect();
         let g = GraphBuilder::new().build(Coo::from_edges(100, &edges));
         let ctx = Context::new(&g).with_reverse(&g);
-        let bm = frontier_bitmap(&ctx, &Frontier::single(0));
         let candidates: Vec<u32> = (1..100).collect();
-        let out = advance_pull(&ctx, &candidates, &bm, &AcceptAll);
-        assert_eq!(out.len(), 99);
-        // each candidate's in-list starts with the hub: one edge each
-        assert_eq!(ctx.counters.edges(), 99);
-    }
-
-    #[test]
-    fn sweep_matches_list_pull_and_maintains_candidates() {
-        let edges: Vec<(u32, u32)> = (1..100).map(|v| (0, v)).collect();
-        let g = GraphBuilder::new().build(Coo::from_edges(100, &edges));
-        let ctx = Context::new(&g).with_reverse(&g);
-        let in_frontier = frontier_bitmap(&ctx, &Frontier::single(0));
-        let mut candidates = PooledBitmap::take(ctx.pool(), 100);
-        candidates.fill_from_frontier(&Frontier::from_vec((1..100).collect()));
-        let mut out = PooledBitmap::take(ctx.pool(), 100);
-        let discovered =
-            advance_pull_sweep(&ctx, &mut candidates, &in_frontier, &mut out, &AcceptAll);
-        assert_eq!(discovered, 99);
-        assert_eq!(out.count_ones(), 99);
-        assert!(!out.get(0));
+        let (found, left) = sweep(&ctx, &[0], &candidates);
+        assert_eq!(found.len(), 99);
+        assert!(!found.contains(&0));
         // discovered candidates were cleared in place — incremental
         // maintenance, no re-prune pass
-        assert_eq!(candidates.count_ones(), 0);
-        // early exit still bounds edge work: one hub edge per candidate
+        assert!(left.is_empty());
+        // each candidate's in-list starts with the hub: one edge each
         assert_eq!(ctx.counters.edges(), 99);
     }
 
@@ -315,48 +235,50 @@ mod tests {
         // two disconnected edges: 0-1, 2-3; frontier = {0}
         let g = GraphBuilder::new().build(Coo::from_edges(4, &[(0, 1), (2, 3)]));
         let ctx = Context::new(&g).with_reverse(&g);
-        let in_frontier = frontier_bitmap(&ctx, &Frontier::single(0));
-        let mut candidates = PooledBitmap::take(ctx.pool(), 4);
-        candidates.fill_from_frontier(&Frontier::from_vec(vec![1, 2, 3]));
-        let mut out = PooledBitmap::take(ctx.pool(), 4);
-        let discovered =
-            advance_pull_sweep(&ctx, &mut candidates, &in_frontier, &mut out, &AcceptAll);
-        assert_eq!(discovered, 1);
-        assert_eq!(out.iter_ones().collect::<Vec<_>>(), vec![1]);
+        let (found, left) = sweep(&ctx, &[0], &[1, 2, 3]);
+        assert_eq!(found, vec![1]);
         // non-discovered candidates stay in the candidate set
-        assert_eq!(candidates.iter_ones().collect::<Vec<_>>(), vec![2, 3]);
+        assert_eq!(left, vec![2, 3]);
     }
 
     #[test]
-    fn raised_cancel_flag_truncates_the_pull_scan() {
-        use crate::policy::RunPolicy;
-        use std::sync::atomic::{AtomicBool, Ordering};
-        use std::sync::Arc;
-        // large synthetic instance: star hub 0 -> {1..N}, frontier = {0},
-        // every other vertex is an unvisited candidate
-        let n: u32 = 50_000;
-        let edges: Vec<(u32, u32)> = (1..n).map(|v| (0, v)).collect();
-        let g = GraphBuilder::new().build(Coo::from_edges(n as usize, &edges));
-        let flag = Arc::new(AtomicBool::new(false));
-        let ctx = Context::new(&g)
-            .with_reverse(&g)
-            .with_policy(RunPolicy::unbounded().cancel_flag(flag.clone()));
-        let bm = frontier_bitmap(&ctx, &Frontier::single(0));
-        let candidates: Vec<u32> = (1..n).collect();
-        // flag down: the full next level comes back
-        let full = advance_pull(&ctx, &candidates, &bm, &AcceptAll);
-        assert_eq!(full.len(), (n - 1) as usize);
-        // flag up before launch: every chunk bails out at its first poll,
-        // long before the frontier is fully scanned
-        flag.store(true, Ordering::Release);
-        let truncated = advance_pull(&ctx, &candidates, &bm, &AcceptAll);
-        assert!(
-            truncated.len() < full.len(),
-            "cancel mid-operator must truncate: got {} of {}",
-            truncated.len(),
-            full.len()
-        );
-        assert!(!ctx.is_poisoned(), "cooperative abort is not a failure");
+    fn sweep_matches_list_pull_and_maintains_candidates() {
+        // directed, so in- and out-lists differ: a ring 0 -> 1 -> ... -> 199
+        // -> 0 plus chords v -> 3v mod 200
+        let n = 200u32;
+        let edges: Vec<(u32, u32)> =
+            (0..n).flat_map(|v| [(v, (v + 1) % n), (v, (3 * v) % n)]).collect();
+        let g = GraphBuilder::new().directed().build(Coo::from_edges(n as usize, &edges));
+        let rev = g.transpose();
+        let ctx = Context::new(&g).with_reverse(&rev);
+        let frontier: Vec<u32> = (0..n).filter(|v| v % 7 == 0).collect();
+        let candidates: Vec<u32> = (0..n).filter(|v| v % 7 != 0).collect();
+        // the list form of pull, serially: a candidate is discovered iff
+        // one of its in-neighbors is in the frontier
+        let list: Vec<usize> = candidates
+            .iter()
+            .filter(|&&v| rev.neighbors(v).iter().any(|u| u % 7 == 0))
+            .map(|&v| v as usize)
+            .collect();
+        let (found, left) = sweep(&ctx, &frontier, &candidates);
+        assert!(!found.is_empty() && found.len() < candidates.len());
+        assert_eq!(found, list);
+        // discovered candidates were cleared in place; the rest stay
+        let expected_left: Vec<usize> =
+            candidates.iter().map(|&v| v as usize).filter(|v| !list.contains(v)).collect();
+        assert_eq!(left, expected_left);
+    }
+
+    #[test]
+    fn candidates_with_no_frontier_neighbor_stay_out() {
+        // directed 0 -> 1 and 2 -> 0: vertex 2 has the frontier vertex 0
+        // as an out-neighbor only, so pulling over in-edges leaves it out
+        let g = GraphBuilder::new().directed().build(Coo::from_edges(3, &[(0, 1), (2, 0)]));
+        let rev = g.transpose();
+        let ctx = Context::new(&g).with_reverse(&rev);
+        let (found, left) = sweep(&ctx, &[0], &[1, 2]);
+        assert_eq!(found, vec![1]);
+        assert_eq!(left, vec![2]);
     }
 
     #[test]
@@ -404,15 +326,5 @@ mod tests {
         assert_eq!(ctx.pool().stats().checkouts, 1);
         bm.release(ctx.pool());
         assert_eq!(ctx.pool().stats().releases, 1);
-    }
-
-    #[test]
-    fn candidates_with_no_frontier_neighbor_stay_out() {
-        // two disconnected edges: 0-1, 2-3
-        let g = GraphBuilder::new().build(Coo::from_edges(4, &[(0, 1), (2, 3)]));
-        let ctx = Context::new(&g).with_reverse(&g);
-        let bm = frontier_bitmap(&ctx, &Frontier::single(0));
-        let out = advance_pull(&ctx, &[1, 2, 3], &bm, &AcceptAll);
-        assert_eq!(out.as_slice(), &[1]);
     }
 }

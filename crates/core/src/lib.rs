@@ -49,7 +49,6 @@ pub mod error;
 pub mod filter;
 pub mod functor;
 pub(crate) mod isolate;
-pub mod partition;
 pub mod policy;
 pub mod priority_queue;
 pub(crate) mod util;
@@ -61,7 +60,7 @@ pub mod prelude {
         gather::{advance_gather, GatherSpec},
         msbfs::{advance_msbfs, MsbfsSweep},
         policy::{DirectionPolicy, GatherSwitch, TraversalDirection},
-        pull::{advance_pull, advance_pull_sweep, frontier_bitmap},
+        pull::{advance_pull_sweep, frontier_bitmap},
         AdvanceMode, AdvanceSpec, InputKind, OutputKind,
     };
     pub use crate::compute;
@@ -73,7 +72,6 @@ pub mod prelude {
         culling::{filter_with_culling_bitmap, CullingConfig},
     };
     pub use crate::functor::{AcceptAll, AdvanceFunctor, EdgeCond, FilterFunctor, VertexCond};
-    pub use crate::partition::{partitioned_advance, ExchangeStats, VertexPartition};
     pub use crate::policy::{CheckpointPolicy, RetryPolicy, RunGuard, RunPolicy};
     pub use crate::priority_queue::NearFarQueue;
     pub use gunrock_engine::bitmap::{AtomicBitmap, BitSet, PooledBitmap};

@@ -113,30 +113,3 @@ fn pull_sweep_is_thread_count_invariant() {
         }
     }
 }
-
-#[test]
-fn pull_advance_is_thread_count_invariant() {
-    let g = test_graph();
-    let input = mixed_frontier(&g);
-    let candidates: Vec<u32> = (0..g.num_vertices() as u32).collect();
-    let mut baseline: Option<(Vec<u32>, u64)> = None;
-    for threads in [1usize, 2, 8] {
-        let (out, edges) = in_pool(threads, || {
-            let ctx = Context::new(&g).with_reverse(&g);
-            let bm = advance::pull::frontier_bitmap(&ctx, &input);
-            let out = advance::pull::advance_pull(&ctx, &candidates, &bm, &AcceptAll);
-            bm.release(ctx.pool());
-            (sorted(out), ctx.counters.edges())
-        });
-        match &baseline {
-            None => baseline = Some((out, edges)),
-            Some((b_out, b_edges)) => {
-                assert_eq!(&out, b_out, "pull: output differs at {threads} threads");
-                assert_eq!(
-                    edges, *b_edges,
-                    "pull: edges_examined differs at {threads} threads"
-                );
-            }
-        }
-    }
-}

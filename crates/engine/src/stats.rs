@@ -225,7 +225,7 @@ pub struct StepRecord {
     pub operator: OperatorKind,
     /// The workload-mapping strategy the dispatcher chose
     /// (e.g. `"thread_mapped"`, `"twc"`, `"auto:load_balanced"`,
-    /// `"pull"`, `"culling"`).
+    /// `"pull_sweep"`, `"culling"`).
     pub strategy: &'static str,
     /// Traversal direction; `None` for filter/compute steps.
     pub direction: Option<StepDirection>,

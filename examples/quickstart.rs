@@ -4,6 +4,7 @@
 
 use gunrock::prelude::*;
 use gunrock_algos::bfs::{bfs, BfsOptions};
+use gunrock_baselines::serial;
 use gunrock_graph::prelude::*;
 
 fn main() {
@@ -22,6 +23,7 @@ fn main() {
     //    it is undirected).
     let ctx = Context::new(&graph).with_reverse(&graph);
     let result = bfs(&ctx, 0, BfsOptions::direction_optimized());
+    assert_eq!(result.labels, serial::bfs(&graph, 0), "depths match serial BFS");
 
     // 3. Inspect.
     let reached = result.labels.iter().filter(|&&l| l != INFINITY).count();
@@ -54,5 +56,6 @@ fn main() {
         path.push(cur);
     }
     path.reverse();
+    assert_eq!((path[0], path.len() - 1), (0, *max_depth as usize), "a shortest path");
     println!("example shortest hop path 0 -> {far}: {path:?}");
 }

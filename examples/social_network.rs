@@ -7,6 +7,7 @@
 
 use gunrock::prelude::*;
 use gunrock_algos::{bc, cc, pagerank};
+use gunrock_baselines::serial;
 use gunrock_graph::prelude::*;
 
 fn top_k(scores: &[f64], k: usize) -> Vec<(u32, f64)> {
@@ -37,6 +38,7 @@ fn main() {
         pr.iterations,
         pr.elapsed.as_secs_f64() * 1e3
     );
+    assert!((pr.scores.iter().sum::<f64>() - 1.0).abs() < 1e-6, "scores are a distribution");
     println!("top influencers (vertex, score):");
     for (v, s) in top_k(&pr.scores, 5) {
         println!("  #{v:<6} score {s:.5}  degree {}", graph.out_degree(v));
@@ -46,6 +48,7 @@ fn main() {
     let seed = top_k(&pr.scores, 1)[0].0;
     let ctx = Context::new(&graph);
     let bc_r = bc::bc(&ctx, seed, bc::BcOptions::default());
+    assert_eq!(bc_r.labels, serial::bfs(&graph, seed), "BC's forward pass is a BFS");
     println!(
         "\nBC pass from seed #{seed}: {} iterations, {:.1} ms",
         bc_r.iterations,
@@ -59,6 +62,7 @@ fn main() {
     // Communities: connected components.
     let ctx = Context::new(&graph);
     let cc_r = cc::cc(&ctx);
+    assert_eq!(cc_r.labels, serial::connected_components(&graph), "canonical labels");
     let giant = {
         let mut counts = std::collections::HashMap::new();
         for &l in &cc_r.labels {

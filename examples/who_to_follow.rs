@@ -1,6 +1,6 @@
 //! Twitter-style "who to follow" (§5.5, after Geil et al.'s "WTF,
-//! GPU!"): personalized PageRank builds a circle of trust, SALSA ranks
-//! the accounts that circle engages with, and already-followed accounts
+//! GPU!"): personalized PageRank builds a circle of trust, a SALSA step
+//! ranks the accounts that circle follows, and already-followed accounts
 //! are excluded.
 //!
 //! Run with: `cargo run --release -p gunrock-examples --example who_to_follow`
@@ -38,8 +38,9 @@ fn main() {
     );
 
     // Recommendations for one user. PPR walks both directions (user ->
-    // account -> co-follower), so it runs on the symmetrized graph; the
-    // final SALSA push uses the directed engagements.
+    // account -> co-follower), so the context's graph is the symmetrized
+    // one; the SALSA step gathers each account's followers over the
+    // reverse graph, the transpose of the directed follows.
     let user: VertexId = 17;
     let undirected = GraphBuilder::new().build(directed.to_coo());
     let ctx = Context::new(&undirected).with_reverse(&reverse);
@@ -55,4 +56,9 @@ fn main() {
         );
     }
     assert!(!recs.is_empty(), "a connected user always gets suggestions");
+    for r in &recs {
+        assert!(r.vertex as usize >= shape.n_left, "only accounts are recommended");
+        assert!(!directed.neighbors(user).contains(&r.vertex), "already followed");
+    }
+    assert!(recs.windows(2).all(|w| w[0].score >= w[1].score), "ranked by score");
 }

@@ -278,27 +278,37 @@ follows the saved work.
 """
 
 A5 = """\
-## Extension — partitioned execution (§7 scalability)
+## Extension — partitioned execution (§7 scalability) — retired in PR30
 
-Command: `cargo run --release -p gunrock-bench --bin ablation_partition -- --scale 12`
-
-The paper's future-work section argues the frontier abstraction is the
-right substrate for multi-GPU distribution. The partitioned advance
-(`gunrock::partition`) makes the claim measurable: BFS over range
-shards, counting the discoveries that cross shard boundaries (the
-frontier traffic a multi-device deployment ships between devices).
-
-Measured:
+*Retired in PR30.* `gunrock::partition` and its `ablation_partition`
+binary were deleted: no primitive, front end or benchmark reached the
+partitioned advance, only this ablation and one test. *Multi-GPU Graph
+Analytics* (PAPERS.md) is the reference a sharded engine would re-derive
+it from (ROADMAP, the parked sharded engine). The last measurement
+(`--scale 12`, range shards, the fraction of BFS discoveries that cross
+a shard boundary) is kept for the record:
 
 ```
-{a5}
+## Partitioned BFS: inter-shard frontier traffic vs shard count (scale 12)
+
+| Dataset | 1 shards | 2 shards | 4 shards | 8 shards | 16 shards |
+| ------- | -------- | -------- | -------- | -------- | --------- |
+| soc     | 0%       | 47%      | 72%      | 85%      | 92%       |
+| bitcoin | 0%       | 0%       | 0%       | 3%       | 9%        |
+| kron    | 0%       | 46%      | 71%      | 85%      | 92%       |
+| roadnet | 0%       | 1%       | 4%       | 8%       | 17%       |
+
+Cells show the fraction of BFS discoveries crossing shard boundaries
+(the frontier traffic a multi-GPU deployment ships between devices).
+Range partitioning keeps roadnet traffic low (spatial locality in
+vertex ids) while scale-free graphs approach the 1 - 1/P random-cut
+bound — the distribution challenge §7 anticipates for frontiers.
 ```
 
-**Shape.** Scale-free graphs approach the `1 - 1/P` random-cut bound
-(92% remote at 16 shards) while range partitioning preserves the
-spatial locality of roadnet (17%) and the chain structure of bitcoin
-(9%) — quantifying exactly why §7 calls data distribution the central
-multi-device challenge for frontier-based processing.
+**Shape (historical).** Scale-free graphs approached the `1 - 1/P`
+random-cut bound (92% remote at 16 shards) while range partitioning
+kept the spatial locality of roadnet (17%) and the chain structure of
+bitcoin (9%).
 """
 
 OBS = """\
@@ -342,7 +352,7 @@ comparisons on kron/roadnet at scale 11) and `primitives`
 | A2 idempotence/culling | PASS |
 | A3 kernel fusion | PASS |
 | A4 priority queue | PASS |
-| §7 partition extension | measured — scale-free near random-cut bound, road/chain keep locality |
+| §7 partition extension | retired in PR30 (the partitioned advance had no caller); last measurement: scale-free near random-cut bound, road/chain keep locality |
 """
 
 
@@ -357,7 +367,7 @@ def main() -> None:
         AF.format(af=grab("ablation_filter.txt")),
         AFU.format(afu=grab("ablation_fusion.txt")),
         APQ.format(apq=grab("ablation_pq.txt")),
-        A5.format(a5=grab("ablation_partition.txt")),
+        A5.format(),
         OBS.format(obs=bench_json_table()),
         FOOTER,
     ])

@@ -58,42 +58,3 @@ fn label_propagation_respects_components_on_suite() {
         }
     }
 }
-
-#[test]
-fn partitioned_bfs_agrees_with_flat_bfs_on_suite() {
-    use gunrock_engine::atomics::{atomic_u32_vec, unwrap_atomic_u32};
-    use gunrock_graph::INFINITY;
-    use std::sync::atomic::{AtomicU32, Ordering};
-
-    struct Discover<'a> {
-        labels: &'a [AtomicU32],
-        level: u32,
-    }
-    impl AdvanceFunctor for Discover<'_> {
-        fn cond_edge(&self, _s: u32, d: u32, _e: u32) -> bool {
-            self.labels[d as usize]
-                .compare_exchange(INFINITY, self.level, Ordering::Relaxed, Ordering::Relaxed)
-                .is_ok()
-        }
-    }
-
-    for (name, g) in graph_suite() {
-        let n = g.num_vertices();
-        let want = serial::bfs(&g, 0);
-        for shards in [2usize, 5] {
-            let ctx = Context::new(&g);
-            let partition = VertexPartition::even(n, shards);
-            let labels = atomic_u32_vec(n, INFINITY);
-            labels[0].store(0, Ordering::Relaxed);
-            let mut frontiers = partition.split_frontier(&Frontier::single(0));
-            let mut level = 0;
-            while gunrock::partition::total_len(&frontiers) > 0 {
-                level += 1;
-                let f = Discover { labels: &labels, level };
-                let (next, _) = partitioned_advance(&ctx, &partition, &frontiers, &f);
-                frontiers = next;
-            }
-            assert_eq!(unwrap_atomic_u32(&labels), want, "{name} with {shards} shards");
-        }
-    }
-}

@@ -29,6 +29,17 @@ fn oriented(g: &Csr) -> (Csr, Csr) {
     (dg, rev)
 }
 
+/// The list form of a pull advance, serially: each candidate whose
+/// in-list (a row of `rev`) holds a frontier vertex is discovered.
+fn list_pull(rev: &Csr, candidates: &[u32], frontier: &[u32]) -> std::collections::BTreeSet<u32> {
+    let in_frontier: std::collections::BTreeSet<u32> = frontier.iter().copied().collect();
+    candidates
+        .iter()
+        .copied()
+        .filter(|&v| rev.neighbors(v).iter().any(|u| in_frontier.contains(u)))
+        .collect()
+}
+
 fn multiset(mut v: Vec<u32>) -> Vec<u32> {
     v.sort_unstable();
     v
@@ -79,12 +90,15 @@ proptest! {
         prop_assert_eq!(two_steps.as_slice(), one_step.as_slice());
     }
 
-    /// Pull advance discovers exactly the candidates adjacent to the
-    /// frontier.
+    /// The pull sweep discovers exactly the candidates push reaches —
+    /// over a directed graph, so it must pull along in-edges — and
+    /// clears exactly the discovered bits from the candidate set.
     #[test]
     fn pull_equals_push_reachability((g, frontier) in arb_graph_and_frontier()) {
-        let ctx = Context::new(&g).with_reverse(&g);
-        let input = Frontier::from_vec(frontier.clone());
+        let n = g.num_vertices();
+        let (dg, rev) = oriented(&g);
+        let ctx = Context::new(&dg).with_reverse(&rev);
+        let input = Frontier::from_vec(frontier);
         // push: set of destinations
         let push: std::collections::BTreeSet<u32> =
             advance::advance(&ctx, &input, AdvanceSpec::v2v(), &AcceptAll)
@@ -93,40 +107,49 @@ proptest! {
                 .collect();
         // pull: candidates = all vertices; kept iff some in-neighbor in frontier
         let bm = frontier_bitmap(&ctx, &input);
-        let candidates: Vec<u32> = (0..g.num_vertices() as u32).collect();
-        let pull: std::collections::BTreeSet<u32> =
-            advance_pull(&ctx, &candidates, &bm, &AcceptAll)
-                .into_vec()
-                .into_iter()
-                .collect();
-        prop_assert_eq!(push, pull);
-    }
-
-    /// The masked word sweep agrees with the list-based pull (and hence
-    /// with push reachability), and clears exactly the discovered bits
-    /// from the candidate set.
-    #[test]
-    fn sweep_pull_equals_list_pull((g, frontier) in arb_graph_and_frontier()) {
-        let n = g.num_vertices();
-        let ctx = Context::new(&g).with_reverse(&g);
-        let input = Frontier::from_vec(frontier);
-        // list pull over the all-vertices candidate set
-        let bm = frontier_bitmap(&ctx, &input);
-        let candidates: Vec<u32> = (0..n as u32).collect();
-        let list: std::collections::BTreeSet<u32> =
-            advance_pull(&ctx, &candidates, &bm, &AcceptAll).into_vec().into_iter().collect();
-        // word sweep over the same candidate set
         let mut cand = PooledBitmap::take(ctx.pool(), n);
         cand.fill_complement(&AtomicBitmap::new(n)); // complement of empty: all ones
         let mut out = PooledBitmap::take(ctx.pool(), n);
-        advance_pull_sweep(&ctx, &mut cand, &bm, &mut out, &AcceptAll);
-        let sweep: std::collections::BTreeSet<u32> =
+        let discovered = advance_pull_sweep(&ctx, &mut cand, &bm, &mut out, &AcceptAll);
+        let pull: std::collections::BTreeSet<u32> =
             out.iter_ones().map(|i| i as u32).collect();
+        prop_assert_eq!(discovered as usize, pull.len());
         // discovered bits left the candidate set; the rest survived
-        prop_assert_eq!(cand.count_ones(), n - sweep.len());
-        for &v in &sweep {
+        prop_assert_eq!(cand.count_ones(), n - pull.len());
+        for &v in &pull {
             prop_assert!(!cand.get(v as usize), "discovered {v} still a candidate");
         }
+        bm.release(ctx.pool());
+        cand.release(ctx.pool());
+        out.release(ctx.pool());
+        prop_assert_eq!(push, pull);
+    }
+
+    /// The masked word sweep agrees with the list form of pull over the
+    /// BFS candidate set (every vertex outside the frontier) of a
+    /// directed graph, and clears exactly the discovered bits from it.
+    #[test]
+    fn sweep_pull_equals_list_pull((g, frontier) in arb_graph_and_frontier()) {
+        let n = g.num_vertices();
+        let (dg, rev) = oriented(&g);
+        let ctx = Context::new(&dg).with_reverse(&rev);
+        let candidates: Vec<u32> =
+            (0..n as u32).filter(|v| frontier.binary_search(v).is_err()).collect();
+        let list = list_pull(&rev, &candidates, &frontier);
+        let input = Frontier::from_vec(frontier);
+        let bm = frontier_bitmap(&ctx, &input);
+        let mut cand = PooledBitmap::take(ctx.pool(), n);
+        cand.fill_from_frontier(&Frontier::from_vec(candidates.clone()));
+        let mut out = PooledBitmap::take(ctx.pool(), n);
+        let discovered = advance_pull_sweep(&ctx, &mut cand, &bm, &mut out, &AcceptAll);
+        let sweep: std::collections::BTreeSet<u32> =
+            out.iter_ones().map(|i| i as u32).collect();
+        prop_assert_eq!(discovered as usize, sweep.len());
+        // the candidates left are exactly those not discovered
+        let left: Vec<u32> = cand.iter_ones().map(|i| i as u32).collect();
+        let expected_left: Vec<u32> =
+            candidates.iter().copied().filter(|v| !list.contains(v)).collect();
+        prop_assert_eq!(left, expected_left);
         bm.release(ctx.pool());
         cand.release(ctx.pool());
         out.release(ctx.pool());

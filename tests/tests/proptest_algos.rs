@@ -90,14 +90,4 @@ proptest! {
             prop_assert!((a - b).abs() < 1e-6, "{} vs {}", a, b);
         }
     }
-
-    #[test]
-    fn mis_and_coloring_invariants((g, _src) in arb_graph()) {
-        let ctx = Context::new(&g);
-        let mis = algos::extras::maximal_independent_set(&ctx, 99);
-        prop_assert!(algos::extras::verify_mis(&g, &mis.in_set));
-        let ctx = Context::new(&g);
-        let coloring = algos::extras::greedy_coloring(&ctx, 99);
-        prop_assert!(algos::extras::verify_coloring(&g, &coloring.colors));
-    }
 }
