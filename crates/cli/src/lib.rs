@@ -1,69 +1,14 @@
-//! Command-line driver for the Gunrock reproduction.
+//! Command-line driver for the Gunrock reproduction; [`USAGE`] lists the
+//! primitives, generators and flags. Exit codes: `0` converged, `1` error
+//! (bad arguments, unreadable or malformed graph, failed verification, a
+//! faulted run), `2` a guard tripped and the printed result is partial
+//! (with checkpointing on, it leaves a resumable snapshot behind).
 //!
-//! ```text
-//! gunrock <primitive> [--graph FILE | --gen KIND --scale N] [options]
-//!
-//! primitives: bfs sssp bc cc pagerank msbfs msppr mst kcore triangles
-//!             labelprop (the entries of gunrock_algos::registry), stats
-//! generators: kron soc roadnet bitcoin random smallworld
-//!
-//! options:
-//!   --graph FILE       load a graph (.bin, .mtx, or edge list)
-//!   --gen KIND         generate a synthetic graph (default: kron)
-//!   --scale N          generator size exponent (default: 12)
-//!   --seed N           generator seed (default: 42)
-//!   --src N            source vertex of single-source primitives, first
-//!                      lane of lane-packed ones (default: 0)
-//!   --sources N        lane-packed primitives (msbfs, msppr): N lanes
-//!                      (1..=64, default 64) taking consecutive ids from
-//!                      --src (mod |V|); reports aggregate sources/sec
-//!   --weights LO..HI   random edge weights of generated graphs
-//!                      (default: 1..64)
-//!   --reorder          relabel vertices degree-descending (hub clustering)
-//!                      before running; results are mapped back to the
-//!                      original ids, so output is unchanged — only the
-//!                      bitmap-frontier locality differs. Resume a
-//!                      reordered run with the same flag.
-//!   --verify           cross-check the result against the serial oracle
-//!   --top K            print the top-K vertices by score (default: 5)
-//!   --max-iters N      stop after N bulk-synchronous iterations
-//!   --timeout-ms N     stop after N milliseconds of wall clock
-//!   --stats-json PATH  write the per-operator instrumentation trace
-//!                      (StepRecords + direction switches + buffer-pool
-//!                      counters) as JSON
-//!   --serial-threshold N  frontiers whose size and neighbor work are both
-//!                      at most N run the single-threaded advance fast
-//!                      path (0 disables; default: 4096)
-//!   --retries N        retry recoverable advance failures N times before
-//!                      falling back to thread_mapped (default: 0)
-//!   --memory-budget B  cap outstanding pooled bytes at B (suffixes k/m/g;
-//!                      0: unlimited). Over-budget runs degrade along the
-//!                      documented ladder or fail with a structured
-//!                      BudgetExceeded — never an allocator abort.
-//!   --watchdog-ms N    hung-run watchdog: a run silent for N ms is
-//!                      cancelled, and killed N/2 ms later (0: disabled)
-//!   --inject-faults SPEC  seeded fault injection; SPEC is a comma list of
-//!                      panic=RATE, alloc=RATE, pool-alloc=RATE, io=RATE,
-//!                      stall=RATE
-//!   --fault-seed N     seed for the fault schedule (default: 42)
-//!   --checkpoint-every N  snapshot state every N iterations (0: only on
-//!                      a guard trip) into --checkpoint-dir
-//!   --checkpoint-dir D directory for checkpoint files (default: .)
-//!   --resume PATH      resume a primitive that checkpoints (all but mst,
-//!                      kcore, triangles, labelprop) from a gunrock-ckpt/v1
-//!                      snapshot (same graph flags!)
-//! ```
-//!
-//! Exit codes: `0` converged, `1` error (bad arguments, unreadable or
-//! malformed graph, failed verification, a faulted run), `2` a guard
-//! tripped and the printed result is partial — if checkpointing was on,
-//! the partial run leaves a resumable snapshot behind.
-//!
-//! Every primitive runs through its `gunrock_algos::registry` entry —
-//! one context rule, one summary printer — so the run path names no
-//! primitive; `--verify` looks the entry's serial oracle up in
-//! [`oracle`], the one table here keyed by entry name. The logic lives in
-//! this library crate so it can be unit tested; `main` is a one-liner.
+//! The flags fill one `gunrock_server::Invocation`, run through
+//! `gunrock_server::invoke` like every served request, on the graph a
+//! `GraphSpec` loads: a run here and a served request on the same graph
+//! flags report the same `result_hash`. `--verify` looks the entry's
+//! serial oracle up in [`oracle`], keyed by entry name.
 
 #![warn(missing_docs)]
 
@@ -71,10 +16,17 @@ mod oracle;
 
 use gunrock::prelude::*;
 use gunrock_algos::registry::{self, Arity, Entry, Output, Query, Run};
+use gunrock_engine::budget::MemoryBudget;
+use gunrock_engine::pool::BufferPool;
+use gunrock_engine::watchdog::{Heartbeat, Watchdog, WatchdogConfig};
 use gunrock_graph::prelude::*;
-use gunrock_graph::{io, stats};
-use std::collections::HashMap;
+use gunrock_graph::stats;
+use gunrock_server::cli::{Flags, GraphSpec};
+use gunrock_server::{invoke, Graphs, Invocation};
+use std::path::PathBuf;
+use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
+use std::time::Duration;
 
 /// Usage text printed for `--help` and argument errors.
 pub const USAGE: &str = "\
@@ -85,21 +37,22 @@ generators: kron soc roadnet bitcoin random smallworld
 service:    gunrock serve --help  |  gunrock query --help
 
 options:
-  --graph FILE       load a graph (.bin, .mtx, or edge list)
+  --graph FILE       load a graph (.bin, .mtx, .gr, or edge list)
   --gen KIND         generate a synthetic graph (default: kron)
   --scale N          generator size exponent (default: 12)
   --seed N           generator seed (default: 42)
   --src N            source vertex (first lane of a batch; default: 0)
   --sources N        msbfs/msppr: N lanes (1..=64, default 64) from
-                     consecutive ids at --src; prints aggregate sources/sec
+                     consecutive ids at --src (mod |V|); prints aggregate
+                     sources/sec
   --weights LO..HI   random edge weights of generated graphs (default: 1..64)
-  --reorder          degree-descending relabeling (results keep original ids)
+  --reorder          degree-descending relabeling (results keep original
+                     ids; resume a reordered run with the same flag)
   --verify           cross-check against the serial oracle
   --top K            print the top-K vertices by score (default: 5)
   --max-iters N      stop after N bulk-synchronous iterations (exit 2)
   --timeout-ms N     stop after N milliseconds of wall clock (exit 2)
   --stats-json PATH  write the per-operator trace (see DESIGN.md) as JSON
-  --serial-threshold N  small-frontier serial fast-path cutoff (0 disables)
   --retries N        retry recoverable advance failures N times (default: 0)
   --memory-budget B  cap outstanding pooled bytes (k/m/g suffixes; 0: unlimited)
   --watchdog-ms N    cancel a silent run after N ms, kill at 1.5N (0: off)
@@ -115,7 +68,7 @@ pub struct Args {
     /// The registry entry (or `stats`) to run.
     pub primitive: String,
     /// `--flag value` options.
-    pub flags: HashMap<String, String>,
+    pub flags: Flags,
     /// Cross-check results against the serial oracle.
     pub verify: bool,
     /// Run on the degree-descending relabeled graph (results are mapped
@@ -125,149 +78,78 @@ pub struct Args {
 
 /// Parses raw arguments; `Err` carries a message for the user.
 pub fn parse_args(raw: Vec<String>) -> Result<Args, String> {
-    let mut it = raw.into_iter().peekable();
+    let mut it = raw.into_iter();
     let primitive = match it.next() {
         Some(p) if p == "--help" || p == "-h" => return Err(USAGE.to_string()),
         Some(p) if !p.starts_with('-') => p,
         Some(p) => return Err(format!("expected a primitive, got {p:?}\n\n{USAGE}")),
         None => return Err(USAGE.to_string()),
     };
-    let mut flags = HashMap::new();
-    let mut verify = false;
-    let mut reorder = false;
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--verify" => verify = true,
-            "--reorder" => reorder = true,
-            flag if flag.starts_with("--") => {
-                let value = it.next().ok_or_else(|| format!("flag {flag} requires a value"))?;
-                flags.insert(flag.trim_start_matches("--").to_string(), value);
-            }
-            other => return Err(format!("unexpected argument {other:?}\n\n{USAGE}")),
-        }
-    }
+    let flags = Flags::parse(it).map_err(|e| format!("{e}\n\n{USAGE}"))?;
+    let (verify, reorder) = (flags.contains_key("verify"), flags.contains_key("reorder"));
     Ok(Args { primitive, flags, verify, reorder })
-}
-
-impl Args {
-    fn get_usize(&self, key: &str, default: usize) -> Result<usize, String> {
-        match self.flags.get(key) {
-            Some(v) => v.parse().map_err(|_| format!("--{key} expects a number, got {v:?}")),
-            None => Ok(default),
-        }
-    }
-
-    /// Builds the execution policy from `--max-iters` / `--timeout-ms`.
-    pub fn policy(&self) -> Result<RunPolicy, String> {
-        let mut policy = RunPolicy::unbounded();
-        if let Some(v) = self.flags.get("max-iters") {
-            let cap: u32 =
-                v.parse().map_err(|_| format!("--max-iters expects a number, got {v:?}"))?;
-            policy = policy.max_iterations(cap);
-        }
-        if let Some(v) = self.flags.get("timeout-ms") {
-            let ms: u64 =
-                v.parse().map_err(|_| format!("--timeout-ms expects a number, got {v:?}"))?;
-            policy = policy.wall_clock_budget(std::time::Duration::from_millis(ms));
-        }
-        Ok(policy)
-    }
-
-    /// Builds the fault schedule from `--inject-faults` / `--fault-seed`.
-    pub fn fault_plan(&self) -> Result<Option<FaultPlan>, String> {
-        let seed = self.get_usize("fault-seed", 42)? as u64;
-        match self.flags.get("inject-faults") {
-            None => Ok(None),
-            Some(spec) => FaultPlan::parse(spec, seed)
-                .map(Some)
-                .map_err(|e| format!("--inject-faults: {e}")),
-        }
-    }
-
-    /// Builds the retry budget from `--retries`.
-    pub fn retry_policy(&self) -> Result<RetryPolicy, String> {
-        Ok(RetryPolicy::retries(self.get_usize("retries", 0)? as u32))
-    }
-
-    /// Builds the snapshot policy from `--checkpoint-every` /
-    /// `--checkpoint-dir`. `--checkpoint-every 0` still snapshots when a
-    /// guard trips, so a timed-out run can be resumed.
-    pub fn checkpoint_policy(&self) -> Result<Option<CheckpointPolicy>, String> {
-        let dir = self.flags.get("checkpoint-dir").map(String::as_str);
-        match self.flags.get("checkpoint-every") {
-            None if dir.is_some() => {
-                Err("--checkpoint-dir requires --checkpoint-every".to_string())
-            }
-            None => Ok(None),
-            Some(v) => {
-                let every: u32 = v
-                    .parse()
-                    .map_err(|_| format!("--checkpoint-every expects a number, got {v:?}"))?;
-                Ok(Some(CheckpointPolicy::new(every, dir.unwrap_or("."))))
-            }
-        }
-    }
-
-    fn weights(&self) -> Result<Option<(u32, u32)>, String> {
-        match self.flags.get("weights") {
-            None => Ok(None),
-            Some(spec) => {
-                let (lo, hi) = spec
-                    .split_once("..")
-                    .ok_or_else(|| format!("--weights expects LO..HI, got {spec:?}"))?;
-                let lo = lo.parse().map_err(|_| format!("bad weight {lo:?}"))?;
-                let hi = hi.parse().map_err(|_| format!("bad weight {hi:?}"))?;
-                if lo > hi || lo == 0 {
-                    return Err(format!("--weights needs 1 <= LO <= HI, got {spec:?}"));
-                }
-                Ok(Some((lo, hi)))
-            }
-        }
-    }
-}
-
-/// Builds the input graph from `--graph` or `--gen`.
-pub fn load_or_generate(args: &Args) -> Result<Csr, String> {
-    if let Some(path) = args.flags.get("graph") {
-        return io::load_graph(std::path::Path::new(path))
-            .map_err(|e| format!("cannot load {path}: {e}"));
-    }
-    let scale = args.get_usize("scale", 12)? as u32;
-    let seed = args.get_usize("seed", 42)? as u64;
-    let kind = args.flags.get("gen").map(String::as_str).unwrap_or("kron");
-    // weighted like served graphs, so sssp and mst see real weights
-    let (lo, hi) = args.weights()?.unwrap_or((1, 64));
-    let coo =
-        generators::from_spec(kind, scale, seed).map_err(|e| format!("{e}\n\n{USAGE}"))?;
-    Ok(GraphBuilder::new().random_weights(lo, hi, seed).build(coo))
-}
-
-fn top_k(scores: &[f64], k: usize) -> Vec<(usize, f64)> {
-    let mut v: Vec<(usize, f64)> = scores.iter().copied().enumerate().collect();
-    v.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-    v.truncate(k);
-    v
 }
 
 /// PageRank-style convergence threshold for every CLI run: tight enough
 /// that `--verify` holds scores to 1e-6 of the oracle's.
 const EPSILON: f64 = 1e-10;
 
+/// The run the flags ask for, minus its sources: the guards, the
+/// snapshot policy, the retries, the pool (with `--memory-budget`) and
+/// the trace switch.
+fn invocation(
+    entry: &'static Entry,
+    flags: &Flags,
+    faults: Option<Arc<FaultInjector>>,
+) -> Result<Invocation, String> {
+    let mut policy = RunPolicy::unbounded();
+    if let Some(cap) = flags.opt("max-iters")? {
+        policy = policy.max_iterations(cap);
+    }
+    if let Some(ms) = flags.opt("timeout-ms")? {
+        policy = policy.wall_clock_budget(Duration::from_millis(ms));
+    }
+    let (every, dir) = (flags.opt("checkpoint-every")?, flags.get("checkpoint-dir"));
+    if every.is_none() && dir.is_some() {
+        return Err("--checkpoint-dir requires --checkpoint-every".to_string());
+    }
+    let pool = match flags.bytes("memory-budget")? {
+        0 => BufferPool::new(),
+        bytes => BufferPool::new().with_budget(Arc::new(MemoryBudget::new(bytes))),
+    };
+    Ok(Invocation {
+        entry,
+        sources: Vec::new(),
+        epsilon: Some(EPSILON),
+        policy,
+        faults,
+        checkpoints: every.map(|e| CheckpointPolicy::new(e, dir.map_or(".", String::as_str))),
+        resume: flags.get("resume").map(PathBuf::from),
+        heartbeat: None,
+        pool: Arc::new(pool),
+        retries: flags.num("retries", 0)?,
+        stats: flags.contains_key("stats-json"),
+    })
+}
+
 /// Executes the parsed command, printing results. `Ok` carries how the
 /// enact loop ended: anything but [`RunOutcome::Converged`] means the
 /// printed result is partial (exit code 2).
 pub fn execute(args: &Args) -> Result<RunOutcome, String> {
+    let flags = &args.flags;
+    let spec = GraphSpec::parse(flags)?;
+    let faults = flags.fault_plan()?.map(|plan| Arc::new(FaultInjector::new(plan)));
     if args.primitive == "stats" {
-        print_stats(&load_or_generate(args)?);
+        print_stats(&spec.load(faults.as_ref())?);
         return Ok(RunOutcome::Converged);
     }
     // reject unknown primitives before paying for graph construction
     let entry = registry::find(&args.primitive)
         .ok_or_else(|| format!("unknown primitive {:?}\n\n{USAGE}", args.primitive))?;
-    let lanes = match (entry.arity, args.flags.get("sources")) {
-        (Arity::Lanes, _) => args.get_usize("sources", LANES)?,
-        (_, None) => 1,
-        (_, Some(_)) => {
+    let lanes = match (entry.arity, flags.contains_key("sources")) {
+        (Arity::Lanes, _) => flags.num("sources", LANES)?,
+        (_, false) => 1,
+        (_, true) => {
             let batched = registry::names(&[Arity::Lanes]);
             return Err(format!("--sources applies to lane-packed primitives ({batched})"));
         }
@@ -275,157 +157,57 @@ pub fn execute(args: &Args) -> Result<RunOutcome, String> {
     if lanes == 0 || lanes > LANES {
         return Err(format!("--sources expects 1..={LANES}, got {lanes}"));
     }
-    let mut policy = args.policy()?;
-    let retry = args.retry_policy()?;
-    // Resource governance: an optional budget on outstanding pooled
-    // bytes and an optional hung-run watchdog. The watchdog shares the
-    // guard's cancel flag — a stalled run is cancelled cooperatively
-    // first, and only killed (via the heartbeat's kill flag, which the
-    // guard also polls) if it stays silent through the grace period.
-    let budget = match args.flags.get("memory-budget") {
-        None => None,
-        Some(v) => {
-            let bytes = gunrock_engine::budget::parse_bytes(v)
-                .map_err(|e| format!("--memory-budget: {e}"))?;
-            (bytes > 0).then(|| Arc::new(gunrock_engine::budget::MemoryBudget::new(bytes)))
-        }
+    if flags.contains_key("resume") && entry.resume.is_none() {
+        return Err(format!("--resume does not support {:?}", entry.name));
+    }
+    let mut inv = invocation(entry, flags, faults.clone())?;
+    let (src, k) = (flags.num("src", 0)?, flags.num("top", 5)?);
+    // The hung-run watchdog shares the guard's cancel flag: a stalled
+    // run is cancelled cooperatively first, and only killed (via the
+    // heartbeat's kill flag, which the guard also polls) if it stays
+    // silent through the grace period.
+    let watchdog = match flags.num("watchdog-ms", 0)? {
+        0 => None,
+        ms => Some(Watchdog::new(WatchdogConfig::new(Duration::from_millis(ms)))),
     };
-    let watchdog_ms = args.get_usize("watchdog-ms", 0)? as u64;
-    let watchdog = (watchdog_ms > 0).then(|| {
-        gunrock_engine::watchdog::Watchdog::new(gunrock_engine::watchdog::WatchdogConfig::new(
-            std::time::Duration::from_millis(watchdog_ms),
-        ))
+    let _watch = watchdog.as_ref().map(|dog| {
+        let (cancel, hb) = (Arc::new(AtomicBool::new(false)), Arc::new(Heartbeat::new()));
+        inv.policy = std::mem::take(&mut inv.policy).cancel_flag(Arc::clone(&cancel));
+        inv.heartbeat = Some(Arc::clone(&hb));
+        dog.watch(hb, cancel, Box::new(|| eprintln!("gunrock: watchdog killed a hung run")))
     });
-    let heartbeat =
-        watchdog.as_ref().map(|_| Arc::new(gunrock_engine::watchdog::Heartbeat::new()));
-    let _watch = match (&watchdog, &heartbeat) {
-        (Some(dog), Some(hb)) => {
-            let cancel = Arc::new(std::sync::atomic::AtomicBool::new(false));
-            policy = policy.cancel_flag(Arc::clone(&cancel));
-            Some(dog.watch(
-                Arc::clone(hb),
-                cancel,
-                Box::new(|| eprintln!("gunrock: watchdog killed a hung run")),
-            ))
-        }
-        _ => None,
-    };
-    let ckpt_policy = args.checkpoint_policy()?;
-    let injector = args.fault_plan()?.map(|plan| Arc::new(FaultInjector::new(plan)));
-    // io faults are injected at the loader, before a Context exists, so
-    // they go through a process-wide hook; the RAII guard uninstalls it
-    // on every exit path (tests share the process)
-    let _read_hook = injector
-        .as_ref()
-        .filter(|inj| inj.plan().rate(FaultKind::Io) > 0.0)
-        .map(|inj| install_read_faults(Arc::clone(inj)));
-    let resume_ckpt = match args.flags.get("resume") {
-        None => None,
-        Some(path) => {
-            let Some(resume) = entry.resume else {
-                return Err(format!("--resume does not support {:?}", entry.name));
-            };
-            let ckpt = Checkpoint::load(std::path::Path::new(path))
-                .map_err(|e| format!("cannot resume from {path}: {e}"))?;
-            if ckpt.primitive() != entry.name {
-                return Err(format!(
-                    "checkpoint {path} holds a {} run, not {}",
-                    ckpt.primitive(),
-                    entry.name
-                ));
-            }
-            Some((resume, ckpt))
-        }
-    };
-    let mut g = load_or_generate(args)?;
-    // --reorder: run on the degree-descending relabeled graph (hub
-    // clustering, so the bitmap pull sweep concentrates its hot words);
-    // `orig` keeps the input graph so --verify oracles run on it and
-    // compare against results restored to original ids
-    let relab = args.reorder.then(|| degree_descending(&g));
-    let orig = relab.as_ref().map(|r| {
-        let relabeled = r.apply(&g);
-        std::mem::replace(&mut g, relabeled)
-    });
-    let g = g;
-    let og = orig.as_ref().unwrap_or(&g);
+    let input = spec.load(faults.as_ref())?;
+    // --verify runs the oracle on the input graph, against results
+    // restored to original ids
+    let original = (args.reorder && args.verify).then(|| input.clone());
+    let (graph, relab) = spec.arrange(input);
+    let graphs = Graphs::new(graph, relab);
+    let g = &graphs.graph;
     let n = g.num_vertices();
-    // original-id sources: one, or `lanes` consecutive ids from --src so
-    // a batch is reproducible without listing 64 vertices
-    let src = args.get_usize("src", 0)?;
-    if entry.arity == Arity::One && resume_ckpt.is_none() && src >= n {
+    if entry.arity == Arity::One && inv.resume.is_none() && src >= n {
         return Err(format!("--src {src} out of range (graph has {n} vertices)"));
     }
-    let sources: Vec<VertexId> = match entry.arity {
-        Arity::None => Vec::new(),
-        _ => (0..lanes).map(|l| ((src + l) % n.max(1)) as VertexId).collect(),
-    };
-    let k = args.get_usize("top", 5)?;
+    // original-id sources: one, or `lanes` consecutive ids from --src so
+    // a batch is reproducible without listing 64 vertices
+    if entry.arity != Arity::None {
+        inv.sources = (0..lanes).map(|l| ((src + l) % n.max(1)) as VertexId).collect();
+    }
     println!(
         "graph: {} vertices, {} directed edges, max degree {}",
         n,
         g.num_edges(),
         g.max_degree()
     );
-    let stats_path = args.flags.get("stats-json");
-    let serial_threshold = match args.flags.get("serial-threshold") {
-        Some(v) => Some(
-            v.parse::<usize>()
-                .map_err(|_| format!("--serial-threshold expects a number, got {v:?}"))?,
-        ),
-        None => None,
-    };
-    // One context rule for every primitive: the real transpose as the
-    // reverse graph (a loaded `.bin` may be directed), so pull levels and
-    // gathers read in-edges; the trace sink only when the trace is
-    // wanted; the robustness knobs threaded in.
-    let rev = g.transpose();
-    let mut ctx = Context::new(&g).with_reverse(&rev).with_policy(policy).with_retry(retry);
-    if stats_path.is_some() {
-        ctx = Context::with_stats(ctx);
-    }
-    if let Some(t) = serial_threshold {
-        ctx = ctx.with_config(gunrock_engine::EngineConfig::new().with_serial_threshold(t));
-    }
-    if let Some(cp) = &ckpt_policy {
-        ctx = ctx.with_checkpoints(cp.clone());
-    }
-    if let Some(inj) = &injector {
-        ctx = ctx.with_faults(Arc::clone(inj));
-    }
-    if let Some(b) = &budget {
-        ctx = ctx.with_budget(Arc::clone(b));
-    }
-    if let Some(hb) = &heartbeat {
-        ctx = ctx.with_heartbeat(Arc::clone(hb));
-    }
-    let run = match &resume_ckpt {
-        Some((resume, ckpt)) => {
-            resume(&ctx, ckpt).map_err(|e| format!("resume failed: {e}"))?
-        }
-        None => {
-            let internal =
-                sources.iter().map(|&s| relab.as_ref().map_or(s, |r| r.new_of_old(s)));
-            (entry.run)(&ctx, &Query { sources: internal.collect(), epsilon: Some(EPSILON) })
-        }
-    };
-    // the sources the run actually used (a checkpoint pins its own), in
-    // original ids, and the output restored to original ids
-    let sources: Vec<VertexId> =
-        run.sources.iter().map(|&s| relab.as_ref().map_or(s, |r| r.old_of_new(s))).collect();
-    let restored = relab.as_ref().map(|r| run.output.restore(r));
-    let output = restored.as_ref().unwrap_or(&run.output);
-    print_run(entry, &run, &sources, output, &ctx, k);
+    let done = invoke(&graphs, inv).map_err(|e| e.message)?;
+    let run = &done.run;
+    print_run(entry, run, &done.ctx, k);
     // dump the trace (faulted runs included), then surface a poisoned
     // run as the structured error that caused it (exit code 1)
-    if let Some(path) = stats_path {
-        dump_stats(path, entry.name, &g, run.elapsed, &ctx, run.outcome)?;
+    if let Some(path) = flags.get("stats-json") {
+        dump_stats(path, entry.name, g, run, &done.ctx)?;
     }
-    if run.outcome == RunOutcome::Failed {
-        return Err(match ctx.take_failure() {
-            Some(e) => format!("run failed: {e}"),
-            None => "run failed: operator fault (no recorded cause)".to_string(),
-        });
+    if let Some(e) = done.failure() {
+        return Err(e.message);
     }
     // --verify against a converged oracle only makes sense for a
     // converged run; a tripped guard skips it with a note instead of
@@ -435,7 +217,9 @@ pub fn execute(args: &Args) -> Result<RunOutcome, String> {
             println!("skipping --verify: result is partial ({})", run.outcome);
         }
         (true, Some(oracle)) => {
-            output.check(&oracle(og, &Query { sources, epsilon: Some(EPSILON) }))?;
+            let og = original.as_ref().unwrap_or(g);
+            let query = Query { sources: run.sources.clone(), epsilon: Some(EPSILON) };
+            run.output.check(&oracle(og, &query))?;
             println!("verified against serial oracle");
         }
         (true, None) => println!("skipping --verify: {} has no serial oracle", entry.name),
@@ -443,11 +227,8 @@ pub fn execute(args: &Args) -> Result<RunOutcome, String> {
     }
     if !run.outcome.is_converged() {
         println!("partial result: {}", run.outcome);
-        if let Some(cp) = &ckpt_policy {
-            let p = cp.path(entry.name);
-            if p.exists() {
-                println!("resumable checkpoint: {}", p.display());
-            }
+        if let Some(p) = &done.checkpoint {
+            println!("resumable checkpoint: {}", p.display());
         }
     }
     Ok(run.outcome)
@@ -470,21 +251,15 @@ fn print_stats(g: &Csr) {
     }
 }
 
-/// One summary line for any run, then what its output shape calls for:
-/// reached slots, component count, the top-K scores or the count.
-fn print_run(
-    entry: &Entry,
-    run: &Run,
-    sources: &[VertexId],
-    output: &Output,
-    ctx: &Context<'_>,
-    k: usize,
-) {
+/// One summary line for any run, its `result_hash` (the served
+/// response's field), then what its output shape calls for: reached
+/// slots, component count, the top-K scores or the count.
+fn print_run(entry: &Entry, run: &Run, ctx: &Context<'_>, k: usize) {
     let secs = run.elapsed.as_secs_f64();
-    let from = match sources {
+    let from = match run.sources.as_slice() {
         [] => String::new(),
         [s] => format!(" from {s}"),
-        [first, ..] => format!(" x{} from {first}", sources.len()),
+        [first, ..] => format!(" x{} from {first}", run.sources.len()),
     };
     let mut line = format!(
         "{}{from}: {} iterations ({} pull), {:.2} ms, {:.1} MTEPS",
@@ -494,50 +269,28 @@ fn print_run(
         secs * 1e3,
         Timing { elapsed: run.elapsed, edges_examined: ctx.counters.edges() }.mteps()
     );
-    if sources.len() > 1 && secs > 0.0 {
-        line += &format!(", {:.0} sources/sec", sources.len() as f64 / secs);
+    if run.sources.len() > 1 && secs > 0.0 {
+        line += &format!(", {:.0} sources/sec", run.sources.len() as f64 / secs);
     }
     println!("{line}");
-    match output {
+    println!("  result_hash {:016x}", run.output.hash());
+    match &run.output {
         Output::Depths(_) => {
-            println!("  reached {} vertex slots", output.reached().unwrap_or(0))
+            println!("  reached {} vertex slots", run.output.reached().unwrap_or(0))
         }
-        Output::Components(_) => println!("  {} components", output.components().unwrap_or(0)),
+        Output::Components(_) => {
+            println!("  {} components", run.output.components().unwrap_or(0))
+        }
         Output::Scores(scores) => {
             println!("  top scores:");
-            for (v, s) in top_k(scores, k) {
+            let mut top: Vec<(usize, f64)> = scores.iter().copied().enumerate().collect();
+            top.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+            for (v, s) in top.into_iter().take(k) {
                 println!("  #{v:<8} {s:.6}");
             }
         }
         Output::Count(c) => println!("  count {c}"),
     }
-}
-
-/// Uninstalls the loader fault hook when dropped, so `--inject-faults`
-/// in one `execute` call cannot leak into the next (tests share the
-/// process).
-struct ReadFaultGuard;
-
-impl Drop for ReadFaultGuard {
-    fn drop(&mut self) {
-        io::set_read_fault_hook(None);
-    }
-}
-
-/// Installs the process-wide loader hook that turns `io=RATE` faults
-/// into deterministic truncations and bit-flips of the file under read.
-fn install_read_faults(inj: Arc<FaultInjector>) -> ReadFaultGuard {
-    io::set_read_fault_hook(Some(Arc::new(move |path: &str, len: u64| {
-        if !inj.should_fail(FaultKind::Io, path) {
-            return None;
-        }
-        Some(if inj.uniform(path, 2) == 0 {
-            io::IoFault::Truncate { at: inj.uniform(path, len) }
-        } else {
-            io::IoFault::Corrupt { at: inj.uniform(path, len), mask: 0x40 }
-        })
-    })));
-    ReadFaultGuard
 }
 
 /// Writes the instrumentation trace collected by `ctx`'s sink as a JSON
@@ -548,20 +301,19 @@ fn dump_stats(
     path: &str,
     primitive: &str,
     g: &Csr,
-    elapsed: std::time::Duration,
+    run: &Run,
     ctx: &Context<'_>,
-    outcome: RunOutcome,
 ) -> Result<(), String> {
     use gunrock_engine::json::JsonBuilder;
     let stats = ctx.run_stats();
-    let timing = Timing { elapsed, edges_examined: ctx.counters.edges() };
+    let timing = Timing { elapsed: run.elapsed, edges_examined: ctx.counters.edges() };
     let mut j = JsonBuilder::new();
     j.begin_object();
     j.field_str("schema", "gunrock-stats/v1");
     j.field_str("primitive", primitive);
     j.field_u64("num_vertices", g.num_vertices() as u64);
     j.field_u64("num_edges", g.num_edges() as u64);
-    j.field_str("outcome", &outcome.to_string());
+    j.field_str("outcome", &run.outcome.to_string());
     j.field_f64("total_millis", timing.millis());
     j.field_f64("mteps", timing.mteps());
     j.key("counters");
@@ -607,9 +359,19 @@ pub fn run(raw: Vec<String>) -> i32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gunrock_graph::io;
 
     fn args(v: &[&str]) -> Vec<String> {
         v.iter().map(|s| s.to_string()).collect()
+    }
+
+    fn load_or_generate(a: &Args) -> Result<Csr, String> {
+        GraphSpec::parse(&a.flags)?.load(None)
+    }
+
+    /// The invocation `a`'s flags build for its primitive.
+    fn invocation_of(a: &Args) -> Result<Invocation, String> {
+        invocation(registry::find(&a.primitive).unwrap(), &a.flags, None)
     }
 
     #[test]
@@ -635,44 +397,13 @@ mod tests {
 
     #[test]
     fn weights_spec_parsing() {
+        let weights = |a: &Args| GraphSpec::parse(&a.flags).map(|spec| spec.weights);
         let a = parse_args(args(&["sssp", "--weights", "1..9"])).unwrap();
-        assert_eq!(a.weights().unwrap(), Some((1, 9)));
+        assert_eq!(weights(&a).unwrap(), (1, 9));
         let bad = parse_args(args(&["sssp", "--weights", "9..1"])).unwrap();
-        assert!(bad.weights().is_err());
+        assert!(weights(&bad).is_err());
         let malformed = parse_args(args(&["sssp", "--weights", "7"])).unwrap();
-        assert!(malformed.weights().is_err());
-    }
-
-    #[test]
-    fn serial_threshold_flag_runs_and_rejects_garbage() {
-        let a = parse_args(args(&[
-            "bfs",
-            "--gen",
-            "kron",
-            "--scale",
-            "7",
-            "--serial-threshold",
-            "128",
-            "--verify",
-        ]))
-        .unwrap();
-        assert_eq!(execute(&a).unwrap(), RunOutcome::Converged);
-        // disabled fast path must produce the same verified result
-        let off = parse_args(args(&[
-            "bfs",
-            "--gen",
-            "kron",
-            "--scale",
-            "7",
-            "--serial-threshold",
-            "0",
-            "--verify",
-        ]))
-        .unwrap();
-        assert_eq!(execute(&off).unwrap(), RunOutcome::Converged);
-        let bad =
-            parse_args(args(&["bfs", "--scale", "7", "--serial-threshold", "lots"])).unwrap();
-        assert!(execute(&bad).unwrap_err().contains("--serial-threshold"));
+        assert!(weights(&malformed).is_err());
     }
 
     #[test]
@@ -791,13 +522,14 @@ mod tests {
 
     #[test]
     fn policy_flags_build_a_run_policy() {
+        let policy = |a: &Args| invocation_of(a).map(|inv| inv.policy);
         let a = parse_args(args(&["bfs", "--max-iters", "3", "--timeout-ms", "500"])).unwrap();
-        let p = a.policy().unwrap();
+        let p = policy(&a).unwrap();
         assert!(!p.is_unbounded());
         let bad = parse_args(args(&["bfs", "--max-iters", "lots"])).unwrap();
-        assert!(bad.policy().unwrap_err().contains("--max-iters"));
+        assert!(policy(&bad).unwrap_err().contains("--max-iters"));
         let bad = parse_args(args(&["bfs", "--timeout-ms", "-1"])).unwrap();
-        assert!(bad.policy().unwrap_err().contains("--timeout-ms"));
+        assert!(policy(&bad).unwrap_err().contains("--timeout-ms"));
     }
 
     #[test]
@@ -942,20 +674,23 @@ mod tests {
             "7",
         ]))
         .unwrap();
-        assert_eq!(a.retry_policy().unwrap(), RetryPolicy::retries(2));
-        let plan = a.fault_plan().unwrap().unwrap();
+        let retry_policy =
+            |a: &Args| invocation_of(a).map(|inv| RetryPolicy::retries(inv.retries));
+        let checkpoint_policy = |a: &Args| invocation_of(a).map(|inv| inv.checkpoints);
+        assert_eq!(retry_policy(&a).unwrap(), RetryPolicy::retries(2));
+        let plan = a.flags.fault_plan().unwrap().unwrap();
         assert_eq!(plan.seed, 7);
         assert!(plan.is_active());
         let bad = parse_args(args(&["bfs", "--inject-faults", "bogus=1"])).unwrap();
-        assert!(bad.fault_plan().unwrap_err().contains("--inject-faults"));
+        assert!(bad.flags.fault_plan().unwrap_err().contains("--inject-faults"));
         let a =
             parse_args(args(&["bfs", "--checkpoint-every", "2", "--checkpoint-dir", "/tmp"]))
                 .unwrap();
-        let cp = a.checkpoint_policy().unwrap().unwrap();
+        let cp = checkpoint_policy(&a).unwrap().unwrap();
         assert_eq!(cp.every, 2);
         assert_eq!(cp.path("bfs"), std::path::Path::new("/tmp/bfs.ckpt"));
         let orphan = parse_args(args(&["bfs", "--checkpoint-dir", "/tmp"])).unwrap();
-        assert!(orphan.checkpoint_policy().unwrap_err().contains("--checkpoint-every"));
+        assert!(checkpoint_policy(&orphan).unwrap_err().contains("--checkpoint-every"));
     }
 
     #[test]

@@ -6,12 +6,14 @@ use crate::client;
 use crate::protocol::SCHEMA;
 use crate::server::{serve_stdin, start, ServerConfig};
 use crate::signal;
-use gunrock_engine::faults::FaultPlan;
+use gunrock_engine::faults::{FaultInjector, FaultKind, FaultPlan};
 use gunrock_engine::json::{JsonBuilder, JsonValue};
+use gunrock_graph::reorder::{degree_descending, Relabeling};
 use gunrock_graph::{generators, io as graph_io, Csr, GraphBuilder};
 use std::collections::HashMap;
 use std::io::Write;
 use std::path::PathBuf;
+use std::str::FromStr;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -38,7 +40,6 @@ options:
   --breaker-cooldown-ms N  open-breaker shed window (default: 1000)
   --retry-after-ms N    retry hint on queue-full rejections (default: 100)
   --checkpoint-dir D    root for per-request snapshots (default: .)
-  --serial-threshold N  small-frontier serial fast-path cutoff
   --memory-budget B     cap outstanding pooled bytes across all workers
                         (suffix k/m/g for KiB/MiB/GiB; 0: unlimited, the
                         default); requests whose estimated footprint
@@ -81,144 +82,214 @@ request flags (assembled into one request line):
 Prints the response line. Exit code 0 when status is \"ok\", 2 for a
 partial result, 1 for rejections, failures, and transport errors.";
 
-/// Flags that take no value.
-const BOOLEAN_FLAGS: [&str; 3] = ["stdin", "checkpoint", "reorder"];
+/// Flags that take no value: each front end reads the ones it knows.
+const SWITCHES: [&str; 5] = ["help", "verify", "reorder", "stdin", "checkpoint"];
 
-fn parse_flags(raw: Vec<String>) -> Result<HashMap<String, String>, String> {
-    let mut flags = HashMap::new();
-    let mut it = raw.into_iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--help" | "-h" => return Err("help".to_string()),
-            flag if flag.starts_with("--") => {
-                let key = flag.trim_start_matches("--").to_string();
-                if BOOLEAN_FLAGS.contains(&key.as_str()) {
-                    flags.insert(key, "true".to_string());
-                } else {
-                    let value =
-                        it.next().ok_or_else(|| format!("flag {flag} requires a value"))?;
-                    flags.insert(key, value);
-                }
-            }
-            other => return Err(format!("unexpected argument {other:?}")),
+/// `--flag value` options and `--switch`es (stored as `"true"`): the one
+/// flag parser behind `gunrock`, `gunrock-serve` and `gunrock query`.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct Flags(HashMap<String, String>);
+
+impl std::ops::Deref for Flags {
+    type Target = HashMap<String, String>;
+    fn deref(&self) -> &Self::Target {
+        &self.0
+    }
+}
+
+impl Flags {
+    /// Parses `raw`; `-h` is `--help`. `Err` carries a message for the
+    /// user.
+    pub fn parse(raw: impl IntoIterator<Item = String>) -> Result<Flags, String> {
+        let mut flags = HashMap::new();
+        let mut it = raw.into_iter();
+        while let Some(a) = it.next() {
+            let Some(key) = a.strip_prefix("--").or((a == "-h").then_some("help")) else {
+                return Err(format!("unexpected argument {a:?}"));
+            };
+            let value = match SWITCHES.contains(&key) {
+                true => "true".to_string(),
+                false => it.next().ok_or_else(|| format!("flag {a} requires a value"))?,
+            };
+            flags.insert(key.to_string(), value);
         }
+        Ok(Flags(flags))
     }
-    Ok(flags)
+
+    /// `--key`'s number, if given.
+    pub fn opt<T: FromStr>(&self, key: &str) -> Result<Option<T>, String> {
+        self.get(key)
+            .map(|v| v.parse().map_err(|_| format!("--{key} expects a number, got {v:?}")))
+            .transpose()
+    }
+
+    /// `--key`'s number, or `default`.
+    pub fn num<T: FromStr>(&self, key: &str, default: T) -> Result<T, String> {
+        Ok(self.opt(key)?.unwrap_or(default))
+    }
+
+    /// `--key`'s byte count (`k`/`m`/`g` suffixes), or 0.
+    pub fn bytes(&self, key: &str) -> Result<u64, String> {
+        let bytes = self.get(key).map(|v| parse_bytes(v).map_err(|e| format!("--{key}: {e}")));
+        Ok(bytes.transpose()?.unwrap_or(0))
+    }
+
+    /// The seeded fault schedule of `--inject-faults` / `--fault-seed`.
+    pub fn fault_plan(&self) -> Result<Option<FaultPlan>, String> {
+        let seed = self.num("fault-seed", 42)?;
+        let plan = self.get("inject-faults").map(|spec| FaultPlan::parse(spec, seed));
+        plan.transpose().map_err(|e| format!("--inject-faults: {e}"))
+    }
 }
 
-fn get_u64(flags: &HashMap<String, String>, key: &str, default: u64) -> Result<u64, String> {
-    match flags.get(key) {
-        Some(v) => v.parse().map_err(|_| format!("--{key} expects a number, got {v:?}")),
-        None => Ok(default),
-    }
-}
-
-/// Byte-count parsing with `k`/`m`/`g` suffixes, shared with the CLI.
+/// Byte-count parsing with `k`/`m`/`g` suffixes (see [`Flags::bytes`]).
 pub use gunrock_engine::budget::parse_bytes;
 
-/// Builds the served graph from `--graph` or the generator flags.
-fn build_graph(flags: &HashMap<String, String>) -> Result<Csr, String> {
-    if let Some(path) = flags.get("graph") {
-        return graph_io::load_graph(std::path::Path::new(path))
-            .map_err(|e| format!("cannot load {path}: {e}"));
-    }
-    let scale = get_u64(flags, "scale", 12)? as u32;
-    let seed = get_u64(flags, "seed", 42)?;
-    let kind = flags.get("gen").map(String::as_str).unwrap_or("kron");
-    // The service runs sssp and mst too, so served graphs always carry
-    // weights.
-    let (lo, hi) = match flags.get("weights") {
-        None => (1, 64),
-        Some(spec) => {
-            let (lo, hi) = spec
-                .split_once("..")
-                .ok_or_else(|| format!("--weights expects LO..HI, got {spec:?}"))?;
-            let lo: u32 = lo.parse().map_err(|_| format!("bad weight {lo:?}"))?;
-            let hi: u32 = hi.parse().map_err(|_| format!("bad weight {hi:?}"))?;
-            if lo > hi || lo == 0 {
-                return Err(format!("--weights needs 1 <= LO <= HI, got {spec:?}"));
-            }
-            (lo, hi)
-        }
-    };
-    let coo = generators::from_spec(kind, scale, seed)?;
-    Ok(GraphBuilder::new().random_weights(lo, hi, seed).build(coo))
+/// Which graph a front end runs on: `--graph`, or `--gen` / `--scale` /
+/// `--seed` / `--weights`, and `--reorder`.
+#[derive(Clone, Debug, PartialEq)]
+pub struct GraphSpec {
+    /// A `.bin`, `.mtx`, `.gr` or edge-list file; generate when `None`.
+    file: Option<PathBuf>,
+    gen: String,
+    scale: u32,
+    seed: u64,
+    /// Range of the random edge weights of a generated graph.
+    pub weights: (u32, u32),
+    /// Run on the degree-descending relabeling (hub clustering).
+    reorder: bool,
 }
 
-fn build_config(flags: &HashMap<String, String>) -> Result<ServerConfig, String> {
-    let fault_plan = match flags.get("inject-faults") {
-        None => None,
-        Some(spec) => Some(
-            FaultPlan::parse(spec, get_u64(flags, "fault-seed", 42)?)
-                .map_err(|e| format!("--inject-faults: {e}"))?,
-        ),
-    };
+impl GraphSpec {
+    /// Reads the graph flags.
+    pub fn parse(flags: &Flags) -> Result<GraphSpec, String> {
+        let weights = match flags.get("weights") {
+            None => (1, 64),
+            Some(spec) => {
+                let (lo, hi) = spec
+                    .split_once("..")
+                    .ok_or_else(|| format!("--weights expects LO..HI, got {spec:?}"))?;
+                let lo: u32 = lo.parse().map_err(|_| format!("bad weight {lo:?}"))?;
+                let hi: u32 = hi.parse().map_err(|_| format!("bad weight {hi:?}"))?;
+                if lo > hi || lo == 0 {
+                    return Err(format!("--weights needs 1 <= LO <= HI, got {spec:?}"));
+                }
+                (lo, hi)
+            }
+        };
+        Ok(GraphSpec {
+            file: flags.get("graph").map(PathBuf::from),
+            gen: flags.get("gen").map_or("kron", String::as_str).to_string(),
+            scale: flags.num("scale", 12)?,
+            seed: flags.num("seed", 42)?,
+            weights,
+            reorder: flags.contains_key("reorder"),
+        })
+    }
+
+    /// Loads or generates the input graph. `faults`' `io=` rate damages
+    /// file reads for the duration of the load. Generated graphs are
+    /// weighted, so `sssp` and `mst` see real weights.
+    pub fn load(&self, faults: Option<&Arc<FaultInjector>>) -> Result<Csr, String> {
+        let _hook = faults
+            .filter(|f| f.plan().rate(FaultKind::Io) > 0.0)
+            .map(|f| install_read_faults(Arc::clone(f)));
+        if let Some(path) = &self.file {
+            return graph_io::load_graph(path)
+                .map_err(|e| format!("cannot load {}: {e}", path.display()));
+        }
+        let coo = generators::from_spec(&self.gen, self.scale, self.seed)?;
+        let (lo, hi) = self.weights;
+        Ok(GraphBuilder::new().random_weights(lo, hi, self.seed).build(coo))
+    }
+
+    /// `input` as runs see it: under `--reorder`, relabeled
+    /// degree-descending, with the relabeling that maps results back.
+    pub fn arrange(&self, input: Csr) -> (Arc<Csr>, Option<Arc<Relabeling>>) {
+        if !self.reorder {
+            return (Arc::new(input), None);
+        }
+        let r = degree_descending(&input);
+        (Arc::new(r.apply(&input)), Some(Arc::new(r)))
+    }
+}
+
+/// Uninstalls the loader fault hook when dropped, so a load's faults
+/// cannot leak into the next (tests share the process).
+struct ReadFaultGuard;
+
+impl Drop for ReadFaultGuard {
+    fn drop(&mut self) {
+        graph_io::set_read_fault_hook(None);
+    }
+}
+
+/// Installs the process-wide loader hook that turns `io=RATE` faults
+/// into deterministic truncations and bit-flips of the file under read.
+fn install_read_faults(inj: Arc<FaultInjector>) -> ReadFaultGuard {
+    graph_io::set_read_fault_hook(Some(Arc::new(move |path: &str, len: u64| {
+        if !inj.should_fail(FaultKind::Io, path) {
+            return None;
+        }
+        Some(if inj.uniform(path, 2) == 0 {
+            graph_io::IoFault::Truncate { at: inj.uniform(path, len) }
+        } else {
+            graph_io::IoFault::Corrupt { at: inj.uniform(path, len), mask: 0x40 }
+        })
+    })));
+    ReadFaultGuard
+}
+
+fn build_config(flags: &Flags) -> Result<ServerConfig, String> {
     Ok(ServerConfig {
-        workers: get_u64(flags, "workers", 4)? as usize,
-        queue_capacity: get_u64(flags, "queue-cap", 16)? as usize,
-        breaker_threshold: get_u64(flags, "breaker-threshold", 3)? as u32,
-        breaker_cooldown: Duration::from_millis(get_u64(flags, "breaker-cooldown-ms", 1000)?),
-        retry_after: Duration::from_millis(get_u64(flags, "retry-after-ms", 100)?),
-        checkpoint_dir: PathBuf::from(
-            flags.get("checkpoint-dir").map(String::as_str).unwrap_or("."),
-        ),
-        fault_plan,
-        serial_threshold: flags
-            .get("serial-threshold")
-            .map(|v| v.parse().map_err(|_| format!("--serial-threshold: bad number {v:?}")))
-            .transpose()?,
-        // filled by run_serve once the graph exists
+        workers: flags.num("workers", 4)?,
+        queue_capacity: flags.num("queue-cap", 16)?,
+        breaker_threshold: flags.num("breaker-threshold", 3)?,
+        breaker_cooldown: Duration::from_millis(flags.num("breaker-cooldown-ms", 1000)?),
+        retry_after: Duration::from_millis(flags.num("retry-after-ms", 100)?),
+        checkpoint_dir: PathBuf::from(flags.get("checkpoint-dir").map_or(".", String::as_str)),
+        fault_plan: flags.fault_plan()?,
+        // filled by `serve` once the graph exists
         relabeling: None,
-        memory_budget: flags
-            .get("memory-budget")
-            .map(|v| parse_bytes(v).map_err(|e| format!("--memory-budget: {e}")))
-            .transpose()?
-            .unwrap_or(0),
-        watchdog_interval: match get_u64(flags, "watchdog-ms", 0)? {
+        memory_budget: flags.bytes("memory-budget")?,
+        watchdog_interval: match flags.num("watchdog-ms", 0)? {
             0 => None,
             ms => Some(Duration::from_millis(ms)),
         },
-        batch_window: Duration::from_millis(get_u64(flags, "batch-window-ms", 0)?),
-        batch_lanes: get_u64(flags, "batch-lanes", 64)? as usize,
+        batch_window: Duration::from_millis(flags.num("batch-window-ms", 0)?),
+        batch_lanes: flags.num("batch-lanes", 64)?,
     })
 }
 
 /// `gunrock-serve` / `gunrock serve`: boots the service, blocks until
 /// drain, prints the summary. Returns the process exit code.
 pub fn run_serve(raw: Vec<String>) -> i32 {
-    let flags = match parse_flags(raw) {
-        Ok(f) => f,
-        Err(e) if e == "help" => {
-            println!("{SERVE_USAGE}");
-            return 0;
+    match serve(raw) {
+        Ok(summary) => {
+            println!("{summary}");
+            0
         }
-        Err(e) => {
-            eprintln!("{e}\n\n{SERVE_USAGE}");
-            return 1;
-        }
-    };
-    let mut graph = match build_graph(&flags) {
-        Ok(g) => g,
         Err(e) => {
             eprintln!("{e}");
-            return 1;
+            1
         }
-    };
+    }
+}
+
+/// The service's life: the drain summary, or why it never started.
+fn serve(raw: Vec<String>) -> Result<String, String> {
+    let usage = |e: String| format!("{e}\n\n{SERVE_USAGE}");
+    let flags = Flags::parse(raw).map_err(usage)?;
+    if flags.contains_key("help") {
+        return Ok(SERVE_USAGE.to_string());
+    }
+    let spec = GraphSpec::parse(&flags).map_err(usage)?;
+    let mut cfg = build_config(&flags).map_err(usage)?;
+    let port = flags.num::<u16>("port", 0).map_err(usage)?;
+    let faults = cfg.fault_plan.map(|plan| Arc::new(FaultInjector::new(plan)));
     // --reorder: serve the hub-clustered graph; jobs translate request
     // sources in and restore per-vertex results before hashing
-    let relabeling = flags.contains_key("reorder").then(|| {
-        let r = gunrock_graph::reorder::degree_descending(&graph);
-        graph = r.apply(&graph);
-        Arc::new(r)
-    });
-    let graph = Arc::new(graph);
-    let mut cfg = match build_config(&flags) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("{e}\n\n{SERVE_USAGE}");
-            return 1;
-        }
-    };
+    let (graph, relabeling) = spec.arrange(spec.load(faults.as_ref())?);
     cfg.relabeling = relabeling;
     eprintln!(
         "gunrock-serve: {} vertices, {} edges, {} workers, queue capacity {}",
@@ -228,31 +299,17 @@ pub fn run_serve(raw: Vec<String>) -> i32 {
         cfg.queue_capacity.max(1)
     );
     signal::install();
-    let summary = if flags.contains_key("stdin") {
-        serve_stdin(graph, cfg)
-    } else {
-        let port = get_u64(&flags, "port", 0).ok().and_then(|p| u16::try_from(p).ok());
-        let Some(port) = port else {
-            eprintln!("--port expects a TCP port number");
-            return 1;
-        };
-        let handle = match start(graph, cfg, port) {
-            Ok(h) => h,
-            Err(e) => {
-                eprintln!("{e}");
-                return 1;
-            }
-        };
-        println!("listening on {}", handle.addr());
-        let _ = std::io::stdout().flush();
-        handle.join()
-    };
-    println!("{summary}");
-    0
+    if flags.contains_key("stdin") {
+        return Ok(serve_stdin(graph, cfg));
+    }
+    let handle = start(graph, cfg, port)?;
+    println!("listening on {}", handle.addr());
+    let _ = std::io::stdout().flush();
+    Ok(handle.join())
 }
 
 /// Assembles a request line from `gunrock query` flags.
-fn build_request_line(flags: &HashMap<String, String>) -> Result<String, String> {
+fn build_request_line(flags: &Flags) -> Result<String, String> {
     if let Some(raw) = flags.get("request") {
         return Ok(raw.clone());
     }
@@ -291,56 +348,41 @@ fn build_request_line(flags: &HashMap<String, String>) -> Result<String, String>
 /// `gunrock query`: sends one request and prints the response line.
 /// Returns the process exit code (0 ok, 2 partial, 1 otherwise).
 pub fn run_query(raw: Vec<String>) -> i32 {
-    let flags = match parse_flags(raw) {
-        Ok(f) => f,
-        Err(e) if e == "help" => {
+    let usage = |e: String| format!("{e}\n\n{QUERY_USAGE}");
+    let flags = match Flags::parse(raw).map_err(usage) {
+        Ok(f) if f.contains_key("help") => {
             println!("{QUERY_USAGE}");
             return 0;
         }
-        Err(e) => {
-            eprintln!("{e}\n\n{QUERY_USAGE}");
-            return 1;
-        }
-    };
-    let Some(addr) = flags.get("addr") else {
-        eprintln!("--addr HOST:PORT is required\n\n{QUERY_USAGE}");
-        return 1;
-    };
-    let line = match build_request_line(&flags) {
-        Ok(l) => l,
-        Err(e) => {
-            eprintln!("{e}\n\n{QUERY_USAGE}");
-            return 1;
-        }
-    };
-    let timeout = match get_u64(&flags, "timeout-ms", 30_000) {
-        Ok(ms) => Duration::from_millis(ms),
+        Ok(f) => f,
         Err(e) => {
             eprintln!("{e}");
             return 1;
         }
     };
-    match client::query_once(addr, &line, timeout) {
-        Ok(response) => {
-            println!("{response}");
-            match JsonValue::parse(&response)
-                .ok()
-                .as_ref()
-                .and_then(|v| v.get("status"))
-                .and_then(JsonValue::as_str)
-            {
-                Some("ok") => 0,
-                // the metrics meta request has no status field but is a
-                // successful exchange
-                None if response.contains(SCHEMA) => 0,
-                Some("partial") => 2,
-                _ => 1,
-            }
-        }
+    let sent = flags
+        .get("addr")
+        .ok_or_else(|| usage("--addr HOST:PORT is required".to_string()))
+        .and_then(|addr| Ok((addr, build_request_line(&flags).map_err(usage)?)))
+        .and_then(|(addr, line)| {
+            let timeout = Duration::from_millis(flags.num("timeout-ms", 30_000)?);
+            client::query_once(addr, &line, timeout)
+        });
+    let response = match sent {
+        Ok(response) => response,
         Err(e) => {
             eprintln!("{e}");
-            1
+            return 1;
         }
+    };
+    println!("{response}");
+    match JsonValue::parse(&response).ok().as_ref().and_then(|v| v.get("status")?.as_str()) {
+        Some("ok") => 0,
+        // the metrics meta request has no status field but is a
+        // successful exchange
+        None if response.contains(SCHEMA) => 0,
+        Some("partial") => 2,
+        _ => 1,
     }
 }
 
@@ -348,8 +390,8 @@ pub fn run_query(raw: Vec<String>) -> i32 {
 mod tests {
     use super::*;
 
-    fn flags(v: &[&str]) -> HashMap<String, String> {
-        parse_flags(v.iter().map(|s| s.to_string()).collect()).unwrap()
+    fn flags(v: &[&str]) -> Flags {
+        Flags::parse(v.iter().map(|s| s.to_string())).unwrap()
     }
 
     #[test]
@@ -358,7 +400,7 @@ mod tests {
         assert_eq!(f.get("stdin").map(String::as_str), Some("true"));
         assert_eq!(f.get("workers").map(String::as_str), Some("2"));
         assert!(f.contains_key("checkpoint"));
-        assert!(parse_flags(vec!["--workers".to_string()]).is_err());
+        assert!(Flags::parse(vec!["--workers".to_string()]).is_err());
     }
 
     #[test]
@@ -388,8 +430,6 @@ mod tests {
             "50",
             "--checkpoint-dir",
             "/tmp/x",
-            "--serial-threshold",
-            "9",
             "--memory-budget",
             "64m",
             "--watchdog-ms",
@@ -406,7 +446,6 @@ mod tests {
         assert_eq!(cfg.breaker_cooldown, Duration::from_millis(300));
         assert_eq!(cfg.retry_after, Duration::from_millis(50));
         assert_eq!(cfg.checkpoint_dir, PathBuf::from("/tmp/x"));
-        assert_eq!(cfg.serial_threshold, Some(9));
         assert_eq!(cfg.memory_budget, 64 << 20);
         assert_eq!(cfg.watchdog_interval, Some(Duration::from_millis(250)));
         assert_eq!(cfg.batch_window, Duration::from_millis(2));
@@ -431,6 +470,7 @@ mod tests {
 
     #[test]
     fn graph_flags_build_a_served_graph() {
+        let build_graph = |f: &Flags| GraphSpec::parse(f)?.load(None);
         let g = build_graph(&flags(&["--gen", "random", "--scale", "6"])).unwrap();
         assert_eq!(g.num_vertices(), 64);
         assert!(g.edge_values().is_some(), "served graphs always carry weights");

@@ -1,24 +1,18 @@
-//! Per-request execution: runs (or resumes) the request's registry
-//! entry and summarizes its output, including the FNV result hash
-//! clients use to assert bit-identical resumes.
-//!
-//! A job runs on a worker thread inside its own [`Context`]: per-request
-//! `RunPolicy` (deadline budget, iteration cap, the server-wide drain
-//! flag as the cancel flag), per-request checkpoint directory, and a
-//! per-request or server-wide fault injector. Operator panics poison
-//! only that context — the worker maps them to an `operator-panic`
-//! response and keeps serving.
+//! Per-request execution: an admitted request (or a coalesced batch)
+//! becomes an [`Invocation`] — its deadline and iteration cap, the job's
+//! cancel flag, its checkpoint directory, its (or the server-wide) fault
+//! plan — runs through [`invoke`] in its own context, and is rendered as
+//! a response line carrying the FNV `result_hash` clients use to assert
+//! bit-identical resumes. An operator panic fails only its own request.
 
 use crate::coalesce::BatchMember;
+use crate::invoke::{invoke, Graphs, Invocation, InvokeError, Invoked};
 use crate::protocol::{error_response, ErrorCode, Request, SCHEMA};
 use gunrock::prelude::*;
-use gunrock_algos as algos;
-use gunrock_algos::registry::{self, Arity, Output, Query, Run};
+use gunrock_algos::registry::{self, Arity, Output, Run};
 use gunrock_engine::json::JsonBuilder;
 use gunrock_engine::pool::BufferPool;
 use gunrock_engine::watchdog::Heartbeat;
-use gunrock_graph::reorder::Relabeling;
-use gunrock_graph::Csr;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
@@ -45,7 +39,8 @@ pub struct JobVerdict {
     /// Completion class for metrics.
     pub status: JobStatus,
     /// Counts toward the primitive's circuit breaker (operator panics
-    /// only — overload and client errors do not open the breaker).
+    /// and dispatch bugs only — overload and client errors do not open
+    /// the breaker).
     pub breaker_failure: bool,
     /// The wall-clock budget tripped mid-run.
     pub deadline_missed: bool,
@@ -55,58 +50,130 @@ pub struct JobVerdict {
     pub degrades: u64,
 }
 
+impl JobVerdict {
+    /// An error answer; its code decides the status and the breaker.
+    pub(crate) fn error(id: &str, code: ErrorCode, message: &str) -> JobVerdict {
+        JobVerdict {
+            response: error_response(id, code, message, None),
+            status: match code {
+                ErrorCode::DeadlineExpired => JobStatus::Rejected,
+                _ => JobStatus::Failed,
+            },
+            breaker_failure: matches!(code, ErrorCode::OperatorPanic | ErrorCode::Internal),
+            deadline_missed: false,
+            checkpointed: false,
+            degrades: 0,
+        }
+    }
+
+    /// A result answer for `run`, whose output is in original ids.
+    fn result(
+        req: &Request,
+        run: &Run,
+        checkpoint: Option<&Path>,
+        batch_lanes: Option<u64>,
+    ) -> Self {
+        let mut b = JsonBuilder::new();
+        b.begin_object();
+        b.field_str("schema", SCHEMA);
+        b.field_str("id", &req.id);
+        b.field_str("status", if run.outcome.is_converged() { "ok" } else { "partial" });
+        b.field_str("primitive", &req.primitive);
+        b.field_str("outcome", &run.outcome.to_string());
+        b.field_u64("iterations", u64::from(run.iterations));
+        b.field_f64("elapsed_ms", run.elapsed.as_secs_f64() * 1e3);
+        b.field_str("result_hash", &format!("{:016x}", run.output.hash()));
+        if let Some(reached) = run.output.reached() {
+            b.field_u64("reached", reached);
+        }
+        if let Some(n) = run.output.components() {
+            b.field_u64("num_components", n);
+        }
+        if let Some(path) = checkpoint {
+            b.field_str("checkpoint", &path.display().to_string());
+        }
+        if let Some(lanes) = batch_lanes {
+            b.field_bool("batched", true);
+            b.field_u64("batch_lanes", lanes);
+        }
+        b.field_bool("resumed", req.resume.is_some());
+        b.end_object();
+        JobVerdict {
+            response: b.finish(),
+            status: if run.outcome.is_converged() { JobStatus::Ok } else { JobStatus::Partial },
+            breaker_failure: false,
+            deadline_missed: run.outcome == RunOutcome::TimedOut,
+            checkpointed: checkpoint.is_some(),
+            degrades: 0,
+        }
+    }
+}
+
 /// The result hashes responses carry (`result_hash`).
 pub use gunrock_engine::fnv::{hash_f64s, hash_u32s};
 
 /// Everything a worker needs to run one admitted request.
 pub struct JobEnv<'a> {
-    /// The shared immutable graph.
-    pub graph: &'a Csr,
-    /// Its in-edges: the transpose, or `graph` itself when undirected.
-    pub reverse: &'a Csr,
-    /// Set when `graph` is a `--reorder` relabeling of the input graph:
-    /// request sources are translated in, per-vertex results are mapped
-    /// back to original ids before hashing.
-    pub relab: Option<&'a Relabeling>,
-    /// Per-job cooperative cancel flag, threaded into the job's
-    /// `RunPolicy`. Raised by the drain sequence (all in-flight jobs)
-    /// or by the watchdog (this job stalled) — either way the job stops
-    /// at its next operator boundary.
+    /// The shared immutable graph, its reverse and its relabeling.
+    pub graphs: &'a Graphs,
+    /// Per-job cancel flag, raised by the drain sequence or the watchdog.
     pub cancel: &'a Arc<AtomicBool>,
-    /// Watchdog heartbeat for this job, ticked at operator boundaries
-    /// (and inside the `sleep` poll loop). `None` when no watchdog is
-    /// configured.
+    /// Watchdog heartbeat for this job, when a watchdog is configured.
     pub heartbeat: Option<&'a Arc<Heartbeat>>,
     /// Shared buffer pool behind every request context.
     pub pool: &'a Arc<BufferPool>,
     /// Server-wide fault injector (per-request `inject` overrides it).
     pub injector: Option<&'a Arc<FaultInjector>>,
-    /// Serial fast-path cutoff override for request contexts.
-    pub serial_threshold: Option<usize>,
-    /// Root directory for per-request checkpoint subdirectories.
+    /// Root directory for per-request checkpoint subdirectories; the
+    /// only place a request may resume from.
     pub checkpoint_root: &'a Path,
 }
 
-impl<'a> JobEnv<'a> {
-    /// The engine context every request (solo or batched) runs on: the
-    /// served graph with its reverse — so BFS can pull and PageRank can
-    /// gather over in-edges — over the shared pool, under `policy`, with the
-    /// request's (or the server-wide) fault plan and the job's heartbeat.
-    fn context(&self, policy: RunPolicy, injector: Option<Arc<FaultInjector>>) -> Context<'a> {
-        let mut ctx = Context::new(self.graph)
-            .with_reverse(self.reverse)
-            .with_shared_pool(self.pool.clone())
-            .with_policy(policy);
-        if let Some(t) = self.serial_threshold {
-            ctx = ctx.with_config(EngineConfig::new().with_serial_threshold(t));
+impl JobEnv<'_> {
+    /// The invocation of `entry` under this job's cancel flag, heartbeat
+    /// and pool, with `req`'s (or the server-wide) faults and limits.
+    fn invocation(
+        &self,
+        entry: &'static registry::Entry,
+        req: &Request,
+        deadline: Option<Instant>,
+    ) -> Invocation {
+        let mut policy = RunPolicy::unbounded().cancel_flag(Arc::clone(self.cancel));
+        if let Some(cap) = req.max_iters {
+            policy = policy.max_iterations(cap);
         }
-        if let Some(inj) = injector {
-            ctx = ctx.with_faults(inj);
+        if let Some(d) = deadline {
+            policy = policy.wall_clock_budget(d.saturating_duration_since(Instant::now()));
         }
-        if let Some(hb) = self.heartbeat {
-            ctx = ctx.with_heartbeat(Arc::clone(hb));
+        Invocation {
+            entry,
+            sources: if entry.arity == Arity::One { vec![req.src] } else { Vec::new() },
+            epsilon: req.epsilon,
+            policy,
+            faults: req
+                .inject
+                .map(|plan| Arc::new(FaultInjector::new(plan)))
+                .or_else(|| self.injector.cloned()),
+            checkpoints: None,
+            resume: None,
+            heartbeat: self.heartbeat.cloned(),
+            pool: Arc::clone(self.pool),
+            retries: 0,
+            stats: false,
         }
-        ctx
+    }
+
+    /// `path` if it names a file under the checkpoint root. Anything
+    /// else is refused without being opened.
+    fn confined(&self, path: &str) -> Result<PathBuf, InvokeError> {
+        let root = self.checkpoint_root.canonicalize();
+        match (root, Path::new(path).canonicalize()) {
+            (Ok(root), Ok(file)) if file.starts_with(&root) => Ok(file),
+            _ => Err(InvokeError {
+                code: ErrorCode::ResumeFailed,
+                message: format!("{path} is not a snapshot under the checkpoint directory"),
+            }),
+        }
     }
 }
 
@@ -122,65 +189,6 @@ fn request_dir(root: &Path, id: &str, seq: u64) -> PathBuf {
         root.join(format!("req-{seq}"))
     } else {
         root.join(safe)
-    }
-}
-
-struct RunSummary {
-    outcome: RunOutcome,
-    iterations: u32,
-    elapsed: Duration,
-    result_hash: u64,
-    reached: Option<u64>,
-    num_components: Option<u64>,
-}
-
-fn respond_result(
-    req: &Request,
-    summary: &RunSummary,
-    checkpoint: Option<&Path>,
-    resumed: bool,
-    batch_lanes: Option<u64>,
-) -> String {
-    let mut b = JsonBuilder::new();
-    b.begin_object();
-    b.field_str("schema", SCHEMA);
-    b.field_str("id", &req.id);
-    b.field_str("status", if summary.outcome.is_converged() { "ok" } else { "partial" });
-    b.field_str("primitive", &req.primitive);
-    b.field_str("outcome", &summary.outcome.to_string());
-    b.field_u64("iterations", u64::from(summary.iterations));
-    b.field_f64("elapsed_ms", summary.elapsed.as_secs_f64() * 1e3);
-    b.field_str("result_hash", &format!("{:016x}", summary.result_hash));
-    if let Some(reached) = summary.reached {
-        b.field_u64("reached", reached);
-    }
-    if let Some(n) = summary.num_components {
-        b.field_u64("num_components", n);
-    }
-    if let Some(path) = checkpoint {
-        b.field_str("checkpoint", &path.display().to_string());
-    }
-    if let Some(lanes) = batch_lanes {
-        b.field_bool("batched", true);
-        b.field_u64("batch_lanes", lanes);
-    }
-    b.field_bool("resumed", resumed);
-    b.end_object();
-    b.finish()
-}
-
-/// Summarizes a finished run for the response, in original-id order on
-/// a reordered server so hashes are comparable with an unreordered one.
-fn summarize(run: &Run, relab: Option<&Relabeling>) -> RunSummary {
-    let restored = relab.map(|r| run.output.restore(r));
-    let output = restored.as_ref().unwrap_or(&run.output);
-    RunSummary {
-        outcome: run.outcome,
-        iterations: run.iterations,
-        elapsed: run.elapsed,
-        result_hash: output.hash(),
-        reached: output.reached(),
-        num_components: output.components(),
     }
 }
 
@@ -214,33 +222,10 @@ fn run_sleep(
         }
         std::thread::sleep(Duration::from_millis(2));
     }
-    let summary = RunSummary {
-        outcome,
-        iterations: 0,
-        elapsed: start.elapsed(),
-        result_hash: 0,
-        reached: None,
-        num_components: None,
-    };
-    JobVerdict {
-        response: respond_result(req, &summary, None, false, None),
-        status: if outcome.is_converged() { JobStatus::Ok } else { JobStatus::Partial },
-        breaker_failure: false,
-        deadline_missed: outcome == RunOutcome::TimedOut,
-        checkpointed: false,
-        degrades: 0,
-    }
-}
-
-fn failed_verdict(req: &Request, code: ErrorCode, message: &str, breaker: bool) -> JobVerdict {
-    JobVerdict {
-        response: error_response(&req.id, code, message, None),
-        status: JobStatus::Failed,
-        breaker_failure: breaker,
-        deadline_missed: false,
-        checkpointed: false,
-        degrades: 0,
-    }
+    let elapsed = start.elapsed();
+    let run =
+        Run { outcome, iterations: 0, elapsed, sources: Vec::new(), output: Output::Count(0) };
+    JobVerdict::result(req, &run, None, None)
 }
 
 /// Runs one admitted request to a verdict. `deadline` is the absolute
@@ -256,19 +241,11 @@ pub fn run_job(
     // whole budget — reject instead of burning a worker on a result the
     // client has already given up on.
     if deadline.is_some_and(|d| Instant::now() >= d) {
-        return JobVerdict {
-            response: error_response(
-                &req.id,
-                ErrorCode::DeadlineExpired,
-                "deadline expired while queued",
-                None,
-            ),
-            status: JobStatus::Rejected,
-            breaker_failure: false,
-            deadline_missed: false,
-            checkpointed: false,
-            degrades: 0,
-        };
+        return JobVerdict::error(
+            &req.id,
+            ErrorCode::DeadlineExpired,
+            "deadline expired while queued",
+        );
     }
     if req.primitive == "sleep" {
         return run_sleep(req, deadline, env.cancel, env.heartbeat);
@@ -276,129 +253,24 @@ pub fn run_job(
     // admission only queues served names; anything else is a dispatch bug
     let Some(entry) = registry::find(&req.primitive) else {
         let message = format!("cannot serve {:?}", req.primitive);
-        return failed_verdict(req, ErrorCode::UnknownPrimitive, &message, false);
+        return JobVerdict::error(&req.id, ErrorCode::UnknownPrimitive, &message);
     };
-
-    let mut policy = RunPolicy::unbounded().cancel_flag(env.cancel.clone());
-    if let Some(cap) = req.max_iters {
-        policy = policy.max_iterations(cap);
-    }
-    if let Some(d) = deadline {
-        policy = policy.wall_clock_budget(d.saturating_duration_since(Instant::now()));
-    }
-
-    let injector = match &req.inject {
-        Some(spec) => match FaultPlan::parse(spec, req.fault_seed) {
-            Ok(plan) => Some(Arc::new(FaultInjector::new(plan))),
-            Err(e) => {
-                return JobVerdict {
-                    response: error_response(
-                        &req.id,
-                        ErrorCode::BadRequest,
-                        &format!("inject: {e}"),
-                        None,
-                    ),
-                    status: JobStatus::Rejected,
-                    breaker_failure: false,
-                    deadline_missed: false,
-                    checkpointed: false,
-                    degrades: 0,
-                }
-            }
-        },
-        None => env.injector.cloned(),
+    let dir = request_dir(env.checkpoint_root, &req.id, seq);
+    let checkpoints = req.checkpoint.then(|| CheckpointPolicy::new(req.checkpoint_every, dir));
+    let resume = req.resume.as_deref().map(|path| env.confined(path)).transpose();
+    let invocation =
+        |resume| Invocation { checkpoints, resume, ..env.invocation(entry, req, deadline) };
+    let done = match resume.and_then(|resume| invoke(env.graphs, invocation(resume))) {
+        Ok(done) => done,
+        Err(e) => return JobVerdict::error(&req.id, e.code, &e.message),
     };
-
-    let ckpt_policy = req.checkpoint.then(|| {
-        CheckpointPolicy::new(
-            req.checkpoint_every,
-            request_dir(env.checkpoint_root, &req.id, seq),
-        )
-    });
-
-    let mut ctx = env.context(policy, injector);
-    if let Some(p) = &ckpt_policy {
-        ctx = ctx.with_checkpoints(p.clone());
-    }
-
-    let (run, resumed) = if let Some(path) = &req.resume {
-        let ckpt = match Checkpoint::load(Path::new(path)) {
-            Ok(c) => c,
-            Err(e) => {
-                return failed_verdict(
-                    req,
-                    ErrorCode::ResumeFailed,
-                    &format!("{path}: {e}"),
-                    false,
-                )
-            }
-        };
-        if ckpt.primitive() != entry.name {
-            return failed_verdict(
-                req,
-                ErrorCode::ResumeFailed,
-                &format!(
-                    "snapshot is for {:?}, request names {:?}",
-                    ckpt.primitive(),
-                    req.primitive
-                ),
-                false,
-            );
-        }
-        let Some(resume) = entry.resume else {
-            let message = format!("{} runs cannot be resumed", entry.name);
-            return failed_verdict(req, ErrorCode::ResumeFailed, &message, false);
-        };
-        match resume(&ctx, &ckpt) {
-            Ok(run) => (run, true),
-            Err(e) => {
-                return failed_verdict(req, ErrorCode::ResumeFailed, &e.to_string(), false)
-            }
-        }
-    } else {
-        // requests name original vertex ids; a reordered server
-        // translates the source in and maps results back at the hash
-        let src = env.relab.map_or(req.src, |r| r.new_of_old(req.src));
-        let sources = if entry.arity == Arity::One { vec![src] } else { Vec::new() };
-        ((entry.run)(&ctx, &Query { sources, epsilon: req.epsilon }), false)
+    let verdict = match done.failure() {
+        Some(e) => JobVerdict::error(&req.id, e.code, &e.message),
+        // A guard-tripped run leaves an exit snapshot behind when the
+        // client asked for one; the response names it for the resume.
+        None => JobVerdict::result(req, &done.run, done.checkpoint.as_deref(), None),
     };
-    let summary = summarize(&run, env.relab);
-
-    if summary.outcome == RunOutcome::Failed {
-        let failure = ctx.take_failure();
-        // A budget denial is a resource condition, not a code bug: it
-        // answers `over-budget` (retryable once pressure clears) and
-        // does not feed the primitive's circuit breaker.
-        let (code, breaker) = match &failure {
-            Some(GunrockError::BudgetExceeded { .. }) => (ErrorCode::OverBudget, false),
-            _ => (ErrorCode::OperatorPanic, true),
-        };
-        let message =
-            failure.map(|e| e.to_string()).unwrap_or_else(|| "operator failed".to_string());
-        return JobVerdict {
-            response: error_response(&req.id, code, &message, None),
-            status: JobStatus::Failed,
-            breaker_failure: breaker,
-            deadline_missed: false,
-            checkpointed: false,
-            degrades: ctx.degrade_count(),
-        };
-    }
-
-    // A guard-tripped run leaves an exit snapshot behind when the client
-    // asked for one; report its path so the client can resume.
-    let checkpoint = ckpt_policy
-        .as_ref()
-        .map(|p| p.path(&req.primitive))
-        .filter(|path| !summary.outcome.is_converged() && path.exists());
-    JobVerdict {
-        response: respond_result(req, &summary, checkpoint.as_deref(), resumed, None),
-        status: if summary.outcome.is_converged() { JobStatus::Ok } else { JobStatus::Partial },
-        breaker_failure: false,
-        deadline_missed: summary.outcome == RunOutcome::TimedOut,
-        checkpointed: checkpoint.is_some(),
-        degrades: ctx.degrade_count(),
-    }
+    JobVerdict { degrades: done.ctx.degrade_count(), ..verdict }
 }
 
 /// How a lane-packed batch ended: one verdict per member (aligned with
@@ -416,35 +288,20 @@ impl BatchOutcome {
     /// The last-line-of-defense verdict when batch dispatch itself
     /// panicked outside any request context.
     pub fn internal(members: &[BatchMember]) -> Self {
-        BatchOutcome {
-            verdicts: members
-                .iter()
-                .map(|m| JobVerdict {
-                    response: error_response(
-                        &m.req.id,
-                        ErrorCode::Internal,
-                        "batch dispatch panicked",
-                        None,
-                    ),
-                    status: JobStatus::Failed,
-                    breaker_failure: true,
-                    deadline_missed: false,
-                    checkpointed: false,
-                    degrades: 0,
-                })
-                .collect(),
-            fell_back: false,
-        }
+        let internal = |m: &BatchMember| {
+            JobVerdict::error(&m.req.id, ErrorCode::Internal, "batch dispatch panicked")
+        };
+        BatchOutcome { verdicts: members.iter().map(internal).collect(), fell_back: false }
     }
 }
 
 /// Runs one coalesced batch of point BFS queries as a single lane-packed
-/// MS-BFS traversal, de-multiplexing per-lane depths back into one
+/// `msbfs` invocation, de-multiplexing per-lane depths back into one
 /// response per member. Members whose deadline expired while the window
-/// was open (or whose `inject` spec is malformed) are answered without
-/// costing the batch anything. The batch context adopts the earliest
-/// live deadline — members share a policy class, so no member's budget
-/// is cut by more than half (see `coalesce::group_key`).
+/// was open are answered without costing the batch anything. The batch
+/// adopts the earliest live deadline — members share a policy class, so
+/// no member's budget is cut by more than half (see
+/// `coalesce::group_key`).
 ///
 /// **Per-lane panic isolation:** a poisoned lane poisons the *shared*
 /// context, so a failed sweep says nothing about which member was at
@@ -453,131 +310,64 @@ impl BatchOutcome {
 /// `operator-panic`, and its batch-mates still converge.
 pub fn run_batch(env: &JobEnv<'_>, members: &[BatchMember], seq: u64) -> BatchOutcome {
     let now = Instant::now();
-    let mut verdicts: Vec<Option<JobVerdict>> = members.iter().map(|_| None).collect();
-    let mut live: Vec<usize> = Vec::with_capacity(members.len());
-    for (i, m) in members.iter().enumerate() {
-        if m.deadline.is_some_and(|d| now >= d) {
-            verdicts[i] = Some(JobVerdict {
-                response: error_response(
-                    &m.req.id,
-                    ErrorCode::DeadlineExpired,
-                    "deadline expired in the batching window",
-                    None,
-                ),
-                status: JobStatus::Rejected,
-                breaker_failure: false,
-                deadline_missed: false,
-                checkpointed: false,
-                degrades: 0,
-            });
-        } else if m.req.inject.as_deref().is_some_and(|s| FaultPlan::parse(s, 0).is_err()) {
-            verdicts[i] = Some(JobVerdict {
-                response: error_response(
-                    &m.req.id,
-                    ErrorCode::BadRequest,
-                    "inject: unparseable fault spec",
-                    None,
-                ),
-                status: JobStatus::Rejected,
-                breaker_failure: false,
-                deadline_missed: false,
-                checkpointed: false,
-                degrades: 0,
-            });
-        } else {
-            live.push(i);
-        }
-    }
-    let finish = |verdicts: Vec<Option<JobVerdict>>, fell_back: bool| BatchOutcome {
-        // LINT-ALLOW(panic): every index is either rejected above or in
-        // `live`, and both paths below fill every live slot.
-        verdicts: verdicts.into_iter().map(|v| v.unwrap()).collect(),
-        fell_back,
-    };
-    if live.is_empty() {
-        return finish(verdicts, false);
-    }
-
-    let mut policy = RunPolicy::unbounded().cancel_flag(env.cancel.clone());
-    if let Some(d) = live.iter().filter_map(|&i| members[i].deadline).min() {
-        policy = policy.wall_clock_budget(d.saturating_duration_since(Instant::now()));
-    }
+    let expired = |m: &BatchMember| m.deadline.is_some_and(|d| now >= d);
+    let live: Vec<&BatchMember> = members.iter().filter(|m| !expired(m)).collect();
     // The shared sweep carries the first live member's fault plan (or
     // the server-wide one): an injected fault fails the whole batch
     // forward into the per-lane fallback, which is the isolation story.
-    let injector = live
-        .iter()
-        .find_map(|&i| {
-            let m = &members[i];
-            let spec = m.req.inject.as_deref()?;
-            FaultPlan::parse(spec, m.req.fault_seed)
-                .ok()
-                .map(|plan| Arc::new(FaultInjector::new(plan)))
-        })
-        .or_else(|| env.injector.cloned());
-
-    let ctx = env.context(policy, injector);
-
-    let sources: Vec<u32> = live
-        .iter()
-        .map(|&i| {
-            let s = members[i].req.src;
-            env.relab.map_or(s, |r| r.new_of_old(s))
-        })
-        .collect();
-    let r = algos::msbfs(&ctx, &sources);
-
-    if r.outcome == RunOutcome::Failed {
-        drop(ctx);
-        for &i in &live {
-            verdicts[i] = Some(run_job(env, &members[i].req, members[i].deadline, seq));
+    let lead = live.iter().find(|m| m.req.inject.is_some()).or(live.first());
+    let done = lead.zip(registry::find("msbfs")).and_then(|(lead, entry)| {
+        let deadline = live.iter().filter_map(|m| m.deadline).min();
+        let sources = live.iter().map(|m| m.req.src).collect();
+        let inv = Invocation { sources, ..env.invocation(entry, &lead.req, deadline) };
+        invoke(env.graphs, inv).ok().filter(|d| d.run.outcome != RunOutcome::Failed)
+    });
+    let n = env.graphs.graph.num_vertices();
+    let mut lane = 0;
+    let verdicts = members.iter().map(|m| {
+        if expired(m) {
+            let message = "deadline expired in the batching window";
+            return JobVerdict::error(&m.req.id, ErrorCode::DeadlineExpired, message);
         }
-        return finish(verdicts, true);
-    }
-
-    let lanes = live.len() as u64;
-    for (lane, &i) in live.iter().enumerate() {
-        let lane_run = Run {
-            outcome: r.outcome,
-            iterations: r.iterations,
-            elapsed: r.elapsed,
-            sources: vec![sources[lane]],
-            output: Output::Depths(r.lane_depths(lane).to_vec()),
+        let Some(Invoked { ctx, run, .. }) = &done else {
+            return run_job(env, &m.req, m.deadline, seq);
         };
-        let summary = summarize(&lane_run, env.relab);
-        verdicts[i] = Some(JobVerdict {
-            response: respond_result(&members[i].req, &summary, None, false, Some(lanes)),
-            status: if r.outcome.is_converged() { JobStatus::Ok } else { JobStatus::Partial },
-            breaker_failure: false,
-            deadline_missed: r.outcome == RunOutcome::TimedOut,
-            checkpointed: false,
-            // the shared context's degrade rungs are batch-wide; charge
-            // them once (to the first lane) so metrics do not multiply
-            degrades: if lane == 0 { ctx.degrade_count() } else { 0 },
-        });
-    }
-    finish(verdicts, false)
+        let Output::Depths(depths) = &run.output else { unreachable!("msbfs outputs depths") };
+        let lane_run = Run {
+            sources: vec![run.sources[lane]],
+            output: Output::Depths(depths[lane * n..(lane + 1) * n].to_vec()),
+            ..*run
+        };
+        let verdict = JobVerdict::result(&m.req, &lane_run, None, Some(live.len() as u64));
+        // the shared context's degrade rungs are batch-wide; charge
+        // them once (to the first lane) so metrics do not multiply
+        let degrades = if lane == 0 { ctx.degrade_count() } else { 0 };
+        lane += 1;
+        JobVerdict { degrades, ..verdict }
+    });
+    BatchOutcome { verdicts: verdicts.collect(), fell_back: !live.is_empty() && done.is_none() }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gunrock_graph::{Coo, GraphBuilder};
+    use gunrock_graph::{Coo, Csr, GraphBuilder};
+
+    fn graphs(g: Csr) -> Graphs {
+        Graphs::new(Arc::new(g), None)
+    }
 
     fn env_fixture<'a>(
-        g: &'a Csr,
+        graphs: &'a Graphs,
         cancel: &'a Arc<AtomicBool>,
         pool: &'a Arc<BufferPool>,
     ) -> JobEnv<'a> {
         JobEnv {
-            graph: g,
-            reverse: g,
-            relab: None,
+            graphs,
             cancel,
             heartbeat: None,
             pool,
             injector: None,
-            serial_threshold: None,
             checkpoint_root: Path::new("."),
         }
     }
@@ -588,7 +378,8 @@ mod tests {
 
     #[test]
     fn bfs_job_converges_and_hashes_deterministically() {
-        let g = GraphBuilder::new().build(Coo::from_edges(8, &[(0, 1), (1, 2), (2, 3)]));
+        let g =
+            graphs(GraphBuilder::new().build(Coo::from_edges(8, &[(0, 1), (1, 2), (2, 3)])));
         let drain = Arc::new(AtomicBool::new(false));
         let pool = Arc::new(BufferPool::new());
         let env = env_fixture(&g, &drain, &pool);
@@ -622,9 +413,9 @@ mod tests {
         assert_ne!(g.col_indices(), gr.col_indices(), "relabeling must actually move ids");
         let drain = Arc::new(AtomicBool::new(false));
         let pool = Arc::new(BufferPool::new());
+        let (g, gr) = (graphs(g), Graphs::new(Arc::new(gr), Some(Arc::new(r))));
         let plain = env_fixture(&g, &drain, &pool);
-        let mut reordered = env_fixture(&gr, &drain, &pool);
-        reordered.relab = Some(&r);
+        let reordered = env_fixture(&gr, &drain, &pool);
         let field = |resp: &str, key: &str| {
             let v = gunrock_engine::json::JsonValue::parse(resp).unwrap();
             let f = v.get(key);
@@ -656,12 +447,12 @@ mod tests {
 
     #[test]
     fn injected_panic_is_a_breaker_failure() {
-        let g = GraphBuilder::new().build(Coo::from_edges(8, &[(0, 1), (1, 2)]));
+        let g = graphs(GraphBuilder::new().build(Coo::from_edges(8, &[(0, 1), (1, 2)])));
         let drain = Arc::new(AtomicBool::new(false));
         let pool = Arc::new(BufferPool::new());
         let env = env_fixture(&g, &drain, &pool);
         let mut r = req("bfs");
-        r.inject = Some("panic=1.0".to_string());
+        r.inject = Some(FaultPlan::parse("panic=1.0", 42).unwrap());
         let v = run_job(&env, &r, None, 0);
         assert_eq!(v.status, JobStatus::Failed);
         assert!(v.breaker_failure);
@@ -670,7 +461,8 @@ mod tests {
 
     #[test]
     fn budget_denial_answers_over_budget_without_tripping_the_breaker() {
-        let g = GraphBuilder::new().build(Coo::from_edges(8, &[(0, 1), (1, 2), (2, 3)]));
+        let g =
+            graphs(GraphBuilder::new().build(Coo::from_edges(8, &[(0, 1), (1, 2), (2, 3)])));
         let cancel = Arc::new(AtomicBool::new(false));
         // a 4-byte budget cannot fit any pooled checkout or even the
         // lean estimate, so the run fails with a structured denial
@@ -685,32 +477,34 @@ mod tests {
 
     #[test]
     fn served_pagerank_runs_its_dense_iterations_on_the_gather_path() {
-        let g = GraphBuilder::new().build(gunrock_graph::generators::rmat(
+        let g = graphs(GraphBuilder::new().build(gunrock_graph::generators::rmat(
             8,
             8,
             Default::default(),
             5,
-        ));
+        )));
         let cancel = Arc::new(AtomicBool::new(false));
         let pool = Arc::new(BufferPool::new());
         let env = env_fixture(&g, &cancel, &pool);
         let served = run_job(&env, &req("pagerank"), None, 0);
         assert_eq!(served.status, JobStatus::Ok);
-        // the same request context, instrumented: the trace names the path
-        let ctx = env.context(RunPolicy::unbounded(), None).with_stats();
-        let r = algos::pagerank(&ctx, algos::PrOptions::default());
-        let stats = ctx.run_stats();
+        // the same request invocation, instrumented: the trace names the path
+        let entry = registry::find("pagerank").unwrap();
+        let inv = Invocation { stats: true, ..env.invocation(entry, &req("pagerank"), None) };
+        let traced = invoke(&g, inv).unwrap();
+        let stats = traced.ctx.run_stats();
         assert!(
             stats.steps.iter().any(|s| s.strategy.starts_with("pull_gather")),
             "request contexts carry the reverse graph"
         );
-        let hash = format!("{:016x}", hash_f64s(&r.scores));
+        let Output::Scores(scores) = &traced.run.output else { panic!("pagerank scores") };
+        let hash = format!("{:016x}", hash_f64s(scores));
         assert!(served.response.contains(&hash), "{} lacks {hash}", served.response);
     }
 
     #[test]
     fn expired_deadline_is_rejected_before_running() {
-        let g = GraphBuilder::new().build(Coo::from_edges(4, &[(0, 1)]));
+        let g = graphs(GraphBuilder::new().build(Coo::from_edges(4, &[(0, 1)])));
         let drain = Arc::new(AtomicBool::new(false));
         let pool = Arc::new(BufferPool::new());
         let env = env_fixture(&g, &drain, &pool);
@@ -739,8 +533,10 @@ mod tests {
 
     #[test]
     fn batch_demuxes_per_lane_results_identical_to_solo_runs() {
-        let g = GraphBuilder::new()
-            .build(Coo::from_edges(16, &[(0, 1), (1, 2), (2, 3), (4, 5), (5, 6)]));
+        let g = graphs(
+            GraphBuilder::new()
+                .build(Coo::from_edges(16, &[(0, 1), (1, 2), (2, 3), (4, 5), (5, 6)])),
+        );
         let drain = Arc::new(AtomicBool::new(false));
         let pool = Arc::new(BufferPool::new());
         let env = env_fixture(&g, &drain, &pool);
@@ -772,7 +568,7 @@ mod tests {
 
     #[test]
     fn expired_member_is_rejected_without_failing_batch_mates() {
-        let g = GraphBuilder::new().build(Coo::from_edges(8, &[(0, 1), (1, 2)]));
+        let g = graphs(GraphBuilder::new().build(Coo::from_edges(8, &[(0, 1), (1, 2)])));
         let drain = Arc::new(AtomicBool::new(false));
         let pool = Arc::new(BufferPool::new());
         let env = env_fixture(&g, &drain, &pool);
@@ -790,7 +586,8 @@ mod tests {
 
     #[test]
     fn poisoned_lane_falls_back_and_batch_mates_still_answer() {
-        let g = GraphBuilder::new().build(Coo::from_edges(8, &[(0, 1), (1, 2), (2, 3)]));
+        let g =
+            graphs(GraphBuilder::new().build(Coo::from_edges(8, &[(0, 1), (1, 2), (2, 3)])));
         let drain = Arc::new(AtomicBool::new(false));
         let pool = Arc::new(BufferPool::new());
         let env = env_fixture(&g, &drain, &pool);

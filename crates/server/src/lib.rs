@@ -34,6 +34,7 @@
 pub mod cli;
 pub mod client;
 pub mod coalesce;
+pub mod invoke;
 pub mod jobs;
 pub mod metrics;
 pub mod protocol;
@@ -41,5 +42,6 @@ pub mod server;
 pub mod signal;
 
 pub use client::{query_once, Client};
+pub use invoke::{invoke, Graphs, Invocation, InvokeError, Invoked};
 pub use protocol::{ErrorCode, Request, SCHEMA};
 pub use server::{handle_request, serve_stdin, start, ServerConfig, ServerHandle, ServerState};

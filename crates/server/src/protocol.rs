@@ -26,6 +26,7 @@
 //! exercise queueing deterministically), or the meta request `metrics`
 //! (answered inline, never queued).
 
+use gunrock_engine::faults::FaultPlan;
 use gunrock_engine::json::JsonValue;
 
 /// Schema tag stamped on every response and metrics document.
@@ -133,12 +134,10 @@ pub struct Request {
     pub resume: Option<String>,
     /// Convergence threshold override for the ranking primitives.
     pub epsilon: Option<f64>,
-    /// Per-request fault-injection spec
-    /// (`panic=RATE,alloc=RATE,pool-alloc=RATE,io=RATE,stall=RATE`),
-    /// overriding any server-wide plan.
-    pub inject: Option<String>,
-    /// Seed for the per-request fault schedule.
-    pub fault_seed: u64,
+    /// Per-request fault schedule, parsed from the `inject` spec
+    /// (`panic=RATE,alloc=RATE,pool-alloc=RATE,io=RATE,stall=RATE`) and
+    /// `fault_seed` (default 42), overriding any server-wide plan.
+    pub inject: Option<FaultPlan>,
 }
 
 fn get_u64(v: &JsonValue, key: &str) -> Result<Option<u64>, String> {
@@ -193,6 +192,7 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
             Some(field.as_f64().ok_or_else(|| "\"epsilon\" must be a number".to_string())?)
         }
     };
+    let fault_seed = get_u64(&v, "fault_seed")?.unwrap_or(42);
     Ok(Request {
         id: get_str(&v, "id")?.unwrap_or_default(),
         primitive,
@@ -204,8 +204,9 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
         checkpoint_every,
         resume: get_str(&v, "resume")?,
         epsilon,
-        inject: get_str(&v, "inject")?,
-        fault_seed: get_u64(&v, "fault_seed")?.unwrap_or(42),
+        inject: get_str(&v, "inject")?
+            .map(|spec| FaultPlan::parse(&spec, fault_seed).map_err(|e| format!("inject: {e}")))
+            .transpose()?,
     })
 }
 
@@ -257,8 +258,7 @@ mod tests {
         assert_eq!(r.deadline_ms, Some(500));
         assert_eq!(r.max_iters, Some(9));
         assert!(r.checkpoint);
-        assert_eq!(r.inject.as_deref(), Some("panic=1.0"));
-        assert_eq!(r.fault_seed, 11);
+        assert_eq!(r.inject, Some(FaultPlan::parse("panic=1.0", 11).unwrap()));
     }
 
     #[test]
@@ -268,7 +268,9 @@ mod tests {
         assert_eq!(r.src, 0);
         assert_eq!(r.deadline_ms, None);
         assert!(!r.checkpoint);
-        assert_eq!(r.fault_seed, 42);
+        assert_eq!(r.inject, None);
+        let seeded = parse_request(r#"{"primitive":"cc","inject":"panic=0.5"}"#).unwrap();
+        assert_eq!(seeded.inject.map(|p| p.seed), Some(42));
     }
 
     #[test]
@@ -277,6 +279,9 @@ mod tests {
         assert!(parse_request(r#"{"src":1}"#).unwrap_err().contains("primitive"));
         assert!(parse_request(r#"{"primitive":"bfs","src":-1}"#).is_err());
         assert!(parse_request(r#"{"primitive":"bfs","checkpoint":"yes"}"#).is_err());
+        assert!(parse_request(r#"{"primitive":"bfs","inject":"bogus=1"}"#)
+            .unwrap_err()
+            .contains("inject"));
     }
 
     #[test]

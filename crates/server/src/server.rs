@@ -25,6 +25,7 @@
 //! and emit one final `gunrock-serve/v1` summary.
 
 use crate::coalesce::{self, BatchMember, Coalescer, FlushReason, Offer};
+use crate::invoke::Graphs;
 use crate::jobs::{self, JobEnv, JobStatus, JobVerdict};
 use crate::metrics::{bump, bump_by, read, BatchingSnapshot, MemorySnapshot, ServeMetrics};
 use crate::protocol::{error_response, parse_request, ErrorCode, Request};
@@ -66,8 +67,6 @@ pub struct ServerConfig {
     /// Server-wide fault plan (`--inject-faults`); per-request `inject`
     /// fields override it.
     pub fault_plan: Option<FaultPlan>,
-    /// Serial fast-path cutoff for request contexts (None: engine default).
-    pub serial_threshold: Option<usize>,
     /// Set when the served graph was relabeled (`--reorder`): requests
     /// still name original vertex ids, and per-vertex results are mapped
     /// back before hashing, so clients never observe internal ids.
@@ -97,7 +96,6 @@ impl Default for ServerConfig {
             retry_after: Duration::from_millis(100),
             checkpoint_dir: PathBuf::from("."),
             fault_plan: None,
-            serial_threshold: None,
             relabeling: None,
             memory_budget: 0,
             watchdog_interval: None,
@@ -118,10 +116,9 @@ enum Job {
 
 /// Shared server state: everything connection handlers and workers touch.
 pub struct ServerState {
-    graph: Arc<Csr>,
-    /// The served graph's transpose, or `graph` itself when the graph is
-    /// undirected: every request context reads in-edges from it.
-    reverse: Arc<Csr>,
+    /// The served graph, its reverse (every request context reads
+    /// in-edges from it) and the `--reorder` relabeling.
+    graphs: Graphs,
     cfg: ServerConfig,
     queue: BoundedQueue<Job>,
     breaker: CircuitBreaker,
@@ -164,14 +161,6 @@ impl ServerState {
         let watchdog = cfg.watchdog_interval.map(|i| Watchdog::new(WatchdogConfig::new(i)));
         let coalescer = (!cfg.batch_window.is_zero())
             .then(|| Coalescer::new(cfg.batch_window, cfg.batch_lanes));
-        // A served `.bin` may be directed, so BFS pull levels and the
-        // gathers need real in-edges; an undirected graph equals its
-        // transpose and is shared instead of copied.
-        let reverse = if graph.equals_transpose() {
-            Arc::clone(&graph)
-        } else {
-            Arc::new(graph.transpose())
-        };
         ServerState {
             queue: BoundedQueue::new(cfg.queue_capacity),
             breaker: CircuitBreaker::new(cfg.breaker_threshold, cfg.breaker_cooldown),
@@ -185,8 +174,7 @@ impl ServerState {
             injector,
             coalescer,
             seq: AtomicU64::new(0),
-            graph,
-            reverse,
+            graphs: Graphs::new(graph, cfg.relabeling.clone()),
             cfg,
         }
     }
@@ -269,14 +257,13 @@ pub fn handle_request(state: &ServerState, line: &str) -> String {
             None,
         );
     }
-    if entry.is_some_and(|e| e.arity == Arity::One)
-        && (req.src as usize) >= state.graph.num_vertices()
-    {
+    let n = state.graphs.graph.num_vertices();
+    if entry.is_some_and(|e| e.arity == Arity::One) && (req.src as usize) >= n {
         bump(&state.metrics.rejected_bad_request);
         return error_response(
             &req.id,
             ErrorCode::SrcOutOfRange,
-            &format!("src {} >= {} vertices", req.src, state.graph.num_vertices()),
+            &format!("src {} >= {n} vertices", req.src),
             None,
         );
     }
@@ -445,7 +432,8 @@ fn over_budget(
     what: &str,
 ) -> Option<(String, Option<u64>)> {
     let budget = state.budget.as_ref()?;
-    let (n, m) = (state.graph.num_vertices() as u64, state.graph.num_edges() as u64);
+    let g = &state.graphs.graph;
+    let (n, m) = (g.num_vertices() as u64, g.num_edges() as u64);
     let est = entry.map_or(0, |e| (e.estimate_bytes)(n, m));
     if est > budget.limit() {
         let limit = budget.limit();
@@ -543,14 +531,11 @@ fn worker_loop(state: &Arc<ServerState>) {
             _ => None,
         };
         let env = JobEnv {
-            graph: &state.graph,
-            reverse: &state.reverse,
-            relab: state.cfg.relabeling.as_deref(),
+            graphs: &state.graphs,
             cancel: &job_cancel,
             heartbeat: heartbeat.as_ref(),
             pool: &state.pool,
             injector: state.injector.as_ref(),
-            serial_threshold: state.cfg.serial_threshold,
             checkpoint_root: &state.cfg.checkpoint_dir,
         };
         // Last line of defense: `jobs::run_job` already isolates operator
@@ -561,18 +546,9 @@ fn worker_loop(state: &Arc<ServerState>) {
             Job::Single { req, deadline, seq, reply } => {
                 let verdict =
                     catch_unwind(AssertUnwindSafe(|| jobs::run_job(&env, &req, deadline, seq)))
-                        .unwrap_or_else(|_| JobVerdict {
-                            response: error_response(
-                                &req.id,
-                                ErrorCode::Internal,
-                                "request dispatch panicked",
-                                None,
-                            ),
-                            status: JobStatus::Failed,
-                            breaker_failure: true,
-                            deadline_missed: false,
-                            checkpointed: false,
-                            degrades: 0,
+                        .unwrap_or_else(|_| {
+                            let message = "request dispatch panicked";
+                            JobVerdict::error(&req.id, ErrorCode::Internal, message)
                         });
                 let killed = heartbeat.as_ref().is_some_and(|hb| hb.is_killed());
                 drop(watch);
@@ -895,6 +871,18 @@ mod tests {
     }
 
     #[test]
+    fn malformed_inject_is_a_bad_request_not_a_deadline_rejection() {
+        let state = state_fixture(ServerConfig::default());
+        let resp = with_workers(&state, || {
+            handle_request(&state, r#"{"primitive":"bfs","inject":"bogus=1"}"#)
+        });
+        assert!(resp.contains("bad-request"), "got: {resp}");
+        let doc = state.render_metrics(false);
+        assert!(doc.contains("\"bad_request\":1"), "got: {doc}");
+        assert!(doc.contains("\"deadline_expired\":0"), "got: {doc}");
+    }
+
+    #[test]
     fn draining_state_rejects_new_requests() {
         let state = state_fixture(ServerConfig::default());
         // ORDERING: Release — test stand-in for the drain sequence.
@@ -1153,7 +1141,7 @@ mod tests {
         let g = Arc::new(GraphBuilder::new().directed().build(Coo::from_edges(23, &edges)));
         let state = Arc::new(ServerState::new(g, ServerConfig::default()));
         assert!(
-            !Arc::ptr_eq(&state.reverse, &state.graph),
+            !Arc::ptr_eq(&state.graphs.reverse, &state.graphs.graph),
             "a directed graph gets its transpose"
         );
         let resp =
@@ -1164,7 +1152,7 @@ mod tests {
         assert!(resp.contains(&hash), "{resp} lacks {hash}");
         // an undirected graph is its own transpose and is shared
         let state = state_fixture(ServerConfig::default());
-        assert!(Arc::ptr_eq(&state.reverse, &state.graph));
+        assert!(Arc::ptr_eq(&state.graphs.reverse, &state.graphs.graph));
     }
 
     #[test]

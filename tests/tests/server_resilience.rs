@@ -296,3 +296,38 @@ fn drain_checkpoints_in_flight_work_and_resume_is_bit_identical() {
     resumer.join();
     let _ = std::fs::remove_dir_all(&ckpt_root);
 }
+
+/// A served `resume` reads only snapshots under the server's
+/// `--checkpoint-dir`: a valid snapshot written elsewhere is refused with
+/// `resume-failed`, and the server that owns it resumes it.
+#[test]
+fn resume_is_confined_to_the_checkpoint_dir() {
+    let (owner_root, other_root) = (temp_dir("confine-owner"), temp_dir("confine-other"));
+    let serve = |root: &PathBuf| {
+        let cfg = ServerConfig { checkpoint_dir: root.clone(), ..ServerConfig::default() };
+        start(small_graph(), cfg, 0).expect("server starts")
+    };
+    let owner = serve(&owner_root);
+    let mut c = Client::connect(&owner.addr().to_string(), CLIENT_TIMEOUT).expect("connect");
+    let capped = c
+        .request(r#"{"id":"cap","primitive":"bfs","src":0,"max_iters":2,"checkpoint":true}"#)
+        .expect("capped run");
+    let v = JsonValue::parse(&capped).unwrap();
+    assert_eq!(field(&v, "status").as_str(), Some("partial"), "got: {capped}");
+    let ckpt = field(&v, "checkpoint").as_str().expect("snapshot path").to_string();
+    let resume = format!(r#"{{"id":"again","primitive":"bfs","resume":{ckpt:?}}}"#);
+
+    let other = serve(&other_root);
+    let mut c2 = Client::connect(&other.addr().to_string(), CLIENT_TIMEOUT).expect("connect");
+    let refused = c2.request(&resume).expect("refusal");
+    assert_eq!(status_of(&refused), ("failed".to_string(), "resume-failed".to_string()));
+
+    let resumed = c.request(&resume).expect("resume");
+    assert_eq!(status_of(&resumed).0, "ok", "the owner resumes it: {resumed}");
+    for server in [owner, other] {
+        server.shutdown();
+        server.join();
+    }
+    let _ = std::fs::remove_dir_all(&owner_root);
+    let _ = std::fs::remove_dir_all(&other_root);
+}
