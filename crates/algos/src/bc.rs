@@ -15,10 +15,13 @@
 //! doubles: where they overflow, scores are NaN exactly where
 //! `serial::brandes_single_source`'s are (DESIGN §5.3).
 
-use crate::recover::{check_failed, malformed, to_atomic_f64, to_atomic_u32};
+use crate::primitive::Primitive;
+use crate::primitive::{first_source, frontiers, malformed, run, to_atomic_f64, to_atomic_u32};
+use crate::registry::{Arity, Output};
 use gunrock::prelude::*;
 use gunrock_engine::atomics::{atomic_u32_vec, into_plain_u32, unwrap_atomic_u32, AtomicF64};
-use gunrock_engine::checkpoint::{Field, Kind::*, Schema, Slot::*};
+use gunrock_engine::budget::pooled_bytes;
+use gunrock_engine::checkpoint::{Field, Kind::*, Schema, Slot::*, Snapshot, SnapshotWriter};
 use gunrock_graph::{EdgeId, VertexId, INFINITY};
 use std::sync::atomic::{AtomicU32, Ordering};
 
@@ -88,30 +91,42 @@ impl AdvanceFunctor for Claim<'_> {
     }
 }
 
-/// Which Brandes phase the run was in at snapshot time.
+/// Which Brandes phase the run was in at snapshot time (a fresh state is
+/// forward: zero).
 const PHASE_FORWARD: u32 = 0;
 const PHASE_BACKWARD: u32 = 1;
 
-/// In-flight BC loop state at an iteration boundary (what a checkpoint
-/// captures; see [`bc_resume`]). `back_lvl` is the number of backward
-/// sweep levels still to process (`lvl + 1` for the next level `lvl`).
-struct BcLoop {
+/// BC as a [`Primitive`]: the in-flight state at an iteration boundary
+/// (a snapshot captures all of it but the run's level shapes).
+/// `back_lvl` is the number of backward sweep levels still to process
+/// (`lvl + 1` for the next level `lvl`).
+#[derive(Default)]
+pub struct Bc {
+    src: VertexId,
     depth: Vec<AtomicU32>,
     sigma: Vec<AtomicF64>,
     delta: Vec<AtomicF64>,
     /// Every level found so far, back to back: level `l` is
-    /// `levels[offsets[l]..offsets[l + 1]]`.
+    /// `levels[offsets[l]..offsets[l + 1]]`. A pool buffer once setup
+    /// ran, with room for a dense level's gather to append up to `n`
+    /// candidates past the levels found.
     levels: Vec<u32>,
     offsets: Vec<u32>,
     phase: u32,
     back_lvl: u32,
+    /// Whether `levels` came from the pool.
+    pooled: bool,
+    /// Each forward level's shape.
+    switch: GatherSwitch,
+    /// A sparse level's advance output, which is the next level's input.
+    carried: Option<Frontier>,
 }
 
-impl BcLoop {
-    /// The ids of level `l` (its vertices' depth).
-    fn level(&self, l: u32) -> &[u32] {
+impl Bc {
+    /// Where level `l` (its vertices' depth) sits in `levels`.
+    fn level(&self, l: u32) -> std::ops::Range<usize> {
         let at = |i: u32| self.offsets[i as usize] as usize;
-        &self.levels[at(l)..at(l + 1)]
+        at(l)..at(l + 1)
     }
 
     /// The deepest level found so far.
@@ -119,248 +134,272 @@ impl BcLoop {
         // CAST: one offset per level plus one; levels are fewer than vertices.
         self.offsets.len() as u32 - 2
     }
-}
 
-/// The snapshot [`bc_checkpoint`] writes and [`bc_resume`] reads. The
-/// level stack is `levels_flat` cut by `level_offsets`, one longer than
-/// the level count.
-pub(crate) static SNAPSHOT: Schema = Schema {
-    primitive: "bc",
-    fields: &[
-        Field("depth", "u32", PerVertex),
-        Field("sigma", "f64", PerVertex),
-        Field("delta", "f64", PerVertex),
-        Field("levels_flat", "u32", VertexIds),
-        Field("level_offsets", "u32", List),
-        Field(
-            "scalars",
-            "u32",
-            Slots(&[Vertex("src"), Plain("last_level"), Plain("phase"), Plain("back_lvl")]),
-        ),
-    ],
-};
+    /// One forward level: discovers level `last_level() + 1` and its
+    /// path counts, or, when it is empty, hands over to the backward
+    /// sweep.
+    fn forward(&mut self, ctx: &Context<'_>, run: &mut Enactment<'_, '_>, mode: AdvanceMode) {
+        let (g, n) = (ctx.graph, ctx.num_vertices());
+        let (up, found) = (self.last_level(), self.levels.len());
+        let (level, parents) = (up + 1, self.level(up));
+        let frontier_edges =
+            self.levels[parents.clone()].iter().map(|&v| u64::from(g.out_degree(v))).sum();
+        let dense = self.switch.choose(ctx, frontier_edges);
+        run.end_iteration(dense);
+        let (depth, sigma, carry) = (&self.depth[..], &self.sigma[..], self.carried.take());
+        // ORDERING: Relaxed — a vertex claimed in the current level reads as
+        // `level` or INFINITY, never as a parent, and earlier levels were
+        // published by the join barrier ending their operator.
+        let depth_of = |v: VertexId| depth[v as usize].load(Ordering::Relaxed);
+        if dense {
+            carry.into_iter().for_each(|f| ctx.recycle(f));
+        } else {
+            // copied from the level stack after a dense level or a resume
+            let copy =
+                || ctx.pooled_copy("setup", &self.levels[parents], 0).map(Frontier::from_vec);
+            let Some(input) = carry.or_else(copy) else { return };
+            let claim = Claim { depth, sigma: ctx.reverse.is_none().then_some(sigma), level };
+            let spec = AdvanceSpec::v2v().with_mode(mode);
+            let next = advance::advance(ctx, &input, spec, &claim);
+            ctx.recycle(input);
+            self.levels.extend_from_slice(next.as_slice());
+            self.carried = Some(next);
+        }
+        if ctx.reverse.is_some() {
+            // sigma sums the parents one level up; a dense level is found
+            // by the same sweep, over the unvisited vertices
+            let (spec, len, next) = if dense {
+                (GatherSpec::range(0..n as VertexId), n, Some(&mut self.levels))
+            } else {
+                (GatherSpec::list(&self.levels[found..]), self.levels.len() - found, None)
+            };
+            advance_gather(
+                ctx,
+                spec,
+                &mut vec![(); len],
+                next,
+                |v| !dense || depth_of(v) == INFINITY,
+                0.0,
+                |u, _, _| if depth_of(u) == up { sigma[u as usize].load() } else { 0.0 },
+                |a, b| a + b,
+                |v, paths, _| {
+                    if paths > 0.0 {
+                        sigma[v as usize].store(paths);
+                        depth[v as usize].store(level, Ordering::Relaxed);
+                    }
+                    paths > 0.0
+                },
+            );
+        }
+        if self.levels.len() == found {
+            // Hand over to the backward sweep on a clean forward phase —
+            // a trip leaves half-built sigmas that would make dependency
+            // sums meaningless, and a resume re-enters the forward phase.
+            self.carried.take().into_iter().for_each(|f| ctx.recycle(f));
+            self.phase = PHASE_BACKWARD;
+            self.back_lvl = self.last_level();
+        } else {
+            // CAST: at most n ids, and n fits u32 (Csr invariant).
+            self.offsets.push(self.levels.len() as u32);
+        }
+    }
 
-/// Builds an iteration-boundary snapshot.
-fn bc_checkpoint(iteration: u32, src: VertexId, st: &BcLoop) -> Checkpoint {
-    SNAPSHOT
-        .writer(iteration)
-        .section("depth", unwrap_atomic_u32(&st.depth))
-        .section("sigma", st.sigma.iter().map(|a| a.load()).collect())
-        .section("delta", st.delta.iter().map(|a| a.load()).collect())
-        .section("levels_flat", st.levels.clone())
-        .section("level_offsets", st.offsets.clone())
-        .slots(
-            "scalars",
-            &[
-                ("src", src),
-                ("last_level", st.last_level()),
-                ("phase", st.phase),
-                ("back_lvl", st.back_lvl),
-            ],
-        )
-        .finish()
+    /// One backward level: it gathers its dependencies from the level
+    /// below.
+    fn backward(&mut self, ctx: &Context<'_>, run: &mut Enactment<'_, '_>) {
+        run.end_iteration(false);
+        let lvl = self.back_lvl - 1;
+        let (depth, sigma, delta) = (&self.depth, &self.sigma, &self.delta);
+        let ids = &self.levels[self.level(lvl)];
+        advance_gather(
+            ctx,
+            GatherSpec::list(ids).out_edges(),
+            &mut vec![(); ids.len()],
+            None,
+            |_| true,
+            0.0,
+            |w, u, _| {
+                // ORDERING: Relaxed — the forward phase's join barriers
+                // published every depth.
+                if depth[w as usize].load(Ordering::Relaxed) == lvl + 1 {
+                    sigma[u as usize].load() / sigma[w as usize].load()
+                        * (1.0 + delta[w as usize].load())
+                } else {
+                    0.0
+                }
+            },
+            |a, b| a + b,
+            |u, dependency, _| {
+                delta[u as usize].store(dependency);
+                false
+            },
+        );
+        self.back_lvl -= 1;
+    }
 }
 
 /// Runs a single-source BC pass from `src`. Summing `bc_values` over all
 /// sources yields full betweenness centrality.
 pub fn bc(ctx: &Context<'_>, src: VertexId, opts: BcOptions) -> BcResult {
-    let n = ctx.num_vertices();
-    assert!((src as usize) < n, "source out of range");
-    let mut depth = atomic_u32_vec(n, INFINITY);
-    depth[src as usize] = AtomicU32::new(0);
-    let sigma: Vec<AtomicF64> = (0..n).map(|_| AtomicF64::new(0.0)).collect();
-    sigma[src as usize].store(1.0);
-    let st = BcLoop {
-        depth,
-        sigma,
-        delta: (0..n).map(|_| AtomicF64::new(0.0)).collect(),
-        levels: vec![src],
-        offsets: vec![0, 1],
-        phase: PHASE_FORWARD,
-        back_lvl: 0,
-    };
-    bc_run(ctx, src, opts, st, 0)
+    run::<Bc>(ctx, &[src], opts)
 }
 
-/// Resumes BC from a `gunrock-ckpt/v1` snapshot. The checkpoint's source
-/// and phase position override everything but the advance mode. A `tags`
-/// section (written by earlier versions) is ignored.
-pub fn bc_resume(
-    ctx: &Context<'_>,
-    opts: BcOptions,
-    ckpt: &Checkpoint,
-) -> Result<BcResult, GunrockError> {
-    let n = ctx.num_vertices();
-    let snap = SNAPSHOT.read(ckpt, n)?;
-    let (flat, offsets) = (snap.section("levels_flat")?, snap.section("level_offsets")?);
-    if flat.len() > n
-        || offsets.len() < 2
-        || offsets.first() != Some(&0)
-        || offsets.last().copied() != Some(flat.len() as u32)
-        || offsets.windows(2).any(|w| w[0] > w[1])
-    {
-        return Err(malformed("level_offsets is not a monotone cover of up to n levelled ids"));
-    }
-    let phase = snap.slot("phase")?;
-    if phase != PHASE_FORWARD && phase != PHASE_BACKWARD {
-        return Err(malformed(format!("unknown BC phase tag {phase}")));
-    }
-    let back_lvl = snap.slot("back_lvl")?;
-    if back_lvl as usize >= offsets.len() {
-        return Err(malformed(format!("back_lvl {back_lvl} exceeds the recorded levels")));
-    }
-    let src = snap.slot("src")?;
-    let st = BcLoop {
-        depth: to_atomic_u32(snap.section("depth")?),
-        sigma: to_atomic_f64(snap.section("sigma")?),
-        delta: to_atomic_f64(snap.section("delta")?),
-        levels: flat.to_vec(),
-        offsets: offsets.to_vec(),
-        phase,
-        back_lvl,
-    };
-    let r = bc_run(ctx, src, opts, st, ckpt.iteration());
-    check_failed(ctx, r.outcome, r)
-}
+impl Primitive for Bc {
+    const NAME: &'static str = "bc";
+    const ARITY: Arity = Arity::One;
+    const ADVANCES: bool = true;
+    // the level stack is `levels_flat` cut by `level_offsets`, one longer
+    // than the level count
+    const SNAPSHOT: Option<&'static Schema> = Some(&Schema {
+        primitive: "bc",
+        fields: &[
+            Field("depth", "u32", PerVertex),
+            Field("sigma", "f64", PerVertex),
+            Field("delta", "f64", PerVertex),
+            Field("levels_flat", "u32", VertexIds),
+            Field("level_offsets", "u32", List),
+            Field(
+                "scalars",
+                "u32",
+                Slots(&[Vertex("src"), Plain("last_level"), Plain("phase"), Plain("back_lvl")]),
+            ),
+        ],
+    });
+    type Options = BcOptions;
+    type Result = BcResult;
 
-/// The enact loop proper, starting from an arbitrary iteration-boundary
-/// state (fresh from [`bc`] or restored by [`bc_resume`]) that has
-/// already completed `done` iterations.
-fn bc_run(
-    ctx: &Context<'_>,
-    src: VertexId,
-    opts: BcOptions,
-    mut st: BcLoop,
-    done: u32,
-) -> BcResult {
-    let (g, n) = (ctx.graph, ctx.num_vertices());
-    let mut run = Enactment::arm(ctx, done);
-    // Budget admission: demote the advance mode (or poison with a
-    // structured BudgetExceeded) before the first operator launches.
-    let opts = BcOptions { mode: crate::admission::admit(ctx, "bc", opts.mode) };
-    // The level stack lives in one pool buffer with room for a dense
-    // level's gather to append up to `n` candidates past the levels found.
-    let owned =
-        ctx.pooled_copy("setup", &st.levels, 2 * n).map(|buf| st.levels = buf).is_some();
-    // ORDERING: Relaxed — a vertex claimed in the current level reads as
-    // `level` or INFINITY, never as a parent, and earlier levels were
-    // published by the join barrier ending their operator.
-    let depth_of = |v: VertexId| st.depth[v as usize].load(Ordering::Relaxed);
+    fn mode(opts: &BcOptions) -> AdvanceMode {
+        opts.mode
+    }
 
-    // Phase 1: forward BFS with sigma accumulation.
-    if st.phase == PHASE_FORWARD {
-        let mut switch = GatherSwitch::default();
-        // a sparse level's advance output, which is the next level's input
-        let mut carried: Option<Frontier> = None;
-        while !run.boundary(|it| Some(bc_checkpoint(it, src, &st))) {
-            let (up, found) = (st.last_level(), st.levels.len());
-            let (level, parents) = (up + 1, st.level(up));
-            let frontier_edges = parents.iter().map(|&v| u64::from(g.out_degree(v))).sum();
-            let dense = switch.choose(ctx, frontier_edges);
-            run.end_iteration(dense);
-            let (depth, sigma, carry) = (&st.depth[..], &st.sigma[..], carried.take());
-            if dense {
-                carry.into_iter().for_each(|f| ctx.recycle(f));
-            } else {
-                // copied from the level stack after a dense level or a resume
-                let copy = || ctx.pooled_copy("setup", parents, 0).map(Frontier::from_vec);
-                let Some(input) = carry.or_else(copy) else { break };
-                let claim =
-                    Claim { depth, sigma: ctx.reverse.is_none().then_some(sigma), level };
-                let spec = AdvanceSpec::v2v().with_mode(opts.mode);
-                let next = advance::advance(ctx, &input, spec, &claim);
-                ctx.recycle(input);
-                st.levels.extend_from_slice(next.as_slice());
-                carried = Some(next);
-            }
-            if ctx.reverse.is_some() {
-                // sigma sums the parents one level up; a dense level is found
-                // by the same sweep, over the unvisited vertices
-                let (spec, len, next) = if dense {
-                    (GatherSpec::range(0..n as VertexId), n, Some(&mut st.levels))
-                } else {
-                    (GatherSpec::list(&st.levels[found..]), st.levels.len() - found, None)
-                };
-                advance_gather(
-                    ctx,
-                    spec,
-                    &mut vec![(); len],
-                    next,
-                    |v| !dense || depth_of(v) == INFINITY,
-                    0.0,
-                    |u, _, _| if depth_of(u) == up { sigma[u as usize].load() } else { 0.0 },
-                    |a, b| a + b,
-                    |v, paths, _| {
-                        if paths > 0.0 {
-                            sigma[v as usize].store(paths);
-                            depth[v as usize].store(level, Ordering::Relaxed);
-                        }
-                        paths > 0.0
-                    },
-                );
-            }
-            if st.levels.len() == found {
-                break;
-            }
-            // CAST: at most n ids, and n fits u32 (Csr invariant).
-            st.offsets.push(st.levels.len() as u32);
-        }
-        carried.into_iter().for_each(|f| ctx.recycle(f));
-        // Hand over to the backward sweep only on a clean forward phase —
-        // a trip leaves half-built sigmas that would make dependency sums
-        // meaningless, and a resume re-enters the forward phase instead.
-        if run.outcome() == RunOutcome::Converged {
-            st.phase = PHASE_BACKWARD;
-            st.back_lvl = st.last_level();
+    // depths, sigma and delta, the pooled level stack (room for a dense
+    // level's candidates past the levels found), and a sparse level's
+    // input copy and advance output
+    fn state_bytes(n: u64, _m: u64) -> u64 {
+        n * 4 + 2 * n * 8 + pooled_bytes(2 * n, 4) + frontiers(n)
+    }
+
+    fn init(ctx: &Context<'_>, sources: &[VertexId], _opts: BcOptions) -> Self {
+        let n = ctx.num_vertices();
+        let src = first_source(sources);
+        assert!((src as usize) < n, "source out of range");
+        let mut depth = atomic_u32_vec(n, INFINITY);
+        depth[src as usize] = AtomicU32::new(0);
+        let sigma: Vec<AtomicF64> = (0..n).map(|_| AtomicF64::new(0.0)).collect();
+        sigma[src as usize].store(1.0);
+        Bc {
+            src,
+            depth,
+            sigma,
+            delta: (0..n).map(|_| AtomicF64::new(0.0)).collect(),
+            levels: vec![src],
+            offsets: vec![0, 1],
+            ..Default::default()
         }
     }
 
-    // Phase 2: every level gathers its dependencies from the level below.
-    if st.phase == PHASE_BACKWARD && run.outcome() == RunOutcome::Converged {
-        while st.back_lvl > 0 && !run.boundary(|it| Some(bc_checkpoint(it, src, &st))) {
-            run.end_iteration(false);
-            let lvl = st.back_lvl - 1;
-            let (sigma, delta) = (&st.sigma, &st.delta);
-            let ids = st.level(lvl);
-            advance_gather(
-                ctx,
-                GatherSpec::list(ids).out_edges(),
-                &mut vec![(); ids.len()],
-                None,
-                |_| true,
-                0.0,
-                |w, u, _| {
-                    if depth_of(w) == lvl + 1 {
-                        sigma[u as usize].load() / sigma[w as usize].load()
-                            * (1.0 + delta[w as usize].load())
-                    } else {
-                        0.0
-                    }
-                },
-                |a, b| a + b,
-                |u, dependency, _| {
-                    delta[u as usize].store(dependency);
-                    false
-                },
-            );
-            st.back_lvl -= 1;
+    /// The snapshot's phase position overrides everything but the
+    /// advance mode. A `tags` section (written by earlier versions) is
+    /// ignored.
+    fn load(
+        ctx: &Context<'_>,
+        snap: &Snapshot<'_>,
+        _opts: BcOptions,
+    ) -> Result<Self, GunrockError> {
+        let n = ctx.num_vertices();
+        let (flat, offsets) = (snap.section("levels_flat")?, snap.section("level_offsets")?);
+        if flat.len() > n
+            || offsets.len() < 2
+            || offsets.first() != Some(&0)
+            || offsets.last().copied() != Some(flat.len() as u32)
+            || offsets.windows(2).any(|w| w[0] > w[1])
+        {
+            return Err(malformed(
+                "level_offsets is not a monotone cover of up to n levelled ids",
+            ));
+        }
+        let phase = snap.slot("phase")?;
+        if phase != PHASE_FORWARD && phase != PHASE_BACKWARD {
+            return Err(malformed(format!("unknown BC phase tag {phase}")));
+        }
+        let back_lvl = snap.slot("back_lvl")?;
+        if back_lvl as usize >= offsets.len() {
+            return Err(malformed(format!("back_lvl {back_lvl} exceeds the recorded levels")));
+        }
+        Ok(Bc {
+            src: snap.slot("src")?,
+            depth: to_atomic_u32(snap.section("depth")?),
+            sigma: to_atomic_f64(snap.section("sigma")?),
+            delta: to_atomic_f64(snap.section("delta")?),
+            levels: flat.to_vec(),
+            offsets: offsets.to_vec(),
+            phase,
+            back_lvl,
+            ..Default::default()
+        })
+    }
+
+    fn save(&self, snapshot: SnapshotWriter) -> SnapshotWriter {
+        snapshot
+            .section("depth", unwrap_atomic_u32(&self.depth))
+            .section("sigma", self.sigma.iter().map(|a| a.load()).collect())
+            .section("delta", self.delta.iter().map(|a| a.load()).collect())
+            .section("levels_flat", self.levels.clone())
+            .section("level_offsets", self.offsets.clone())
+            .slots(
+                "scalars",
+                &[
+                    ("src", self.src),
+                    ("last_level", self.last_level()),
+                    ("phase", self.phase),
+                    ("back_lvl", self.back_lvl),
+                ],
+            )
+    }
+
+    fn sources(&self) -> Vec<VertexId> {
+        vec![self.src]
+    }
+
+    fn setup(&mut self, ctx: &Context<'_>) {
+        let mut levels = ctx.pool().take_u32(2 * ctx.num_vertices());
+        levels.extend_from_slice(&self.levels);
+        self.levels = levels;
+        self.pooled = true;
+    }
+
+    fn live(&self, _iterations: u32) -> bool {
+        self.phase == PHASE_FORWARD || self.back_lvl > 0
+    }
+
+    fn step(&mut self, ctx: &Context<'_>, run: &mut Enactment<'_, '_>, mode: AdvanceMode) {
+        if self.phase == PHASE_FORWARD {
+            self.forward(ctx, run, mode);
+        } else {
+            self.backward(ctx, run);
         }
     }
 
-    let done = run.finish(|it| Some(bc_checkpoint(it, src, &st)));
-    if owned {
-        ctx.pool().put_u32(st.levels);
+    fn finish(self, ctx: &Context<'_>, done: Enacted) -> BcResult {
+        self.carried.into_iter().for_each(|f| ctx.recycle(f));
+        if self.pooled {
+            ctx.pool().put_u32(self.levels);
+        }
+        let mut bc_values: Vec<f64> = self.delta.into_iter().map(|a| a.load()).collect();
+        bc_values[self.src as usize] = 0.0;
+        BcResult {
+            bc_values,
+            sigmas: self.sigma.into_iter().map(|a| a.load()).collect(),
+            labels: into_plain_u32(self.depth),
+            edges_examined: done.edges_examined,
+            iterations: done.iterations,
+            elapsed: done.elapsed,
+            outcome: done.outcome,
+        }
     }
-    let mut bc_values: Vec<f64> = st.delta.into_iter().map(|a| a.load()).collect();
-    bc_values[src as usize] = 0.0;
-    BcResult {
-        bc_values,
-        sigmas: st.sigma.into_iter().map(|a| a.load()).collect(),
-        labels: into_plain_u32(st.depth),
-        edges_examined: done.edges_examined,
-        iterations: done.iterations,
-        elapsed: done.elapsed,
-        outcome: done.outcome,
+
+    fn output(result: BcResult) -> Output {
+        Output::Scores(result.bc_values)
     }
 }
 

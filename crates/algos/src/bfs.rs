@@ -14,10 +14,13 @@
 //! idempotent advance + culling filter (`gunrock_bench::bfs_two_kernel`,
 //! ablations A2 and A3).
 
-use crate::recover::{check_failed, malformed, to_atomic_u32};
+use crate::primitive::{
+    bitmap, first_source, frontiers, malformed, run, to_atomic_u32, Primitive,
+};
+use crate::registry::{Arity, Output};
 use gunrock::prelude::*;
-use gunrock_engine::atomics::{atomic_u32_vec, unwrap_atomic_u32};
-use gunrock_engine::checkpoint::{Field, Kind::*, Schema, Slot::*};
+use gunrock_engine::atomics::{atomic_u32_vec, into_plain_u32, unwrap_atomic_u32};
+use gunrock_engine::checkpoint::{Field, Kind::*, Schema, Slot::*, Snapshot, SnapshotWriter};
 #[cfg(test)]
 use gunrock_graph::Csr;
 use gunrock_graph::{EdgeId, VertexId, INFINITY, INVALID_VERTEX};
@@ -145,17 +148,23 @@ impl AdvanceFunctor for PullDiscover<'_> {
     }
 }
 
-/// In-flight BFS loop state at an iteration boundary. This is exactly
-/// what a checkpoint captures: resuming from a snapshot rebuilds this
-/// struct and re-enters [`bfs_run`] as if the guard had never tripped.
-struct BfsLoop {
+/// BFS as a [`Primitive`]: the in-flight state at an iteration boundary.
+/// A snapshot captures all of it but the pooled bitmaps, which are
+/// rebuilt from the labels.
+#[derive(Default)]
+pub struct Bfs {
+    src: VertexId,
     labels: Vec<AtomicU32>,
     preds: Vec<AtomicU32>,
     frontier: Frontier,
     level: u32,
     pull_iters: u32,
-    direction: TraversalDirection,
+    policy: DirectionPolicy,
     unvisited_edges: u64,
+    /// The visited bitmap, built at setup.
+    visited: Option<PooledBitmap>,
+    /// The dense frontiers of a pull phase.
+    pull: Option<PullFrontiers>,
 }
 
 /// The dense frontier triple of a pull phase, all pool-backed and built
@@ -204,223 +213,202 @@ fn rebuild_visited(ctx: &Context<'_>, labels: &[AtomicU32]) -> PooledBitmap {
     bm
 }
 
-/// The snapshot [`bfs_checkpoint`] writes and [`bfs_resume`] reads.
-pub(crate) static SNAPSHOT: Schema = Schema {
-    primitive: "bfs",
-    fields: &[
-        Field("labels", "u32", PerVertex),
-        Field("preds", "u32", PerVertex),
-        Field("frontier", "u32", VertexIds),
-        // written empty: the pull candidates are the unlabeled vertices
-        Field("unvisited", "u32", VertexIds),
-        Field(
-            "scalars",
-            "u32",
-            Slots(&[
-                Vertex("src"),
-                Plain("level"),
-                Plain("pull_iterations"),
-                Plain("direction"),
-                Plain("variant"),
-                Pinned("record_predecessors", 1),
-            ]),
-        ),
-        Field("counters", "u64", Slots(&[Plain("unvisited_edges")])),
-    ],
-};
-
-/// Builds an iteration-boundary snapshot.
-fn bfs_checkpoint(iteration: u32, src: VertexId, st: &BfsLoop) -> Checkpoint {
-    SNAPSHOT
-        .writer(iteration)
-        .section("labels", unwrap_atomic_u32(&st.labels))
-        .section("preds", unwrap_atomic_u32(&st.preds))
-        .section("frontier", st.frontier.as_slice().to_vec())
-        .section::<u32>("unvisited", Vec::new())
-        .slots(
-            "scalars",
-            &[
-                ("src", src),
-                ("level", st.level),
-                ("pull_iterations", st.pull_iters),
-                ("direction", direction_tag(st.direction)),
-                ("variant", VARIANT_TAG),
-            ],
-        )
-        .slots("counters", &[("unvisited_edges", st.unvisited_edges)])
-        .finish()
-}
-
 /// Runs BFS from `src`. Direction-optimized traversal pulls only over
 /// `ctx.reverse` (the forward graph itself for undirected graphs).
 pub fn bfs(ctx: &Context<'_>, src: VertexId, opts: BfsOptions) -> BfsResult {
-    let n = ctx.num_vertices();
-    assert!((src as usize) < n, "source out of range");
-    let labels = atomic_u32_vec(n, INFINITY);
-    // ORDERING: Relaxed — any winning parent/label is a valid BFS tree edge
-    // (idempotent discovery); the rayon join barrier publishes each level.
-    labels[src as usize].store(0, Ordering::Relaxed);
-    let st = BfsLoop {
-        labels,
-        preds: atomic_u32_vec(n, INVALID_VERTEX),
-        frontier: ctx.pooled_frontier([src].into_iter()),
-        level: 0,
-        pull_iters: 0,
-        direction: TraversalDirection::Push,
-        unvisited_edges: ctx.graph.num_edges() as u64 - ctx.graph.out_degree(src) as u64,
-    };
-    bfs_run(ctx, src, opts, st, 0)
+    run::<Bfs>(ctx, &[src], opts)
 }
 
-/// Resumes BFS from a `gunrock-ckpt/v1` snapshot. The checkpoint's
-/// source overrides `opts`; the workload mapping still comes from `opts`.
-/// A snapshot of a retired variant (tags 0, 1 and 3) resumes as this BFS:
-/// its labels, preds and frontier are the state a claiming push level
-/// resumes from, since the visited bitmap is rebuilt from the labels. A
-/// snapshot without predecessors is rejected.
-pub fn bfs_resume(
-    ctx: &Context<'_>,
-    opts: BfsOptions,
-    ckpt: &Checkpoint,
-) -> Result<BfsResult, GunrockError> {
-    let snap = SNAPSHOT.read(ckpt, ctx.num_vertices())?;
-    let direction = match snap.slot::<u32>("direction")? {
-        0 => TraversalDirection::Push,
-        1 => TraversalDirection::Pull,
-        other => return Err(malformed(format!("unknown direction tag {other}"))),
-    };
-    let variant: u32 = snap.slot("variant")?;
-    if variant > 3 {
-        return Err(malformed(format!("unknown BFS variant tag {variant}")));
+impl Primitive for Bfs {
+    const NAME: &'static str = "bfs";
+    const ARITY: Arity = Arity::One;
+    const ADVANCES: bool = true;
+    const SNAPSHOT: Option<&'static Schema> = Some(&Schema {
+        primitive: "bfs",
+        fields: &[
+            Field("labels", "u32", PerVertex),
+            Field("preds", "u32", PerVertex),
+            Field("frontier", "u32", VertexIds),
+            // written empty: the pull candidates are the unlabeled vertices
+            Field("unvisited", "u32", VertexIds),
+            Field(
+                "scalars",
+                "u32",
+                Slots(&[
+                    Vertex("src"),
+                    Plain("level"),
+                    Plain("pull_iterations"),
+                    Plain("direction"),
+                    Plain("variant"),
+                    Pinned("record_predecessors", 1),
+                ]),
+            ),
+            Field("counters", "u64", Slots(&[Plain("unvisited_edges")])),
+        ],
+    });
+    type Options = BfsOptions;
+    type Result = BfsResult;
+
+    fn mode(opts: &BfsOptions) -> AdvanceMode {
+        opts.mode
     }
-    let src = snap.slot("src")?;
-    let st = BfsLoop {
-        labels: to_atomic_u32(snap.section("labels")?),
-        preds: to_atomic_u32(snap.section("preds")?),
-        frontier: ctx.pooled_frontier(snap.section("frontier")?.iter().copied()),
-        level: snap.slot("level")?,
-        pull_iters: snap.slot("pull_iterations")?,
-        direction,
-        unvisited_edges: snap.slot("unvisited_edges")?,
-    };
-    let r = bfs_run(ctx, src, opts, st, ckpt.iteration());
-    check_failed(ctx, r.outcome, r)
-}
 
-/// The enact loop proper, starting from an arbitrary iteration-boundary
-/// state (fresh from [`bfs`] or restored by [`bfs_resume`]) that has
-/// already completed `done` iterations.
-fn bfs_run(
-    ctx: &Context<'_>,
-    src: VertexId,
-    opts: BfsOptions,
-    mut st: BfsLoop,
-    done: u32,
-) -> BfsResult {
-    let n = ctx.num_vertices();
-    let mut run = Enactment::arm(ctx, done);
-    // Budget admission: demote the advance mode (or poison with a
-    // structured BudgetExceeded) before the first operator launches.
-    let mode = crate::admission::admit(ctx, "bfs", opts.mode);
-    // The visited bitmap is a pool checkout between operators: build it
-    // isolated so a denied checkout (injected `pool-alloc` or a budget
-    // race) fails the run instead of unwinding out of the loop, and never
-    // for a run admission already failed. Either way the context is
-    // poisoned and the first boundary ends the run before any operator.
-    let visited = if ctx.is_poisoned() {
-        None
-    } else {
-        ctx.isolated_setup("setup", || rebuild_visited(ctx, &st.labels))
-    };
-    let policy = DirectionPolicy::default();
-    let spec = AdvanceSpec::v2v().with_mode(mode);
-    let mut pull: Option<PullFrontiers> = None;
-    while !st.frontier.is_empty() {
-        if run.boundary(|it| Some(bfs_checkpoint(it, src, &st))) {
-            break;
+    // labels, the visited bitmap and the three pull bitmaps built at the
+    // push->pull switch, and the frontier pair
+    fn state_bytes(n: u64, _m: u64) -> u64 {
+        n * 4 + 4 * bitmap(n) + frontiers(n)
+    }
+
+    fn init(ctx: &Context<'_>, sources: &[VertexId], _opts: BfsOptions) -> Self {
+        let (g, src) = (ctx.graph, first_source(sources));
+        assert!((src as usize) < g.num_vertices(), "source out of range");
+        let labels = atomic_u32_vec(g.num_vertices(), INFINITY);
+        // ORDERING: Relaxed — any winning parent/label is a valid BFS tree edge
+        // (idempotent discovery); the rayon join barrier publishes each level.
+        labels[src as usize].store(0, Ordering::Relaxed);
+        Bfs {
+            src,
+            labels,
+            preds: atomic_u32_vec(g.num_vertices(), INVALID_VERTEX),
+            frontier: ctx.pooled_frontier([src].into_iter()),
+            unvisited_edges: g.num_edges() as u64 - g.out_degree(src) as u64,
+            ..Default::default()
         }
-        // unreachable: a failed setup poisoned the run, which the
-        // boundary above reports
-        let Some(visited) = &visited else { break };
-        st.level += 1;
-        let level = st.level;
-        let state = BfsState { labels: &st.labels, preds: &st.preds };
+    }
+
+    /// A snapshot of a retired variant (tags 0, 1 and 3) resumes as this
+    /// BFS: its labels, preds and frontier are the state a claiming push
+    /// level resumes from, since the visited bitmap is rebuilt from the
+    /// labels. A snapshot without predecessors is rejected.
+    fn load(
+        ctx: &Context<'_>,
+        snap: &Snapshot<'_>,
+        _opts: BfsOptions,
+    ) -> Result<Self, GunrockError> {
+        let direction = match snap.slot::<u32>("direction")? {
+            0 => TraversalDirection::Push,
+            1 => TraversalDirection::Pull,
+            other => return Err(malformed(format!("unknown direction tag {other}"))),
+        };
+        let variant: u32 = snap.slot("variant")?;
+        if variant > 3 {
+            return Err(malformed(format!("unknown BFS variant tag {variant}")));
+        }
+        Ok(Bfs {
+            src: snap.slot("src")?,
+            labels: to_atomic_u32(snap.section("labels")?),
+            preds: to_atomic_u32(snap.section("preds")?),
+            frontier: ctx.pooled_frontier(snap.section("frontier")?.iter().copied()),
+            level: snap.slot("level")?,
+            pull_iters: snap.slot("pull_iterations")?,
+            policy: DirectionPolicy { direction },
+            unvisited_edges: snap.slot("unvisited_edges")?,
+            ..Default::default()
+        })
+    }
+
+    fn save(&self, snapshot: SnapshotWriter) -> SnapshotWriter {
+        let direction = direction_tag(self.policy.direction);
+        snapshot
+            .section("labels", unwrap_atomic_u32(&self.labels))
+            .section("preds", unwrap_atomic_u32(&self.preds))
+            .section("frontier", self.frontier.as_slice().to_vec())
+            .section::<u32>("unvisited", Vec::new())
+            .slots(
+                "scalars",
+                &[
+                    ("src", self.src),
+                    ("level", self.level),
+                    ("pull_iterations", self.pull_iters),
+                    ("direction", direction),
+                    ("variant", VARIANT_TAG),
+                ],
+            )
+            .slots("counters", &[("unvisited_edges", self.unvisited_edges)])
+    }
+
+    fn sources(&self) -> Vec<VertexId> {
+        vec![self.src]
+    }
+
+    fn setup(&mut self, ctx: &Context<'_>) {
+        self.visited = Some(rebuild_visited(ctx, &self.labels));
+    }
+
+    fn live(&self, _iterations: u32) -> bool {
+        !self.frontier.is_empty()
+    }
+
+    fn step(&mut self, ctx: &Context<'_>, run: &mut Enactment<'_, '_>, mode: AdvanceMode) {
+        let n = ctx.num_vertices();
+        // built at setup, which precedes every step
+        let Some(visited) = &self.visited else { return };
+        self.level += 1;
+        let level = self.level;
+        let state = BfsState { labels: &self.labels, preds: &self.preds };
         let push = ClaimDiscover { st: state, visited, level };
+        let spec = AdvanceSpec::v2v().with_mode(mode);
         let next = if ctx.reverse.is_none() {
             // nothing to pull over: every level pushes, and the switch
             // bookkeeping is skipped
-            st.direction = TraversalDirection::Push;
-            advance::advance(ctx, &st.frontier, spec, &push)
+            self.policy.direction = TraversalDirection::Push;
+            advance::advance(ctx, &self.frontier, spec, &push)
         } else {
-            let m_f =
-                advance::push::frontier_neighbor_count(ctx, &st.frontier, InputKind::Vertices);
-            let (prev, m_u, n_f) = (st.direction, st.unvisited_edges, st.frontier.len());
-            st.direction = policy.decide(prev, m_f, m_u, n_f, n);
-            // Degradation rung: entering a pull phase costs three
-            // dense O(n/64)-word bitmaps (candidates + ping-pong
-            // pair). Under budget pressure, stay push — the list
-            // frontiers already in hand cost nothing new. An
-            // in-flight pull phase keeps its paid-for bitmaps.
-            if st.direction == TraversalDirection::Pull && pull.is_none() {
+            let m_f = advance::push::frontier_neighbor_count(
+                ctx,
+                &self.frontier,
+                InputKind::Vertices,
+            );
+            // Degradation rung: entering a pull phase costs three dense
+            // O(n/64)-word bitmaps (candidates + ping-pong pair). Under
+            // budget pressure, stay push — the list frontiers already in
+            // hand cost nothing new. An in-flight pull phase keeps its
+            // paid-for bitmaps.
+            let in_pull = self.pull.is_some();
+            let can_pull = || {
                 let need = 3 * gunrock_engine::budget::pooled_bytes(n.div_ceil(64) as u64, 8);
-                if !ctx.pool().can_reserve(need) {
+                let fits = in_pull || ctx.pool().can_reserve(need);
+                if !fits {
                     let headroom = ctx.budget().map(|b| b.headroom()).unwrap_or(0);
                     let reason =
                         format!("pull bitmaps need {need} bytes, budget headroom {headroom}");
                     ctx.record_degrade("advance", "pull", "push", reason);
-                    st.direction = TraversalDirection::Push;
                 }
-            }
-            if let Some(sink) = ctx.sink().filter(|_| st.direction != prev) {
-                // only built when instrumented: the reason string
-                // names the hysteresis inequality that fired
-                let (alpha, beta) = (policy.alpha, policy.beta);
-                let (from, to, reason) = match st.direction {
-                    TraversalDirection::Pull => (
-                        StepDirection::Push,
-                        StepDirection::Pull,
-                        format!(
-                            "m_f={m_f} > m_u={m_u}/alpha={alpha} \
-                             and n_f={n_f} >= n={n}/beta={beta}"
-                        ),
-                    ),
-                    TraversalDirection::Push => (
-                        StepDirection::Pull,
-                        StepDirection::Push,
-                        format!("n_f={n_f} < n={n}/beta={beta}"),
-                    ),
-                };
-                sink.record_switch(from, to, reason);
-            }
-            let next = match st.direction {
+                fits
+            };
+            let (m_u, n_f) = (self.unvisited_edges, self.frontier.len());
+            let next = match self.policy.choose(ctx, m_f, m_u, n_f, can_pull) {
                 TraversalDirection::Push => {
                     // leaving a pull phase: the dense frontiers go back
                     // to the pool until the next switch
-                    if let Some(p) = pull.take() {
+                    if let Some(p) = self.pull.take() {
                         p.release(ctx);
                     }
-                    advance::advance(ctx, &st.frontier, spec, &push)
+                    advance::advance(ctx, &self.frontier, spec, &push)
                 }
                 TraversalDirection::Pull => {
-                    st.pull_iters += 1;
+                    self.pull_iters += 1;
                     // lazy Beamer-switch conversion: only here does the
                     // list frontier densify, and the candidate mask is
                     // the visited complement — no O(n) re-prune ever
                     // runs inside the phase. The bitmaps are pool
                     // checkouts between operators, built isolated like
                     // the visited bitmap.
-                    if pull.is_none() {
-                        pull = ctx.isolated_setup("setup", || {
+                    if self.pull.is_none() {
+                        let frontier = &self.frontier;
+                        self.pull = ctx.isolated_setup("setup", || {
                             let mut unvisited = PooledBitmap::take(ctx.pool(), n);
                             unvisited.fill_complement(visited);
                             PullFrontiers {
                                 unvisited,
-                                cur: frontier_bitmap(ctx, &st.frontier),
+                                cur: frontier_bitmap(ctx, frontier),
                                 scratch: PooledBitmap::take(ctx.pool(), n),
                             }
                         });
                     }
-                    let Some(fr) = pull.as_mut() else { break };
+                    // a denied checkout poisoned the run: the next
+                    // boundary ends it
+                    let Some(fr) = self.pull.as_mut() else { return };
                     let f = PullDiscover { st: state, level };
                     advance_pull_sweep(ctx, &mut fr.unvisited, &fr.cur, &mut fr.scratch, &f);
                     // ping-pong: the sweep's output becomes the next
@@ -440,34 +428,40 @@ fn bfs_run(
                     out
                 }
             };
-            st.unvisited_edges = st.unvisited_edges.saturating_sub(
+            self.unvisited_edges = self.unvisited_edges.saturating_sub(
                 advance::push::frontier_neighbor_count(ctx, &next, InputKind::Vertices),
             );
             next
         };
-        run.end_iteration(st.direction == TraversalDirection::Pull);
+        run.end_iteration(self.policy.direction == TraversalDirection::Pull);
         // ping-pong: the retired frontier's storage goes back to the pool
         // and returns as a later operator's output buffer
-        ctx.recycle(std::mem::replace(&mut st.frontier, next));
+        ctx.recycle(std::mem::replace(&mut self.frontier, next));
     }
-    if let Some(p) = pull {
-        p.release(ctx);
+
+    fn finish(self, ctx: &Context<'_>, done: Enacted) -> BfsResult {
+        if let Some(p) = self.pull {
+            p.release(ctx);
+        }
+        if let Some(v) = self.visited {
+            v.release(ctx.pool());
+        }
+        // the loop's last frontier still owns pooled storage; return it so
+        // a re-run on this context starts with a warm pool
+        ctx.recycle(self.frontier);
+        BfsResult {
+            labels: into_plain_u32(self.labels),
+            preds: into_plain_u32(self.preds),
+            edges_examined: done.edges_examined,
+            iterations: done.iterations,
+            pull_iterations: self.pull_iters,
+            elapsed: done.elapsed,
+            outcome: done.outcome,
+        }
     }
-    if let Some(v) = visited {
-        v.release(ctx.pool());
-    }
-    let done = run.finish(|it| Some(bfs_checkpoint(it, src, &st)));
-    // the loop's last frontier still owns pooled storage; return it so
-    // a re-run on this context starts with a warm pool
-    ctx.recycle(st.frontier);
-    BfsResult {
-        labels: unwrap_atomic_u32(&st.labels),
-        preds: unwrap_atomic_u32(&st.preds),
-        edges_examined: done.edges_examined,
-        iterations: done.iterations,
-        pull_iterations: st.pull_iters,
-        elapsed: done.elapsed,
-        outcome: done.outcome,
+
+    fn output(result: BfsResult) -> Output {
+        Output::Depths(result.labels)
     }
 }
 

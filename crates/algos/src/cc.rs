@@ -26,10 +26,12 @@
 //! context; without one the residual frontier is every vertex with more
 //! than two neighbours — still a single pass over the edges.
 
-use crate::recover::{check_failed, failure_of, malformed, to_atomic_u32};
+use crate::primitive::{failure_of, malformed, run, to_atomic_u32, Primitive};
+use crate::registry::{Arity, Output};
 use gunrock::prelude::*;
 use gunrock_engine::atomics::{into_plain_u32, link, root, unwrap_atomic_u32};
-use gunrock_engine::checkpoint::{Field, Kind::*, Schema, Slot::*};
+use gunrock_engine::budget::pooled_bytes;
+use gunrock_engine::checkpoint::{Field, Kind::*, Schema, Slot::*, Snapshot, SnapshotWriter};
 use gunrock_graph::{Csr, EdgeId, VertexId};
 use std::sync::atomic::{AtomicU32, Ordering};
 
@@ -151,8 +153,9 @@ fn compress(ctx: &Context<'_>, step: &'static str, labels: &[AtomicU32]) {
     });
 }
 
-/// In-flight CC loop state at an iteration boundary: what a checkpoint captures.
-struct CcLoop {
+/// CC as a [`Primitive`]: the in-flight state at an iteration boundary,
+/// all of which a snapshot captures.
+pub struct Cc {
     labels: Vec<AtomicU32>,
     /// The residual frontier, from the pool; empty before the split.
     residual: Frontier,
@@ -161,87 +164,94 @@ struct CcLoop {
     giant: u32,
 }
 
-/// The snapshot [`cc_checkpoint`] writes and [`cc_resume`] reads.
-static SNAPSHOT: Schema = Schema {
-    primitive: "cc",
-    fields: &[
-        Field("labels", "u32", PerVertex),
-        Field("frontier", "u32", VertexIds),
-        Field("scalars", "u32", Slots(&[Plain("phase"), Plain("giant")])),
-    ],
-};
-
-/// Builds an iteration-boundary snapshot.
-fn cc_checkpoint(iteration: u32, st: &CcLoop) -> Checkpoint {
-    SNAPSHOT
-        .writer(iteration)
-        .section("labels", unwrap_atomic_u32(&st.labels))
-        .section("frontier", st.residual.as_slice().to_vec())
-        .slots("scalars", &[("phase", st.phase), ("giant", st.giant)])
-        .finish()
-}
-
 /// Labels connected components. Works on the undirected interpretation
 /// of the graph (each undirected edge may appear in either or both
 /// directions; both work). A reverse graph on the context (the graph
 /// itself when it is symmetric) lets the run skip the giant component.
 pub fn cc(ctx: &Context<'_>) -> CcResult {
-    // CAST: vertex ids fit u32 (Csr invariant).
-    let labels = (0..ctx.num_vertices() as u32).map(AtomicU32::new).collect();
-    cc_run(ctx, CcLoop { labels, residual: Frontier::new(), phase: 0, giant: NO_GIANT }, 0)
+    run::<Cc>(ctx, &[], ())
 }
 
-/// Resumes CC from a `gunrock-ckpt/v1` snapshot.
-pub fn cc_resume(ctx: &Context<'_>, ckpt: &Checkpoint) -> Result<CcResult, GunrockError> {
-    let snap = SNAPSHOT.read(ckpt, ctx.num_vertices())?;
-    let labels = snap.section("labels")?;
-    if let Some(v) = labels.iter().zip(0u32..).find_map(|(&l, v)| (l > v).then_some(v)) {
-        return Err(malformed(format!("label of vertex {v} is not a smaller-or-equal id")));
-    }
-    let (frontier, phase, giant) =
-        (snap.section("frontier")?, snap.slot("phase")?, snap.slot("giant")?);
-    if phase > PHASE_DONE {
-        return Err(malformed(format!("unknown CC phase tag {phase}")));
-    }
-    // the residual frontier goes back to the pool when the run ends, so
-    // it has to come from there
-    let residual = ctx
-        .pooled_copy("filter", frontier, frontier.len())
-        .map(Frontier::from_vec)
-        .ok_or_else(|| failure_of(ctx))?;
-    let labels = to_atomic_u32(labels);
-    let r = cc_run(ctx, CcLoop { labels, residual, phase, giant }, ckpt.iteration());
-    check_failed(ctx, r.outcome, r)
-}
-
-/// The enact loop proper: runs the passes from `st.phase` on, after
-/// `done` completed iterations.
-fn cc_run(ctx: &Context<'_>, mut st: CcLoop, done: u32) -> CcResult {
-    let mut run = Enactment::arm(ctx, done);
-    // Budget admission comes first: a hopeless budget poisons up front
-    // (structured BudgetExceeded) instead of failing mid-run.
-    let mode = crate::admission::admit(ctx, "cc", AdvanceMode::Auto);
-    let adj = Adjacency::of(ctx);
-    let n = st.labels.len();
+impl Primitive for Cc {
+    const NAME: &'static str = "cc";
+    const ARITY: Arity = Arity::None;
+    const ADVANCES: bool = true;
+    const SNAPSHOT: Option<&'static Schema> = Some(&Schema {
+        primitive: "cc",
+        fields: &[
+            Field("labels", "u32", PerVertex),
+            Field("frontier", "u32", VertexIds),
+            Field("scalars", "u32", Slots(&[Plain("phase"), Plain("giant")])),
+        ],
+    });
     // The boundary is also consulted after the last pass: a cancel or
     // deadline can cut the finish advance short, and a truncated link
     // pass must not read as convergence.
-    while !run.boundary(|it| Some(cc_checkpoint(it, &st))) && st.phase != PHASE_DONE {
+    const BOUNDARY_AFTER_LAST: bool = true;
+    type Options = ();
+    type Result = CcResult;
+
+    // the parent forest, and the pooled residual frontier the split
+    // filters out of the vertex set
+    fn state_bytes(n: u64, _m: u64) -> u64 {
+        n * 4 + pooled_bytes(n, 4)
+    }
+
+    fn init(ctx: &Context<'_>, _sources: &[VertexId], _opts: ()) -> Self {
+        // CAST: vertex ids fit u32 (Csr invariant).
+        let labels = (0..ctx.num_vertices() as u32).map(AtomicU32::new).collect();
+        Cc { labels, residual: Frontier::new(), phase: 0, giant: NO_GIANT }
+    }
+
+    fn load(ctx: &Context<'_>, snap: &Snapshot<'_>, _opts: ()) -> Result<Self, GunrockError> {
+        let labels = snap.section("labels")?;
+        if let Some(v) = labels.iter().zip(0u32..).find_map(|(&l, v)| (l > v).then_some(v)) {
+            return Err(malformed(format!("label of vertex {v} is not a smaller-or-equal id")));
+        }
+        let (frontier, phase, giant) =
+            (snap.section("frontier")?, snap.slot("phase")?, snap.slot("giant")?);
+        if phase > PHASE_DONE {
+            return Err(malformed(format!("unknown CC phase tag {phase}")));
+        }
+        // the residual frontier goes back to the pool when the run ends, so
+        // it has to come from there
+        let residual = ctx
+            .pooled_copy("filter", frontier, frontier.len())
+            .map(Frontier::from_vec)
+            .ok_or_else(|| failure_of(ctx))?;
+        Ok(Cc { labels: to_atomic_u32(labels), residual, phase, giant })
+    }
+
+    fn save(&self, snapshot: SnapshotWriter) -> SnapshotWriter {
+        snapshot
+            .section("labels", unwrap_atomic_u32(&self.labels))
+            .section("frontier", self.residual.as_slice().to_vec())
+            .slots("scalars", &[("phase", self.phase), ("giant", self.giant)])
+    }
+
+    fn live(&self, _iterations: u32) -> bool {
+        self.phase != PHASE_DONE
+    }
+
+    fn step(&mut self, ctx: &Context<'_>, run: &mut Enactment<'_, '_>, mode: AdvanceMode) {
         run.end_iteration(false);
-        let labels = &st.labels[..];
-        match st.phase {
+        let adj = Adjacency::of(ctx);
+        let n = self.labels.len();
+        let labels = &self.labels[..];
+        match self.phase {
             PHASE_SPLIT => {
-                st.giant = if ctx.reverse.is_some() { sample_giant(labels) } else { NO_GIANT };
-                let keep = Residual { adj: &adj, labels, giant: st.giant };
+                self.giant =
+                    if ctx.reverse.is_some() { sample_giant(labels) } else { NO_GIANT };
+                let keep = Residual { adj: &adj, labels, giant: self.giant };
                 let kept = filter::filter_ids(ctx, "cc:split", n, &keep);
-                ctx.recycle(std::mem::replace(&mut st.residual, kept));
+                ctx.recycle(std::mem::replace(&mut self.residual, kept));
             }
-            PHASE_FINISH if st.residual.is_empty() => {} // labels are roots already
+            PHASE_FINISH if self.residual.is_empty() => {} // labels are roots already
             PHASE_FINISH => {
                 let spec = AdvanceSpec::for_effect().with_mode(mode);
-                let _ = advance::advance(ctx, &st.residual, spec, &LinkEdge(labels));
+                let _ = advance::advance(ctx, &self.residual, spec, &LinkEdge(labels));
                 if let Some(rev) = adj.inn {
-                    compute::for_each_ctx(ctx, "cc:in_edges", &st.residual, |v| {
+                    compute::for_each_ctx(ctx, "cc:in_edges", &self.residual, |v| {
                         let sources = rev.neighbors(v);
                         for &u in sources {
                             link(labels, v, u);
@@ -261,18 +271,24 @@ fn cc_run(ctx: &Context<'_>, mut st: CcLoop, done: u32) -> CcResult {
                 compress(ctx, "cc:compress", labels);
             }
         }
-        st.phase += 1;
+        self.phase += 1;
     }
-    let done = run.finish(|it| Some(cc_checkpoint(it, &st)));
-    ctx.recycle(st.residual);
-    let labels = into_plain_u32(st.labels);
-    let num_components = labels.iter().zip(0u32..).filter(|&(&l, v)| l == v).count();
-    CcResult {
-        labels,
-        num_components,
-        iterations: done.iterations,
-        elapsed: done.elapsed,
-        outcome: done.outcome,
+
+    fn finish(self, ctx: &Context<'_>, done: Enacted) -> CcResult {
+        ctx.recycle(self.residual);
+        let labels = into_plain_u32(self.labels);
+        let num_components = labels.iter().zip(0u32..).filter(|&(&l, v)| l == v).count();
+        CcResult {
+            labels,
+            num_components,
+            iterations: done.iterations,
+            elapsed: done.elapsed,
+            outcome: done.outcome,
+        }
+    }
+
+    fn output(result: CcResult) -> Output {
+        Output::Components(result.labels)
     }
 }
 

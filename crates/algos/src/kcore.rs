@@ -3,7 +3,10 @@
 //! round filters out vertices whose residual degree falls below k.
 //! Demonstrates convergence via a frontier emptying level by level.
 
+use crate::primitive::{bitmap, frontiers, run, Primitive};
+use crate::registry::{Arity, Output};
 use gunrock::prelude::*;
+use gunrock_engine::atomics::into_plain_u32;
 use gunrock_graph::{Csr, VertexId};
 use std::sync::atomic::{AtomicU32, Ordering};
 
@@ -24,82 +27,127 @@ pub struct KcoreResult {
     pub outcome: RunOutcome,
 }
 
+/// k-core peeling as a [`Primitive`]: residual degrees, core numbers,
+/// the alive frontier and the `k` being peeled.
+pub struct Kcore {
+    /// Residual degree of each still-alive vertex.
+    degree: Vec<AtomicU32>,
+    core: Vec<AtomicU32>,
+    alive: Frontier,
+    k: u32,
+    /// Set once a sub-round peels nothing: the alive vertices are the
+    /// `k`-core, and the next sub-round peels for `k + 1`.
+    settled: bool,
+}
+
 /// Computes core numbers for every vertex.
 pub fn k_core(ctx: &Context<'_>) -> KcoreResult {
-    let g = ctx.graph;
-    let n = g.num_vertices();
-    // residual degree of each still-alive vertex
-    let degree: Vec<AtomicU32> =
-        (0..n as u32).map(|v| AtomicU32::new(g.out_degree(v))).collect();
-    let core: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(0)).collect();
-    let mut alive = ctx.pooled_frontier(0..n as u32);
-    let mut k = 0u32;
-    let mut run = Enactment::arm(ctx, 0);
-    'enact: while !alive.is_empty() {
-        k += 1;
-        // peel everything of residual degree < k (cascading)
-        loop {
-            if run.boundary(no_snapshot) {
-                break 'enact;
-            }
-            run.end_iteration(false);
-            // vertices that fall out of the k-core this sub-round
-            // ORDERING: Relaxed — degree/core cells take monotonic per-cell updates;
-            // peeling rounds are separated by join barriers.
-            let peeled = filter::filter(
-                ctx,
-                &alive,
-                &VertexCond(|v: u32| degree[v as usize].load(Ordering::Relaxed) < k),
-            );
-            if peeled.is_empty() {
-                ctx.recycle(peeled);
-                break;
-            }
-            // their core number is k-1; decrement neighbors
-            compute::for_each(&peeled, |v| {
-                core[v as usize].store(k - 1, Ordering::Relaxed);
-                degree[v as usize].store(0, Ordering::Relaxed);
-            });
-            // pooled: the membership bitmap recycles its word storage
-            // across peel rounds instead of reallocating each one
-            let peeled_set = frontier_bitmap(ctx, &peeled);
-            compute::for_each(&peeled, |v| {
-                for &u in g.neighbors(v) {
-                    // avoid double-decrement between two same-round peels:
-                    // a neighbor that is itself peeled no longer matters
-                    if !peeled_set.get(u as usize) {
-                        let cell = &degree[u as usize];
-                        let mut cur = cell.load(Ordering::Relaxed);
-                        while cur > 0 {
-                            match cell.compare_exchange_weak(
-                                cur,
-                                cur - 1,
-                                Ordering::Relaxed,
-                                Ordering::Relaxed,
-                            ) {
-                                Ok(_) => break,
-                                Err(c) => cur = c,
-                            }
+    run::<Kcore>(ctx, &[], ())
+}
+
+impl Primitive for Kcore {
+    const NAME: &'static str = "kcore";
+    const ARITY: Arity = Arity::None;
+    const ADVANCES: bool = false;
+    type Options = ();
+    type Result = KcoreResult;
+
+    // residual degrees and core numbers, the alive frontier and each
+    // peel round's filter output and membership bitmap
+    fn state_bytes(n: u64, _m: u64) -> u64 {
+        2 * n * 4 + frontiers(n) + bitmap(n)
+    }
+
+    fn init(ctx: &Context<'_>, _sources: &[VertexId], _opts: ()) -> Self {
+        let g = ctx.graph;
+        let n = g.num_vertices() as u32;
+        let degree = (0..n).map(|v| AtomicU32::new(g.out_degree(v))).collect();
+        let core = (0..n).map(|_| AtomicU32::new(0)).collect();
+        let alive = ctx.pooled_frontier(0..n);
+        Kcore { degree, core, alive, k: 0, settled: true }
+    }
+
+    fn live(&self, _iterations: u32) -> bool {
+        !self.settled || !self.alive.is_empty()
+    }
+
+    /// One peel sub-round: everything of residual degree below `k` leaves
+    /// (cascading over sub-rounds until one peels nothing).
+    fn step(&mut self, ctx: &Context<'_>, run: &mut Enactment<'_, '_>, _mode: AdvanceMode) {
+        if self.settled {
+            self.k += 1;
+            self.settled = false;
+        }
+        run.end_iteration(false);
+        let (g, k, degree, core) = (ctx.graph, self.k, &self.degree, &self.core);
+        // vertices that fall out of the k-core this sub-round
+        // ORDERING: Relaxed — degree/core cells take monotonic per-cell updates;
+        // peeling rounds are separated by join barriers.
+        let peeled = filter::filter(
+            ctx,
+            &self.alive,
+            &VertexCond(|v: u32| degree[v as usize].load(Ordering::Relaxed) < k),
+        );
+        if peeled.is_empty() {
+            ctx.recycle(peeled);
+            // everything still alive is in the k-core
+            compute::for_each(&self.alive, |v| core[v as usize].store(k, Ordering::Relaxed));
+            self.settled = true;
+            return;
+        }
+        // their core number is k-1; decrement neighbors
+        compute::for_each(&peeled, |v| {
+            core[v as usize].store(k - 1, Ordering::Relaxed);
+            degree[v as usize].store(0, Ordering::Relaxed);
+        });
+        // pooled: the membership bitmap recycles its word storage
+        // across peel rounds instead of reallocating each one
+        let peeled_set = frontier_bitmap(ctx, &peeled);
+        compute::for_each(&peeled, |v| {
+            for &u in g.neighbors(v) {
+                // avoid double-decrement between two same-round peels:
+                // a neighbor that is itself peeled no longer matters
+                if !peeled_set.get(u as usize) {
+                    let cell = &degree[u as usize];
+                    let mut cur = cell.load(Ordering::Relaxed);
+                    while cur > 0 {
+                        match cell.compare_exchange_weak(
+                            cur,
+                            cur - 1,
+                            Ordering::Relaxed,
+                            Ordering::Relaxed,
+                        ) {
+                            Ok(_) => break,
+                            Err(c) => cur = c,
                         }
                     }
                 }
-            });
-            // survivors continue; every retired frontier goes back to the
-            // pool
-            let survivors =
-                filter::filter(ctx, &alive, &VertexCond(|v: u32| !peeled_set.get(v as usize)));
-            ctx.recycle(std::mem::replace(&mut alive, survivors));
-            ctx.recycle(peeled);
-            peeled_set.release(ctx.pool());
-        }
-        // everything still alive is in the k-core
-        compute::for_each(&alive, |v| core[v as usize].store(k, Ordering::Relaxed));
+            }
+        });
+        // survivors continue; every retired frontier goes back to the
+        // pool
+        let survivors =
+            filter::filter(ctx, &self.alive, &VertexCond(|v: u32| !peeled_set.get(v as usize)));
+        ctx.recycle(std::mem::replace(&mut self.alive, survivors));
+        ctx.recycle(peeled);
+        peeled_set.release(ctx.pool());
     }
-    let done = run.finish(no_snapshot);
-    ctx.recycle(alive);
-    let core_numbers: Vec<u32> = core.iter().map(|c| c.load(Ordering::Relaxed)).collect();
-    let degeneracy = core_numbers.iter().copied().max().unwrap_or(0);
-    KcoreResult { core_numbers, degeneracy, iterations: done.iterations, outcome: done.outcome }
+
+    fn finish(self, ctx: &Context<'_>, done: Enacted) -> KcoreResult {
+        ctx.recycle(self.alive);
+        let core_numbers = into_plain_u32(self.core);
+        let degeneracy = core_numbers.iter().copied().max().unwrap_or(0);
+        KcoreResult {
+            core_numbers,
+            degeneracy,
+            iterations: done.iterations,
+            outcome: done.outcome,
+        }
+    }
+
+    fn output(result: KcoreResult) -> Output {
+        Output::Depths(result.core_numbers)
+    }
 }
 
 /// Serial peeling oracle (bucket-based, O(n + m)).

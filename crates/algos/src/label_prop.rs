@@ -11,11 +11,13 @@
 //! structures; the cap plus tie-breaking keeps runs bounded and
 //! deterministic).
 
+use crate::primitive::{frontiers, run, Primitive};
+use crate::registry::{Arity, Output, Query};
 use gunrock::prelude::*;
-use gunrock_engine::atomics::{atomic_u32_vec, unwrap_atomic_u32};
+use gunrock_engine::atomics::{atomic_u32_vec, into_plain_u32, unwrap_atomic_u32};
 use gunrock_graph::VertexId;
 use rayon::prelude::*;
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicU32, Ordering};
 
 /// Label-propagation output.
 #[derive(Clone, Debug)]
@@ -34,23 +36,62 @@ pub struct LabelPropResult {
     pub outcome: RunOutcome,
 }
 
+/// Label propagation's round cap in the registry (plain LPA can
+/// oscillate).
+const LABELPROP_ROUNDS: u32 = 50;
+
+/// Label propagation as a [`Primitive`]: the labels, the active frontier
+/// and the round cap.
+pub struct LabelProp {
+    labels: Vec<AtomicU32>,
+    frontier: Frontier,
+    max_rounds: u32,
+}
+
 /// Runs synchronous label propagation for at most `max_rounds`.
 pub fn label_propagation(ctx: &Context<'_>, max_rounds: u32) -> LabelPropResult {
-    let g = ctx.graph;
-    let n = g.num_vertices();
-    let labels = atomic_u32_vec(n, 0);
-    // ORDERING: Relaxed — label cells tolerate stale reads by design (async
-    // propagation); join barriers bound the staleness per sweep.
-    labels.par_iter().enumerate().for_each(|(v, l)| l.store(v as u32, Ordering::Relaxed));
-    let mut frontier = Frontier::full(n);
-    let mut run = Enactment::arm(ctx, 0);
-    while !frontier.is_empty() && run.iterations() < max_rounds && !run.boundary(no_snapshot) {
+    run::<LabelProp>(ctx, &[], max_rounds)
+}
+
+impl Primitive for LabelProp {
+    const NAME: &'static str = "labelprop";
+    const ARITY: Arity = Arity::None;
+    const ADVANCES: bool = false;
+    /// The round cap.
+    type Options = u32;
+    type Result = LabelPropResult;
+
+    fn options(_query: &Query) -> u32 {
+        LABELPROP_ROUNDS
+    }
+
+    // labels, the previous round's snapshot and the active frontier
+    fn state_bytes(n: u64, _m: u64) -> u64 {
+        2 * n * 4 + frontiers(n)
+    }
+
+    fn init(ctx: &Context<'_>, _sources: &[VertexId], max_rounds: u32) -> Self {
+        let n = ctx.num_vertices();
+        let labels = atomic_u32_vec(n, 0);
+        // ORDERING: Relaxed — label cells tolerate stale reads by design (async
+        // propagation); join barriers bound the staleness per sweep.
+        labels.par_iter().enumerate().for_each(|(v, l)| l.store(v as u32, Ordering::Relaxed));
+        LabelProp { labels, frontier: Frontier::full(n), max_rounds }
+    }
+
+    fn live(&self, iterations: u32) -> bool {
+        !self.frontier.is_empty() && iterations < self.max_rounds
+    }
+
+    fn step(&mut self, ctx: &Context<'_>, run: &mut Enactment<'_, '_>, _mode: AdvanceMode) {
         run.end_iteration(false);
+        let (g, labels) = (ctx.graph, &self.labels);
         // compute step: each active vertex picks its neighbors' majority
         // label from the *previous* round's labels (synchronous LPA),
         // so snapshot first
-        let snapshot: Vec<u32> = unwrap_atomic_u32(&labels);
-        let changed: Vec<u32> = frontier
+        let snapshot: Vec<u32> = unwrap_atomic_u32(labels);
+        let changed: Vec<u32> = self
+            .frontier
             .as_slice()
             .par_iter()
             .copied()
@@ -75,6 +116,7 @@ pub fn label_propagation(ctx: &Context<'_>, max_rounds: u32) -> LabelPropResult 
                     .max_by(|a, b| a.1.cmp(&b.1).then(b.0.cmp(&a.0)))
                     .map_or(snapshot[v as usize], |(l, _)| l);
                 if best != snapshot[v as usize] {
+                    // ORDERING: Relaxed — see init: stale reads are tolerated.
                     labels[v as usize].store(best, Ordering::Relaxed);
                     true
                 } else {
@@ -83,9 +125,9 @@ pub fn label_propagation(ctx: &Context<'_>, max_rounds: u32) -> LabelPropResult 
             })
             .collect();
         ctx.counters
-            .add_edges(frontier.as_slice().iter().map(|&v| g.out_degree(v) as u64).sum());
+            .add_edges(self.frontier.as_slice().iter().map(|&v| g.out_degree(v) as u64).sum());
         // next frontier: neighbors of changed vertices (deduplicated)
-        let bm = AtomicBitmap::new(n);
+        let bm = AtomicBitmap::new(g.num_vertices());
         let next: Vec<Vec<u32>> = changed
             .par_iter()
             .map(|&v| {
@@ -98,18 +140,24 @@ pub fn label_propagation(ctx: &Context<'_>, max_rounds: u32) -> LabelPropResult 
                 local
             })
             .collect();
-        frontier = Frontier::from_vec(next.concat());
+        self.frontier = Frontier::from_vec(next.concat());
     }
-    let done = run.finish(no_snapshot);
-    let final_labels = unwrap_atomic_u32(&labels);
-    let mut distinct: Vec<u32> = final_labels.clone();
-    distinct.sort_unstable();
-    distinct.dedup();
-    LabelPropResult {
-        labels: final_labels,
-        num_communities: distinct.len(),
-        rounds: done.iterations,
-        outcome: done.outcome,
+
+    fn finish(self, _ctx: &Context<'_>, done: Enacted) -> LabelPropResult {
+        let final_labels = into_plain_u32(self.labels);
+        let mut distinct: Vec<u32> = final_labels.clone();
+        distinct.sort_unstable();
+        distinct.dedup();
+        LabelPropResult {
+            labels: final_labels,
+            num_communities: distinct.len(),
+            rounds: done.iterations,
+            outcome: done.outcome,
+        }
+    }
+
+    fn output(result: LabelPropResult) -> Output {
+        Output::Components(result.labels)
     }
 }
 

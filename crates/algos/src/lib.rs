@@ -2,9 +2,10 @@
 //!
 //! The graph primitives of the Gunrock paper (§5), written against the
 //! [`gunrock`] operator set exactly as the paper describes — each
-//! primitive is a short enactor loop over advance/filter/compute steps
-//! with fused functors (Figure 5's flow charts are these loops), its
-//! iteration boundary — guards, snapshots, counting — shared through
+//! primitive is one iteration body over advance/filter/compute steps
+//! with fused functors (Figure 5's flow charts are these bodies), and one
+//! enact loop in [`primitive`] runs them all, its iteration boundary —
+//! guards, snapshots, counting — shared through
 //! [`gunrock::enact::Enactment`]:
 //!
 //! * [`bfs`] — direction-optimized: a claiming push advance that culls
@@ -27,6 +28,11 @@
 //!   filter-loop k-core peeling, common Gunrock-family additions;
 //! * [`registry`] — one table entry per primitive name (arity, run,
 //!   resume, footprint estimate) that every front end reads.
+//!
+//! Each primitive is one [`Primitive`] declaration — its state's `init`,
+//! `save` and `load`, a pooled `setup`, one `step` and a `finish` — and
+//! the framework derives the rest from it (DESIGN §6.3): [`run`],
+//! [`resume`], budget admission and the registry entry.
 //!
 //! ```
 //! use gunrock::prelude::*;
@@ -52,18 +58,20 @@ pub mod msbfs;
 pub mod msppr;
 pub mod mst;
 pub mod pagerank;
-mod recover;
+pub mod primitive;
 pub mod registry;
 pub mod sssp;
 pub mod triangles;
 
-pub use bc::{bc, bc_resume, BcOptions, BcResult};
-pub use bfs::{bfs, bfs_resume, BfsOptions, BfsResult};
-pub use cc::{cc, cc_resume, CcResult};
-pub use kcore::{k_core, KcoreResult};
-pub use msbfs::{msbfs, msbfs_resume, MsbfsResult};
-pub use msppr::{msppr, msppr_resume, MspprOptions, MspprResult};
-pub use mst::{mst, MstResult};
-pub use pagerank::{pagerank, pagerank_resume, PrOptions, PrResult};
-pub use sssp::{sssp, sssp_resume, SsspOptions, SsspResult};
-pub use triangles::{triangle_count, TriangleResult};
+pub use bc::{bc, Bc, BcOptions, BcResult};
+pub use bfs::{bfs, Bfs, BfsOptions, BfsResult};
+pub use cc::{cc, Cc, CcResult};
+pub use kcore::{k_core, Kcore, KcoreResult};
+pub use label_prop::LabelProp;
+pub use msbfs::{msbfs, Msbfs, MsbfsResult};
+pub use msppr::{msppr, Msppr, MspprOptions, MspprResult};
+pub use mst::{mst, Mst, MstResult};
+pub use pagerank::{pagerank, PageRank, PrOptions, PrResult};
+pub use primitive::{resume, run, Primitive};
+pub use sssp::{sssp, Sssp, SsspOptions, SsspResult};
+pub use triangles::{triangle_count, TriangleResult, Triangles};

@@ -15,10 +15,12 @@
 //! exit checkpoints (`msbfs` snapshots), and structured failure on
 //! operator panic.
 
-use crate::recover::{check_failed, malformed, to_atomic_u32};
+use crate::primitive::{malformed, run, to_atomic_u32, Primitive};
+use crate::registry::{Arity, Output};
 use gunrock::prelude::*;
 use gunrock_engine::atomics::{atomic_u32_vec, into_plain_u32, unwrap_atomic_u32};
-use gunrock_engine::checkpoint::{Field, Kind::*, Schema, Slot::*};
+use gunrock_engine::budget::pooled_bytes;
+use gunrock_engine::checkpoint::{Field, Kind::*, Schema, Slot::*, Snapshot, SnapshotWriter};
 use gunrock_graph::{VertexId, INFINITY};
 use std::sync::atomic::{AtomicU32, Ordering};
 
@@ -56,25 +58,21 @@ impl MsbfsResult {
     pub fn lane_depths(&self, lane: usize) -> &[u32] {
         &self.depths[lane * self.num_vertices..(lane + 1) * self.num_vertices]
     }
-
-    /// Aggregate source throughput: completed traversals per second of
-    /// batch wall time — the figure the batching win is measured in.
-    pub fn sources_per_second(&self) -> f64 {
-        let secs = self.elapsed.as_secs_f64();
-        if secs == 0.0 {
-            0.0
-        } else {
-            self.sources.len() as f64 / secs
-        }
-    }
 }
 
-/// In-flight batch state at an iteration boundary — exactly what a
-/// checkpoint captures.
-struct MsbfsLoop {
+/// MS-BFS as a [`Primitive`]: the in-flight batch at an iteration
+/// boundary, all of which a snapshot captures.
+#[derive(Default)]
+pub struct Msbfs {
+    sources: Vec<VertexId>,
     depths: Vec<AtomicU32>,
-    seen_words: Vec<u64>,
-    frontier_words: Vec<u64>,
+    /// The seen and frontier lane words the run starts from, moved into
+    /// pooled lane maps at setup.
+    words: [Vec<u64>; 2],
+    /// The pooled seen, frontier and sweep-output lane maps.
+    maps: Option<[LaneMap; 3]>,
+    /// Vertices with a frontier lane set.
+    active: u64,
     level: u32,
     lanes_live: u64,
 }
@@ -84,179 +82,163 @@ struct MsbfsLoop {
 /// independent); panics on an empty or oversized batch or an
 /// out-of-range source.
 pub fn msbfs(ctx: &Context<'_>, sources: &[VertexId]) -> MsbfsResult {
-    let n = ctx.num_vertices();
-    assert!(
-        !sources.is_empty() && sources.len() <= LANES,
-        "msbfs batch must hold 1..={LANES} sources, got {}",
-        sources.len()
-    );
-    for &s in sources {
-        assert!((s as usize) < n, "source {s} out of range");
-    }
-    let depths = atomic_u32_vec(n * sources.len(), INFINITY);
-    let mut words = vec![0u64; n];
-    for (l, &s) in sources.iter().enumerate() {
-        words[s as usize] |= 1u64 << l;
-        // ORDERING: Relaxed — seeding happens before the loop spawns any
-        // parallel work; the first sweep's fork is the publication point.
-        depths[l * n + s as usize].store(0, Ordering::Relaxed);
-    }
-    let st = MsbfsLoop {
-        depths,
-        seen_words: words.clone(),
-        frontier_words: words,
-        level: 0,
-        lanes_live: lane_mask(sources.len()),
-    };
-    msbfs_run(ctx, sources, st, 0)
+    run::<Msbfs>(ctx, sources, ())
 }
 
-/// Resumes a batch from a `gunrock-ckpt/v1` snapshot written by
-/// [`msbfs`]'s checkpoint boundary.
-pub fn msbfs_resume(ctx: &Context<'_>, ckpt: &Checkpoint) -> Result<MsbfsResult, GunrockError> {
-    let snap = SNAPSHOT.read(ckpt, ctx.num_vertices())?;
-    let sources = snap.section("sources")?.to_vec();
-    let lane_count: u32 = snap.slot("lane_count")?;
-    if lane_count as usize != sources.len() {
-        return Err(malformed(format!(
-            "scalar lane count {lane_count} disagrees with {} sources",
+impl Primitive for Msbfs {
+    const NAME: &'static str = "msbfs";
+    const ARITY: Arity = Arity::Lanes;
+    // the batched sweep needs no advance workspace
+    const ADVANCES: bool = false;
+    const SNAPSHOT: Option<&'static Schema> = Some(&Schema {
+        primitive: "msbfs",
+        fields: &[
+            Field("depths", "u32", Lanes),
+            Field("sources", "u32", Sources),
+            Field("seen", "u64", PerVertex),
+            Field("frontier", "u64", PerVertex),
+            Field("scalars", "u32", Slots(&[Plain("level"), Plain("lane_count")])),
+            Field("counters", "u64", Slots(&[Plain("lanes_live")])),
+        ],
+    });
+    type Options = ();
+    type Result = MsbfsResult;
+
+    // three pooled n-word lane maps (seen + frontier ping-pong) and the
+    // 64-lane depth matrix
+    fn state_bytes(n: u64, _m: u64) -> u64 {
+        3 * pooled_bytes(n, 8) + 64 * n * 4
+    }
+
+    fn init(ctx: &Context<'_>, sources: &[VertexId], _opts: ()) -> Self {
+        let n = ctx.num_vertices();
+        assert!(
+            !sources.is_empty() && sources.len() <= LANES,
+            "msbfs batch must hold 1..={LANES} sources, got {}",
             sources.len()
-        )));
-    }
-    let st = MsbfsLoop {
-        depths: to_atomic_u32(snap.section("depths")?),
-        seen_words: snap.section("seen")?.to_vec(),
-        frontier_words: snap.section("frontier")?.to_vec(),
-        level: snap.slot("level")?,
-        lanes_live: snap.slot("lanes_live")?,
-    };
-    let r = msbfs_run(ctx, &sources, st, ckpt.iteration());
-    check_failed(ctx, r.outcome, r)
-}
-
-/// The snapshot [`msbfs_checkpoint`] writes and [`msbfs_resume`] reads.
-static SNAPSHOT: Schema = Schema {
-    primitive: "msbfs",
-    fields: &[
-        Field("depths", "u32", Lanes),
-        Field("sources", "u32", Sources),
-        Field("seen", "u64", PerVertex),
-        Field("frontier", "u64", PerVertex),
-        Field("scalars", "u32", Slots(&[Plain("level"), Plain("lane_count")])),
-        Field("counters", "u64", Slots(&[Plain("lanes_live")])),
-    ],
-};
-
-/// Builds an iteration-boundary snapshot.
-fn msbfs_checkpoint(
-    iteration: u32,
-    sources: &[VertexId],
-    depths: &[AtomicU32],
-    seen: &LaneMap,
-    frontier: &LaneMap,
-    level: u32,
-    lanes_live: u64,
-) -> Checkpoint {
-    SNAPSHOT
-        .writer(iteration)
-        .section("depths", unwrap_atomic_u32(depths))
-        .section("sources", sources.to_vec())
-        .section("seen", seen.snapshot_words())
-        .section("frontier", frontier.snapshot_words())
-        .slots("scalars", &[("level", level), ("lane_count", sources.len() as u32)])
-        .slots("counters", &[("lanes_live", lanes_live)])
-        .finish()
-}
-
-/// The enact loop proper, starting from an arbitrary iteration-boundary
-/// state (fresh from [`msbfs`] or restored by [`msbfs_resume`]) that has
-/// already completed `done` iterations.
-fn msbfs_run(ctx: &Context<'_>, sources: &[VertexId], st: MsbfsLoop, done: u32) -> MsbfsResult {
-    let n = ctx.num_vertices();
-    let mut run = Enactment::arm(ctx, done);
-    // Budget admission: the lane maps and depth matrix are priced as a
-    // unit before the first checkout, so an impossible batch fails with
-    // a structured BudgetExceeded instead of a mid-run denial.
-    crate::admission::admit(ctx, "msbfs", AdvanceMode::Auto);
-    let MsbfsLoop { depths, seen_words, frontier_words, mut level, mut lanes_live } = st;
-    // The three lane maps are pool checkouts between operators: take
-    // them isolated so a denied checkout fails the run structurally, and
-    // not at all for a batch admission already failed.
-    let maps = if ctx.is_poisoned() {
-        None
-    } else {
-        ctx.isolated_setup("setup", || {
-            let mut seen = LaneMap::take(ctx.pool(), n);
-            seen.restore_words(&seen_words);
-            let mut frontier = LaneMap::take(ctx.pool(), n);
-            frontier.restore_words(&frontier_words);
-            (seen, frontier, LaneMap::take(ctx.pool(), n))
-        })
-    };
-    let done = match maps {
-        // the context is poisoned: the run ends `Failed` with nothing to snapshot
-        None => run.finish(no_snapshot),
-        Some((mut seen, mut frontier, mut next)) => {
-            let mut active = frontier.count_active() as u64;
-            while active > 0 {
-                let snapshot = |it| {
-                    Some(msbfs_checkpoint(
-                        it, sources, &depths, &seen, &frontier, level, lanes_live,
-                    ))
-                };
-                if run.boundary(snapshot) {
-                    break;
-                }
-                level += 1;
-                let depth_level = level;
-                let sweep = advance::msbfs::advance_msbfs(
-                    ctx,
-                    &frontier,
-                    &mut seen,
-                    &mut next,
-                    active,
-                    lanes_live,
-                    |v, new_lanes| {
-                        let mut bits = new_lanes;
-                        while bits != 0 {
-                            let l = bits.trailing_zeros() as usize;
-                            bits &= bits - 1;
-                            // ORDERING: Relaxed — slot (l, v) is written by exactly one
-                            // visitor call per run (each vertex discovers each lane
-                            // once); the sweep's join barrier publishes the level.
-                            depths[l * n + v as usize].store(depth_level, Ordering::Relaxed);
-                        }
-                    },
-                );
-                active = sweep.discovered;
-                lanes_live = sweep.lanes;
-                // ping-pong: the sweep left `next` holding exactly the new
-                // frontier; the retired frontier becomes the next scratch map
-                std::mem::swap(&mut frontier, &mut next);
-                next.clear_all();
-                run.end_iteration(false);
-            }
-            let done = run.finish(|it| {
-                Some(msbfs_checkpoint(
-                    it, sources, &depths, &seen, &frontier, level, lanes_live,
-                ))
-            });
-            for lm in [seen, frontier, next] {
-                lm.release(ctx.pool());
-            }
-            done
+        );
+        for &s in sources {
+            assert!((s as usize) < n, "source {s} out of range");
         }
-    };
-    MsbfsResult {
-        // in place: a second lanes x n buffer per batch is the largest
-        // allocation of the call
-        depths: into_plain_u32(depths),
-        sources: sources.to_vec(),
-        num_vertices: n,
-        edges_examined: done.edges_examined,
-        iterations: done.iterations,
-        elapsed: done.elapsed,
-        outcome: done.outcome,
+        let depths = atomic_u32_vec(n * sources.len(), INFINITY);
+        let mut words = vec![0u64; n];
+        for (l, &s) in sources.iter().enumerate() {
+            words[s as usize] |= 1u64 << l;
+            // ORDERING: Relaxed — seeding happens before the loop spawns any
+            // parallel work; the first sweep's fork is the publication point.
+            depths[l * n + s as usize].store(0, Ordering::Relaxed);
+        }
+        let lanes_live = lane_mask(sources.len());
+        let words = [words.clone(), words];
+        Msbfs { sources: sources.to_vec(), depths, words, lanes_live, ..Default::default() }
+    }
+
+    fn load(_ctx: &Context<'_>, snap: &Snapshot<'_>, _opts: ()) -> Result<Self, GunrockError> {
+        let sources = snap.section("sources")?.to_vec();
+        let lane_count: u32 = snap.slot("lane_count")?;
+        if lane_count as usize != sources.len() {
+            return Err(malformed(format!(
+                "scalar lane count {lane_count} disagrees with {} sources",
+                sources.len()
+            )));
+        }
+        Ok(Msbfs {
+            sources,
+            depths: to_atomic_u32(snap.section("depths")?),
+            words: [snap.section("seen")?.to_vec(), snap.section("frontier")?.to_vec()],
+            level: snap.slot("level")?,
+            lanes_live: snap.slot("lanes_live")?,
+            ..Default::default()
+        })
+    }
+
+    fn save(&self, snapshot: SnapshotWriter) -> SnapshotWriter {
+        let (seen, frontier) = match &self.maps {
+            Some([seen, frontier, _]) => (seen.snapshot_words(), frontier.snapshot_words()),
+            None => Default::default(),
+        };
+        let lane_count = self.sources.len() as u32;
+        snapshot
+            .section("depths", unwrap_atomic_u32(&self.depths))
+            .section("sources", self.sources.clone())
+            .section("seen", seen)
+            .section("frontier", frontier)
+            .slots("scalars", &[("level", self.level), ("lane_count", lane_count)])
+            .slots("counters", &[("lanes_live", self.lanes_live)])
+    }
+
+    fn sources(&self) -> Vec<VertexId> {
+        self.sources.clone()
+    }
+
+    fn setup(&mut self, ctx: &Context<'_>) {
+        let n = ctx.num_vertices();
+        let [seen_words, frontier_words] = std::mem::take(&mut self.words);
+        let mut seen = LaneMap::take(ctx.pool(), n);
+        seen.restore_words(&seen_words);
+        let mut frontier = LaneMap::take(ctx.pool(), n);
+        frontier.restore_words(&frontier_words);
+        self.active = frontier.count_active() as u64;
+        self.maps = Some([seen, frontier, LaneMap::take(ctx.pool(), n)]);
+    }
+
+    fn live(&self, _iterations: u32) -> bool {
+        self.active > 0
+    }
+
+    fn step(&mut self, ctx: &Context<'_>, run: &mut Enactment<'_, '_>, _mode: AdvanceMode) {
+        let n = ctx.num_vertices();
+        // checked out at setup, which precedes every step
+        let Some([seen, frontier, next]) = &mut self.maps else { return };
+        self.level += 1;
+        let (depths, depth_level) = (&self.depths, self.level);
+        let sweep = advance::msbfs::advance_msbfs(
+            ctx,
+            frontier,
+            seen,
+            next,
+            self.active,
+            self.lanes_live,
+            |v, new_lanes| {
+                let mut bits = new_lanes;
+                while bits != 0 {
+                    let l = bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    // ORDERING: Relaxed — slot (l, v) is written by exactly one
+                    // visitor call per run (each vertex discovers each lane
+                    // once); the sweep's join barrier publishes the level.
+                    depths[l * n + v as usize].store(depth_level, Ordering::Relaxed);
+                }
+            },
+        );
+        self.active = sweep.discovered;
+        self.lanes_live = sweep.lanes;
+        // ping-pong: the sweep left `next` holding exactly the new
+        // frontier; the retired frontier becomes the next scratch map
+        std::mem::swap(frontier, next);
+        next.clear_all();
+        run.end_iteration(false);
+    }
+
+    fn finish(self, ctx: &Context<'_>, done: Enacted) -> MsbfsResult {
+        for map in self.maps.into_iter().flatten() {
+            map.release(ctx.pool());
+        }
+        MsbfsResult {
+            // in place: a second lanes x n buffer per batch is the largest
+            // allocation of the call
+            depths: into_plain_u32(self.depths),
+            sources: self.sources,
+            num_vertices: ctx.num_vertices(),
+            edges_examined: done.edges_examined,
+            iterations: done.iterations,
+            elapsed: done.elapsed,
+            outcome: done.outcome,
+        }
+    }
+
+    fn output(result: MsbfsResult) -> Output {
+        Output::Depths(result.depths)
     }
 }
 
@@ -333,7 +315,7 @@ mod tests {
         let ckpt = Checkpoint::load(&dir.join("msbfs.ckpt")).unwrap();
         let resumed = {
             let ctx = Context::new(&g);
-            msbfs_resume(&ctx, &ckpt).unwrap()
+            crate::resume::<Msbfs>(&ctx, (), &ckpt).unwrap()
         };
         assert_eq!(resumed.outcome, RunOutcome::Converged);
         assert_eq!(resumed.depths, full.depths);
@@ -370,6 +352,8 @@ mod tests {
         let ctx = Context::new(&g);
         let r = msbfs(&ctx, &[0, 1, 2, 3]);
         assert_eq!(r.lanes(), 4);
-        assert!(r.sources_per_second() > 0.0);
+        assert_eq!(r.sources, vec![0, 1, 2, 3]);
+        // one batch's wall time covers every lane's traversal
+        assert!(r.lanes() as f64 / r.elapsed.as_secs_f64() > 0.0);
     }
 }

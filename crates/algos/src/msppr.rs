@@ -22,9 +22,11 @@
 //!
 //! [`msbfs`]: crate::msbfs::msbfs
 
-use crate::recover::{check_failed, malformed};
+use crate::primitive::{malformed, run, Primitive};
+use crate::registry::{Arity, Output, Query};
 use gunrock::prelude::*;
-use gunrock_engine::checkpoint::{Field, Kind::*, Schema, Slot::*};
+use gunrock_engine::budget::pooled_bytes;
+use gunrock_engine::checkpoint::{Field, Kind::*, Schema, Slot::*, Snapshot, SnapshotWriter};
 use gunrock_graph::VertexId;
 use rayon::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -89,11 +91,18 @@ fn add_f64(cell: &AtomicU64, delta: f64) {
     }
 }
 
-/// In-flight batch state at an iteration boundary.
-struct MspprLoop {
+/// Batched PPR as a [`Primitive`]: the in-flight batch at an iteration
+/// boundary, all of which a snapshot captures.
+pub struct Msppr {
+    sources: Vec<VertexId>,
+    opts: MspprOptions,
     scores: Vec<AtomicU64>,
     residual: Vec<AtomicU64>,
+    /// The active lane words the run starts from, moved into a pooled
+    /// lane map at setup.
     active_words: Vec<u64>,
+    /// The active lane map and the next round's, from the pool.
+    maps: Option<(LaneMap, LaneMap)>,
 }
 
 fn f64_cells(values: &[f64]) -> Vec<AtomicU64> {
@@ -110,203 +119,204 @@ fn f64_values(cells: &[AtomicU64]) -> Vec<f64> {
 /// personalization source per lane. Accepts 1..=[`LANES`] sources;
 /// panics on an empty or oversized batch or an out-of-range source.
 pub fn msppr(ctx: &Context<'_>, sources: &[VertexId], opts: MspprOptions) -> MspprResult {
-    let n = ctx.num_vertices();
-    assert!(
-        !sources.is_empty() && sources.len() <= LANES,
-        "msppr batch must hold 1..={LANES} sources, got {}",
-        sources.len()
-    );
-    for &s in sources {
-        assert!((s as usize) < n, "source {s} out of range");
-    }
-    let scores = f64_cells(&vec![0.0; n * sources.len()]);
-    let residual = f64_cells(&vec![0.0; n * sources.len()]);
-    let mut active_words = vec![0u64; n];
-    for (l, &s) in sources.iter().enumerate() {
-        // ORDERING: Relaxed — seeding precedes the loop's first fork.
-        residual[l * n + s as usize].store(1f64.to_bits(), Ordering::Relaxed);
-        active_words[s as usize] |= 1u64 << l;
-    }
-    msppr_run(ctx, sources, opts, MspprLoop { scores, residual, active_words }, 0)
+    run::<Msppr>(ctx, sources, opts)
 }
 
-/// Resumes a batch from a `gunrock-ckpt/v1` snapshot written by
-/// [`msppr`]'s checkpoint boundary, with its teleport and threshold.
-pub fn msppr_resume(ctx: &Context<'_>, ckpt: &Checkpoint) -> Result<MspprResult, GunrockError> {
-    let snap = SNAPSHOT.read(ckpt, ctx.num_vertices())?;
-    let sources = snap.section("sources")?.to_vec();
-    if snap.slot::<u32>("lane_count")? as usize != sources.len() {
-        return Err(malformed("scalar lane count disagrees with sources"));
+impl Primitive for Msppr {
+    const NAME: &'static str = "msppr";
+    const ARITY: Arity = Arity::Lanes;
+    // the push rounds sweep lane words: no advance workspace
+    const ADVANCES: bool = false;
+    const SNAPSHOT: Option<&'static Schema> = Some(&Schema {
+        primitive: "msppr",
+        fields: &[
+            Field("scores", "f64", Lanes),
+            Field("residual", "f64", Lanes),
+            Field("active", "u64", PerVertex),
+            Field("sources", "u32", Sources),
+            Field("scalars", "u32", Slots(&[Plain("lane_count")])),
+            Field("params", "f64", Slots(&[Plain("alpha"), Plain("epsilon")])),
+        ],
+    });
+    type Options = MspprOptions;
+    type Result = MspprResult;
+
+    fn options(query: &Query) -> MspprOptions {
+        let epsilon = query.epsilon.unwrap_or(MspprOptions::default().epsilon);
+        MspprOptions { epsilon, ..Default::default() }
     }
-    let opts = MspprOptions { alpha: snap.slot("alpha")?, epsilon: snap.slot("epsilon")? };
-    let st = MspprLoop {
-        scores: f64_cells(snap.section("scores")?),
-        residual: f64_cells(snap.section("residual")?),
-        active_words: snap.section("active")?.to_vec(),
-    };
-    let r = msppr_run(ctx, &sources, opts, st, ckpt.iteration());
-    check_failed(ctx, r.outcome, r)
-}
 
-/// The snapshot [`msppr_checkpoint`] writes and [`msppr_resume`] reads.
-static SNAPSHOT: Schema = Schema {
-    primitive: "msppr",
-    fields: &[
-        Field("scores", "f64", Lanes),
-        Field("residual", "f64", Lanes),
-        Field("active", "u64", PerVertex),
-        Field("sources", "u32", Sources),
-        Field("scalars", "u32", Slots(&[Plain("lane_count")])),
-        Field("params", "f64", Slots(&[Plain("alpha"), Plain("epsilon")])),
-    ],
-};
+    // the active / next lane-map pair and the 64-lane score and residual
+    // matrices
+    fn state_bytes(n: u64, _m: u64) -> u64 {
+        2 * pooled_bytes(n, 8) + 2 * 64 * n * 8
+    }
 
-/// Builds an iteration-boundary snapshot.
-fn msppr_checkpoint(
-    iteration: u32,
-    sources: &[VertexId],
-    opts: MspprOptions,
-    scores: &[AtomicU64],
-    residual: &[AtomicU64],
-    active: &LaneMap,
-) -> Checkpoint {
-    SNAPSHOT
-        .writer(iteration)
-        .section("scores", f64_values(scores))
-        .section("residual", f64_values(residual))
-        .section("active", active.snapshot_words())
-        .section("sources", sources.to_vec())
-        .slots("scalars", &[("lane_count", sources.len() as u32)])
-        .slots("params", &[("alpha", opts.alpha), ("epsilon", opts.epsilon)])
-        .finish()
-}
-
-/// The enact loop proper, after `done` completed iterations.
-fn msppr_run(
-    ctx: &Context<'_>,
-    sources: &[VertexId],
-    opts: MspprOptions,
-    st: MspprLoop,
-    done: u32,
-) -> MspprResult {
-    let n = ctx.num_vertices();
-    let mut run = Enactment::arm(ctx, done);
-    // Budget admission: the score/residual matrices and lane maps are
-    // priced as a unit, so an impossible batch fails with a structured
-    // BudgetExceeded before anything is checked out.
-    crate::admission::admit(ctx, "msppr", AdvanceMode::Auto);
-    let MspprLoop { scores, residual, active_words } = st;
-    let maps = if ctx.is_poisoned() {
-        None
-    } else {
-        ctx.isolated_setup("setup", || {
-            let mut active = LaneMap::take(ctx.pool(), n);
-            active.restore_words(&active_words);
-            (active, LaneMap::take(ctx.pool(), n))
-        })
-    };
-    let g = ctx.graph;
-    let cols = g.col_indices();
-    let done = match maps {
-        // the context is poisoned: the run ends `Failed` with nothing to snapshot
-        None => run.finish(no_snapshot),
-        Some((mut active, mut next)) => {
-            while active.count_active() > 0 {
-                if run.boundary(|it| {
-                    Some(msppr_checkpoint(it, sources, opts, &scores, &residual, &active))
-                }) {
-                    break;
-                }
-                // One push round, panic-isolated like an operator launch: the
-                // sweep mirrors the batched advance's scatter (whole-word skip
-                // of inactive vertices, per-lane bit iteration, fetch_or lane
-                // marking on pushed neighbors).
-                let round = ctx.isolated_setup("advance", || {
-                    if let Some(inj) = ctx.injector() {
-                        inj.maybe_panic("advance:msppr");
-                    }
-                    let next_ref: &LaneMap = &next;
-                    let vgrain = (n / (rayon::current_num_threads() * 8).max(1)).max(64);
-                    active
-                        .words()
-                        .par_chunks(vgrain)
-                        .enumerate()
-                        .map(|(ci, words)| {
-                            let mut edges = 0u64;
-                            if ctx.abort_mid_operator() {
-                                return edges;
-                            }
-                            for (i, w) in words.iter().enumerate() {
-                                // ORDERING: Relaxed — the active map is read-only
-                                // during the sweep; the previous round's join
-                                // barrier published it.
-                                let aw = w.load(Ordering::Relaxed);
-                                if aw == 0 {
-                                    continue;
-                                }
-                                let v = ci * vgrain + i;
-                                let deg = g.out_degree(v as u32);
-                                let mut bits = aw;
-                                while bits != 0 {
-                                    let l = bits.trailing_zeros() as usize;
-                                    bits &= bits - 1;
-                                    let idx = l * n + v;
-                                    // ORDERING: Relaxed — the swap claims this cell's
-                                    // mass atomically; concurrent pushes either land
-                                    // before (claimed now) or after (next round).
-                                    let r = f64::from_bits(
-                                        residual[idx].swap(0, Ordering::Relaxed),
-                                    );
-                                    if r == 0.0 {
-                                        continue;
-                                    }
-                                    if deg == 0 {
-                                        // dangling vertex: absorb the whole mass
-                                        add_f64(&scores[idx], r);
-                                        continue;
-                                    }
-                                    if r < opts.epsilon * deg as f64 {
-                                        // below threshold: retain in place, stay quiet
-                                        add_f64(&residual[idx], r);
-                                        continue;
-                                    }
-                                    add_f64(&scores[idx], opts.alpha * r);
-                                    let share = (1.0 - opts.alpha) * r / deg as f64;
-                                    for e in g.edge_range(v as u32) {
-                                        edges += 1;
-                                        let u = cols[e] as usize;
-                                        add_f64(&residual[l * n + u], share);
-                                        next_ref.fetch_or(u, 1u64 << l);
-                                    }
-                                }
-                            }
-                            edges
-                        })
-                        .sum::<u64>()
-                });
-                let Some(edges) = round else { break };
-                ctx.counters.add_edges(edges);
-                std::mem::swap(&mut active, &mut next);
-                next.clear_all();
-                run.end_iteration(false);
-            }
-            let done = run.finish(|it| {
-                Some(msppr_checkpoint(it, sources, opts, &scores, &residual, &active))
-            });
-            for lm in [active, next] {
-                lm.release(ctx.pool());
-            }
-            done
+    fn init(ctx: &Context<'_>, sources: &[VertexId], opts: MspprOptions) -> Self {
+        let n = ctx.num_vertices();
+        assert!(
+            !sources.is_empty() && sources.len() <= LANES,
+            "msppr batch must hold 1..={LANES} sources, got {}",
+            sources.len()
+        );
+        for &s in sources {
+            assert!((s as usize) < n, "source {s} out of range");
         }
-    };
-    MspprResult {
-        scores: f64_values(&scores),
-        sources: sources.to_vec(),
-        num_vertices: n,
-        edges_examined: done.edges_examined,
-        iterations: done.iterations,
-        elapsed: done.elapsed,
-        outcome: done.outcome,
+        let scores = f64_cells(&vec![0.0; n * sources.len()]);
+        let residual = f64_cells(&vec![0.0; n * sources.len()]);
+        let mut active_words = vec![0u64; n];
+        for (l, &s) in sources.iter().enumerate() {
+            // ORDERING: Relaxed — seeding precedes the loop's first fork.
+            residual[l * n + s as usize].store(1f64.to_bits(), Ordering::Relaxed);
+            active_words[s as usize] |= 1u64 << l;
+        }
+        Msppr { sources: sources.to_vec(), opts, scores, residual, active_words, maps: None }
+    }
+
+    /// The snapshot's teleport and threshold override `opts`.
+    fn load(
+        _ctx: &Context<'_>,
+        snap: &Snapshot<'_>,
+        _opts: MspprOptions,
+    ) -> Result<Self, GunrockError> {
+        let sources = snap.section("sources")?.to_vec();
+        if snap.slot::<u32>("lane_count")? as usize != sources.len() {
+            return Err(malformed("scalar lane count disagrees with sources"));
+        }
+        Ok(Msppr {
+            sources,
+            opts: MspprOptions { alpha: snap.slot("alpha")?, epsilon: snap.slot("epsilon")? },
+            scores: f64_cells(snap.section("scores")?),
+            residual: f64_cells(snap.section("residual")?),
+            active_words: snap.section("active")?.to_vec(),
+            maps: None,
+        })
+    }
+
+    fn save(&self, snapshot: SnapshotWriter) -> SnapshotWriter {
+        let active = self.maps.as_ref().map_or_else(Vec::new, |(a, _)| a.snapshot_words());
+        snapshot
+            .section("scores", f64_values(&self.scores))
+            .section("residual", f64_values(&self.residual))
+            .section("active", active)
+            .section("sources", self.sources.clone())
+            .slots("scalars", &[("lane_count", self.sources.len() as u32)])
+            .slots("params", &[("alpha", self.opts.alpha), ("epsilon", self.opts.epsilon)])
+    }
+
+    fn sources(&self) -> Vec<VertexId> {
+        self.sources.clone()
+    }
+
+    fn setup(&mut self, ctx: &Context<'_>) {
+        let n = ctx.num_vertices();
+        let mut active = LaneMap::take(ctx.pool(), n);
+        active.restore_words(&std::mem::take(&mut self.active_words));
+        self.maps = Some((active, LaneMap::take(ctx.pool(), n)));
+    }
+
+    fn live(&self, _iterations: u32) -> bool {
+        self.maps.as_ref().is_some_and(|(active, _)| active.count_active() > 0)
+    }
+
+    fn step(&mut self, ctx: &Context<'_>, run: &mut Enactment<'_, '_>, _mode: AdvanceMode) {
+        let n = ctx.num_vertices();
+        let g = ctx.graph;
+        let cols = g.col_indices();
+        // checked out at setup, which precedes every step
+        let Some((active, next)) = &mut self.maps else { return };
+        let (opts, scores, residual) = (self.opts, &self.scores, &self.residual);
+        // One push round, panic-isolated like an operator launch: the
+        // sweep mirrors the batched advance's scatter (whole-word skip
+        // of inactive vertices, per-lane bit iteration, fetch_or lane
+        // marking on pushed neighbors).
+        let round = ctx.isolated_setup("advance", || {
+            if let Some(inj) = ctx.injector() {
+                inj.maybe_panic("advance:msppr");
+            }
+            let next_ref: &LaneMap = next;
+            let vgrain = (n / (rayon::current_num_threads() * 8).max(1)).max(64);
+            active
+                .words()
+                .par_chunks(vgrain)
+                .enumerate()
+                .map(|(ci, words)| {
+                    let mut edges = 0u64;
+                    if ctx.abort_mid_operator() {
+                        return edges;
+                    }
+                    for (i, w) in words.iter().enumerate() {
+                        // ORDERING: Relaxed — the active map is read-only
+                        // during the sweep; the previous round's join
+                        // barrier published it.
+                        let aw = w.load(Ordering::Relaxed);
+                        if aw == 0 {
+                            continue;
+                        }
+                        let v = ci * vgrain + i;
+                        let deg = g.out_degree(v as u32);
+                        let mut bits = aw;
+                        while bits != 0 {
+                            let l = bits.trailing_zeros() as usize;
+                            bits &= bits - 1;
+                            let idx = l * n + v;
+                            // ORDERING: Relaxed — the swap claims this cell's
+                            // mass atomically; concurrent pushes either land
+                            // before (claimed now) or after (next round).
+                            let r = f64::from_bits(residual[idx].swap(0, Ordering::Relaxed));
+                            if r == 0.0 {
+                                continue;
+                            }
+                            if deg == 0 {
+                                // dangling vertex: absorb the whole mass
+                                add_f64(&scores[idx], r);
+                                continue;
+                            }
+                            if r < opts.epsilon * deg as f64 {
+                                // below threshold: retain in place, stay quiet
+                                add_f64(&residual[idx], r);
+                                continue;
+                            }
+                            add_f64(&scores[idx], opts.alpha * r);
+                            let share = (1.0 - opts.alpha) * r / deg as f64;
+                            for e in g.edge_range(v as u32) {
+                                edges += 1;
+                                let u = cols[e] as usize;
+                                add_f64(&residual[l * n + u], share);
+                                next_ref.fetch_or(u, 1u64 << l);
+                            }
+                        }
+                    }
+                    edges
+                })
+                .sum::<u64>()
+        });
+        // a panicking round poisoned the run: the next boundary ends it
+        let Some(edges) = round else { return };
+        ctx.counters.add_edges(edges);
+        std::mem::swap(active, next);
+        next.clear_all();
+        run.end_iteration(false);
+    }
+
+    fn finish(self, ctx: &Context<'_>, done: Enacted) -> MspprResult {
+        if let Some((active, next)) = self.maps {
+            active.release(ctx.pool());
+            next.release(ctx.pool());
+        }
+        MspprResult {
+            scores: f64_values(&self.scores),
+            sources: self.sources,
+            num_vertices: ctx.num_vertices(),
+            edges_examined: done.edges_examined,
+            iterations: done.iterations,
+            elapsed: done.elapsed,
+            outcome: done.outcome,
+        }
+    }
+
+    fn output(result: MspprResult) -> Output {
+        Output::Scores(result.scores)
     }
 }
 
@@ -422,7 +432,7 @@ mod tests {
         let ckpt = Checkpoint::load(&dir.join("msppr.ckpt")).unwrap();
         let resumed = {
             let ctx = Context::new(&g);
-            msppr_resume(&ctx, &ckpt).unwrap()
+            crate::resume::<Msppr>(&ctx, Default::default(), &ckpt).unwrap()
         };
         assert_eq!(resumed.outcome, RunOutcome::Converged);
         // push order differs between the two runs, so compare within the

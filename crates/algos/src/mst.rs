@@ -9,11 +9,13 @@
 //! components together (the CC machinery), and pointer jumping flattens
 //! labels; rounds repeat until no component has an outgoing edge.
 
+use crate::primitive::{run, Primitive};
+use crate::registry::{Arity, Output};
 use gunrock::prelude::*;
-use gunrock_engine::atomics::atomic_u32_vec;
-use gunrock_graph::{Csr, EdgeId, Weight};
+use gunrock_engine::atomics::{atomic_u32_vec, into_plain_u32};
+use gunrock_graph::{Csr, EdgeId, VertexId, Weight};
 use rayon::prelude::*;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
 /// MST output.
 #[derive(Clone, Debug)]
@@ -47,23 +49,57 @@ fn unpack(p: u64) -> (Weight, EdgeId) {
     ((p >> 32) as Weight, p as u32)
 }
 
+/// Borůvka as a [`Primitive`]: the component labels and the forest so
+/// far.
+pub struct Mst {
+    labels: Vec<AtomicU32>,
+    chosen: Vec<EdgeId>,
+    total_weight: u64,
+    /// Set once a round finds no component that can grow.
+    done: bool,
+}
+
+/// No outgoing edge: the best-edge key of a component that cannot grow.
+const NONE: u64 = u64::MAX;
+
 /// Computes a minimum spanning forest of the undirected weighted graph.
 /// Unweighted graphs behave as weight-1 everywhere (any spanning forest).
 pub fn mst(ctx: &Context<'_>) -> MstResult {
-    let g: &Csr = ctx.graph;
-    let n = g.num_vertices();
-    // component labels, maintained like CC (hook + jump)
-    let labels = atomic_u32_vec(n, 0);
-    // ORDERING: Relaxed — packed best-edge and label cells are monotonic
-    // fetch_min targets; each Boruvka round ends in a join barrier.
-    labels.par_iter().enumerate().for_each(|(v, l)| l.store(v as u32, Ordering::Relaxed));
-    let mut chosen: Vec<EdgeId> = Vec::new();
-    let mut total_weight = 0u64;
-    const NONE: u64 = u64::MAX;
-    let mut run = Enactment::arm(ctx, 0);
+    run::<Mst>(ctx, &[], ())
+}
 
-    while !run.boundary(no_snapshot) {
+impl Primitive for Mst {
+    const NAME: &'static str = "mst";
+    const ARITY: Arity = Arity::None;
+    const ADVANCES: bool = false;
+    type Options = ();
+    type Result = MstResult;
+
+    // component labels and the per-component best-edge keys
+    fn state_bytes(n: u64, _m: u64) -> u64 {
+        n * 4 + n * 8
+    }
+
+    fn init(ctx: &Context<'_>, _sources: &[VertexId], _opts: ()) -> Self {
+        // component labels, maintained like CC (hook + jump)
+        let labels = atomic_u32_vec(ctx.num_vertices(), 0);
+        // ORDERING: Relaxed — packed best-edge and label cells are monotonic
+        // fetch_min targets; each Boruvka round ends in a join barrier.
+        labels.par_iter().enumerate().for_each(|(v, l)| l.store(v as u32, Ordering::Relaxed));
+        Mst { labels, chosen: Vec::new(), total_weight: 0, done: false }
+    }
+
+    fn live(&self, _iterations: u32) -> bool {
+        !self.done
+    }
+
+    fn step(&mut self, ctx: &Context<'_>, run: &mut Enactment<'_, '_>, _mode: AdvanceMode) {
         run.end_iteration(false);
+        let g: &Csr = ctx.graph;
+        let n = g.num_vertices();
+        // ORDERING: Relaxed — packed best-edge and label cells are monotonic
+        // fetch_min targets; each Boruvka round ends in a join barrier.
+        let labels = &self.labels;
         // Step 1: per-component minimum outgoing edge (atomic min over
         // the packed (weight, edge) key).
         let best: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(NONE)).collect();
@@ -88,7 +124,8 @@ pub fn mst(ctx: &Context<'_>) -> MstResult {
             })
             .collect();
         if winners.is_empty() {
-            break;
+            self.done = true;
+            return;
         }
         // Step 3: hook along winning edges. Two components may pick the
         // same undirected edge (both directions), and equal-weight picks
@@ -113,8 +150,8 @@ pub fn mst(ctx: &Context<'_>) -> MstResult {
             if ru == rv {
                 continue; // already merged this round
             }
-            chosen.push(e);
-            total_weight += w as u64;
+            self.chosen.push(e);
+            self.total_weight += w as u64;
             // hook the larger root under the smaller (min-label invariant)
             let (hi, lo) = if ru > rv { (ru, rv) } else { (rv, ru) };
             labels[hi as usize].store(lo, Ordering::Relaxed);
@@ -137,15 +174,20 @@ pub fn mst(ctx: &Context<'_>) -> MstResult {
         }
     }
 
-    let done = run.finish(no_snapshot);
-    let num_trees =
-        (0..n as u32).filter(|&v| labels[v as usize].load(Ordering::Relaxed) == v).count();
-    MstResult {
-        edges: chosen,
-        total_weight,
-        num_trees,
-        rounds: done.iterations,
-        outcome: done.outcome,
+    fn finish(self, _ctx: &Context<'_>, done: Enacted) -> MstResult {
+        let labels = into_plain_u32(self.labels);
+        let num_trees = labels.iter().zip(0u32..).filter(|&(&l, v)| l == v).count();
+        MstResult {
+            edges: self.chosen,
+            total_weight: self.total_weight,
+            num_trees,
+            rounds: done.iterations,
+            outcome: done.outcome,
+        }
+    }
+
+    fn output(result: MstResult) -> Output {
+        Output::Count(result.total_weight)
     }
 }
 

@@ -21,10 +21,11 @@
 //! once the frontier is sparse — or without a reverse graph — it is the
 //! paper's push advance with atomic adds followed by a compaction.
 
-use crate::recover::check_failed;
+use crate::primitive::{frontiers, run, Primitive};
+use crate::registry::{Arity, Output, Query};
 use gunrock::prelude::*;
 use gunrock_engine::atomics::AtomicF64;
-use gunrock_engine::checkpoint::{Field, Kind::*, Schema, Slot::*};
+use gunrock_engine::checkpoint::{Field, Kind::*, Schema, Slot::*, Snapshot, SnapshotWriter};
 use gunrock_engine::compact::compact_indices_into;
 use gunrock_graph::{EdgeId, VertexId};
 use rayon::prelude::*;
@@ -88,131 +89,136 @@ impl AdvanceFunctor for PushShare<'_> {
     }
 }
 
-/// In-flight PageRank loop state at an iteration boundary. The snapshot
-/// is taken *before* the final sub-threshold residual fold, so a resumed
-/// run absorbs exactly the residual an uninterrupted one would have —
-/// `f64` sections round-trip bit-exactly, making resume bit-identical.
-struct PrLoop {
+/// PageRank as a [`Primitive`]: the in-flight state at an iteration
+/// boundary. A snapshot takes the scores, residuals and frontier *before*
+/// the final sub-threshold residual fold, so a resumed run absorbs
+/// exactly the residual an uninterrupted one would have — `f64` sections
+/// round-trip bit-exactly, making resume bit-identical.
+pub struct PageRank {
     scores: Vec<f64>,
     residual: Vec<f64>,
     frontier: Frontier,
+    opts: PrOptions,
+    /// The frontier's ping-pong partner. Both stay out of the pool on
+    /// purpose: PageRank must survive a pool that denies every checkout
+    /// (chaos `pool-alloc`).
+    spare: Frontier,
+    /// `share[u] = d * residual[u] / deg(u)` for frontier vertices, zero
+    /// elsewhere: what one out-edge of `u` carries this iteration.
+    share: Vec<f64>,
+    /// The push accumulator, built at the first push iteration (zeroed as
+    /// it is drained); a run that only ever gathers never pays for it.
+    acc: Vec<AtomicF64>,
+    switch: GatherSwitch,
 }
 
-/// The snapshot [`pagerank_checkpoint`] writes and [`pagerank_resume`]
-/// reads.
-static SNAPSHOT: Schema = Schema {
-    primitive: "pagerank",
-    fields: &[
-        Field("scores", "f64", PerVertex),
-        Field("residual", "f64", PerVertex),
-        Field("frontier", "u32", VertexIds),
-        Field("params", "f64", Slots(&[Plain("damping"), Plain("epsilon")])),
-    ],
-};
-
-/// Builds an iteration-boundary snapshot.
-fn pagerank_checkpoint(iteration: u32, opts: &PrOptions, st: &PrLoop) -> Checkpoint {
-    SNAPSHOT
-        .writer(iteration)
-        .section("scores", st.scores.clone())
-        .section("residual", st.residual.clone())
-        .section("frontier", st.frontier.as_slice().to_vec())
-        .slots("params", &[("damping", opts.damping), ("epsilon", opts.epsilon)])
-        .finish()
+impl PageRank {
+    fn new(opts: PrOptions, scores: Vec<f64>, residual: Vec<f64>, frontier: Frontier) -> Self {
+        let share = vec![0.0; scores.len()];
+        let (spare, acc, switch) = (Frontier::new(), Vec::new(), GatherSwitch::default());
+        PageRank { scores, residual, frontier, opts, spare, share, acc, switch }
+    }
 }
 
 /// Runs PageRank over the whole graph.
 pub fn pagerank(ctx: &Context<'_>, opts: PrOptions) -> PrResult {
-    let g = ctx.graph;
-    let n = g.num_vertices();
-    if n == 0 {
-        return PrResult {
-            scores: Vec::new(),
-            iterations: 0,
-            edges_examined: 0,
-            elapsed: std::time::Duration::ZERO,
-            outcome: RunOutcome::Converged,
-        };
+    run::<PageRank>(ctx, &[], opts)
+}
+
+impl Primitive for PageRank {
+    const NAME: &'static str = "pagerank";
+    const ARITY: Arity = Arity::None;
+    const ADVANCES: bool = true;
+    const SNAPSHOT: Option<&'static Schema> = Some(&Schema {
+        primitive: "pagerank",
+        fields: &[
+            Field("scores", "f64", PerVertex),
+            Field("residual", "f64", PerVertex),
+            Field("frontier", "u32", VertexIds),
+            Field("params", "f64", Slots(&[Plain("damping"), Plain("epsilon")])),
+        ],
+    });
+    type Options = PrOptions;
+    type Result = PrResult;
+
+    fn options(query: &Query) -> PrOptions {
+        let epsilon = query.epsilon.unwrap_or(PrOptions::default().epsilon);
+        PrOptions { epsilon, ..Default::default() }
     }
-    let base = (1.0 - opts.damping) / n as f64;
-    let st = PrLoop {
-        scores: vec![0.0f64; n],
+
+    fn mode(opts: &PrOptions) -> AdvanceMode {
+        opts.mode
+    }
+
+    // scores, residual, the per-edge shares the gather reads and the push
+    // accumulator, and the frontier pair
+    fn state_bytes(n: u64, _m: u64) -> u64 {
+        4 * n * 8 + frontiers(n)
+    }
+
+    fn init(ctx: &Context<'_>, _sources: &[VertexId], opts: PrOptions) -> Self {
+        let n = ctx.num_vertices();
         // every vertex starts with the teleport mass as pending residual
-        residual: vec![base; n],
-        frontier: Frontier::full(n),
-    };
-    pagerank_run(ctx, opts, st, 0)
-}
+        let base = (1.0 - opts.damping) / n as f64;
+        PageRank::new(opts, vec![0.0; n], vec![base; n], Frontier::full(n))
+    }
 
-/// Resumes PageRank from a `gunrock-ckpt/v1` snapshot. The checkpoint's
-/// damping and epsilon override `opts` (changing them mid-run would
-/// converge to a different fixed point); `max_iters` and the advance
-/// mode still come from `opts`.
-pub fn pagerank_resume(
-    ctx: &Context<'_>,
-    opts: PrOptions,
-    ckpt: &Checkpoint,
-) -> Result<PrResult, GunrockError> {
-    let snap = SNAPSHOT.read(ckpt, ctx.num_vertices())?;
-    let opts =
-        PrOptions { damping: snap.slot("damping")?, epsilon: snap.slot("epsilon")?, ..opts };
-    let st = PrLoop {
-        scores: snap.section("scores")?.to_vec(),
-        residual: snap.section("residual")?.to_vec(),
-        frontier: Frontier::from_vec(snap.section("frontier")?.to_vec()),
-    };
-    let r = pagerank_run(ctx, opts, st, ckpt.iteration());
-    check_failed(ctx, r.outcome, r)
-}
+    /// The snapshot's damping and epsilon override `opts` (changing them
+    /// mid-run would converge to a different fixed point); `max_iters`
+    /// and the advance mode still come from `opts`.
+    fn load(
+        _ctx: &Context<'_>,
+        snap: &Snapshot<'_>,
+        opts: PrOptions,
+    ) -> Result<Self, GunrockError> {
+        let opts = PrOptions {
+            damping: snap.slot("damping")?,
+            epsilon: snap.slot("epsilon")?,
+            ..opts
+        };
+        let (scores, residual) = (snap.section("scores")?, snap.section("residual")?);
+        let frontier = Frontier::from_vec(snap.section("frontier")?.to_vec());
+        Ok(PageRank::new(opts, scores.to_vec(), residual.to_vec(), frontier))
+    }
 
-/// The enact loop proper, starting from an arbitrary iteration-boundary
-/// state (fresh from [`pagerank`] or restored by [`pagerank_resume`])
-/// that has already completed `done` iterations.
-fn pagerank_run(ctx: &Context<'_>, opts: PrOptions, mut st: PrLoop, done: u32) -> PrResult {
-    let g = ctx.graph;
-    let n = g.num_vertices();
-    let mut run = Enactment::arm(ctx, done);
-    // Budget admission: demote the advance mode (or poison with a
-    // structured BudgetExceeded) before the first operator launches.
-    let opts = PrOptions { mode: crate::admission::admit(ctx, "pagerank", opts.mode), ..opts };
-    // The frontier ping-pongs between two buffers owned by this run. They
-    // stay out of the pool on purpose: PageRank must survive a pool that
-    // denies every checkout (chaos `pool-alloc`).
-    let mut spare = Frontier::new();
-    // share[u] = d * residual[u] / deg(u) for frontier vertices, zero
-    // elsewhere: what one out-edge of u carries this iteration
-    let mut share = vec![0.0f64; n];
-    // push accumulator, built at the first push iteration (zeroed as it
-    // is drained); a run that only ever gathers never pays for it
-    let mut acc: Vec<AtomicF64> = Vec::new();
-    let mut switch = GatherSwitch::default();
+    fn save(&self, snapshot: SnapshotWriter) -> SnapshotWriter {
+        snapshot
+            .section("scores", self.scores.clone())
+            .section("residual", self.residual.clone())
+            .section("frontier", self.frontier.as_slice().to_vec())
+            .slots("params", &[("damping", self.opts.damping), ("epsilon", self.opts.epsilon)])
+    }
 
-    while !st.frontier.is_empty() && (run.iterations() as usize) < opts.max_iters {
-        if run.boundary(|it| Some(pagerank_checkpoint(it, &opts, &st))) {
-            break;
-        }
+    fn live(&self, iterations: u32) -> bool {
+        !self.frontier.is_empty() && (iterations as usize) < self.opts.max_iters
+    }
+
+    fn step(&mut self, ctx: &Context<'_>, run: &mut Enactment<'_, '_>, mode: AdvanceMode) {
+        let g = ctx.graph;
+        let n = g.num_vertices();
+        let opts = self.opts;
         // absorb frontier residuals into the scores and freeze each
         // vertex's per-edge share (compute step); a dangling (out-degree
         // 0) vertex has no edge to carry its damped mass, so it teleports
         // uniformly, matching the power-iteration fixed point
         let mut dangling = 0.0f64;
         let mut frontier_edges = 0u64;
-        for &v in st.frontier.as_slice() {
-            let r = std::mem::take(&mut st.residual[v as usize]);
-            st.scores[v as usize] += r;
+        for &v in self.frontier.as_slice() {
+            let r = std::mem::take(&mut self.residual[v as usize]);
+            self.scores[v as usize] += r;
             let deg = g.out_degree(v);
             if deg == 0 {
                 dangling += opts.damping * r;
             } else {
-                share[v as usize] = opts.damping * r / deg as f64;
+                self.share[v as usize] = opts.damping * r / deg as f64;
                 frontier_edges += u64::from(deg);
             }
         }
         let teleport = dangling / n as f64;
         let eps = opts.epsilon;
-        let gather = switch.choose(ctx, frontier_edges);
+        let gather = self.switch.choose(ctx, frontier_edges);
         run.end_iteration(gather);
-        let next = spare.as_mut_vec();
+        let (share, next) = (&self.share, self.spare.as_mut_vec());
         if gather {
             // gather: every vertex sums its in-neighbors' shares, folds
             // the teleport term and re-enters the frontier in one sweep
@@ -220,7 +226,7 @@ fn pagerank_run(ctx: &Context<'_>, opts: PrOptions, mut st: PrLoop, done: u32) -
             advance_gather(
                 ctx,
                 GatherSpec::range(0..n as VertexId),
-                &mut st.residual,
+                &mut self.residual,
                 Some(next),
                 |_| true,
                 0.0,
@@ -234,40 +240,40 @@ fn pagerank_run(ctx: &Context<'_>, opts: PrOptions, mut st: PrLoop, done: u32) -
         } else {
             // push: advance for effect with atomic accumulation, then
             // filter: vertices with enough pending residual re-enter
-            if acc.is_empty() {
-                acc = (0..n).map(|_| AtomicF64::new(0.0)).collect();
+            if self.acc.is_empty() {
+                self.acc = (0..n).map(|_| AtomicF64::new(0.0)).collect();
             }
-            let functor = PushShare { share: &share, acc: &acc };
-            let spec = AdvanceSpec::for_effect().with_mode(opts.mode);
-            let _ = advance::advance(ctx, &st.frontier, spec, &functor);
-            st.residual.par_iter_mut().zip(acc.par_iter()).for_each(|(r, a)| {
+            let functor = PushShare { share, acc: &self.acc };
+            let spec = AdvanceSpec::for_effect().with_mode(mode);
+            let _ = advance::advance(ctx, &self.frontier, spec, &functor);
+            self.residual.par_iter_mut().zip(self.acc.par_iter()).for_each(|(r, a)| {
                 *r += a.load() + teleport;
                 a.store(0.0);
             });
-            compact_indices_into(&st.residual, |&r| r > eps, next);
+            compact_indices_into(&self.residual, |&r| r > eps, next);
         }
-        for &v in st.frontier.as_slice() {
-            share[v as usize] = 0.0;
+        for &v in self.frontier.as_slice() {
+            self.share[v as usize] = 0.0;
         }
-        std::mem::swap(&mut st.frontier, &mut spare);
+        std::mem::swap(&mut self.frontier, &mut self.spare);
     }
-    let done = run.finish(|it| Some(pagerank_checkpoint(it, &opts, &st)));
-    // fold any remaining sub-threshold residual into the scores
-    let PrLoop { mut scores, residual, .. } = st;
-    scores.par_iter_mut().zip(residual.par_iter()).for_each(|(s, r)| *s += r);
-    PrResult {
-        scores,
-        iterations: done.iterations,
-        edges_examined: done.edges_examined,
-        elapsed: done.elapsed,
-        outcome: done.outcome,
-    }
-}
 
-/// Edge throughput over the edges each iteration visited (see
-/// [`PrResult::edges_examined`]).
-pub fn pr_mteps(result: &PrResult) -> f64 {
-    Timing { elapsed: result.elapsed, edges_examined: result.edges_examined }.mteps()
+    fn finish(self, _ctx: &Context<'_>, done: Enacted) -> PrResult {
+        // fold any remaining sub-threshold residual into the scores
+        let PageRank { mut scores, residual, .. } = self;
+        scores.par_iter_mut().zip(residual.par_iter()).for_each(|(s, r)| *s += r);
+        PrResult {
+            scores,
+            iterations: done.iterations,
+            edges_examined: done.edges_examined,
+            elapsed: done.elapsed,
+            outcome: done.outcome,
+        }
+    }
+
+    fn output(result: PrResult) -> Output {
+        Output::Scores(result.scores)
+    }
 }
 
 #[cfg(test)]

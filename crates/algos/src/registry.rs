@@ -1,34 +1,35 @@
 //! The primitive registry: one static table, one [`Entry`] per primitive
-//! name. Every front end — the CLI, the server, budget admission, resume
-//! and the bench runner — reads a primitive's source arity, its run and
-//! resume and its footprint estimate here instead of
-//! dispatching by name, so a new primitive is one file plus one line in
-//! [`REGISTRY`], and no front end holds a copy that can drift.
+//! name. Every front end — the CLI, the server, resume and the bench
+//! runner — reads a primitive's source arity, its run and resume and its
+//! footprint estimate here instead of dispatching by name, so no front
+//! end holds a copy that can drift.
 //!
-//! An entry fixes its primitive's one default configuration; the only
-//! per-call inputs are a [`Query`]'s sources and PageRank-style
-//! convergence threshold. Results come back as a uniform [`Run`] whose
-//! [`Output`] knows how to map itself back to original vertex ids, hash
-//! itself, and compare against an oracle.
+//! Each entry is derived from its primitive's
+//! [`Primitive`](crate::primitive::Primitive) declaration by [`entry`]:
+//! a new primitive is one file plus one `entry::<P>()` line in
+//! [`REGISTRY`]. An entry fixes its primitive's one default
+//! configuration; the only per-call inputs are a [`Query`]'s sources and
+//! PageRank-style convergence threshold. Results come back as a uniform
+//! [`Run`] whose [`Output`] knows how to map itself back to original
+//! vertex ids, hash itself, and compare against an oracle.
 
-use crate::bc::{bc, bc_resume, BcOptions};
-use crate::bfs::{bfs, bfs_resume, BfsOptions};
-use crate::cc::{cc, cc_resume};
-use crate::kcore::k_core;
-use crate::label_prop::label_propagation;
-use crate::msbfs::{msbfs, msbfs_resume};
-use crate::msppr::{msppr, msppr_resume, MspprOptions};
-use crate::mst::mst;
-use crate::pagerank::{pagerank, pagerank_resume, PrOptions};
-use crate::sssp::{sssp, sssp_resume, SsspOptions};
-use crate::triangles::triangle_count;
+use crate::bc::Bc;
+use crate::bfs::Bfs;
+use crate::cc::Cc;
+use crate::kcore::Kcore;
+use crate::label_prop::LabelProp;
+use crate::msbfs::Msbfs;
+use crate::msppr::Msppr;
+use crate::mst::Mst;
+use crate::pagerank::PageRank;
+use crate::primitive::entry;
+use crate::sssp::Sssp;
+use crate::triangles::Triangles;
 use gunrock::prelude::*;
-use gunrock_engine::budget::{advance_workspace_bytes, pooled_bytes};
-use gunrock_engine::checkpoint::Schema;
 use gunrock_engine::fnv::{fnv1a, hash_f64s, hash_u32s};
 use gunrock_graph::reorder::Relabeling;
 use gunrock_graph::{VertexId, INFINITY};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// How many source vertices a primitive takes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -200,196 +201,18 @@ pub struct Entry {
 
 /// The registry, one entry per primitive.
 pub static REGISTRY: &[Entry] = &[
-    Entry {
-        name: "bfs",
-        arity: Arity::One,
-        run: |ctx, q| {
-            let r = bfs(ctx, source(q), BfsOptions::default());
-            run(r.outcome, r.iterations, r.elapsed, vec![source(q)], Output::Depths(r.labels))
-        },
-        resume: Some(|ctx, ckpt| {
-            let r = bfs_resume(ctx, BfsOptions::default(), ckpt)?;
-            let sources = pinned(&crate::bfs::SNAPSHOT, ctx, ckpt)?;
-            Ok(run(r.outcome, r.iterations, r.elapsed, sources, Output::Depths(r.labels)))
-        }),
-        // labels, the visited bitmap and the three pull bitmaps built at
-        // the push->pull switch
-        estimate_bytes: |n, m| n * 4 + 4 * bitmap(n) + frontiers(n) + advance(n, m),
-    },
-    Entry {
-        name: "sssp",
-        arity: Arity::One,
-        run: |ctx, q| {
-            let r = sssp(ctx, source(q), SsspOptions::default());
-            run(r.outcome, r.iterations, r.elapsed, vec![source(q)], Output::Depths(r.dist))
-        },
-        resume: Some(|ctx, ckpt| {
-            let r = sssp_resume(ctx, SsspOptions::default(), ckpt)?;
-            let sources = pinned(&crate::sssp::SNAPSHOT, ctx, ckpt)?;
-            Ok(run(r.outcome, r.iterations, r.elapsed, sources, Output::Depths(r.dist)))
-        }),
-        // distances, a bitmap's worth of slack, the frontier pair (a
-        // near-far refill's window is one pooled frontier, checked out
-        // after the exhausted one went back) and the widest advance
-        estimate_bytes: |n, m| n * 4 + bitmap(n) + frontiers(n) + advance(n, m),
-    },
-    Entry {
-        name: "bc",
-        arity: Arity::One,
-        run: |ctx, q| {
-            let r = bc(ctx, source(q), BcOptions::default());
-            run(
-                r.outcome,
-                r.iterations,
-                r.elapsed,
-                vec![source(q)],
-                Output::Scores(r.bc_values),
-            )
-        },
-        resume: Some(|ctx, ckpt| {
-            let r = bc_resume(ctx, BcOptions::default(), ckpt)?;
-            let sources = pinned(&crate::bc::SNAPSHOT, ctx, ckpt)?;
-            Ok(run(r.outcome, r.iterations, r.elapsed, sources, Output::Scores(r.bc_values)))
-        }),
-        // depths, sigma and delta, the pooled level stack (room for a
-        // dense level's candidates past the levels found), a sparse
-        // level's input copy and its advance output
-        estimate_bytes: |n, m| {
-            n * 4 + 2 * n * 8 + pooled_bytes(2 * n, 4) + frontiers(n) + advance(n, m)
-        },
-    },
-    Entry {
-        name: "cc",
-        arity: Arity::None,
-        run: |ctx, _| {
-            let r = cc(ctx);
-            run(r.outcome, r.iterations, r.elapsed, Vec::new(), Output::Components(r.labels))
-        },
-        resume: Some(|ctx, ckpt| {
-            let r = cc_resume(ctx, ckpt)?;
-            Ok(run(
-                r.outcome,
-                r.iterations,
-                r.elapsed,
-                Vec::new(),
-                Output::Components(r.labels),
-            ))
-        }),
-        // the parent forest, the pooled residual frontier the split
-        // filters out of the vertex set, and the finish advance over it
-        estimate_bytes: |n, m| n * 4 + pooled_bytes(n, 4) + advance(n, m),
-    },
-    Entry {
-        name: "pagerank",
-        arity: Arity::None,
-        run: |ctx, q| {
-            let opts = PrOptions {
-                epsilon: q.epsilon.unwrap_or(PrOptions::default().epsilon),
-                ..Default::default()
-            };
-            let r = pagerank(ctx, opts);
-            run(r.outcome, r.iterations, r.elapsed, Vec::new(), Output::Scores(r.scores))
-        },
-        resume: Some(|ctx, ckpt| {
-            let r = pagerank_resume(ctx, PrOptions::default(), ckpt)?;
-            Ok(run(r.outcome, r.iterations, r.elapsed, Vec::new(), Output::Scores(r.scores)))
-        }),
-        // scores, residual, the per-edge shares the gather reads and the
-        // push accumulator
-        estimate_bytes: |n, m| 4 * n * 8 + frontiers(n) + advance(n, m),
-    },
-    Entry {
-        name: "msbfs",
-        arity: Arity::Lanes,
-        run: |ctx, q| {
-            let r = msbfs(ctx, &q.sources);
-            run(r.outcome, r.iterations, r.elapsed, r.sources, Output::Depths(r.depths))
-        },
-        resume: Some(|ctx, ckpt| {
-            let r = msbfs_resume(ctx, ckpt)?;
-            Ok(run(r.outcome, r.iterations, r.elapsed, r.sources, Output::Depths(r.depths)))
-        }),
-        // three pooled n-word lane maps (seen + frontier ping-pong) and
-        // the 64-lane depth matrix; the batched sweep needs no advance
-        // workspace
-        estimate_bytes: |n, _| 3 * pooled_bytes(n, 8) + 64 * n * 4,
-    },
-    Entry {
-        name: "msppr",
-        arity: Arity::Lanes,
-        run: |ctx, q| {
-            let eps = q.epsilon.unwrap_or(MspprOptions::default().epsilon);
-            let r = msppr(ctx, &q.sources, MspprOptions { epsilon: eps, ..Default::default() });
-            run(r.outcome, r.iterations, r.elapsed, r.sources, Output::Scores(r.scores))
-        },
-        resume: Some(|ctx, ckpt| {
-            let r = msppr_resume(ctx, ckpt)?;
-            Ok(run(r.outcome, r.iterations, r.elapsed, r.sources, Output::Scores(r.scores)))
-        }),
-        // the active / next lane-map pair and the 64-lane score and
-        // residual matrices; no advance workspace either
-        estimate_bytes: |n, _| 2 * pooled_bytes(n, 8) + 2 * 64 * n * 8,
-    },
-    Entry {
-        name: "mst",
-        arity: Arity::None,
-        run: |ctx, _| {
-            let t = Instant::now();
-            let r = mst(ctx);
-            run(r.outcome, r.rounds, t.elapsed(), Vec::new(), Output::Count(r.total_weight))
-        },
-        resume: None,
-        // component labels and the per-component best-edge keys
-        estimate_bytes: |n, _| n * 4 + n * 8,
-    },
-    Entry {
-        name: "kcore",
-        arity: Arity::None,
-        run: |ctx, _| {
-            let t = Instant::now();
-            let r = k_core(ctx);
-            run(
-                r.outcome,
-                r.iterations,
-                t.elapsed(),
-                Vec::new(),
-                Output::Depths(r.core_numbers),
-            )
-        },
-        resume: None,
-        // residual degrees and core numbers, the alive frontier and each
-        // peel round's filter output and membership bitmap
-        estimate_bytes: |n, _| 2 * n * 4 + frontiers(n) + bitmap(n),
-    },
-    Entry {
-        name: "triangles",
-        arity: Arity::None,
-        run: |ctx, _| {
-            let (t, before) = (Instant::now(), ctx.counters.iters());
-            let r = triangle_count(ctx);
-            let passes = (ctx.counters.iters() - before) as u32;
-            run(r.outcome, passes, t.elapsed(), Vec::new(), Output::Count(r.total))
-        },
-        resume: None,
-        // the per-vertex counts
-        estimate_bytes: |n, _| n * 8,
-    },
-    Entry {
-        name: "labelprop",
-        arity: Arity::None,
-        run: |ctx, _| {
-            let t = Instant::now();
-            let r = label_propagation(ctx, LABELPROP_ROUNDS);
-            run(r.outcome, r.rounds, t.elapsed(), Vec::new(), Output::Components(r.labels))
-        },
-        resume: None,
-        // labels, the previous round's snapshot and the active frontier
-        estimate_bytes: |n, _| 2 * n * 4 + frontiers(n),
-    },
+    entry::<Bfs>(),
+    entry::<Sssp>(),
+    entry::<Bc>(),
+    entry::<Cc>(),
+    entry::<PageRank>(),
+    entry::<Msbfs>(),
+    entry::<Msppr>(),
+    entry::<Mst>(),
+    entry::<Kcore>(),
+    entry::<Triangles>(),
+    entry::<LabelProp>(),
 ];
-
-/// Label propagation's round cap (plain LPA can oscillate).
-const LABELPROP_ROUNDS: u32 = 50;
 
 /// The entry named `name`.
 pub fn find(name: &str) -> Option<&'static Entry> {
@@ -402,44 +225,6 @@ pub fn names(arities: &[Arity]) -> String {
     let names: Vec<&str> =
         REGISTRY.iter().filter(|e| arities.contains(&e.arity)).map(|e| e.name).collect();
     names.join(" ")
-}
-
-fn run(
-    outcome: RunOutcome,
-    iterations: u32,
-    elapsed: Duration,
-    sources: Vec<VertexId>,
-    output: Output,
-) -> Run {
-    Run { outcome, iterations, elapsed, sources, output }
-}
-
-fn source(q: &Query) -> VertexId {
-    q.sources.first().copied().unwrap_or(0)
-}
-
-/// The source a single-source snapshot pinned: its schema's `src` slot.
-fn pinned(
-    schema: &'static Schema,
-    ctx: &Context<'_>,
-    ckpt: &Checkpoint,
-) -> Result<Vec<VertexId>, GunrockError> {
-    Ok(vec![schema.read(ckpt, ctx.num_vertices())?.slot("src")?])
-}
-
-/// Frontier ping-pong: two pooled `u32` buffers over the vertex set.
-fn frontiers(n: u64) -> u64 {
-    2 * pooled_bytes(n, 4)
-}
-
-/// The widest advance: a full frontier gathering every edge.
-fn advance(n: u64, m: u64) -> u64 {
-    advance_workspace_bytes(n, m, "load_balanced")
-}
-
-/// One pooled `u64`-word bitmap over the vertex set.
-fn bitmap(n: u64) -> u64 {
-    pooled_bytes(n.div_ceil(64), 8)
 }
 
 #[cfg(test)]

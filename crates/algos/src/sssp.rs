@@ -18,10 +18,15 @@
 //! `INFINITY` (`fetch_min` only wins below it), so every claimed vertex
 //! stays near and the far pile stays empty.
 
-use crate::recover::{check_failed, malformed, to_atomic_u32};
+use crate::primitive::{
+    bitmap, first_source, frontiers, malformed, run, to_atomic_u32, Primitive,
+};
+use crate::registry::{Arity, Output};
 use gunrock::prelude::*;
-use gunrock_engine::atomics::{atomic_u32_vec, fetch_min_u32, unwrap_atomic_u32};
-use gunrock_engine::checkpoint::{Field, Kind::*, Schema, Slot::*};
+use gunrock_engine::atomics::{
+    atomic_u32_vec, fetch_min_u32, into_plain_u32, unwrap_atomic_u32,
+};
+use gunrock_engine::checkpoint::{Field, Kind::*, Schema, Slot::*, Snapshot, SnapshotWriter};
 use gunrock_graph::{Csr, EdgeId, VertexId, INFINITY, INVALID_VERTEX};
 use std::sync::atomic::{AtomicU32, Ordering};
 
@@ -108,9 +113,10 @@ pub fn default_delta(g: &Csr) -> u32 {
     ((max_w as f64 / avg_deg).ceil() as u32).max(1)
 }
 
-/// In-flight SSSP loop state at an iteration boundary (what a
-/// checkpoint captures; see [`sssp_resume`]).
-struct SsspLoop {
+/// SSSP as a [`Primitive`]: the in-flight state at an iteration
+/// boundary, all of which a snapshot captures.
+pub struct Sssp {
+    src: VertexId,
     dist: Vec<AtomicU32>,
     preds: Vec<AtomicU32>,
     tags: Vec<AtomicU32>,
@@ -119,137 +125,149 @@ struct SsspLoop {
     queue_id: u32,
 }
 
-/// The snapshot [`sssp_checkpoint`] writes and [`sssp_resume`] reads.
-pub(crate) static SNAPSHOT: Schema = Schema {
-    primitive: "sssp",
-    fields: &[
-        Field("dist", "u32", PerVertex),
-        Field("preds", "u32", PerVertex),
-        Field("tags", "u32", PerVertex),
-        Field("frontier", "u32", VertexIds),
-        Field("far", "u32", VertexIds),
-        Field(
-            "scalars",
-            "u32",
-            Slots(&[
-                Vertex("src"),
-                Plain("queue_id"),
-                Plain("delta"),
-                Plain("pivot"),
-                Pinned("use_priority_queue", 1),
-                Pinned("record_predecessors", 1),
-            ]),
-        ),
-    ],
-};
-
-/// Builds an iteration-boundary snapshot.
-fn sssp_checkpoint(iteration: u32, src: VertexId, st: &SsspLoop) -> Checkpoint {
-    SNAPSHOT
-        .writer(iteration)
-        .section("dist", unwrap_atomic_u32(&st.dist))
-        .section("preds", unwrap_atomic_u32(&st.preds))
-        .section("tags", unwrap_atomic_u32(&st.tags))
-        .section("frontier", st.frontier.as_slice().to_vec())
-        .section("far", st.queue.far_slice().to_vec())
-        .slots(
-            "scalars",
-            &[
-                ("src", src),
-                ("queue_id", st.queue_id),
-                ("delta", st.queue.delta()),
-                ("pivot", st.queue.pivot()),
-            ],
-        )
-        .finish()
-}
-
 /// Runs SSSP from `src` (Dijkstra-class: needs non-negative weights;
 /// unweighted graphs degenerate to BFS distances).
 pub fn sssp(ctx: &Context<'_>, src: VertexId, opts: SsspOptions) -> SsspResult {
-    let n = ctx.num_vertices();
-    assert!((src as usize) < n, "source out of range");
-    let dist = atomic_u32_vec(n, INFINITY);
-    // ORDERING: Relaxed — dist cells are monotonic fetch_min targets and tag
-    // swaps need only per-cell atomicity; relaxation rounds end at join barriers.
-    dist[src as usize].store(0, Ordering::Relaxed);
-    let delta = opts.delta.unwrap_or_else(|| default_delta(ctx.graph));
-    let st = SsspLoop {
-        dist,
-        preds: atomic_u32_vec(n, INVALID_VERTEX),
-        tags: atomic_u32_vec(n, u32::MAX),
-        frontier: ctx.pooled_frontier([src].into_iter()),
-        queue: NearFarQueue::new(delta),
-        queue_id: 0,
-    };
-    sssp_run(ctx, src, opts, st, 0)
+    run::<Sssp>(ctx, &[src], opts)
 }
 
-/// Resumes SSSP from a `gunrock-ckpt/v1` snapshot. The checkpoint's
-/// source and bucket geometry override `opts`; the advance mode still
-/// comes from `opts`. A snapshot of the retired queue-less loop
-/// (`use_priority_queue = 0`) or one without predecessors is rejected.
-pub fn sssp_resume(
-    ctx: &Context<'_>,
-    opts: SsspOptions,
-    ckpt: &Checkpoint,
-) -> Result<SsspResult, GunrockError> {
-    let snap = SNAPSHOT.read(ckpt, ctx.num_vertices())?;
-    let delta = snap.slot("delta")?;
-    if delta == 0 {
-        return Err(malformed("bucket width delta must be positive"));
+impl Primitive for Sssp {
+    const NAME: &'static str = "sssp";
+    const ARITY: Arity = Arity::One;
+    const ADVANCES: bool = true;
+    const SNAPSHOT: Option<&'static Schema> = Some(&Schema {
+        primitive: "sssp",
+        fields: &[
+            Field("dist", "u32", PerVertex),
+            Field("preds", "u32", PerVertex),
+            Field("tags", "u32", PerVertex),
+            Field("frontier", "u32", VertexIds),
+            Field("far", "u32", VertexIds),
+            Field(
+                "scalars",
+                "u32",
+                Slots(&[
+                    Vertex("src"),
+                    Plain("queue_id"),
+                    Plain("delta"),
+                    Plain("pivot"),
+                    Pinned("use_priority_queue", 1),
+                    Pinned("record_predecessors", 1),
+                ]),
+            ),
+        ],
+    });
+    type Options = SsspOptions;
+    type Result = SsspResult;
+
+    fn mode(opts: &SsspOptions) -> AdvanceMode {
+        opts.mode
     }
-    let src = snap.slot("src")?;
-    let st = SsspLoop {
-        dist: to_atomic_u32(snap.section("dist")?),
-        preds: to_atomic_u32(snap.section("preds")?),
-        tags: to_atomic_u32(snap.section("tags")?),
-        frontier: ctx.pooled_frontier(snap.section("frontier")?.iter().copied()),
-        queue: NearFarQueue::restore(delta, snap.slot("pivot")?, snap.section("far")?.to_vec()),
-        queue_id: snap.slot("queue_id")?,
-    };
-    let r = sssp_run(ctx, src, opts, st, ckpt.iteration());
-    check_failed(ctx, r.outcome, r)
-}
 
-/// The enact loop proper, starting from an arbitrary iteration-boundary
-/// state (fresh from [`sssp`] or restored by [`sssp_resume`]) that has
-/// already completed `done` iterations.
-fn sssp_run(
-    ctx: &Context<'_>,
-    src: VertexId,
-    opts: SsspOptions,
-    mut st: SsspLoop,
-    done: u32,
-) -> SsspResult {
-    let mut run = Enactment::arm(ctx, done);
-    // Budget admission: demote the advance mode (or poison with a
-    // structured BudgetExceeded) before the first operator launches.
-    let mode = crate::admission::admit(ctx, "sssp", opts.mode);
-    let spec = AdvanceSpec::v2v().with_mode(mode);
-    'enact: loop {
-        while !st.frontier.is_empty() {
-            if run.boundary(|it| Some(sssp_checkpoint(it, src, &st))) {
-                break 'enact;
-            }
-            run.end_iteration(false);
-            let relax = Relax {
-                graph: ctx.graph,
-                dist: &st.dist,
-                preds: &st.preds,
-                tags: &st.tags,
-                queue_id: st.queue_id,
-            };
-            let claimed = advance::advance(ctx, &st.frontier, spec, &relax);
-            st.queue_id = st.queue_id.wrapping_add(1);
-            // ORDERING: Relaxed — dist cells are monotonic fetch_min targets and tag
-            // swaps need only per-cell atomicity; relaxation rounds end at join barriers.
-            let next = st.queue.split(claimed, |v| st.dist[v as usize].load(Ordering::Relaxed));
-            ctx.recycle(std::mem::replace(&mut st.frontier, next));
+    // distances, a bitmap's worth of slack and the frontier pair (a
+    // near-far refill's window is one pooled frontier, checked out after
+    // the exhausted one went back)
+    fn state_bytes(n: u64, _m: u64) -> u64 {
+        n * 4 + bitmap(n) + frontiers(n)
+    }
+
+    fn init(ctx: &Context<'_>, sources: &[VertexId], opts: SsspOptions) -> Self {
+        let (n, src) = (ctx.num_vertices(), first_source(sources));
+        assert!((src as usize) < n, "source out of range");
+        let dist = atomic_u32_vec(n, INFINITY);
+        // ORDERING: Relaxed — dist cells are monotonic fetch_min targets and tag
+        // swaps need only per-cell atomicity; relaxation rounds end at join barriers.
+        dist[src as usize].store(0, Ordering::Relaxed);
+        let delta = opts.delta.unwrap_or_else(|| default_delta(ctx.graph));
+        Sssp {
+            src,
+            dist,
+            preds: atomic_u32_vec(n, INVALID_VERTEX),
+            tags: atomic_u32_vec(n, u32::MAX),
+            frontier: ctx.pooled_frontier([src].into_iter()),
+            queue: NearFarQueue::new(delta),
+            queue_id: 0,
+        }
+    }
+
+    /// The snapshot's bucket geometry overrides `opts`. A snapshot of the
+    /// retired queue-less loop (`use_priority_queue = 0`) or one without
+    /// predecessors is rejected.
+    fn load(
+        ctx: &Context<'_>,
+        snap: &Snapshot<'_>,
+        _opts: SsspOptions,
+    ) -> Result<Self, GunrockError> {
+        let delta = snap.slot("delta")?;
+        if delta == 0 {
+            return Err(malformed("bucket width delta must be positive"));
+        }
+        Ok(Sssp {
+            src: snap.slot("src")?,
+            dist: to_atomic_u32(snap.section("dist")?),
+            preds: to_atomic_u32(snap.section("preds")?),
+            tags: to_atomic_u32(snap.section("tags")?),
+            frontier: ctx.pooled_frontier(snap.section("frontier")?.iter().copied()),
+            queue: NearFarQueue::restore(
+                delta,
+                snap.slot("pivot")?,
+                snap.section("far")?.to_vec(),
+            ),
+            queue_id: snap.slot("queue_id")?,
+        })
+    }
+
+    fn save(&self, snapshot: SnapshotWriter) -> SnapshotWriter {
+        let (queue_id, delta, pivot) = (self.queue_id, self.queue.delta(), self.queue.pivot());
+        snapshot
+            .section("dist", unwrap_atomic_u32(&self.dist))
+            .section("preds", unwrap_atomic_u32(&self.preds))
+            .section("tags", unwrap_atomic_u32(&self.tags))
+            .section("frontier", self.frontier.as_slice().to_vec())
+            .section("far", self.queue.far_slice().to_vec())
+            .slots(
+                "scalars",
+                &[
+                    ("src", self.src),
+                    ("queue_id", queue_id),
+                    ("delta", delta),
+                    ("pivot", pivot),
+                ],
+            )
+    }
+
+    fn sources(&self) -> Vec<VertexId> {
+        vec![self.src]
+    }
+
+    fn live(&self, _iterations: u32) -> bool {
+        !self.frontier.is_empty()
+    }
+
+    /// One relax-and-split iteration; when it leaves the near pile empty,
+    /// the refill opens the next window before the next boundary.
+    fn step(&mut self, ctx: &Context<'_>, run: &mut Enactment<'_, '_>, mode: AdvanceMode) {
+        run.end_iteration(false);
+        let relax = Relax {
+            graph: ctx.graph,
+            dist: &self.dist,
+            preds: &self.preds,
+            tags: &self.tags,
+            queue_id: self.queue_id,
+        };
+        let spec = AdvanceSpec::v2v().with_mode(mode);
+        let claimed = advance::advance(ctx, &self.frontier, spec, &relax);
+        self.queue_id = self.queue_id.wrapping_add(1);
+        // ORDERING: Relaxed — dist cells are monotonic fetch_min targets and tag
+        // swaps need only per-cell atomicity; relaxation rounds end at join barriers.
+        let next = self.queue.split(claimed, |v| self.dist[v as usize].load(Ordering::Relaxed));
+        ctx.recycle(std::mem::replace(&mut self.frontier, next));
+        if !self.frontier.is_empty() {
+            return;
         }
         // the exhausted near frontier's storage is the refill's to reuse
-        ctx.recycle(std::mem::take(&mut st.frontier));
-        let (queue, dist, tags, id) = (&mut st.queue, &st.dist, &st.tags, st.queue_id);
+        ctx.recycle(std::mem::take(&mut self.frontier));
+        let (queue, dist, tags, id) = (&mut self.queue, &self.dist, &self.tags, self.queue_id);
         // the refill claims each vertex with this iteration's fresh queue
         // id, so a vertex parked more than once expands once; it checks
         // its output out of the pool: isolated, so a denied checkout fails
@@ -268,23 +286,28 @@ fn sssp_run(
         let near = ctx.isolated_setup("refill", || queue.refill(ctx.pool(), prio, claim));
         // the next advance claims with a new id, so it can re-enqueue a
         // refilled vertex it improves
-        st.queue_id = st.queue_id.wrapping_add(1);
-        match near {
-            Some(near) if !near.is_empty() => st.frontier = near,
-            _ => break,
+        self.queue_id = self.queue_id.wrapping_add(1);
+        if let Some(near) = near.filter(|near| !near.is_empty()) {
+            self.frontier = near;
         }
     }
-    let done = run.finish(|it| Some(sssp_checkpoint(it, src, &st)));
-    // the loop's last frontier still owns pooled storage; return it so
-    // a re-run on this context starts with a warm pool
-    ctx.recycle(st.frontier);
-    SsspResult {
-        dist: unwrap_atomic_u32(&st.dist),
-        preds: unwrap_atomic_u32(&st.preds),
-        edges_examined: done.edges_examined,
-        iterations: done.iterations,
-        elapsed: done.elapsed,
-        outcome: done.outcome,
+
+    fn finish(self, ctx: &Context<'_>, done: Enacted) -> SsspResult {
+        // the loop's last frontier still owns pooled storage; return it so
+        // a re-run on this context starts with a warm pool
+        ctx.recycle(self.frontier);
+        SsspResult {
+            dist: into_plain_u32(self.dist),
+            preds: into_plain_u32(self.preds),
+            edges_examined: done.edges_examined,
+            iterations: done.iterations,
+            elapsed: done.elapsed,
+            outcome: done.outcome,
+        }
+    }
+
+    fn output(result: SsspResult) -> Output {
+        Output::Depths(result.dist)
     }
 }
 

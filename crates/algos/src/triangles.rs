@@ -3,6 +3,8 @@
 //! frontier is all edges, the computation is a sorted neighbor-list
 //! intersection per edge (possible because the builder sorts adjacency).
 
+use crate::primitive::{run, Primitive};
+use crate::registry::{Arity, Output};
 use gunrock::prelude::*;
 use gunrock_graph::{Csr, VertexId};
 use rayon::prelude::*;
@@ -39,6 +41,15 @@ fn intersect_count(a: &[VertexId], b: &[VertexId]) -> u64 {
     c
 }
 
+/// Triangle counting as a [`Primitive`]: two compute passes, the guard
+/// checked before each.
+pub struct Triangles {
+    total: AtomicU64,
+    per_vertex: Vec<u64>,
+    /// Passes run so far.
+    passes: u32,
+}
+
 /// Counts triangles in an undirected graph with sorted adjacency (the
 /// builder's default output). The total is found over the all-edges
 /// frontier: each triangle `{u < v < w}` is discovered exactly once at
@@ -46,26 +57,60 @@ fn intersect_count(a: &[VertexId], b: &[VertexId]) -> u64 {
 /// Per-vertex counts come from a second compute pass: at vertex `x`,
 /// a triangle is a neighbor pair `(y, z)`, `y < z`, that is adjacent.
 pub fn triangle_count(ctx: &Context<'_>) -> TriangleResult {
-    let g = ctx.graph;
-    debug_assert!(
-        (0..g.num_vertices() as u32).all(|v| g.neighbors(v).windows(2).all(|w| w[0] < w[1])),
-        "triangle counting requires sorted, deduplicated adjacency"
-    );
-    let mut run = Enactment::arm(ctx, 0);
-    let total = AtomicU64::new(0);
-    let mut per_vertex = Vec::new();
-    if !run.boundary(no_snapshot) {
-        // Pass 1: total, over the edge frontier.
-        total_pass(g, &total);
-        ctx.counters.add_edges(g.num_edges() as u64);
-        run.end_iteration(false);
-        // Pass 2: per-vertex counts, unless the guard trips in between.
-        if !run.boundary(no_snapshot) {
-            per_vertex = per_vertex_counts(g);
+    run::<Triangles>(ctx, &[], ())
+}
+
+impl Primitive for Triangles {
+    const NAME: &'static str = "triangles";
+    const ARITY: Arity = Arity::None;
+    const ADVANCES: bool = false;
+    type Options = ();
+    type Result = TriangleResult;
+
+    // the per-vertex counts
+    fn state_bytes(n: u64, _m: u64) -> u64 {
+        n * 8
+    }
+
+    fn init(ctx: &Context<'_>, _sources: &[VertexId], _opts: ()) -> Self {
+        let g = ctx.graph;
+        debug_assert!(
+            (0..g.num_vertices() as u32)
+                .all(|v| g.neighbors(v).windows(2).all(|w| w[0] < w[1])),
+            "triangle counting requires sorted, deduplicated adjacency"
+        );
+        Triangles { total: AtomicU64::new(0), per_vertex: Vec::new(), passes: 0 }
+    }
+
+    fn live(&self, _iterations: u32) -> bool {
+        self.passes < 2
+    }
+
+    fn step(&mut self, ctx: &Context<'_>, run: &mut Enactment<'_, '_>, _mode: AdvanceMode) {
+        let g = ctx.graph;
+        if self.passes == 0 {
+            // Pass 1: total, over the edge frontier.
+            total_pass(g, &self.total);
+            ctx.counters.add_edges(g.num_edges() as u64);
+            run.end_iteration(false);
+        } else {
+            // Pass 2: per-vertex counts, unless the guard tripped in between.
+            self.per_vertex = per_vertex_counts(g);
+        }
+        self.passes += 1;
+    }
+
+    fn finish(self, _ctx: &Context<'_>, done: Enacted) -> TriangleResult {
+        TriangleResult {
+            total: self.total.into_inner(),
+            per_vertex: self.per_vertex,
+            outcome: done.outcome,
         }
     }
-    let done = run.finish(no_snapshot);
-    TriangleResult { total: total.into_inner(), per_vertex, outcome: done.outcome }
+
+    fn output(result: TriangleResult) -> Output {
+        Output::Count(result.total)
+    }
 }
 
 /// Adds every triangle `{u < v < w}` to `total` once, at its edge `(u, v)`.

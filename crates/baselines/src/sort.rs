@@ -82,11 +82,6 @@ where
     *items = src;
 }
 
-/// Sorts a `u32` vector ascending, in place.
-pub fn radix_sort_u32(items: &mut Vec<u32>) {
-    radix_sort_by_key(items, |&x| x)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -94,7 +89,7 @@ mod tests {
     #[test]
     fn small_input_uses_fallback_and_sorts() {
         let mut v = vec![5u32, 1, 4, 1, 3];
-        radix_sort_u32(&mut v);
+        radix_sort_by_key(&mut v, |&x| x);
         assert_eq!(v, vec![1, 1, 3, 4, 5]);
     }
 
@@ -103,7 +98,7 @@ mod tests {
         let mut v: Vec<u32> = (0..200_000u32).map(|i| i.wrapping_mul(2_654_435_761)).collect();
         let mut want = v.clone();
         want.sort_unstable();
-        radix_sort_u32(&mut v);
+        radix_sort_by_key(&mut v, |&x| x);
         assert_eq!(v, want);
     }
 
@@ -124,17 +119,17 @@ mod tests {
     #[test]
     fn extreme_keys() {
         let mut v = vec![u32::MAX, 0, u32::MAX - 1, 1, u32::MAX, 0];
-        radix_sort_u32(&mut v);
+        radix_sort_by_key(&mut v, |&x| x);
         assert_eq!(v, vec![0, 0, 1, u32::MAX - 1, u32::MAX, u32::MAX]);
     }
 
     #[test]
     fn empty_and_single() {
         let mut v: Vec<u32> = vec![];
-        radix_sort_u32(&mut v);
+        radix_sort_by_key(&mut v, |&x| x);
         assert!(v.is_empty());
         let mut v = vec![7u32];
-        radix_sort_u32(&mut v);
+        radix_sort_by_key(&mut v, |&x| x);
         assert_eq!(v, vec![7]);
     }
 }

@@ -15,71 +15,81 @@ use crate::context::Context;
 use gunrock_engine::stats::StepDirection;
 
 /// Current traversal direction.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum TraversalDirection {
     /// Expand frontier out-edges ("scatter").
+    #[default]
     Push,
     /// Unvisited vertices scan in-edges against the frontier ("gather").
     Pull,
 }
 
-/// Tunable direction-switch policy with Beamer's default thresholds.
-#[derive(Clone, Copy, Debug, PartialEq)]
+/// The push/pull direction of a direction-optimizing traversal, chosen
+/// once per iteration by Beamer's hysteresis with his thresholds. Every
+/// change of direction is recorded as a `DirectionSwitch` naming the
+/// inequality that fired. A traversal starts out pushing.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DirectionPolicy {
-    /// Push -> pull when frontier edges exceed `unvisited_edges / alpha`.
-    pub alpha: f64,
-    /// Pull -> push when frontier vertices drop below `n / beta`.
-    pub beta: f64,
-}
-
-impl Default for DirectionPolicy {
-    fn default() -> Self {
-        DirectionPolicy { alpha: 15.0, beta: 18.0 }
-    }
+    /// The direction the last iteration ran in.
+    pub direction: TraversalDirection,
 }
 
 impl DirectionPolicy {
-    /// Decides the next iteration's direction from the current state.
-    ///
-    /// * `frontier_edges` — out-edges of the current frontier (`m_f`)
-    /// * `unvisited_edges` — out-edges of still-unvisited vertices (`m_u`)
-    /// * `frontier_vertices` — current frontier size (`n_f`)
-    /// * `num_vertices` — total vertices (`n`)
-    pub fn decide(
-        &self,
-        current: TraversalDirection,
-        frontier_edges: u64,
-        unvisited_edges: u64,
-        frontier_vertices: usize,
-        num_vertices: usize,
+    /// Push -> pull when frontier edges exceed `unvisited_edges / ALPHA`.
+    pub const ALPHA: f64 = 15.0;
+    /// Pull -> push when frontier vertices drop below `n / BETA`.
+    pub const BETA: f64 = 18.0;
+
+    /// This iteration's direction from the current frontier's out-edges
+    /// `m_f` and vertex count `n_f` and the still-unvisited vertices'
+    /// out-edges `m_u`. `can_pull` is asked before a pull iteration and
+    /// may keep the traversal pushing (a budget rung).
+    pub fn choose(
+        &mut self,
+        ctx: &Context<'_>,
+        m_f: u64,
+        m_u: u64,
+        n_f: usize,
+        can_pull: impl FnOnce() -> bool,
     ) -> TraversalDirection {
-        match current {
-            TraversalDirection::Push => {
-                // Entering pull requires both triggers: the frontier's
-                // edges rival the unvisited edges (Beamer's alpha test)
-                // AND the frontier is big enough that it would not bounce
-                // straight back under the beta test. Without the second
-                // condition, high-diameter graphs whose unvisited set
-                // drains slowly re-enter pull at every tail level and pay
-                // the full unvisited scan repeatedly for one level of
-                // discovery.
-                if self.alpha.is_finite()
-                    && (frontier_edges as f64) > (unvisited_edges as f64) / self.alpha
-                    && (frontier_vertices as f64) >= (num_vertices as f64) / self.beta
-                {
-                    TraversalDirection::Pull
-                } else {
-                    TraversalDirection::Push
-                }
-            }
-            TraversalDirection::Pull => {
-                if (frontier_vertices as f64) < (num_vertices as f64) / self.beta {
-                    TraversalDirection::Push
-                } else {
-                    TraversalDirection::Pull
-                }
+        let (alpha, beta, n) = (Self::ALPHA, Self::BETA, ctx.num_vertices());
+        let big = (n_f as f64) >= (n as f64) / beta;
+        let pull = match self.direction {
+            // Entering pull requires both triggers: the frontier's edges
+            // rival the unvisited edges (Beamer's alpha test) AND the
+            // frontier is big enough that it would not bounce straight
+            // back under the beta test. Without the second condition,
+            // high-diameter graphs whose unvisited set drains slowly
+            // re-enter pull at every tail level and pay the full
+            // unvisited scan repeatedly for one level of discovery.
+            TraversalDirection::Push => (m_f as f64) > (m_u as f64) / alpha && big,
+            TraversalDirection::Pull => big,
+        } && can_pull();
+        let next = if pull { TraversalDirection::Pull } else { TraversalDirection::Push };
+        if next != self.direction {
+            self.direction = next;
+            if let Some(sink) = ctx.sink() {
+                // only built when instrumented: the reason names the
+                // hysteresis inequality that fired
+                let (from, to, reason) = match next {
+                    TraversalDirection::Pull => (
+                        StepDirection::Push,
+                        StepDirection::Pull,
+                        format!(
+                            "m_f={m_f} > m_u={m_u}/alpha={alpha} \
+                             and n_f={n_f} >= n={n}/beta={beta}"
+                        ),
+                    ),
+                    TraversalDirection::Push => (
+                        StepDirection::Pull,
+                        StepDirection::Push,
+                        format!("n_f={n_f} < n={n}/beta={beta}"),
+                    ),
+                };
+                sink.record_switch(from, to, reason);
             }
         }
+        next
     }
 }
 
@@ -137,35 +147,68 @@ impl GatherSwitch {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gunrock_graph::{Coo, Csr, GraphBuilder};
     use TraversalDirection::{Pull, Push};
+
+    /// `n` isolated vertices: the policy reads only the vertex count.
+    fn vertices(n: usize) -> Csr {
+        GraphBuilder::new().build(Coo::from_edges(n, &[]))
+    }
+
+    fn choose(
+        from: TraversalDirection,
+        m_f: u64,
+        m_u: u64,
+        n_f: usize,
+        n: usize,
+    ) -> TraversalDirection {
+        let g = vertices(n);
+        let mut policy = DirectionPolicy { direction: from };
+        policy.choose(&Context::new(&g), m_f, m_u, n_f, || true)
+    }
 
     #[test]
     fn stays_push_while_frontier_is_small() {
-        let p = DirectionPolicy::default();
-        assert_eq!(p.decide(Push, 10, 1_000_000, 5, 1000), Push);
+        assert_eq!(choose(Push, 10, 1_000_000, 5, 1000), Push);
     }
 
     #[test]
     fn switches_to_pull_when_frontier_edges_dominate() {
-        let p = DirectionPolicy::default();
         // m_f = 200_000 > 1_000_000 / 15, and n_f = 5000 >= 10_000 / 18
-        assert_eq!(p.decide(Push, 200_000, 1_000_000, 5000, 10_000), Pull);
+        assert_eq!(choose(Push, 200_000, 1_000_000, 5000, 10_000), Pull);
     }
 
     #[test]
     fn small_frontier_never_enters_pull_even_with_edge_trigger() {
         // the tail of a high-diameter traversal: unvisited edges tiny,
         // so the alpha test fires, but the frontier itself is tiny too
-        let p = DirectionPolicy::default();
-        assert_eq!(p.decide(Push, 100, 200, 30, 10_000), Push);
+        assert_eq!(choose(Push, 100, 200, 30, 10_000), Push);
     }
 
     #[test]
     fn switches_back_to_push_when_frontier_shrinks() {
-        let p = DirectionPolicy::default();
-        assert_eq!(p.decide(Pull, 10, 10, 10, 10_000), Push);
+        assert_eq!(choose(Pull, 10, 10, 10, 10_000), Push);
         // still big: stay pull
-        assert_eq!(p.decide(Pull, 10, 10, 5_000, 10_000), Pull);
+        assert_eq!(choose(Pull, 10, 10, 5_000, 10_000), Pull);
+    }
+
+    #[test]
+    fn a_refused_pull_stays_push_and_every_switch_is_recorded() {
+        let g = vertices(10_000);
+        let ctx = Context::new(&g).with_stats();
+        let mut policy = DirectionPolicy { direction: Push };
+        assert_eq!(policy.choose(&ctx, 200_000, 1_000_000, 5000, || false), Push);
+        assert_eq!(policy.choose(&ctx, 200_000, 1_000_000, 5000, || true), Pull);
+        assert_eq!(policy.choose(&ctx, 10, 10, 10, || true), Push);
+        let reasons: Vec<String> =
+            ctx.run_stats().switches.iter().map(|s| s.reason.clone()).collect();
+        assert_eq!(
+            reasons,
+            [
+                "m_f=200000 > m_u=1000000/alpha=15 and n_f=5000 >= n=10000/beta=18",
+                "n_f=10 < n=10000/beta=18"
+            ]
+        );
     }
 
     #[test]

@@ -77,7 +77,7 @@ pub mod prelude {
     pub use gunrock_engine::bitmap::{AtomicBitmap, BitSet, PooledBitmap};
     pub use gunrock_engine::checkpoint::{Checkpoint, CheckpointError};
     pub use gunrock_engine::faults::{FaultInjector, FaultKind, FaultPlan};
-    pub use gunrock_engine::frontier::{Frontier, FrontierPair};
+    pub use gunrock_engine::frontier::Frontier;
     pub use gunrock_engine::lanes::{lane_mask, LaneMap, LANES};
     pub use gunrock_engine::stats::{
         OperatorKind, RecoveryEvent, RecoveryKind, RunOutcome, RunStats, RunStatsSummary,

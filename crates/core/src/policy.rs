@@ -34,12 +34,6 @@ impl RetryPolicy {
     pub fn retries(max_retries: u32) -> Self {
         RetryPolicy { max_retries, backoff: Duration::ZERO }
     }
-
-    /// Sets the inter-attempt backoff.
-    pub fn with_backoff(mut self, backoff: Duration) -> Self {
-        self.backoff = backoff;
-        self
-    }
 }
 
 /// Iteration-boundary checkpointing: every `every` completed iterations
@@ -194,9 +188,9 @@ mod tests {
 
     #[test]
     fn retry_policy_builders() {
-        let p = RetryPolicy::retries(3).with_backoff(Duration::from_millis(2));
+        let p = RetryPolicy::retries(3);
         assert_eq!(p.max_retries, 3);
-        assert_eq!(p.backoff, Duration::from_millis(2));
+        assert_eq!(p.backoff, Duration::ZERO);
         assert_eq!(RetryPolicy::default().max_retries, 0);
     }
 

@@ -61,11 +61,6 @@ impl NearFarQueue {
         NearFarQueue { far, delta, pivot }
     }
 
-    /// Number of elements parked in the far pile.
-    pub fn far_len(&self) -> usize {
-        self.far.len()
-    }
-
     /// Splits a frontier by the priority function: elements with
     /// `priority < pivot` stay in the frontier's own storage, in order,
     /// and are returned as the near frontier; the rest are appended to the
@@ -147,7 +142,7 @@ mod tests {
         // priorities: v * 4 -> [4, 8, 12, 16]; pivot 10
         let near = q.split(f, |v| v * 4);
         assert_eq!(near.as_slice(), &[1, 2]);
-        assert_eq!(q.far_len(), 2);
+        assert_eq!(q.far_slice().len(), 2);
     }
 
     #[test]
@@ -196,7 +191,7 @@ mod tests {
         for f in [vec![4], vec![4, 7], vec![4]] {
             assert!(q.split(Frontier::from_vec(f), |_| 15).is_empty());
         }
-        assert_eq!(q.far_len(), 4);
+        assert_eq!(q.far_slice().len(), 4);
         // a claim that admits each vertex once, like SSSP's tag swap
         let claimed = Cell::new(0u64);
         let claim = |v: u32| claimed.replace(claimed.get() | 1 << v) & 1 << v == 0;

@@ -1,6 +1,6 @@
 //! Atomic helpers mirroring the CUDA atomics the paper's functors use:
 //! `atomicMin` (SSSP relaxation), `atomicAdd` on floats (PageRank and BC
-//! accumulation), and typed views over plain arrays.
+//! accumulation), and conversions between atomic and plain vectors.
 //!
 //! Orderings are `Relaxed` throughout: every Gunrock step ends at a
 //! bulk-synchronous barrier (the rayon join), which provides the
@@ -66,52 +66,6 @@ pub fn link(parent: &[AtomicU32], u: u32, v: u32) -> bool {
     false
 }
 
-/// An `f32` cell supporting atomic add via CAS on the bit pattern — the
-/// CPU equivalent of CUDA's `atomicAdd(float*)`.
-#[derive(Debug)]
-pub struct AtomicF32(AtomicU32);
-
-impl AtomicF32 {
-    /// Creates a cell holding `v`.
-    pub fn new(v: f32) -> Self {
-        AtomicF32(AtomicU32::new(v.to_bits()))
-    }
-
-    /// Loads the current value.
-    #[inline]
-    pub fn load(&self) -> f32 {
-        f32::from_bits(self.0.load(Ordering::Relaxed))
-    }
-
-    /// Stores `v` (non-atomic callers should prefer `&mut` phases).
-    #[inline]
-    pub fn store(&self, v: f32) {
-        // ORDERING: Relaxed is only sound here because callers store
-        // outside the parallel accumulation phase (initialization or
-        // post-barrier normalization). A store that raced a same-phase
-        // fetch_add could silently drop that add's contribution — the
-        // store is NOT a read-modify-write, so it does not compose with
-        // concurrent CAS loops. The bulk-synchronous barrier between
-        // phases provides the required happens-before.
-        self.0.store(v.to_bits(), Ordering::Relaxed);
-    }
-
-    /// Atomically adds `delta`, returning the previous value.
-    #[must_use = "fetch_add returns the pre-add value; discard it explicitly \
-                  with `let _ =` if only the side effect is wanted"]
-    #[inline]
-    pub fn fetch_add(&self, delta: f32) -> f32 {
-        let mut cur = self.0.load(Ordering::Relaxed);
-        loop {
-            let new = (f32::from_bits(cur) + delta).to_bits();
-            match self.0.compare_exchange_weak(cur, new, Ordering::Relaxed, Ordering::Relaxed) {
-                Ok(_) => return f32::from_bits(cur),
-                Err(actual) => cur = actual,
-            }
-        }
-    }
-}
-
 /// An `f64` cell supporting atomic add via CAS on the bit pattern.
 #[derive(Debug)]
 pub struct AtomicF64(AtomicU64);
@@ -131,10 +85,13 @@ impl AtomicF64 {
     /// Stores `v`.
     #[inline]
     pub fn store(&self, v: f64) {
-        // ORDERING: Relaxed — same non-atomic-phase caveat as
-        // AtomicF32::store: only sound outside the parallel accumulation
-        // phase, with the bulk-synchronous barrier supplying the
-        // happens-before edge.
+        // ORDERING: Relaxed is only sound here because callers store
+        // outside the parallel accumulation phase (initialization or
+        // post-barrier normalization). A store that raced a same-phase
+        // fetch_add could silently drop that add's contribution — the
+        // store is NOT a read-modify-write, so it does not compose with
+        // concurrent CAS loops. The bulk-synchronous barrier between
+        // phases provides the required happens-before.
         self.0.store(v.to_bits(), Ordering::Relaxed);
     }
 
@@ -154,16 +111,6 @@ impl AtomicF64 {
     }
 }
 
-/// Reinterprets a mutable `u32` slice as atomics for the duration of a
-/// parallel phase. Standard layout-compatible cast (`AtomicU32` has the
-/// same size/alignment as `u32`).
-#[inline]
-pub fn as_atomic_u32(slice: &mut [u32]) -> &[AtomicU32] {
-    // SAFETY: AtomicU32 is #[repr(C, align(4))] over u32; exclusive borrow
-    // guarantees no non-atomic aliases exist during the returned lifetime.
-    unsafe { &*(slice as *mut [u32] as *const [AtomicU32]) }
-}
-
 /// Allocates a vector of `AtomicU32` initialized to `init`.
 pub fn atomic_u32_vec(len: usize, init: u32) -> Vec<AtomicU32> {
     (0..len).map(|_| AtomicU32::new(init)).collect()
@@ -179,16 +126,6 @@ pub fn unwrap_atomic_u32(slice: &[AtomicU32]) -> Vec<u32> {
 /// its atomic working array through, without a second `len`-sized buffer.
 pub fn into_plain_u32(cells: Vec<AtomicU32>) -> Vec<u32> {
     cells.into_iter().map(AtomicU32::into_inner).collect()
-}
-
-/// Allocates a vector of `AtomicF32` initialized to `init`.
-pub fn atomic_f32_vec(len: usize, init: f32) -> Vec<AtomicF32> {
-    (0..len).map(|_| AtomicF32::new(init)).collect()
-}
-
-/// Snapshots a slice of `AtomicF32` into plain values.
-pub fn unwrap_atomic_f32(slice: &[AtomicF32]) -> Vec<f32> {
-    slice.iter().map(|a| a.load()).collect()
 }
 
 #[cfg(test)]
@@ -243,9 +180,9 @@ mod tests {
     }
 
     #[test]
-    fn atomic_f32_concurrent_adds_sum_exactly() {
-        // powers of two add exactly in f32
-        let acc = AtomicF32::new(0.0);
+    fn atomic_f64_concurrent_adds_sum_exactly() {
+        // powers of two add exactly in f64
+        let acc = AtomicF64::new(0.0);
         (0..4096).into_par_iter().for_each(|_| {
             let _ = acc.fetch_add(0.25);
         });
@@ -262,23 +199,11 @@ mod tests {
     }
 
     #[test]
-    fn as_atomic_view_round_trips() {
-        let mut data = vec![7u32, 8, 9];
-        {
-            let atoms = as_atomic_u32(&mut data);
-            atoms[1].store(80, Ordering::Relaxed);
-        }
-        assert_eq!(data, vec![7, 80, 9]);
-    }
-
-    #[test]
     fn vec_helpers() {
         let v = atomic_u32_vec(3, 42);
         assert_eq!(unwrap_atomic_u32(&v), vec![42, 42, 42]);
         let storage = v.as_ptr() as usize;
         let plain = into_plain_u32(v);
         assert_eq!((plain.as_ptr() as usize, &plain[..]), (storage, &[42, 42, 42][..]));
-        let f = atomic_f32_vec(2, 0.5);
-        assert_eq!(unwrap_atomic_f32(&f), vec![0.5, 0.5]);
     }
 }

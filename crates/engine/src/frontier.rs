@@ -104,36 +104,6 @@ impl<'a> IntoIterator for &'a Frontier {
     }
 }
 
-/// The ping-pong buffer pair: operators read `current` and emit into
-/// `next`; `flip` swaps them between bulk-synchronous steps.
-#[derive(Clone, Debug, Default)]
-pub struct FrontierPair {
-    /// The frontier operators read this step.
-    pub current: Frontier,
-    /// The frontier operators emit into this step.
-    pub next: Frontier,
-}
-
-impl FrontierPair {
-    /// Starts with `initial` as the current frontier.
-    pub fn new(initial: Frontier) -> Self {
-        FrontierPair { current: initial, next: Frontier::new() }
-    }
-
-    /// Swaps current/next and clears the new next buffer.
-    pub fn flip(&mut self) {
-        std::mem::swap(&mut self.current, &mut self.next);
-        self.next.clear();
-    }
-
-    /// Replaces the current frontier wholesale (used when an operator
-    /// produced a fresh vector, e.g. via compact).
-    pub fn replace_current(&mut self, f: Frontier) {
-        self.current = f;
-        self.next.clear();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -156,16 +126,6 @@ mod tests {
         f.clear();
         assert!(f.is_empty());
         assert_eq!(f.as_mut_vec().capacity(), cap);
-    }
-
-    #[test]
-    fn pair_flip_swaps_and_clears() {
-        let mut pair = FrontierPair::new(Frontier::single(1));
-        pair.next.push(2);
-        pair.next.push(3);
-        pair.flip();
-        assert_eq!(pair.current.as_slice(), &[2, 3]);
-        assert!(pair.next.is_empty());
     }
 
     #[test]

@@ -28,11 +28,6 @@ impl<T> PushError<T> {
             PushError::Full(item) | PushError::Closed(item) => item,
         }
     }
-
-    /// True if the rejection was a capacity overflow (retryable).
-    pub fn is_full(&self) -> bool {
-        matches!(self, PushError::Full(_))
-    }
 }
 
 struct Inner<T> {
@@ -120,11 +115,6 @@ impl<T> BoundedQueue<T> {
         self.len() == 0
     }
 
-    /// True once [`close`](Self::close) has been called.
-    pub fn is_closed(&self) -> bool {
-        self.lock().closed
-    }
-
     /// The configured capacity.
     pub fn capacity(&self) -> usize {
         self.capacity
@@ -193,8 +183,7 @@ mod tests {
         q.try_push(1).unwrap();
         q.try_push(2).unwrap();
         let err = q.try_push(3).unwrap_err();
-        assert!(err.is_full());
-        assert_eq!(err.into_inner(), 3);
+        assert!(matches!(err, PushError::Full(3)));
         assert_eq!(q.len(), 2);
     }
 
@@ -211,9 +200,8 @@ mod tests {
         let q = BoundedQueue::new(4);
         q.try_push(1).unwrap();
         q.close();
-        assert!(q.is_closed());
         let err = q.try_push(2).unwrap_err();
-        assert!(!err.is_full());
+        assert!(matches!(err, PushError::Closed(2)));
         assert_eq!(q.pop(), Some(1));
         assert_eq!(q.pop(), None);
         assert_eq!(q.pop(), None); // idempotent after drain

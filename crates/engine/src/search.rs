@@ -17,13 +17,6 @@ pub fn upper_bound(haystack: &[u32], needle: u32) -> usize {
     haystack.partition_point(|&x| x <= needle)
 }
 
-/// Index of the first element in sorted `haystack` greater than or equal
-/// to `needle` (lower bound).
-#[inline]
-pub fn lower_bound(haystack: &[u32], needle: u32) -> usize {
-    haystack.partition_point(|&x| x < needle)
-}
-
 /// For each work-item id `w` (an edge rank within the scanned offsets
 /// array), find the owning segment: the largest `i` with
 /// `scanned_offsets[i] <= w`. `scanned_offsets` is the exclusive scan of
@@ -95,9 +88,8 @@ mod tests {
     #[test]
     fn bounds() {
         let v = [0u32, 3, 3, 8];
-        assert_eq!(lower_bound(&v, 3), 1);
         assert_eq!(upper_bound(&v, 3), 3);
-        assert_eq!(lower_bound(&v, 9), 4);
+        assert_eq!(upper_bound(&v, 9), 4);
         assert_eq!(upper_bound(&v, 0), 1);
     }
 

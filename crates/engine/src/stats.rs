@@ -8,7 +8,7 @@ use crate::json::JsonBuilder;
 use crate::pool::PoolStatsSnapshot;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Cumulative work counters for one primitive execution. Cheap enough to
 /// update per bulk step (not per element).
@@ -105,11 +105,6 @@ impl RunOutcome {
     pub fn is_converged(self) -> bool {
         self == RunOutcome::Converged
     }
-
-    /// True when a guard tripped and the results are partial.
-    pub fn is_partial(self) -> bool {
-        !self.is_converged()
-    }
 }
 
 impl std::fmt::Display for RunOutcome {
@@ -149,15 +144,6 @@ impl Timing {
             self.edges_examined as f64 / s / 1e6
         }
     }
-}
-
-/// Times a closure, pairing its wall time with an edge count supplied by
-/// the closure's return value.
-pub fn time_with_edges<T>(f: impl FnOnce() -> (T, u64)) -> (T, Timing) {
-    let start = Instant::now();
-    let (value, edges) = f();
-    let elapsed = start.elapsed();
-    (value, Timing { elapsed, edges_examined: edges })
 }
 
 // ---------------------------------------------------------------------------
@@ -807,13 +793,6 @@ mod tests {
     }
 
     #[test]
-    fn time_with_edges_passes_value_through() {
-        let (v, t) = time_with_edges(|| (42u32, 7u64));
-        assert_eq!(v, 42);
-        assert_eq!(t.edges_examined, 7);
-    }
-
-    #[test]
     fn sink_stamps_iterations_and_aggregates() {
         let sink = StatsSink::new();
         sink.record_step(
@@ -1080,7 +1059,6 @@ mod tests {
 
     #[test]
     fn failed_outcome_is_partial_and_displays() {
-        assert!(RunOutcome::Failed.is_partial());
         assert!(!RunOutcome::Failed.is_converged());
         assert_eq!(RunOutcome::Failed.to_string(), "failed");
     }

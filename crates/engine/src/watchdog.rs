@@ -89,12 +89,6 @@ impl WatchdogConfig {
     pub fn new(interval: Duration) -> WatchdogConfig {
         WatchdogConfig { interval, grace: interval / crate::config::WATCHDOG_GRACE_DIVISOR }
     }
-
-    /// Overrides the stall-to-kill grace period.
-    pub fn with_grace(mut self, grace: Duration) -> WatchdogConfig {
-        self.grace = grace;
-        self
-    }
 }
 
 /// What the reaper does when a job exhausts its grace period.
@@ -369,7 +363,10 @@ mod tests {
     #[test]
     fn a_recovered_stall_resets_the_escalation_clock() {
         // long grace so the job is stalled-but-not-killed when it recovers
-        let dog = Watchdog::new(WatchdogConfig::new(INTERVAL).with_grace(10 * INTERVAL));
+        let dog = Watchdog::new(WatchdogConfig {
+            grace: 10 * INTERVAL,
+            ..WatchdogConfig::new(INTERVAL)
+        });
         let hb = Arc::new(Heartbeat::new());
         let cancel = Arc::new(AtomicBool::new(false));
         let _watch = dog.watch(Arc::clone(&hb), Arc::clone(&cancel), Box::new(|| {}));

@@ -11,19 +11,12 @@ use crate::types::{VertexId, Weight};
 #[derive(Clone, Debug)]
 pub struct GraphBuilder {
     undirected: bool,
-    remove_self_loops: bool,
-    dedup: bool,
     random_weights: Option<(Weight, Weight, u64)>,
 }
 
 impl Default for GraphBuilder {
     fn default() -> Self {
-        GraphBuilder {
-            undirected: true,
-            remove_self_loops: true,
-            dedup: true,
-            random_weights: None,
-        }
+        GraphBuilder { undirected: true, random_weights: None }
     }
 }
 
@@ -37,18 +30,6 @@ impl GraphBuilder {
     /// Keep the graph directed (skip symmetrization).
     pub fn directed(mut self) -> Self {
         self.undirected = false;
-        self
-    }
-
-    /// Keep self loops.
-    pub fn keep_self_loops(mut self) -> Self {
-        self.remove_self_loops = false;
-        self
-    }
-
-    /// Keep duplicate/parallel edges.
-    pub fn keep_duplicates(mut self) -> Self {
-        self.dedup = false;
         self
     }
 
@@ -70,15 +51,11 @@ impl GraphBuilder {
             coo.num_vertices < VertexId::MAX as usize,
             "vertex count exceeds VertexId range (u32::MAX is reserved as a sentinel)"
         );
-        if self.remove_self_loops {
-            coo.remove_self_loops();
-        }
+        coo.remove_self_loops();
         if self.undirected {
             coo.symmetrize();
         }
-        if self.dedup {
-            coo.sort_and_dedup();
-        }
+        coo.sort_and_dedup();
         if let Some((lo, hi, seed)) = self.random_weights {
             if self.undirected {
                 // undirected edges carry one weight shared by both
@@ -125,9 +102,11 @@ mod tests {
 
     #[test]
     fn keep_duplicates_preserves_parallel_edges() {
+        // the builder always deduplicates; a CSR built straight from the
+        // edge list keeps parallel edges
         let coo = Coo::from_edges(2, &[(0, 1), (0, 1)]);
-        let g = GraphBuilder::new().directed().keep_duplicates().build(coo);
-        assert_eq!(g.num_edges(), 2);
+        assert_eq!(Csr::from_coo(&coo).num_edges(), 2);
+        assert_eq!(GraphBuilder::new().directed().build(coo).num_edges(), 1);
     }
 
     #[test]

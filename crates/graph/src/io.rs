@@ -408,34 +408,6 @@ pub fn read_dimacs<R: Read>(reader: R) -> GraphResult<Coo> {
     Ok(coo)
 }
 
-/// Writes a DIMACS `.gr` file (weight 1 for unweighted edge lists).
-pub fn write_dimacs<W: Write>(coo: &Coo, writer: W) -> io::Result<()> {
-    let mut w = BufWriter::new(writer);
-    writeln!(w, "c generated by gunrock-graph")?;
-    writeln!(w, "p sp {} {}", coo.num_vertices, coo.num_edges())?;
-    for i in 0..coo.num_edges() {
-        let weight = coo.weights.as_ref().map(|ws| ws[i]).unwrap_or(1);
-        writeln!(w, "a {} {} {}", coo.src[i] + 1, coo.dst[i] + 1, weight)?;
-    }
-    w.flush()
-}
-
-/// Writes a MatrixMarket coordinate file (general, integer weights or
-/// pattern when unweighted), 1-based indices.
-pub fn write_matrix_market<W: Write>(coo: &Coo, writer: W) -> io::Result<()> {
-    let mut w = BufWriter::new(writer);
-    let kind = if coo.weights.is_some() { "integer" } else { "pattern" };
-    writeln!(w, "%%MatrixMarket matrix coordinate {kind} general")?;
-    writeln!(w, "{} {} {}", coo.num_vertices, coo.num_vertices, coo.num_edges())?;
-    for i in 0..coo.num_edges() {
-        match &coo.weights {
-            Some(ws) => writeln!(w, "{} {} {}", coo.src[i] + 1, coo.dst[i] + 1, ws[i])?,
-            None => writeln!(w, "{} {}", coo.src[i] + 1, coo.dst[i] + 1)?,
-        }
-    }
-    w.flush()
-}
-
 /// Legacy binary magic: no trailing checksum.
 const BINARY_MAGIC_V1: &[u8; 8] = b"GNRKCSR1";
 /// Current binary magic: payload followed by a 64-bit FNV-1a checksum.
@@ -768,9 +740,8 @@ mod tests {
     #[test]
     fn dimacs_round_trip() {
         let coo = Coo::from_weighted_edges(4, &[(0, 1, 5), (2, 3, 9), (1, 2, 1)]);
-        let mut buf = Vec::new();
-        write_dimacs(&coo, &mut buf).unwrap();
-        let back = read_dimacs(&buf[..]).unwrap();
+        let text = "c generated\np sp 4 3\na 1 2 5\na 3 4 9\na 2 3 1\n";
+        let back = read_dimacs(text.as_bytes()).unwrap();
         assert_eq!(back.num_vertices, 4);
         assert_eq!(back.src, coo.src);
         assert_eq!(back.dst, coo.dst);
@@ -806,18 +777,16 @@ mod tests {
 
     #[test]
     fn matrix_market_writer_round_trips_through_reader() {
-        for weighted in [false, true] {
-            let mut coo = Coo::from_edges(5, &[(0, 1), (3, 4), (2, 2)]);
-            if weighted {
-                coo.randomize_weights(1, 9, 3);
-            }
-            let mut buf = Vec::new();
-            write_matrix_market(&coo, &mut buf).unwrap();
-            let back = read_matrix_market(&buf[..]).unwrap();
+        let pattern =
+            "%%MatrixMarket matrix coordinate pattern general\n5 5 3\n1 2\n4 5\n3 3\n";
+        let integer =
+            "%%MatrixMarket matrix coordinate integer general\n5 5 3\n1 2 7\n4 5 1\n3 3 9\n";
+        for (text, weights) in [(pattern, None), (integer, Some(vec![7, 1, 9]))] {
+            let back = read_matrix_market(text.as_bytes()).unwrap();
             assert_eq!(back.num_vertices, 5);
-            assert_eq!(back.src, coo.src);
-            assert_eq!(back.dst, coo.dst);
-            assert_eq!(back.weights, coo.weights);
+            assert_eq!(back.src, vec![0, 3, 2]);
+            assert_eq!(back.dst, vec![1, 4, 2]);
+            assert_eq!(back.weights, weights);
         }
     }
 

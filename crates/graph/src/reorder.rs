@@ -150,12 +150,6 @@ impl Relabeling {
             })
             .collect()
     }
-
-    /// Translates a list of original vertex ids (e.g. sources) into
-    /// relabeled ids.
-    pub fn map_ids(&self, ids: &[VertexId]) -> Vec<VertexId> {
-        ids.iter().map(|&v| self.new_of_old(v)).collect()
-    }
 }
 
 /// Builds the degree-descending (hub-clustering) relabeling: vertex ids

@@ -80,7 +80,7 @@ fn bfs_resume_is_bit_identical() {
         (r.labels, r.outcome)
     });
     let ctx = Context::new(&g).with_reverse(&g);
-    let r = algos::bfs_resume(&ctx, opts, &ckpt).expect("resume");
+    let r = algos::resume::<algos::Bfs>(&ctx, opts, &ckpt).expect("resume");
     assert_eq!(r.outcome, RunOutcome::Converged);
     assert_eq!(r.labels, full.labels);
     assert_eq!(r.preds, full.preds);
@@ -100,7 +100,7 @@ fn sssp_resume_is_bit_identical() {
         let r = algos::sssp(ctx, 0, opts);
         (r.dist, r.outcome)
     });
-    let r = algos::sssp_resume(&Context::new(&g), opts, &ckpt).expect("resume");
+    let r = algos::resume::<algos::Sssp>(&Context::new(&g), opts, &ckpt).expect("resume");
     assert_eq!(r.outcome, RunOutcome::Converged);
     assert_eq!(r.dist, full.dist);
     assert_eq!(r.iterations, full.iterations);
@@ -119,8 +119,9 @@ fn sssp_priority_queue_resume_is_bit_identical() {
     });
     // the checkpoint restores the near-far queue (delta, pivot, far
     // pile); options are taken from the snapshot, not the caller
-    let r = algos::sssp_resume(&Context::new(&g), algos::SsspOptions::default(), &ckpt)
-        .expect("resume");
+    let r =
+        algos::resume::<algos::Sssp>(&Context::new(&g), algos::SsspOptions::default(), &ckpt)
+            .expect("resume");
     assert_eq!(r.outcome, RunOutcome::Converged);
     assert_eq!(r.dist, full.dist);
     std::fs::remove_dir_all(&dir).ok();
@@ -185,7 +186,8 @@ fn bc_resume_is_bit_identical() {
             });
             // from the snapshot as written and as an older build wrote it
             for snapshot in [with_tags(&ckpt), ckpt] {
-                let r = algos::bc_resume(&context(), opts, &snapshot).expect("resume");
+                let r =
+                    algos::resume::<algos::Bc>(&context(), opts, &snapshot).expect("resume");
                 let at = format!("reverse {reverse}, cap {cap}");
                 assert_eq!(r.outcome, RunOutcome::Converged, "{at}");
                 assert_eq!(r.iterations, full.iterations, "{at}");
@@ -223,7 +225,7 @@ fn cc_resume_is_bit_identical() {
                 (r.labels, r.outcome)
             });
             assert_eq!(ckpt.iteration(), cap);
-            let r = algos::cc_resume(&context(), &ckpt).expect("resume");
+            let r = algos::resume::<algos::Cc>(&context(), (), &ckpt).expect("resume");
             assert_eq!(r.outcome, RunOutcome::Converged, "cap {cap}");
             assert_eq!(r.labels, full.labels, "cap {cap}");
             assert_eq!(r.num_components, full.num_components, "cap {cap}");
@@ -255,7 +257,7 @@ fn cc_resume_rejects_foreign_snapshots() {
     cycle.push_u32("scalars", vec![1, u32::MAX]);
     for (what, ckpt) in [("pre-PR20 layout", old), ("label cycle", cycle)] {
         let reread = Checkpoint::decode(&ckpt.encode()).expect("well-formed container");
-        match algos::cc_resume(&Context::new(&g), &reread) {
+        match algos::resume::<algos::Cc>(&Context::new(&g), (), &reread) {
             Err(GunrockError::Checkpoint(
                 CheckpointError::MissingSection(_) | CheckpointError::Malformed(_),
             )) => {}
@@ -286,7 +288,7 @@ fn pagerank_resume_is_bit_identical() {
             let r = algos::pagerank(ctx, opts);
             (r.iterations, r.outcome)
         });
-        let r = algos::pagerank_resume(&context(), wrong, &ckpt).expect("resume");
+        let r = algos::resume::<algos::PageRank>(&context(), wrong, &ckpt).expect("resume");
         assert_eq!(r.outcome, RunOutcome::Converged, "{name}");
         assert_eq!(r.iterations, full.iterations, "{name}");
         assert_eq!(bits(&r.scores), bits(&full.scores), "{name}");
@@ -508,7 +510,8 @@ fn retired_bfs_variant_resumes_as_direction_optimized(tag: u32) {
     let old = as_bfs_variant(&ckpt, tag);
     let want = gunrock_baselines::serial::bfs(&g, 0);
     for ctx in [Context::new(&g), Context::new(&g).with_reverse(&g)] {
-        let r = algos::bfs_resume(&ctx, algos::BfsOptions::default(), &old).expect("resume");
+        let r = algos::resume::<algos::Bfs>(&ctx, algos::BfsOptions::default(), &old)
+            .expect("resume");
         assert_eq!(r.outcome, RunOutcome::Converged, "tag {tag}");
         assert_eq!(r.labels, want, "tag {tag}");
         for (v, &p) in r.preds.iter().enumerate() {
@@ -573,15 +576,15 @@ fn retired_settings_are_rejected_as_malformed() {
     });
     let ctx = Context::new(&g);
     assert_retired(
-        algos::bfs_resume(&ctx, Default::default(), &with_scalar(&bfs, 5, 0)),
+        algos::resume::<algos::Bfs>(&ctx, Default::default(), &with_scalar(&bfs, 5, 0)),
         "record_predecessors",
     );
     assert_retired(
-        algos::sssp_resume(&ctx, Default::default(), &with_scalar(&sssp, 5, 0)),
+        algos::resume::<algos::Sssp>(&ctx, Default::default(), &with_scalar(&sssp, 5, 0)),
         "record_predecessors",
     );
     assert_retired(
-        algos::sssp_resume(&ctx, Default::default(), &with_scalar(&sssp, 4, 0)),
+        algos::resume::<algos::Sssp>(&ctx, Default::default(), &with_scalar(&sssp, 4, 0)),
         "use_priority_queue",
     );
     // the registry's resume reports the same error
@@ -618,7 +621,7 @@ fn sssp_snapshot_in_the_optioned_layout_resumes_bit_identically() {
     old.push_u32("scalars", vec![0, scalars[1], scalars[2], scalars[3], 1, 1]);
     assert_eq!(old.encode(), ckpt.encode(), "the snapshot layout is unchanged");
     let old = Checkpoint::decode(&old.encode()).expect("well-formed container");
-    let r = algos::sssp_resume(&Context::new(&g), opts, &old).expect("resume");
+    let r = algos::resume::<algos::Sssp>(&Context::new(&g), opts, &old).expect("resume");
     assert_eq!(r.outcome, RunOutcome::Converged);
     assert_eq!(r.dist, full.dist);
     assert_eq!(r.preds, full.preds);
@@ -641,7 +644,7 @@ fn sssp_mid_run_snapshots_resume_bit_identically() {
             let r = algos::sssp(ctx, 0, opts);
             (r.dist, r.outcome)
         });
-        let r = algos::sssp_resume(&Context::new(&g), opts, &ckpt).expect("resume");
+        let r = algos::resume::<algos::Sssp>(&Context::new(&g), opts, &ckpt).expect("resume");
         assert_eq!(r.outcome, RunOutcome::Converged, "cap {cap}");
         assert_eq!(r.dist, full.dist, "cap {cap}");
         assert_eq!(r.preds, full.preds, "cap {cap}");
@@ -669,7 +672,8 @@ fn sssp_snapshot_right_after_a_refill_resumes_bit_identically() {
         });
         std::fs::remove_dir_all(&dir).ok();
         if before.is_some_and(|p| p != pivot(&ckpt)) {
-            let r = algos::sssp_resume(&Context::new(&g), opts, &ckpt).expect("resume");
+            let r =
+                algos::resume::<algos::Sssp>(&Context::new(&g), opts, &ckpt).expect("resume");
             assert_eq!(r.outcome, RunOutcome::Converged, "cap {cap}");
             assert_eq!(r.dist, full.dist, "cap {cap}");
             assert_eq!(r.preds, full.preds, "cap {cap}");
@@ -699,8 +703,8 @@ fn periodic_snapshot_resumes_too() {
     });
     let bytes = ckpt.encode();
     let reread = Checkpoint::decode(&bytes).expect("encode/decode round trip");
-    let r =
-        algos::bfs_resume(&Context::new(&g).with_reverse(&g), opts, &reread).expect("resume");
+    let r = algos::resume::<algos::Bfs>(&Context::new(&g).with_reverse(&g), opts, &reread)
+        .expect("resume");
     assert_eq!(r.labels, full.labels);
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -716,7 +720,8 @@ fn resume_on_the_wrong_graph_is_a_structured_error() {
         let r = algos::bfs(ctx, 0, algos::BfsOptions::default());
         (r.labels, r.outcome)
     });
-    let err = algos::bfs_resume(&Context::new(&small), algos::BfsOptions::default(), &ckpt);
+    let err =
+        algos::resume::<algos::Bfs>(&Context::new(&small), algos::BfsOptions::default(), &ckpt);
     assert!(err.is_err(), "a 1024-vertex snapshot cannot drive a 2-vertex graph");
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -764,7 +769,7 @@ fn crashed_snapshot_rename_never_corrupts_the_resumable_file() {
     // ...and the resumable file still holds the previous snapshot
     assert_eq!(std::fs::read(&path).expect("read"), golden, "previous snapshot survives");
     let ckpt = Checkpoint::load(&path).expect("surviving snapshot still loads");
-    let resumed = algos::bfs_resume(&Context::new(&g).with_reverse(&g), opts, &ckpt)
+    let resumed = algos::resume::<algos::Bfs>(&Context::new(&g).with_reverse(&g), opts, &ckpt)
         .expect("surviving snapshot still resumes");
     assert_eq!(resumed.outcome, RunOutcome::Converged);
     assert_eq!(resumed.labels, full.labels, "resume from the survivor is bit-identical");

@@ -31,7 +31,11 @@ fn oriented(g: &Csr) -> (Csr, Csr) {
 
 /// The list form of a pull advance, serially: each candidate whose
 /// in-list (a row of `rev`) holds a frontier vertex is discovered.
-fn list_pull(rev: &Csr, candidates: &[u32], frontier: &[u32]) -> std::collections::BTreeSet<u32> {
+fn list_pull(
+    rev: &Csr,
+    candidates: &[u32],
+    frontier: &[u32],
+) -> std::collections::BTreeSet<u32> {
     let in_frontier: std::collections::BTreeSet<u32> = frontier.iter().copied().collect();
     candidates
         .iter()
