@@ -91,19 +91,20 @@ impl Primitive for Kcore {
         if peeled.is_empty() {
             ctx.recycle(peeled);
             // everything still alive is in the k-core
-            compute::for_each(&self.alive, |v| core[v as usize].store(k, Ordering::Relaxed));
+            let settle = |v: u32| core[v as usize].store(k, Ordering::Relaxed);
+            compute::for_each_ctx(ctx, "kcore:settle", &self.alive, settle);
             self.settled = true;
             return;
         }
         // their core number is k-1; decrement neighbors
-        compute::for_each(&peeled, |v| {
+        compute::for_each_ctx(ctx, "kcore:peel", &peeled, |v| {
             core[v as usize].store(k - 1, Ordering::Relaxed);
             degree[v as usize].store(0, Ordering::Relaxed);
         });
         // pooled: the membership bitmap recycles its word storage
         // across peel rounds instead of reallocating each one
         let peeled_set = frontier_bitmap(ctx, &peeled);
-        compute::for_each(&peeled, |v| {
+        compute::for_each_ctx(ctx, "kcore:decrement", &peeled, |v| {
             for &u in g.neighbors(v) {
                 // avoid double-decrement between two same-round peels:
                 // a neighbor that is itself peeled no longer matters

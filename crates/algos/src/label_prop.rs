@@ -90,56 +90,66 @@ impl Primitive for LabelProp {
         // label from the *previous* round's labels (synchronous LPA),
         // so snapshot first
         let snapshot: Vec<u32> = unwrap_atomic_u32(labels);
-        let changed: Vec<u32> = self
-            .frontier
-            .as_slice()
-            .par_iter()
-            .copied()
-            .filter(|&v| {
-                let neigh = g.neighbors(v);
-                if neigh.is_empty() {
-                    return false;
-                }
-                // majority label among neighbors; smallest label wins ties.
-                // neighbor lists are modest: count into a local sorted vec
-                let mut counts: Vec<(u32, u32)> = Vec::with_capacity(neigh.len());
-                for &u in neigh {
-                    let l = snapshot[u as usize];
-                    match counts.binary_search_by_key(&l, |&(l, _)| l) {
-                        Ok(i) => counts[i].1 += 1,
-                        Err(i) => counts.insert(i, (l, 1)),
+        let frontier = self.frontier.as_slice();
+        let vote = || -> Vec<u32> {
+            let changed = frontier
+                .par_iter()
+                .copied()
+                .filter(|&v| {
+                    let neigh = g.neighbors(v);
+                    if neigh.is_empty() {
+                        return false;
                     }
-                }
-                let best = counts
-                    .iter()
-                    .copied()
-                    .max_by(|a, b| a.1.cmp(&b.1).then(b.0.cmp(&a.0)))
-                    .map_or(snapshot[v as usize], |(l, _)| l);
-                if best != snapshot[v as usize] {
-                    // ORDERING: Relaxed — see init: stale reads are tolerated.
-                    labels[v as usize].store(best, Ordering::Relaxed);
-                    true
-                } else {
-                    false
-                }
-            })
-            .collect();
-        ctx.counters
-            .add_edges(self.frontier.as_slice().iter().map(|&v| g.out_degree(v) as u64).sum());
+                    // majority label among neighbors; smallest label wins ties.
+                    // neighbor lists are modest: count into a local sorted vec
+                    let mut counts: Vec<(u32, u32)> = Vec::with_capacity(neigh.len());
+                    for &u in neigh {
+                        let l = snapshot[u as usize];
+                        match counts.binary_search_by_key(&l, |&(l, _)| l) {
+                            Ok(i) => counts[i].1 += 1,
+                            Err(i) => counts.insert(i, (l, 1)),
+                        }
+                    }
+                    let best = counts
+                        .iter()
+                        .copied()
+                        .max_by(|a, b| a.1.cmp(&b.1).then(b.0.cmp(&a.0)))
+                        .map_or(snapshot[v as usize], |(l, _)| l);
+                    if best != snapshot[v as usize] {
+                        // ORDERING: Relaxed — see init: stale reads are tolerated.
+                        labels[v as usize].store(best, Ordering::Relaxed);
+                        true
+                    } else {
+                        false
+                    }
+                })
+                .collect();
+            ctx.counters.add_edges(frontier.iter().map(|&v| g.out_degree(v) as u64).sum());
+            changed
+        };
+        // a failed pass poisoned the run: the next boundary ends it
+        let Some(changed) = compute::step(ctx, "labelprop:vote", frontier.len(), vote) else {
+            return;
+        };
         // next frontier: neighbors of changed vertices (deduplicated)
         let bm = AtomicBitmap::new(g.num_vertices());
-        let next: Vec<Vec<u32>> = changed
-            .par_iter()
-            .map(|&v| {
-                let mut local = Vec::new();
-                for &u in g.neighbors(v) {
-                    if !bm.test_and_set(u as usize) {
-                        local.push(u);
+        let scatter = || -> Vec<Vec<u32>> {
+            changed
+                .par_iter()
+                .map(|&v| {
+                    let mut local = Vec::new();
+                    for &u in g.neighbors(v) {
+                        if !bm.test_and_set(u as usize) {
+                            local.push(u);
+                        }
                     }
-                }
-                local
-            })
-            .collect();
+                    local
+                })
+                .collect()
+        };
+        let Some(next) = compute::step(ctx, "labelprop:scatter", changed.len(), scatter) else {
+            return;
+        };
         self.frontier = Frontier::from_vec(next.concat());
     }
 

@@ -226,14 +226,10 @@ impl Primitive for Msppr {
         // checked out at setup, which precedes every step
         let Some((active, next)) = &mut self.maps else { return };
         let (opts, scores, residual) = (self.opts, &self.scores, &self.residual);
-        // One push round, panic-isolated like an operator launch: the
-        // sweep mirrors the batched advance's scatter (whole-word skip
-        // of inactive vertices, per-lane bit iteration, fetch_or lane
-        // marking on pushed neighbors).
-        let round = ctx.isolated_setup("advance", || {
-            if let Some(inj) = ctx.injector() {
-                inj.maybe_panic("advance:msppr");
-            }
+        // One push round, launched like the batched advance it mirrors:
+        // whole-word skip of inactive vertices, per-lane bit iteration,
+        // fetch_or lane marking on pushed neighbors.
+        let round = || {
             let next_ref: &LaneMap = next;
             let vgrain = (n / (rayon::current_num_threads() * 8).max(1)).max(64);
             active
@@ -290,10 +286,11 @@ impl Primitive for Msppr {
                     edges
                 })
                 .sum::<u64>()
-        });
+        };
         // a panicking round poisoned the run: the next boundary ends it
-        let Some(edges) = round else { return };
-        ctx.counters.add_edges(edges);
+        if !advance_lanes(ctx, "msppr", "advance:msppr", active, next, round) {
+            return;
+        }
         std::mem::swap(active, next);
         next.clear_all();
         run.end_iteration(false);

@@ -103,26 +103,36 @@ impl Primitive for Mst {
         // Step 1: per-component minimum outgoing edge (atomic min over
         // the packed (weight, edge) key).
         let best: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(NONE)).collect();
-        (0..n as u32).into_par_iter().for_each(|u| {
-            let lu = labels[u as usize].load(Ordering::Relaxed);
-            for e in g.edge_range(u) {
-                let v = g.col_indices()[e];
-                let lv = labels[v as usize].load(Ordering::Relaxed);
-                if lu != lv {
-                    best[lu as usize]
-                        .fetch_min(pack(g.weight(e as u32), e as u32), Ordering::Relaxed);
+        let min_edge = || {
+            (0..n as u32).into_par_iter().for_each(|u| {
+                let lu = labels[u as usize].load(Ordering::Relaxed);
+                for e in g.edge_range(u) {
+                    let v = g.col_indices()[e];
+                    let lv = labels[v as usize].load(Ordering::Relaxed);
+                    if lu != lv {
+                        best[lu as usize]
+                            .fetch_min(pack(g.weight(e as u32), e as u32), Ordering::Relaxed);
+                    }
                 }
-            }
-        });
-        ctx.counters.add_edges(g.num_edges() as u64);
+            });
+            ctx.counters.add_edges(g.num_edges() as u64);
+        };
         // Step 2: collect winners; stop when no component can grow.
-        let winners: Vec<(u32, u64)> = (0..n as u32)
-            .into_par_iter()
-            .filter_map(|c| {
-                let b = best[c as usize].load(Ordering::Relaxed);
-                (b != NONE).then_some((c, b))
-            })
-            .collect();
+        let winners = || -> Vec<(u32, u64)> {
+            (0..n as u32)
+                .into_par_iter()
+                .filter_map(|c| {
+                    let b = best[c as usize].load(Ordering::Relaxed);
+                    (b != NONE).then_some((c, b))
+                })
+                .collect()
+        };
+        // a failed pass poisoned the run: the next boundary ends it
+        let Some(winners) = compute::step(ctx, "mst:min_edge", n, min_edge)
+            .and_then(|()| compute::step(ctx, "mst:winners", n, winners))
+        else {
+            return;
+        };
         if winners.is_empty() {
             self.done = true;
             return;
@@ -158,7 +168,7 @@ impl Primitive for Mst {
         }
         // Step 4: pointer jumping to flatten (serial-outer loop; each
         // pass is parallel)
-        loop {
+        let jump = || {
             let changed = std::sync::atomic::AtomicBool::new(false);
             (0..n as u32).into_par_iter().for_each(|v| {
                 let l = labels[v as usize].load(Ordering::Relaxed);
@@ -168,10 +178,9 @@ impl Primitive for Mst {
                     changed.store(true, Ordering::Relaxed);
                 }
             });
-            if !changed.load(Ordering::Relaxed) {
-                break;
-            }
-        }
+            changed.load(Ordering::Relaxed)
+        };
+        while compute::step(ctx, "mst:jump", n, jump) == Some(true) {}
     }
 
     fn finish(self, _ctx: &Context<'_>, done: Enacted) -> MstResult {

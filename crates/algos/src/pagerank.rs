@@ -246,11 +246,16 @@ impl Primitive for PageRank {
             let functor = PushShare { share, acc: &self.acc };
             let spec = AdvanceSpec::for_effect().with_mode(mode);
             let _ = advance::advance(ctx, &self.frontier, spec, &functor);
-            self.residual.par_iter_mut().zip(self.acc.par_iter()).for_each(|(r, a)| {
-                *r += a.load() + teleport;
-                a.store(0.0);
-            });
-            compact_indices_into(&self.residual, |&r| r > eps, next);
+            let (residual, acc) = (&mut self.residual, &self.acc);
+            let merge = || {
+                residual.par_iter_mut().zip(acc.par_iter()).for_each(|(r, a)| {
+                    *r += a.load() + teleport;
+                    a.store(0.0);
+                });
+                compact_indices_into(residual, |&r| r > eps, next);
+            };
+            // a failed merge poisoned the run: the next boundary ends it
+            compute::step(ctx, "pagerank:merge", n, merge);
         }
         for &v in self.frontier.as_slice() {
             self.share[v as usize] = 0.0;
@@ -361,7 +366,11 @@ mod tests {
         let ctx = Context::new(&g).with_stats();
         pagerank(&ctx, PrOptions::default());
         let stats = ctx.run_stats();
-        assert!(stats.steps.iter().all(|s| s.direction == Some(StepDirection::Push)));
+        let (advances, merges): (Vec<_>, Vec<_>) =
+            stats.steps.iter().partition(|s| s.operator == OperatorKind::Advance);
+        assert!(advances.iter().all(|s| s.direction == Some(StepDirection::Push)));
+        assert!(merges.iter().all(|s| s.strategy == "pagerank:merge"));
+        assert_eq!(advances.len(), merges.len(), "every push iteration merges once");
         assert!(stats.switches.is_empty());
     }
 

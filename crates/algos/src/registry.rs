@@ -240,6 +240,42 @@ mod tests {
         assert_eq!(names(&[Arity::Lanes]), "msbfs msppr");
     }
 
+    /// Every pass of every primitive launches through the operator
+    /// frame, so a stats-enabled run records at least one step per
+    /// completed iteration, each stamped inside the run.
+    #[test]
+    fn every_entry_records_its_passes() {
+        use gunrock_graph::generators::{rmat, RmatParams};
+        use gunrock_graph::GraphBuilder;
+        let g = GraphBuilder::new().random_weights(1, 64, 7).build(rmat(
+            8,
+            8,
+            RmatParams::graph500(),
+            7,
+        ));
+        for e in REGISTRY {
+            let sources = if e.arity == Arity::Lanes { (0..8).collect() } else { Vec::new() };
+            let ctx = Context::new(&g).with_reverse(&g).with_stats();
+            let run = (e.run)(&ctx, &Query { sources, epsilon: None });
+            assert_eq!(run.outcome, RunOutcome::Converged, "{}", e.name);
+            let steps = ctx.run_stats().steps;
+            assert!(
+                steps.len() >= run.iterations as usize,
+                "{}: {} steps for {} iterations",
+                e.name,
+                steps.len(),
+                run.iterations
+            );
+            let last = steps.iter().map(|s| s.iteration).max();
+            assert!(
+                last <= Some(run.iterations),
+                "{}: stamp {last:?} past {}",
+                e.name,
+                run.iterations
+            );
+        }
+    }
+
     #[test]
     fn estimates_are_monotone_and_primitive_shaped() {
         let (n, m) = (1 << 12, 1 << 16);

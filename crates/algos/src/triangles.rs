@@ -90,12 +90,16 @@ impl Primitive for Triangles {
         let g = ctx.graph;
         if self.passes == 0 {
             // Pass 1: total, over the edge frontier.
-            total_pass(g, &self.total);
+            total_pass(ctx, &self.total);
             ctx.counters.add_edges(g.num_edges() as u64);
             run.end_iteration(false);
         } else {
-            // Pass 2: per-vertex counts, unless the guard tripped in between.
-            self.per_vertex = per_vertex_counts(g);
+            // Pass 2: per-vertex counts, unless the guard tripped in
+            // between (or the pass failed: the run then ends `Failed`).
+            let counts = compute::step(ctx, "triangles:per_vertex", g.num_vertices(), || {
+                per_vertex_counts(g)
+            });
+            self.per_vertex = counts.unwrap_or_default();
         }
         self.passes += 1;
     }
@@ -114,8 +118,9 @@ impl Primitive for Triangles {
 }
 
 /// Adds every triangle `{u < v < w}` to `total` once, at its edge `(u, v)`.
-fn total_pass(g: &Csr, total: &AtomicU64) {
-    compute::for_each(&Frontier::full(g.num_edges()), |e| {
+fn total_pass(ctx: &Context<'_>, total: &AtomicU64) {
+    let g = ctx.graph;
+    compute::for_each_id_ctx(ctx, "triangles:total", g.num_edges(), |e| {
         let u = g.edge_source(e);
         let v = g.edge_dest(e);
         if u >= v {

@@ -37,7 +37,7 @@ fn bfs_unfused(g: &Csr, src: u32) -> u32 {
         let raw = advance::advance(&ctx, &frontier, AdvanceSpec::v2v(), &AcceptAll);
         // kernel 2: standalone compute pass over the materialized frontier
         let lv = level;
-        compute::for_each(&raw, |v| {
+        compute::for_each_ctx(&ctx, "unfused:label", &raw, |v| {
             if labels[v as usize].load(Ordering::Relaxed) == INFINITY {
                 labels[v as usize].store(lv, Ordering::Relaxed);
             }

@@ -31,17 +31,12 @@
 //! bit-identical across pools.
 
 use crate::context::Context;
-use crate::isolate::isolated;
+use crate::isolate::{launch, AbortPoll, Op, Report};
 use crate::util::grain_size;
-use gunrock_engine::stats::{OperatorKind, StepDirection};
+use gunrock_engine::stats::StepDirection;
 use gunrock_graph::{Csr, EdgeId, VertexId};
 use rayon::prelude::*;
 use std::ops::Range;
-use std::time::Instant;
-
-/// Edge-scan interval between cooperative abort polls inside one chunk,
-/// the cadence of the other pull-direction operators.
-const ABORT_POLL_EDGES: u64 = 4096;
 
 /// Shortest edge list [`fold4`] splits into four accumulators.
 const FOLD4_MIN_EDGES: usize = 8;
@@ -127,13 +122,11 @@ impl<'a> GatherSpec<'a> {
 /// vertices carry a value is the caller's business (`map` returns the
 /// identity for the rest).
 ///
-/// Like every operator the step runs panic-isolated (site
-/// `advance:gather`): a panic poisons the context and appends nothing. A
-/// raised cancel flag or passed deadline truncates the sweep unless a
-/// checkpoint policy is active: `finish` has then run for only some
-/// vertices and fewer (or no) vertices are admitted, so an enact loop
-/// that ends on an empty frontier must ask its guard before reporting
-/// convergence.
+/// Launches through the operator frame (fault site `advance:gather`): a
+/// failed launch appends nothing. A raised cancel or passed deadline
+/// truncates the sweep unless a checkpoint policy is active: `finish`
+/// has then run for only some vertices, so an enact loop that ends on an
+/// empty frontier must ask its guard before reporting convergence.
 ///
 /// Requires `out.len()` equal to the input's length, and a reverse graph
 /// ([`Context::with_reverse`]) unless the gather is over out-edges.
@@ -166,29 +159,8 @@ pub fn advance_gather<S, T, K, M, R, F>(
     if len == 0 {
         return;
     }
-    // Kernel-launch boundary for the racecheck phase ledger.
-    gunrock_engine::racecheck::begin_phase();
-    let timer = ctx.sink().map(|_| (Instant::now(), ctx.counters.edges()));
-    let t = ctx.config.serial_threshold;
-    // the edge count is O(1) for a range; a list pays a degree pass, and
-    // only once its length already qualifies
-    let serial = t > 0
-        && len <= t
-        && match &spec.input {
-            // CAST: EdgeId -> usize widens; offsets of an in-memory graph.
-            Input::Range(r) => {
-                let offsets = csr.row_offsets();
-                (offsets[r.end as usize] - offsets[r.start as usize]) as usize <= t
-            }
-            Input::List(ids) => {
-                ids.iter().map(|&v| csr.out_degree(v) as usize).sum::<usize>() <= t
-            }
-        };
     // the window past `next`'s end where each chunk emits into its part
     let base = next.as_ref().map_or(0, |next| next.len());
-    if let Some(next) = next.as_deref_mut() {
-        next.resize(base + len, INVALID_SLOT);
-    }
     // the chunk starting at input position `at`
     let sweep = |at: usize, slots: &mut [S], ids: Option<&mut [u32]>| match &spec.input {
         // CAST: at < range.len() <= u32::MAX.
@@ -217,9 +189,24 @@ pub fn advance_gather<S, T, K, M, R, F>(
             &finish,
         ),
     };
-    let result = isolated(ctx, "advance", || {
-        if let Some(inj) = ctx.injector() {
-            inj.maybe_panic("advance:gather");
+    let body = || {
+        let t = ctx.config.serial_threshold;
+        // the edge count is O(1) for a range; a list pays a degree pass, and
+        // only once its length already qualifies
+        let serial = t > 0
+            && len <= t
+            && match &spec.input {
+                // CAST: EdgeId -> usize widens; offsets of an in-memory graph.
+                Input::Range(r) => {
+                    let offsets = csr.row_offsets();
+                    (offsets[r.end as usize] - offsets[r.start as usize]) as usize <= t
+                }
+                Input::List(ids) => {
+                    ids.iter().map(|&v| csr.out_degree(v) as usize).sum::<usize>() <= t
+                }
+            };
+        if let Some(next) = next.as_deref_mut() {
+            next.resize(base + len, INVALID_SLOT);
         }
         let window = next.as_deref_mut().map(|next| &mut next[base..]);
         let edges = if serial {
@@ -241,36 +228,34 @@ pub fn advance_gather<S, T, K, M, R, F>(
             }
         };
         ctx.counters.add_edges(edges);
-    });
-    if result.is_none() {
-        if let Some(next) = next {
-            next.truncate(base);
-        }
-        return;
-    }
-    let admitted = next.map_or(0, |next| {
-        // each chunk filled a prefix of its own window; closing the gaps
-        // keeps the input order
-        let mut kept = base;
-        for i in base..next.len() {
-            if next[i] != INVALID_SLOT {
-                next[kept] = next[i];
-                kept += 1;
+        let admitted = next.as_deref_mut().map_or(0, |next| {
+            // each chunk filled a prefix of its own window; closing the
+            // gaps keeps the input order
+            let mut kept = base;
+            for i in base..next.len() {
+                if next[i] != INVALID_SLOT {
+                    next[kept] = next[i];
+                    kept += 1;
+                }
             }
-        }
-        next.truncate(kept);
-        kept - base
-    });
-    if let (Some((start, edges0)), Some(sink)) = (timer, ctx.sink()) {
-        sink.record_step(
-            OperatorKind::Advance,
+            next.truncate(kept);
+            kept - base
+        });
+        (admitted, serial)
+    };
+    let report = |&(admitted, serial): &(usize, bool)| {
+        Report::new(
             spec.strategy(serial),
             Some(StepDirection::Pull),
             len as u64,
             admitted as u64,
-            ctx.counters.edges() - edges0,
-            start.elapsed(),
-        );
+        )
+    };
+    if launch(ctx, Op::Advance { site: "advance:gather", stall: false }, body, report).is_none()
+    {
+        if let Some(next) = next {
+            next.truncate(base);
+        }
     }
 }
 
@@ -300,10 +285,7 @@ where
 {
     let cols = csr.col_indices();
     let mut edges = 0u64;
-    if ctx.abort_mid_operator() {
-        return edges;
-    }
-    let mut next_poll = ABORT_POLL_EDGES;
+    let Some(mut poll) = AbortPoll::start(ctx) else { return edges };
     let mut admitted = 0usize;
     for (v, slot) in vertices.zip(slots.iter_mut()) {
         if !mask(v) {
@@ -318,11 +300,8 @@ where
                 admitted += 1;
             }
         }
-        if edges >= next_poll {
-            next_poll = edges + ABORT_POLL_EDGES;
-            if ctx.abort_mid_operator() {
-                break;
-            }
+        if poll.stop(edges) {
+            break;
         }
     }
     edges

@@ -28,17 +28,12 @@ pub mod push;
 
 use crate::context::Context;
 use crate::functor::AdvanceFunctor;
-use crate::isolate::isolated;
+use crate::isolate::{launch, Op, Report};
 use gunrock_engine::budget::{advance_workspace_bytes, pooled_bytes};
-use gunrock_engine::faults::{FaultInjector, FaultKind};
+use gunrock_engine::faults::FaultKind;
 use gunrock_engine::frontier::Frontier;
-use gunrock_engine::stats::{OperatorKind, RecoveryKind, StepDirection};
+use gunrock_engine::stats::{RecoveryKind, StepDirection};
 use gunrock_graph::VertexId;
-use std::time::{Duration, Instant};
-
-/// Emergency release for an injected stall running without a watchdog:
-/// keeps a misconfigured chaos test from hanging a suite forever.
-const STALL_HARD_CAP: Duration = Duration::from_secs(60);
 
 /// Workload-mapping strategy for push advance.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -142,9 +137,8 @@ pub(crate) fn expansion_vertex(ctx: &Context<'_>, input: InputKind, item: u32) -
 /// input frontier, calls the functor's `cond`/`apply` on each (fused),
 /// and returns the output frontier per `spec.output`.
 ///
-/// The step runs panic-isolated: a functor panic (or injected fault)
-/// poisons the context and returns an empty frontier instead of
-/// aborting; the enact loop's next guard check reports `Failed`.
+/// Launches through the operator frame (fault sites `advance` and
+/// `advance:stall`): a failed launch returns an empty frontier.
 pub fn advance<F: AdvanceFunctor>(
     ctx: &Context<'_>,
     input: &Frontier,
@@ -154,31 +148,20 @@ pub fn advance<F: AdvanceFunctor>(
     if input.is_empty() {
         return Frontier::new();
     }
-    // Kernel-launch boundary for the racecheck phase ledger (no-op
-    // without the feature).
-    gunrock_engine::racecheck::begin_phase();
-    // Near-zero-cost instrumentation: one Option check on the fast path;
-    // the timer only exists when a sink is installed.
-    let timer = ctx.sink().map(|_| (Instant::now(), ctx.counters.edges()));
-    let result = isolated(ctx, "advance", || {
-        if let Some(inj) = ctx.injector() {
-            inj.maybe_panic("advance");
-            stall_if_injected(ctx, inj);
-        }
-        dispatch(ctx, input, spec, functor)
-    });
-    let Some((out, strategy)) = result else { return Frontier::new() };
-    if let (Some((start, edges0)), Some(sink)) = (timer, ctx.sink()) {
-        sink.record_step(
-            OperatorKind::Advance,
-            strategy,
-            Some(StepDirection::Push),
-            input.len() as u64,
-            out.len() as u64,
-            ctx.counters.edges() - edges0,
-            start.elapsed(),
-        );
-    }
+    let (out, _) = launch(
+        ctx,
+        Op::Advance { site: "advance", stall: true },
+        || dispatch(ctx, input, spec, functor),
+        |(out, strategy)| {
+            Report::new(
+                strategy,
+                Some(StepDirection::Push),
+                input.len() as u64,
+                out.len() as u64,
+            )
+        },
+    )
+    .unwrap_or_default();
     out
 }
 
@@ -241,29 +224,6 @@ fn dispatch<F: AdvanceFunctor>(
             run_load_balanced(ctx, input, degrees, spec, functor, "auto:load_balanced")
         }
     }
-}
-
-/// The `advance:stall` chaos site (push advances and pull sweeps alike):
-/// a fault here simulates the failure mode the watchdog exists for — an
-/// operator that stops making progress AND is deaf to cooperative
-/// cancellation (so the cancel flag
-/// the watchdog raises in its first escalation is deliberately
-/// ignored). The stall releases only when the watchdog escalates to a
-/// kill, or at a hard cap that keeps watchdog-less runs from hanging a
-/// test suite forever. Either way it ends in a panic so the run poisons
-/// and reports instead of returning fabricated output.
-pub(crate) fn stall_if_injected(ctx: &Context<'_>, inj: &FaultInjector) {
-    if !inj.should_fail(FaultKind::Stall, "advance:stall") {
-        return;
-    }
-    let start = Instant::now();
-    while !ctx.watchdog_killed() && start.elapsed() < STALL_HARD_CAP {
-        std::thread::sleep(Duration::from_millis(1));
-    }
-    // LINT-ALLOW(panic): the injected stall must not return a fabricated
-    // result; panicking here routes through panic isolation so the run
-    // ends as a structured failure.
-    panic!("injected stall released after {:?}", start.elapsed());
 }
 
 /// Load-balanced advance behind the retry-with-fallback guard.
@@ -353,6 +313,7 @@ mod tests {
     use crate::functor::AcceptAll;
     use gunrock_graph::{Coo, GraphBuilder};
     use std::sync::Arc;
+    use std::time::{Duration, Instant};
 
     fn star_plus_path() -> gunrock_graph::Csr {
         // vertex 0 is a hub to 1..=5; 5 -> 6 -> 7 path

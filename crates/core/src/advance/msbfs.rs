@@ -24,18 +24,11 @@
 //! serial fast path), so tiny levels skip the fork/join entirely.
 
 use crate::context::Context;
-use crate::isolate::isolated;
+use crate::isolate::{launch, AbortPoll, Op, Report};
 use crate::util::grain_size;
 use gunrock_engine::lanes::LaneMap;
-use gunrock_engine::stats::{OperatorKind, StepDirection};
+use gunrock_engine::stats::StepDirection;
 use rayon::prelude::*;
-use std::time::Instant;
-
-/// Edge-scan interval between cooperative abort polls inside one scatter
-/// chunk — same cadence as the pull sweep: frequent enough that a
-/// deadline or cancel lands within microseconds, rare enough to stay
-/// invisible in the scan loop.
-const ABORT_POLL_EDGES: u64 = 4096;
 
 /// Result of one batched advance level.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -70,9 +63,8 @@ pub struct MsbfsSweep {
 /// from disjoint word ranges (never twice for one vertex in one level),
 /// which is where per-lane depth extraction hooks in.
 ///
-/// The level runs panic-isolated: an injected fault (`advance:msbfs`) or
-/// visitor panic poisons the context and returns an empty sweep; the
-/// enact loop's next guard check reports `Failed`.
+/// Launches through the operator frame (fault site `advance:msbfs`): a
+/// failed launch returns an empty sweep.
 ///
 /// All three lane maps must span `ctx.num_vertices()` words.
 pub fn advance_msbfs<V>(
@@ -91,16 +83,10 @@ where
     assert_eq!(frontier.len(), n, "frontier lane map must span the graph");
     assert_eq!(seen.len(), n, "seen lane map must span the graph");
     assert_eq!(next.len(), n, "next lane map must span the graph");
-    // Kernel-launch boundary for the racecheck phase ledger.
-    gunrock_engine::racecheck::begin_phase();
-    let timer = ctx.sink().map(|_| (Instant::now(), ctx.counters.edges()));
     let t = ctx.config.serial_threshold;
     // CAST: active is a vertex count < u32::MAX; widening compare only.
     let serial = t > 0 && active as usize <= t;
-    let result = isolated(ctx, "advance", || {
-        if let Some(inj) = ctx.injector() {
-            inj.maybe_panic("advance:msbfs");
-        }
+    let body = || {
         if serial {
             scatter_serial(ctx, frontier, seen, next);
         } else {
@@ -109,26 +95,54 @@ where
         // Phase boundary: the scatter's atomic ORs and the update
         // sweep's plain stores never overlap in time.
         gunrock_engine::racecheck::begin_phase();
-        if serial {
+        let (discovered, lanes) = if serial {
             update_serial(seen, next, &visitor)
         } else {
             update(seen, next, &visitor)
-        }
-    });
-    let Some((discovered, lanes)) = result else { return MsbfsSweep::default() };
-    if let (Some((start, edges0)), Some(sink)) = (timer, ctx.sink()) {
-        sink.record_step_lanes(
-            OperatorKind::Advance,
+        };
+        MsbfsSweep { discovered, lanes }
+    };
+    let report = |sweep: &MsbfsSweep| Report {
+        lanes: u64::from(frontier_lanes.count_ones()),
+        ..Report::new(
             if serial { "msbfs:serial" } else { "msbfs" },
             Some(StepDirection::Push),
             active,
-            u64::from(frontier_lanes.count_ones()),
-            discovered,
-            ctx.counters.edges() - edges0,
-            start.elapsed(),
-        );
-    }
-    MsbfsSweep { discovered, lanes }
+            sweep.discovered,
+        )
+    };
+    launch(ctx, Op::Advance { site: "advance:msbfs", stall: false }, body, report)
+        .unwrap_or_default()
+}
+
+/// One lane-packed push round that a primitive sweeps itself (the
+/// multi-source PPR residual push, which mirrors [`advance_msbfs`]'s
+/// scatter), launched as an advance that consults the fault site `site`
+/// and is recorded with `strategy`. `body` reads the lane words of
+/// `frontier`, ORs the lanes it reaches into `next`, and returns the
+/// edges it scanned. The record's input is `frontier`'s active vertices,
+/// its lanes their union, and its output `next`'s active vertices after
+/// the round. Returns `false` when the round did not complete: the
+/// context is poisoned and the run ends `Failed` at its next boundary.
+pub fn advance_lanes(
+    ctx: &Context<'_>,
+    strategy: &'static str,
+    site: &'static str,
+    frontier: &LaneMap,
+    next: &LaneMap,
+    body: impl FnOnce() -> u64,
+) -> bool {
+    let report = |_: &()| Report {
+        lanes: u64::from(frontier.union_lanes().count_ones()),
+        ..Report::new(
+            strategy,
+            Some(StepDirection::Push),
+            frontier.count_active() as u64,
+            next.count_active() as u64,
+        )
+    };
+    launch(ctx, Op::Advance { site, stall: false }, || ctx.counters.add_edges(body()), report)
+        .is_some()
 }
 
 /// Phase 1, parallel: every active vertex ORs its lane word into each
@@ -152,14 +166,9 @@ fn scatter(ctx: &Context<'_>, frontier: &LaneMap, seen: &LaneMap, next: &mut Lan
         .enumerate()
         .map(|(ci, fwords)| {
             let mut edges = 0u64;
-            // cancel/deadline abort: a raised flag truncates this chunk
-            // (and skips it entirely when raised before the chunk
-            // starts); suppressed while checkpointing so exit snapshots
-            // see complete operators.
-            if ctx.abort_mid_operator() {
-                return edges;
-            }
-            let mut next_poll = ABORT_POLL_EDGES;
+            // a raised cancel/deadline truncates this chunk, or skips it
+            // when raised before the chunk starts
+            let Some(mut poll) = AbortPoll::start(ctx) else { return edges };
             'scan: for (i, fw) in fwords.iter().enumerate() {
                 // ORDERING: Relaxed — the frontier map is read-only during
                 // the scatter phase; the previous sweep's join barrier
@@ -183,11 +192,8 @@ fn scatter(ctx: &Context<'_>, frontier: &LaneMap, seen: &LaneMap, next: &mut Lan
                         next_ref.fetch_or(u, want);
                     }
                 }
-                if edges >= next_poll {
-                    next_poll = edges + ABORT_POLL_EDGES;
-                    if ctx.abort_mid_operator() {
-                        break 'scan;
-                    }
+                if poll.stop(edges) {
+                    break 'scan;
                 }
             }
             edges
@@ -204,10 +210,7 @@ fn scatter_serial(ctx: &Context<'_>, frontier: &LaneMap, seen: &LaneMap, next: &
     let cols = g.col_indices();
     let nwords = next.words_mut();
     let mut edges = 0u64;
-    let mut next_poll = ABORT_POLL_EDGES;
-    if ctx.abort_mid_operator() {
-        return;
-    }
+    let Some(mut poll) = AbortPoll::start(ctx) else { return };
     'scan: for v in 0..frontier.len() {
         let fword = frontier.load(v);
         // whole-word skip: a zero lane word is an inactive vertex
@@ -224,11 +227,8 @@ fn scatter_serial(ctx: &Context<'_>, frontier: &LaneMap, seen: &LaneMap, next: &
                 *nwords[u].get_mut() |= want;
             }
         }
-        if edges >= next_poll {
-            next_poll = edges + ABORT_POLL_EDGES;
-            if ctx.abort_mid_operator() {
-                break 'scan;
-            }
+        if poll.stop(edges) {
+            break 'scan;
         }
     }
     ctx.counters.add_edges(edges);

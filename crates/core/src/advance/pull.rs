@@ -23,23 +23,14 @@
 
 use crate::context::Context;
 use crate::functor::AdvanceFunctor;
-use crate::isolate::isolated;
+use crate::isolate::{launch, AbortPoll, Op, Report};
 use crate::util::grain_size;
 use gunrock_engine::bitmap::{BitSet, PooledBitmap};
 use gunrock_engine::config::SEQUENTIAL_CUTOFF;
 use gunrock_engine::frontier::Frontier;
-use gunrock_engine::stats::{OperatorKind, StepDirection};
+use gunrock_engine::stats::StepDirection;
 use gunrock_graph::EdgeId;
 use rayon::prelude::*;
-use std::time::Instant;
-
-/// Edge-scan interval between cooperative abort polls inside one pull
-/// chunk: frequent enough that a deadline or cancel lands within
-/// microseconds, rare enough to stay invisible in the scan loop. The
-/// poll uses [`Context::abort_mid_operator`], so a run with an active
-/// checkpoint policy completes the operator instead of truncating —
-/// snapshots must only be cut at consistent operator boundaries.
-const ABORT_POLL_EDGES: u64 = 4096;
 
 /// Builds the frontier-membership bitmap for a pull step. Word storage
 /// comes from the context's buffer pool (release it back with
@@ -82,21 +73,10 @@ pub fn advance_pull_sweep<F: AdvanceFunctor>(
     assert_eq!(candidates.len(), n, "candidate bitmap must span the graph");
     assert_eq!(in_frontier.len(), n, "frontier bitmap must span the graph");
     assert_eq!(out.len(), n, "output bitmap must span the graph");
-    // Kernel-launch boundary for the racecheck phase ledger.
-    gunrock_engine::racecheck::begin_phase();
-    let timer = ctx.sink().map(|_| {
-        (
-            Instant::now(),
-            ctx.counters.edges(),
-            in_frontier.count_ones(),
-            candidates.count_ones(),
-        )
-    });
-    let result = isolated(ctx, "advance", || {
-        if let Some(inj) = ctx.injector() {
-            inj.maybe_panic("advance:pull_sweep");
-            super::stall_if_injected(ctx, inj);
-        }
+    // the body owns the candidate bitmap's borrow and hands it back
+    // shared, for the record's count
+    let body = move || {
+        let candidates = candidates;
         let rev = ctx.reverse_graph();
         let cols = rev.col_indices();
         let nw = candidates.word_count();
@@ -109,15 +89,9 @@ pub fn advance_pull_sweep<F: AdvanceFunctor>(
             .map(|(ci, (cand_words, out_words))| {
                 let mut found = 0u64;
                 let mut edges = 0u64;
-                // cancel/deadline abort: a raised flag truncates this chunk
-                // (and skips it entirely when raised before the chunk
-                // starts); the enact loop's next guard check reports the
-                // trip and discards the partial frontier. Suppressed when
-                // checkpointing, so exit snapshots see complete operators.
-                if ctx.abort_mid_operator() {
-                    return (found, edges);
-                }
-                let mut next_poll = ABORT_POLL_EDGES;
+                // a raised cancel/deadline truncates this chunk, or skips
+                // it when raised before the chunk starts
+                let Some(mut poll) = AbortPoll::start(ctx) else { return (found, edges) };
                 'sweep: for (i, (cw, ow)) in
                     cand_words.iter_mut().zip(out_words.iter_mut()).enumerate()
                 {
@@ -149,11 +123,8 @@ pub fn advance_pull_sweep<F: AdvanceFunctor>(
                                 break; // one valid predecessor suffices
                             }
                         }
-                        if edges >= next_poll {
-                            next_poll = edges + ABORT_POLL_EDGES;
-                            if ctx.abort_mid_operator() {
-                                break 'sweep;
-                            }
+                        if poll.stop(edges) {
+                            break 'sweep;
                         }
                     }
                 }
@@ -161,22 +132,21 @@ pub fn advance_pull_sweep<F: AdvanceFunctor>(
             })
             .reduce(|| (0, 0), |a, b| (a.0 + b.0, a.1 + b.1));
         ctx.counters.add_edges(edges);
-        discovered
-    });
-    let Some(discovered) = result else { return 0 };
-    if let (Some((start, edges0, in_pop, cand_pop)), Some(sink)) = (timer, ctx.sink()) {
-        sink.record_step_with_candidates(
-            OperatorKind::Advance,
+        (discovered, &*candidates)
+    };
+    // the sweep clears what it discovers: the candidates it started from
+    // are those left plus those found
+    let report = |&(discovered, left): &(u64, &PooledBitmap)| Report {
+        candidates: left.count_ones() as u64 + discovered,
+        ..Report::new(
             "pull_sweep",
             Some(StepDirection::Pull),
-            in_pop as u64,
-            cand_pop as u64,
+            in_frontier.count_ones() as u64,
             discovered,
-            ctx.counters.edges() - edges0,
-            start.elapsed(),
-        );
-    }
-    discovered
+        )
+    };
+    launch(ctx, Op::Advance { site: "advance:pull_sweep", stall: true }, body, report)
+        .map_or(0, |(d, _)| d)
 }
 
 #[cfg(test)]

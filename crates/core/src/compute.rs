@@ -2,21 +2,22 @@
 //! step defines an operation on all elements in the current frontier;
 //! Gunrock then performs that operation in parallel across all elements."
 //!
-//! Standalone compute exists mainly for primitives that are a single
-//! regular pass (degree distributions, value initialization) and for the
-//! *unfused* ablation path — in normal primitives the computation is
-//! fused into advance/filter via the functor API (§4.3).
+//! Standalone compute exists for primitives that are regular passes
+//! (CC's hooks, k-core's peels, MST's rounds), for the *unfused*
+//! ablation path, and, through [`step`], for any parallel pass of a
+//! primitive's iteration — in the traversal primitives the computation
+//! is fused into advance/filter via the functor API (§4.3). Every pass
+//! launches through the operator frame, so it is isolated, heartbeated
+//! and recorded like an advance or a filter.
 
 use crate::context::Context;
-use crate::isolate::isolated;
+use crate::isolate::{launch, Op, Report};
 use gunrock_engine::config::SEQUENTIAL_CUTOFF;
 use gunrock_engine::frontier::Frontier;
-use gunrock_engine::stats::OperatorKind;
 use rayon::prelude::*;
-use std::time::Instant;
 
 /// Applies `op` to every element of the frontier in parallel.
-pub fn for_each<F>(input: &Frontier, op: F)
+fn for_each<F>(input: &Frontier, op: F)
 where
     F: Fn(u32) + Send + Sync,
 {
@@ -29,9 +30,9 @@ where
     }
 }
 
-/// Applies `op` to every id in `0..n` (an implicit full frontier, e.g.
-/// PageRank initialization) in parallel.
-pub fn for_each_id<F>(n: usize, op: F)
+/// Applies `op` to every id in `0..n` (an implicit full frontier) in
+/// parallel.
+fn for_each_id<F>(n: usize, op: F)
 where
     F: Fn(u32) + Send + Sync,
 {
@@ -44,71 +45,61 @@ where
     }
 }
 
-/// [`for_each`] as an operator step: panic-isolated, and recorded on the
-/// context's stats sink (when one is installed) as a compute `StepRecord`
-/// whose strategy is `step`, so a primitive made of several compute
-/// passes shows which pass the time went to. Edges the pass reports
-/// through `ctx.counters` are credited to its record.
+/// Applies `op` to every element of `input` as one compute step: launched
+/// through the operator frame (fault site `compute`) and recorded on the
+/// context's stats sink, when one is installed, as a compute
+/// `StepRecord` whose strategy is `step`, so a primitive made of several
+/// compute passes shows which pass the time went to. Edges the pass
+/// reports through `ctx.counters` are credited to its record.
 pub fn for_each_ctx<F>(ctx: &Context<'_>, step: &'static str, input: &Frontier, op: F)
 where
     F: Fn(u32) + Send + Sync,
 {
-    compute_step(ctx, step, input.len(), || for_each(input, op));
+    pass(ctx, Some("compute"), step, input.len(), || for_each(input, op));
 }
 
-/// [`for_each_id`] as an operator step (see [`for_each_ctx`]): a compute
-/// pass over the implicit full frontier `0..n`, with nothing materialized.
+/// [`for_each_ctx`] over the implicit full frontier `0..n`, with nothing
+/// materialized.
 pub fn for_each_id_ctx<F>(ctx: &Context<'_>, step: &'static str, n: usize, op: F)
 where
     F: Fn(u32) + Send + Sync,
 {
-    compute_step(ctx, step, n, || for_each_id(n, op));
+    pass(ctx, Some("compute"), step, n, || for_each_id(n, op));
 }
 
-fn compute_step(ctx: &Context<'_>, step: &'static str, len: usize, body: impl FnOnce()) {
-    // Kernel-launch boundary for the racecheck phase ledger.
-    gunrock_engine::racecheck::begin_phase();
-    let timer = ctx.sink().map(|_| (Instant::now(), ctx.counters.edges()));
-    let result = isolated(ctx, "compute", || {
-        if let Some(inj) = ctx.injector() {
-            inj.maybe_panic("compute");
-        }
-        body();
-    });
-    if result.is_none() {
-        return;
-    }
-    if let (Some((start, edges0)), Some(sink)) = (timer, ctx.sink()) {
-        sink.record_step(
-            OperatorKind::Compute,
-            step,
-            None,
-            len as u64,
-            len as u64,
-            ctx.counters.edges() - edges0,
-            start.elapsed(),
-        );
-    }
+/// A primitive's own parallel pass over `len` elements (a merge, a
+/// collect, a pointer-jumping round) as a named compute step that returns
+/// `body`'s value: launched through the operator frame and recorded like
+/// [`for_each_ctx`]. It consults no fault site — the `compute` site
+/// belongs to the functor passes — so framing a pass leaves seeded fault
+/// schedules as they were. `None` when the context is poisoned (the body
+/// did not run) or the body panicked (the context is now poisoned): the
+/// run ends `Failed` at its next boundary.
+pub fn step<T>(
+    ctx: &Context<'_>,
+    step: &'static str,
+    len: usize,
+    body: impl FnOnce() -> T,
+) -> Option<T> {
+    pass(ctx, None, step, len, body)
 }
 
-/// Parallel map over a frontier collecting results (used by primitives
-/// that derive per-element values, e.g. priorities for the near-far
-/// split).
-pub fn map<T, F>(input: &Frontier, op: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(u32) -> T + Send + Sync,
-{
-    if input.len() < SEQUENTIAL_CUTOFF {
-        input.as_slice().iter().map(|&v| op(v)).collect()
-    } else {
-        input.as_slice().par_iter().map(|&v| op(v)).collect()
-    }
+#[inline]
+fn pass<T>(
+    ctx: &Context<'_>,
+    site: Option<&'static str>,
+    step: &'static str,
+    len: usize,
+    body: impl FnOnce() -> T,
+) -> Option<T> {
+    let len = len as u64;
+    launch(ctx, Op::Compute { site }, body, |_| Report::new(step, None, len, len))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gunrock_engine::stats::OperatorKind;
     use std::sync::atomic::{AtomicU64, Ordering};
 
     #[test]
@@ -133,6 +124,24 @@ mod tests {
     }
 
     #[test]
+    fn a_step_returns_its_value_and_skips_a_poisoned_context() {
+        let g = gunrock_graph::GraphBuilder::new()
+            .build(gunrock_graph::Coo::from_edges(8, &[(0, 1)]));
+        let ctx = Context::new(&g).with_stats();
+        assert_eq!(step(&ctx, "test:sum", 4, || 1 + 2), Some(3));
+        let prev = std::panic::take_hook();
+        std::panic::set_hook(Box::new(|_| {}));
+        let failed: Option<u32> = step(&ctx, "test:panic", 4, || panic!("pass bug"));
+        std::panic::set_hook(prev);
+        assert_eq!(failed, None);
+        assert!(ctx.is_poisoned());
+        assert_eq!(step(&ctx, "test:after", 4, || 7), None, "a poisoned run runs no pass");
+        let steps = ctx.run_stats().steps;
+        let seen: Vec<_> = steps.iter().map(|s| (s.strategy, s.input_len)).collect();
+        assert_eq!(seen, [("test:sum", 4)], "only a pass that finished is recorded");
+    }
+
+    #[test]
     fn instrumented_passes_record_their_step_name_and_credited_edges() {
         let g = gunrock_graph::GraphBuilder::new()
             .build(gunrock_graph::Coo::from_edges(8, &[(0, 1)]));
@@ -144,14 +153,5 @@ mod tests {
             steps.iter().map(|s| (s.strategy, s.input_len, s.edges_examined)).collect();
         assert_eq!(seen, [("test:ids", 7, 14), ("test:list", 2, 0)]);
         assert!(steps.iter().all(|s| s.operator == OperatorKind::Compute));
-    }
-
-    #[test]
-    fn map_preserves_order() {
-        let f = Frontier::from_vec(vec![3, 1, 2]);
-        assert_eq!(map(&f, |v| v * 10), vec![30, 10, 20]);
-        let big = Frontier::from_vec((0..20_000).collect());
-        let mapped = map(&big, |v| v + 1);
-        assert!(mapped.iter().enumerate().all(|(i, &v)| v == i as u32 + 1));
     }
 }

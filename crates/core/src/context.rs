@@ -408,21 +408,6 @@ impl<'g> Context<'g> {
         self.poisoned.store(true, Ordering::Release);
     }
 
-    /// Runs an enact-loop *setup* step — pooled checkouts that happen
-    /// between operators, like rebuilding a visited bitmap or
-    /// densifying a pull frontier — under the same panic isolation as
-    /// operator entry points. A pool denial (a real budget denial or an
-    /// injected `pool-alloc` fault) poisons the context and returns
-    /// `None`; the caller skips the dependent work and the run ends
-    /// `Failed` instead of the panic escaping the enactor.
-    pub fn isolated_setup<T>(
-        &self,
-        operator: &'static str,
-        body: impl FnOnce() -> T,
-    ) -> Option<T> {
-        crate::isolate::isolated(self, operator, body)
-    }
-
     /// `ids` copied into a pool buffer with room for at least `capacity`
     /// ids, taken as an [`Self::isolated_setup`] step: a denied checkout
     /// poisons the run and returns `None`. For enact-loop state that goes

@@ -23,14 +23,12 @@
 
 use crate::context::Context;
 use crate::functor::FilterFunctor;
-use crate::isolate::isolated;
+use crate::isolate::AbortPoll;
 use crate::util::{concat_chunks, grain_size};
 use gunrock_engine::bitmap::{BitSet, PooledBitmap};
 use gunrock_engine::config::{FRONTIER_SEQ_CUTOFF, SEQUENTIAL_CUTOFF};
 use gunrock_engine::frontier::Frontier;
-use gunrock_engine::stats::OperatorKind;
 use rayon::prelude::*;
-use std::time::Instant;
 
 /// Which culling heuristics to run (both on by default, as in Gunrock's
 /// fastest BFS).
@@ -63,20 +61,12 @@ impl CullingConfig {
 /// (see `Csr::validate`), so every legal id is strictly smaller.
 const EMPTY_SLOT: u32 = u32::MAX;
 
-/// Item interval between cooperative abort polls inside one cull chunk:
-/// a raised cancel flag or expired deadline truncates the chunk instead
-/// of overshooting by a whole filter launch.
-const ABORT_POLL_ITEMS: u32 = 1024;
-
 /// Runs the culling cascade (history hash, then bitmask test-and-set,
 /// then the fused user functor) over `chunk`, appending survivors to
 /// `out`. `history` must be `1 << cfg.history_bits` slots of
 /// `EMPTY_SLOT` when `cfg.history` holds, and may be empty otherwise.
-/// Polls `ctx` for a cancel/deadline abort and returns early (survivors
-/// so far stay in `out`); the enact loop's guard discards the partial
-/// frontier at the next boundary. Truncation is suppressed when a
-/// checkpoint policy is active ([`Context::abort_mid_operator`]), so
-/// snapshot boundaries always see a complete cull.
+/// A raised cancel/deadline ([`AbortPoll`]) returns early; survivors so
+/// far stay in `out`.
 fn cull_chunk<F: FilterFunctor, B: BitSet>(
     ctx: &Context<'_>,
     chunk: &[u32],
@@ -86,18 +76,11 @@ fn cull_chunk<F: FilterFunctor, B: BitSet>(
     functor: &F,
     out: &mut Vec<u32>,
 ) {
-    if ctx.abort_mid_operator() {
-        return;
-    }
+    let Some(mut poll) = AbortPoll::start(ctx) else { return };
     let mask = history.len().wrapping_sub(1);
-    let mut since_poll = 0u32;
-    for &id in chunk {
-        since_poll += 1;
-        if since_poll >= ABORT_POLL_ITEMS {
-            since_poll = 0;
-            if ctx.abort_mid_operator() {
-                return;
-            }
+    for (done, &id) in (1..).zip(chunk) {
+        if poll.stop(done) {
+            return;
         }
         if cfg.history {
             // cheap multiplicative hash into the small table
@@ -128,14 +111,7 @@ pub fn filter_with_culling<F: FilterFunctor, B: BitSet>(
     functor: &F,
     cfg: CullingConfig,
 ) -> Frontier {
-    // Kernel-launch boundary for the racecheck phase ledger.
-    gunrock_engine::racecheck::begin_phase();
-    let timer = ctx.sink().map(|_| Instant::now());
-    let result = isolated(ctx, "filter", || {
-        if let Some(inj) = ctx.injector() {
-            inj.maybe_panic("filter:culling");
-        }
-        ctx.counters.add_filtered(input.len() as u64);
+    super::filter_step(ctx, "filter:culling", "culling", input.len(), || {
         let items = input.as_slice();
         if items.len() < FRONTIER_SEQ_CUTOFF {
             // small-frontier path: serial cull into pooled buffers
@@ -168,21 +144,7 @@ pub fn filter_with_culling<F: FilterFunctor, B: BitSet>(
                 .collect(); // ALLOC-OK(one merge per large-frontier launch)
             concat_chunks(chunks)
         }
-    });
-    let Some(merged) = result else { return Frontier::new() };
-    let out = Frontier::from_vec(merged);
-    if let (Some(start), Some(sink)) = (timer, ctx.sink()) {
-        sink.record_step(
-            OperatorKind::Filter,
-            "culling",
-            None,
-            input.len() as u64,
-            out.len() as u64,
-            0,
-            start.elapsed(),
-        );
-    }
-    out
+    })
 }
 
 /// Word-range cull for the bitmap input shape: for each non-zero word of
@@ -205,10 +167,8 @@ fn cull_words<F: FilterFunctor, B: BitSet>(
     functor: &F,
     out: &mut Vec<u32>,
 ) {
-    if ctx.abort_mid_operator() {
-        return;
-    }
-    let mut since_poll = 0u32;
+    let Some(mut poll) = AbortPoll::start(ctx) else { return };
+    let mut done = 0u64;
     for wi in lo..hi {
         let w = input.load_word(wi);
         if w == 0 {
@@ -221,12 +181,9 @@ fn cull_words<F: FilterFunctor, B: BitSet>(
             let b = bits.trailing_zeros();
             bits &= bits - 1;
             let id = base + b;
-            since_poll += 1;
-            if since_poll >= ABORT_POLL_ITEMS {
-                since_poll = 0;
-                if ctx.abort_mid_operator() {
-                    return;
-                }
+            done += 1;
+            if poll.stop(done) {
+                return;
             }
             if functor.cond(id) {
                 functor.apply(id);
@@ -253,15 +210,8 @@ pub fn filter_with_culling_bitmap<F: FilterFunctor, B: BitSet>(
     cfg: CullingConfig,
 ) -> Frontier {
     assert_eq!(input.len(), visited.len(), "input and visited bitmaps must span the same ids");
-    // Kernel-launch boundary for the racecheck phase ledger.
-    gunrock_engine::racecheck::begin_phase();
-    let timer = ctx.sink().map(|_| Instant::now());
     let input_pop = input.count_ones();
-    let result = isolated(ctx, "filter", || {
-        if let Some(inj) = ctx.injector() {
-            inj.maybe_panic("filter:culling_bitmap");
-        }
-        ctx.counters.add_filtered(input_pop as u64);
+    super::filter_step(ctx, "filter:culling_bitmap", "culling_bitmap", input_pop, || {
         let nw = input.word_count();
         if input.len() < SEQUENTIAL_CUTOFF {
             // small-graph path: one serial sweep into a pooled buffer
@@ -295,21 +245,7 @@ pub fn filter_with_culling_bitmap<F: FilterFunctor, B: BitSet>(
             }
             out
         }
-    });
-    let Some(merged) = result else { return Frontier::new() };
-    let out = Frontier::from_vec(merged);
-    if let (Some(start), Some(sink)) = (timer, ctx.sink()) {
-        sink.record_step(
-            OperatorKind::Filter,
-            "culling_bitmap",
-            None,
-            input_pop as u64,
-            out.len() as u64,
-            0,
-            start.elapsed(),
-        );
-    }
-    out
+    })
 }
 
 #[cfg(test)]

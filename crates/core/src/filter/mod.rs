@@ -15,19 +15,17 @@ pub mod culling;
 
 use crate::context::Context;
 use crate::functor::FilterFunctor;
-use crate::isolate::isolated;
+use crate::isolate::{launch, Op, Report};
 use gunrock_engine::compact::{compact_indices_into, compact_range_into};
 use gunrock_engine::config::FRONTIER_SEQ_CUTOFF;
 use gunrock_engine::frontier::Frontier;
-use gunrock_engine::stats::OperatorKind;
-use std::time::Instant;
 
 /// Exact filter: keeps frontier elements whose `cond` holds, running
 /// `apply` on survivors (fused), preserving order via scan-compact.
-/// Panic-isolated like advance: a functor panic poisons the context and
-/// returns an empty frontier.
+/// Launches through the operator frame (fault site `filter`): a functor
+/// panic poisons the context and returns an empty frontier.
 pub fn filter<F: FilterFunctor>(ctx: &Context<'_>, input: &Frontier, functor: &F) -> Frontier {
-    filter_step(ctx, "scan_compact", input.len(), || {
+    filter_step(ctx, "filter", "scan_compact", input.len(), || {
         let items = input.as_slice();
         let mut out = ctx.pool().take_u32(items.len());
         if items.len() < FRONTIER_SEQ_CUTOFF || rayon::current_num_threads() == 1 {
@@ -68,7 +66,7 @@ pub fn filter_ids<F: FilterFunctor>(
     n: usize,
     functor: &F,
 ) -> Frontier {
-    filter_step(ctx, step, n, || {
+    filter_step(ctx, "filter", step, n, || {
         let mut out = ctx.pool().take_u32(n);
         let keep = |id| {
             let kept = functor.cond(id);
@@ -82,32 +80,21 @@ pub fn filter_ids<F: FilterFunctor>(
     })
 }
 
-/// What every exact filter shares: the racecheck phase, panic isolation
-/// and the `filter` fault site, the filtered-elements counter, and one
-/// `StepRecord` whose strategy is `step`. `body` produces the survivors.
+/// Every filter's launch: through the operator frame with fault site
+/// `site` over `input_len` elements, recorded with `step` as its
+/// strategy. `body` produces the survivors; a failed launch returns an
+/// empty frontier.
 fn filter_step(
     ctx: &Context<'_>,
+    site: &'static str,
     step: &'static str,
     input_len: usize,
     body: impl FnOnce() -> Vec<u32>,
 ) -> Frontier {
-    // Kernel-launch boundary for the racecheck phase ledger.
-    gunrock_engine::racecheck::begin_phase();
-    let timer = ctx.sink().map(|_| Instant::now());
-    let result = isolated(ctx, "filter", || {
-        if let Some(inj) = ctx.injector() {
-            inj.maybe_panic("filter");
-        }
-        ctx.counters.add_filtered(input_len as u64);
-        body()
-    });
-    let Some(kept) = result else { return Frontier::new() };
-    let out = Frontier::from_vec(kept);
-    if let (Some(start), Some(sink)) = (timer, ctx.sink()) {
-        let (input_len, kept) = (input_len as u64, out.len() as u64);
-        sink.record_step(OperatorKind::Filter, step, None, input_len, kept, 0, start.elapsed());
-    }
-    out
+    let input = input_len as u64;
+    let report = |kept: &Vec<u32>| Report::new(step, None, input, kept.len() as u64);
+    launch(ctx, Op::Filter { site, input }, body, report)
+        .map_or_else(Frontier::new, Frontier::from_vec)
 }
 
 #[cfg(test)]

@@ -58,7 +58,7 @@ pub mod prelude {
     pub use crate::advance::{
         self,
         gather::{advance_gather, GatherSpec},
-        msbfs::{advance_msbfs, MsbfsSweep},
+        msbfs::{advance_lanes, advance_msbfs, MsbfsSweep},
         policy::{DirectionPolicy, GatherSwitch, TraversalDirection},
         pull::{advance_pull_sweep, frontier_bitmap},
         AdvanceMode, AdvanceSpec, InputKind, OutputKind,

@@ -353,91 +353,11 @@ impl StatsSink {
         self.iteration.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records one operator step, stamped with the current iteration.
-    // one scalar per StepRecord field; a builder would cost more at
-    // every operator call site than it saves here
-    #[allow(clippy::too_many_arguments)]
-    pub fn record_step(
-        &self,
-        operator: OperatorKind,
-        strategy: &'static str,
-        direction: Option<StepDirection>,
-        input_len: u64,
-        output_len: u64,
-        edges_examined: u64,
-        duration: Duration,
-    ) {
-        self.record_step_with_candidates(
-            operator,
-            strategy,
-            direction,
-            input_len,
-            0,
-            output_len,
-            edges_examined,
-            duration,
-        );
-    }
-
-    /// Records one operator step that scanned a candidate set distinct
-    /// from its input frontier (the pull direction): `input_len` is the
-    /// in-frontier population (bitmap popcount), `candidates_len` the
-    /// number of candidate vertices swept.
-    #[allow(clippy::too_many_arguments)]
-    pub fn record_step_with_candidates(
-        &self,
-        operator: OperatorKind,
-        strategy: &'static str,
-        direction: Option<StepDirection>,
-        input_len: u64,
-        candidates_len: u64,
-        output_len: u64,
-        edges_examined: u64,
-        duration: Duration,
-    ) {
-        self.steps.lock().push(StepRecord {
-            iteration: self.current_iteration(),
-            operator,
-            strategy,
-            direction,
-            input_len,
-            candidates_len,
-            lanes_active: 0,
-            output_len,
-            edges_examined,
-            duration,
-        });
-    }
-
-    /// Records one lane-packed multi-source operator step: like
-    /// [`StatsSink::record_step_with_candidates`] but stamped with the
-    /// number of traversal lanes still live in the input frontier, so
-    /// the trace shows the amortization the `msbfs` strategy is buying
-    /// (one sweep serving `lanes_active` traversals).
-    #[allow(clippy::too_many_arguments)]
-    pub fn record_step_lanes(
-        &self,
-        operator: OperatorKind,
-        strategy: &'static str,
-        direction: Option<StepDirection>,
-        input_len: u64,
-        lanes_active: u64,
-        output_len: u64,
-        edges_examined: u64,
-        duration: Duration,
-    ) {
-        self.steps.lock().push(StepRecord {
-            iteration: self.current_iteration(),
-            operator,
-            strategy,
-            direction,
-            input_len,
-            candidates_len: 0,
-            lanes_active,
-            output_len,
-            edges_examined,
-            duration,
-        });
+    /// Records one operator step. The operator frame builds the record,
+    /// stamped with [`StatsSink::current_iteration`]; it is the only
+    /// caller outside tests.
+    pub fn record_step(&self, step: StepRecord) {
+        self.steps.lock().push(step);
     }
 
     /// Records a direction-optimizer switch, stamped with the current
@@ -765,6 +685,33 @@ impl RunStatsSummary {
 mod tests {
     use super::*;
 
+    /// A record as the operator frame builds one: stamped with the
+    /// sink's current iteration, no candidate set, no lane packing.
+    #[allow(clippy::too_many_arguments)]
+    fn step(
+        sink: &StatsSink,
+        operator: OperatorKind,
+        strategy: &'static str,
+        direction: Option<StepDirection>,
+        input_len: u64,
+        output_len: u64,
+        edges_examined: u64,
+        duration: Duration,
+    ) -> StepRecord {
+        StepRecord {
+            iteration: sink.current_iteration(),
+            operator,
+            strategy,
+            direction,
+            input_len,
+            candidates_len: 0,
+            lanes_active: 0,
+            output_len,
+            edges_examined,
+            duration,
+        }
+    }
+
     #[test]
     fn counters_accumulate() {
         let c = WorkCounters::new();
@@ -795,7 +742,8 @@ mod tests {
     #[test]
     fn sink_stamps_iterations_and_aggregates() {
         let sink = StatsSink::new();
-        sink.record_step(
+        sink.record_step(step(
+            &sink,
             OperatorKind::Advance,
             "thread_mapped",
             Some(StepDirection::Push),
@@ -803,8 +751,9 @@ mod tests {
             9,
             20,
             Duration::from_millis(2),
-        );
-        sink.record_step(
+        ));
+        sink.record_step(step(
+            &sink,
             OperatorKind::Filter,
             "scan_compact",
             None,
@@ -812,9 +761,10 @@ mod tests {
             5,
             0,
             Duration::from_millis(1),
-        );
+        ));
         sink.next_iteration();
-        sink.record_step(
+        sink.record_step(step(
+            &sink,
             OperatorKind::Advance,
             "pull",
             Some(StepDirection::Pull),
@@ -822,7 +772,7 @@ mod tests {
             3,
             30,
             Duration::from_millis(4),
-        );
+        ));
         sink.record_switch(StepDirection::Push, StepDirection::Pull, "m_f > m_u/alpha".into());
 
         let stats = sink.snapshot();
@@ -846,7 +796,8 @@ mod tests {
     #[test]
     fn run_stats_json_shape() {
         let sink = StatsSink::new();
-        sink.record_step(
+        sink.record_step(step(
+            &sink,
             OperatorKind::Advance,
             "auto:load_balanced",
             Some(StepDirection::Push),
@@ -854,7 +805,7 @@ mod tests {
             2,
             3,
             Duration::from_micros(1500),
-        );
+        ));
         let json = sink.snapshot().to_json();
         assert!(json.starts_with('{') && json.ends_with('}'));
         assert!(json.contains(r#""operator":"advance""#));
@@ -868,18 +819,22 @@ mod tests {
     fn pull_steps_report_candidates_and_population_distinctly() {
         let sink = StatsSink::new();
         // a pull sweep: 5 in-frontier vertices, 90 unvisited candidates
-        sink.record_step_with_candidates(
-            OperatorKind::Advance,
-            "pull_sweep",
-            Some(StepDirection::Pull),
-            5,
-            90,
-            12,
-            40,
-            Duration::from_millis(1),
-        );
+        sink.record_step(StepRecord {
+            candidates_len: 90,
+            ..step(
+                &sink,
+                OperatorKind::Advance,
+                "pull_sweep",
+                Some(StepDirection::Pull),
+                5,
+                12,
+                40,
+                Duration::from_millis(1),
+            )
+        });
         // a push step has no candidate set
-        sink.record_step(
+        sink.record_step(step(
+            &sink,
             OperatorKind::Advance,
             "thread_mapped",
             Some(StepDirection::Push),
@@ -887,7 +842,7 @@ mod tests {
             30,
             80,
             Duration::from_millis(1),
-        );
+        ));
         let stats = sink.snapshot();
         assert_eq!(stats.steps[0].input_len, 5, "in-frontier population, not candidates");
         assert_eq!(stats.steps[0].candidates_len, 90);
@@ -899,18 +854,22 @@ mod tests {
     #[test]
     fn msbfs_steps_report_lanes_active() {
         let sink = StatsSink::new();
-        sink.record_step_lanes(
-            OperatorKind::Advance,
-            "msbfs",
-            Some(StepDirection::Push),
-            12,
-            64,
-            30,
-            100,
-            Duration::from_millis(1),
-        );
+        sink.record_step(StepRecord {
+            lanes_active: 64,
+            ..step(
+                &sink,
+                OperatorKind::Advance,
+                "msbfs",
+                Some(StepDirection::Push),
+                12,
+                30,
+                100,
+                Duration::from_millis(1),
+            )
+        });
         // single-source steps carry no lane packing
-        sink.record_step(
+        sink.record_step(step(
+            &sink,
             OperatorKind::Advance,
             "thread_mapped",
             Some(StepDirection::Push),
@@ -918,7 +877,7 @@ mod tests {
             50,
             200,
             Duration::from_millis(1),
-        );
+        ));
         let stats = sink.snapshot();
         assert_eq!(stats.steps[0].lanes_active, 64);
         assert_eq!(stats.steps[0].strategy, "msbfs");
@@ -971,7 +930,8 @@ mod tests {
         // Sum over an empty f64 iterator is -0.0; the summary and the
         // JSON export must never leak a "-0" (satellite S1 regression).
         let sink = StatsSink::new();
-        sink.record_step(
+        sink.record_step(step(
+            &sink,
             OperatorKind::Advance,
             "serial",
             Some(StepDirection::Push),
@@ -979,7 +939,7 @@ mod tests {
             1,
             1,
             Duration::from_millis(1),
-        );
+        ));
         let stats = sink.snapshot();
         // no compute steps recorded: the raw fold would be -0.0
         let compute = stats.operator_millis(OperatorKind::Compute);

@@ -138,8 +138,10 @@ impl Default for Config {
             // iteration: the near slice reuses pooled storage
             alloc_scope: vec![
                 "crates/core/src/advance".into(),
+                "crates/core/src/compute.rs".into(),
                 "crates/core/src/enact.rs".into(),
                 "crates/core/src/filter".into(),
+                "crates/core/src/isolate.rs".into(),
                 "crates/core/src/priority_queue.rs".into(),
                 "crates/engine/src/bitmap.rs".into(),
                 "crates/engine/src/lanes.rs".into(),
@@ -612,6 +614,16 @@ mod tests {
     fn near_far_queue_sits_in_the_alloc_scope() {
         let cfg = Config::default();
         assert!(in_scope("crates/core/src/priority_queue.rs", &cfg.alloc_scope, &[]));
+    }
+
+    #[test]
+    fn operator_frame_and_compute_sit_in_the_alloc_scope() {
+        // the frame wraps every operator call, thousands per
+        // high-diameter query
+        let cfg = Config::default();
+        for path in ["crates/core/src/isolate.rs", "crates/core/src/compute.rs"] {
+            assert!(in_scope(path, &cfg.alloc_scope, &[]), "{path}");
+        }
     }
 
     #[test]

@@ -343,3 +343,30 @@ fn poisoned_extension_runs_report_failed() {
         }
     }
 }
+
+/// The operator frame keeps every fault site and its call count: under
+/// a seeded panic rate that never fires, each primitive consumes exactly
+/// the draws it consumed before operator launches shared one frame, so
+/// fixed-seed chaos schedules replay unchanged.
+#[test]
+fn fault_draws_stay_pinned() {
+    let g = kron8();
+    let plan = FaultPlan::parse("panic=1e-12", 5).expect("valid spec");
+    let sources: Vec<u32> = (0..8).collect();
+    type Run = fn(&Context<'_>, &[u32]);
+    let runs: [(&str, Run, u64); 6] = [
+        ("bfs", |c, _| drop(algos::bfs(c, 0, algos::BfsOptions::direction_optimized())), 6),
+        ("sssp", |c, _| drop(algos::sssp(c, 0, algos::SsspOptions::default())), 16),
+        ("bc", |c, _| drop(algos::bc(c, 0, algos::BcOptions::default())), 9),
+        ("cc", |c, _| drop(algos::cc(c)), 5),
+        ("pagerank", |c, _| drop(algos::pagerank(c, algos::PrOptions::default())), 99),
+        ("msbfs", |c, s| drop(algos::msbfs(c, s)), 5),
+    ];
+    for (name, run, draws) in runs {
+        let injector = Arc::new(FaultInjector::new(plan));
+        let ctx = Context::new(&g).with_reverse(&g).with_faults(Arc::clone(&injector));
+        run(&ctx, &sources);
+        assert!(!ctx.is_poisoned(), "{name}: the schedule must never fire");
+        assert_eq!(injector.draws(), draws, "{name}");
+    }
+}
