@@ -361,7 +361,7 @@ impl Primitive for Bc {
         vec![self.src]
     }
 
-    fn setup(&mut self, ctx: &Context<'_>) {
+    fn setup(&mut self, ctx: &Context<'_>, _mode: AdvanceMode) {
         let mut levels = ctx.pool().take_u32(2 * ctx.num_vertices());
         levels.extend_from_slice(&self.levels);
         self.levels = levels;

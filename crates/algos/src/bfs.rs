@@ -331,7 +331,7 @@ impl Primitive for Bfs {
         vec![self.src]
     }
 
-    fn setup(&mut self, ctx: &Context<'_>) {
+    fn setup(&mut self, ctx: &Context<'_>, _mode: AdvanceMode) {
         self.visited = Some(rebuild_visited(ctx, &self.labels));
     }
 

@@ -11,11 +11,11 @@
 //! structures; the cap plus tie-breaking keeps runs bounded and
 //! deterministic).
 
-use crate::primitive::{frontiers, run, Primitive};
+use crate::primitive::{bitmap, frontiers, run, Primitive};
 use crate::registry::{Arity, Output, Query};
 use gunrock::prelude::*;
-use gunrock_engine::atomics::{atomic_u32_vec, into_plain_u32, unwrap_atomic_u32};
-use gunrock_graph::VertexId;
+use gunrock_engine::atomics::{atomic_u32_vec, into_plain_u32};
+use gunrock_graph::{Csr, VertexId};
 use rayon::prelude::*;
 use std::sync::atomic::{AtomicU32, Ordering};
 
@@ -41,11 +41,16 @@ pub struct LabelPropResult {
 const LABELPROP_ROUNDS: u32 = 50;
 
 /// Label propagation as a [`Primitive`]: the labels, the active frontier
-/// and the round cap.
+/// and the round cap, plus the two buffers every round reuses.
 pub struct LabelProp {
     labels: Vec<AtomicU32>,
     frontier: Frontier,
     max_rounds: u32,
+    /// Each frontier vertex's vote this round, by frontier position.
+    votes: Vec<u32>,
+    /// The neighbors of this round's changed vertices, cleared once they
+    /// are the next frontier.
+    marks: AtomicBitmap,
 }
 
 /// Runs synchronous label propagation for at most `max_rounds`.
@@ -65,9 +70,9 @@ impl Primitive for LabelProp {
         LABELPROP_ROUNDS
     }
 
-    // labels, the previous round's snapshot and the active frontier
+    // labels, the votes, the neighbor marks and the active frontier
     fn state_bytes(n: u64, _m: u64) -> u64 {
-        2 * n * 4 + frontiers(n)
+        2 * n * 4 + bitmap(n) + frontiers(n)
     }
 
     fn init(ctx: &Context<'_>, _sources: &[VertexId], max_rounds: u32) -> Self {
@@ -76,7 +81,8 @@ impl Primitive for LabelProp {
         // ORDERING: Relaxed — label cells tolerate stale reads by design (async
         // propagation); join barriers bound the staleness per sweep.
         labels.par_iter().enumerate().for_each(|(v, l)| l.store(v as u32, Ordering::Relaxed));
-        LabelProp { labels, frontier: Frontier::full(n), max_rounds }
+        let (votes, marks) = (Vec::with_capacity(n), AtomicBitmap::new(n));
+        LabelProp { labels, frontier: Frontier::full(n), max_rounds, votes, marks }
     }
 
     fn live(&self, iterations: u32) -> bool {
@@ -86,71 +92,48 @@ impl Primitive for LabelProp {
     fn step(&mut self, ctx: &Context<'_>, run: &mut Enactment<'_, '_>, _mode: AdvanceMode) {
         run.end_iteration(false);
         let (g, labels) = (ctx.graph, &self.labels);
+        let (frontier, votes, marks) = (&mut self.frontier, &mut self.votes, &mut self.marks);
         // compute step: each active vertex picks its neighbors' majority
-        // label from the *previous* round's labels (synchronous LPA),
-        // so snapshot first
-        let snapshot: Vec<u32> = unwrap_atomic_u32(labels);
-        let frontier = self.frontier.as_slice();
-        let vote = || -> Vec<u32> {
-            let changed = frontier
-                .par_iter()
-                .copied()
-                .filter(|&v| {
-                    let neigh = g.neighbors(v);
-                    if neigh.is_empty() {
-                        return false;
-                    }
-                    // majority label among neighbors; smallest label wins ties.
-                    // neighbor lists are modest: count into a local sorted vec
-                    let mut counts: Vec<(u32, u32)> = Vec::with_capacity(neigh.len());
-                    for &u in neigh {
-                        let l = snapshot[u as usize];
-                        match counts.binary_search_by_key(&l, |&(l, _)| l) {
-                            Ok(i) => counts[i].1 += 1,
-                            Err(i) => counts.insert(i, (l, 1)),
-                        }
-                    }
-                    let best = counts
-                        .iter()
-                        .copied()
-                        .max_by(|a, b| a.1.cmp(&b.1).then(b.0.cmp(&a.0)))
-                        .map_or(snapshot[v as usize], |(l, _)| l);
-                    if best != snapshot[v as usize] {
-                        // ORDERING: Relaxed — see init: stale reads are tolerated.
-                        labels[v as usize].store(best, Ordering::Relaxed);
-                        true
-                    } else {
-                        false
-                    }
-                })
-                .collect();
-            ctx.counters.add_edges(frontier.iter().map(|&v| g.out_degree(v) as u64).sum());
-            changed
+        // label; no label changes before every vote is in (synchronous LPA)
+        let ids = frontier.as_slice();
+        let vote = || {
+            votes.resize(ids.len(), 0);
+            let grain = (ids.len() / (rayon::current_num_threads() * 8)).max(64);
+            votes.par_chunks_mut(grain).zip(ids.par_chunks(grain)).for_each(|(out, chunk)| {
+                let mut counts = Vec::new();
+                for (slot, &v) in out.iter_mut().zip(chunk) {
+                    *slot = majority(g, labels, v, &mut counts);
+                }
+            });
+            ctx.counters.add_edges(ids.iter().map(|&v| g.out_degree(v) as u64).sum());
         };
         // a failed pass poisoned the run: the next boundary ends it
-        let Some(changed) = compute::step(ctx, "labelprop:vote", frontier.len(), vote) else {
+        if compute::step(ctx, "labelprop:vote", ids.len(), vote).is_none() {
             return;
-        };
-        // next frontier: neighbors of changed vertices (deduplicated)
-        let bm = AtomicBitmap::new(g.num_vertices());
-        let scatter = || -> Vec<Vec<u32>> {
-            changed
-                .par_iter()
-                .map(|&v| {
-                    let mut local = Vec::new();
+        }
+        // adopt the votes; the neighbors of every changed vertex form the
+        // next frontier (deduplicated, ascending)
+        let len = frontier.len();
+        let scatter = || {
+            let marks_ref: &AtomicBitmap = marks;
+            frontier.as_slice().par_iter().zip(votes.par_iter()).for_each(|(&v, &best)| {
+                // ORDERING: Relaxed — see init; each frontier vertex owns
+                // its label cell in this pass.
+                let cell = &labels[v as usize];
+                if cell.load(Ordering::Relaxed) != best {
+                    cell.store(best, Ordering::Relaxed);
                     for &u in g.neighbors(v) {
-                        if !bm.test_and_set(u as usize) {
-                            local.push(u);
-                        }
+                        marks_ref.set(u as usize);
                     }
-                    local
-                })
-                .collect()
+                }
+            });
+            let next = frontier.as_mut_vec();
+            next.clear();
+            // CAST: bit indices are vertex ids < n <= u32::MAX.
+            next.extend(marks.iter_ones().map(|u| u as u32));
+            marks.clear_all();
         };
-        let Some(next) = compute::step(ctx, "labelprop:scatter", changed.len(), scatter) else {
-            return;
-        };
-        self.frontier = Frontier::from_vec(next.concat());
+        compute::step(ctx, "labelprop:scatter", len, scatter);
     }
 
     fn finish(self, _ctx: &Context<'_>, done: Enacted) -> LabelPropResult {
@@ -169,6 +152,27 @@ impl Primitive for LabelProp {
     fn output(result: LabelPropResult) -> Output {
         Output::Components(result.labels)
     }
+}
+
+/// The most frequent label among `v`'s neighbors, the smallest on ties;
+/// `v`'s own label when it has no neighbor. `counts` is scratch space.
+fn majority(g: &Csr, labels: &[AtomicU32], v: VertexId, counts: &mut Vec<(u32, u32)>) -> u32 {
+    // ORDERING: Relaxed — see init: no label changes during a vote.
+    let label = |u: VertexId| labels[u as usize].load(Ordering::Relaxed);
+    // neighbor lists are modest: count into a sorted vec
+    counts.clear();
+    for &u in g.neighbors(v) {
+        let l = label(u);
+        match counts.binary_search_by_key(&l, |&(l, _)| l) {
+            Ok(i) => counts[i].1 += 1,
+            Err(i) => counts.insert(i, (l, 1)),
+        }
+    }
+    counts
+        .iter()
+        .copied()
+        .max_by(|a, b| a.1.cmp(&b.1).then(b.0.cmp(&a.0)))
+        .map_or_else(|| label(v), |(l, _)| l)
 }
 
 #[cfg(test)]

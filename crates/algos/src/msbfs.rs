@@ -171,7 +171,7 @@ impl Primitive for Msbfs {
         self.sources.clone()
     }
 
-    fn setup(&mut self, ctx: &Context<'_>) {
+    fn setup(&mut self, ctx: &Context<'_>, _mode: AdvanceMode) {
         let n = ctx.num_vertices();
         let [seen_words, frontier_words] = std::mem::take(&mut self.words);
         let mut seen = LaneMap::take(ctx.pool(), n);

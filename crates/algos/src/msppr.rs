@@ -208,7 +208,7 @@ impl Primitive for Msppr {
         self.sources.clone()
     }
 
-    fn setup(&mut self, ctx: &Context<'_>) {
+    fn setup(&mut self, ctx: &Context<'_>, _mode: AdvanceMode) {
         let n = ctx.num_vertices();
         let mut active = LaneMap::take(ctx.pool(), n);
         active.restore_words(&std::mem::take(&mut self.active_words));

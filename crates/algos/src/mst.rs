@@ -53,6 +53,9 @@ fn unpack(p: u64) -> (Weight, EdgeId) {
 /// far.
 pub struct Mst {
     labels: Vec<AtomicU32>,
+    /// Each component's best outgoing edge key this round, [`NONE`]
+    /// between rounds.
+    best: Vec<AtomicU64>,
     chosen: Vec<EdgeId>,
     total_weight: u64,
     /// Set once a round finds no component that can grow.
@@ -86,7 +89,8 @@ impl Primitive for Mst {
         // ORDERING: Relaxed — packed best-edge and label cells are monotonic
         // fetch_min targets; each Boruvka round ends in a join barrier.
         labels.par_iter().enumerate().for_each(|(v, l)| l.store(v as u32, Ordering::Relaxed));
-        Mst { labels, chosen: Vec::new(), total_weight: 0, done: false }
+        let best = (0..ctx.num_vertices()).map(|_| AtomicU64::new(NONE)).collect();
+        Mst { labels, best, chosen: Vec::new(), total_weight: 0, done: false }
     }
 
     fn live(&self, _iterations: u32) -> bool {
@@ -99,10 +103,9 @@ impl Primitive for Mst {
         let n = g.num_vertices();
         // ORDERING: Relaxed — packed best-edge and label cells are monotonic
         // fetch_min targets; each Boruvka round ends in a join barrier.
-        let labels = &self.labels;
+        let (labels, best) = (&self.labels, &self.best);
         // Step 1: per-component minimum outgoing edge (atomic min over
         // the packed (weight, edge) key).
-        let best: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(NONE)).collect();
         let min_edge = || {
             (0..n as u32).into_par_iter().for_each(|u| {
                 let lu = labels[u as usize].load(Ordering::Relaxed);
@@ -117,13 +120,18 @@ impl Primitive for Mst {
             });
             ctx.counters.add_edges(g.num_edges() as u64);
         };
-        // Step 2: collect winners; stop when no component can grow.
+        // Step 2: collect winners, resetting their keys for the next
+        // round; stop when no component can grow.
         let winners = || -> Vec<(u32, u64)> {
             (0..n as u32)
                 .into_par_iter()
                 .filter_map(|c| {
                     let b = best[c as usize].load(Ordering::Relaxed);
-                    (b != NONE).then_some((c, b))
+                    if b == NONE {
+                        return None;
+                    }
+                    best[c as usize].store(NONE, Ordering::Relaxed);
+                    Some((c, b))
                 })
                 .collect()
         };
@@ -151,20 +159,26 @@ impl Primitive for Mst {
                 x = l;
             }
         };
-        for &(_c, b) in &winners {
-            let (w, e) = unpack(b);
-            let u = g.edge_source(e);
-            let v = g.edge_dest(e);
-            let ru = find(labels[u as usize].load(Ordering::Relaxed));
-            let rv = find(labels[v as usize].load(Ordering::Relaxed));
-            if ru == rv {
-                continue; // already merged this round
+        let (chosen, total_weight) = (&mut self.chosen, &mut self.total_weight);
+        let hook = || {
+            for &(_c, b) in &winners {
+                let (w, e) = unpack(b);
+                let u = g.edge_source(e);
+                let v = g.edge_dest(e);
+                let ru = find(labels[u as usize].load(Ordering::Relaxed));
+                let rv = find(labels[v as usize].load(Ordering::Relaxed));
+                if ru == rv {
+                    continue; // already merged this round
+                }
+                chosen.push(e);
+                *total_weight += w as u64;
+                // hook the larger root under the smaller (min-label invariant)
+                let (hi, lo) = if ru > rv { (ru, rv) } else { (rv, ru) };
+                labels[hi as usize].store(lo, Ordering::Relaxed);
             }
-            self.chosen.push(e);
-            self.total_weight += w as u64;
-            // hook the larger root under the smaller (min-label invariant)
-            let (hi, lo) = if ru > rv { (ru, rv) } else { (rv, ru) };
-            labels[hi as usize].store(lo, Ordering::Relaxed);
+        };
+        if compute::step(ctx, "mst:hook", winners.len(), hook).is_none() {
+            return;
         }
         // Step 4: pointer jumping to flatten (serial-outer loop; each
         // pass is parallel)

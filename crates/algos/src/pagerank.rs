@@ -9,9 +9,15 @@
 //!
 //! Realized as residual PageRank: every frontier vertex hands
 //! `d * residual / degree` to its neighbors; a vertex re-enters the
-//! frontier while its incoming residual exceeds the tolerance. The fixed
-//! point is the standard PageRank vector (teleport `(1-d)/n`), so results
-//! are directly comparable to power iteration.
+//! frontier while its pending residual exceeds the tolerance in
+//! magnitude. The fixed point is the standard PageRank vector (teleport
+//! `(1-d)/n`), so results are directly comparable to power iteration.
+//!
+//! A fresh run starts where power iteration does, from the uniform
+//! vector: a seed pass (`pagerank:seed`) gives every vertex score `1/n`
+//! and, as its residual, how far one power step would move it. Those
+//! residuals are signed and sum to zero, so they cancel out in a few
+//! rounds instead of draining by `d` per round from a zero start.
 //!
 //! The hand-over runs in one of two directions, chosen per iteration from
 //! the frontier's out-edge volume ([`GatherSwitch`]): while most edges
@@ -36,7 +42,7 @@ pub struct PrOptions {
     /// Damping factor (`d` in the PageRank equation).
     pub damping: f64,
     /// Convergence tolerance: per-vertex pending residual mass — a vertex
-    /// below it leaves the frontier.
+    /// whose residual is at most this in magnitude leaves the frontier.
     pub epsilon: f64,
     /// Hard iteration cap (`1` reproduces the paper's one-iteration
     /// Ligra comparison).
@@ -58,8 +64,9 @@ pub struct PrResult {
     pub scores: Vec<f64>,
     /// Bulk-synchronous iterations executed.
     pub iterations: u32,
-    /// Edges visited over all iterations: the frontier's out-edges in a
-    /// push iteration, all `m` in-edges in a gather iteration.
+    /// Edges visited over the run: all `m` in a fresh run's seed pass, the
+    /// frontier's out-edges in a push iteration and all `m` in-edges in
+    /// a gather iteration.
     pub edges_examined: u64,
     /// Wall time of the enact loop.
     pub elapsed: std::time::Duration,
@@ -90,7 +97,8 @@ impl AdvanceFunctor for PushShare<'_> {
 }
 
 /// PageRank as a [`Primitive`]: the in-flight state at an iteration
-/// boundary. A snapshot takes the scores, residuals and frontier *before*
+/// boundary, which keeps `scores + (I - dP^T)^-1 residual` at the fixed
+/// point. A snapshot takes the scores, residuals and frontier *before*
 /// the final sub-threshold residual fold, so a resumed run absorbs
 /// exactly the residual an uninterrupted one would have — `f64` sections
 /// round-trip bit-exactly, making resume bit-identical.
@@ -110,13 +118,114 @@ pub struct PageRank {
     /// it is drained); a run that only ever gathers never pays for it.
     acc: Vec<AtomicF64>,
     switch: GatherSwitch,
+    /// Whether the seed pass has run; a loaded snapshot is past it.
+    seeded: bool,
 }
 
 impl PageRank {
     fn new(opts: PrOptions, scores: Vec<f64>, residual: Vec<f64>, frontier: Frontier) -> Self {
         let share = vec![0.0; scores.len()];
         let (spare, acc, switch) = (Frontier::new(), Vec::new(), GatherSwitch::default());
-        PageRank { scores, residual, frontier, opts, spare, share, acc, switch }
+        PageRank { scores, residual, frontier, opts, spare, share, acc, switch, seeded: true }
+    }
+
+    /// One hand-over: absorbs the frontier's residuals into the scores,
+    /// hands each absorbed residual's damped mass to the vertex's
+    /// out-neighbors (a dangling vertex's teleports uniformly), and admits
+    /// every vertex whose residual is then above epsilon in magnitude to
+    /// the next frontier. With `run` it is that iteration's round; without
+    /// it is the seed pass, whose residuals also take the teleport term
+    /// less the uniform scores' `1/n`.
+    fn round(
+        &mut self,
+        ctx: &Context<'_>,
+        run: Option<&mut Enactment<'_, '_>>,
+        mode: AdvanceMode,
+    ) {
+        let g = ctx.graph;
+        let n = g.num_vertices();
+        let opts = self.opts;
+        // absorb frontier residuals into the scores and freeze each
+        // vertex's per-edge share (compute step); a dangling (out-degree
+        // 0) vertex has no edge to carry its damped mass, so it teleports
+        // uniformly, matching the power-iteration fixed point
+        let mut dangling = 0.0f64;
+        let mut frontier_edges = 0u64;
+        for &v in self.frontier.as_slice() {
+            let r = std::mem::take(&mut self.residual[v as usize]);
+            self.scores[v as usize] += r;
+            let deg = g.out_degree(v);
+            if deg == 0 {
+                dangling += opts.damping * r;
+            } else {
+                self.share[v as usize] = opts.damping * r / deg as f64;
+                frontier_edges += u64::from(deg);
+            }
+        }
+        let mut teleport = dangling / n as f64;
+        let gather = self.switch.choose(ctx, frontier_edges);
+        let name = match run {
+            Some(run) => {
+                run.end_iteration(gather);
+                None
+            }
+            None => {
+                // one power step from the uniform vector adds `(1-d)/n`
+                // to what the shares and the dangling mass carry; less
+                // the `1/n` every vertex already holds, that is `-d/n`
+                teleport -= opts.damping / n as f64;
+                Some("pagerank:seed")
+            }
+        };
+        let eps = opts.epsilon;
+        let (share, next) = (&self.share, self.spare.as_mut_vec());
+        if gather {
+            // gather: every vertex sums its in-neighbors' shares, folds
+            // the teleport term and re-enters the frontier in one sweep
+            next.clear();
+            let spec = GatherSpec::range(0..n as VertexId);
+            let spec = match name {
+                Some(name) => spec.named(name),
+                None => spec,
+            };
+            advance_gather(
+                ctx,
+                spec,
+                &mut self.residual,
+                Some(next),
+                |_| true,
+                0.0,
+                |u, _v, _e| share[u as usize],
+                |a, b| a + b,
+                |_v, received, r| {
+                    *r += received + teleport;
+                    r.abs() > eps
+                },
+            );
+        } else {
+            // push: advance for effect with atomic accumulation, then
+            // filter: vertices with enough pending residual re-enter
+            if self.acc.is_empty() {
+                self.acc = (0..n).map(|_| AtomicF64::new(0.0)).collect();
+            }
+            let functor = PushShare { share, acc: &self.acc };
+            let spec = AdvanceSpec::for_effect().with_mode(mode);
+            let _ = advance::advance(ctx, &self.frontier, spec, &functor);
+            let (residual, acc) = (&mut self.residual, &self.acc);
+            let merge = || {
+                residual.par_iter_mut().zip(acc.par_iter()).for_each(|(r, a)| {
+                    *r += a.load() + teleport;
+                    a.store(0.0);
+                });
+                compact_indices_into(residual, |&r| r.abs() > eps, next);
+            };
+            // a failed merge poisoned the run: the next boundary ends it
+            compute::step(ctx, name.unwrap_or("pagerank:merge"), n, merge);
+        }
+        for &v in self.frontier.as_slice() {
+            self.share[v as usize] = 0.0;
+        }
+        std::mem::swap(&mut self.frontier, &mut self.spare);
     }
 }
 
@@ -156,11 +265,15 @@ impl Primitive for PageRank {
         4 * n * 8 + frontiers(n)
     }
 
+    /// The uniform vector, pending as every vertex's residual until
+    /// setup's seed pass absorbs it.
     fn init(ctx: &Context<'_>, _sources: &[VertexId], opts: PrOptions) -> Self {
         let n = ctx.num_vertices();
-        // every vertex starts with the teleport mass as pending residual
-        let base = (1.0 - opts.damping) / n as f64;
-        PageRank::new(opts, vec![0.0; n], vec![base; n], Frontier::full(n))
+        let uniform = vec![1.0 / n as f64; n];
+        PageRank {
+            seeded: false,
+            ..PageRank::new(opts, vec![0.0; n], uniform, Frontier::full(n))
+        }
     }
 
     /// The snapshot's damping and epsilon override `opts` (changing them
@@ -189,78 +302,19 @@ impl Primitive for PageRank {
             .slots("params", &[("damping", self.opts.damping), ("epsilon", self.opts.epsilon)])
     }
 
+    /// The seed pass of a fresh run: one round over every vertex.
+    fn setup(&mut self, ctx: &Context<'_>, mode: AdvanceMode) {
+        if !std::mem::replace(&mut self.seeded, true) {
+            self.round(ctx, None, mode);
+        }
+    }
+
     fn live(&self, iterations: u32) -> bool {
         !self.frontier.is_empty() && (iterations as usize) < self.opts.max_iters
     }
 
     fn step(&mut self, ctx: &Context<'_>, run: &mut Enactment<'_, '_>, mode: AdvanceMode) {
-        let g = ctx.graph;
-        let n = g.num_vertices();
-        let opts = self.opts;
-        // absorb frontier residuals into the scores and freeze each
-        // vertex's per-edge share (compute step); a dangling (out-degree
-        // 0) vertex has no edge to carry its damped mass, so it teleports
-        // uniformly, matching the power-iteration fixed point
-        let mut dangling = 0.0f64;
-        let mut frontier_edges = 0u64;
-        for &v in self.frontier.as_slice() {
-            let r = std::mem::take(&mut self.residual[v as usize]);
-            self.scores[v as usize] += r;
-            let deg = g.out_degree(v);
-            if deg == 0 {
-                dangling += opts.damping * r;
-            } else {
-                self.share[v as usize] = opts.damping * r / deg as f64;
-                frontier_edges += u64::from(deg);
-            }
-        }
-        let teleport = dangling / n as f64;
-        let eps = opts.epsilon;
-        let gather = self.switch.choose(ctx, frontier_edges);
-        run.end_iteration(gather);
-        let (share, next) = (&self.share, self.spare.as_mut_vec());
-        if gather {
-            // gather: every vertex sums its in-neighbors' shares, folds
-            // the teleport term and re-enters the frontier in one sweep
-            next.clear();
-            advance_gather(
-                ctx,
-                GatherSpec::range(0..n as VertexId),
-                &mut self.residual,
-                Some(next),
-                |_| true,
-                0.0,
-                |u, _v, _e| share[u as usize],
-                |a, b| a + b,
-                |_v, received, r| {
-                    *r += received + teleport;
-                    *r > eps
-                },
-            );
-        } else {
-            // push: advance for effect with atomic accumulation, then
-            // filter: vertices with enough pending residual re-enter
-            if self.acc.is_empty() {
-                self.acc = (0..n).map(|_| AtomicF64::new(0.0)).collect();
-            }
-            let functor = PushShare { share, acc: &self.acc };
-            let spec = AdvanceSpec::for_effect().with_mode(mode);
-            let _ = advance::advance(ctx, &self.frontier, spec, &functor);
-            let (residual, acc) = (&mut self.residual, &self.acc);
-            let merge = || {
-                residual.par_iter_mut().zip(acc.par_iter()).for_each(|(r, a)| {
-                    *r += a.load() + teleport;
-                    a.store(0.0);
-                });
-                compact_indices_into(residual, |&r| r > eps, next);
-            };
-            // a failed merge poisoned the run: the next boundary ends it
-            compute::step(ctx, "pagerank:merge", n, merge);
-        }
-        for &v in self.frontier.as_slice() {
-            self.share[v as usize] = 0.0;
-        }
-        std::mem::swap(&mut self.frontier, &mut self.spare);
+        self.round(ctx, Some(run), mode);
     }
 
     fn finish(self, _ctx: &Context<'_>, done: Enacted) -> PrResult {
@@ -286,7 +340,7 @@ mod tests {
     use super::*;
     use gunrock::advance::policy::prefer_gather;
     use gunrock_baselines::serial;
-    use gunrock_graph::generators::{erdos_renyi, rmat};
+    use gunrock_graph::generators::{erdos_renyi, rmat, RmatParams};
     use gunrock_graph::{Coo, GraphBuilder};
 
     /// A directed R-MAT sample: keeps each undirected edge in one
@@ -340,8 +394,9 @@ mod tests {
         let r = pagerank(&ctx, PrOptions::default());
         let stats = ctx.run_stats();
         // every advance ran in the direction the frontier's edge volume asked for
+        assert_eq!((stats.steps[0].strategy, stats.steps[0].iteration), ("pagerank:seed", 0));
         for s in stats.steps.iter().filter(|s| s.operator == OperatorKind::Advance) {
-            if s.strategy.starts_with("pull_gather") {
+            if s.strategy.starts_with("pull_gather") || s.strategy == "pagerank:seed" {
                 assert_eq!(s.edges_examined, m, "a dense sweep scans every in-edge");
                 assert_eq!(s.direction, Some(StepDirection::Pull));
             } else {
@@ -357,7 +412,8 @@ mod tests {
         assert_eq!(last.to, StepDirection::Push);
         assert!(last.reason.contains("<= m="));
         assert_eq!(r.edges_examined, stats.edges_examined());
-        assert_eq!(u64::from(stats.pull_iterations()), ctx.counters.pull_iters());
+        // the trace's pull stamps also hold the seed's, before round one
+        assert_eq!(u64::from(stats.pull_iterations()), ctx.counters.pull_iters() + 1);
     }
 
     #[test]
@@ -369,7 +425,8 @@ mod tests {
         let (advances, merges): (Vec<_>, Vec<_>) =
             stats.steps.iter().partition(|s| s.operator == OperatorKind::Advance);
         assert!(advances.iter().all(|s| s.direction == Some(StepDirection::Push)));
-        assert!(merges.iter().all(|s| s.strategy == "pagerank:merge"));
+        assert_eq!(merges[0].strategy, "pagerank:seed", "the seed pushes and merges too");
+        assert!(merges[1..].iter().all(|s| s.strategy == "pagerank:merge"));
         assert_eq!(advances.len(), merges.len(), "every push iteration merges once");
         assert!(stats.switches.is_empty());
     }
@@ -443,10 +500,11 @@ mod tests {
         let r = pagerank(&ctx, PrOptions { epsilon: 1e-12, ..Default::default() });
         assert_eq!(r.outcome, RunOutcome::IterationCapped);
         assert_eq!(r.iterations, 2);
-        // unpropagated residual folds back in: after k completed rounds
-        // the absorbed mass is exactly (1-d)(1 + d + ... + d^k) = 1-d^(k+1)
+        // unpropagated residual folds back in: the seeded residuals sum to
+        // zero, and a round over all of them keeps that sum, so the mass
+        // is 1 after any number of completed rounds
         let sum: f64 = r.scores.iter().sum();
-        let want = 1.0 - 0.85f64.powi(3);
+        let want = 1.0;
         assert!((sum - want).abs() < 1e-9, "sum {sum}, want {want}");
         // the algorithm's own cap is NOT a policy trip
         let ctx = Context::new(&g);
@@ -462,6 +520,99 @@ mod tests {
         assert_eq!(ctx.counters.pull_iters(), 2, "both capped rounds gathered");
         let sum: f64 = pull.scores.iter().sum();
         assert!((sum - want).abs() < 1e-9, "sum {sum}, want {want}");
+    }
+
+    #[test]
+    fn seeded_start_converges_in_few_rounds() {
+        // the benchmark's kron 10, its own reverse: 93 rounds from a zero
+        // start, whose residual mass shrinks by only d per round
+        let g = GraphBuilder::new().build(rmat(10, 16, RmatParams::graph500(), 103));
+        let ctx = Context::new(&g).with_reverse(&g);
+        let r = pagerank(&ctx, PrOptions::default());
+        assert_eq!(r.outcome, RunOutcome::Converged);
+        assert!(r.iterations <= 25, "{} rounds", r.iterations);
+        let want = serial::pagerank(&g, 0.85, 1e-14, 2000);
+        for (v, (a, w)) in r.scores.iter().zip(&want).enumerate() {
+            assert!((a - w).abs() < 1e-6, "vertex {v}: {a} vs oracle {w}");
+        }
+    }
+
+    #[test]
+    fn seed_residuals_are_signed_and_both_directions_agree() {
+        let g = directed_with_dangling();
+        let rev = g.transpose();
+        let (n, d) = (g.num_vertices(), 0.85);
+        let opts = PrOptions { epsilon: 1e-12, ..Default::default() };
+        // one power step from the uniform vector, less the vector itself
+        let dangling = (0..n as u32).filter(|&v| g.out_degree(v) == 0).count() as f64;
+        let mut want =
+            vec![(1.0 - d) / n as f64 + d * dangling / (n * n) as f64 - 1.0 / n as f64; n];
+        for u in 0..n as u32 {
+            for &v in g.neighbors(u) {
+                want[v as usize] += d / (n as f64 * f64::from(g.out_degree(u)));
+            }
+        }
+        assert!(want.iter().any(|&r| r < -opts.epsilon), "some vertex starts above its rank");
+        let seeded = |ctx: &Context<'_>| {
+            let mut state = PageRank::init(ctx, &[], opts);
+            state.setup(ctx, AdvanceMode::Auto);
+            state
+        };
+        let (gathered, pushed) =
+            (seeded(&Context::new(&g).with_reverse(&rev)), seeded(&Context::new(&g)));
+        for state in [&gathered, &pushed] {
+            assert!(state.scores.iter().all(|&s| s == 1.0 / n as f64));
+            for (v, (r, w)) in state.residual.iter().zip(&want).enumerate() {
+                assert!((r - w).abs() < 1e-15, "vertex {v}: residual {r}, want {w}");
+            }
+            let sum: f64 = state.residual.iter().sum();
+            assert!(sum.abs() < 1e-12, "the seeded residuals sum to {sum}");
+            let admitted: Vec<u32> = (0..n as u32)
+                .filter(|&v| state.residual[v as usize].abs() > opts.epsilon)
+                .collect();
+            assert_eq!(state.frontier.as_slice(), admitted, "|r| > epsilon joins the frontier");
+        }
+        let pull = pagerank(&Context::new(&g).with_reverse(&rev), opts);
+        let push = pagerank(&Context::new(&g), opts);
+        let oracle = serial::pagerank(&g, d, 1e-14, 2000);
+        assert_eq!(pull.iterations, push.iterations);
+        for (v, ((a, b), w)) in pull.scores.iter().zip(&push.scores).zip(&oracle).enumerate() {
+            assert!((a - b).abs() <= 1e-12, "vertex {v}: pull {a} vs push {b}");
+            assert!((a - w).abs() < 1e-9, "vertex {v}: pull {a} vs oracle {w}");
+        }
+    }
+
+    #[test]
+    fn a_zero_start_snapshot_resumes_to_the_fixed_point() {
+        // the state a run started at scores 0 and residual (1-d)/n wrote
+        // before its first round: the same invariant, so the same fixed point
+        let g = GraphBuilder::new().build(rmat(9, 16, Default::default(), 5));
+        let n = g.num_vertices();
+        let mut ckpt = Checkpoint::new("pagerank", 0);
+        ckpt.push_f64("scores", vec![0.0; n])
+            .push_f64("residual", vec![0.15 / n as f64; n])
+            .push_u32("frontier", (0..n as u32).collect())
+            .push_f64("params", vec![0.85, 1e-12]);
+        for reverse in [false, true] {
+            let ctx = Context::new(&g);
+            let ctx = if reverse { ctx.with_reverse(&g) } else { ctx };
+            let resumed =
+                crate::primitive::resume::<PageRank>(&ctx, PrOptions::default(), &ckpt)
+                    .expect("resume");
+            assert_eq!(resumed.outcome, RunOutcome::Converged);
+            let fresh = pagerank(&ctx, PrOptions { epsilon: 1e-12, ..Default::default() });
+            assert!(fresh.iterations < resumed.iterations, "the seed saves rounds");
+            let want = serial::pagerank(&g, 0.85, 1e-14, 2000);
+            for (v, ((a, b), w)) in
+                resumed.scores.iter().zip(&fresh.scores).zip(&want).enumerate()
+            {
+                assert!(
+                    (a - w).abs() < 1e-9,
+                    "reverse {reverse} vertex {v}: {a} vs oracle {w}"
+                );
+                assert!((a - b).abs() < 1e-9, "reverse {reverse} vertex {v}: {a} vs fresh {b}");
+            }
+        }
     }
 
     #[test]

@@ -93,9 +93,12 @@ pub trait Primitive: Sized {
         Vec::new()
     }
 
-    /// Checks out the pooled buffers the run needs. Runs isolated: a
-    /// denied checkout fails the run before its first step.
-    fn setup(&mut self, _ctx: &Context<'_>) {}
+    /// Checks out the pooled buffers the run needs, and runs any pass a
+    /// fresh state still owes before its first boundary, advancing in the
+    /// `mode` admission granted. Runs isolated once the enactment is
+    /// armed, so such a pass is timed and counted with the run; a denied
+    /// checkout fails the run before its first step.
+    fn setup(&mut self, _ctx: &Context<'_>, _mode: AdvanceMode) {}
 
     /// Whether another iteration is due after `iterations` completed.
     fn live(&self, iterations: u32) -> bool;
@@ -190,7 +193,7 @@ fn enact<P: Primitive, E>(
     let mut run = Enactment::arm(ctx, done);
     let snapshot = |state: &P, it| P::SNAPSHOT.map(|s| state.save(s.writer(it)).finish());
     // a failed setup poisoned the run: it ends `Failed` without a step
-    if ctx.isolated_setup("setup", || state.setup(ctx)).is_some() {
+    if ctx.isolated_setup("setup", || state.setup(ctx, mode)).is_some() {
         loop {
             let live = state.live(run.iterations());
             if !live && !P::BOUNDARY_AFTER_LAST {

@@ -266,6 +266,13 @@ mod tests {
                 steps.len(),
                 run.iterations
             );
+            let traced: u64 = steps.iter().map(|s| s.edges_examined).sum();
+            assert_eq!(
+                traced,
+                ctx.counters.edges(),
+                "{}: every counted edge is a step's",
+                e.name
+            );
             let last = steps.iter().map(|s| s.iteration).max();
             assert!(
                 last <= Some(run.iterations),

@@ -59,24 +59,31 @@ enum Input<'a> {
 pub struct GatherSpec<'a> {
     input: Input<'a>,
     out_edges: bool,
+    name: Option<&'static str>,
 }
 
 impl<'a> GatherSpec<'a> {
     /// Every vertex of `range`, over its in-edges.
     pub fn range(range: Range<VertexId>) -> Self {
-        GatherSpec { input: Input::Range(range), out_edges: false }
+        GatherSpec { input: Input::Range(range), out_edges: false, name: None }
     }
 
     /// The vertices of a frontier, over their in-edges. Each id must be
     /// listed at most once: a listed vertex owns its slot.
     pub fn list(ids: &'a [VertexId]) -> Self {
-        GatherSpec { input: Input::List(ids), out_edges: false }
+        GatherSpec { input: Input::List(ids), out_edges: false, name: None }
     }
 
     /// Folds over out-edges of the forward graph instead of in-edges of
     /// the reverse graph.
     pub fn out_edges(self) -> Self {
         GatherSpec { out_edges: true, ..self }
+    }
+
+    /// Records the step under a primitive's pass name instead of the
+    /// gather's shape.
+    pub fn named(self, name: &'static str) -> Self {
+        GatherSpec { name: Some(name), ..self }
     }
 
     fn len(&self) -> usize {
@@ -88,6 +95,9 @@ impl<'a> GatherSpec<'a> {
 
     /// The step record's strategy name.
     fn strategy(&self, serial: bool) -> &'static str {
+        if let Some(name) = self.name {
+            return name;
+        }
         match (&self.input, self.out_edges, serial) {
             (Input::Range(_), false, false) => "pull_gather",
             (Input::Range(_), false, true) => "pull_gather:serial",

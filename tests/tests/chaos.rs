@@ -347,7 +347,8 @@ fn poisoned_extension_runs_report_failed() {
 /// The operator frame keeps every fault site and its call count: under
 /// a seeded panic rate that never fires, each primitive consumes exactly
 /// the draws it consumed before operator launches shared one frame, so
-/// fixed-seed chaos schedules replay unchanged.
+/// fixed-seed chaos schedules replay unchanged. PageRank's count is its
+/// seeded run's: the rounds' fault sites plus the seed pass's gather.
 #[test]
 fn fault_draws_stay_pinned() {
     let g = kron8();
@@ -359,7 +360,7 @@ fn fault_draws_stay_pinned() {
         ("sssp", |c, _| drop(algos::sssp(c, 0, algos::SsspOptions::default())), 16),
         ("bc", |c, _| drop(algos::bc(c, 0, algos::BcOptions::default())), 9),
         ("cc", |c, _| drop(algos::cc(c)), 5),
-        ("pagerank", |c, _| drop(algos::pagerank(c, algos::PrOptions::default())), 99),
+        ("pagerank", |c, _| drop(algos::pagerank(c, algos::PrOptions::default())), 21),
         ("msbfs", |c, s| drop(algos::msbfs(c, s)), 5),
     ];
     for (name, run, draws) in runs {
