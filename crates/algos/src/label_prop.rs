@@ -100,9 +100,9 @@ impl Primitive for LabelProp {
             votes.resize(ids.len(), 0);
             let grain = (ids.len() / (rayon::current_num_threads() * 8)).max(64);
             votes.par_chunks_mut(grain).zip(ids.par_chunks(grain)).for_each(|(out, chunk)| {
-                let mut counts = Vec::new();
+                let mut scratch = Vec::new();
                 for (slot, &v) in out.iter_mut().zip(chunk) {
-                    *slot = majority(g, labels, v, &mut counts);
+                    *slot = majority(g, labels, v, &mut scratch);
                 }
             });
             ctx.counters.add_edges(ids.iter().map(|&v| g.out_degree(v) as u64).sum());
@@ -155,24 +155,21 @@ impl Primitive for LabelProp {
 }
 
 /// The most frequent label among `v`'s neighbors, the smallest on ties;
-/// `v`'s own label when it has no neighbor. `counts` is scratch space.
-fn majority(g: &Csr, labels: &[AtomicU32], v: VertexId, counts: &mut Vec<(u32, u32)>) -> u32 {
+/// `v`'s own label when it has no neighbor. `scratch` holds the
+/// neighbors' labels, sorted so that each label is one run.
+fn majority(g: &Csr, labels: &[AtomicU32], v: VertexId, scratch: &mut Vec<u32>) -> u32 {
     // ORDERING: Relaxed — see init: no label changes during a vote.
     let label = |u: VertexId| labels[u as usize].load(Ordering::Relaxed);
-    // neighbor lists are modest: count into a sorted vec
-    counts.clear();
-    for &u in g.neighbors(v) {
-        let l = label(u);
-        match counts.binary_search_by_key(&l, |&(l, _)| l) {
-            Ok(i) => counts[i].1 += 1,
-            Err(i) => counts.insert(i, (l, 1)),
-        }
-    }
-    counts
-        .iter()
-        .copied()
-        .max_by(|a, b| a.1.cmp(&b.1).then(b.0.cmp(&a.0)))
-        .map_or_else(|| label(v), |(l, _)| l)
+    scratch.clear();
+    scratch.extend(g.neighbors(v).iter().map(|&u| label(u)));
+    scratch.sort_unstable();
+    // max_by_key keeps the last of equally long runs: walking the runs in
+    // descending label order makes that the smallest label
+    scratch
+        .chunk_by(|a, b| a == b)
+        .rev()
+        .max_by_key(|run| run.len())
+        .map_or_else(|| label(v), |run| run[0])
 }
 
 #[cfg(test)]

@@ -3,9 +3,12 @@
 //! Runs up to [`LANES`] independent BFS traversals in one enact loop:
 //! each source owns a lane bit, the frontier/seen state is one `u64`
 //! lane word per vertex, and every level is a single
-//! [`advance_msbfs`] sweep — 64 traversals' worth of discovery per
-//! word-sweep. Per-lane depths are extracted *at discovery time* by the
-//! sweep's visitor (lane `l` of a new-lane word at vertex `v` means
+//! [`advance_msbfs`] launch — 64 traversals' worth of discovery per
+//! edge scan. The launch's scatter and update walk the lane maps'
+//! occupancy bitmaps, so a level touches only the vertices some lane
+//! reached, and the step's clear of the retired frontier zeroes only its
+//! occupied words. Per-lane depths are extracted *at discovery time* by
+//! the update's visitor (lane `l` of a new-lane word at vertex `v` means
 //! lane `l`'s traversal reached `v` this level), so lane retirement
 //! costs nothing extra: a lane whose bit drops out of the live-lane
 //! union simply stops contributing words.
@@ -15,7 +18,7 @@
 //! exit checkpoints (`msbfs` snapshots), and structured failure on
 //! operator panic.
 
-use crate::primitive::{malformed, run, to_atomic_u32, Primitive};
+use crate::primitive::{bitmap, malformed, run, to_atomic_u32, Primitive};
 use crate::registry::{Arity, Output};
 use gunrock::prelude::*;
 use gunrock_engine::atomics::{atomic_u32_vec, into_plain_u32, unwrap_atomic_u32};
@@ -104,10 +107,10 @@ impl Primitive for Msbfs {
     type Options = ();
     type Result = MsbfsResult;
 
-    // three pooled n-word lane maps (seen + frontier ping-pong) and the
-    // 64-lane depth matrix
+    // three pooled n-word lane maps (seen + frontier ping-pong) with
+    // their occupancy bitmaps, and the 64-lane depth matrix
     fn state_bytes(n: u64, _m: u64) -> u64 {
-        3 * pooled_bytes(n, 8) + 64 * n * 4
+        3 * (pooled_bytes(n, 8) + bitmap(n)) + 64 * n * 4
     }
 
     fn init(ctx: &Context<'_>, sources: &[VertexId], _opts: ()) -> Self {
@@ -344,6 +347,88 @@ mod tests {
         assert_eq!(r.lane_depths(0)[1], 1);
         assert_eq!(r.lane_depths(0)[2], INFINITY, "level 2 never ran");
         assert_eq!(r.lane_depths(1)[6], 1);
+    }
+
+    /// A 64 x 32 grid (diameter 94) and a 200-vertex path (diameter 199):
+    /// hundreds of levels whose frontiers are a sliver of the vertices.
+    fn high_diameter_graphs() -> Vec<gunrock_graph::Csr> {
+        let grid =
+            GraphBuilder::new().build(gunrock_graph::generators::grid2d(64, 32, 0.0, 0.0, 1));
+        let path: Vec<(u32, u32)> = (0..199).map(|i| (i, i + 1)).collect();
+        let path = GraphBuilder::new().build(gunrock_graph::Coo::from_edges(200, &path));
+        vec![grid, path]
+    }
+
+    #[test]
+    fn high_diameter_lanes_match_serial_bfs_on_both_paths() {
+        for (gi, g) in high_diameter_graphs().iter().enumerate() {
+            let n = g.num_vertices() as u32;
+            // 64 lanes where lanes l and l + 40 share a source, and a
+            // 7-lane partial batch
+            let full: Vec<u32> = (0..64u32).map(|l| (l % 40) * 997 % n).collect();
+            let partial = [n - 1, 0, n / 2, 0, 5, n - 1, 17];
+            for sources in [&full[..], &partial[..]] {
+                // threshold 0 runs every level in blocks; 1 << 20 runs
+                // every level on one thread
+                for (t, strategy) in [(0, "msbfs"), (1 << 20, "msbfs:serial")] {
+                    let config = EngineConfig::default().with_serial_threshold(t);
+                    let ctx = Context::new(g).with_config(config).with_stats();
+                    let r = msbfs(&ctx, sources);
+                    assert_eq!(r.outcome, RunOutcome::Converged);
+                    for (l, &s) in sources.iter().enumerate() {
+                        let want = serial::bfs(g, s);
+                        assert_eq!(
+                            r.lane_depths(l),
+                            want.as_slice(),
+                            "graph {gi} t {t} lane {l}"
+                        );
+                    }
+                    let steps = ctx.run_stats().steps;
+                    assert_eq!(steps.len() as u32, r.iterations);
+                    assert!(steps.iter().all(|s| s.strategy == strategy), "graph {gi} t {t}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn capped_runs_on_a_grid_resume_to_the_uninterrupted_run() {
+        let g = &high_diameter_graphs()[0];
+        let sources: Vec<u32> = (0..64u32).map(|l| l * 31 % 2048).collect();
+        let full = msbfs(&Context::new(g), &sources);
+        assert!(full.iterations > 60, "a long run: {} levels", full.iterations);
+        for cap in [1, 7, 60] {
+            let dir = tempdir().join(format!("cap{cap}"));
+            std::fs::create_dir_all(&dir).unwrap();
+            let capped = {
+                let ctx = Context::new(g)
+                    .with_policy(RunPolicy::unbounded().max_iterations(cap))
+                    .with_checkpoints(CheckpointPolicy::new(1, &dir));
+                msbfs(&ctx, &sources)
+            };
+            assert_eq!(capped.outcome, RunOutcome::IterationCapped);
+            let ckpt = Checkpoint::load(&dir.join("msbfs.ckpt")).unwrap();
+            let resumed = crate::resume::<Msbfs>(&Context::new(g), (), &ckpt).unwrap();
+            assert_eq!(resumed.outcome, RunOutcome::Converged, "cap {cap}");
+            assert_eq!(resumed.depths, full.depths, "cap {cap}");
+            std::fs::remove_dir_all(dir).ok();
+        }
+    }
+
+    #[test]
+    fn roadnet_run_balances_the_pool_within_its_estimate() {
+        let g = GraphBuilder::new()
+            .build(gunrock_graph::generators::from_spec("roadnet", 10, 3).unwrap());
+        let (n, m) = (g.num_vertices() as u64, g.num_edges() as u64);
+        let estimate = (crate::registry::find("msbfs").unwrap().estimate_bytes)(n, m);
+        let ctx = Context::new(&g);
+        let sources: Vec<u32> = (0..64u32).map(|l| l * 13 % n as u32).collect();
+        let r = msbfs(&ctx, &sources);
+        assert_eq!(r.outcome, RunOutcome::Converged);
+        let pool = ctx.pool().stats();
+        assert_eq!(pool.releases, pool.checkouts);
+        assert_eq!(pool.live, 0);
+        assert!(pool.bytes_high_water <= estimate, "{} > {estimate}", pool.bytes_high_water);
     }
 
     #[test]

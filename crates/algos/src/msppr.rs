@@ -2,10 +2,10 @@
 //!
 //! The Andersen–Chung–Lang push scheme, lane-packed like [`msbfs`]: up
 //! to [`LANES`] personalization sources run in one loop, a [`LaneMap`]
-//! marks which lanes have pushable residual at each vertex, and one
-//! word-sweep per level processes every (vertex, lane) pair whose
-//! residual crossed the threshold — the same whole-word skip and
-//! fetch_or marking discipline as the batched BFS advance, with
+//! marks which lanes have pushable residual at each vertex, and one walk
+//! of its occupancy bitmap per level processes every (vertex, lane) pair
+//! whose residual crossed the threshold — the same occupied-vertex walk
+//! and fetch_or marking discipline as the batched BFS advance, with
 //! per-lane `f64` score/residual arrays riding alongside.
 //!
 //! Per (vertex `v`, lane `l`) with residual `r >= epsilon * deg(v)`:
@@ -22,7 +22,7 @@
 //!
 //! [`msbfs`]: crate::msbfs::msbfs
 
-use crate::primitive::{malformed, run, Primitive};
+use crate::primitive::{bitmap, malformed, run, Primitive};
 use crate::registry::{Arity, Output, Query};
 use gunrock::prelude::*;
 use gunrock_engine::budget::pooled_bytes;
@@ -146,10 +146,10 @@ impl Primitive for Msppr {
         MspprOptions { epsilon, ..Default::default() }
     }
 
-    // the active / next lane-map pair and the 64-lane score and residual
-    // matrices
+    // the active / next lane-map pair with their occupancy bitmaps and
+    // the 64-lane score and residual matrices
     fn state_bytes(n: u64, _m: u64) -> u64 {
-        2 * pooled_bytes(n, 8) + 2 * 64 * n * 8
+        2 * (pooled_bytes(n, 8) + bitmap(n)) + 2 * 64 * n * 8
     }
 
     fn init(ctx: &Context<'_>, sources: &[VertexId], opts: MspprOptions) -> Self {
@@ -227,29 +227,20 @@ impl Primitive for Msppr {
         let Some((active, next)) = &mut self.maps else { return };
         let (opts, scores, residual) = (self.opts, &self.scores, &self.residual);
         // One push round, launched like the batched advance it mirrors:
-        // whole-word skip of inactive vertices, per-lane bit iteration,
-        // fetch_or lane marking on pushed neighbors.
+        // a walk of the active map's occupied vertices, per-lane bit
+        // iteration, fetch_or lane marking on pushed neighbors.
         let round = || {
-            let next_ref: &LaneMap = next;
-            let vgrain = (n / (rayon::current_num_threads() * 8).max(1)).max(64);
+            let next: &LaneMap = next;
             active
-                .words()
-                .par_chunks(vgrain)
-                .enumerate()
-                .map(|(ci, words)| {
+                .par_walk(grain_size(n))
+                .into_par_iter()
+                .map(|walk| {
                     let mut edges = 0u64;
                     if ctx.abort_mid_operator() {
                         return edges;
                     }
-                    for (i, w) in words.iter().enumerate() {
-                        // ORDERING: Relaxed — the active map is read-only
-                        // during the sweep; the previous round's join
-                        // barrier published it.
-                        let aw = w.load(Ordering::Relaxed);
-                        if aw == 0 {
-                            continue;
-                        }
-                        let v = ci * vgrain + i;
+                    for (v, aw) in walk {
+                        // CAST: v < num_vertices < u32::MAX by Csr::validate.
                         let deg = g.out_degree(v as u32);
                         let mut bits = aw;
                         while bits != 0 {
@@ -279,7 +270,7 @@ impl Primitive for Msppr {
                                 edges += 1;
                                 let u = cols[e] as usize;
                                 add_f64(&residual[l * n + u], share);
-                                next_ref.fetch_or(u, 1u64 << l);
+                                next.fetch_or(u, 1u64 << l);
                             }
                         }
                     }
@@ -402,6 +393,22 @@ mod tests {
         let ctx = Context::new(&g);
         let r = msppr(&ctx, &[2], MspprOptions::default());
         assert!((r.lane_scores(0)[2] - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn roadnet_run_balances_the_pool_within_its_estimate() {
+        let g = GraphBuilder::new()
+            .build(gunrock_graph::generators::from_spec("roadnet", 10, 3).unwrap());
+        let (n, m) = (g.num_vertices() as u64, g.num_edges() as u64);
+        let estimate = (crate::registry::find("msppr").unwrap().estimate_bytes)(n, m);
+        let ctx = Context::new(&g);
+        let sources: Vec<u32> = (0..64u32).map(|l| l * 13 % n as u32).collect();
+        let r = msppr(&ctx, &sources, MspprOptions::default());
+        assert_eq!(r.outcome, RunOutcome::Converged);
+        let pool = ctx.pool().stats();
+        assert_eq!(pool.releases, pool.checkouts);
+        assert_eq!(pool.live, 0);
+        assert!(pool.bytes_high_water <= estimate, "{} > {estimate}", pool.bytes_high_water);
     }
 
     #[test]

@@ -7,26 +7,31 @@
 //! whose bit `l` means "lane `l` reached `v` this level", and a matching
 //! `seen` word accumulating every lane that has ever reached `v`.
 //!
-//! One batched level is two phases inside one kernel launch:
+//! One batched level is two phases inside one kernel launch, each a walk
+//! of a lane map's occupancy bitmap (`gunrock_engine::lanes`): it visits
+//! the vertices whose word is non-zero, in vertex order, and skips the
+//! rest 64 at a time. A level costs what is live, not `n` — on a
+//! high-diameter graph a few thousand of a quarter million words.
 //!
 //! 1. **Scatter** — every active vertex ORs its whole frontier word into
 //!    each out-neighbor's `next` word with a single `fetch_or`: up to 64
-//!    traversals' worth of discovery per atomic, per edge.
-//! 2. **Update sweep** — disjoint word ranges (one word per vertex) are
-//!    swept without atomics: `new = next & !seen`, `seen |= new`,
-//!    `next = new`. Zero `next` words — vertices no lane reached — are
-//!    skipped wholesale, exactly like the masked pull sweep's zero-mask
-//!    skip. A visitor callback sees each discovered vertex once with its
-//!    new-lane word, which is where per-lane depth extraction lives.
+//!    traversals' worth of discovery per atomic, per edge. The OR that
+//!    takes a `next` word from zero marks it in `next`'s bitmap.
+//! 2. **Update** — [`LaneMap::settle`] walks `next`'s bitmap in disjoint
+//!    blocks without atomics: `new = next & !seen`, `seen |= new`,
+//!    `next = new`, and a word left zero loses its bit. A visitor
+//!    callback sees each discovered vertex once with its new-lane word,
+//!    which is where per-lane depth extraction lives.
 //!
-//! Below `EngineConfig::serial_threshold` active vertices both phases run
-//! single-threaded on the same pooled buffers (mirroring the push-side
-//! serial fast path), so tiny levels skip the fork/join entirely.
+//! Below `EngineConfig::serial_threshold` active vertices both phases
+//! walk the whole map as one block on the calling thread (mirroring the
+//! push-side serial fast path), so tiny levels skip the fork/join
+//! entirely.
 
 use crate::context::Context;
 use crate::isolate::{launch, AbortPoll, Op, Report};
 use crate::util::grain_size;
-use gunrock_engine::lanes::LaneMap;
+use gunrock_engine::lanes::{LaneMap, Walk};
 use gunrock_engine::stats::StepDirection;
 use rayon::prelude::*;
 
@@ -86,19 +91,33 @@ where
     let t = ctx.config.serial_threshold;
     // CAST: active is a vertex count < u32::MAX; widening compare only.
     let serial = t > 0 && active as usize <= t;
+    let grain = grain_size(n);
     let body = || {
-        if serial {
-            scatter_serial(ctx, frontier, seen, next);
+        let edges = if serial {
+            // `next` is held exclusively: even the neighbor ORs are plain
+            scatter(ctx, frontier.walk(), seen, |u, want| next.or_mut(u, want))
         } else {
-            scatter(ctx, frontier, seen, next);
-        }
-        // Phase boundary: the scatter's atomic ORs and the update
-        // sweep's plain stores never overlap in time.
+            let (seen, next): (&LaneMap, &LaneMap) = (seen, next);
+            let or = |u: usize, want: u64| {
+                // a word that already holds every wanted lane costs a read,
+                // not a cache-line-dirtying RMW; two blocks can both pass
+                // this check and OR the same lanes, and fetch_or is
+                // idempotent, so the race costs a duplicate RMW, never a
+                // lost lane
+                if next.load(u) & want != want {
+                    next.fetch_or(u, want);
+                }
+            };
+            frontier.par_walk(grain).into_par_iter().map(|w| scatter(ctx, w, seen, or)).sum()
+        };
+        ctx.counters.add_edges(edges);
+        // Phase boundary: the scatter's atomic ORs and the update's plain
+        // stores never overlap in time.
         gunrock_engine::racecheck::begin_phase();
         let (discovered, lanes) = if serial {
-            update_serial(seen, next, &visitor)
+            next.settle(seen, &visitor)
         } else {
-            update(seen, next, &visitor)
+            next.par_settle(seen, grain, &visitor)
         };
         MsbfsSweep { discovered, lanes }
     };
@@ -145,78 +164,27 @@ pub fn advance_lanes(
         .is_some()
 }
 
-/// Phase 1, parallel: every active vertex ORs its lane word into each
-/// out-neighbor's `next` word. Disjoint vertex ranges read the frontier;
-/// writes to `next` go through `fetch_or` because neighbors are shared
-/// across tasks. Lanes the neighbor has already seen — or already
-/// received from an earlier edge this level — are culled before the RMW
-/// (the update sweep would drop them anyway via `next & !seen`), so
-/// saturated words cost a read instead of a cache-line-dirtying OR and
-/// the update sweep keeps its whole-word zero skip on dense levels.
-/// `seen` is read-only during this phase (the update sweep that mutates
-/// it runs strictly after), so the loads race with nothing.
-fn scatter(ctx: &Context<'_>, frontier: &LaneMap, seen: &LaneMap, next: &mut LaneMap) {
+/// Phase 1 over one walk of the frontier (the whole map on the serial
+/// path, one block per task otherwise): every active vertex hands the
+/// lanes each out-neighbor `u` has not seen to `or(u, want)`, which ORs
+/// them into `next`, and the walk returns the edges it scanned. Lanes
+/// the neighbor has already seen are culled before the OR (the update
+/// would drop them anyway via `next & !seen`). `seen` is read-only
+/// during this phase (the update that mutates it runs strictly after),
+/// so the loads race with nothing.
+fn scatter(
+    ctx: &Context<'_>,
+    walk: Walk<'_>,
+    seen: &LaneMap,
+    mut or: impl FnMut(usize, u64),
+) -> u64 {
     let g = ctx.graph;
     let cols = g.col_indices();
-    let next_ref: &LaneMap = next;
-    let vgrain = grain_size(frontier.len());
-    let edges = frontier
-        .words()
-        .par_chunks(vgrain)
-        .enumerate()
-        .map(|(ci, fwords)| {
-            let mut edges = 0u64;
-            // a raised cancel/deadline truncates this chunk, or skips it
-            // when raised before the chunk starts
-            let Some(mut poll) = AbortPoll::start(ctx) else { return edges };
-            'scan: for (i, fw) in fwords.iter().enumerate() {
-                // ORDERING: Relaxed — the frontier map is read-only during
-                // the scatter phase; the previous sweep's join barrier
-                // published these words.
-                let fword = fw.load(std::sync::atomic::Ordering::Relaxed);
-                // whole-word skip: a zero lane word is an inactive vertex
-                if fword == 0 {
-                    continue;
-                }
-                // CAST: ci * vgrain + i < num_vertices < u32::MAX by Csr::validate.
-                let v = (ci * vgrain + i) as u32;
-                for e in g.edge_range(v) {
-                    edges += 1;
-                    // CAST: u widens u32 -> usize for lane-map indexing — lossless.
-                    let u = cols[e] as usize;
-                    let want = fword & !seen.load(u);
-                    // two threads can both pass this check and OR the
-                    // same lanes; fetch_or is idempotent, so the race
-                    // only costs a duplicate RMW, never a lost lane
-                    if want != 0 && next_ref.load(u) & want != want {
-                        next_ref.fetch_or(u, want);
-                    }
-                }
-                if poll.stop(edges) {
-                    break 'scan;
-                }
-            }
-            edges
-        })
-        .sum();
-    ctx.counters.add_edges(edges);
-}
-
-/// Phase 1, serial fast path: same scatter (including the seen-lane
-/// culling) on one thread. `next` is held exclusively, so even the
-/// neighbor ORs are plain read-modify-writes.
-fn scatter_serial(ctx: &Context<'_>, frontier: &LaneMap, seen: &LaneMap, next: &mut LaneMap) {
-    let g = ctx.graph;
-    let cols = g.col_indices();
-    let nwords = next.words_mut();
     let mut edges = 0u64;
-    let Some(mut poll) = AbortPoll::start(ctx) else { return };
-    'scan: for v in 0..frontier.len() {
-        let fword = frontier.load(v);
-        // whole-word skip: a zero lane word is an inactive vertex
-        if fword == 0 {
-            continue;
-        }
+    // a raised cancel/deadline truncates this walk, or skips it when
+    // raised before the walk starts
+    let Some(mut poll) = AbortPoll::start(ctx) else { return edges };
+    for (v, fword) in walk {
         // CAST: v < num_vertices < u32::MAX by Csr::validate.
         for e in g.edge_range(v as u32) {
             edges += 1;
@@ -224,77 +192,14 @@ fn scatter_serial(ctx: &Context<'_>, frontier: &LaneMap, seen: &LaneMap, next: &
             let u = cols[e] as usize;
             let want = fword & !seen.load(u);
             if want != 0 {
-                *nwords[u].get_mut() |= want;
+                or(u, want);
             }
         }
         if poll.stop(edges) {
-            break 'scan;
+            break;
         }
     }
-    ctx.counters.add_edges(edges);
-}
-
-/// Phase 2, parallel: disjoint word ranges of `next` and `seen` are
-/// swept together without atomics — `new = next & !seen`, `seen |= new`,
-/// `next = new` — and the visitor sees each discovered vertex once.
-fn update<V>(seen: &mut LaneMap, next: &mut LaneMap, visitor: &V) -> (u64, u64)
-where
-    V: Fn(u32, u64) + Sync,
-{
-    let wgrain = grain_size(next.len());
-    next.words_mut()
-        .par_chunks_mut(wgrain)
-        .zip(seen.words_mut().par_chunks_mut(wgrain))
-        .enumerate()
-        .map(|(ci, (next_words, seen_words))| {
-            let mut found = 0u64;
-            let mut lanes = 0u64;
-            for (i, (nw, sw)) in next_words.iter_mut().zip(seen_words.iter_mut()).enumerate() {
-                // whole-word skip: no lane reached this vertex
-                let nxt = *nw.get_mut();
-                if nxt == 0 {
-                    continue;
-                }
-                let new = nxt & !*sw.get_mut();
-                *nw.get_mut() = new;
-                if new != 0 {
-                    *sw.get_mut() |= new;
-                    found += 1;
-                    lanes |= new;
-                    // CAST: ci * wgrain + i < num_vertices < u32::MAX by Csr::validate.
-                    visitor((ci * wgrain + i) as u32, new);
-                }
-            }
-            (found, lanes)
-        })
-        .reduce(|| (0, 0), |a, b| (a.0 + b.0, a.1 | b.1))
-}
-
-/// Phase 2, serial fast path: the same update sweep on one thread.
-fn update_serial<V>(seen: &mut LaneMap, next: &mut LaneMap, visitor: &V) -> (u64, u64)
-where
-    V: Fn(u32, u64) + Sync,
-{
-    let mut found = 0u64;
-    let mut lanes = 0u64;
-    for (v, (nw, sw)) in
-        next.words_mut().iter_mut().zip(seen.words_mut().iter_mut()).enumerate()
-    {
-        let nxt = *nw.get_mut();
-        if nxt == 0 {
-            continue;
-        }
-        let new = nxt & !*sw.get_mut();
-        *nw.get_mut() = new;
-        if new != 0 {
-            *sw.get_mut() |= new;
-            found += 1;
-            lanes |= new;
-            // CAST: v < num_vertices < u32::MAX by Csr::validate.
-            visitor(v as u32, new);
-        }
-    }
-    (found, lanes)
+    edges
 }
 
 #[cfg(test)]
