@@ -99,7 +99,7 @@ impl BfsState<'_> {
     #[inline]
     fn discover(&self, dst: VertexId, src: VertexId, level: u32) {
         // ORDERING: Relaxed — any winning parent/label is a valid BFS tree edge
-        // (idempotent discovery); the rayon join barrier publishes each level.
+        // (idempotent discovery); the launch barrier publishes each level.
         self.labels[dst as usize].store(level, Ordering::Relaxed);
         self.preds[dst as usize].store(src, Ordering::Relaxed);
     }
@@ -139,7 +139,7 @@ impl AdvanceFunctor for PullDiscover<'_> {
     #[inline]
     fn cond_edge(&self, _src: VertexId, dst: VertexId, _e: EdgeId) -> bool {
         // ORDERING: Relaxed — any winning parent/label is a valid BFS tree edge
-        // (idempotent discovery); the rayon join barrier publishes each level.
+        // (idempotent discovery); the launch barrier publishes each level.
         self.st.labels[dst as usize].load(Ordering::Relaxed) == INFINITY
     }
     #[inline]
@@ -205,7 +205,7 @@ fn rebuild_visited(ctx: &Context<'_>, labels: &[AtomicU32]) -> PooledBitmap {
     let bm = PooledBitmap::take(ctx.pool(), labels.len());
     for (v, l) in labels.iter().enumerate() {
         // ORDERING: Relaxed — any winning parent/label is a valid BFS tree edge
-        // (idempotent discovery); the rayon join barrier publishes each level.
+        // (idempotent discovery); the launch barrier publishes each level.
         if l.load(Ordering::Relaxed) != INFINITY {
             bm.set(v);
         }
@@ -264,7 +264,7 @@ impl Primitive for Bfs {
         assert!((src as usize) < g.num_vertices(), "source out of range");
         let labels = atomic_u32_vec(g.num_vertices(), INFINITY);
         // ORDERING: Relaxed — any winning parent/label is a valid BFS tree edge
-        // (idempotent discovery); the rayon join barrier publishes each level.
+        // (idempotent discovery); the launch barrier publishes each level.
         labels[src as usize].store(0, Ordering::Relaxed);
         Bfs {
             src,

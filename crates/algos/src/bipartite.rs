@@ -16,8 +16,8 @@
 
 use crate::msppr::{msppr, MspprOptions};
 use gunrock::prelude::*;
+use gunrock_engine::par;
 use gunrock_graph::{Csr, VertexId};
-use rayon::prelude::*;
 
 /// Scores from a HITS or SALSA run.
 #[derive(Clone, Debug)]
@@ -35,9 +35,11 @@ pub struct HubAuthScores {
 }
 
 fn l2_normalize(v: &mut [f64]) {
-    let norm: f64 = v.par_iter().map(|x| x * x).sum::<f64>().sqrt();
+    let grain = grain_size(v.len());
+    let squares = |c: &[f64]| c.iter().map(|x| x * x).sum::<f64>();
+    let norm = par::map_reduce(v.chunks(grain), 0.0, squares, |a, b| a + b).sqrt();
     if norm > 0.0 {
-        v.par_iter_mut().for_each(|x| *x /= norm);
+        par::for_each(v.chunks_mut(grain), |c| c.iter_mut().for_each(|x| *x /= norm));
     }
 }
 

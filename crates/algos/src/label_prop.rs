@@ -15,8 +15,8 @@ use crate::primitive::{bitmap, frontiers, run, Primitive};
 use crate::registry::{Arity, Output, Query};
 use gunrock::prelude::*;
 use gunrock_engine::atomics::{atomic_u32_vec, into_plain_u32};
+use gunrock_engine::par;
 use gunrock_graph::{Csr, VertexId};
-use rayon::prelude::*;
 use std::sync::atomic::{AtomicU32, Ordering};
 
 /// Label-propagation output.
@@ -80,7 +80,7 @@ impl Primitive for LabelProp {
         let labels = atomic_u32_vec(n, 0);
         // ORDERING: Relaxed — label cells tolerate stale reads by design (async
         // propagation); join barriers bound the staleness per sweep.
-        labels.par_iter().enumerate().for_each(|(v, l)| l.store(v as u32, Ordering::Relaxed));
+        compute::for_each_id(n, |v| labels[v as usize].store(v, Ordering::Relaxed));
         let (votes, marks) = (Vec::with_capacity(n), AtomicBitmap::new(n));
         LabelProp { labels, frontier: Frontier::full(n), max_rounds, votes, marks }
     }
@@ -98,8 +98,8 @@ impl Primitive for LabelProp {
         let ids = frontier.as_slice();
         let vote = || {
             votes.resize(ids.len(), 0);
-            let grain = (ids.len() / (rayon::current_num_threads() * 8)).max(64);
-            votes.par_chunks_mut(grain).zip(ids.par_chunks(grain)).for_each(|(out, chunk)| {
+            let grain = (ids.len() / (par::threads() * 8)).max(64);
+            par::for_each(votes.chunks_mut(grain).zip(ids.chunks(grain)), |(out, chunk)| {
                 let mut scratch = Vec::new();
                 for (slot, &v) in out.iter_mut().zip(chunk) {
                     *slot = majority(g, labels, v, &mut scratch);
@@ -116,14 +116,18 @@ impl Primitive for LabelProp {
         let len = frontier.len();
         let scatter = || {
             let marks_ref: &AtomicBitmap = marks;
-            frontier.as_slice().par_iter().zip(votes.par_iter()).for_each(|(&v, &best)| {
-                // ORDERING: Relaxed — see init; each frontier vertex owns
-                // its label cell in this pass.
-                let cell = &labels[v as usize];
-                if cell.load(Ordering::Relaxed) != best {
-                    cell.store(best, Ordering::Relaxed);
-                    for &u in g.neighbors(v) {
-                        marks_ref.set(u as usize);
+            let grain = grain_size(len);
+            let tasks = frontier.as_slice().chunks(grain).zip(votes.chunks(grain));
+            par::for_each(tasks, |(vs, bests)| {
+                for (&v, &best) in vs.iter().zip(bests) {
+                    // ORDERING: Relaxed — see init; each frontier vertex owns
+                    // its label cell in this pass.
+                    let cell = &labels[v as usize];
+                    if cell.load(Ordering::Relaxed) != best {
+                        cell.store(best, Ordering::Relaxed);
+                        for &u in g.neighbors(v) {
+                            marks_ref.set(u as usize);
+                        }
                     }
                 }
             });

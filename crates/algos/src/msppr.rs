@@ -27,8 +27,9 @@ use crate::registry::{Arity, Output, Query};
 use gunrock::prelude::*;
 use gunrock_engine::budget::pooled_bytes;
 use gunrock_engine::checkpoint::{Field, Kind::*, Schema, Slot::*, Snapshot, SnapshotWriter};
+use gunrock_engine::lanes::Walk;
+use gunrock_engine::par;
 use gunrock_graph::VertexId;
-use rayon::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Batched PPR configuration.
@@ -231,52 +232,49 @@ impl Primitive for Msppr {
         // iteration, fetch_or lane marking on pushed neighbors.
         let round = || {
             let next: &LaneMap = next;
-            active
-                .par_walk(grain_size(n))
-                .into_par_iter()
-                .map(|walk| {
-                    let mut edges = 0u64;
-                    if ctx.abort_mid_operator() {
-                        return edges;
-                    }
-                    for (v, aw) in walk {
-                        // CAST: v < num_vertices < u32::MAX by Csr::validate.
-                        let deg = g.out_degree(v as u32);
-                        let mut bits = aw;
-                        while bits != 0 {
-                            let l = bits.trailing_zeros() as usize;
-                            bits &= bits - 1;
-                            let idx = l * n + v;
-                            // ORDERING: Relaxed — the swap claims this cell's
-                            // mass atomically; concurrent pushes either land
-                            // before (claimed now) or after (next round).
-                            let r = f64::from_bits(residual[idx].swap(0, Ordering::Relaxed));
-                            if r == 0.0 {
-                                continue;
-                            }
-                            if deg == 0 {
-                                // dangling vertex: absorb the whole mass
-                                add_f64(&scores[idx], r);
-                                continue;
-                            }
-                            if r < opts.epsilon * deg as f64 {
-                                // below threshold: retain in place, stay quiet
-                                add_f64(&residual[idx], r);
-                                continue;
-                            }
-                            add_f64(&scores[idx], opts.alpha * r);
-                            let share = (1.0 - opts.alpha) * r / deg as f64;
-                            for e in g.edge_range(v as u32) {
-                                edges += 1;
-                                let u = cols[e] as usize;
-                                add_f64(&residual[l * n + u], share);
-                                next.fetch_or(u, 1u64 << l);
-                            }
+            let push = |walk: Walk<'_>| {
+                let mut edges = 0u64;
+                if ctx.abort_mid_operator() {
+                    return edges;
+                }
+                for (v, aw) in walk {
+                    // CAST: v < num_vertices < u32::MAX by Csr::validate.
+                    let deg = g.out_degree(v as u32);
+                    let mut bits = aw;
+                    while bits != 0 {
+                        let l = bits.trailing_zeros() as usize;
+                        bits &= bits - 1;
+                        let idx = l * n + v;
+                        // ORDERING: Relaxed — the swap claims this cell's
+                        // mass atomically; concurrent pushes either land
+                        // before (claimed now) or after (next round).
+                        let r = f64::from_bits(residual[idx].swap(0, Ordering::Relaxed));
+                        if r == 0.0 {
+                            continue;
+                        }
+                        if deg == 0 {
+                            // dangling vertex: absorb the whole mass
+                            add_f64(&scores[idx], r);
+                            continue;
+                        }
+                        if r < opts.epsilon * deg as f64 {
+                            // below threshold: retain in place, stay quiet
+                            add_f64(&residual[idx], r);
+                            continue;
+                        }
+                        add_f64(&scores[idx], opts.alpha * r);
+                        let share = (1.0 - opts.alpha) * r / deg as f64;
+                        for e in g.edge_range(v as u32) {
+                            edges += 1;
+                            let u = cols[e] as usize;
+                            add_f64(&residual[l * n + u], share);
+                            next.fetch_or(u, 1u64 << l);
                         }
                     }
-                    edges
-                })
-                .sum::<u64>()
+                }
+                edges
+            };
+            par::map_reduce(active.par_walk(grain_size(n)), 0, push, |a, b| a + b)
         };
         // a panicking round poisoned the run: the next boundary ends it
         if !advance_lanes(ctx, "msppr", "advance:msppr", active, next, round) {

@@ -13,8 +13,8 @@ use crate::primitive::{run, Primitive};
 use crate::registry::{Arity, Output};
 use gunrock::prelude::*;
 use gunrock_engine::atomics::{atomic_u32_vec, into_plain_u32};
+use gunrock_engine::par;
 use gunrock_graph::{Csr, EdgeId, VertexId, Weight};
-use rayon::prelude::*;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
 /// MST output.
@@ -88,7 +88,9 @@ impl Primitive for Mst {
         let labels = atomic_u32_vec(ctx.num_vertices(), 0);
         // ORDERING: Relaxed — packed best-edge and label cells are monotonic
         // fetch_min targets; each Boruvka round ends in a join barrier.
-        labels.par_iter().enumerate().for_each(|(v, l)| l.store(v as u32, Ordering::Relaxed));
+        compute::for_each_id(ctx.num_vertices(), |v| {
+            labels[v as usize].store(v, Ordering::Relaxed)
+        });
         let best = (0..ctx.num_vertices()).map(|_| AtomicU64::new(NONE)).collect();
         Mst { labels, best, chosen: Vec::new(), total_weight: 0, done: false }
     }
@@ -107,7 +109,7 @@ impl Primitive for Mst {
         // Step 1: per-component minimum outgoing edge (atomic min over
         // the packed (weight, edge) key).
         let min_edge = || {
-            (0..n as u32).into_par_iter().for_each(|u| {
+            compute::for_each_id(n, |u| {
                 let lu = labels[u as usize].load(Ordering::Relaxed);
                 for e in g.edge_range(u) {
                     let v = g.col_indices()[e];
@@ -123,17 +125,24 @@ impl Primitive for Mst {
         // Step 2: collect winners, resetting their keys for the next
         // round; stop when no component can grow.
         let winners = || -> Vec<(u32, u64)> {
-            (0..n as u32)
-                .into_par_iter()
-                .filter_map(|c| {
-                    let b = best[c as usize].load(Ordering::Relaxed);
-                    if b == NONE {
-                        return None;
-                    }
-                    best[c as usize].store(NONE, Ordering::Relaxed);
-                    Some((c, b))
-                })
-                .collect()
+            let claim = |c: u32| {
+                let b = best[c as usize].load(Ordering::Relaxed);
+                if b == NONE {
+                    return None;
+                }
+                best[c as usize].store(NONE, Ordering::Relaxed);
+                Some((c, b))
+            };
+            let block = |ids: std::ops::Range<u32>| ids.filter_map(claim).collect::<Vec<_>>();
+            par::map_reduce(
+                gunrock_engine::config::id_blocks(n),
+                Vec::new(),
+                block,
+                |mut a, mut b| {
+                    a.append(&mut b);
+                    a
+                },
+            )
         };
         // a failed pass poisoned the run: the next boundary ends it
         let Some(winners) = compute::step(ctx, "mst:min_edge", n, min_edge)
@@ -184,7 +193,7 @@ impl Primitive for Mst {
         // pass is parallel)
         let jump = || {
             let changed = std::sync::atomic::AtomicBool::new(false);
-            (0..n as u32).into_par_iter().for_each(|v| {
+            compute::for_each_id(n, |v| {
                 let l = labels[v as usize].load(Ordering::Relaxed);
                 let ll = labels[l as usize].load(Ordering::Relaxed);
                 if ll < l {

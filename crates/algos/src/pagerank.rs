@@ -33,8 +33,8 @@ use gunrock::prelude::*;
 use gunrock_engine::atomics::AtomicF64;
 use gunrock_engine::checkpoint::{Field, Kind::*, Schema, Slot::*, Snapshot, SnapshotWriter};
 use gunrock_engine::compact::compact_indices_into;
+use gunrock_engine::par;
 use gunrock_graph::{EdgeId, VertexId};
-use rayon::prelude::*;
 
 /// PageRank configuration.
 #[derive(Clone, Copy, Debug)]
@@ -213,10 +213,16 @@ impl PageRank {
             let _ = advance::advance(ctx, &self.frontier, spec, &functor);
             let (residual, acc) = (&mut self.residual, &self.acc);
             let merge = || {
-                residual.par_iter_mut().zip(acc.par_iter()).for_each(|(r, a)| {
-                    *r += a.load() + teleport;
-                    a.store(0.0);
-                });
+                let grain = grain_size(n);
+                par::for_each(
+                    residual.chunks_mut(grain).zip(acc.chunks(grain)),
+                    |(rs, accs)| {
+                        for (r, a) in rs.iter_mut().zip(accs) {
+                            *r += a.load() + teleport;
+                            a.store(0.0);
+                        }
+                    },
+                );
                 compact_indices_into(residual, |&r| r.abs() > eps, next);
             };
             // a failed merge poisoned the run: the next boundary ends it
@@ -320,7 +326,10 @@ impl Primitive for PageRank {
     fn finish(self, _ctx: &Context<'_>, done: Enacted) -> PrResult {
         // fold any remaining sub-threshold residual into the scores
         let PageRank { mut scores, residual, .. } = self;
-        scores.par_iter_mut().zip(residual.par_iter()).for_each(|(s, r)| *s += r);
+        let grain = grain_size(scores.len());
+        par::for_each(scores.chunks_mut(grain).zip(residual.chunks(grain)), |(ss, rs)| {
+            ss.iter_mut().zip(rs).for_each(|(s, r)| *s += r)
+        });
         PrResult {
             scores,
             iterations: done.iterations,

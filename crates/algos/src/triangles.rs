@@ -6,8 +6,8 @@
 use crate::primitive::{run, Primitive};
 use crate::registry::{Arity, Output};
 use gunrock::prelude::*;
+use gunrock_engine::par;
 use gunrock_graph::{Csr, VertexId};
-use rayon::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Triangle counting output.
@@ -146,17 +146,18 @@ fn total_pass(ctx: &Context<'_>, total: &AtomicU64) {
 }
 
 fn per_vertex_counts(g: &Csr) -> Vec<u64> {
-    (0..g.num_vertices() as u32)
-        .into_par_iter()
-        .map(|x| {
-            let nx = g.neighbors(x);
-            let mut c = 0u64;
+    let n = g.num_vertices();
+    let grain = grain_size(n);
+    let mut counts = vec![0u64; n];
+    par::for_each(counts.chunks_mut(grain).enumerate(), |(ci, out)| {
+        for (x, c) in (ci * grain..).zip(out) {
+            let nx = g.neighbors(x as u32);
             for (i, &y) in nx.iter().enumerate() {
-                c += intersect_count(&nx[i + 1..], g.neighbors(y));
+                *c += intersect_count(&nx[i + 1..], g.neighbors(y));
             }
-            c
-        })
-        .collect()
+        }
+    });
+    counts
 }
 
 #[cfg(test)]

@@ -11,10 +11,12 @@
 //! vertex parallelism, load-imbalanced on skewed degrees) and
 //! [`GasMode::Balanced`] (MapGraph-style dynamic chunking).
 
+use crate::concat;
 use gunrock_engine::atomics::{atomic_u32_vec, unwrap_atomic_u32};
 use gunrock_engine::bitmap::AtomicBitmap;
+use gunrock_engine::config::grain_size;
+use gunrock_engine::par;
 use gunrock_graph::{Csr, VertexId, INFINITY};
-use rayon::prelude::*;
 use std::sync::atomic::{AtomicU32, Ordering};
 
 /// Workload mapping for the gather/scatter passes.
@@ -68,47 +70,45 @@ pub fn run<P: VertexProgram>(
         // ---- Kernel 1: GATHER (materialized accumulator array) ----
         let acc: Vec<Option<P::Gather>> = match mode {
             GasMode::PerVertex => {
-                active.par_iter().map(|&v| gather_one(rev, program, v)).collect()
+                // one task per active vertex
+                let mut acc = Vec::new();
+                par::collect_into(&active, |&v| gather_one(rev, program, v), &mut acc);
+                acc
             }
             GasMode::Balanced => {
-                // dynamic chunks sized by a grain of vertices but using
-                // rayon's work stealing to smooth degree skew
-                active
-                    .par_chunks(64)
-                    .flat_map_iter(|chunk| chunk.iter().map(|&v| gather_one(rev, program, v)))
-                    .collect()
+                // one task per chunk of 64 vertices, smoothing degree skew
+                let gather = |&v: &u32| gather_one(rev, program, v);
+                concat(active.chunks(64), |chunk| chunk.iter().map(gather).collect())
             }
         };
+        let grain = grain_size(active.len());
         // ---- Kernel 2: APPLY (separate full pass over active set) ----
-        let changed: Vec<bool> = active
-            .par_iter()
-            .zip(acc.par_iter())
-            .map(|(&v, a)| match a {
-                Some(acc) => program.apply(v, *acc),
-                None => false,
-            })
-            .collect();
+        let apply = |(&v, a): (&u32, &Option<P::Gather>)| match a {
+            Some(acc) => program.apply(v, *acc),
+            None => false,
+        };
+        let changed = concat(active.chunks(grain).zip(acc.chunks(grain)), |(vs, accs)| {
+            vs.iter().zip(accs).map(apply).collect()
+        });
         // ---- Kernel 3: SCATTER (third pass; activation set dedup) ----
         let next_bitmap = AtomicBitmap::new(n);
-        let next: Vec<Vec<u32>> = active
-            .par_iter()
-            .zip(changed.par_iter())
-            .map(|(&u, &ch)| {
-                let mut local = Vec::new();
-                if ch {
-                    for e in g.edge_range(u) {
-                        let v = g.col_indices()[e];
-                        if program.scatter(u, v, g.weight(e as u32))
-                            && !next_bitmap.test_and_set(v as usize)
-                        {
-                            local.push(v);
-                        }
+        let scatter = |(&u, &ch): (&u32, &bool)| {
+            let mut local = Vec::new();
+            if ch {
+                for e in g.edge_range(u) {
+                    let v = g.col_indices()[e];
+                    if program.scatter(u, v, g.weight(e as u32))
+                        && !next_bitmap.test_and_set(v as usize)
+                    {
+                        local.push(v);
                     }
                 }
-                local
-            })
-            .collect();
-        active = next.concat();
+            }
+            local
+        };
+        active = concat(active.chunks(grain).zip(changed.chunks(grain)), |(us, chs)| {
+            us.iter().zip(chs).flat_map(scatter).collect()
+        });
     }
     iters
 }

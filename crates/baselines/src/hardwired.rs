@@ -6,10 +6,12 @@
 //! parallel loop nest over raw arrays, the upper bound that Gunrock's
 //! programmable operators are measured against.
 
+use crate::{concat, dangling_mass, l1_distance, out_degrees};
 use gunrock_engine::atomics::{atomic_u32_vec, fetch_min_u32, unwrap_atomic_u32, AtomicF64};
 use gunrock_engine::bitmap::AtomicBitmap;
+use gunrock_engine::config::{grain_size, id_blocks};
+use gunrock_engine::par;
 use gunrock_graph::{Csr, VertexId, INFINITY};
-use rayon::prelude::*;
 use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Direction-optimized BFS (the b40c/Beamer recipe, hand-fused): push
@@ -28,50 +30,47 @@ pub fn bfs(g: &Csr, rev: &Csr, src: VertexId) -> Vec<u32> {
     let mut unvisited_edges: u64 = g.num_edges() as u64 - g.out_degree(src) as u64;
     while !frontier.is_empty() {
         level += 1;
-        let frontier_edges: u64 = frontier.par_iter().map(|&u| g.out_degree(u) as u64).sum();
+        let frontier_edges = out_degrees(g, &frontier);
         let next: Vec<u32> = if frontier_edges * 15 > unvisited_edges {
             // pull sweep over unvisited vertices
             let in_frontier = AtomicBitmap::new(n);
-            frontier.par_iter().for_each(|&u| in_frontier.set(u as usize));
-            (0..n as u32)
-                .into_par_iter()
-                .filter_map(|v| {
-                    if visited.get(v as usize) {
-                        return None;
+            let grain = grain_size(frontier.len());
+            par::for_each(frontier.chunks(grain), |c| {
+                c.iter().for_each(|&u| in_frontier.set(u as usize))
+            });
+            let pull = |v: u32| {
+                if visited.get(v as usize) {
+                    return None;
+                }
+                for e in rev.edge_range(v) {
+                    let u = rev.col_indices()[e];
+                    if in_frontier.get(u as usize) {
+                        depth[v as usize].store(level, Ordering::Relaxed);
+                        visited.set(v as usize);
+                        return Some(v);
                     }
-                    for e in rev.edge_range(v) {
-                        let u = rev.col_indices()[e];
-                        if in_frontier.get(u as usize) {
-                            depth[v as usize].store(level, Ordering::Relaxed);
-                            visited.set(v as usize);
-                            return Some(v);
-                        }
-                    }
-                    None
-                })
-                .collect()
+                }
+                None
+            };
+            concat(id_blocks(n), |ids| ids.filter_map(pull).collect())
         } else {
             // push with test-and-set discovery
-            frontier
-                .par_iter()
-                .map(|&u| {
-                    let mut local = Vec::new();
-                    for e in g.edge_range(u) {
-                        let v = g.col_indices()[e];
-                        if !visited.test_and_set(v as usize) {
-                            depth[v as usize].store(level, Ordering::Relaxed);
-                            local.push(v);
-                        }
+            let push = |&u: &u32| {
+                let mut local = Vec::new();
+                for e in g.edge_range(u) {
+                    let v = g.col_indices()[e];
+                    if !visited.test_and_set(v as usize) {
+                        depth[v as usize].store(level, Ordering::Relaxed);
+                        local.push(v);
                     }
-                    local
-                })
-                .reduce(Vec::new, |mut a, mut b| {
-                    a.append(&mut b);
-                    a
-                })
+                }
+                local
+            };
+            concat(frontier.chunks(grain_size(frontier.len())), |c| {
+                c.iter().flat_map(push).collect()
+            })
         };
-        unvisited_edges = unvisited_edges
-            .saturating_sub(next.par_iter().map(|&v| g.out_degree(v) as u64).sum());
+        unvisited_edges = unvisited_edges.saturating_sub(out_degrees(g, &next));
         frontier = next;
     }
     unwrap_atomic_u32(&depth)
@@ -99,25 +98,24 @@ pub fn sssp_delta_stepping(g: &Csr, src: VertexId, delta: u32) -> Vec<u32> {
             let lo = (bi as u64 * delta as u64) as u32;
             let hi = ((bi as u64 + 1) * delta as u64).min(u32::MAX as u64) as u32;
             // relax out-edges of bucket members whose dist is in range
-            let updates: Vec<Vec<(u32, u32)>> = current
-                .par_iter()
-                .map(|&u| {
-                    let mut local = Vec::new();
-                    let du = dist[u as usize].load(Ordering::Relaxed);
-                    if du < lo || du >= hi {
-                        return local; // stale entry
+            let relax = |&u: &u32| {
+                let mut local = Vec::new();
+                let du = dist[u as usize].load(Ordering::Relaxed);
+                if du < lo || du >= hi {
+                    return local; // stale entry
+                }
+                for e in g.edge_range(u) {
+                    let v = g.col_indices()[e];
+                    let nd = du.saturating_add(g.weight(e as u32));
+                    if fetch_min_u32(&dist[v as usize], nd) {
+                        local.push((v, nd));
                     }
-                    for e in g.edge_range(u) {
-                        let v = g.col_indices()[e];
-                        let nd = du.saturating_add(g.weight(e as u32));
-                        if fetch_min_u32(&dist[v as usize], nd) {
-                            local.push((v, nd));
-                        }
-                    }
-                    local
-                })
-                .collect();
-            for (v, nd) in updates.concat() {
+                }
+                local
+            };
+            let grain = grain_size(current.len());
+            let updates = concat(current.chunks(grain), |c| c.iter().flat_map(relax).collect());
+            for (v, nd) in updates {
                 let b = (nd / delta) as usize;
                 if buckets.len() <= b {
                     buckets.resize(b + 1, Vec::new());
@@ -149,30 +147,28 @@ pub fn bc(g: &Csr, src: VertexId) -> Vec<f64> {
         // ever grows, so `last()` cannot fail.
         let frontier = levels.last().unwrap();
         let claimed = AtomicBitmap::new(n);
-        let next: Vec<Vec<u32>> = frontier
-            .par_iter()
-            .map(|&u| {
-                let mut local = Vec::new();
-                for &v in g.neighbors(u) {
-                    if depth[v as usize].load(Ordering::Relaxed) == INFINITY {
-                        let _ = depth[v as usize].compare_exchange(
-                            INFINITY,
-                            level,
-                            Ordering::Relaxed,
-                            Ordering::Relaxed,
-                        );
-                    }
-                    if depth[v as usize].load(Ordering::Relaxed) == level {
-                        let _ = sigma[v as usize].fetch_add(sigma[u as usize].load());
-                        if !claimed.test_and_set(v as usize) {
-                            local.push(v);
-                        }
+        let expand = |&u: &u32| {
+            let mut local = Vec::new();
+            for &v in g.neighbors(u) {
+                if depth[v as usize].load(Ordering::Relaxed) == INFINITY {
+                    let _ = depth[v as usize].compare_exchange(
+                        INFINITY,
+                        level,
+                        Ordering::Relaxed,
+                        Ordering::Relaxed,
+                    );
+                }
+                if depth[v as usize].load(Ordering::Relaxed) == level {
+                    let _ = sigma[v as usize].fetch_add(sigma[u as usize].load());
+                    if !claimed.test_and_set(v as usize) {
+                        local.push(v);
                     }
                 }
-                local
-            })
-            .collect();
-        let next = next.concat();
+            }
+            local
+        };
+        let grain = grain_size(frontier.len());
+        let next = concat(frontier.chunks(grain), |c| c.iter().flat_map(expand).collect());
         if next.is_empty() {
             break;
         }
@@ -181,16 +177,19 @@ pub fn bc(g: &Csr, src: VertexId) -> Vec<f64> {
     let delta: Vec<AtomicF64> = (0..n).map(|_| AtomicF64::new(0.0)).collect();
     for lvl in (0..levels.len() - 1).rev() {
         let lv = lvl as u32;
-        levels[lvl].par_iter().for_each(|&u| {
-            let mut acc = 0.0;
-            for &v in g.neighbors(u) {
-                if depth[v as usize].load(Ordering::Relaxed) == lv + 1 {
-                    acc += sigma[u as usize].load() / sigma[v as usize].load()
-                        * (1.0 + delta[v as usize].load());
+        let grain = grain_size(levels[lvl].len());
+        par::for_each(levels[lvl].chunks(grain), |c| {
+            for &u in c {
+                let mut acc = 0.0;
+                for &v in g.neighbors(u) {
+                    if depth[v as usize].load(Ordering::Relaxed) == lv + 1 {
+                        acc += sigma[u as usize].load() / sigma[v as usize].load()
+                            * (1.0 + delta[v as usize].load());
+                    }
                 }
-            }
-            if acc != 0.0 {
-                let _ = delta[u as usize].fetch_add(acc);
+                if acc != 0.0 {
+                    let _ = delta[u as usize].fetch_add(acc);
+                }
             }
         });
     }
@@ -220,28 +219,32 @@ pub fn cc_soman(g: &Csr) -> Vec<VertexId> {
         // iteration to break chains; with the min-label discipline the
         // monotone direction converges and keeps labels canonical)
         let _ = iter;
-        (0..n as u32).into_par_iter().for_each(|u| {
-            for &v in g.neighbors(u) {
-                let lu = label[u as usize].load(Ordering::Relaxed);
-                let lv = label[v as usize].load(Ordering::Relaxed);
-                if lu == lv {
-                    continue;
-                }
-                let (hi, lo) = if lu > lv { (lu, lv) } else { (lv, lu) };
-                if label[hi as usize].fetch_min(lo, Ordering::Relaxed) > lo {
-                    hooked.store(true, Ordering::Relaxed);
+        par::for_each(id_blocks(n), |ids| {
+            for u in ids {
+                for &v in g.neighbors(u) {
+                    let lu = label[u as usize].load(Ordering::Relaxed);
+                    let lv = label[v as usize].load(Ordering::Relaxed);
+                    if lu == lv {
+                        continue;
+                    }
+                    let (hi, lo) = if lu > lv { (lu, lv) } else { (lv, lu) };
+                    if label[hi as usize].fetch_min(lo, Ordering::Relaxed) > lo {
+                        hooked.store(true, Ordering::Relaxed);
+                    }
                 }
             }
         });
         // pointer jumping: flatten label trees to stars
         loop {
             let jumped = AtomicBool::new(false);
-            (0..n as u32).into_par_iter().for_each(|v| {
-                let l = label[v as usize].load(Ordering::Relaxed);
-                let ll = label[l as usize].load(Ordering::Relaxed);
-                if ll < l {
-                    label[v as usize].fetch_min(ll, Ordering::Relaxed);
-                    jumped.store(true, Ordering::Relaxed);
+            par::for_each(id_blocks(n), |ids| {
+                for v in ids {
+                    let l = label[v as usize].load(Ordering::Relaxed);
+                    let ll = label[l as usize].load(Ordering::Relaxed);
+                    if ll < l {
+                        label[v as usize].fetch_min(ll, Ordering::Relaxed);
+                        jumped.store(true, Ordering::Relaxed);
+                    }
                 }
             });
             if !jumped.load(Ordering::Relaxed) {
@@ -263,26 +266,20 @@ pub fn pagerank(g: &Csr, rev: &Csr, damping: f64, tol: f64, max_iters: usize) ->
     }
     let mut pr = vec![1.0 / n as f64; n];
     for _ in 0..max_iters {
-        let dangling: f64 = (0..n as u32)
-            .into_par_iter()
-            .filter(|&v| g.out_degree(v) == 0)
-            .map(|v| pr[v as usize])
-            .sum();
+        let dangling = dangling_mass(g, &pr);
         let base = (1.0 - damping) / n as f64 + damping * dangling / n as f64;
         let pr_ref = &pr;
         // pull form: no atomics needed — each vertex sums its in-edges
-        let next: Vec<f64> = (0..n as u32)
-            .into_par_iter()
-            .map(|v| {
-                let mut acc = 0.0;
-                for e in rev.edge_range(v) {
-                    let u = rev.col_indices()[e];
-                    acc += pr_ref[u as usize] / g.out_degree(u) as f64;
-                }
-                base + damping * acc
-            })
-            .collect();
-        let l1: f64 = pr.par_iter().zip(next.par_iter()).map(|(a, b)| (a - b).abs()).sum();
+        let pull = |v: u32| {
+            let mut acc = 0.0;
+            for e in rev.edge_range(v) {
+                let u = rev.col_indices()[e];
+                acc += pr_ref[u as usize] / g.out_degree(u) as f64;
+            }
+            base + damping * acc
+        };
+        let next = concat(id_blocks(n), |ids| ids.map(pull).collect());
+        let l1 = l1_distance(&pr, &next);
         pr = next;
         if l1 < tol {
             break;

@@ -7,10 +7,12 @@
 //! performance inversion the paper discusses), so this engine implements
 //! Bellman-Ford too.
 
+use crate::{concat, dangling_mass, l1_distance, out_degrees};
 use gunrock_engine::atomics::{atomic_u32_vec, fetch_min_u32, unwrap_atomic_u32, AtomicF64};
 use gunrock_engine::bitmap::AtomicBitmap;
+use gunrock_engine::config::{grain_size, id_blocks};
+use gunrock_engine::par;
 use gunrock_graph::{Csr, VertexId, INFINITY, INVALID_VERTEX};
-use rayon::prelude::*;
 use std::sync::atomic::{AtomicU32, Ordering};
 
 /// A subset of vertices: sparse id list or dense membership flags.
@@ -87,78 +89,55 @@ where
     let n = g.num_vertices();
     let sparse_ids;
     let (frontier_len, frontier_edges, ids): (usize, u64, &[u32]) = match frontier {
-        VertexSubset::Sparse(v) => {
-            let fe: u64 = v.par_iter().map(|&u| g.out_degree(u) as u64).sum();
-            (v.len(), fe, v.as_slice())
-        }
+        VertexSubset::Sparse(v) => (v.len(), out_degrees(g, v), v.as_slice()),
         VertexSubset::Dense(_) => {
             sparse_ids = frontier.to_vec();
-            let fe: u64 = sparse_ids.par_iter().map(|&u| g.out_degree(u) as u64).sum();
-            (sparse_ids.len(), fe, sparse_ids.as_slice())
+            (sparse_ids.len(), out_degrees(g, &sparse_ids), sparse_ids.as_slice())
         }
     };
     if should_densify(g, frontier_len, frontier_edges) {
         // Dense (pull): for every target passing cond, scan in-neighbors.
         let member = AtomicBitmap::new(n);
-        ids.par_iter().for_each(|&u| member.set(u as usize));
-        let out: Vec<bool> = (0..n as u32)
-            .into_par_iter()
-            .map(|v| {
-                if !cond(v) {
-                    return false;
-                }
-                let mut hit = false;
-                for e in rev.edge_range(v) {
-                    let u = rev.col_indices()[e];
-                    if member.get(u as usize) && update(u, v, rev.weight(e as u32)) {
-                        hit = true;
-                        if !cond(v) {
-                            break;
-                        }
+        par::for_each(ids.chunks(grain_size(ids.len())), |c| {
+            c.iter().for_each(|&u| member.set(u as usize))
+        });
+        let pull = |v: u32| {
+            if !cond(v) {
+                return false;
+            }
+            let mut hit = false;
+            for e in rev.edge_range(v) {
+                let u = rev.col_indices()[e];
+                if member.get(u as usize) && update(u, v, rev.weight(e as u32)) {
+                    hit = true;
+                    if !cond(v) {
+                        break;
                     }
                 }
-                hit
-            })
-            .collect();
-        VertexSubset::Dense(out)
+            }
+            hit
+        };
+        VertexSubset::Dense(concat(id_blocks(n), |ids| ids.map(pull).collect()))
     } else {
         // Sparse (push): expand out-edges, flag output vertices once.
         let claimed = AtomicBitmap::new(n);
-        let chunks: Vec<Vec<u32>> = ids
-            .par_chunks(256.max(ids.len() / (rayon::current_num_threads() * 8).max(1)))
-            .map(|chunk| {
-                let mut local = Vec::new();
-                for &u in chunk {
-                    for e in g.edge_range(u) {
-                        let v = g.col_indices()[e];
-                        if cond(v)
-                            && update(u, v, g.weight(e as u32))
-                            && !claimed.test_and_set(v as usize)
-                        {
-                            local.push(v);
-                        }
+        let grain = 256.max(ids.len() / (par::threads() * 8).max(1));
+        let push = |chunk: &[u32]| {
+            let mut local = Vec::new();
+            for &u in chunk {
+                for e in g.edge_range(u) {
+                    let v = g.col_indices()[e];
+                    if cond(v)
+                        && update(u, v, g.weight(e as u32))
+                        && !claimed.test_and_set(v as usize)
+                    {
+                        local.push(v);
                     }
                 }
-                local
-            })
-            .collect();
-        VertexSubset::Sparse(chunks.concat())
-    }
-}
-
-/// vertexMap: applies `f` to every member; members for which `f` returns
-/// true stay in the output subset.
-pub fn vertex_map<F>(subset: &VertexSubset, f: F) -> VertexSubset
-where
-    F: Fn(VertexId) -> bool + Send + Sync,
-{
-    match subset {
-        VertexSubset::Sparse(v) => {
-            VertexSubset::Sparse(v.par_iter().copied().filter(|&u| f(u)).collect())
-        }
-        VertexSubset::Dense(d) => VertexSubset::Dense(
-            d.par_iter().enumerate().map(|(i, &b)| b && f(i as u32)).collect(),
-        ),
+            }
+            local
+        };
+        VertexSubset::Sparse(concat(ids.chunks(grain), push))
     }
 }
 
@@ -283,11 +262,7 @@ pub fn pagerank(g: &Csr, rev: &Csr, d: f64, tol: f64, max_iters: usize) -> Vec<f
     }
     let mut pr = vec![1.0 / n as f64; n];
     for _ in 0..max_iters {
-        let dangling: f64 = (0..n as u32)
-            .into_par_iter()
-            .filter(|&v| g.out_degree(v) == 0)
-            .map(|v| pr[v as usize])
-            .sum();
+        let dangling = dangling_mass(g, &pr);
         let base = (1.0 - d) / n as f64 + d * dangling / n as f64;
         let next: Vec<AtomicF64> = (0..n).map(|_| AtomicF64::new(base)).collect();
         let frontier = VertexSubset::full(n);
@@ -305,7 +280,7 @@ pub fn pagerank(g: &Csr, rev: &Csr, d: f64, tol: f64, max_iters: usize) -> Vec<f
             |_| true,
         );
         let next: Vec<f64> = next.iter().map(|a| a.load()).collect();
-        let l1: f64 = pr.par_iter().zip(next.par_iter()).map(|(a, b)| (a - b).abs()).sum();
+        let l1 = l1_distance(&pr, &next);
         pr = next;
         if l1 < tol {
             break;

@@ -9,10 +9,11 @@
 //! combined values — three passes plus buffer traffic, versus Gunrock's
 //! fused single pass.
 
+use crate::{concat, dangling_mass, l1_distance};
 use gunrock_engine::atomics::{atomic_u32_vec, unwrap_atomic_u32, AtomicF64};
 use gunrock_engine::bitmap::AtomicBitmap;
+use gunrock_engine::config::{grain_size, id_blocks};
 use gunrock_graph::{Csr, VertexId, INFINITY};
-use rayon::prelude::*;
 use std::sync::atomic::{AtomicU32, Ordering};
 
 /// A message addressed to a vertex.
@@ -47,20 +48,18 @@ where
     V: Fn(VertexId, T) -> bool + Send + Sync,
 {
     // Pass 1: edge processors fill the message buffer.
-    let buffers: Vec<Vec<Message<T>>> = active
-        .par_iter()
-        .map(|&u| {
-            let mut local = Vec::new();
-            for e in g.edge_range(u) {
-                let v = g.col_indices()[e];
-                if let Some(payload) = edge_proc(u, v, g.weight(e as u32)) {
-                    local.push(Message { dst: v, payload });
-                }
+    let emit = |&u: &u32| {
+        let mut local = Vec::new();
+        for e in g.edge_range(u) {
+            let v = g.col_indices()[e];
+            if let Some(payload) = edge_proc(u, v, g.weight(e as u32)) {
+                local.push(Message { dst: v, payload });
             }
-            local
-        })
-        .collect();
-    let messages: Vec<Message<T>> = buffers.concat();
+        }
+        local
+    };
+    let messages =
+        concat(active.chunks(grain_size(active.len())), |c| c.iter().flat_map(emit).collect());
     if messages.is_empty() {
         return Vec::new();
     }
@@ -78,17 +77,16 @@ where
     // Pass 3: vertex processors consume combined messages.
     let n = g.num_vertices();
     let next_bitmap = AtomicBitmap::new(n);
-    let next: Vec<Vec<u32>> = combined
-        .par_iter()
-        .map(|m| {
-            let mut local = Vec::new();
-            if vertex_proc(m.dst, m.payload) && !next_bitmap.test_and_set(m.dst as usize) {
-                local.push(m.dst);
-            }
-            local
-        })
-        .collect();
-    next.concat()
+    let consume = |m: &Message<T>| {
+        let mut local = Vec::new();
+        if vertex_proc(m.dst, m.payload) && !next_bitmap.test_and_set(m.dst as usize) {
+            local.push(m.dst);
+        }
+        local
+    };
+    concat(combined.chunks(grain_size(combined.len())), |c| {
+        c.iter().flat_map(consume).collect()
+    })
 }
 
 /// BFS depths via the message-passing engine.
@@ -151,11 +149,7 @@ pub fn pagerank(g: &Csr, damping: f64, tol: f64, max_iters: usize) -> Vec<f64> {
     let mut pr = vec![1.0 / n as f64; n];
     let all: Vec<u32> = (0..n as u32).collect();
     for _ in 0..max_iters {
-        let dangling: f64 = (0..n as u32)
-            .into_par_iter()
-            .filter(|&v| g.out_degree(v) == 0)
-            .map(|v| pr[v as usize])
-            .sum();
+        let dangling = dangling_mass(g, &pr);
         let base = (1.0 - damping) / n as f64 + damping * dangling / n as f64;
         let acc: Vec<AtomicF64> = (0..n).map(|_| AtomicF64::new(0.0)).collect();
         let pr_ref = &pr;
@@ -173,9 +167,10 @@ pub fn pagerank(g: &Csr, damping: f64, tol: f64, max_iters: usize) -> Vec<f64> {
                 false
             },
         );
-        let next: Vec<f64> =
-            (0..n).into_par_iter().map(|v| base + damping * acc[v].load()).collect();
-        let l1: f64 = pr.par_iter().zip(next.par_iter()).map(|(a, b)| (a - b).abs()).sum();
+        let next = concat(id_blocks(n), |ids| {
+            ids.map(|v| base + damping * acc[v as usize].load()).collect()
+        });
+        let l1 = l1_distance(&pr, &next);
         pr = next;
         if l1 < tol {
             break;

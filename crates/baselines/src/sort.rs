@@ -7,9 +7,9 @@
 //! sequential cutoff.
 
 use gunrock_engine::config::SEQUENTIAL_CUTOFF;
+use gunrock_engine::par;
 use gunrock_engine::scan::scan_exclusive_usize;
 use gunrock_engine::unsafe_slice::UnsafeSlice;
-use rayon::prelude::*;
 
 const RADIX_BITS: usize = 8;
 const BUCKETS: usize = 1 << RADIX_BITS;
@@ -21,7 +21,7 @@ where
     K: Fn(&T) -> u32 + Send + Sync,
 {
     let n = items.len();
-    if n < SEQUENTIAL_CUTOFF || rayon::current_num_threads() == 1 {
+    if n < SEQUENTIAL_CUTOFF || par::threads() == 1 {
         items.sort_by_key(|it| key(it));
         return;
     }
@@ -33,22 +33,21 @@ where
     unsafe {
         dst.set_len(n)
     };
-    let chunk = n.div_ceil(rayon::current_num_threads() * 4).max(1);
+    let chunk = n.div_ceil(par::threads() * 4).max(1);
     for pass in 0..(32 / RADIX_BITS) {
         let shift = pass * RADIX_BITS;
         // CAST: deliberate truncation — the digit is masked to BUCKETS-1 bits.
         let digit = |it: &T| ((key(it) >> shift) as usize) & (BUCKETS - 1);
         // Phase 1: per-chunk digit histograms.
-        let histograms: Vec<[usize; BUCKETS]> = src
-            .par_chunks(chunk)
-            .map(|c| {
-                let mut h = [0usize; BUCKETS];
-                for it in c {
-                    h[digit(it)] += 1;
-                }
-                h
-            })
-            .collect();
+        let histogram = |c: &[T]| {
+            let mut h = [0usize; BUCKETS];
+            for it in c {
+                h[digit(it)] += 1;
+            }
+            h
+        };
+        let mut histograms = Vec::new();
+        par::collect_into(src.chunks(chunk), histogram, &mut histograms);
         // Phase 2: column-major scan gives each (bucket, chunk) its base
         // offset, preserving stability (chunk order within a bucket).
         let num_chunks = histograms.len();
@@ -63,7 +62,7 @@ where
         {
             gunrock_engine::racecheck::begin_phase();
             let out = UnsafeSlice::new(&mut dst);
-            src.par_chunks(chunk).enumerate().for_each(|(c, items)| {
+            par::for_each(src.chunks(chunk).enumerate(), |(c, items)| {
                 let mut cursors = [0usize; BUCKETS];
                 for (b, cur) in cursors.iter_mut().enumerate() {
                     *cur = offsets[b * num_chunks + c];

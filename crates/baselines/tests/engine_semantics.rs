@@ -3,20 +3,11 @@
 //! Ligra-role engine, superstep counting in GAS, and message combining
 //! in the Medusa-role engine.
 
-use gunrock_baselines::ligra::{edge_map, vertex_map, VertexSubset};
+use gunrock_baselines::ligra::{edge_map, VertexSubset};
 use gunrock_baselines::{gas, serial};
 use gunrock_graph::generators::{erdos_renyi, rmat};
 use gunrock_graph::{Coo, GraphBuilder};
 use std::sync::atomic::{AtomicU64, Ordering};
-
-#[test]
-fn vertex_map_filters_both_representations() {
-    let sparse = VertexSubset::Sparse(vec![1, 2, 3, 4]);
-    let dense = VertexSubset::Dense(vec![false, true, true, true, true]);
-    let keep_even = |v: u32| v.is_multiple_of(2);
-    assert_eq!(vertex_map(&sparse, keep_even).to_vec(), vec![2, 4]);
-    assert_eq!(vertex_map(&dense, keep_even).to_vec(), vec![2, 4]);
-}
 
 #[test]
 fn edge_map_small_frontier_stays_sparse_large_goes_dense() {

@@ -33,9 +33,9 @@
 use crate::context::Context;
 use crate::isolate::{launch, AbortPoll, Op, Report};
 use crate::util::grain_size;
+use gunrock_engine::par;
 use gunrock_engine::stats::StepDirection;
 use gunrock_graph::{Csr, EdgeId, VertexId};
-use rayon::prelude::*;
 use std::ops::Range;
 
 /// Shortest edge list [`fold4`] splits into four accumulators.
@@ -223,18 +223,21 @@ pub fn advance_gather<S, T, K, M, R, F>(
             sweep(0, out, window)
         } else {
             let grain = grain_size(len);
+            let add = |a, b| a + b;
             match window {
-                Some(window) => out
-                    .par_chunks_mut(grain)
-                    .zip(window.par_chunks_mut(grain))
-                    .enumerate()
-                    .map(|(ci, (slots, ids))| sweep(ci * grain, slots, Some(ids)))
-                    .sum(),
-                None => out
-                    .par_chunks_mut(grain)
-                    .enumerate()
-                    .map(|(ci, slots)| sweep(ci * grain, slots, None))
-                    .sum(),
+                Some(window) => {
+                    let tasks = out.chunks_mut(grain).zip(window.chunks_mut(grain)).enumerate();
+                    par::map_reduce(
+                        tasks,
+                        0,
+                        |(ci, (s, ids))| sweep(ci * grain, s, Some(ids)),
+                        add,
+                    )
+                }
+                None => {
+                    let tasks = out.chunks_mut(grain).enumerate();
+                    par::map_reduce(tasks, 0, |(ci, s)| sweep(ci * grain, s, None), add)
+                }
             }
         };
         ctx.counters.add_edges(edges);

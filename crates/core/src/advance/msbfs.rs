@@ -32,8 +32,8 @@ use crate::context::Context;
 use crate::isolate::{launch, AbortPoll, Op, Report};
 use crate::util::grain_size;
 use gunrock_engine::lanes::{LaneMap, Walk};
+use gunrock_engine::par;
 use gunrock_engine::stats::StepDirection;
-use rayon::prelude::*;
 
 /// Result of one batched advance level.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -108,7 +108,8 @@ where
                     next.fetch_or(u, want);
                 }
             };
-            frontier.par_walk(grain).into_par_iter().map(|w| scatter(ctx, w, seen, or)).sum()
+            let blocks = frontier.par_walk(grain);
+            par::map_reduce(blocks, 0, |w| scatter(ctx, w, seen, or), |a, b| a + b)
         };
         ctx.counters.add_edges(edges);
         // Phase boundary: the scatter's atomic ORs and the update's plain

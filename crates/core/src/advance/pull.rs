@@ -28,9 +28,9 @@ use crate::util::grain_size;
 use gunrock_engine::bitmap::{BitSet, PooledBitmap};
 use gunrock_engine::config::SEQUENTIAL_CUTOFF;
 use gunrock_engine::frontier::Frontier;
+use gunrock_engine::par;
 use gunrock_engine::stats::StepDirection;
 use gunrock_graph::EdgeId;
-use rayon::prelude::*;
 
 /// Builds the frontier-membership bitmap for a pull step. Word storage
 /// comes from the context's buffer pool (release it back with
@@ -43,7 +43,9 @@ pub fn frontier_bitmap(ctx: &Context<'_>, frontier: &Frontier) -> PooledBitmap {
         bm.fill_from_frontier(frontier);
     } else {
         // CAST: vertex ids are u32 widened to usize for bitmap indexing — lossless.
-        frontier.as_slice().par_iter().for_each(|&v| bm.set(v as usize));
+        let items = frontier.as_slice();
+        let set = |c: &[u32]| c.iter().for_each(|&v| bm.set(v as usize));
+        par::for_each(items.chunks(grain_size(items.len())), set);
     }
     bm
 }
@@ -81,12 +83,12 @@ pub fn advance_pull_sweep<F: AdvanceFunctor>(
         let cols = rev.col_indices();
         let nw = candidates.word_count();
         let wgrain = grain_size(nw);
-        let (discovered, edges) = candidates
-            .words_mut()
-            .par_chunks_mut(wgrain)
-            .zip(out.words_mut().par_chunks_mut(wgrain))
-            .enumerate()
-            .map(|(ci, (cand_words, out_words))| {
+        let tasks =
+            candidates.words_mut().chunks_mut(wgrain).zip(out.words_mut().chunks_mut(wgrain));
+        let (discovered, edges) = par::map_reduce(
+            tasks.enumerate(),
+            (0, 0),
+            |(ci, (cand_words, out_words))| {
                 let mut found = 0u64;
                 let mut edges = 0u64;
                 // a raised cancel/deadline truncates this chunk, or skips
@@ -129,8 +131,9 @@ pub fn advance_pull_sweep<F: AdvanceFunctor>(
                     }
                 }
                 (found, edges)
-            })
-            .reduce(|| (0, 0), |a, b| (a.0 + b.0, a.1 + b.1));
+            },
+            |a, b| (a.0 + b.0, a.1 + b.1),
+        );
         ctx.counters.add_edges(edges);
         (discovered, &*candidates)
     };

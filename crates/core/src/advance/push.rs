@@ -26,11 +26,11 @@ use crate::functor::AdvanceFunctor;
 use crate::util::{concat_chunks, grain_size};
 use gunrock_engine::config::{FRONTIER_SEQ_CUTOFF, SEQUENTIAL_CUTOFF};
 use gunrock_engine::frontier::Frontier;
+use gunrock_engine::par;
 use gunrock_engine::scan::scan_exclusive_u32_into;
 use gunrock_engine::search::merge_path_partitions_into;
 use gunrock_engine::unsafe_slice::UnsafeSlice;
 use gunrock_graph::{EdgeId, VertexId};
-use rayon::prelude::*;
 use std::ops::Range;
 
 /// Total neighbor count of the frontier — the workload size an advance
@@ -43,7 +43,8 @@ pub fn frontier_neighbor_count(ctx: &Context<'_>, input: &Frontier, kind: InputK
     if items.len() < FRONTIER_SEQ_CUTOFF {
         items.iter().map(degree).sum()
     } else {
-        items.par_iter().map(degree).sum()
+        let chunks = items.chunks(grain_size(items.len()));
+        par::map_reduce(chunks, 0, |c| c.iter().map(degree).sum::<u64>(), |a, b| a + b)
     }
 }
 
@@ -67,8 +68,18 @@ impl Degrees {
             per_item.extend(items.iter().map(degree));
             per_item.iter().map(|&d| d as u64).sum()
         } else {
-            items.par_iter().map(degree).collect_into_vec(&mut per_item);
-            per_item.par_iter().map(|&d| d as u64).sum()
+            let grain = grain_size(items.len());
+            per_item.resize(items.len(), 0);
+            let tasks = per_item.chunks_mut(grain).zip(items.chunks(grain));
+            let gather = |(out, chunk): (&mut [u32], &[u32])| {
+                let mut sum = 0u64;
+                for (d, it) in out.iter_mut().zip(chunk) {
+                    *d = degree(it);
+                    sum += u64::from(*d);
+                }
+                sum
+            };
+            par::map_reduce(tasks, 0, gather, |a, b| a + b)
         };
         Degrees { per_item, total }
     }
@@ -140,7 +151,7 @@ fn pack_windows(
     // CAST: a count is at most its window's width; u32 -> usize widens.
     let kept: usize = counts.iter().map(|&c| c as usize).sum();
     out.reserve(kept);
-    if kept < SEQUENTIAL_CUTOFF || rayon::current_num_threads() == 1 {
+    if kept < SEQUENTIAL_CUTOFF || par::threads() == 1 {
         for (ci, &c) in counts.iter().enumerate() {
             let w = window(ci);
             // CAST: same widening as above.
@@ -160,7 +171,7 @@ fn pack_windows(
     gunrock_engine::racecheck::begin_phase();
     let dst = UnsafeSlice::new(&mut out[start..]);
     let bases = &*counts;
-    bases.par_iter().enumerate().for_each(|(ci, &b)| {
+    par::for_each(bases.iter().enumerate(), |(ci, &b)| {
         // CAST: output bases are below kept; u32 -> usize widens.
         let (b, end) = (b as usize, bases.get(ci + 1).map_or(kept, |&n| n as usize));
         let w = window(ci);
@@ -173,8 +184,8 @@ fn pack_windows(
 }
 
 /// Single-threaded advance, used for tiny frontiers (the small-frontier
-/// fast path behind `EngineConfig::serial_threshold`) and whenever the
-/// pool has a single worker thread: no rayon dispatch, no
+/// fast path behind `EngineConfig::serial_threshold`) and whenever
+/// `par::threads()` is 1: no chunked launch, no
 /// scan — one pass appending into a pooled buffer whose capacity already
 /// covers the `work` estimate, so the loop performs zero heap
 /// allocations. Output order is edge-rank order, identical to
@@ -236,17 +247,15 @@ fn for_effect<F: AdvanceFunctor>(
     functor: &F,
 ) -> Frontier {
     let items = input.as_slice();
-    let edges: u64 = items
-        .par_chunks(grain_size(items.len()))
-        .map(|chunk| {
-            // ALLOC-OK(effect-only: expand_serial never pushes with OutputKind::None, so this Vec never allocates)
-            let mut sink = Vec::new();
-            chunk
-                .iter()
-                .map(|&item| expand_serial(ctx, functor, spec, item, &mut sink))
-                .sum::<u64>()
-        })
-        .sum();
+    let expand = |chunk: &[u32]| {
+        // ALLOC-OK(effect-only: expand_serial never pushes with OutputKind::None, so this Vec never allocates)
+        let mut sink = Vec::new();
+        chunk
+            .iter()
+            .map(|&item| expand_serial(ctx, functor, spec, item, &mut sink))
+            .sum::<u64>()
+    };
+    let edges = par::map_reduce(items.chunks(grain_size(items.len())), 0, expand, |a, b| a + b);
     ctx.counters.add_edges(edges);
     Frontier::new()
 }
@@ -270,7 +279,7 @@ pub(crate) fn thread_mapped_from<F: AdvanceFunctor>(
     // expand, pack) is pure overhead: there is no parallelism to balance.
     // Delegate to the serial expansion, which emits the same edge-rank
     // order in one pass over the frontier.
-    if rayon::current_num_threads() == 1 {
+    if par::threads() == 1 {
         degrees.release(ctx);
         return serial(ctx, input, spec, functor, total);
     }
@@ -302,27 +311,25 @@ pub(crate) fn thread_mapped_from<F: AdvanceFunctor>(
     {
         gunrock_engine::racecheck::begin_phase();
         let out_ref = UnsafeSlice::new(&mut slots);
-        items
-            .par_chunks(grain)
-            .zip(offsets.par_chunks(grain))
-            .map(|(chunk, offs)| {
-                // CAST: offsets are edge ranks below total < u32::MAX.
-                let w0 = offs[0] as usize;
-                let mut w = w0;
-                for &item in chunk {
-                    let src = expansion_vertex(ctx, spec.input, item);
-                    walk(ctx, functor, spec.output, src, ctx.graph.edge_range(src), |v| {
-                        // SAFETY: the grain's edges rank into the window
-                        // [offs[0], next grain's offset), which no other
-                        // grain writes, and w never passes its end.
-                        unsafe { out_ref.write(w, v) };
-                        w += 1;
-                    });
-                }
-                // CAST: a grain emits at most its edge count, < u32::MAX.
-                (w - w0) as u32
-            })
-            .collect_into_vec(&mut counts);
+        let tasks = items.chunks(grain).zip(offsets.chunks(grain));
+        let expand = |(chunk, offs): (&[u32], &[u32])| {
+            // CAST: offsets are edge ranks below total < u32::MAX.
+            let w0 = offs[0] as usize;
+            let mut w = w0;
+            for &item in chunk {
+                let src = expansion_vertex(ctx, spec.input, item);
+                walk(ctx, functor, spec.output, src, ctx.graph.edge_range(src), |v| {
+                    // SAFETY: the grain's edges rank into the window
+                    // [offs[0], next grain's offset), which no other
+                    // grain writes, and w never passes its end.
+                    unsafe { out_ref.write(w, v) };
+                    w += 1;
+                });
+            }
+            // CAST: a grain emits at most its edge count, < u32::MAX.
+            (w - w0) as u32
+        };
+        par::collect_into(tasks, expand, &mut counts);
     }
     let mut out = pool.take_u32(total);
     // CAST: a grain's window starts at its first item's rank (u32 -> usize).
@@ -363,18 +370,17 @@ fn classify_degrees(
         }
         return buckets;
     }
-    let per_chunk: Vec<(Vec<u32>, Vec<u32>, Vec<u32>)> = items
-        .par_chunks(grain_size(items.len()))
-        .map(|chunk| {
-            // ALLOC-OK(twc per-chunk classification buckets, opt-in strategy)
-            let mut buckets = (Vec::new(), Vec::new(), Vec::new());
-            for &item in chunk {
-                place(item, &mut buckets);
-            }
-            buckets
-        })
+    let classify = |chunk: &[u32]| {
         // ALLOC-OK(twc per-chunk classification buckets, opt-in strategy)
-        .collect();
+        let mut buckets = (Vec::new(), Vec::new(), Vec::new());
+        for &item in chunk {
+            place(item, &mut buckets);
+        }
+        buckets
+    };
+    // ALLOC-OK(twc per-chunk classification buckets, opt-in strategy)
+    let mut per_chunk = Vec::new();
+    par::collect_into(items.chunks(grain_size(items.len())), classify, &mut per_chunk);
     // ALLOC-OK(twc bucket spines, one small Vec per degree class)
     let mut smalls = Vec::with_capacity(per_chunk.len());
     // ALLOC-OK(twc bucket spines, see above)
@@ -419,16 +425,15 @@ pub fn twc<F: AdvanceFunctor>(
     }
 
     // Medium lists: one task per item (a "warp" cooperates on one list).
-    let medium_chunks: Vec<(Vec<u32>, u64)> = medium
-        .par_iter()
-        .map(|&item| {
-            // ALLOC-OK(twc per-item warp local; opt-in strategy outside the pooled Auto path)
-            let mut local = Vec::new();
-            let edges = expand_serial(ctx, functor, spec, item, &mut local);
-            (local, edges)
-        })
-        // ALLOC-OK(twc per-item warp locals, see above)
-        .collect();
+    let expand = |&item: &u32| {
+        // ALLOC-OK(twc per-item warp local; opt-in strategy outside the pooled Auto path)
+        let mut local = Vec::new();
+        let edges = expand_serial(ctx, functor, spec, item, &mut local);
+        (local, edges)
+    };
+    // ALLOC-OK(twc per-item warp locals, see above)
+    let mut medium_chunks = Vec::new();
+    par::collect_into(&medium, expand, &mut medium_chunks);
     ctx.counters.add_edges(medium_chunks.iter().map(|(_, e)| e).sum());
 
     // Large lists: the whole "CTA" cooperates on one neighbor list,
@@ -442,20 +447,16 @@ pub fn twc<F: AdvanceFunctor>(
         large_edges += range.len() as u64;
         let cols = &g.col_indices()[range.clone()];
         let base = range.start;
-        let mut parts: Vec<Vec<u32>> = cols
-            .par_chunks(ctx.config.cta_size)
-            .enumerate()
-            .map(|(ci, slice)| {
-                // ALLOC-OK(twc per-CTA local, opt-in strategy)
-                let mut local = Vec::new();
-                let start = base + ci * ctx.config.cta_size;
-                walk(ctx, functor, spec.output, src, start..start + slice.len(), |v| {
-                    local.push(v)
-                });
-                local
-            })
-            // ALLOC-OK(twc per-CTA locals, see above)
-            .collect();
+        let expand = |(ci, slice): (usize, &[u32])| {
+            // ALLOC-OK(twc per-CTA local, opt-in strategy)
+            let mut local = Vec::new();
+            let start = base + ci * ctx.config.cta_size;
+            walk(ctx, functor, spec.output, src, start..start + slice.len(), |v| local.push(v));
+            local
+        };
+        // ALLOC-OK(twc per-CTA locals, see above)
+        let mut parts = Vec::new();
+        par::collect_into(cols.chunks(ctx.config.cta_size).enumerate(), expand, &mut parts);
         large_parts.append(&mut parts);
     }
     ctx.counters.add_edges(large_edges);
@@ -641,7 +642,7 @@ fn lb_batch<F: AdvanceFunctor>(
         let out_ref = UnsafeSlice::new(&mut slots);
         // each chunk swaps its partition entry (its first segment) for
         // the number of ids it emitted
-        parts.par_iter_mut().enumerate().for_each(|(ci, part)| {
+        par::for_each(parts.iter_mut().enumerate(), |(ci, part)| {
             let (w0, w1) = (ci * chunk, ((ci + 1) * chunk).min(ranks));
             let mut w = w0;
             // CAST: segment indices and ranks widen u32 -> usize (see above).

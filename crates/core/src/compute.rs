@@ -12,37 +12,26 @@
 
 use crate::context::Context;
 use crate::isolate::{launch, Op, Report};
-use gunrock_engine::config::SEQUENTIAL_CUTOFF;
+use gunrock_engine::config::{grain_size, id_blocks};
 use gunrock_engine::frontier::Frontier;
-use rayon::prelude::*;
+use gunrock_engine::par;
 
 /// Applies `op` to every element of the frontier in parallel.
 fn for_each<F>(input: &Frontier, op: F)
 where
     F: Fn(u32) + Send + Sync,
 {
-    if input.len() < SEQUENTIAL_CUTOFF {
-        for v in input {
-            op(v);
-        }
-    } else {
-        input.as_slice().par_iter().for_each(|&v| op(v));
-    }
+    let items = input.as_slice();
+    par::for_each(items.chunks(grain_size(items.len())), |c| c.iter().for_each(|&v| op(v)));
 }
 
 /// Applies `op` to every id in `0..n` (an implicit full frontier) in
-/// parallel.
-fn for_each_id<F>(n: usize, op: F)
+/// parallel, unframed: for a pass that already runs inside a [`step`].
+pub fn for_each_id<F>(n: usize, op: F)
 where
     F: Fn(u32) + Send + Sync,
 {
-    if n < SEQUENTIAL_CUTOFF {
-        for v in 0..n as u32 {
-            op(v);
-        }
-    } else {
-        (0..n as u32).into_par_iter().for_each(op);
-    }
+    par::for_each(id_blocks(n), |ids| ids.for_each(&op));
 }
 
 /// Applies `op` to every element of `input` as one compute step: launched

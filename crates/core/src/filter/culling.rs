@@ -28,7 +28,7 @@ use crate::util::{concat_chunks, grain_size};
 use gunrock_engine::bitmap::{BitSet, PooledBitmap};
 use gunrock_engine::config::{FRONTIER_SEQ_CUTOFF, SEQUENTIAL_CUTOFF};
 use gunrock_engine::frontier::Frontier;
-use rayon::prelude::*;
+use gunrock_engine::par;
 
 /// Which culling heuristics to run (both on by default, as in Gunrock's
 /// fastest BFS).
@@ -129,19 +129,18 @@ pub fn filter_with_culling<F: FilterFunctor, B: BitSet>(
             // merged once. The steady-state loop of a high-diameter
             // traversal takes the pooled serial branch above instead.
             let grain = grain_size(items.len());
-            let chunks: Vec<Vec<u32>> = items
-                .par_chunks(grain)
-                .map(|chunk| {
-                    let mut local = Vec::new(); // ALLOC-OK(per-task local on the large-frontier path)
-                    let mut history = if cfg.history {
-                        vec![EMPTY_SLOT; 1 << cfg.history_bits] // ALLOC-OK(per-task history table, large path only)
-                    } else {
-                        Vec::new() // ALLOC-OK(empty sentinel, no heap)
-                    };
-                    cull_chunk(ctx, chunk, cfg, &mut history, visited, functor, &mut local);
-                    local
-                })
-                .collect(); // ALLOC-OK(one merge per large-frontier launch)
+            let cull = |chunk: &[u32]| {
+                let mut local = Vec::new(); // ALLOC-OK(per-task local on the large-frontier path)
+                let mut history = if cfg.history {
+                    vec![EMPTY_SLOT; 1 << cfg.history_bits] // ALLOC-OK(per-task history table, large path only)
+                } else {
+                    Vec::new() // ALLOC-OK(empty sentinel, no heap)
+                };
+                cull_chunk(ctx, chunk, cfg, &mut history, visited, functor, &mut local);
+                local
+            };
+            let mut chunks = Vec::new(); // ALLOC-OK(one merge per large-frontier launch)
+            par::collect_into(items.chunks(grain), cull, &mut chunks);
             concat_chunks(chunks)
         }
     })
@@ -224,19 +223,18 @@ pub fn filter_with_culling_bitmap<F: FilterFunctor, B: BitSet>(
             // pushes never grow the buffer (a grown buffer would land in a
             // different pool size class and leak out of steady state).
             let wgrain = grain_size(nw);
-            let parts: Vec<Vec<u32>> = (0..nw.div_ceil(wgrain))
-                .into_par_iter()
-                .map(|ci| {
-                    let lo = ci * wgrain;
-                    let hi = (lo + wgrain).min(nw);
-                    // CAST: count_ones() of a u64 is at most 64, far below usize::MAX.
-                    let pop: usize =
-                        (lo..hi).map(|wi| input.load_word(wi).count_ones() as usize).sum();
-                    let mut local = ctx.pool().take_u32(pop);
-                    cull_words(ctx, input, lo, hi, cfg, visited, functor, &mut local);
-                    local
-                })
-                .collect(); // ALLOC-OK(one merge per bitmap-filter launch)
+            let cull = |ci: usize| {
+                let lo = ci * wgrain;
+                let hi = (lo + wgrain).min(nw);
+                // CAST: count_ones() of a u64 is at most 64, far below usize::MAX.
+                let pop: usize =
+                    (lo..hi).map(|wi| input.load_word(wi).count_ones() as usize).sum();
+                let mut local = ctx.pool().take_u32(pop);
+                cull_words(ctx, input, lo, hi, cfg, visited, functor, &mut local);
+                local
+            };
+            let mut parts = Vec::new(); // ALLOC-OK(one merge per bitmap-filter launch)
+            par::collect_into(0..nw.div_ceil(wgrain), cull, &mut parts);
             let total: usize = parts.iter().map(Vec::len).sum();
             let mut out = ctx.pool().take_u32(total);
             for p in parts {

@@ -19,6 +19,7 @@ use crate::isolate::{launch, Op, Report};
 use gunrock_engine::compact::{compact_indices_into, compact_range_into};
 use gunrock_engine::config::FRONTIER_SEQ_CUTOFF;
 use gunrock_engine::frontier::Frontier;
+use gunrock_engine::par;
 
 /// Exact filter: keeps frontier elements whose `cond` holds, running
 /// `apply` on survivors (fused), preserving order via scan-compact.
@@ -28,7 +29,7 @@ pub fn filter<F: FilterFunctor>(ctx: &Context<'_>, input: &Frontier, functor: &F
     filter_step(ctx, "filter", "scan_compact", input.len(), || {
         let items = input.as_slice();
         let mut out = ctx.pool().take_u32(items.len());
-        if items.len() < FRONTIER_SEQ_CUTOFF || rayon::current_num_threads() == 1 {
+        if items.len() < FRONTIER_SEQ_CUTOFF || par::threads() == 1 {
             // small-frontier path (also taken whenever the pool has a
             // single worker thread): one serial pass, zero allocations
             // in the steady state of high-diameter enact loops (the

@@ -1,8 +1,10 @@
 //! Internal parallel utilities shared by operators.
 
+use gunrock_engine::par;
 use gunrock_engine::scan::scan_exclusive_usize;
 use gunrock_engine::unsafe_slice::UnsafeSlice;
-use rayon::prelude::*;
+
+pub use gunrock_engine::config::grain_size;
 
 /// Concatenates per-task output vectors into one contiguous vector with a
 /// parallel scatter (scan of sizes + disjoint copies). Preserves chunk
@@ -14,7 +16,7 @@ pub fn concat_chunks(chunks: Vec<Vec<u32>>) -> Vec<u32> {
     {
         gunrock_engine::racecheck::begin_phase();
         let out_ref = UnsafeSlice::new(&mut out);
-        chunks.par_iter().zip(offsets.par_iter()).for_each(|(chunk, &base)| {
+        par::for_each(chunks.iter().zip(&offsets), |(chunk, &base)| {
             for (i, &v) in chunk.iter().enumerate() {
                 // SAFETY: chunks write disjoint ranges [base, base+len).
                 unsafe { out_ref.write(base + i, v) };
@@ -22,13 +24,6 @@ pub fn concat_chunks(chunks: Vec<Vec<u32>>) -> Vec<u32> {
         });
     }
     out
-}
-
-/// Splits `len` items into per-task grains: enough chunks to keep every
-/// worker busy without oversubscribing tiny inputs.
-pub fn grain_size(len: usize) -> usize {
-    let tasks = rayon::current_num_threads() * 8;
-    len.div_ceil(tasks).max(64)
 }
 
 #[cfg(test)]

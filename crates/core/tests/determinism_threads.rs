@@ -1,21 +1,17 @@
 //! Thread-count determinism: every push strategy and the pull kernel
 //! must produce the same frontier (as a multiset) and examine the same
-//! number of edges regardless of how many rayon workers execute them.
+//! number of edges regardless of how many workers the launches chunk for.
 //! Chunked expansion plus order-preserving concatenation makes the push
 //! outputs literally identical; pull admits each candidate at most once,
 //! so its output is a set either way.
 
 use gunrock::prelude::*;
+use gunrock_engine::par::with_threads;
 use gunrock_graph::generators::rmat::{rmat, RmatParams};
 use gunrock_graph::{Csr, GraphBuilder};
 
 fn test_graph() -> Csr {
     GraphBuilder::new().build(rmat(9, 8, RmatParams::social(), 42))
-}
-
-/// Runs `f` inside a dedicated rayon pool of `threads` workers.
-fn in_pool<T: Send>(threads: usize, f: impl FnOnce() -> T + Send) -> T {
-    rayon::ThreadPoolBuilder::new().num_threads(threads).build().expect("pool").install(f)
 }
 
 fn sorted(f: Frontier) -> Vec<u32> {
@@ -47,7 +43,7 @@ fn push_strategies_are_thread_count_invariant() {
     for (name, strat) in strategies {
         let mut baseline: Option<(Vec<u32>, u64)> = None;
         for threads in [1usize, 2, 8] {
-            let (out, edges) = in_pool(threads, || {
+            let (out, edges) = with_threads(threads, || {
                 let ctx = Context::new(&g);
                 let out = strat(&ctx, &input, AdvanceSpec::v2v(), &AcceptAll);
                 (sorted(out), ctx.counters.edges())
@@ -73,7 +69,7 @@ fn pull_sweep_is_thread_count_invariant() {
     let n = g.num_vertices();
     let mut baseline: Option<(Vec<u32>, Vec<u32>, u64)> = None;
     for threads in [1usize, 2, 8] {
-        let (out, remaining, edges) = in_pool(threads, || {
+        let (out, remaining, edges) = with_threads(threads, || {
             let ctx = Context::new(&g).with_reverse(&g);
             let in_frontier = advance::pull::frontier_bitmap(&ctx, &input);
             let mut candidates = PooledBitmap::take(ctx.pool(), n);

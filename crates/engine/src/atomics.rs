@@ -3,7 +3,7 @@
 //! accumulation), and conversions between atomic and plain vectors.
 //!
 //! Orderings are `Relaxed` throughout: every Gunrock step ends at a
-//! bulk-synchronous barrier (the rayon join), which provides the
+//! bulk-synchronous barrier (the end of a `par` launch), which provides the
 //! necessary happens-before edges between steps; within a step, the
 //! algorithms tolerate races by construction (monotonic min/add).
 
@@ -131,7 +131,7 @@ pub fn into_plain_u32(cells: Vec<AtomicU32>) -> Vec<u32> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rayon::prelude::*;
+    use crate::par;
 
     #[test]
     fn fetch_min_reports_strict_improvement() {
@@ -145,7 +145,7 @@ mod tests {
     #[test]
     fn concurrent_fetch_min_converges_to_global_min() {
         let cell = AtomicU32::new(u32::MAX);
-        (0..10_000u32).into_par_iter().for_each(|i| {
+        par::for_each(0..10_000u32, |i| {
             let _ = fetch_min_u32(&cell, 10_000 - i);
         });
         assert_eq!(cell.load(Ordering::Relaxed), 1);
@@ -183,7 +183,7 @@ mod tests {
     fn atomic_f64_concurrent_adds_sum_exactly() {
         // powers of two add exactly in f64
         let acc = AtomicF64::new(0.0);
-        (0..4096).into_par_iter().for_each(|_| {
+        par::for_each(0..4096, |_| {
             let _ = acc.fetch_add(0.25);
         });
         assert_eq!(acc.load(), 1024.0);

@@ -429,7 +429,7 @@ impl std::fmt::Debug for PooledBitmap {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rayon::prelude::*;
+    use crate::par;
 
     #[test]
     fn set_get_clear() {
@@ -455,8 +455,12 @@ mod tests {
     #[test]
     fn concurrent_test_and_set_has_exactly_one_winner_per_bit() {
         let bm = AtomicBitmap::new(1000);
-        let winners: usize =
-            (0..8000usize).into_par_iter().map(|i| !bm.test_and_set(i % 1000) as usize).sum();
+        let winners = par::map_reduce(
+            0..8000usize,
+            0,
+            |i| !bm.test_and_set(i % 1000) as usize,
+            |a, b| a + b,
+        );
         assert_eq!(winners, 1000);
         assert_eq!(bm.count_ones(), 1000);
     }
@@ -569,8 +573,12 @@ mod tests {
     fn pooled_concurrent_test_and_set_has_one_winner_per_bit() {
         let pool = BufferPool::new();
         let bm = PooledBitmap::take(&pool, 1000);
-        let winners: usize =
-            (0..8000usize).into_par_iter().map(|i| !bm.test_and_set(i % 1000) as usize).sum();
+        let winners = par::map_reduce(
+            0..8000usize,
+            0,
+            |i| !bm.test_and_set(i % 1000) as usize,
+            |a, b| a + b,
+        );
         assert_eq!(winners, 1000);
         assert_eq!(bm.count_ones(), 1000);
         bm.release(&pool);

@@ -9,7 +9,7 @@
 //! built on it.
 
 use crate::config::SEQUENTIAL_CUTOFF;
-use rayon::prelude::*;
+use crate::par;
 
 /// Returns the elements of `input` satisfying `pred`, in order.
 pub fn compact<T, F>(input: &[T], pred: F) -> Vec<T>
@@ -57,16 +57,17 @@ where
     // CAST: ids fit u32 — asserted at entry.
     assert!(n <= u32::MAX as usize);
     out.clear();
-    if n < SEQUENTIAL_CUTOFF || rayon::current_num_threads() == 1 {
+    if n < SEQUENTIAL_CUTOFF || par::threads() == 1 {
         out.extend((0..n as u32).filter(|&i| pred(i)));
         return;
     }
     out.resize(n, 0);
-    let chunk = n.div_ceil(rayon::current_num_threads() * 4);
-    let kept: Vec<usize> = out
-        .par_chunks_mut(chunk)
-        .enumerate()
-        .map(|(c, slots)| {
+    let chunk = n.div_ceil(par::threads() * 4);
+    let mut kept = Vec::new();
+    let tasks = out.chunks_mut(chunk).enumerate();
+    par::collect_into(
+        tasks,
+        |(c, slots)| {
             let first = c * chunk;
             let mut k = 0;
             // CAST: ids in this range are below n <= u32::MAX.
@@ -77,8 +78,9 @@ where
                 }
             }
             k
-        })
-        .collect();
+        },
+        &mut kept,
+    );
     let mut len = 0;
     for (c, &k) in kept.iter().enumerate() {
         out.copy_within(c * chunk..c * chunk + k, len);

@@ -3,6 +3,8 @@
 //! The constants mirror the Kepler-class hardware the paper evaluates on
 //! (§3) and the paper's tuned thresholds (§4.4).
 
+use std::ops::Range;
+
 /// Threads per warp on the modeled GPU; also the chunklet size for the
 /// TWC medium bucket.
 pub const WARP_SIZE: usize = 32;
@@ -28,8 +30,8 @@ pub const SEQUENTIAL_CUTOFF: usize = 4096;
 pub const FRONTIER_SEQ_CUTOFF: usize = 2048;
 
 /// Default work-estimate threshold (frontier items and total neighbors)
-/// below which an advance runs the single-threaded fast path: no rayon
-/// dispatch, no scan, one pooled output buffer. Targets the
+/// below which an advance runs the single-threaded fast path: no chunked
+/// launch, no scan, one pooled output buffer. Targets the
 /// high-diameter regime (road networks, long-tail BFS levels) where
 /// fork/join overhead dwarfs the few hundred edges of actual work.
 pub const SERIAL_THRESHOLD: usize = 4096;
@@ -96,11 +98,21 @@ impl EngineConfig {
         self.serial_threshold = t;
         self
     }
+}
 
-    /// Number of worker threads in the underlying pool.
-    pub fn num_threads(&self) -> usize {
-        rayon::current_num_threads()
-    }
+/// Splits `len` items into per-task grains: enough chunks to keep every
+/// worker busy without oversubscribing tiny inputs.
+pub fn grain_size(len: usize) -> usize {
+    len.div_ceil(crate::par::threads() * 8).max(64)
+}
+
+/// The ids `0..n` in consecutive blocks of [`grain_size`]`(n)` ids, in
+/// order: the tasks of a pass over an implicit full frontier.
+pub fn id_blocks(n: usize) -> impl Iterator<Item = Range<u32>> {
+    // CAST: ids fit u32 — asserted here, so every block bound does too.
+    assert!(n <= u32::MAX as usize);
+    let grain = grain_size(n);
+    (0..n).step_by(grain).map(move |lo| lo as u32..(lo + grain).min(n) as u32)
 }
 
 #[cfg(test)]
@@ -124,7 +136,10 @@ mod tests {
     }
 
     #[test]
-    fn pool_reports_threads() {
-        assert!(EngineConfig::new().num_threads() >= 1);
+    fn id_blocks_cover_the_ids_in_order() {
+        for n in [0usize, 1, 64, 65, 10_000] {
+            let ids: Vec<u32> = id_blocks(n).flatten().collect();
+            assert_eq!(ids, (0..n as u32).collect::<Vec<_>>(), "n = {n}");
+        }
     }
 }

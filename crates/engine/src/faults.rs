@@ -12,13 +12,15 @@
 //! Determinism: every decision is a pure function of `(seed, site,
 //! draw-counter)` — a SplitMix64 finalizer over the seed XOR an FNV-1a
 //! hash of the site name XOR the per-injector draw count. Because the
-//! vendored rayon shim executes sequentially, the draw order is identical
-//! across runs, so a failing seed replays exactly.
+//! engine's parallel loop ([`crate::par`]) runs a launch's tasks in order,
+//! the draw order is identical across runs, so a failing seed replays
+//! exactly.
 //!
-//! The injector is carried by the core `Context` (library use) or
-//! installed process-wide via the hooks in `vendor/rayon` and the
-//! `gunrock-graph` loaders (CLI use, `--inject-faults`). When no injector
-//! is present every hook is a single relaxed atomic load.
+//! The injector is carried by the core `Context`, where the operator
+//! frame consults it at every launch (library use); the CLI also
+//! installs the `gunrock-graph` loaders' process-wide hook
+//! (`--inject-faults`). When no injector is present every hook is a
+//! single relaxed atomic load.
 
 use crate::fnv::fnv1a;
 use std::sync::atomic::{AtomicU64, Ordering};

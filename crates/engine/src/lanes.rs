@@ -32,8 +32,8 @@
 //! bit = lane) plus its `⌈n/64⌉`-word bitmap.
 
 use crate::bitmap::{into_atomic_words, into_plain_words, BitSet, PooledBitmap};
+use crate::par;
 use crate::pool::BufferPool;
-use rayon::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Traversal lanes per batch: the bit width of a lane word.
@@ -180,10 +180,10 @@ impl LaneMap {
 
     /// [`LaneMap::walk`] split into blocks of about `grain` vertices
     /// (whole bitmap words), one walk per task, in vertex order.
-    pub fn par_walk(&self, grain: usize) -> impl IntoParallelIterator<Item = Walk<'_>> + '_ {
+    pub fn par_walk(&self, grain: usize) -> impl Iterator<Item = Walk<'_>> + '_ {
         let nw = self.occupied.word_count();
         let per = grain.div_ceil(64).max(1);
-        (0..nw.div_ceil(per)).into_par_iter().map(move |b| Walk {
+        (0..nw.div_ceil(per)).map(move |b| Walk {
             wi: b * per,
             end: ((b + 1) * per).min(nw),
             ..self.walk()
@@ -214,17 +214,22 @@ impl LaneMap {
     {
         assert_eq!(seen.len, self.len, "settle requires equal length");
         let per = grain.div_ceil(64).max(1);
-        self.occupied
+        let blocks = self
+            .occupied
             .words_mut()
-            .par_chunks_mut(per)
-            .zip(self.words.par_chunks_mut(per * 64))
-            .zip(seen.occupied.words_mut().par_chunks_mut(per))
-            .zip(seen.words.par_chunks_mut(per * 64))
-            .enumerate()
-            .map(|(b, (((occ, words), seen_occ), seen_words))| {
+            .chunks_mut(per)
+            .zip(self.words.chunks_mut(per * 64))
+            .zip(seen.occupied.words_mut().chunks_mut(per))
+            .zip(seen.words.chunks_mut(per * 64))
+            .enumerate();
+        par::map_reduce(
+            blocks,
+            (0, 0),
+            |(b, (((occ, words), seen_occ), seen_words))| {
                 settle_block(b * per * 64, [occ, words], [seen_occ, seen_words], visit)
-            })
-            .reduce(|| (0, 0), |a, b| (a.0 + b.0, a.1 | b.1))
+            },
+            |a, b| (a.0 + b.0, a.1 | b.1),
+        )
     }
 
     /// Clears every lane word (exclusive): zeroes the occupied words and
@@ -435,9 +440,7 @@ mod tests {
     fn concurrent_fetch_or_loses_no_lanes() {
         let pool = BufferPool::new();
         let lm = LaneMap::take(&pool, 4);
-        (0..64usize).into_par_iter().for_each(|l| {
-            lm.set_lane(1, l);
-        });
+        par::for_each(0..64usize, |l| lm.set_lane(1, l));
         assert_eq!(lm.load(1), u64::MAX);
         assert_consistent(&lm);
         lm.release(&pool);
@@ -488,8 +491,8 @@ mod tests {
         lm.restore_words(&sparse_words(3000, 5, 7));
         let whole: Vec<(usize, u64)> = lm.walk().collect();
         for grain in [1usize, 64, 100, 5000] {
-            let blocks: Vec<Vec<(usize, u64)>> =
-                lm.par_walk(grain).into_par_iter().map(Iterator::collect).collect();
+            let mut blocks: Vec<Vec<(usize, u64)>> = Vec::new();
+            par::collect_into(lm.par_walk(grain), Iterator::collect, &mut blocks);
             assert_eq!(blocks.concat(), whole, "grain {grain}");
         }
         lm.release(&pool);

@@ -1,8 +1,8 @@
 //! # gunrock-engine
 //!
 //! The bulk-synchronous data-parallel substrate standing in for the
-//! paper's GPU (see DESIGN.md §2 and §5): a work-stealing thread pool
-//! plays the SIMT grid, chunklets of [`config::WARP_SIZE`] play warps,
+//! paper's GPU (see DESIGN.md §2 and §5): one chunked parallel loop
+//! ([`par`]) plays the SIMT grid, chunklets of [`config::WARP_SIZE`] play warps,
 //! chunks of [`config::CTA_SIZE`] play cooperative thread arrays, and the
 //! primitives the paper leans on — scan, compact, sorted search /
 //! merge-path partitioning, atomic bitmaps — are implemented here for
@@ -34,6 +34,7 @@ pub mod fnv;
 pub mod frontier;
 pub mod json;
 pub mod lanes;
+pub mod par;
 pub mod pool;
 pub mod queue;
 pub mod racecheck;

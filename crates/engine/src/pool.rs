@@ -12,7 +12,7 @@
 //! free list and the `allocations` counter stops moving — the property
 //! the zero-allocation integration test asserts.
 //!
-//! The pool is shared by reference across rayon workers (checkout and
+//! The pool is shared by reference across a launch's tasks (checkout and
 //! release are `&self`), so the free lists are mutex-guarded and the
 //! statistics are relaxed atomics. Operators check buffers out at bulk
 //! "kernel" granularity — a handful of lock acquisitions per advance,
@@ -587,13 +587,13 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_checkout_under_rayon_is_race_free() {
-        use rayon::prelude::*;
+    fn concurrent_checkout_is_race_free() {
+        use crate::par;
         let pool = BufferPool::new();
         // every worker repeatedly checks out, fills, verifies, releases;
         // under the racecheck feature the UnsafeSlice-free design still
         // exercises the mutex paths from many threads at once
-        (0..64u32).into_par_iter().for_each(|i| {
+        par::for_each(0..64u32, |i| {
             for round in 0..50 {
                 let mut buf = pool.take_u32(64 + (i as usize * 7) % 512);
                 buf.push(i);

@@ -11,8 +11,7 @@
 //! [`crate::config::SEQUENTIAL_CUTOFF`].
 
 use crate::config::SEQUENTIAL_CUTOFF;
-use crate::unsafe_slice::UnsafeSlice;
-use rayon::prelude::*;
+use crate::par;
 
 /// Exclusive scan with a caller-supplied associative operator.
 /// Returns the scanned vector and the total reduction.
@@ -25,7 +24,7 @@ where
     if n == 0 {
         return (Vec::new(), identity);
     }
-    if n < SEQUENTIAL_CUTOFF || rayon::current_num_threads() == 1 {
+    if n < SEQUENTIAL_CUTOFF || par::threads() == 1 {
         let mut out = Vec::with_capacity(n);
         let mut acc = identity;
         for &x in input {
@@ -34,10 +33,14 @@ where
         }
         return (out, acc);
     }
-    let chunk = n.div_ceil(rayon::current_num_threads() * 4).max(1);
+    let chunk = n.div_ceil(par::threads() * 4).max(1);
     // Phase 1: per-chunk reductions.
-    let mut sums: Vec<T> =
-        input.par_chunks(chunk).map(|c| c.iter().fold(identity, |a, &b| op(a, b))).collect();
+    let mut sums = Vec::new();
+    par::collect_into(
+        input.chunks(chunk),
+        |c| c.iter().fold(identity, |a, &b| op(a, b)),
+        &mut sums,
+    );
     // Phase 2: sequential scan of the (small) chunk sums.
     let mut acc = identity;
     for s in sums.iter_mut() {
@@ -45,25 +48,19 @@ where
         acc = op(acc, *s);
         *s = prev;
     }
-    let total = acc;
     // Phase 3: downsweep each chunk with its base offset.
     let mut out = vec![identity; n];
-    {
-        crate::racecheck::begin_phase();
-        let out_ref = UnsafeSlice::new(&mut out);
-        input.par_chunks(chunk).zip(sums.par_iter()).enumerate().for_each(
-            |(ci, (c, &base))| {
-                let start = ci * chunk;
-                let mut acc = base;
-                for (i, &x) in c.iter().enumerate() {
-                    // SAFETY: chunks cover disjoint ranges of `out`.
-                    unsafe { out_ref.write(start + i, acc) };
-                    acc = op(acc, x);
-                }
-            },
-        );
-    }
-    (out, total)
+    par::for_each(
+        out.chunks_mut(chunk).zip(input.chunks(chunk)).zip(&sums),
+        |((o, c), &base)| {
+            let mut acc = base;
+            for (slot, &x) in o.iter_mut().zip(c) {
+                *slot = acc;
+                acc = op(acc, x);
+            }
+        },
+    );
+    (out, acc)
 }
 
 /// Inclusive scan with a caller-supplied associative operator.
@@ -73,7 +70,12 @@ where
     F: Fn(T, T) -> T + Send + Sync,
 {
     let (mut out, _) = scan_exclusive(input, identity, &op);
-    out.par_iter_mut().zip(input.par_iter()).for_each(|(o, &x)| *o = op(*o, x));
+    let grain = crate::config::grain_size(input.len());
+    par::for_each(out.chunks_mut(grain).zip(input.chunks(grain)), |(o, c)| {
+        for (o, &x) in o.iter_mut().zip(c) {
+            *o = op(*o, x);
+        }
+    });
     out
 }
 
@@ -95,7 +97,7 @@ pub fn scan_exclusive_u32_into(input: &[u32], out: &mut Vec<u32>) -> u32 {
     if n == 0 {
         return 0;
     }
-    if n < SEQUENTIAL_CUTOFF || rayon::current_num_threads() == 1 {
+    if n < SEQUENTIAL_CUTOFF || par::threads() == 1 {
         out.reserve(n);
         let mut acc = 0u32;
         for &x in input {
@@ -104,9 +106,10 @@ pub fn scan_exclusive_u32_into(input: &[u32], out: &mut Vec<u32>) -> u32 {
         }
         return acc;
     }
-    let chunk = n.div_ceil(rayon::current_num_threads() * 4).max(1);
+    let chunk = n.div_ceil(par::threads() * 4).max(1);
     // Phase 1: per-chunk reductions.
-    let mut sums: Vec<u32> = input.par_chunks(chunk).map(|c| c.iter().sum()).collect();
+    let mut sums = Vec::new();
+    par::collect_into(input.chunks(chunk), |c| c.iter().sum::<u32>(), &mut sums);
     // Phase 2: sequential scan of the (small) chunk sums.
     let mut acc = 0u32;
     for s in sums.iter_mut() {
@@ -114,25 +117,19 @@ pub fn scan_exclusive_u32_into(input: &[u32], out: &mut Vec<u32>) -> u32 {
         acc += *s;
         *s = prev;
     }
-    let total = acc;
     // Phase 3: downsweep each chunk with its base offset.
     out.resize(n, 0);
-    {
-        crate::racecheck::begin_phase();
-        let out_ref = UnsafeSlice::new(out);
-        input.par_chunks(chunk).zip(sums.par_iter()).enumerate().for_each(
-            |(ci, (c, &base))| {
-                let start = ci * chunk;
-                let mut acc = base;
-                for (i, &x) in c.iter().enumerate() {
-                    // SAFETY: chunks cover disjoint ranges of `out`.
-                    unsafe { out_ref.write(start + i, acc) };
-                    acc += x;
-                }
-            },
-        );
-    }
-    total
+    par::for_each(
+        out.chunks_mut(chunk).zip(input.chunks(chunk)).zip(&sums),
+        |((o, c), &base)| {
+            let mut acc = base;
+            for (slot, &x) in o.iter_mut().zip(c) {
+                *slot = acc;
+                acc += x;
+            }
+        },
+    );
+    acc
 }
 
 /// Exclusive prefix sum of `usize` values.

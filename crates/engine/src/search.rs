@@ -8,7 +8,7 @@
 //! [the] neighbor list of a new node, we use binary search to find the
 //! node ID for the edges that are going to be processed."
 
-use rayon::prelude::*;
+use crate::par;
 
 /// Index of the first element in sorted `haystack` strictly greater than
 /// `needle` (upper bound).
@@ -26,25 +26,6 @@ pub fn upper_bound(haystack: &[u32], needle: u32) -> usize {
 pub fn owning_segment(scanned_offsets: &[u32], work_item: u32) -> usize {
     debug_assert!(!scanned_offsets.is_empty());
     upper_bound(scanned_offsets, work_item) - 1
-}
-
-/// Vectorized sorted search: for every needle (sorted ascending), the
-/// index of its owning segment in `scanned_offsets`. Equivalent to a
-/// merge of the two sorted sequences — the GPU's "sorted search"
-/// primitive — implemented with a galloping merge, O(needles + segments).
-pub fn sorted_search_owners(scanned_offsets: &[u32], needles: &[u32]) -> Vec<u32> {
-    debug_assert!(needles.windows(2).all(|w| w[0] <= w[1]));
-    let mut out = Vec::with_capacity(needles.len());
-    let mut seg = 0usize;
-    for &w in needles {
-        while seg + 1 < scanned_offsets.len() && scanned_offsets[seg + 1] <= w {
-            seg += 1;
-        }
-        // CAST: seg indexes scanned_offsets, whose length is a vertex count
-        // below u32::MAX.
-        out.push(seg as u32);
-    }
-    out
 }
 
 /// Partitions `total_work` items into chunks of `chunk_size`, returning
@@ -75,10 +56,11 @@ pub fn merge_path_partitions_into(
     // CAST: total_work widens u32 -> usize; c * chunk_size < total_work + chunk
     // fits u32 because total_work does; segment indices are vertex counts.
     let num_chunks = (total_work as usize).div_ceil(chunk_size);
-    (0..num_chunks)
-        .into_par_iter()
-        .map(|c| owning_segment(scanned_offsets, (c * chunk_size) as u32) as u32)
-        .collect_into_vec(out);
+    par::collect_into(
+        0..num_chunks,
+        |c| owning_segment(scanned_offsets, (c * chunk_size) as u32) as u32,
+        out,
+    );
 }
 
 #[cfg(test)]
@@ -104,22 +86,6 @@ mod tests {
         assert_eq!(owning_segment(&offsets, 7), 2);
         assert_eq!(owning_segment(&offsets, 8), 3);
         assert_eq!(owning_segment(&offsets, 9), 3);
-    }
-
-    #[test]
-    fn sorted_search_matches_pointwise_binary_search() {
-        let sizes = [4u32, 0, 0, 7, 1, 0, 3];
-        let mut offsets = vec![0u32];
-        for &s in &sizes {
-            offsets.push(offsets.last().unwrap() + s);
-        }
-        let total = *offsets.last().unwrap();
-        let offsets = &offsets[..offsets.len() - 1];
-        let needles: Vec<u32> = (0..total).collect();
-        let got = sorted_search_owners(offsets, &needles);
-        for (w, &seg) in needles.iter().zip(&got) {
-            assert_eq!(seg as usize, owning_segment(offsets, *w));
-        }
     }
 
     #[test]

@@ -423,6 +423,7 @@ impl StatsSink {
     // LOCK-ORDER: stats::StatsSink.recoveries -> stats::StatsSink.degrades
     pub fn snapshot(&self) -> RunStats {
         RunStats {
+            iterations: self.current_iteration(),
             steps: self.steps.lock().clone(),
             switches: self.switches.lock().clone(),
             recoveries: self.recoveries.lock().clone(),
@@ -435,6 +436,12 @@ impl StatsSink {
 /// direction-optimizer switch, in execution order.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct RunStats {
+    /// Bulk-synchronous iterations the run completed: the sink's count of
+    /// [`StatsSink::next_iteration`] calls, which `Context::end_iteration`
+    /// makes together with the work counters' count. Not derived from
+    /// the step stamps: a primitive that ends each iteration before its
+    /// operators run stamps its rounds from 1, after a setup pass at 0.
+    pub iterations: u32,
     /// One record per instrumented operator invocation.
     pub steps: Vec<StepRecord>,
     /// Direction-optimizer decision changes.
@@ -480,11 +487,6 @@ impl RunStats {
         )
     }
 
-    /// Number of distinct iterations observed (highest stamp + 1).
-    pub fn iterations(&self) -> u32 {
-        self.steps.iter().map(|s| s.iteration + 1).max().unwrap_or(0)
-    }
-
     /// Iterations containing at least one pull-direction advance.
     pub fn pull_iterations(&self) -> u32 {
         let mut iters: Vec<u32> = self
@@ -502,7 +504,7 @@ impl RunStats {
     /// `Measurement`s.
     pub fn summary(&self) -> RunStatsSummary {
         RunStatsSummary {
-            iterations: self.iterations(),
+            iterations: self.iterations,
             pull_iterations: self.pull_iterations(),
             edges_examined: self.edges_examined(),
             advance_millis: self.operator_millis(OperatorKind::Advance),
@@ -780,7 +782,7 @@ mod tests {
         assert_eq!(stats.steps[0].iteration, 0);
         assert_eq!(stats.steps[2].iteration, 1);
         assert_eq!(stats.edges_examined(), 50);
-        assert_eq!(stats.iterations(), 2);
+        assert_eq!(stats.iterations, 1);
         assert_eq!(stats.pull_iterations(), 1);
         assert_eq!(stats.switches.len(), 1);
         assert_eq!(stats.switches[0].iteration, 1);
@@ -887,9 +889,29 @@ mod tests {
     }
 
     #[test]
+    fn iterations_count_ends_not_stamps_when_rounds_stamp_from_one() {
+        // a setup pass at stamp 0, then three rounds that each end their
+        // iteration before recording: stamps 1..=3, three iterations
+        let sink = StatsSink::new();
+        let pass = |sink: &StatsSink| {
+            let d = Duration::from_millis(1);
+            step(sink, OperatorKind::Compute, "round", None, 1, 1, 0, d)
+        };
+        sink.record_step(pass(&sink));
+        for _ in 0..3 {
+            sink.next_iteration();
+            sink.record_step(pass(&sink));
+        }
+        let stats = sink.snapshot();
+        assert_eq!(stats.steps.last().map(|s| s.iteration), Some(3));
+        assert_eq!(stats.iterations, 3);
+        assert_eq!(stats.summary().iterations, 3);
+    }
+
+    #[test]
     fn empty_trace_is_valid() {
         let stats = StatsSink::new().snapshot();
-        assert_eq!(stats.iterations(), 0);
+        assert_eq!(stats.iterations, 0);
         assert_eq!(stats.summary(), RunStatsSummary::default());
         assert_eq!(
             stats.to_json(),

@@ -97,7 +97,7 @@ impl<'a, T> UnsafeSlice<'a, T> {
     pub fn begin_phase(&mut self) {
         #[cfg(any(debug_assertions, feature = "racecheck"))]
         // ORDERING: Relaxed — called at a serial point (exclusive &mut
-        // borrow); the rayon join barrier provides the happens-before.
+        // borrow); the launch barrier provides the happens-before.
         self.phase.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -179,14 +179,14 @@ impl<'a, T> UnsafeSlice<'a, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rayon::prelude::*;
+    use crate::par;
 
     #[test]
     fn parallel_disjoint_writes() {
         let mut data = vec![0u32; 1000];
         {
             let out = UnsafeSlice::new(&mut data);
-            (0..1000usize).into_par_iter().for_each(|i| {
+            par::for_each(0..1000usize, |i| {
                 // SAFETY: each i is written exactly once.
                 unsafe { out.write(i, i as u32 * 2) };
             });
@@ -208,12 +208,12 @@ mod tests {
         // long as the barrier is marked
         let mut data = vec![0u32; 64];
         let mut out = UnsafeSlice::new(&mut data);
-        (0..64usize).into_par_iter().for_each(|i| {
+        par::for_each(0..64usize, |i| {
             // SAFETY: each i written once in this phase.
             unsafe { out.write(i, 1) };
         });
         out.begin_phase();
-        (0..64usize).into_par_iter().for_each(|i| {
+        par::for_each(0..64usize, |i| {
             // SAFETY: each i written once in this phase.
             unsafe { out.write(i, 2) };
         });

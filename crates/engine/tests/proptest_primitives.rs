@@ -6,7 +6,7 @@
 use gunrock_engine::bitmap::AtomicBitmap;
 use gunrock_engine::compact::{compact, compact_indices};
 use gunrock_engine::scan::{scan_exclusive, scan_exclusive_u32, scan_inclusive};
-use gunrock_engine::search::{merge_path_partitions, owning_segment, sorted_search_owners};
+use gunrock_engine::search::{merge_path_partitions, owning_segment};
 use proptest::prelude::*;
 
 fn arb_vec() -> impl Strategy<Value = Vec<u32>> {
@@ -77,17 +77,6 @@ proptest! {
             for (c, &s) in starts.iter().enumerate() {
                 prop_assert_eq!(s as usize, owning_segment(&offsets, (c * chunk) as u32));
             }
-        }
-    }
-
-    #[test]
-    fn sorted_search_agrees_with_binary_search(sizes in proptest::collection::vec(0u32..20, 1..40)) {
-        let (offsets, total) = scan_exclusive(&sizes, 0u32, |a, b| a + b);
-        prop_assume!(total > 0);
-        let needles: Vec<u32> = (0..total).collect();
-        let owners = sorted_search_owners(&offsets, &needles);
-        for (w, &seg) in needles.iter().zip(&owners) {
-            prop_assert_eq!(seg as usize, owning_segment(&offsets, *w));
         }
     }
 

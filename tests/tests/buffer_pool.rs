@@ -10,16 +10,12 @@
 
 use gunrock::prelude::*;
 use gunrock_algos as algos;
+use gunrock_engine::par::with_threads;
 use gunrock_graph::generators::rmat::{rmat, RmatParams};
 use gunrock_graph::{Csr, GraphBuilder};
 
 fn test_graph() -> Csr {
     GraphBuilder::new().build(rmat(10, 8, RmatParams::social(), 7))
-}
-
-/// Runs `f` inside a dedicated rayon pool of `threads` workers.
-fn in_pool<T: Send>(threads: usize, f: impl FnOnce() -> T + Send) -> T {
-    rayon::ThreadPoolBuilder::new().num_threads(threads).build().expect("pool").install(f)
 }
 
 #[test]
@@ -81,13 +77,13 @@ fn pooled_results_match_fresh_context_results() {
 #[test]
 fn pooled_runs_are_deterministic_across_thread_pools() {
     let g = test_graph();
-    let reference = in_pool(1, || {
+    let reference = with_threads(1, || {
         let ctx = Context::new(&g);
         algos::bfs(&ctx, 0, algos::BfsOptions::default());
         algos::bfs(&ctx, 0, algos::BfsOptions::default()).labels
     });
     for threads in [2, 8] {
-        let labels = in_pool(threads, || {
+        let labels = with_threads(threads, || {
             let ctx = Context::new(&g);
             algos::bfs(&ctx, 0, algos::BfsOptions::default());
             algos::bfs(&ctx, 0, algos::BfsOptions::default()).labels

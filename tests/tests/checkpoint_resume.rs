@@ -308,7 +308,7 @@ fn pagerank_resume_is_bit_identical() {
         .expect("the sparse tail pushes")
         .iteration;
     assert!(first_push > 2, "kron10 starts dense");
-    assert!(first_push < stats.iterations() - 1, "and pushes for more than one iteration");
+    assert!(first_push < stats.iterations, "and pushes for more than one iteration");
     for cap in [first_push - 2, first_push - 1, first_push] {
         round_trip(&format!("pagerank_gather_{cap}"), cap, true);
     }

@@ -6,6 +6,7 @@
 
 use gunrock::prelude::*;
 use gunrock_algos as algos;
+use gunrock_engine::par::with_threads;
 use gunrock_graph::generators::rmat;
 use gunrock_graph::GraphBuilder;
 use gunrock_integration::graph_suite;
@@ -36,8 +37,7 @@ fn repeated_runs_reach_identical_fixed_points() {
         // CC's labels are each component's minimum id whichever link wins a
         // race, so they also hold still across pool sizes and the skip
         let run_cc = |threads: usize, skip: bool| {
-            let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build();
-            pool.expect("pool").install(|| {
+            with_threads(threads, || {
                 let ctx = Context::new(&g);
                 algos::cc(&if skip { ctx.with_reverse(&g) } else { ctx }).labels
             })
@@ -94,27 +94,23 @@ fn load_balanced_advance_output_is_bit_deterministic() {
 fn dense_pagerank_iterations_are_bit_identical_across_thread_pools() {
     let g = GraphBuilder::new().build(rmat(10, 8, Default::default(), 31));
     let dense_rounds = |threads: usize| {
-        rayon::ThreadPoolBuilder::new().num_threads(threads).build().expect("pool").install(
-            || {
-                let ctx = Context::new(&g)
-                    .with_reverse(&g)
-                    .with_config(EngineConfig::new().with_serial_threshold(0))
-                    .with_stats();
-                let r = algos::pagerank(
-                    &ctx,
-                    algos::PrOptions { max_iters: 6, ..Default::default() },
-                );
-                let stats = ctx.run_stats();
-                // the seed pass is a gather too, before the six rounds
-                assert_eq!(stats.steps.len(), 7);
-                assert_eq!(stats.steps[0].strategy, "pagerank:seed");
-                assert!(
-                    stats.steps[1..].iter().all(|s| s.strategy == "pull_gather"),
-                    "{threads} threads"
-                );
-                r.scores.iter().map(|s| s.to_bits()).collect::<Vec<u64>>()
-            },
-        )
+        with_threads(threads, || {
+            let ctx = Context::new(&g)
+                .with_reverse(&g)
+                .with_config(EngineConfig::new().with_serial_threshold(0))
+                .with_stats();
+            let r =
+                algos::pagerank(&ctx, algos::PrOptions { max_iters: 6, ..Default::default() });
+            let stats = ctx.run_stats();
+            // the seed pass is a gather too, before the six rounds
+            assert_eq!(stats.steps.len(), 7);
+            assert_eq!(stats.steps[0].strategy, "pagerank:seed");
+            assert!(
+                stats.steps[1..].iter().all(|s| s.strategy == "pull_gather"),
+                "{threads} threads"
+            );
+            r.scores.iter().map(|s| s.to_bits()).collect::<Vec<u64>>()
+        })
     };
     let reference = dense_rounds(1);
     for threads in [2, 8] {
@@ -130,24 +126,22 @@ fn dense_pagerank_iterations_are_bit_identical_across_thread_pools() {
 fn bc_is_bit_identical_across_pools_and_the_serial_fast_path() {
     let g = GraphBuilder::new().build(rmat(10, 8, Default::default(), 31));
     let run = |threads: usize, serial_threshold: usize| {
-        rayon::ThreadPoolBuilder::new().num_threads(threads).build().expect("pool").install(
-            || {
-                let ctx = Context::new(&g)
-                    .with_reverse(&g)
-                    .with_config(EngineConfig::new().with_serial_threshold(serial_threshold))
-                    .with_stats();
-                let r = algos::bc(&ctx, 0, algos::BcOptions::default());
-                let steps = ctx.run_stats().steps;
-                assert!(
-                    steps
-                        .iter()
-                        .any(|s| matches!(s.strategy, "pull_gather" | "pull_gather:serial")),
-                    "a dense level ran"
-                );
-                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
-                (bits(&r.bc_values), bits(&r.sigmas), r.labels)
-            },
-        )
+        with_threads(threads, || {
+            let ctx = Context::new(&g)
+                .with_reverse(&g)
+                .with_config(EngineConfig::new().with_serial_threshold(serial_threshold))
+                .with_stats();
+            let r = algos::bc(&ctx, 0, algos::BcOptions::default());
+            let steps = ctx.run_stats().steps;
+            assert!(
+                steps
+                    .iter()
+                    .any(|s| matches!(s.strategy, "pull_gather" | "pull_gather:serial")),
+                "a dense level ran"
+            );
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+            (bits(&r.bc_values), bits(&r.sigmas), r.labels)
+        })
     };
     let reference = run(1, 0);
     for threads in [1, 2, 8] {

@@ -58,8 +58,7 @@ proptest! {
         // take the serial and the chunked passes
         let want = serial::connected_components(&g);
         for threads in [1, 2, 8] {
-            let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().expect("pool");
-            let (skip, plain) = pool.install(|| {
+            let (skip, plain) = gunrock_engine::par::with_threads(threads, || {
                 (algos::cc(&Context::new(&g).with_reverse(&g)), algos::cc(&Context::new(&g)))
             });
             prop_assert_eq!(&skip.labels, &want, "skip, {} threads", threads);

@@ -1,7 +1,7 @@
 //! Property-based equivalence for the bit-parallel MS-BFS batch
 //! (DESIGN.md §13): a lane-packed run must produce depths bit-identical
 //! to independent single-source runs — for lane counts that don't fill
-//! the word (1, 7, 63), across rayon pool sizes (1/2/8), and under
+//! the word (1, 7, 63), across thread counts (1/2/8), and under
 //! degree-descending reordering with per-lane restore.
 
 use gunrock::prelude::*;
@@ -62,15 +62,14 @@ proptest! {
     #[test]
     fn batched_depths_are_pool_size_invariant((g, sources) in arb_batch()) {
         // the depth matrix is a deterministic function of (graph,
-        // sources): 1, 2, and 8 rayon threads must agree bit-for-bit,
+        // sources): 1, 2, and 8 threads must agree bit-for-bit,
         // and the serial fast path (forced via a huge threshold) too
         let reference = {
             let ctx = Context::new(&g);
             algos::msbfs(&ctx, &sources).depths
         };
         for threads in [1usize, 2, 8] {
-            let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
-            let depths = pool.install(|| {
+            let depths = gunrock_engine::par::with_threads(threads, || {
                 let ctx = Context::new(&g);
                 algos::msbfs(&ctx, &sources).depths
             });

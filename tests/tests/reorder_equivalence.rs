@@ -11,6 +11,7 @@
 use gunrock::prelude::*;
 use gunrock_algos as algos;
 use gunrock_baselines::serial;
+use gunrock_engine::par::with_threads;
 use gunrock_graph::generators::rmat::{rmat, RmatParams};
 use gunrock_graph::reorder::{degree_descending, Relabeling};
 use gunrock_graph::{Csr, GraphBuilder};
@@ -18,11 +19,6 @@ use gunrock_graph::{Csr, GraphBuilder};
 fn test_graph() -> Csr {
     // social-skew rmat: pronounced hubs, so relabeling really clusters
     GraphBuilder::new().random_weights(1, 64, 9).build(rmat(10, 16, RmatParams::social(), 21))
-}
-
-/// Runs `f` inside a dedicated rayon pool of `threads` workers.
-fn in_pool<T: Send>(threads: usize, f: impl FnOnce() -> T + Send) -> T {
-    rayon::ThreadPoolBuilder::new().num_threads(threads).build().expect("pool").install(f)
 }
 
 /// Canonical component labeling: each label mapped to the minimum
@@ -42,7 +38,7 @@ fn bfs_depths_are_invariant_under_reorder_and_thread_count() {
     let gr = relab.apply(&g);
     let want = serial::bfs(&g, 0);
     for threads in [1usize, 2, 8] {
-        let (plain, restored, pulls) = in_pool(threads, || {
+        let (plain, restored, pulls) = with_threads(threads, || {
             let ctx = Context::new(&g).with_reverse(&g);
             let a = algos::bfs(&ctx, 0, algos::BfsOptions::direction_optimized());
             let ctx = Context::new(&gr).with_reverse(&gr);
@@ -63,7 +59,7 @@ fn sssp_distances_are_invariant_under_reorder_and_thread_count() {
     let gr = relab.apply(&g);
     let want = serial::dijkstra(&g, 0);
     for threads in [1usize, 2, 8] {
-        let (plain, restored) = in_pool(threads, || {
+        let (plain, restored) = with_threads(threads, || {
             let ctx = Context::new(&g);
             let a = algos::sssp(&ctx, 0, algos::SsspOptions::default());
             let ctx = Context::new(&gr);
@@ -82,7 +78,7 @@ fn cc_partition_is_invariant_under_reorder_and_thread_count() {
     let gr = relab.apply(&g);
     let want = canonical(&serial::connected_components(&g));
     for threads in [1usize, 2, 8] {
-        let (plain, restored) = in_pool(threads, || {
+        let (plain, restored) = with_threads(threads, || {
             let a = algos::cc(&Context::new(&g));
             let b = algos::cc(&Context::new(&gr));
             (canonical(&a.labels), canonical(&relab.restore_ids(&b.labels)))
@@ -103,7 +99,7 @@ fn pagerank_ranks_agree_under_reorder_and_thread_count() {
         algos::pagerank(&ctx, opts()).scores
     };
     for threads in [1usize, 2, 8] {
-        let (plain, restored) = in_pool(threads, || {
+        let (plain, restored) = with_threads(threads, || {
             let a = algos::pagerank(&Context::new(&g), opts());
             let b = algos::pagerank(&Context::new(&gr), opts());
             (a.scores, relab.restore_values(&b.scores))
