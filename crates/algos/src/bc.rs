@@ -23,6 +23,7 @@ use gunrock_engine::atomics::{atomic_u32_vec, into_plain_u32, unwrap_atomic_u32,
 use gunrock_engine::budget::pooled_bytes;
 use gunrock_engine::checkpoint::{Field, Kind::*, Schema, Slot::*, Snapshot, SnapshotWriter};
 use gunrock_graph::{EdgeId, VertexId, INFINITY};
+use std::ops::ControlFlow::Continue;
 use std::sync::atomic::{AtomicU32, Ordering};
 
 /// BC configuration.
@@ -181,7 +182,7 @@ impl Bc {
                 |v| !dense || depth_of(v) == INFINITY,
                 0.0,
                 |u, _, _| if depth_of(u) == up { sigma[u as usize].load() } else { 0.0 },
-                |a, b| a + b,
+                |a, b| Continue(a + b),
                 |v, paths, _| {
                     if paths > 0.0 {
                         sigma[v as usize].store(paths);
@@ -228,7 +229,7 @@ impl Bc {
                     0.0
                 }
             },
-            |a, b| a + b,
+            |a, b| Continue(a + b),
             |u, dependency, _| {
                 delta[u as usize].store(dependency);
                 false

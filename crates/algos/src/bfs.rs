@@ -5,8 +5,12 @@
 //! a visited vertex costs no atomic) and labels it, so each vertex enters
 //! the output once and no culling filter runs: the paper's idempotent
 //! advance and bitmask-culling filter, fused (§7). With a reverse graph on
-//! the context, levels switch to a bitmap pull sweep per Beamer (§4.1.1);
-//! without one every level pushes.
+//! the context, levels switch to pulling per Beamer (§4.1.1); without one
+//! every level pushes. A pull level is one gather over the visited
+//! bitmap's clear bits: an unvisited vertex's fold stops at its first
+//! in-neighbor one level up — depth, not a frontier bitmap, is the
+//! membership test — and the discovered list is ORed into the visited
+//! bitmap a word at a time.
 //!
 //! The paper's other discovery forms are built from the core operators
 //! where they are measured: the base implementation's CAS on labels
@@ -24,6 +28,7 @@ use gunrock_engine::checkpoint::{Field, Kind::*, Schema, Slot::*, Snapshot, Snap
 #[cfg(test)]
 use gunrock_graph::Csr;
 use gunrock_graph::{EdgeId, VertexId, INFINITY, INVALID_VERTEX};
+use std::ops::ControlFlow::{Break, Continue};
 use std::sync::atomic::{AtomicU32, Ordering};
 
 /// The checkpoint's variant slot: every snapshot is written with the
@@ -127,29 +132,8 @@ impl AdvanceFunctor for ClaimDiscover<'_> {
     }
 }
 
-/// Pull-direction discovery: the candidate is unvisited by construction;
-/// label and parent are set on first acceptance (pull output has no
-/// duplicates, so no contract pass runs).
-struct PullDiscover<'a> {
-    st: BfsState<'a>,
-    level: u32,
-}
-
-impl AdvanceFunctor for PullDiscover<'_> {
-    #[inline]
-    fn cond_edge(&self, _src: VertexId, dst: VertexId, _e: EdgeId) -> bool {
-        // ORDERING: Relaxed — any winning parent/label is a valid BFS tree edge
-        // (idempotent discovery); the launch barrier publishes each level.
-        self.st.labels[dst as usize].load(Ordering::Relaxed) == INFINITY
-    }
-    #[inline]
-    fn apply_edge(&self, src: VertexId, dst: VertexId, _e: EdgeId) {
-        self.st.discover(dst, src, self.level);
-    }
-}
-
 /// BFS as a [`Primitive`]: the in-flight state at an iteration boundary.
-/// A snapshot captures all of it but the pooled bitmaps, which are
+/// A snapshot captures all of it but the pooled visited bitmap, which is
 /// rebuilt from the labels.
 #[derive(Default)]
 pub struct Bfs {
@@ -163,30 +147,6 @@ pub struct Bfs {
     unvisited_edges: u64,
     /// The visited bitmap, built at setup.
     visited: Option<PooledBitmap>,
-    /// The dense frontiers of a pull phase.
-    pull: Option<PullFrontiers>,
-}
-
-/// The dense frontier triple of a pull phase, all pool-backed and built
-/// lazily at the push→pull switch: `unvisited` is the candidate mask the
-/// word sweep maintains *incrementally* (discovered bits are cleared in
-/// place — no O(n) re-prune between iterations), `cur` is the current
-/// frontier, and `scratch` is the cleared output buffer the next sweep
-/// writes into; the two ping-pong like the list frontiers do.
-struct PullFrontiers {
-    unvisited: PooledBitmap,
-    cur: PooledBitmap,
-    scratch: PooledBitmap,
-}
-
-impl PullFrontiers {
-    /// Returns all three bitmaps' word storage to the context's pool
-    /// (at the pull→push switch or loop exit).
-    fn release(self, ctx: &Context<'_>) {
-        self.unvisited.release(ctx.pool());
-        self.cur.release(ctx.pool());
-        self.scratch.release(ctx.pool());
-    }
 }
 
 fn direction_tag(d: TraversalDirection) -> u32 {
@@ -199,7 +159,7 @@ fn direction_tag(d: TraversalDirection) -> u32 {
 /// Rebuilds the visited bitmap from labels, with word storage drawn from
 /// the context's pool (release it back when the enact loop exits). At
 /// every iteration boundary `visited == {v | labels[v] != INFINITY}`
-/// holds (a push claim and a pull merge set both together), so
+/// holds (a push claim and a pull level's merge set both together), so
 /// the bitmap itself never needs to be checkpointed.
 fn rebuild_visited(ctx: &Context<'_>, labels: &[AtomicU32]) -> PooledBitmap {
     let bm = PooledBitmap::take(ctx.pool(), labels.len());
@@ -253,10 +213,10 @@ impl Primitive for Bfs {
         opts.mode
     }
 
-    // labels, the visited bitmap and the three pull bitmaps built at the
-    // push->pull switch, and the frontier pair
+    // labels, the visited bitmap, and the frontier pair (a pull level's
+    // output list has a slot per vertex)
     fn state_bytes(n: u64, _m: u64) -> u64 {
-        n * 4 + 4 * bitmap(n) + frontiers(n)
+        n * 4 + bitmap(n) + frontiers(n)
     }
 
     fn init(ctx: &Context<'_>, sources: &[VertexId], _opts: BfsOptions) -> Self {
@@ -359,73 +319,61 @@ impl Primitive for Bfs {
                 &self.frontier,
                 InputKind::Vertices,
             );
-            // Degradation rung: entering a pull phase costs three dense
-            // O(n/64)-word bitmaps (candidates + ping-pong pair). Under
-            // budget pressure, stay push — the list frontiers already in
-            // hand cost nothing new. An in-flight pull phase keeps its
-            // paid-for bitmaps.
-            let in_pull = self.pull.is_some();
+            // Degradation rung: a pull level checks out an output list
+            // with a slot per vertex. Under budget pressure, stay push —
+            // its output buffer is sized by the frontier's edges.
             let can_pull = || {
-                let need = 3 * gunrock_engine::budget::pooled_bytes(n.div_ceil(64) as u64, 8);
-                let fits = in_pull || ctx.pool().can_reserve(need);
+                let need = gunrock_engine::budget::pooled_bytes(n as u64, 4);
+                let fits = ctx.pool().can_reserve(need);
                 if !fits {
                     let headroom = ctx.budget().map(|b| b.headroom()).unwrap_or(0);
                     let reason =
-                        format!("pull bitmaps need {need} bytes, budget headroom {headroom}");
+                        format!("pull output needs {need} bytes, budget headroom {headroom}");
                     ctx.record_degrade("advance", "pull", "push", reason);
                 }
                 fits
             };
             let (m_u, n_f) = (self.unvisited_edges, self.frontier.len());
             let next = match self.policy.choose(ctx, m_f, m_u, n_f, can_pull) {
-                TraversalDirection::Push => {
-                    // leaving a pull phase: the dense frontiers go back
-                    // to the pool until the next switch
-                    if let Some(p) = self.pull.take() {
-                        p.release(ctx);
-                    }
-                    advance::advance(ctx, &self.frontier, spec, &push)
-                }
+                TraversalDirection::Push => advance::advance(ctx, &self.frontier, spec, &push),
                 TraversalDirection::Pull => {
                     self.pull_iters += 1;
-                    // lazy Beamer-switch conversion: only here does the
-                    // list frontier densify, and the candidate mask is
-                    // the visited complement — no O(n) re-prune ever
-                    // runs inside the phase. The bitmaps are pool
-                    // checkouts between operators, built isolated like
-                    // the visited bitmap.
-                    if self.pull.is_none() {
-                        let frontier = &self.frontier;
-                        self.pull = ctx.isolated_setup("setup", || {
-                            let mut unvisited = PooledBitmap::take(ctx.pool(), n);
-                            unvisited.fill_complement(visited);
-                            PullFrontiers {
-                                unvisited,
-                                cur: frontier_bitmap(ctx, frontier),
-                                scratch: PooledBitmap::take(ctx.pool(), n),
-                            }
-                        });
-                    }
                     // a denied checkout poisoned the run: the next
                     // boundary ends it
-                    let Some(fr) = self.pull.as_mut() else { return };
-                    let f = PullDiscover { st: state, level };
-                    advance_pull_sweep(ctx, &mut fr.unvisited, &fr.cur, &mut fr.scratch, &f);
-                    // ping-pong: the sweep's output becomes the next
-                    // iteration's in-frontier
-                    std::mem::swap(&mut fr.cur, &mut fr.scratch);
-                    // merge discoveries into the shared visited bitmap
-                    // (so a later push iteration culls correctly) and
-                    // extract the list frontier for policy/boundary use
-                    let out = filter::culling::filter_with_culling_bitmap(
+                    let Some(mut next) = ctx.isolated_setup("setup", || ctx.pool().take_u32(n))
+                    else {
+                        return;
+                    };
+                    let (labels, up): (&[AtomicU32], u32) = (&self.labels, level - 1);
+                    // ORDERING: Relaxed — any winning parent/label is a valid BFS
+                    // tree edge (idempotent discovery); the launch barrier
+                    // publishes each level.
+                    let parent = move |u: VertexId, _v, _e| {
+                        (labels[u as usize].load(Ordering::Relaxed) == up).then_some(u)
+                    };
+                    advance_gather(
                         ctx,
-                        &fr.cur,
-                        visited,
-                        &VertexCond(|_| true),
-                        CullingConfig { history: false, history_bits: 0, bitmask: true },
+                        GatherSpec::unset(visited),
+                        &mut self.preds,
+                        Some(&mut next),
+                        |_| true,
+                        None,
+                        parent,
+                        |a, b| if b.is_some() { Break(b) } else { Continue(a) },
+                        |v, parent, pred| {
+                            let Some(parent) = parent else { return false };
+                            *pred.get_mut() = parent;
+                            labels[v as usize].store(level, Ordering::Relaxed);
+                            true
+                        },
                     );
-                    fr.scratch.clear_all();
-                    out
+                    // the list is ascending: one fetch_or per word it touches
+                    // CAST: vertex ids widen u32 -> usize for indexing — lossless.
+                    for word in next.chunk_by(|a, b| a / 64 == b / 64) {
+                        let bits = word.iter().fold(0, |w, &v| w | 1u64 << (v % 64));
+                        visited.fetch_or_word(word[0] as usize / 64, bits);
+                    }
+                    Frontier::from_vec(next)
                 }
             };
             self.unvisited_edges = self.unvisited_edges.saturating_sub(
@@ -440,9 +388,6 @@ impl Primitive for Bfs {
     }
 
     fn finish(self, ctx: &Context<'_>, done: Enacted) -> BfsResult {
-        if let Some(p) = self.pull {
-            p.release(ctx);
-        }
         if let Some(v) = self.visited {
             v.release(ctx.pool());
         }
@@ -608,17 +553,18 @@ mod tests {
     }
 
     #[test]
-    fn pull_sweep_trace_decrements_candidates_incrementally() {
-        // Regression: the sweep must maintain the candidate set in place
-        // (clearing discovered bits) rather than re-pruning all n
-        // vertices each pull iteration, and the trace must report the
-        // true candidate count, not the input frontier length.
+    fn pull_gather_unset_trace_decrements_candidates_incrementally() {
+        // Regression: a pull level must visit only the unvisited vertices
+        // rather than re-pruning all n vertices each pull iteration, and
+        // the trace must report the true candidate count, not the input
+        // length.
         let g = GraphBuilder::new().build(rmat(11, 16, Default::default(), 5));
         let ctx = Context::new(&g).with_reverse(&g).with_stats();
         let r = bfs(&ctx, 0, BfsOptions::direction_optimized());
         assert!(r.pull_iterations > 0);
         let steps = ctx.run_stats().steps;
-        let sweeps: Vec<_> = steps.iter().filter(|s| s.strategy == "pull_sweep").collect();
+        let sweeps: Vec<_> =
+            steps.iter().filter(|s| s.strategy.starts_with("pull_gather:unset")).collect();
         assert!(!sweeps.is_empty(), "direction-optimized run must record sweep steps");
         for w in sweeps.windows(2) {
             if w[1].iteration == w[0].iteration + 1 {
@@ -664,8 +610,8 @@ mod tests {
         // isolated ones: level 1 pushes from the hub alone, and its output
         // (every leaf, with no unvisited edges left) crosses both of the
         // default policy's thresholds, so level 2 asks to pull. The pull
-        // bitmaps (3 x n/8 bytes) then cost more than level 2's push
-        // buffer (n/16 entries, n/4 bytes).
+        // output list (n entries, 4n bytes) then costs more than level 2's
+        // push buffer (n/16 entries, n/4 bytes).
         let n: usize = 1 << 16;
         let leaves = (n / 16) as u32;
         let edges: Vec<(u32, u32)> = (1..=leaves).map(|v| (0, v)).collect();
@@ -676,11 +622,11 @@ mod tests {
         let ctx =
             Context::new(&g).with_reverse(&g).with_stats().with_budget(Arc::clone(&budget));
         let bitmap = pooled_bytes((n as u64).div_ceil(64), 8);
-        let pull_need = 3 * bitmap;
+        let pull_need = pooled_bytes(n as u64, 4);
         let level_one = 4 * leaves as u64;
         // Squeeze the budget (as concurrent jobs on a shared pool
         // would) until, once the visited bitmap and level 1's frontier
-        // are checked out, the headroom cannot cover the pull bitmaps
+        // are checked out, the headroom cannot cover the pull output
         // but still fits the push buffers.
         let leave = bitmap + level_one + pull_need - level_one / 4;
         let mut held = Vec::new();

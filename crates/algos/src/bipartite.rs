@@ -18,6 +18,7 @@ use crate::msppr::{msppr, MspprOptions};
 use gunrock::prelude::*;
 use gunrock_engine::par;
 use gunrock_graph::{Csr, VertexId};
+use std::ops::ControlFlow::Continue;
 
 /// Scores from a HITS or SALSA run.
 #[derive(Clone, Debug)]
@@ -99,7 +100,7 @@ fn run_hub_auth(
             |_| true,
             0.0,
             |u, _, _| share(&hubs, g, u),
-            |a, b| a + b,
+            |a, b| Continue(a + b),
             store,
         );
         if !degree_norm {
@@ -114,7 +115,7 @@ fn run_hub_auth(
             |_| true,
             0.0,
             |w, _, _| share(&auths, rev, w),
-            |a, b| a + b,
+            |a, b| Continue(a + b),
             store,
         );
         if !degree_norm {
@@ -184,7 +185,7 @@ pub fn who_to_follow(
         |_| true,
         0.0,
         |u, _, _| vote[u as usize],
-        |a, b| a + b,
+        |a, b| Continue(a + b),
         store,
     );
     // 3. exclude the user's existing follows

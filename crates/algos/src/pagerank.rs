@@ -35,6 +35,7 @@ use gunrock_engine::checkpoint::{Field, Kind::*, Schema, Slot::*, Snapshot, Snap
 use gunrock_engine::compact::compact_indices_into;
 use gunrock_engine::par;
 use gunrock_graph::{EdgeId, VertexId};
+use std::ops::ControlFlow::Continue;
 
 /// PageRank configuration.
 #[derive(Clone, Copy, Debug)]
@@ -196,7 +197,7 @@ impl PageRank {
                 |_| true,
                 0.0,
                 |u, _v, _e| share[u as usize],
-                |a, b| a + b,
+                |a, b| Continue(a + b),
                 |_v, received, r| {
                     *r += received + teleport;
                     r.abs() > eps

@@ -645,7 +645,7 @@ mod tests {
     fn bfs_pulls_over_real_in_edges_of_a_directed_bin() {
         let mut edges: Vec<(u32, u32)> = (1..=20).flat_map(|i| [(0, i), (i, 22)]).collect();
         edges.push((21, 1));
-        pulls_over_real_in_edges_of_a_directed_bin("bfs", 23, &edges, "pull_sweep");
+        pulls_over_real_in_edges_of_a_directed_bin("bfs", 23, &edges, "pull_gather:unset");
     }
 
     #[test]

@@ -5,62 +5,42 @@
 //! an advance step to 'pull' the computation from these nodes'
 //! predecessors if they are valid in the bitmap."
 //!
-//! Each *unvisited* candidate scans its in-neighbors until one is found
-//! in the current-frontier bitmap and the functor accepts the edge; the
-//! early exit is what saves edge visits once the frontier dwarfs the
-//! unvisited set (Beamer et al.). Note the functor sees edge ids of the
-//! *reverse* graph (weights transpose along, so weight lookups stay
-//! correct).
-//!
-//! The operator is the masked word sweep [`advance_pull_sweep`]
-//! (GraphBLAST's masked-SpMV view): candidates and output are
-//! word-addressable [`PooledBitmap`]s, empty mask words are skipped 64
-//! bits at a time with `trailing_zeros` iteration inside non-empty ones,
-//! and discovered candidates are *cleared from the candidate bitmap in
-//! place* — the unvisited set maintains itself incrementally, no O(n)
-//! re-prune between iterations. Per-task word ranges are disjoint, so
-//! the sweep mutates its bitmaps without a single atomic RMW.
+//! The pull is a gather ([`super::gather`]) over the clear bits of a
+//! bitmap (GraphBLAST's masked SpMV with a structural-complement mask):
+//! each unvisited vertex scans its in-neighbors and its fold stops at the
+//! first one that qualifies — Beamer's early exit, which saves edge
+//! visits once the frontier dwarfs the unvisited set. BFS runs its pull
+//! levels as that gather directly; [`advance_pull_sweep`] is the same
+//! gather behind the bitmap-in, bitmap-out interface of an advance
+//! functor. The functor sees edge ids of the *reverse* graph (weights
+//! transpose along, so weight lookups stay correct).
 
+use super::gather::{advance_gather, GatherSpec};
 use crate::context::Context;
 use crate::functor::AdvanceFunctor;
-use crate::isolate::{launch, AbortPoll, Op, Report};
-use crate::util::grain_size;
-use gunrock_engine::bitmap::{BitSet, PooledBitmap};
-use gunrock_engine::config::SEQUENTIAL_CUTOFF;
+use gunrock_engine::bitmap::PooledBitmap;
 use gunrock_engine::frontier::Frontier;
-use gunrock_engine::par;
-use gunrock_engine::stats::StepDirection;
-use gunrock_graph::EdgeId;
+use std::ops::ControlFlow::{Break, Continue};
 
-/// Builds the frontier-membership bitmap for a pull step. Word storage
-/// comes from the context's buffer pool (release it back with
-/// [`PooledBitmap::release`] when the pull phase ends), so steady-state
-/// direction switches perform no heap allocation and the pool counters
-/// cover bitmap traffic.
+/// Builds the membership bitmap of `frontier`. Word storage comes from
+/// the context's buffer pool (release it back with
+/// [`PooledBitmap::release`]), so repeated builds allocate nothing and
+/// the pool counters cover bitmap traffic.
 pub fn frontier_bitmap(ctx: &Context<'_>, frontier: &Frontier) -> PooledBitmap {
     let mut bm = PooledBitmap::take(ctx.pool(), ctx.num_vertices());
-    if frontier.len() < SEQUENTIAL_CUTOFF {
-        bm.fill_from_frontier(frontier);
-    } else {
-        // CAST: vertex ids are u32 widened to usize for bitmap indexing — lossless.
-        let items = frontier.as_slice();
-        let set = |c: &[u32]| c.iter().for_each(|&v| bm.set(v as usize));
-        par::for_each(items.chunks(grain_size(items.len())), set);
-    }
+    bm.fill_from_frontier(frontier);
     bm
 }
 
-/// The masked word sweep: one pull-direction advance where candidates,
-/// current frontier, and output are all dense bitmaps.
+/// One pull-direction advance where candidates, current frontier and
+/// output are dense bitmaps.
 ///
-/// For every non-zero word of `candidates` (zero words — fully visited
-/// neighborhoods — are skipped wholesale), each set bit `v` scans its
-/// in-neighbors against `in_frontier`; the first accepted edge sets `v`
-/// in `out` and *clears it from `candidates`*, so the caller's unvisited
-/// set shrinks incrementally with zero bookkeeping. Word ranges are
-/// partitioned disjointly across tasks and `out` shares the partition
-/// (bit `v` lives at the same word index in both bitmaps), so all bitmap
-/// writes are plain stores.
+/// Each set bit `v` of `candidates` scans its in-neighbors against
+/// `in_frontier`; the first edge the functor accepts is applied, sets
+/// `v` in `out` and *clears it from `candidates`*, so the caller's
+/// unvisited set shrinks in place. The scan is one
+/// [`GatherSpec::unset`] gather over the candidates' complement (its
+/// step record and fault sites are the gather's).
 ///
 /// `out` must be cleared on entry. Returns the number of vertices
 /// discovered. All three bitmaps must span `ctx.num_vertices()` bits.
@@ -75,81 +55,41 @@ pub fn advance_pull_sweep<F: AdvanceFunctor>(
     assert_eq!(candidates.len(), n, "candidate bitmap must span the graph");
     assert_eq!(in_frontier.len(), n, "frontier bitmap must span the graph");
     assert_eq!(out.len(), n, "output bitmap must span the graph");
-    // the body owns the candidate bitmap's borrow and hands it back
-    // shared, for the record's count
-    let body = move || {
-        let candidates = candidates;
-        let rev = ctx.reverse_graph();
-        let cols = rev.col_indices();
-        let nw = candidates.word_count();
-        let wgrain = grain_size(nw);
-        let tasks =
-            candidates.words_mut().chunks_mut(wgrain).zip(out.words_mut().chunks_mut(wgrain));
-        let (discovered, edges) = par::map_reduce(
-            tasks.enumerate(),
-            (0, 0),
-            |(ci, (cand_words, out_words))| {
-                let mut found = 0u64;
-                let mut edges = 0u64;
-                // a raised cancel/deadline truncates this chunk, or skips
-                // it when raised before the chunk starts
-                let Some(mut poll) = AbortPoll::start(ctx) else { return (found, edges) };
-                'sweep: for (i, (cw, ow)) in
-                    cand_words.iter_mut().zip(out_words.iter_mut()).enumerate()
-                {
-                    // whole-word skip: a zero mask word is 64 vertices with
-                    // nothing to pull
-                    let mut bits = *cw.get_mut();
-                    if bits == 0 {
-                        continue;
-                    }
-                    let word_base = ((ci * wgrain + i) * 64) as u64;
-                    while bits != 0 {
-                        let b = bits.trailing_zeros() as u64;
-                        bits &= bits - 1;
-                        // CAST: word_base + b < num_vertices < u32::MAX by Csr::validate
-                        // (candidate bitmaps mask their tail bits to zero).
-                        let v = (word_base + b) as u32;
-                        for e in rev.edge_range(v) {
-                            edges += 1;
-                            let u = cols[e];
-                            // CAST: u widens u32 -> usize; e < num_edges < EdgeId::MAX by Csr::validate.
-                            if in_frontier.get(u as usize)
-                                && functor.cond_edge(u, v, e as EdgeId)
-                            {
-                                functor.apply_edge(u, v, e as EdgeId);
-                                let mask = 1u64 << b;
-                                *ow.get_mut() |= mask;
-                                *cw.get_mut() &= !mask;
-                                found += 1;
-                                break; // one valid predecessor suffices
-                            }
-                        }
-                        if poll.stop(edges) {
-                            break 'sweep;
-                        }
-                    }
-                }
-                (found, edges)
-            },
-            |a, b| (a.0 + b.0, a.1 + b.1),
-        );
-        ctx.counters.add_edges(edges);
-        (discovered, &*candidates)
+    // a denied checkout poisoned the context: nothing is discovered
+    let Some(mut found) = ctx.isolated_setup("setup", || ctx.pool().take_u32(n)) else {
+        return 0;
     };
-    // the sweep clears what it discovers: the candidates it started from
-    // are those left plus those found
-    let report = |&(discovered, left): &(u64, &PooledBitmap)| Report {
-        candidates: left.count_ones() as u64 + discovered,
-        ..Report::new(
-            "pull_sweep",
-            Some(StepDirection::Pull),
-            in_frontier.count_ones() as u64,
-            discovered,
-        )
+    // the gather visits clear bits: flip the candidates for the call, and
+    // back after (bits past `n` flip twice; the gather never visits them)
+    let flip = |bits: &mut PooledBitmap| {
+        bits.words_mut().iter_mut().for_each(|w| *w.get_mut() = !*w.get_mut());
     };
-    launch(ctx, Op::Advance { site: "advance:pull_sweep", stall: true }, body, report)
-        .map_or(0, |(d, _)| d)
+    flip(candidates);
+    // ALLOC-OK(zero-sized slots: a Vec of units holds no heap storage)
+    let mut slots = vec![(); n];
+    // the first in-neighbor in the frontier whose edge the functor accepts
+    // CAST: vertex ids widen u32 -> usize for indexing — lossless.
+    let hit = |u: u32, v, e| in_frontier.get(u as usize) && functor.cond_edge(u, v, e);
+    advance_gather(
+        ctx,
+        GatherSpec::unset(candidates),
+        &mut slots,
+        Some(&mut found),
+        |_| true,
+        None,
+        |u, v, e| hit(u, v, e).then_some((u, e)),
+        |a, b| if b.is_some() { Break(b) } else { Continue(a) },
+        |v, hit, _| hit.map(|(u, e)| functor.apply_edge(u, v, e)).is_some(),
+    );
+    // a discovered vertex joins `out` and, set in the flipped candidates,
+    // leaves them
+    let found = Frontier::from_vec(found);
+    out.fill_from_frontier(&found);
+    candidates.fill_from_frontier(&found);
+    flip(candidates);
+    let discovered = found.len() as u64;
+    ctx.recycle(found);
+    discovered
 }
 
 #[cfg(test)]

@@ -24,7 +24,7 @@ use super::{expansion_vertex, AdvanceSpec, InputKind, OutputKind};
 use crate::context::Context;
 use crate::functor::AdvanceFunctor;
 use crate::util::{concat_chunks, grain_size};
-use gunrock_engine::config::{FRONTIER_SEQ_CUTOFF, SEQUENTIAL_CUTOFF};
+use gunrock_engine::config::{FRONTIER_SEQ_CUTOFF, SEQUENTIAL_CUTOFF, WARP_SIZE};
 use gunrock_engine::frontier::Frontier;
 use gunrock_engine::par;
 use gunrock_engine::scan::scan_exclusive_u32_into;
@@ -408,9 +408,8 @@ pub fn twc<F: AdvanceFunctor>(
     functor: &F,
 ) -> Frontier {
     let g = ctx.graph;
-    // CAST: warp/cta sizes are small powers of two (EngineConfig validates
-    // them), far below u32::MAX.
-    let warp = ctx.config.warp_size as u32;
+    // CAST: warp/cta sizes are small powers of two, far below u32::MAX.
+    let warp = WARP_SIZE as u32;
     let cta = ctx.config.cta_size as u32;
     let (small, medium, large) = classify_degrees(ctx, input.as_slice(), spec.input, warp, cta);
 
@@ -954,7 +953,7 @@ mod tests {
     fn single_pass_classification_matches_three_compacts() {
         let g = skewed_graph();
         let ctx = Context::new(&g);
-        let (warp, cta) = (ctx.config.warp_size as u32, ctx.config.cta_size as u32);
+        let (warp, cta) = (WARP_SIZE as u32, ctx.config.cta_size as u32);
         // small frontier: sequential path
         let small_input: Vec<u32> = (0..g.num_vertices() as u32).step_by(5).collect();
         assert!(small_input.len() < FRONTIER_SEQ_CUTOFF);

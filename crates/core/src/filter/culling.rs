@@ -13,20 +13,13 @@
 //!
 //! Both are orthogonal to the user functor, which still runs fused on the
 //! survivors.
-//!
-//! Two input shapes are supported: [`filter_with_culling`] takes a sparse
-//! id-list frontier (the push-direction form), while
-//! [`filter_with_culling_bitmap`] takes the dense [`PooledBitmap`] a
-//! masked pull sweep produced and culls a whole word per `fetch_or` —
-//! the GraphBLAST masked view, where "filter" degenerates into a word-wise
-//! mask merge plus survivor extraction.
 
 use crate::context::Context;
 use crate::functor::FilterFunctor;
 use crate::isolate::AbortPoll;
 use crate::util::{concat_chunks, grain_size};
-use gunrock_engine::bitmap::{BitSet, PooledBitmap};
-use gunrock_engine::config::{FRONTIER_SEQ_CUTOFF, SEQUENTIAL_CUTOFF};
+use gunrock_engine::bitmap::BitSet;
+use gunrock_engine::config::FRONTIER_SEQ_CUTOFF;
 use gunrock_engine::frontier::Frontier;
 use gunrock_engine::par;
 
@@ -146,106 +139,6 @@ pub fn filter_with_culling<F: FilterFunctor, B: BitSet>(
     })
 }
 
-/// Word-range cull for the bitmap input shape: for each non-zero word of
-/// `input` in `lo..hi`, one `fetch_or_word` against `visited` marks every
-/// incoming id discovered (including ids the functor later rejects —
-/// the same discovery semantics as the list path) and yields the
-/// newly-discovered subset in a single word op; survivors of the fused
-/// functor are appended to `out` in ascending id order. Zero input words
-/// (and words `visited` already saturates, which `fetch_or` reports as
-/// `newly == 0`) are skipped without per-bit work. Polls for
-/// cancel/deadline aborts like [`cull_chunk`].
-#[allow(clippy::too_many_arguments)]
-fn cull_words<F: FilterFunctor, B: BitSet>(
-    ctx: &Context<'_>,
-    input: &PooledBitmap,
-    lo: usize,
-    hi: usize,
-    cfg: CullingConfig,
-    visited: &B,
-    functor: &F,
-    out: &mut Vec<u32>,
-) {
-    let Some(mut poll) = AbortPoll::start(ctx) else { return };
-    let mut done = 0u64;
-    for wi in lo..hi {
-        let w = input.load_word(wi);
-        if w == 0 {
-            continue; // whole-word skip: 64 absent ids
-        }
-        let mut bits = if cfg.bitmask { w & !visited.fetch_or_word(wi, w) } else { w };
-        // CAST: wi * 64 < num_vertices < u32::MAX by Csr::validate.
-        let base = (wi * 64) as u32;
-        while bits != 0 {
-            let b = bits.trailing_zeros();
-            bits &= bits - 1;
-            let id = base + b;
-            done += 1;
-            if poll.stop(done) {
-                return;
-            }
-            if functor.cond(id) {
-                functor.apply(id);
-                out.push(id);
-            }
-        }
-    }
-}
-
-/// The bitmap-shaped culling filter: takes the dense output of a masked
-/// pull sweep, merges it into `visited` one `fetch_or` per word, and
-/// extracts the next list frontier from the newly-discovered bits.
-///
-/// A bitmap cannot hold duplicates, so `cfg.history` is irrelevant here
-/// and ignored; `cfg.bitmask` off degenerates into plain extraction of
-/// every set bit. The returned frontier's storage comes from the
-/// context's buffer pool — hand it back via [`Context::recycle`] (the
-/// enact loops already do) to keep steady state allocation-free.
-pub fn filter_with_culling_bitmap<F: FilterFunctor, B: BitSet>(
-    ctx: &Context<'_>,
-    input: &PooledBitmap,
-    visited: &B,
-    functor: &F,
-    cfg: CullingConfig,
-) -> Frontier {
-    assert_eq!(input.len(), visited.len(), "input and visited bitmaps must span the same ids");
-    let input_pop = input.count_ones();
-    super::filter_step(ctx, "filter:culling_bitmap", "culling_bitmap", input_pop, || {
-        let nw = input.word_count();
-        if input.len() < SEQUENTIAL_CUTOFF {
-            // small-graph path: one serial sweep into a pooled buffer
-            let mut out = ctx.pool().take_u32(input_pop);
-            cull_words(ctx, input, 0, nw, cfg, visited, functor, &mut out);
-            out
-        } else {
-            // Parallel path over disjoint word ranges. Each task sizes its
-            // pooled buffer by a popcount pre-pass: the count is exact, so
-            // pushes never grow the buffer (a grown buffer would land in a
-            // different pool size class and leak out of steady state).
-            let wgrain = grain_size(nw);
-            let cull = |ci: usize| {
-                let lo = ci * wgrain;
-                let hi = (lo + wgrain).min(nw);
-                // CAST: count_ones() of a u64 is at most 64, far below usize::MAX.
-                let pop: usize =
-                    (lo..hi).map(|wi| input.load_word(wi).count_ones() as usize).sum();
-                let mut local = ctx.pool().take_u32(pop);
-                cull_words(ctx, input, lo, hi, cfg, visited, functor, &mut local);
-                local
-            };
-            let mut parts = Vec::new(); // ALLOC-OK(one merge per bitmap-filter launch)
-            par::collect_into(0..nw.div_ceil(wgrain), cull, &mut parts);
-            let total: usize = parts.iter().map(Vec::len).sum();
-            let mut out = ctx.pool().take_u32(total);
-            for p in parts {
-                out.extend_from_slice(&p);
-                ctx.pool().put_u32(p);
-            }
-            out
-        }
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -340,50 +233,6 @@ mod tests {
     }
 
     #[test]
-    fn raised_cancel_flag_truncates_the_bitmap_cull() {
-        use crate::policy::RunPolicy;
-        use gunrock_engine::bitmap::PooledBitmap;
-        use std::sync::atomic::{AtomicBool, Ordering};
-        use std::sync::Arc;
-        // dense input bitmap well past SEQUENTIAL_CUTOFF, so the parallel
-        // word-range path runs and each task hits its entry/mid polls
-        let n: u32 = 200_000;
-        let g = GraphBuilder::new().build(Coo::from_edges(n as usize, &[(0, 1)]));
-        let flag = Arc::new(AtomicBool::new(false));
-        let ctx =
-            Context::new(&g).with_policy(RunPolicy::unbounded().cancel_flag(flag.clone()));
-        let mut input = PooledBitmap::take(ctx.pool(), n as usize);
-        input.fill_from_frontier(&Frontier::from_vec((0..n).collect()));
-        let visited = AtomicBitmap::new(n as usize);
-        let full = filter_with_culling_bitmap(
-            &ctx,
-            &input,
-            &visited,
-            &VertexCond(|_| true),
-            CullingConfig::default(),
-        );
-        assert_eq!(full.len(), n as usize);
-        // flag up before launch: every word-range task bails at a poll
-        flag.store(true, Ordering::Release);
-        let fresh_visited = AtomicBitmap::new(n as usize);
-        let truncated = filter_with_culling_bitmap(
-            &ctx,
-            &input,
-            &fresh_visited,
-            &VertexCond(|_| true),
-            CullingConfig::default(),
-        );
-        assert!(
-            truncated.len() < full.len(),
-            "cancel mid-operator must truncate: got {} of {}",
-            truncated.len(),
-            full.len()
-        );
-        assert!(!ctx.is_poisoned(), "cooperative abort is not a failure");
-        input.release(ctx.pool());
-    }
-
-    #[test]
     fn no_culling_passes_duplicates_to_functor() {
         let (g,) = ctx_fixture();
         let ctx = Context::new(&g);
@@ -397,60 +246,6 @@ mod tests {
             CullingConfig::none(),
         );
         assert_eq!(out.len(), 3);
-    }
-
-    #[test]
-    fn bitmap_filter_extracts_new_bits_and_merges_visited() {
-        use gunrock_engine::bitmap::PooledBitmap;
-        let g = GraphBuilder::new().build(Coo::from_edges(128, &[(0, 1)]));
-        let ctx = Context::new(&g);
-        let input = PooledBitmap::take(ctx.pool(), 128);
-        for v in [3usize, 5, 7, 70] {
-            input.set(v);
-        }
-        let visited = AtomicBitmap::new(128);
-        visited.set(5); // already discovered: must be culled
-        let out = filter_with_culling_bitmap(
-            &ctx,
-            &input,
-            &visited,
-            &VertexCond(|v: u32| v != 70),
-            CullingConfig::default(),
-        );
-        assert_eq!(out.as_slice(), &[3, 7]);
-        // discovery semantics: the cond-rejected id is still marked
-        // visited, exactly as the list path does
-        assert!(visited.get(70));
-        assert_eq!(visited.count_ones(), 4);
-        input.release(ctx.pool());
-    }
-
-    #[test]
-    fn bitmap_filter_parallel_path_matches_serial_semantics() {
-        use gunrock_engine::bitmap::PooledBitmap;
-        let n = 10_000usize; // past SEQUENTIAL_CUTOFF: exercises word-chunked path
-        let g = GraphBuilder::new().build(Coo::from_edges(n, &[(0, 1)]));
-        let ctx = Context::new(&g);
-        let input = PooledBitmap::take(ctx.pool(), n);
-        for v in (0..n).step_by(3) {
-            input.set(v);
-        }
-        let visited = AtomicBitmap::new(n);
-        for v in (0..n).step_by(9) {
-            visited.set(v);
-        }
-        let out = filter_with_culling_bitmap(
-            &ctx,
-            &input,
-            &visited,
-            &VertexCond(|_| true),
-            CullingConfig::default(),
-        );
-        let expect: Vec<u32> = (0..n as u32).filter(|v| v % 3 == 0 && v % 9 != 0).collect();
-        assert_eq!(out.as_slice(), expect.as_slice());
-        // every input bit is merged into visited
-        assert_eq!(visited.count_ones(), n.div_ceil(3));
-        input.release(ctx.pool());
     }
 
     #[test]

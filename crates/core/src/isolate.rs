@@ -161,7 +161,8 @@ impl<'c, 'g> AbortPoll<'c, 'g> {
     }
 }
 
-/// The `advance:stall` chaos site (push advances and pull sweeps): a
+/// The `advance:stall` chaos site (push advances and gathers over a
+/// bitmap's clear bits, a traversal's pull level): a
 /// fault here simulates the failure mode the watchdog exists for — an
 /// operator that stops making progress AND is deaf to cooperative
 /// cancellation (so the cancel flag the watchdog raises in its first

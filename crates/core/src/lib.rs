@@ -67,10 +67,7 @@ pub mod prelude {
     pub use crate::context::{Context, ContextGuard};
     pub use crate::enact::{no_snapshot, Enacted, Enactment};
     pub use crate::error::GunrockError;
-    pub use crate::filter::{
-        self,
-        culling::{filter_with_culling_bitmap, CullingConfig},
-    };
+    pub use crate::filter::{self, culling::CullingConfig};
     pub use crate::functor::{AcceptAll, AdvanceFunctor, EdgeCond, FilterFunctor, VertexCond};
     pub use crate::policy::{CheckpointPolicy, RetryPolicy, RunGuard, RunPolicy};
     pub use crate::priority_queue::NearFarQueue;

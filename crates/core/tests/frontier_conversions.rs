@@ -5,6 +5,7 @@
 
 use gunrock::prelude::*;
 use gunrock_graph::{Coo, Csr, GraphBuilder};
+use std::ops::ControlFlow::Continue;
 
 fn line_graph() -> Csr {
     // 0 -> 1 -> 2 -> 3 -> 4 (directed path)
@@ -107,7 +108,7 @@ fn gather_agrees_with_advance_counting() {
         |_| true,
         0u64,
         |_u, _v, _e| 1u64,
-        |a, b| a + b,
+        |a, b| Continue(a + b),
         |_v, sum, slot| {
             *slot = sum;
             false

@@ -9,13 +9,12 @@
 //!
 //! * [`AtomicBitmap`] — a self-owned `Box<[AtomicU64]>`, for callers
 //!   without a [`BufferPool`] in reach;
-//! * [`PooledBitmap`] — the frontier representation of the masked
-//!   word-sweep pull path: its words come from a [`BufferPool`] checkout
-//!   (`take_u64`) and go back on release, so steady-state direction
-//!   switches allocate nothing and pool stats count bitmap storage. It is
-//!   *word-addressable*: operators iterate set bits with
-//!   `trailing_zeros`, skip empty mask words wholesale, and batch
-//!   bitmask-culling into one `fetch_or` per word.
+//! * [`PooledBitmap`] — the visited set a pull level walks: its words
+//!   come from a [`BufferPool`] checkout (`take_u64`) and go back on
+//!   release, so repeated runs allocate nothing and pool stats count
+//!   bitmap storage. It is *word-addressable*: operators iterate bits
+//!   with `trailing_zeros`, skip whole words, and merge up to 64
+//!   discoveries with one `fetch_or`.
 
 use crate::frontier::Frontier;
 use crate::pool::BufferPool;
@@ -237,13 +236,11 @@ pub(crate) fn into_plain_words(mut v: Vec<AtomicU64>) -> Vec<u64> {
 /// A pool-backed, word-addressable frontier bitmap (§4.1.1's
 /// bitmap-of-predecessors, GraphBLAST's masked view).
 ///
-/// Storage is a `BufferPool` `u64` checkout, so enact loops ping-pong
-/// bitmaps across iterations exactly like list frontiers: `take` at the
-/// Beamer switch, [`PooledBitmap::release`] when done, zero heap traffic
-/// in between. Shared (`&self`) accessors are atomic (safe under
-/// concurrent operator writes); exclusive (`&mut self`) word accessors
-/// let the masked word sweep mutate partitioned word ranges without any
-/// atomics at all.
+/// Storage is a `BufferPool` `u64` checkout: `take` it, and
+/// [`PooledBitmap::release`] it when done, with zero heap traffic once
+/// the pool is warm. Shared (`&self`) accessors are atomic (safe under
+/// concurrent operator writes); exclusive (`&mut self`) word access
+/// mutates words with plain stores.
 pub struct PooledBitmap {
     words: Vec<AtomicU64>,
     len: usize,
@@ -280,9 +277,8 @@ impl PooledBitmap {
         self.len == 0
     }
 
-    /// Exclusive access to the backing words. The masked word sweep
-    /// partitions this slice into disjoint per-task chunks and mutates
-    /// through `AtomicU64::get_mut` — plain stores, no atomic RMWs.
+    /// Exclusive access to the backing words, mutated through
+    /// `AtomicU64::get_mut` — plain stores, no atomic RMWs.
     #[inline]
     pub fn words_mut(&mut self) -> &mut [AtomicU64] {
         &mut self.words
@@ -295,45 +291,14 @@ impl PooledBitmap {
         }
     }
 
-    /// Sets every bit that is *clear* in `of` (same capacity), masking
-    /// tail bits past `len` to zero — how the pull path derives the
-    /// unvisited-candidate bitmap as the complement of the visited set.
-    pub fn fill_complement(&mut self, of: &impl BitSet) {
-        assert_eq!(of.len(), self.len, "complement requires equal capacity");
-        let nw = self.words.len();
-        for (wi, w) in self.words.iter_mut().enumerate() {
-            *w.get_mut() = !of.load_word(wi);
-        }
-        let tail = self.len % 64;
-        if tail != 0 && nw > 0 {
-            *self.words[nw - 1].get_mut() &= (1u64 << tail) - 1;
-        }
-    }
-
-    /// Scatters a list frontier into the bitmap (the lazy list → bitmap
-    /// conversion at the Beamer switch). Bits already set stay set.
+    /// Scatters a list frontier into the bitmap with plain stores. Bits
+    /// already set stay set.
     pub fn fill_from_frontier(&mut self, frontier: &Frontier) {
         for v in frontier {
             // CAST: vertex ids are u32 widened to usize for bitmap indexing — lossless.
             debug_assert!((v as usize) < self.len);
             let slot = self.words[v as usize / 64].get_mut();
             *slot |= 1u64 << (v % 64);
-        }
-    }
-
-    /// Appends the indices of set bits (ascending) to `out` — the lazy
-    /// bitmap → list conversion (`trailing_zeros` sweep with whole-word
-    /// skip of empty words).
-    pub fn push_ones_into(&self, out: &mut Vec<u32>) {
-        for wi in 0..self.words.len() {
-            let mut bits = self.load_word(wi);
-            while bits != 0 {
-                // CAST: word index * 64 + trailing_zeros() < len < u32::MAX by
-                // construction (vertex counts are u32).
-                let b = bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                out.push((wi * 64 + b) as u32);
-            }
         }
     }
 
@@ -530,30 +495,9 @@ mod tests {
         let f = Frontier::from_vec(vec![1, 63, 64, 130, 299]);
         bm.fill_from_frontier(&f);
         assert_eq!(bm.iter_ones().collect::<Vec<_>>(), vec![1, 63, 64, 130, 299]);
-        let mut back = Vec::new();
-        bm.push_ones_into(&mut back);
-        assert_eq!(back, f.as_slice());
         bm.clear_all();
         assert_eq!(bm.count_ones(), 0);
         bm.release(&pool);
-    }
-
-    #[test]
-    fn pooled_complement_masks_tail_bits() {
-        let pool = BufferPool::new();
-        // 70 bits: the second word has 58 tail bits past the capacity
-        let visited = PooledBitmap::take(&pool, 70);
-        visited.set(0);
-        visited.set(69);
-        let mut unvisited = PooledBitmap::take(&pool, 70);
-        unvisited.fill_complement(&visited);
-        assert_eq!(unvisited.count_ones(), 68);
-        assert!(!unvisited.get(0) && !unvisited.get(69));
-        assert!(unvisited.get(1) && unvisited.get(68));
-        // no phantom bits past len
-        assert_eq!(unvisited.iter_ones().max(), Some(68));
-        visited.release(&pool);
-        unvisited.release(&pool);
     }
 
     #[test]

@@ -56,8 +56,6 @@ pub const RETRY_AFTER_BASE_MS: u64 = 100;
 /// Runtime configuration for the engine.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct EngineConfig {
-    /// Work chunk emulating a warp.
-    pub warp_size: usize,
     /// Work chunk emulating a CTA.
     pub cta_size: usize,
     /// Advance strategy switch threshold on frontier neighbor count
@@ -73,7 +71,6 @@ pub struct EngineConfig {
 impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
-            warp_size: WARP_SIZE,
             cta_size: CTA_SIZE,
             lb_threshold: LB_THRESHOLD,
             serial_threshold: SERIAL_THRESHOLD,
@@ -122,7 +119,7 @@ mod tests {
     #[test]
     fn defaults_match_paper_constants() {
         let c = EngineConfig::new();
-        assert_eq!(c.warp_size, 32);
+        assert_eq!(WARP_SIZE, 32);
         assert_eq!(c.cta_size, 256);
         assert_eq!(c.lb_threshold, 4096);
         assert_eq!(c.serial_threshold, 4096);

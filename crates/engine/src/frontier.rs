@@ -4,13 +4,12 @@
 //! current frontier and produce the next, ping-ponging between two
 //! buffers (the multi-buffer scheme of GPU BFS implementations).
 //!
-//! Frontiers are *dual-representation*: push-direction operators use the
-//! sparse id list held here, while the pull direction operates on the
-//! dense [`crate::bitmap::PooledBitmap`] form. Conversion is lazy — it
-//! happens only at the Beamer direction switch
-//! ([`crate::bitmap::PooledBitmap::fill_from_frontier`] going in,
-//! [`crate::bitmap::PooledBitmap::push_ones_into`] coming back) — so
-//! push-only runs never touch a bitmap.
+//! Every operator takes and returns the sparse id list held here. A pull
+//! level reads no frontier at all: it walks the clear bits of the
+//! traversal's visited [`crate::bitmap::PooledBitmap`] and returns its
+//! discoveries as a list. Where a primitive needs a membership bitmap
+//! of a list, [`crate::bitmap::PooledBitmap::fill_from_frontier`]
+//! scatters one.
 
 /// A frontier of element ids (vertex ids or edge ids — the interpretation
 /// is carried by the operator, since Gunrock "has supported both vertex

@@ -211,20 +211,17 @@ pub struct StepRecord {
     pub operator: OperatorKind,
     /// The workload-mapping strategy the dispatcher chose
     /// (e.g. `"thread_mapped"`, `"twc"`, `"auto:load_balanced"`,
-    /// `"pull_sweep"`, `"culling"`).
+    /// `"pull_gather:unset"`, `"culling"`).
     pub strategy: &'static str,
     /// Traversal direction; `None` for filter/compute steps.
     pub direction: Option<StepDirection>,
-    /// Input frontier population. For push steps this is the frontier
-    /// list length; for pull steps it is the in-frontier bitmap popcount
-    /// — the same quantity, so the field is comparable across directions
-    /// (gunrock-stats/v1 consumers previously saw the candidate count
-    /// here for pull steps; that now lives in
-    /// [`StepRecord::candidates_len`]).
+    /// Input population. For push steps this is the frontier list
+    /// length; for a gather it is its slot count — the vertex count for
+    /// a sweep over the graph or over a bitmap's clear bits.
     pub input_len: u64,
-    /// Candidate vertices scanned by a pull-direction step (the
-    /// unvisited sweep set) — distinct from the in-frontier population.
-    /// Zero for push/filter/compute steps, which have no candidate set.
+    /// Candidate vertices a gather over a bitmap's clear bits visited
+    /// (a pull level's unvisited set). Zero for every other step, which
+    /// has no candidate set.
     pub candidates_len: u64,
     /// Distinct traversal lanes still live in this step's frontier, for
     /// the bit-parallel multi-source (`msbfs`) strategy: the popcount of
@@ -300,7 +297,7 @@ pub struct RecoveryEvent {
 /// One rung taken on the degradation ladder: under memory-budget
 /// pressure an enact loop trades a faster (memory-hungrier) execution
 /// mode for a leaner one instead of failing — pull→push (dropping the
-/// pull bitmaps), lb_batch→thread_mapped (dropping the balanced edge
+/// pull level's vertex-sized output list), lb_batch→thread_mapped (dropping the balanced edge
 /// partition), or an up-front strategy demotion. Distinct from a
 /// [`RecoveryEvent`]: recoveries react to *faults*, degrades react to
 /// *pressure*, and both ride in the stats/bench JSON so a budgeted run
@@ -820,13 +817,13 @@ mod tests {
     #[test]
     fn pull_steps_report_candidates_and_population_distinctly() {
         let sink = StatsSink::new();
-        // a pull sweep: 5 in-frontier vertices, 90 unvisited candidates
+        // a pull gather: 5 in-frontier vertices, 90 unvisited candidates
         sink.record_step(StepRecord {
             candidates_len: 90,
             ..step(
                 &sink,
                 OperatorKind::Advance,
-                "pull_sweep",
+                "pull_gather:unset",
                 Some(StepDirection::Pull),
                 5,
                 12,

@@ -333,12 +333,9 @@ compute-bound (its advance is one full-frontier scatter per iteration).
 """
 
 FOOTER = """\
-## Criterion micro-benchmarks
+## Criterion micro-benchmarks — retired
 
-Command: `cargo bench --workspace` (see `bench_output.txt` for the last
-recorded run). Groups: `bfs`, `sssp`, `bc`, `cc`, `pagerank` (per-system
-comparisons on kron/roadnet at scale 11) and `primitives`
-(scan/compact/merge-path throughput).
+The criterion benches (`crates/bench/benches/`, `cargo bench`) and their `vendor/criterion` shim are deleted: CI only compiled them, and the repo benchmark's per-layer probes (`--trace 1`: `engine.scan_melems_s`, `engine.compact_melems_s`, `core.advance_*`, `algos.*.best_ms`) time the same operators and primitives.
 
 ## Summary
 

@@ -8,6 +8,7 @@ use gunrock_baselines::serial;
 use gunrock_graph::generators::bipartite_random;
 use gunrock_graph::{Coo, Csr, GraphBuilder};
 use gunrock_integration::graph_suite;
+use std::ops::ControlFlow::Continue;
 
 #[test]
 fn triangles_match_oracle_on_suite() {
@@ -64,7 +65,7 @@ fn gathered_in_degree_sum_equals_edge_count() {
             |_| true,
             0u64,
             |_, _, _| 1,
-            |a, b| a + b,
+            |a, b| Continue(a + b),
             |_, sum, slot| {
                 *slot = sum;
                 false

@@ -5,6 +5,7 @@
 use gunrock::prelude::*;
 use gunrock_graph::{Coo, Csr, GraphBuilder};
 use proptest::prelude::*;
+use std::ops::ControlFlow::Continue;
 
 fn arb_graph_and_frontier() -> impl Strategy<Value = (Csr, Vec<u32>)> {
     (2usize..40).prop_flat_map(|n| {
@@ -94,7 +95,7 @@ proptest! {
         prop_assert_eq!(two_steps.as_slice(), one_step.as_slice());
     }
 
-    /// The pull sweep discovers exactly the candidates push reaches —
+    /// The pull discovers exactly the candidates push reaches —
     /// over a directed graph, so it must pull along in-edges — and
     /// clears exactly the discovered bits from the candidate set.
     #[test]
@@ -112,7 +113,7 @@ proptest! {
         // pull: candidates = all vertices; kept iff some in-neighbor in frontier
         let bm = frontier_bitmap(&ctx, &input);
         let mut cand = PooledBitmap::take(ctx.pool(), n);
-        cand.fill_complement(&AtomicBitmap::new(n)); // complement of empty: all ones
+        cand.fill_from_frontier(&Frontier::full(n));
         let mut out = PooledBitmap::take(ctx.pool(), n);
         let discovered = advance_pull_sweep(&ctx, &mut cand, &bm, &mut out, &AcceptAll);
         let pull: std::collections::BTreeSet<u32> =
@@ -129,7 +130,7 @@ proptest! {
         prop_assert_eq!(push, pull);
     }
 
-    /// The masked word sweep agrees with the list form of pull over the
+    /// The bitmap pull agrees with the list form of pull over the
     /// BFS candidate set (every vertex outside the frontier) of a
     /// directed graph, and clears exactly the discovered bits from it.
     #[test]
@@ -181,7 +182,7 @@ proptest! {
             |_| true,
             0u64,
             |u, _v, _e| if member.contains(&u) { value(u) } else { 0 },
-            |a, b| a + b,
+            |a, b| Continue(a + b),
             |_v, sum, slot| {
                 *slot = sum;
                 sum > 0
@@ -204,6 +205,61 @@ proptest! {
         prop_assert_eq!(step.direction, Some(StepDirection::Pull));
         prop_assert_eq!(step.input_len, n as u64);
         prop_assert_eq!(step.edges_examined, dg.num_edges() as u64);
+    }
+
+    /// A gather over a partial bitmap's clear bits whose `reduce` breaks
+    /// on the first qualifying in-neighbor equals a serial scan of a
+    /// directed graph, on the serial and the chunked path: the same
+    /// ascending admitted list, the same slots (indexed by vertex id,
+    /// untouched for set bits), and edges counted up to each hit.
+    #[test]
+    fn unset_gather_stops_at_the_first_hit((g, frontier) in arb_graph_and_frontier()) {
+        use std::ops::ControlFlow::Break;
+        let (dg, rev) = oriented(&g);
+        let n = dg.num_vertices();
+        let hit = |u: u32| u % 3 == 1;
+        let untouched = Some((u32::MAX, u32::MAX));
+        // the reference: each clear bit scans its in-list up to its first hit
+        let mut want = vec![untouched; n];
+        let (mut admitted, mut scanned) = (Vec::new(), 0u64);
+        for v in (0..n as u32).filter(|v| frontier.binary_search(v).is_err()) {
+            let first = rev.edge_range(v).find(|&e| hit(rev.edge_dest(e as u32)));
+            scanned += first.map_or(rev.out_degree(v) as usize, |e| e - rev.edge_range(v).start + 1) as u64;
+            want[v as usize] = first.map(|e| (rev.edge_dest(e as u32), e as u32));
+            admitted.extend(first.map(|_| v));
+        }
+        for t in [0, 1 << 20] {
+            let config = EngineConfig::new().with_serial_threshold(t);
+            let ctx = Context::new(&dg).with_reverse(&rev).with_config(config).with_stats();
+            let mut visited = PooledBitmap::take(ctx.pool(), n);
+            visited.fill_from_frontier(&Frontier::from_vec(frontier.clone()));
+            let mut slots = vec![untouched; n];
+            let mut next = Vec::new();
+            advance_gather(
+                &ctx,
+                GatherSpec::unset(&visited),
+                &mut slots,
+                Some(&mut next),
+                |_| true,
+                None,
+                |u, _v, e| hit(u).then_some((u, e)),
+                |a, b| if b.is_some() { Break(b) } else { Continue(a) },
+                |_v, first, slot| {
+                    *slot = first;
+                    first.is_some()
+                },
+            );
+            prop_assert_eq!(&slots, &want, "threshold {}", t);
+            prop_assert_eq!(&next, &admitted, "threshold {}", t);
+            prop_assert_eq!(ctx.counters.edges(), scanned, "threshold {}", t);
+            let stats = ctx.run_stats();
+            let step = &stats.steps[0];
+            prop_assert!(step.strategy.starts_with("pull_gather:unset"), "{}", step.strategy);
+            prop_assert_eq!(step.input_len, n as u64);
+            prop_assert_eq!(step.candidates_len, (n - frontier.len()) as u64);
+            prop_assert_eq!(step.output_len, admitted.len() as u64);
+            visited.release(ctx.pool());
+        }
     }
 
     /// A masked list gather, over in-edges or over out-edges of a directed
@@ -239,7 +295,7 @@ proptest! {
                     assert_eq!(side.edge_dest(e), u);
                     u64::from(u) + 1 + u64::from(v)
                 },
-                |a, b| a + b,
+                |a, b| Continue(a + b),
                 |_v, sum, slot| {
                     *slot = sum;
                     sum % 2 == 0

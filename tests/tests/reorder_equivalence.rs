@@ -2,7 +2,7 @@
 //! every primitive, running on the reordered graph and mapping the
 //! results back through the inverse permutation must reproduce the
 //! original-graph results — across thread-pool sizes, so neither the
-//! permutation nor the bitmap word sweep may introduce schedule
+//! permutation nor the pull's bitmap walk may introduce schedule
 //! dependence. Depths/distances/components are unique fixed points and
 //! compare bit-identical; PageRank accumulates floats in a different
 //! order under relabeling, so it compares within the same epsilon the
