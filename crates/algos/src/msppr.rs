@@ -274,7 +274,12 @@ impl Primitive for Msppr {
                 }
                 edges
             };
-            par::map_reduce(active.par_walk(grain_size(n)), 0, push, |a, b| a + b)
+            // on one thread: a claim races the adds into the cell it
+            // swaps, so on more the round's result would follow the
+            // schedule, and a batch's scores would differ run to run
+            par::with_threads(1, || {
+                par::map_reduce(active.par_walk(grain_size(n)), 0, push, |a, b| a + b)
+            })
         };
         // a panicking round poisoned the run: the next boundary ends it
         if !advance_lanes(ctx, "msppr", "advance:msppr", active, next, round) {

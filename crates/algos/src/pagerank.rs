@@ -25,17 +25,26 @@
 //! [`advance_gather`] pulls the shares over in-edges with plain stores
 //! (the §7 gather-reduce) and emits the next frontier in the same sweep;
 //! once the frontier is sparse — or without a reverse graph — it is the
-//! paper's push advance with atomic adds followed by a compaction.
+//! paper's push advance with atomic adds followed by a compaction. The
+//! adds are integer adds on a fixed-point accumulator, so a push round
+//! sums to the same bits whatever order the threads add in.
 
 use crate::primitive::{frontiers, run, Primitive};
 use crate::registry::{Arity, Output, Query};
 use gunrock::prelude::*;
-use gunrock_engine::atomics::AtomicF64;
 use gunrock_engine::checkpoint::{Field, Kind::*, Schema, Slot::*, Snapshot, SnapshotWriter};
 use gunrock_engine::compact::compact_indices_into;
 use gunrock_engine::par;
 use gunrock_graph::{EdgeId, VertexId};
 use std::ops::ControlFlow::Continue;
+use std::sync::atomic::{AtomicI64, Ordering};
+
+/// Fixed-point units per unit of mass in the push accumulator (2^58).
+/// Integer adds commute, so the sum does not depend on the schedule. A
+/// round moves at most the residuals' L1 mass (about 2 from the uniform
+/// start), far inside the ±32 the scale leaves, and one unit (3.5e-18)
+/// is far below any epsilon.
+const PUSH_SCALE: f64 = (1u64 << 58) as f64;
 
 /// PageRank configuration.
 #[derive(Clone, Copy, Debug)]
@@ -83,16 +92,20 @@ pub struct PrResult {
 }
 
 /// Residual-push functor: scatter the source's frozen share to the
-/// destination's accumulator (the paper's AtomicAdd accumulation).
+/// destination's accumulator (the paper's AtomicAdd accumulation), in
+/// [`PUSH_SCALE`] units.
 struct PushShare<'a> {
     share: &'a [f64],
-    acc: &'a [AtomicF64],
+    acc: &'a [AtomicI64],
 }
 
 impl AdvanceFunctor for PushShare<'_> {
     #[inline]
     fn cond_edge(&self, src: VertexId, dst: VertexId, _e: EdgeId) -> bool {
-        let _ = self.acc[dst as usize].fetch_add(self.share[src as usize]);
+        // ORDERING: Relaxed — a commutative sum read only after the
+        // advance's launch has returned.
+        self.acc[dst as usize]
+            .fetch_add((self.share[src as usize] * PUSH_SCALE) as i64, Ordering::Relaxed);
         false // effect-only
     }
 }
@@ -117,7 +130,7 @@ pub struct PageRank {
     share: Vec<f64>,
     /// The push accumulator, built at the first push iteration (zeroed as
     /// it is drained); a run that only ever gathers never pays for it.
-    acc: Vec<AtomicF64>,
+    acc: Vec<AtomicI64>,
     switch: GatherSwitch,
     /// Whether the seed pass has run; a loaded snapshot is past it.
     seeded: bool,
@@ -207,7 +220,7 @@ impl PageRank {
             // push: advance for effect with atomic accumulation, then
             // filter: vertices with enough pending residual re-enter
             if self.acc.is_empty() {
-                self.acc = (0..n).map(|_| AtomicF64::new(0.0)).collect();
+                self.acc = (0..n).map(|_| AtomicI64::new(0)).collect();
             }
             let functor = PushShare { share, acc: &self.acc };
             let spec = AdvanceSpec::for_effect().with_mode(mode);
@@ -219,8 +232,10 @@ impl PageRank {
                     residual.chunks_mut(grain).zip(acc.chunks(grain)),
                     |(rs, accs)| {
                         for (r, a) in rs.iter_mut().zip(accs) {
-                            *r += a.load() + teleport;
-                            a.store(0.0);
+                            // ORDERING: Relaxed — the push advance's launch
+                            // returned before this one started.
+                            *r += a.load(Ordering::Relaxed) as f64 / PUSH_SCALE + teleport;
+                            a.store(0, Ordering::Relaxed);
                         }
                     },
                 );

@@ -27,6 +27,7 @@ use gunrock_engine::atomics::{
     atomic_u32_vec, fetch_min_u32, into_plain_u32, unwrap_atomic_u32,
 };
 use gunrock_engine::checkpoint::{Field, Kind::*, Schema, Slot::*, Snapshot, SnapshotWriter};
+use gunrock_engine::par;
 use gunrock_graph::{Csr, EdgeId, VertexId, INFINITY, INVALID_VERTEX};
 use std::sync::atomic::{AtomicU32, Ordering};
 
@@ -256,7 +257,13 @@ impl Primitive for Sssp {
             queue_id: self.queue_id,
         };
         let spec = AdvanceSpec::v2v().with_mode(mode);
-        let claimed = advance::advance(ctx, &self.frontier, spec, &relax);
+        // on one thread: a relaxation's fetch_min and tag swap land on
+        // lines the other CPU's relaxations write too, and on kron 15 that
+        // cost more than a second CPU gave back (EXPERIMENTS.md, "Real
+        // threads behind par"); it also keeps the rounds and the parents
+        // independent of the schedule
+        let claimed =
+            par::with_threads(1, || advance::advance(ctx, &self.frontier, spec, &relax));
         self.queue_id = self.queue_id.wrapping_add(1);
         // ORDERING: Relaxed — dist cells are monotonic fetch_min targets and tag
         // swaps need only per-cell atomicity; relaxation rounds end at join barriers.
@@ -380,7 +387,8 @@ mod tests {
     #[test]
     fn delta_max_runs_frontier_bellman_ford() {
         for (i, g) in suite().iter().enumerate() {
-            let (dist, iterations, edges) = frontier_only(g, 0);
+            // the primitive relaxes on one thread; so does its reference
+            let (dist, iterations, edges) = par::with_threads(1, || frontier_only(g, 0));
             let r = sssp(&Context::new(g), 0, BELLMAN_FORD);
             assert_eq!(r.dist, dist, "graph {i}");
             assert_eq!(r.iterations, iterations, "graph {i}");

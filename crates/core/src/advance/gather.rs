@@ -47,16 +47,11 @@ use gunrock_engine::bitmap::{BitSet, PooledBitmap};
 use gunrock_engine::par;
 use gunrock_engine::stats::StepDirection;
 use gunrock_graph::{Csr, EdgeId, VertexId};
+use std::mem::MaybeUninit;
 use std::ops::{ControlFlow, Range};
 
 /// Shortest edge list [`fold4`] splits into four accumulators.
 const FOLD4_MIN_EDGES: usize = 8;
-
-/// Marks an emission slot a chunk left unused. Collision with a real
-/// vertex id is impossible because `Csr::validate`/`GraphBuilder` reject
-/// graphs with `num_vertices` at `u32::MAX` — every legal id is strictly
-/// smaller.
-const INVALID_SLOT: u32 = u32::MAX;
 
 /// The vertices a gather visits.
 #[derive(Clone, Debug)]
@@ -213,7 +208,7 @@ pub fn advance_gather<S, T, K, M, R, F>(
     let base = next.as_ref().map_or(0, |next| next.len());
     // the chunk starting at input position `at` (an unset input's chunks
     // start on word boundaries)
-    let sweep = |at: usize, slots: &mut [S], ids: Option<&mut [u32]>| {
+    let sweep = |at: usize, slots: &mut [S], ids: Option<&mut [MaybeUninit<u32>]>| {
         let fs = (mask, init, map, reduce, finish);
         match &spec.input {
             // CAST: at < range.len() <= u32::MAX.
@@ -244,45 +239,47 @@ pub fn advance_gather<S, T, K, M, R, F>(
                 Input::Unset(_) => true,
             };
         if let Some(next) = next.as_deref_mut() {
-            next.resize(base + len, INVALID_SLOT);
+            next.reserve(len);
         }
-        let window = next.as_deref_mut().map(|next| &mut next[base..]);
+        let window = next.as_deref_mut().map(|next| &mut next.spare_capacity_mut()[..len]);
         // one chunk on the serial path; an unset input splits into whole words
         let grain = match &spec.input {
             _ if serial => len,
             Input::Unset(bits) => grain_size(bits.word_count()) * 64,
             _ => grain_size(len),
         };
-        let add = |a: (u64, u64), b: (u64, u64)| (a.0 + b.0, a.1 + b.1);
-        let (edges, visited) = match window {
+        // ALLOC-OK(one (edges, visited, admitted) triple per chunk, per launch)
+        let mut per_chunk = Vec::new();
+        match window {
             Some(window) => {
                 let tasks = out.chunks_mut(grain).zip(window.chunks_mut(grain)).enumerate();
-                par::map_reduce(
+                par::collect_into(
                     tasks,
-                    (0, 0),
                     |(ci, (s, ids))| sweep(ci * grain, s, Some(ids)),
-                    add,
+                    &mut per_chunk,
                 )
             }
             None => {
                 let tasks = out.chunks_mut(grain).enumerate();
-                par::map_reduce(tasks, (0, 0), |(ci, s)| sweep(ci * grain, s, None), add)
+                par::collect_into(tasks, |(ci, s)| sweep(ci * grain, s, None), &mut per_chunk)
             }
         };
+        let (edges, visited) = per_chunk.iter().fold((0, 0), |(e, v), c| (e + c.0, v + c.1));
         ctx.counters.add_edges(edges);
         let admitted = next.as_deref_mut().map_or(0, |next| {
             // each chunk filled a prefix of its own window: moving the
             // prefixes together keeps the input order
-            let mut kept = base;
-            for at in (base..next.len()).step_by(grain) {
-                let window = &next[at..next.len().min(at + grain)];
-                let filled =
-                    window.iter().position(|&v| v == INVALID_SLOT).unwrap_or(window.len());
-                next.copy_within(at..at + filled, kept);
+            let spare = next.spare_capacity_mut();
+            let mut kept = 0;
+            for (ci, &(_, _, filled)) in per_chunk.iter().enumerate() {
+                spare.copy_within(ci * grain..ci * grain + filled, kept);
                 kept += filled;
             }
-            next.truncate(kept);
-            kept - base
+            // SAFETY: the first `kept` spare slots now hold the chunks'
+            // filled prefixes, each written by its chunk before the launch
+            // returned.
+            unsafe { next.set_len(base + kept) };
+            kept
         });
         (admitted, serial, visited)
     };
@@ -306,22 +303,26 @@ pub fn advance_gather<S, T, K, M, R, F>(
 
 /// One chunk's sweep in flight: each chunk gathers its vertices into
 /// their slots, writing the admitted ones to the front of its window of
-/// `next` when there is one, and returns the edges scanned and the
-/// vertices visited. Each input form walks in a function of its own, with
-/// the fold inlined: with all three walks in one function the compiler
-/// stopped inlining the fold, and BC's backward gathers on a road graph
-/// took 12–17 % longer per step.
+/// `next`'s spare capacity when there is one, and returns the edges
+/// scanned, the vertices visited and the vertices admitted. Each input
+/// form walks in a function of its own, with the fold inlined: with all
+/// three walks in one function the compiler stopped inlining the fold,
+/// and BC's backward gathers on a road graph took 12–17 % longer per step.
 struct Chunk<'c, 'i, 'g> {
     csr: &'c Csr,
     edges: u64,
     visited: u64,
     admitted: usize,
-    ids: Option<&'i mut [u32]>,
+    ids: Option<&'i mut [MaybeUninit<u32>]>,
     poll: AbortPoll<'c, 'g>,
 }
 
 impl<'c, 'i, 'g> Chunk<'c, 'i, 'g> {
-    fn start(ctx: &'c Context<'g>, csr: &'c Csr, ids: Option<&'i mut [u32]>) -> Option<Self> {
+    fn start(
+        ctx: &'c Context<'g>,
+        csr: &'c Csr,
+        ids: Option<&'i mut [MaybeUninit<u32>]>,
+    ) -> Option<Self> {
         let poll = AbortPoll::start(ctx)?;
         Some(Chunk { csr, edges: 0, visited: 0, admitted: 0, ids, poll })
     }
@@ -331,10 +332,10 @@ impl<'c, 'i, 'g> Chunk<'c, 'i, 'g> {
     fn each<'s, S: 's, T, K, M, R, F>(
         ctx: &'c Context<'g>,
         csr: &'c Csr,
-        ids: Option<&'i mut [u32]>,
+        ids: Option<&'i mut [MaybeUninit<u32>]>,
         vertices: impl Iterator<Item = (VertexId, &'s mut S)>,
         fs: (K, T, M, R, F),
-    ) -> (u64, u64)
+    ) -> (u64, u64, usize)
     where
         T: Copy,
         K: Fn(VertexId) -> bool + Copy,
@@ -342,13 +343,13 @@ impl<'c, 'i, 'g> Chunk<'c, 'i, 'g> {
         R: Fn(T, T) -> ControlFlow<T, T> + Copy,
         F: Fn(VertexId, T, &mut S) -> bool + Copy,
     {
-        let Some(mut chunk) = Chunk::start(ctx, csr, ids) else { return (0, 0) };
+        let Some(mut chunk) = Chunk::start(ctx, csr, ids) else { return (0, 0, 0) };
         for (v, slot) in vertices {
             if chunk.gather(v, slot, fs) {
                 break;
             }
         }
-        (chunk.edges, chunk.visited)
+        (chunk.edges, chunk.visited, chunk.admitted)
     }
 
     /// Gathers the clear bits of `bits` from bit `at` on (a multiple of
@@ -359,12 +360,12 @@ impl<'c, 'i, 'g> Chunk<'c, 'i, 'g> {
     fn unset<S, T, K, M, R, F>(
         ctx: &'c Context<'g>,
         csr: &'c Csr,
-        ids: Option<&'i mut [u32]>,
+        ids: Option<&'i mut [MaybeUninit<u32>]>,
         bits: &PooledBitmap,
         at: usize,
         slots: &mut [S],
         fs: (K, T, M, R, F),
-    ) -> (u64, u64)
+    ) -> (u64, u64, usize)
     where
         T: Copy,
         K: Fn(VertexId) -> bool + Copy,
@@ -372,7 +373,7 @@ impl<'c, 'i, 'g> Chunk<'c, 'i, 'g> {
         R: Fn(T, T) -> ControlFlow<T, T> + Copy,
         F: Fn(VertexId, T, &mut S) -> bool + Copy,
     {
-        let Some(mut chunk) = Chunk::start(ctx, csr, ids) else { return (0, 0) };
+        let Some(mut chunk) = Chunk::start(ctx, csr, ids) else { return (0, 0, 0) };
         'walk: for (wi, word_slots) in (at / 64..).zip(slots.chunks_mut(64)) {
             let mut clear = !bits.load_word(wi);
             if word_slots.len() < 64 {
@@ -388,7 +389,7 @@ impl<'c, 'i, 'g> Chunk<'c, 'i, 'g> {
                 }
             }
         }
-        (chunk.edges, chunk.visited)
+        (chunk.edges, chunk.visited, chunk.admitted)
     }
 
     /// Gathers `v` into `slot`; true when the chunk must stop.
@@ -416,7 +417,7 @@ impl<'c, 'i, 'g> Chunk<'c, 'i, 'g> {
         self.edges += scanned as u64;
         if finish(v, acc, slot) {
             if let Some(ids) = self.ids.as_deref_mut() {
-                ids[self.admitted] = v;
+                ids[self.admitted].write(v);
                 self.admitted += 1;
             }
         }

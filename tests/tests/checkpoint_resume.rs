@@ -4,13 +4,17 @@
 //! iteration-cap guard, standing in for a timeout or kill), which
 //! leaves a `gunrock-ckpt/v1` snapshot behind, then resumes from that
 //! file in a fresh context and demands results **bit-identical** to an
-//! uninterrupted run — including `f64` payloads, which the sequential
-//! engine makes exactly reproducible.
+//! uninterrupted run — including `f64` payloads: PageRank's push sums in
+//! fixed point and the gathers fold in a fixed order, so they reproduce
+//! exactly at any thread count. What follows the schedule — BFS parents —
+//! is compared bit for bit on one thread, and checked against the oracles
+//! at full width.
 
 use gunrock::prelude::*;
 use gunrock_algos as algos;
 use gunrock_algos::registry::{self, Arity, Output, Query};
 use gunrock_engine::checkpoint::SectionData;
+use gunrock_engine::par::with_threads;
 use gunrock_graph::generators::{self, rmat};
 use gunrock_graph::{Csr, GraphBuilder};
 
@@ -71,23 +75,28 @@ fn bits(v: &[f64]) -> Vec<u64> {
 
 #[test]
 fn bfs_resume_is_bit_identical() {
-    let g = kron10();
-    let dir = ckpt_dir("bfs");
-    let opts = algos::BfsOptions::direction_optimized();
-    let full = algos::bfs(&Context::new(&g).with_reverse(&g), 0, opts);
-    let ckpt = interrupt(&g, &dir, "bfs", 2, |ctx| {
-        let r = algos::bfs(ctx, 0, opts);
-        (r.labels, r.outcome)
-    });
-    let ctx = Context::new(&g).with_reverse(&g);
-    let r = algos::resume::<algos::Bfs>(&ctx, opts, &ckpt).expect("resume");
-    assert_eq!(r.outcome, RunOutcome::Converged);
-    assert_eq!(r.labels, full.labels);
-    assert_eq!(r.preds, full.preds);
-    // total level count is preserved across the interruption
-    assert_eq!(r.iterations, full.iterations);
-    assert_eq!(r.pull_iterations, full.pull_iterations);
-    std::fs::remove_dir_all(&dir).ok();
+    // on one thread: which parent claims a vertex on a push level
+    // follows the schedule, and the preds record it (the labels do not:
+    // bfs_resumed_at_full_width_reaches_the_oracle)
+    with_threads(1, || {
+        let g = kron10();
+        let dir = ckpt_dir("bfs");
+        let opts = algos::BfsOptions::direction_optimized();
+        let full = algos::bfs(&Context::new(&g).with_reverse(&g), 0, opts);
+        let ckpt = interrupt(&g, &dir, "bfs", 2, |ctx| {
+            let r = algos::bfs(ctx, 0, opts);
+            (r.labels, r.outcome)
+        });
+        let ctx = Context::new(&g).with_reverse(&g);
+        let r = algos::resume::<algos::Bfs>(&ctx, opts, &ckpt).expect("resume");
+        assert_eq!(r.outcome, RunOutcome::Converged);
+        assert_eq!(r.labels, full.labels);
+        assert_eq!(r.preds, full.preds);
+        // total level count is preserved across the interruption
+        assert_eq!(r.iterations, full.iterations);
+        assert_eq!(r.pull_iterations, full.pull_iterations);
+        std::fs::remove_dir_all(&dir).ok();
+    })
 }
 
 #[test]
@@ -125,6 +134,36 @@ fn sssp_priority_queue_resume_is_bit_identical() {
     assert_eq!(r.outcome, RunOutcome::Converged);
     assert_eq!(r.dist, full.dist);
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The full-width twin of `bfs_resume_is_bit_identical`: a BFS
+/// interrupted and resumed at 2 and 4 threads reaches the oracle's
+/// labels, and every parent sits one level up along an edge.
+#[test]
+fn bfs_resumed_at_full_width_reaches_the_oracle() {
+    let g = kron10();
+    let want = gunrock_baselines::serial::bfs(&g, 0);
+    for width in [2, 4] {
+        with_threads(width, || {
+            let dir = ckpt_dir(&format!("wide_bfs{width}"));
+            let opts = algos::BfsOptions::direction_optimized();
+            let ckpt = interrupt(&g, &dir, "bfs", 2, |ctx| {
+                let r = algos::bfs(ctx, 0, opts);
+                (r.labels, r.outcome)
+            });
+            let ctx = Context::new(&g).with_reverse(&g);
+            let r = algos::resume::<algos::Bfs>(&ctx, opts, &ckpt).expect("resume");
+            assert_eq!(r.outcome, RunOutcome::Converged, "{width} threads");
+            assert_eq!(r.labels, want, "{width} threads");
+            for (v, &p) in r.preds.iter().enumerate() {
+                if v != 0 && want[v] != u32::MAX {
+                    assert_eq!(r.labels[p as usize] + 1, r.labels[v], "vertex {v} parent {p}");
+                    assert!(g.neighbors(p).contains(&(v as u32)), "vertex {v} parent {p}");
+                }
+            }
+            std::fs::remove_dir_all(&dir).ok();
+        });
+    }
 }
 
 /// `ckpt` as a build before the pooled level stack wrote it: with a `tags`

@@ -87,6 +87,36 @@ fn load_balanced_advance_output_is_bit_deterministic() {
     }
 }
 
+/// The integer answers are fixed points whatever the schedule: BFS and
+/// MS-BFS depths, SSSP distances and CC's components equal the serial
+/// oracles at one, two and four threads, on a graph big enough for the
+/// launches to run on the pool.
+#[test]
+fn integer_results_equal_the_oracles_at_one_two_and_four_threads() {
+    use gunrock_baselines::serial;
+    let g =
+        GraphBuilder::new().random_weights(1, 64, 9).build(rmat(12, 8, Default::default(), 9));
+    let n = g.num_vertices();
+    let sources: Vec<u32> = (0..64).collect();
+    let depths: Vec<Vec<u32>> = sources.iter().map(|&s| serial::bfs(&g, s)).collect();
+    let dist = serial::dijkstra(&g, 0);
+    let components = serial::connected_components(&g);
+    for threads in [1, 2, 4] {
+        with_threads(threads, || {
+            let ctx = Context::new(&g).with_reverse(&g);
+            let bfs = algos::bfs(&ctx, 0, algos::BfsOptions::direction_optimized());
+            assert_eq!(bfs.labels, depths[0], "bfs, {threads} threads");
+            let sssp = algos::sssp(&ctx, 0, algos::SsspOptions::default());
+            assert_eq!(sssp.dist, dist, "sssp, {threads} threads");
+            assert_eq!(algos::cc(&ctx).labels, components, "cc, {threads} threads");
+            let ms = algos::msbfs(&ctx, &sources);
+            for (lane, want) in ms.depths.chunks(n).zip(&depths) {
+                assert_eq!(lane, &want[..], "msbfs, {threads} threads");
+            }
+        });
+    }
+}
+
 /// PageRank's dense iterations gather with plain stores, each vertex
 /// summing its in-edges in list order — no atomics, so the scores are
 /// bit-identical however the vertex range is chunked across a pool.
