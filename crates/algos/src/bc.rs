@@ -75,15 +75,12 @@ struct Claim<'a> {
 
 impl AdvanceFunctor for Claim<'_> {
     #[inline]
-    fn cond_edge(&self, src: VertexId, dst: VertexId, _e: EdgeId) -> bool {
+    fn cond_edge<A: Access>(&self, a: A, src: VertexId, dst: VertexId, _e: EdgeId) -> bool {
         let depth = &self.depth[dst as usize];
-        // ORDERING: Relaxed — the claim publishes no other data: whichever
-        // parent wins stores the same level, and the join barrier ending
-        // the advance publishes it.
-        let won = depth.load(Ordering::Relaxed) == INFINITY
-            && depth
-                .compare_exchange(INFINITY, self.level, Ordering::Relaxed, Ordering::Relaxed)
-                .is_ok();
+        // whichever parent wins stores the same level
+        let won = a.cas_claim(depth, INFINITY, self.level).is_ok();
+        // ORDERING: Relaxed — relaxed-load of a level only this advance's
+        // claims store, all the same value; the claims publish no other data.
         if let Some(sigma) = self.sigma.filter(|_| depth.load(Ordering::Relaxed) == self.level)
         {
             let _ = sigma[dst as usize].fetch_add(sigma[src as usize].load());

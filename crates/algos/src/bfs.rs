@@ -121,13 +121,13 @@ struct ClaimDiscover<'a> {
 
 impl AdvanceFunctor for ClaimDiscover<'_> {
     #[inline]
-    fn cond_edge(&self, _src: VertexId, dst: VertexId, _e: EdgeId) -> bool {
+    fn cond_edge<A: Access>(&self, a: A, _src: VertexId, dst: VertexId, _e: EdgeId) -> bool {
         // test_and_set loads first: an edge into a visited vertex costs a
         // load, not an atomic
-        !self.visited.test_and_set(dst as usize)
+        !self.visited.test_and_set_with(a, dst as usize)
     }
     #[inline]
-    fn apply_edge(&self, src: VertexId, dst: VertexId, _e: EdgeId) {
+    fn apply_edge<A: Access>(&self, _: A, src: VertexId, dst: VertexId, _e: EdgeId) {
         self.st.discover(dst, src, self.level);
     }
 }

@@ -29,7 +29,7 @@
 use crate::primitive::{failure_of, malformed, run, to_atomic_u32, Primitive};
 use crate::registry::{Arity, Output};
 use gunrock::prelude::*;
-use gunrock_engine::atomics::{into_plain_u32, link, root, unwrap_atomic_u32};
+use gunrock_engine::atomics::{into_plain_u32, link, root, unwrap_atomic_u32, Shared};
 use gunrock_engine::budget::pooled_bytes;
 use gunrock_engine::checkpoint::{Field, Kind::*, Schema, Slot::*, Snapshot, SnapshotWriter};
 use gunrock_graph::{Csr, EdgeId, VertexId};
@@ -118,8 +118,8 @@ struct LinkEdge<'a>(&'a [AtomicU32]);
 
 impl AdvanceFunctor for LinkEdge<'_> {
     #[inline]
-    fn cond_edge(&self, src: VertexId, dst: VertexId, _e: EdgeId) -> bool {
-        link(self.0, src, dst);
+    fn cond_edge<A: Access>(&self, a: A, src: VertexId, dst: VertexId, _e: EdgeId) -> bool {
+        link(a, self.0, src, dst);
         false
     }
 }
@@ -254,7 +254,7 @@ impl Primitive for Cc {
                     compute::for_each_ctx(ctx, "cc:in_edges", &self.residual, |v| {
                         let sources = rev.neighbors(v);
                         for &u in sources {
-                            link(labels, v, u);
+                            link(Shared, labels, v, u);
                         }
                         ctx.counters.add_edges(sources.len() as u64);
                     });
@@ -265,7 +265,7 @@ impl Primitive for Cc {
                 compute::for_each_id_ctx(ctx, "cc:sample_hook", n, |v| {
                     // CAST: r < SAMPLE_ROUNDS, u32 -> usize widening.
                     if let Some(u) = adj.nth(v, r as usize) {
-                        link(labels, v, u);
+                        link(Shared, labels, v, u);
                     }
                 });
                 compress(ctx, "cc:compress", labels);

@@ -25,6 +25,7 @@
 use crate::primitive::{bitmap, malformed, run, Primitive};
 use crate::registry::{Arity, Output, Query};
 use gunrock::prelude::*;
+use gunrock_engine::atomics::Shared;
 use gunrock_engine::budget::pooled_bytes;
 use gunrock_engine::checkpoint::{Field, Kind::*, Schema, Slot::*, Snapshot, SnapshotWriter};
 use gunrock_engine::lanes::Walk;
@@ -268,7 +269,7 @@ impl Primitive for Msppr {
                             edges += 1;
                             let u = cols[e] as usize;
                             add_f64(&residual[l * n + u], share);
-                            next.fetch_or(u, 1u64 << l);
+                            next.fetch_or(Shared, u, 1u64 << l);
                         }
                     }
                 }

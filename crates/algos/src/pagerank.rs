@@ -101,7 +101,7 @@ struct PushShare<'a> {
 
 impl AdvanceFunctor for PushShare<'_> {
     #[inline]
-    fn cond_edge(&self, src: VertexId, dst: VertexId, _e: EdgeId) -> bool {
+    fn cond_edge<A: Access>(&self, _: A, src: VertexId, dst: VertexId, _e: EdgeId) -> bool {
         // ORDERING: Relaxed — a commutative sum read only after the
         // advance's launch has returned.
         self.acc[dst as usize]

@@ -23,9 +23,7 @@ use crate::primitive::{
 };
 use crate::registry::{Arity, Output};
 use gunrock::prelude::*;
-use gunrock_engine::atomics::{
-    atomic_u32_vec, fetch_min_u32, into_plain_u32, unwrap_atomic_u32,
-};
+use gunrock_engine::atomics::{atomic_u32_vec, into_plain_u32, unwrap_atomic_u32, Sole};
 use gunrock_engine::checkpoint::{Field, Kind::*, Schema, Slot::*, Snapshot, SnapshotWriter};
 use gunrock_engine::par;
 use gunrock_graph::{Csr, EdgeId, VertexId, INFINITY, INVALID_VERTEX};
@@ -89,20 +87,20 @@ struct Relax<'a> {
 
 impl AdvanceFunctor for Relax<'_> {
     #[inline]
-    fn cond_edge(&self, src: VertexId, dst: VertexId, e: EdgeId) -> bool {
+    fn cond_edge<A: Access>(&self, a: A, src: VertexId, dst: VertexId, e: EdgeId) -> bool {
         let new_label = self.dist[src as usize]
             // ORDERING: Relaxed — dist cells are monotonic fetch_min targets and tag
             // swaps need only per-cell atomicity; relaxation rounds end at join barriers.
             .load(Ordering::Relaxed)
             .saturating_add(self.graph.weight(e));
         // new_label < atomicMin(labels[dst], new_label)
-        if !fetch_min_u32(&self.dist[dst as usize], new_label) {
+        if !a.fetch_min_u32(&self.dist[dst as usize], new_label) {
             return false;
         }
         // every improvement records its parent, so a vertex improved twice
         // in one pass keeps the parent of its final distance
         self.preds[dst as usize].store(src, Ordering::Relaxed);
-        self.tags[dst as usize].swap(self.queue_id, Ordering::Relaxed) != self.queue_id
+        a.swap_claim(&self.tags[dst as usize], self.queue_id)
     }
 }
 
@@ -261,7 +259,10 @@ impl Primitive for Sssp {
         // lines the other CPU's relaxations write too, and on kron 15 that
         // cost more than a second CPU gave back (EXPERIMENTS.md, "Real
         // threads behind par"); it also keeps the rounds and the parents
-        // independent of the schedule
+        // independent of the schedule. On one thread an Auto advance takes
+        // the serial path at every size, where the relaxation is the sole
+        // writer: its fetch_min and tag claim are loads and stores
+        // (EXPERIMENTS.md, "Sole-writer claims")
         let claimed =
             par::with_threads(1, || advance::advance(ctx, &self.frontier, spec, &relax));
         self.queue_id = self.queue_id.wrapping_add(1);
@@ -282,14 +283,8 @@ impl Primitive for Sssp {
         // ORDERING: Relaxed — dist cells are monotonic fetch_min targets and tag
         // swaps need only per-cell atomicity; relaxation rounds end at join barriers.
         let prio = |v: u32| dist[v as usize].load(Ordering::Relaxed);
-        // the refill runs on this thread alone: a plain load and store
-        // claim, no read-modify-write
-        let claim = |v: u32| {
-            let tag = &tags[v as usize];
-            let fresh = tag.load(Ordering::Relaxed) != id;
-            tag.store(id, Ordering::Relaxed);
-            fresh
-        };
+        // the refill runs on this thread alone: a sole writer's claim
+        let claim = |v: u32| Sole.swap_claim(&tags[v as usize], id);
         let near = ctx.isolated_setup("refill", || queue.refill(ctx.pool(), prio, claim));
         // the next advance claims with a new id, so it can re-enqueue a
         // refilled vertex it improves

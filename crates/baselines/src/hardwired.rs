@@ -7,7 +7,7 @@
 //! programmable operators are measured against.
 
 use crate::{concat, dangling_mass, l1_distance, out_degrees};
-use gunrock_engine::atomics::{atomic_u32_vec, fetch_min_u32, unwrap_atomic_u32, AtomicF64};
+use gunrock_engine::atomics::{atomic_u32_vec, unwrap_atomic_u32, Access, AtomicF64, Shared};
 use gunrock_engine::bitmap::AtomicBitmap;
 use gunrock_engine::config::{grain_size, id_blocks};
 use gunrock_engine::par;
@@ -107,7 +107,7 @@ pub fn sssp_delta_stepping(g: &Csr, src: VertexId, delta: u32) -> Vec<u32> {
                 for e in g.edge_range(u) {
                     let v = g.col_indices()[e];
                     let nd = du.saturating_add(g.weight(e as u32));
-                    if fetch_min_u32(&dist[v as usize], nd) {
+                    if Shared.fetch_min_u32(&dist[v as usize], nd) {
                         local.push((v, nd));
                     }
                 }

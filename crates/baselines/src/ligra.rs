@@ -8,7 +8,7 @@
 //! Bellman-Ford too.
 
 use crate::{concat, dangling_mass, l1_distance, out_degrees};
-use gunrock_engine::atomics::{atomic_u32_vec, fetch_min_u32, unwrap_atomic_u32, AtomicF64};
+use gunrock_engine::atomics::{atomic_u32_vec, unwrap_atomic_u32, Access, AtomicF64, Shared};
 use gunrock_engine::bitmap::AtomicBitmap;
 use gunrock_engine::config::{grain_size, id_blocks};
 use gunrock_engine::par;
@@ -199,7 +199,7 @@ pub fn sssp_bellman_ford(g: &Csr, rev: &Csr, src: VertexId) -> Vec<u32> {
                     return false;
                 }
                 let nd = du.saturating_add(w);
-                if fetch_min_u32(&dist[v as usize], nd) {
+                if Shared.fetch_min_u32(&dist[v as usize], nd) {
                     // enter output once per round
                     dist_round_claim(&visited[v as usize], round)
                 } else {
@@ -240,7 +240,7 @@ pub fn connected_components(g: &Csr, rev: &Csr) -> Vec<VertexId> {
             &frontier,
             |u, v, _| {
                 let lu = labels[u as usize].load(Ordering::Relaxed);
-                if fetch_min_u32(&labels[v as usize], lu) {
+                if Shared.fetch_min_u32(&labels[v as usize], lu) {
                     dist_round_claim(&round[v as usize], r)
                 } else {
                     false

@@ -64,33 +64,6 @@ pub fn dijkstra(g: &Csr, src: VertexId) -> Vec<u32> {
     dist
 }
 
-/// Bellman-Ford distances (used to cross-check the Ligra-role engine,
-/// which implements Bellman-Ford as in the paper's comparison).
-pub fn bellman_ford(g: &Csr, src: VertexId) -> Vec<u32> {
-    let n = g.num_vertices();
-    let mut dist = vec![INFINITY; n];
-    dist[src as usize] = 0;
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for u in 0..n as VertexId {
-            let du = dist[u as usize];
-            if du == INFINITY {
-                continue;
-            }
-            for e in g.edge_range(u) {
-                let v = g.col_indices()[e];
-                let nd = du.saturating_add(g.weight(e as u32));
-                if nd < dist[v as usize] {
-                    dist[v as usize] = nd;
-                    changed = true;
-                }
-            }
-        }
-    }
-    dist
-}
-
 /// Single-source Brandes pass: returns the dependency scores
 /// (betweenness contributions) of one source — the quantity the paper's
 /// BC primitive computes per enactment. `sigma` path counts use f64.
@@ -283,12 +256,6 @@ mod tests {
     fn dijkstra_picks_light_path() {
         let d = dijkstra(&weighted_diamond(), 0);
         assert_eq!(d, vec![0, 1, 3, 2]); // vertex 2 reached via 3 (2+1=3) not direct 5
-    }
-
-    #[test]
-    fn bellman_ford_matches_dijkstra() {
-        let g = weighted_diamond();
-        assert_eq!(bellman_ford(&g, 0), dijkstra(&g, 0));
     }
 
     #[test]

@@ -32,6 +32,7 @@ use crate::isolate::{launch, Op, Report};
 use gunrock_engine::budget::{advance_workspace_bytes, pooled_bytes};
 use gunrock_engine::faults::FaultKind;
 use gunrock_engine::frontier::Frontier;
+use gunrock_engine::par;
 use gunrock_engine::stats::{RecoveryKind, StepDirection};
 use gunrock_graph::VertexId;
 
@@ -182,10 +183,11 @@ fn serial_eligible(ctx: &Context<'_>, input: &Frontier, spec: AdvanceSpec) -> Op
 
 /// Strategy dispatch. Load-balanced selections route through the
 /// retry-with-fallback guard; the other strategies run directly. The
-/// ThreadMapped and Auto branches divert tiny frontiers to the serial
-/// fast path — deliberately NOT ahead of the match, so an explicit
-/// LoadBalanced selection still consults the fault injector and keeps
-/// seeded chaos schedules stable, and Twc keeps its bucket order.
+/// ThreadMapped and Auto branches divert tiny frontiers (Auto on one
+/// thread: all) to the serial fast path — deliberately NOT ahead of the
+/// match, so an explicit LoadBalanced selection still consults the fault
+/// injector and keeps seeded chaos schedules stable, and Twc keeps its
+/// bucket order.
 ///
 /// Auto gathers the frontier's [`push::Degrees`] once and hands them and
 /// their total down to the strategy it picks. A frontier short enough
@@ -213,7 +215,12 @@ fn dispatch<F: AdvanceFunctor>(
         AdvanceMode::Auto => {
             // CAST: u64 -> usize is lossless on 64-bit targets; threshold compare only.
             let lb = |work: u64| work as usize > ctx.config.lb_threshold;
-            if let Some(work) = serial_eligible(ctx, input, spec).filter(|&w| !lb(w)) {
+            // one thread runs the serial path (the sole writer) at any size
+            let serial = match par::threads() {
+                1 => Some(push::frontier_neighbor_count(ctx, input, spec.input)),
+                _ => serial_eligible(ctx, input, spec).filter(|&w| !lb(w)),
+            };
+            if let Some(work) = serial {
                 return (push::serial(ctx, input, spec, functor, work), "auto:serial");
             }
             let degrees = push::Degrees::gather(ctx, input.as_slice(), spec.input);

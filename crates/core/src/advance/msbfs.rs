@@ -16,7 +16,8 @@
 //! 1. **Scatter** — every active vertex ORs its whole frontier word into
 //!    each out-neighbor's `next` word with a single `fetch_or`: up to 64
 //!    traversals' worth of discovery per atomic, per edge. The OR that
-//!    takes a `next` word from zero marks it in `next`'s bitmap.
+//!    takes a `next` word from zero marks it in `next`'s bitmap. On one
+//!    thread the ORs are plain loads and stores (the `Sole` access).
 //! 2. **Update** — [`LaneMap::settle`] walks `next`'s bitmap in disjoint
 //!    blocks without atomics: `new = next & !seen`, `seen |= new`,
 //!    `next = new`, and a word left zero loses its bit. A visitor
@@ -31,6 +32,7 @@
 use crate::context::Context;
 use crate::isolate::{launch, AbortPoll, Op, Report};
 use crate::util::grain_size;
+use gunrock_engine::atomics::{Access, Shared, Sole};
 use gunrock_engine::lanes::{LaneMap, Walk};
 use gunrock_engine::par;
 use gunrock_engine::stats::StepDirection;
@@ -93,23 +95,18 @@ where
     let serial = t > 0 && active as usize <= t;
     let grain = grain_size(n);
     let body = || {
+        let (seen_ref, next_ref) = (&*seen, &*next);
+        let blocks = frontier.par_walk(grain);
+        // with one writer (the serial path, or the blocks on one thread)
+        // the ORs into `next` are loads and stores
         let edges = if serial {
-            // `next` is held exclusively: even the neighbor ORs are plain
-            scatter(ctx, frontier.walk(), seen, |u, want| next.or_mut(u, want))
+            scatter(ctx, frontier.walk(), seen_ref, next_ref, Sole)
+        } else if par::threads() == 1 {
+            let scan = |w| scatter(ctx, w, seen_ref, next_ref, Sole);
+            par::map_reduce(blocks, 0, scan, |a, b| a + b)
         } else {
-            let (seen, next): (&LaneMap, &LaneMap) = (seen, next);
-            let or = |u: usize, want: u64| {
-                // a word that already holds every wanted lane costs a read,
-                // not a cache-line-dirtying RMW; two blocks can both pass
-                // this check and OR the same lanes, and fetch_or is
-                // idempotent, so the race costs a duplicate RMW, never a
-                // lost lane
-                if next.load(u) & want != want {
-                    next.fetch_or(u, want);
-                }
-            };
-            let blocks = frontier.par_walk(grain);
-            par::map_reduce(blocks, 0, |w| scatter(ctx, w, seen, or), |a, b| a + b)
+            let scan = |w| scatter(ctx, w, seen_ref, next_ref, Shared);
+            par::map_reduce(blocks, 0, scan, |a, b| a + b)
         };
         ctx.counters.add_edges(edges);
         // Phase boundary: the scatter's atomic ORs and the update's plain
@@ -166,18 +163,23 @@ pub fn advance_lanes(
 }
 
 /// Phase 1 over one walk of the frontier (the whole map on the serial
-/// path, one block per task otherwise): every active vertex hands the
-/// lanes each out-neighbor `u` has not seen to `or(u, want)`, which ORs
-/// them into `next`, and the walk returns the edges it scanned. Lanes
-/// the neighbor has already seen are culled before the OR (the update
-/// would drop them anyway via `next & !seen`). `seen` is read-only
-/// during this phase (the update that mutates it runs strictly after),
-/// so the loads race with nothing.
-fn scatter(
+/// path, one block per task otherwise): every active vertex ORs the lanes
+/// each out-neighbor `u` has not seen into `next[u]` through `access`,
+/// and the walk returns the edges it scanned. Lanes the neighbor has
+/// already seen are culled before the OR (the update would drop them
+/// anyway via `next & !seen`). A shared writer also culls an OR `next[u]`
+/// already holds: a read, not a cache-line-dirtying RMW (two blocks can
+/// both pass that check; the OR is idempotent, so the race costs a
+/// duplicate RMW, never a lost lane). A sole writer ORs without the
+/// branch, as a plain loop would. `seen` is read-only during this
+/// phase (the update that mutates it runs strictly after), so the loads
+/// race with nothing.
+fn scatter<A: Access>(
     ctx: &Context<'_>,
     walk: Walk<'_>,
     seen: &LaneMap,
-    mut or: impl FnMut(usize, u64),
+    next: &LaneMap,
+    access: A,
 ) -> u64 {
     let g = ctx.graph;
     let cols = g.col_indices();
@@ -192,8 +194,8 @@ fn scatter(
             // CAST: u widens u32 -> usize for lane-map indexing — lossless.
             let u = cols[e] as usize;
             let want = fword & !seen.load(u);
-            if want != 0 {
-                or(u, want);
+            if want != 0 && (A::SOLE || next.load(u) & want != want) {
+                next.fetch_or(access, u, want);
             }
         }
         if poll.stop(edges) {

@@ -18,6 +18,7 @@
 use super::gather::{advance_gather, GatherSpec};
 use crate::context::Context;
 use crate::functor::AdvanceFunctor;
+use gunrock_engine::atomics::Shared;
 use gunrock_engine::bitmap::PooledBitmap;
 use gunrock_engine::frontier::Frontier;
 use std::ops::ControlFlow::{Break, Continue};
@@ -69,7 +70,7 @@ pub fn advance_pull_sweep<F: AdvanceFunctor>(
     let mut slots = vec![(); n];
     // the first in-neighbor in the frontier whose edge the functor accepts
     // CAST: vertex ids widen u32 -> usize for indexing — lossless.
-    let hit = |u: u32, v, e| in_frontier.get(u as usize) && functor.cond_edge(u, v, e);
+    let hit = |u: u32, v, e| in_frontier.get(u as usize) && functor.cond_edge(Shared, u, v, e);
     advance_gather(
         ctx,
         GatherSpec::unset(candidates),
@@ -79,7 +80,7 @@ pub fn advance_pull_sweep<F: AdvanceFunctor>(
         None,
         |u, v, e| hit(u, v, e).then_some((u, e)),
         |a, b| if b.is_some() { Break(b) } else { Continue(a) },
-        |v, hit, _| hit.map(|(u, e)| functor.apply_edge(u, v, e)).is_some(),
+        |v, hit, _| hit.map(|(u, e)| functor.apply_edge(Shared, u, v, e)).is_some(),
     );
     // a discovered vertex joins `out` and, set in the flipped candidates,
     // leaves them

@@ -24,6 +24,7 @@ use super::{expansion_vertex, AdvanceSpec, InputKind, OutputKind};
 use crate::context::Context;
 use crate::functor::AdvanceFunctor;
 use crate::util::{concat_chunks, grain_size};
+use gunrock_engine::atomics::{Access, Shared, Sole};
 use gunrock_engine::config::{FRONTIER_SEQ_CUTOFF, SEQUENTIAL_CUTOFF, WARP_SIZE};
 use gunrock_engine::frontier::Frontier;
 use gunrock_engine::par;
@@ -92,11 +93,13 @@ impl Degrees {
 
 /// Runs the functor over the out-edges `edges` of `src` — its whole
 /// neighbor list or one run of it — in order, handing each success's
-/// output id to `emit`. The one per-edge loop every push strategy runs.
+/// output id to `emit`, through `access`. The one per-edge loop every
+/// push strategy runs.
 #[inline]
 fn walk<F: AdvanceFunctor>(
     ctx: &Context<'_>,
     functor: &F,
+    access: impl Access,
     output: OutputKind,
     src: VertexId,
     edges: Range<usize>,
@@ -108,8 +111,8 @@ fn walk<F: AdvanceFunctor>(
         // CAST: edge ids of a validated graph lie below u32::MAX
         // (Csr::validate), so usize -> EdgeId is lossless.
         let id = e as EdgeId;
-        if functor.cond_edge(src, dst, id) {
-            functor.apply_edge(src, dst, id);
+        if functor.cond_edge(access, src, dst, id) {
+            functor.apply_edge(access, src, dst, id);
             match output {
                 OutputKind::Vertices => emit(dst),
                 OutputKind::Edges => emit(id),
@@ -125,6 +128,7 @@ fn walk<F: AdvanceFunctor>(
 fn expand_serial<F: AdvanceFunctor>(
     ctx: &Context<'_>,
     functor: &F,
+    access: impl Access,
     spec: AdvanceSpec,
     item: u32,
     out: &mut Vec<u32>,
@@ -132,7 +136,7 @@ fn expand_serial<F: AdvanceFunctor>(
     let src = expansion_vertex(ctx, spec.input, item);
     let range = ctx.graph.edge_range(src);
     let examined = range.len() as u64;
-    walk(ctx, functor, spec.output, src, range, |v| out.push(v));
+    walk(ctx, functor, access, spec.output, src, range, |v| out.push(v));
     examined
 }
 
@@ -191,7 +195,8 @@ fn pack_windows(
 /// allocations. Output order is edge-rank order, identical to
 /// [`thread_mapped`]. Targets the high-diameter regime (road networks,
 /// long-tail BFS levels) where fork/join latency dwarfs the few hundred
-/// edges of actual work.
+/// edges of actual work. Its functor is the [`Sole`] writer: no locked
+/// RMW per productive edge; every other strategy passes [`Shared`].
 pub fn serial<F: AdvanceFunctor>(
     ctx: &Context<'_>,
     input: &Frontier,
@@ -210,7 +215,7 @@ pub fn serial<F: AdvanceFunctor>(
     };
     let mut edges = 0u64;
     for &item in input.as_slice() {
-        edges += expand_serial(ctx, functor, spec, item, &mut out);
+        edges += expand_serial(ctx, functor, Sole, spec, item, &mut out);
     }
     ctx.counters.add_edges(edges);
     Frontier::from_vec(out)
@@ -252,7 +257,7 @@ fn for_effect<F: AdvanceFunctor>(
         let mut sink = Vec::new();
         chunk
             .iter()
-            .map(|&item| expand_serial(ctx, functor, spec, item, &mut sink))
+            .map(|&item| expand_serial(ctx, functor, Shared, spec, item, &mut sink))
             .sum::<u64>()
     };
     let edges = par::map_reduce(items.chunks(grain_size(items.len())), 0, expand, |a, b| a + b);
@@ -318,7 +323,7 @@ pub(crate) fn thread_mapped_from<F: AdvanceFunctor>(
             let mut w = w0;
             for &item in chunk {
                 let src = expansion_vertex(ctx, spec.input, item);
-                walk(ctx, functor, spec.output, src, ctx.graph.edge_range(src), |v| {
+                walk(ctx, functor, Shared, spec.output, src, ctx.graph.edge_range(src), |v| {
                     // SAFETY: the grain's edges rank into the window
                     // [offs[0], next grain's offset), which no other
                     // grain writes, and w never passes its end.
@@ -427,7 +432,7 @@ pub fn twc<F: AdvanceFunctor>(
     let expand = |&item: &u32| {
         // ALLOC-OK(twc per-item warp local; opt-in strategy outside the pooled Auto path)
         let mut local = Vec::new();
-        let edges = expand_serial(ctx, functor, spec, item, &mut local);
+        let edges = expand_serial(ctx, functor, Shared, spec, item, &mut local);
         (local, edges)
     };
     // ALLOC-OK(twc per-item warp locals, see above)
@@ -450,7 +455,8 @@ pub fn twc<F: AdvanceFunctor>(
             // ALLOC-OK(twc per-CTA local, opt-in strategy)
             let mut local = Vec::new();
             let start = base + ci * ctx.config.cta_size;
-            walk(ctx, functor, spec.output, src, start..start + slice.len(), |v| local.push(v));
+            let run = start..start + slice.len();
+            walk(ctx, functor, Shared, spec.output, src, run, |v| local.push(v));
             local
         };
         // ALLOC-OK(twc per-CTA locals, see above)
@@ -655,7 +661,7 @@ fn lb_batch<F: AdvanceFunctor>(
                 let lo = w0.max(base) - base;
                 // CAST: degrees widen u32 -> usize.
                 let hi = (base + degrees[seg] as usize).min(w1) - base;
-                walk(ctx, functor, spec.output, src, row + lo..row + hi, |v| {
+                walk(ctx, functor, Shared, spec.output, src, row + lo..row + hi, |v| {
                     // SAFETY: ranks [w0, w1) belong to this chunk alone and
                     // w never passes w1: at most one write per rank.
                     unsafe { out_ref.write(w, v) };

@@ -161,7 +161,7 @@ mod tests {
     use crate::error::GunrockError;
     use crate::functor::AdvanceFunctor;
     use crate::policy::{CheckpointPolicy, RunPolicy};
-    use gunrock_engine::atomics::{atomic_u32_vec, unwrap_atomic_u32};
+    use gunrock_engine::atomics::{atomic_u32_vec, unwrap_atomic_u32, Access};
     use gunrock_engine::frontier::Frontier;
     use gunrock_graph::{Coo, Csr, GraphBuilder, INFINITY};
     use std::cell::RefCell;
@@ -175,10 +175,8 @@ mod tests {
     }
 
     impl AdvanceFunctor for Discover<'_> {
-        fn cond_edge(&self, _s: u32, d: u32, _e: u32) -> bool {
-            self.labels[d as usize]
-                .compare_exchange(INFINITY, self.level, Ordering::Relaxed, Ordering::Relaxed)
-                .is_ok()
+        fn cond_edge<A: Access>(&self, a: A, _s: u32, d: u32, _e: u32) -> bool {
+            a.cas_claim(&self.labels[d as usize], INFINITY, self.level).is_ok()
         }
     }
 

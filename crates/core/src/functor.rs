@@ -11,7 +11,15 @@
 //! Functors receive shared references and use interior mutability
 //! (atomics) for updates, mirroring device functors operating on global
 //! memory. All methods take `&self`; implementations must be thread-safe.
+//!
+//! **Who writes** is the operator's to say: an advance functor routes
+//! each contended update through the [`Access`] token its per-edge
+//! methods take. The single-threaded push path passes `Sole` (Relaxed
+//! loads and stores), every wide strategy and the pull sweep `Shared`
+//! (RMWs). The contract: a functor's state belongs to its advance while
+//! the advance runs, and no other thread writes it until it returns.
 
+use gunrock_engine::atomics::Access;
 use gunrock_graph::{EdgeId, VertexId};
 
 /// Per-edge functor for [advance](crate::advance): called once per
@@ -24,13 +32,13 @@ use gunrock_graph::{EdgeId, VertexId};
 /// frontier.
 pub trait AdvanceFunctor: Sync {
     /// Returns true if this edge's traversal succeeds (destination should
-    /// enter the output frontier).
-    fn cond_edge(&self, src: VertexId, dst: VertexId, eid: EdgeId) -> bool;
+    /// enter the output frontier). Contended updates go through `access`.
+    fn cond_edge<A: Access>(&self, access: A, src: VertexId, dst: VertexId, e: EdgeId) -> bool;
 
     /// Computation applied to edges that passed `cond_edge`.
     #[inline]
-    fn apply_edge(&self, src: VertexId, dst: VertexId, eid: EdgeId) {
-        let _ = (src, dst, eid);
+    fn apply_edge<A: Access>(&self, access: A, src: VertexId, dst: VertexId, e: EdgeId) {
+        let _ = (access, src, dst, e);
     }
 }
 
@@ -56,7 +64,7 @@ where
     F: Fn(VertexId, VertexId, EdgeId) -> bool + Sync,
 {
     #[inline]
-    fn cond_edge(&self, src: VertexId, dst: VertexId, eid: EdgeId) -> bool {
+    fn cond_edge<A: Access>(&self, _: A, src: VertexId, dst: VertexId, eid: EdgeId) -> bool {
         (self.0)(src, dst, eid)
     }
 }
@@ -81,7 +89,7 @@ pub struct AcceptAll;
 
 impl AdvanceFunctor for AcceptAll {
     #[inline]
-    fn cond_edge(&self, _: VertexId, _: VertexId, _: EdgeId) -> bool {
+    fn cond_edge<A: Access>(&self, _: A, _: VertexId, _: VertexId, _: EdgeId) -> bool {
         true
     }
 }
@@ -89,13 +97,14 @@ impl AdvanceFunctor for AcceptAll {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gunrock_engine::atomics::{Shared, Sole};
     use std::sync::atomic::{AtomicU32, Ordering};
 
     #[test]
     fn closure_adapters() {
         let f = EdgeCond(|s: VertexId, d: VertexId, _e: EdgeId| s < d);
-        assert!(f.cond_edge(1, 2, 0));
-        assert!(!f.cond_edge(2, 1, 0));
+        assert!(f.cond_edge(Shared, 1, 2, 0));
+        assert!(!f.cond_edge(Sole, 2, 1, 0));
         let g = VertexCond(|v: u32| v.is_multiple_of(2));
         assert!(g.cond(4));
         assert!(!g.cond(5));
@@ -105,18 +114,18 @@ mod tests {
     fn apply_default_is_noop_and_overridable() {
         struct Counting(AtomicU32);
         impl AdvanceFunctor for Counting {
-            fn cond_edge(&self, _: VertexId, _: VertexId, _: EdgeId) -> bool {
+            fn cond_edge<A: Access>(&self, _: A, _: VertexId, _: VertexId, _: EdgeId) -> bool {
                 true
             }
-            fn apply_edge(&self, _: VertexId, _: VertexId, _: EdgeId) {
+            fn apply_edge<A: Access>(&self, _: A, _: VertexId, _: VertexId, _: EdgeId) {
                 self.0.fetch_add(1, Ordering::Relaxed);
             }
         }
         let c = Counting(AtomicU32::new(0));
-        assert!(c.cond_edge(0, 1, 0));
-        c.apply_edge(0, 1, 0);
+        assert!(c.cond_edge(Shared, 0, 1, 0));
+        c.apply_edge(Shared, 0, 1, 0);
         assert_eq!(c.0.load(Ordering::Relaxed), 1);
         // default apply compiles and does nothing
-        AcceptAll.apply_edge(0, 1, 0);
+        AcceptAll.apply_edge(Sole, 0, 1, 0);
     }
 }

@@ -72,6 +72,7 @@ pub mod prelude {
     pub use crate::policy::{CheckpointPolicy, RetryPolicy, RunGuard, RunPolicy};
     pub use crate::priority_queue::NearFarQueue;
     pub use crate::util::grain_size;
+    pub use gunrock_engine::atomics::Access;
     pub use gunrock_engine::bitmap::{AtomicBitmap, BitSet, PooledBitmap};
     pub use gunrock_engine::checkpoint::{Checkpoint, CheckpointError};
     pub use gunrock_engine::faults::{FaultInjector, FaultKind, FaultPlan};

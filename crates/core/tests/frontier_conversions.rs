@@ -68,7 +68,7 @@ fn functor_sees_consistent_src_dst_eid_in_all_kinds() {
         ok: &'a AtomicBool,
     }
     impl AdvanceFunctor for Check<'_> {
-        fn cond_edge(&self, src: u32, dst: u32, e: u32) -> bool {
+        fn cond_edge<A: Access>(&self, _: A, src: u32, dst: u32, e: u32) -> bool {
             // (src, dst) must be exactly the endpoints of edge e
             if self.g.edge_source(e) != src || self.g.edge_dest(e) != dst {
                 self.ok.store(false, Ordering::Relaxed);

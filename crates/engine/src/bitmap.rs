@@ -16,6 +16,7 @@
 //!   with `trailing_zeros`, skip whole words, and merge up to 64
 //!   discoveries with one `fetch_or`.
 
+use crate::atomics::{Access, Shared};
 use crate::frontier::Frontier;
 use crate::pool::BufferPool;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -51,19 +52,6 @@ pub trait BitSet: Sync {
         // CAST: count_ones() <= 64 widens to usize losslessly.
         (0..self.word_count()).map(|wi| self.load_word(wi).count_ones() as usize).sum()
     }
-}
-
-/// Sets the `mask` bit of `word`, returning whether it was already set.
-/// A plain load runs first and the `fetch_or` is skipped when the bit is
-/// already set: a losing discovery costs a load, not a locked RMW.
-#[inline]
-fn test_and_set_word(word: &AtomicU64, mask: u64) -> bool {
-    // ORDERING: Relaxed — a load that sees the bit set is already the
-    // answer (setting a set bit changes nothing); one that misses it falls
-    // through to the RMW, which decides the race. The caller's join
-    // barrier orders phases.
-    let set = |old: u64| old & mask != 0;
-    set(word.load(Ordering::Relaxed)) || set(word.fetch_or(mask, Ordering::Relaxed))
 }
 
 /// A fixed-capacity bitmap supporting concurrent set/test.
@@ -113,11 +101,12 @@ impl AtomicBitmap {
 
     /// Atomically sets bit `i`, returning its previous value. The winner
     /// of a concurrent race observes `false` exactly once — the mechanism
-    /// behind unique vertex discovery.
+    /// behind unique vertex discovery. A load runs first, so a set bit
+    /// costs a load, not a locked RMW.
     #[inline]
     pub fn test_and_set(&self, i: usize) -> bool {
         debug_assert!(i < self.len);
-        test_and_set_word(&self.words[i / 64], 1u64 << (i % 64))
+        Shared.test_and_set(&self.words[i / 64], 1u64 << (i % 64))
     }
 
     /// Clears bit `i`.
@@ -242,7 +231,7 @@ pub(crate) fn into_plain_words(mut v: Vec<AtomicU64>) -> Vec<u64> {
 /// concurrent operator writes); exclusive (`&mut self`) word access
 /// mutates words with plain stores.
 pub struct PooledBitmap {
-    words: Vec<AtomicU64>,
+    pub(crate) words: Vec<AtomicU64>,
     len: usize,
 }
 
@@ -342,11 +331,12 @@ impl PooledBitmap {
         self.words[i / 64].fetch_or(1 << (i % 64), Ordering::Relaxed);
     }
 
-    /// Atomically sets bit `i`, returning its previous value.
+    /// Sets bit `i` through `access`, returning its previous value: a
+    /// sole writer's claim is a load and a store.
     #[inline]
-    pub fn test_and_set(&self, i: usize) -> bool {
+    pub fn test_and_set_with(&self, access: impl Access, i: usize) -> bool {
         debug_assert!(i < self.len);
-        test_and_set_word(&self.words[i / 64], 1u64 << (i % 64))
+        access.test_and_set(&self.words[i / 64], 1u64 << (i % 64))
     }
 }
 
@@ -369,7 +359,7 @@ impl BitSet for PooledBitmap {
     }
     #[inline]
     fn test_and_set(&self, i: usize) -> bool {
-        PooledBitmap::test_and_set(self, i)
+        self.test_and_set_with(Shared, i)
     }
     #[inline]
     fn load_word(&self, wi: usize) -> u64 {

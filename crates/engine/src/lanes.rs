@@ -12,8 +12,8 @@
 //! Beside the words a lane map keeps an **occupancy bitmap**, one bit per
 //! vertex, set exactly when that vertex's word is non-zero (GraphBLAST's
 //! sparse-and-dense frontier, PAPERS.md). It is derived state: every
-//! write path keeps it in step ([`LaneMap::fetch_or`] and
-//! [`LaneMap::or_mut`] mark a word's zero-to-non-zero transition,
+//! write path keeps it in step ([`LaneMap::fetch_or`] marks a word's
+//! zero-to-non-zero transition,
 //! [`LaneMap::settle`] unmarks the words it zeroes,
 //! [`LaneMap::restore_words`] rebuilds it) and it is never saved.
 //! Every whole-map operation walks the set bits in vertex order instead
@@ -31,6 +31,7 @@
 //! allocate nothing. A lane map holds one *word* per vertex (`n` words,
 //! bit = lane) plus its `⌈n/64⌉`-word bitmap.
 
+use crate::atomics::{Access, Shared};
 use crate::bitmap::{into_atomic_words, into_plain_words, BitSet, PooledBitmap};
 use crate::par;
 use crate::pool::BufferPool;
@@ -139,30 +140,20 @@ impl LaneMap {
         self.words[v].load(Ordering::Relaxed)
     }
 
-    /// Atomically ORs `bits` into vertex `v`'s lane word, returning the
-    /// previous word — the one-atomic-per-edge discovery step of the
-    /// batched advance (up to 64 traversals served per RMW). The one
-    /// caller that takes the word from zero marks it occupied.
+    /// ORs `bits` into vertex `v`'s lane word through `access`, returning
+    /// the previous word — the discovery step of the batched advance (up
+    /// to 64 traversals served per update). The one caller that takes the
+    /// word from zero marks it occupied; a sole writer ORs the mark without
+    /// the branch (a zero mark changes nothing).
     #[inline]
-    pub fn fetch_or(&self, v: usize, bits: u64) -> u64 {
+    pub fn fetch_or<A: Access>(&self, access: A, v: usize, bits: u64) -> u64 {
         debug_assert!(v < self.len);
-        // ORDERING: Relaxed — lane-word RMWs need only atomicity (no lost
-        // ORs, exactly one caller sees the zero word); cross-phase
-        // visibility comes from the caller's join barrier.
-        let old = self.words[v].fetch_or(bits, Ordering::Relaxed);
-        if old == 0 && bits != 0 {
-            self.occupied.set(v);
+        let old = access.fetch_or_u64(&self.words[v], bits);
+        let mark = u64::from(old == 0 && bits != 0) << (v % 64);
+        if A::SOLE || mark != 0 {
+            access.fetch_or_u64(&self.occupied.words[v / 64], mark);
         }
         old
-    }
-
-    /// [`LaneMap::fetch_or`] for a holder of the whole map: plain stores,
-    /// no RMW — the serial scatter's discovery step.
-    #[inline]
-    pub fn or_mut(&mut self, v: usize, bits: u64) {
-        *self.words[v].get_mut() |= bits;
-        // a non-empty OR leaves the word non-zero, whatever it held
-        *self.occupied.words_mut()[v / 64].get_mut() |= u64::from(bits != 0) << (v % 64);
     }
 
     /// Sets one lane bit at vertex `v` (shared, atomic) — batch seeding:
@@ -170,7 +161,7 @@ impl LaneMap {
     #[inline]
     pub fn set_lane(&self, v: usize, lane: usize) {
         debug_assert!(lane < LANES);
-        self.fetch_or(v, 1u64 << lane);
+        self.fetch_or(Shared, v, 1u64 << lane);
     }
 
     /// Walks every occupied vertex with its lane word, in vertex order.
@@ -337,6 +328,7 @@ impl std::fmt::Debug for LaneMap {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::atomics::Sole;
 
     /// The map's invariant: bit `v` is set iff word `v` is non-zero, and
     /// the whole-map queries equal a brute-force sweep over the words.
@@ -425,13 +417,13 @@ mod tests {
     fn fetch_or_returns_previous_word() {
         let pool = BufferPool::new();
         let lm = LaneMap::take(&pool, 8);
-        assert_eq!(lm.fetch_or(2, 0b1010), 0);
-        let old = lm.fetch_or(2, 0b0110);
+        assert_eq!(lm.fetch_or(Shared, 2, 0b1010), 0);
+        let old = lm.fetch_or(Shared, 2, 0b0110);
         assert_eq!(old, 0b1010);
         // newly-set lanes are exactly `bits & !old`
         assert_eq!(0b0110 & !old, 0b0100);
         // an empty OR leaves a zero word unoccupied
-        assert_eq!(lm.fetch_or(5, 0), 0);
+        assert_eq!(lm.fetch_or(Shared, 5, 0), 0);
         assert_consistent(&lm);
         lm.release(&pool);
     }
@@ -458,8 +450,8 @@ mod tests {
             twin_seen.restore_words(&seen.snapshot_words());
             assert_consistent(&seen);
             for (v, w) in sparse_words(len, density, 23).into_iter().enumerate() {
-                next.fetch_or(v, w);
-                twin_next.or_mut(v, w);
+                next.fetch_or(Shared, v, w);
+                twin_next.fetch_or(Sole, v, w);
             }
             assert_consistent(&next);
             assert_consistent(&twin_next);

@@ -204,3 +204,57 @@ fn reruns_on_one_context_report_equal_edges_examined() {
         assert_eq!(run(), first, "{name}");
     }
 }
+
+/// The single-threaded push path runs its functors as the sole writer
+/// (plain loads and stores), every wide strategy as a shared one (RMWs).
+/// Both reach the serial oracles: BFS, SSSP, BC, CC and MS-BFS on a grid,
+/// an R-MAT and a hub chain, with the serial fast path off and covering
+/// every level, at one and two threads. On one thread the schedule is
+/// fixed, so BFS and SSSP parents and iteration counts are bit-identical
+/// between the two thresholds.
+#[test]
+fn sole_and_shared_writers_reach_the_oracles_at_both_thresholds() {
+    use gunrock_baselines::serial;
+    use gunrock_graph::generators::{grid2d, hub_chain};
+    let weighted = |coo, seed| GraphBuilder::new().random_weights(1, 64, seed).build(coo);
+    let graphs = [
+        ("grid", weighted(grid2d(48, 48, 0.1, 0.0, 3), 3)),
+        ("rmat", weighted(rmat(11, 8, Default::default(), 4), 4)),
+        ("hubchain", weighted(hub_chain(3000, 0.05, 200, 5), 5)),
+    ];
+    let sources: Vec<u32> = (0..16).map(|i| i * 37).collect();
+    for (name, g) in &graphs {
+        let n = g.num_vertices();
+        let depths: Vec<Vec<u32>> = sources.iter().map(|&s| serial::bfs(g, s)).collect();
+        let dist = serial::dijkstra(g, 0);
+        let scores = serial::brandes_single_source(g, 0);
+        let components = serial::connected_components(g);
+        for threads in [1, 2] {
+            let mut one_thread = Vec::new();
+            for threshold in [0, 1 << 20] {
+                let at = format!("{name}, {threads} threads, serial_threshold {threshold}");
+                with_threads(threads, || {
+                    let config = EngineConfig::new().with_serial_threshold(threshold);
+                    let ctx = Context::new(g).with_reverse(g).with_config(config);
+                    let bfs = algos::bfs(&ctx, 0, algos::BfsOptions::direction_optimized());
+                    assert_eq!(bfs.labels, depths[0], "bfs on {at}");
+                    let sssp = algos::sssp(&ctx, 0, algos::SsspOptions::default());
+                    assert_eq!(sssp.dist, dist, "sssp on {at}");
+                    let bc = algos::bc(&ctx, 0, algos::BcOptions::default());
+                    for (v, (a, b)) in bc.bc_values.iter().zip(&scores).enumerate() {
+                        assert!((a - b).abs() <= 1e-6 * b.abs().max(1.0), "bc on {at}, {v}");
+                    }
+                    assert_eq!(algos::cc(&ctx).labels, components, "cc on {at}");
+                    let ms = algos::msbfs(&ctx, &sources);
+                    for (lane, want) in ms.depths.chunks(n).zip(&depths) {
+                        assert_eq!(lane, &want[..], "msbfs on {at}");
+                    }
+                    one_thread.push((bfs.preds, bfs.iterations, sssp.preds, sssp.iterations));
+                });
+            }
+            if threads == 1 {
+                assert_eq!(one_thread[0], one_thread[1], "{name}: parents and iterations");
+            }
+        }
+    }
+}

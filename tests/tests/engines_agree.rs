@@ -39,8 +39,6 @@ fn sssp_all_engines_agree() {
             want,
             "hardwired on {name}"
         );
-        // Bellman-Ford oracle agrees with Dijkstra (sanity of the oracle)
-        assert_eq!(serial::bellman_ford(&g, 0), want, "bellman-ford oracle on {name}");
     }
 }
 

@@ -11,7 +11,7 @@ use gunrock::prelude::*;
 use gunrock_algos::registry::{Arity, Output, Query};
 use gunrock_algos::{resume, run, Primitive};
 use gunrock_baselines::serial;
-use gunrock_engine::atomics::{atomic_u32_vec, fetch_min_u32, unwrap_atomic_u32};
+use gunrock_engine::atomics::{atomic_u32_vec, unwrap_atomic_u32};
 use gunrock_engine::budget::{pooled_bytes, MemoryBudget};
 use gunrock_engine::checkpoint::{Field, Kind::*, Schema, Slot::*, Snapshot, SnapshotWriter};
 use gunrock_graph::{Csr, VertexId, INFINITY};
@@ -29,11 +29,11 @@ struct Relax<'a> {
 }
 
 impl AdvanceFunctor for Relax<'_> {
-    fn cond_edge(&self, s: u32, d: u32, e: u32) -> bool {
+    fn cond_edge<A: Access>(&self, a: A, s: u32, d: u32, e: u32) -> bool {
         let nd =
             self.dist[s as usize].load(Ordering::Relaxed).saturating_add(self.graph.weight(e));
-        fetch_min_u32(&self.dist[d as usize], nd)
-            && self.tags[d as usize].swap(self.round, Ordering::Relaxed) != self.round
+        a.fetch_min_u32(&self.dist[d as usize], nd)
+            && a.swap_claim(&self.tags[d as usize], self.round)
     }
 }
 
